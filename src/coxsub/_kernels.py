@@ -1,18 +1,15 @@
-"""Hot loops shared by both backends.
-
-Every function in this module is written against plain numpy arrays and
-int64 scalars so that the identical source can run either uncompiled or
-under numba's njit.  Backend selection happens in :mod:`coxsub.backend`;
-nothing here may import numba.
+"""The hot loops: reduced-subword enumeration and face-set bit tricks.
 
 Conventions:
   * generator indices are 0-based here (the public API is 1-based),
-  * a word position set is packed into one int64 bitmask, bit p for
-    position p, so ambient words are limited to 62 letters,
-  * a group element is an n x n float64 matrix acting on column vectors
-    written in the simple-root basis; column s is the image of the
-    simple root alpha_s, and alpha_s is sent to a negative root exactly
-    when every entry of that column is <= tol.
+  * a word position set is one bitmask, bit p for position p; the face
+    helpers take int64 numpy arrays, so ambient words are limited to 62
+    letters,
+  * group elements are the integer ids a CoxeterSystem interns them under,
+    id 0 being the identity, and the enumeration reads three tables the
+    system owns: right[g][s] is the id of g*s, or -1 until step(g, s)
+    computes and records it; desc[g] is the bitmask of right descents of
+    g; length[g] is its Coxeter length.
 """
 
 from __future__ import annotations
@@ -20,134 +17,74 @@ from __future__ import annotations
 import numpy as np
 
 
-def reduced_subword_masks(refl, word, pi_inv, pi_len, tol, out, stop_after):
-    """Enumerate position masks of reduced subwords expressing pi.
+def reduced_subword_masks(right, desc, length, step, word, start, stop_after=None):
+    """Position masks of the subwords of ``word`` that are reduced words of pi.
 
-    Walks positions left to right keeping the prefix product u and
-    w = pi^{-1} u.  A letter may be taken only when it lengthens u, so
-    every taken subword is reduced; acceptance is l(w) == 0, which forces
-    u == pi and exactly pi_len taken letters.  Both lengths are tracked
-    incrementally through descent tests, never recomputed.
+    ``start`` is the id of pi^-1.  Positions are read left to right, and
+    w = pi^-1 u is kept for the product u of the letters taken so far.  A
+    subword is a reduced word of pi exactly when each of its letters is a
+    right descent of the w before it and w ends at the identity, so a
+    letter is taken only when it is a descent of w, and a branch dies once
+    fewer than l(w) positions remain.  Every branch step is a table read.
 
-    refl: (g, n, n) float64, reflection matrix per generator.
-    word: (L,) int64 of 0-based letters, L <= 62.
-    out:  int64 buffer; masks beyond its capacity are counted, not stored.
+    word: tuple of 0-based letters.
     stop_after: return as soon as this many masks have been found.
 
-    Returns the total number of reduced subwords found (may exceed
-    out.shape[0]; the caller is expected to retry with a larger buffer).
+    Returns the masks in search order.
     """
-    n = refl.shape[1]
-    L = word.shape[0]
-    cap = out.shape[0]
-
-    u_stack = np.empty((pi_len + 1, n, n), dtype=np.float64)
-    w_stack = np.empty((pi_len + 1, n, n), dtype=np.float64)
-    lw_stack = np.empty(pi_len + 1, dtype=np.int64)
-    # stage per position: 1 descended into "take", 2 descended into "skip"
-    stage = np.zeros(L + 1, dtype=np.int8)
-
-    for a in range(n):
-        for b in range(n):
-            u_stack[0, a, b] = 1.0 if a == b else 0.0
-            w_stack[0, a, b] = pi_inv[a, b]
-    lw_stack[0] = pi_len
-
-    count = 0
-    cur_mask = 0
-    p = 0
-    d = 0
-
-    while True:
-        # fresh node: p positions consumed, d letters taken
-        lw = lw_stack[d]
-        descend = -1
-        if lw == 0:
-            count += 1
-            if count <= cap:
-                out[count - 1] = cur_mask
-            if count >= stop_after:
-                return count
-        elif p < L:
-            t = pi_len - d
-            if t <= L - p and lw <= t:
-                s = word[p]
-                is_descent = True
-                for a in range(n):
-                    if u_stack[d, a, s] > tol:
-                        is_descent = False
-                        break
-                descend = 0 if is_descent else 1
-
-        if descend == 1:
-            s = word[p]
-            for a in range(n):
-                for b in range(n):
-                    acc_u = 0.0
-                    acc_w = 0.0
-                    for c in range(n):
-                        acc_u += u_stack[d, a, c] * refl[s, c, b]
-                        acc_w += w_stack[d, a, c] * refl[s, c, b]
-                    u_stack[d + 1, a, b] = acc_u
-                    w_stack[d + 1, a, b] = acc_w
-            w_descent = True
-            for a in range(n):
-                if w_stack[d, a, s] > tol:
-                    w_descent = False
-                    break
-            lw_stack[d + 1] = lw_stack[d] - 1 if w_descent else lw_stack[d] + 1
-            cur_mask |= 1 << p
-            stage[p] = 1
-            d += 1
-            p += 1
-            continue
-        if descend == 0:
-            stage[p] = 2
-            p += 1
-            continue
-
-        # dead end or accepted leaf: backtrack to the deepest frame that
-        # still has its "skip" child pending
-        while True:
-            p -= 1
-            if p < 0:
-                return count
-            if stage[p] == 1:
-                cur_mask &= ~(1 << p)
-                d -= 1
-                stage[p] = 2
-                p += 1
+    L = len(word)
+    out = []
+    stack = [(0, start, 0)]
+    while stack:
+        p, w, mask = stack.pop()
+        if w == 0:
+            out.append(mask)
+            if stop_after is not None and len(out) >= stop_after:
                 break
+            continue
+        d = desc[w]
+        row = right[w]
+        # the next letter taken sits at or before position L - l(w)
+        for q in range(p, L - length[w] + 1):
+            s = word[q]
+            if d >> s & 1:
+                nxt = row[s]
+                if nxt < 0:
+                    nxt = step(w, s)
+                stack.append((q + 1, nxt, mask | 1 << q))
+    return out
 
 
 def fill_submasks(facets, out):
     """Write every submask of every facet mask into out; returns count.
 
     Duplicates across facets are kept; the caller deduplicates.  out must
-    hold sum(2**popcount(f)) entries.
+    hold sum(2**popcount(f)) entries.  Facets of one size are done together:
+    each row of their block starts as [0] and doubles once per facet bit.
     """
+    by_size: dict[int, list[int]] = {}
+    for f in facets.tolist():
+        by_size.setdefault(f.bit_count(), []).append(f)
     idx = 0
-    for fi in range(facets.shape[0]):
-        f = facets[fi]
-        sub = f
-        while True:
-            out[idx] = sub
-            idx += 1
-            if sub == 0:
-                break
-            sub = (sub - 1) & f
+    for k, group in by_size.items():
+        rest = np.array(group, dtype=np.int64)
+        block = out[idx: idx + (len(group) << k)].reshape(len(group), 1 << k)
+        block[:, 0] = 0
+        for b in range(k):
+            low = rest & -rest
+            block[:, 1 << b: 2 << b] = block[:, : 1 << b] | low[:, None]
+            rest ^= low
+        idx += block.size
     return idx
 
 
 def popcounts(masks, out):
-    """Per-element popcount of nonnegative int64 masks."""
-    for i in range(masks.shape[0]):
-        x = masks[i]
-        x = x - ((x >> 1) & 0x5555555555555555)
-        x = (x & 0x3333333333333333) + ((x >> 2) & 0x3333333333333333)
-        x = (x + (x >> 4)) & 0x0F0F0F0F0F0F0F0F
-        x = x + (x >> 8)
-        x = x + (x >> 16)
-        x = x + (x >> 32)
-        out[i] = x & 0x7F
+    """Per-element popcount of nonnegative int64 masks, written into out."""
+    x = masks - ((masks >> 1) & 0x5555555555555555)
+    x = (x & 0x3333333333333333) + ((x >> 2) & 0x3333333333333333)
+    x = (x + (x >> 4)) & 0x0F0F0F0F0F0F0F0F
+    x = x + (x >> 8)
+    x = x + (x >> 16)
+    x = x + (x >> 32)
+    out[:] = x & 0x7F
     return out

@@ -1,55 +1,17 @@
-"""Kernel backend selection.
+"""The kernel namespace.
 
-The hot loops in :mod:`coxsub._kernels` are plain Python over numpy
-arrays.  By default they are compiled with numba (first call pays a
-cached compile); setting the environment variable
-
-    COXSUB_BACKEND=python     run the same source uncompiled
-    COXSUB_BACKEND=numba      require the compiled path, else error
-    COXSUB_BACKEND=auto       compiled when numba imports (default)
-
-selects the path at import time.  Both backends stay importable side by
-side so tests and the bench command can compare them directly.
+The package calls the hot loops of :mod:`coxsub._kernels` only through
+``active``, so a profiler can wrap them by replacing its attributes.
 """
 
-from __future__ import annotations
-
-import os
 from types import SimpleNamespace
 
 from . import _kernels
 
-_KERNEL_NAMES = ("reduced_subword_masks", "fill_submasks", "popcounts")
-
-
-def _namespace(decorate, jitted):
-    funcs = {name: decorate(getattr(_kernels, name)) for name in _KERNEL_NAMES}
-    return SimpleNamespace(jitted=jitted, **funcs)
-
-
-python_kernels = _namespace(lambda f: f, jitted=False)
-
-
-def _compile_numba():
-    try:
-        from numba import njit
-    except ImportError:
-        return None
-    return _namespace(lambda f: njit(cache=True)(f), jitted=True)
-
-
-_mode = os.environ.get("COXSUB_BACKEND", "auto").strip().lower()
-if _mode not in ("auto", "numba", "python"):
-    raise RuntimeError(f"COXSUB_BACKEND must be auto, numba or python, got {_mode!r}")
-
-numba_kernels = None
-if _mode in ("auto", "numba"):
-    numba_kernels = _compile_numba()
-    if numba_kernels is None and _mode == "numba":
-        raise RuntimeError("COXSUB_BACKEND=numba but numba is not importable")
-
-active = numba_kernels if numba_kernels is not None else python_kernels
+active = SimpleNamespace(reduced_subword_masks=_kernels.reduced_subword_masks,
+                         fill_submasks=_kernels.fill_submasks,
+                         popcounts=_kernels.popcounts)
 
 
 def backend_name() -> str:
-    return "numba" if active.jitted else "python"
+    return "python"

@@ -3,8 +3,8 @@
 Subcommands: ``complex`` builds one subword complex, ``classify`` grades a
 single braid move, ``chain`` replays a move sequence, ``poset`` builds the
 reduced-word order, ``demo`` reruns the worked dihedral and rank-3 chain
-examples with their frozen expectations, ``bench`` times the compiled
-kernels against the uncompiled source.
+examples with their frozen expectations, ``bench`` times the
+reduced-subword enumeration kernel.
 
 Exit codes: 0 success, 2 unusable input, 3 a verification check failed.
 All output except bench timings is deterministic for a fixed invocation.
@@ -36,11 +36,11 @@ def parse_word(text: str) -> tuple[int, ...]:
         raise ValueError(f"cannot parse word {text!r}: use 1-based letters")
 
 
-def load_system(spec: str, tol: float) -> CoxeterSystem:
+def load_system(spec: str) -> CoxeterSystem:
     if os.path.isfile(spec):
         with open(spec) as fh:
             spec = fh.read().strip()
-    return CoxeterSystem(CoxeterMatrix.from_spec(spec), tol=tol)
+    return CoxeterSystem(CoxeterMatrix.from_spec(spec))
 
 
 def resolve_pi(system: CoxeterSystem, text: str):
@@ -135,7 +135,7 @@ def _word_text(word) -> str:
 
 
 def cmd_complex(args) -> int:
-    system = load_system(args.group, args.tolerance)
+    system = load_system(args.group)
     word = parse_word(args.word)
     pi = resolve_pi(system, args.pi)
     d = SubwordDescriptor(system, word, pi)
@@ -163,7 +163,7 @@ def cmd_complex(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    system = load_system(args.group, args.tolerance)
+    system = load_system(args.group)
     word = parse_word(args.word)
     pi = resolve_pi(system, args.pi)
     ctx = move_context(system, word, args.pos, pi)
@@ -191,7 +191,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_chain(args) -> int:
-    system = load_system(args.group, args.tolerance)
+    system = load_system(args.group)
     word = parse_word(args.word)
     pi = resolve_pi(system, args.pi)
     if args.moves:
@@ -240,7 +240,7 @@ def cmd_chain(args) -> int:
 
 
 def cmd_poset(args) -> int:
-    system = load_system(args.group, args.tolerance)
+    system = load_system(args.group)
     Q = parse_word(args.Q)
     Qp = parse_word(args.Qprime)
     pi = resolve_pi(system, args.pi)
@@ -305,7 +305,7 @@ def demo_i2(args) -> int:
     m = args.m
     if m < 3:
         raise ValueError("the dihedral demo needs m >= 3")
-    system = load_system(f"I2:{m}", args.tolerance)
+    system = load_system(f"I2:{m}")
     w0 = system.longest_element()
     word = (1, 2) + tuple(1 if t % 2 == 0 else 2 for t in range(m))
     rep = classify(move_context(system, word, 3, w0))
@@ -326,7 +326,7 @@ def demo_i2(args) -> int:
 
 
 def demo_a3_chain(args) -> int:
-    system = load_system("A3", args.tolerance)
+    system = load_system("A3")
     w0 = system.longest_element()
     rep = apply_sequence(system, CHAIN_START, w0, CHAIN_MOVES)
     good = all(report_ok(s.report) and s.report.supported for s in rep.steps)
@@ -362,51 +362,31 @@ def cmd_demo(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    system = load_system(args.group, args.tolerance)
+    if args.repeat < 1:
+        raise ValueError("--repeat must be at least 1")
+    system = load_system(args.group)
     w0 = system.longest_element()
     cw = system.c_sorting_word(range(1, system.rank + 1), w0)
     word = (cw * ((args.length + len(cw) - 1) // len(cw)))[:args.length]
-    w = np.array([a - 1 for a in word], dtype=np.int64)
-    pi_inv = np.ascontiguousarray(np.linalg.inv(w0.mat))
-    pi_len = system.length(w0)
-    out = np.empty(1 << 20, dtype=np.int64)
-
-    def run(kernels) -> tuple[float, int]:
-        k = int(kernels.reduced_subword_masks(
-            system.refl, w, pi_inv, pi_len, system.tol, out, 2 ** 62))
-        best = float("inf")
-        for _ in range(args.repeat):
-            t0 = time.perf_counter()
-            kernels.reduced_subword_masks(
-                system.refl, w, pi_inv, pi_len, system.tol, out, 2 ** 62)
-            best = min(best, time.perf_counter() - t0)
-        return best * 1e3, k
-
-    py_ms, count = run(backend.python_kernels)
-    nb_ms = None
-    if backend.numba_kernels is not None:
-        nb_ms, count2 = run(backend.numba_kernels)
-        if count2 != count:
-            print("backend disagreement on mask count", file=sys.stderr)
-            return 3
+    count = len(system.reduced_subword_masks(word, w0))  # fills the tables
+    best = float("inf")
+    for _ in range(args.repeat):
+        t0 = time.perf_counter()
+        system.reduced_subword_masks(word, w0)
+        best = min(best, time.perf_counter() - t0)
+    ms = best * 1e3
     result = {
         "group": args.group,
         "word_length": len(word),
         "masks": count,
-        "python_ms": round(py_ms, 3),
-        "numba_ms": None if nb_ms is None else round(nb_ms, 3),
-        "speedup": None if nb_ms is None else round(py_ms / nb_ms, 1),
+        "python_ms": round(ms, 3),
         "active_backend": backend.backend_name(),
     }
     if args.json:
         _emit(result)
     else:
         print(f"{len(word)}-letter word in {args.group}: {count} reduced subwords")
-        print(f"python  {py_ms:9.3f} ms")
-        if nb_ms is None:
-            print("numba   unavailable")
-        else:
-            print(f"numba   {nb_ms:9.3f} ms   ({py_ms / nb_ms:.1f}x)")
+        print(f"best of {args.repeat}: {ms:.3f} ms")
     return 0
 
 
@@ -422,8 +402,6 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p, cap=False):
         p.add_argument("--group", required=True,
                        help="type name (A3, B4, H3, I2:7, ...), inline JSON, or a file")
-        p.add_argument("--tolerance", type=float, default=1e-6,
-                       help="rounding grid for group-element matrices")
         if cap:
             p.add_argument("--cap", type=int, default=100_000,
                            help="enumeration size guard")
@@ -460,21 +438,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pi", required=True)
     p.add_argument("--dot", help="write the Hasse diagram here ('-' = stdout)")
     p.add_argument("--json", help="write the order summary here ('-' = stdout)")
-    p.add_argument("--seed", type=int, default=0,
-                   help="accepted for reproducible pipelines; the build is deterministic")
     p.set_defaults(fn=cmd_poset)
 
     p = sub.add_parser("demo", help="replay a worked example and verify it")
     p.add_argument("which", choices=("i2", "a3-chain"))
     p.add_argument("--m", type=int, default=5, help="dihedral order for the i2 demo")
-    p.add_argument("--tolerance", type=float, default=1e-6)
     p.set_defaults(fn=cmd_demo)
 
-    p = sub.add_parser("bench", help="time the compiled kernels against pure python")
+    p = sub.add_parser("bench", help="time the reduced-subword enumeration kernel")
     common(p)
     p.add_argument("--length", type=int, default=18, help="benchmark word length")
     p.add_argument("--repeat", type=int, default=5)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_bench)
     return top
@@ -483,8 +457,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        if getattr(args, "cap", 1) < 1:
+            raise ValueError("--cap must be at least 1")
         return args.fn(args)
-    except (ValueError, KeyError, OSError, np.linalg.LinAlgError) as exc:
+    except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,20 +1,28 @@
-"""Finite Coxeter systems through the geometric representation.
+"""Finite Coxeter systems acting on their root systems.
 
 A Coxeter system is encoded by its Coxeter matrix m, with m[i][i] = 1 and
-m[i][j] = m[j][i] >= 2 the order of s_i s_j.  Generators act on the span
-of the simple roots via the bilinear form B(a_i, a_j) = -cos(pi/m[i][j]),
-realizing the group faithfully by n x n reflection matrices.  Matrix
-entries of group elements are compared on a fixed rounding grid (1e-6 by
-default); for the groups admitted here the true entries sit far from the
-midpoints of that grid, so equality and descent tests are exact.
+m[i][j] = m[j][i] >= 2 the order of s_i s_j.  In the geometric
+representation, where B(a_i, a_j) = -cos(pi/m[i][j]) on the span of the
+simple roots, the roots Phi are the orbit of the simple roots and every
+generator permutes them (Bjorner-Brenti, Combinatorics of Coxeter Groups,
+ch. 4).  Phi is computed once per system, from one floating-point orbit
+whose result is validated before use: each s_i must permute Phi and send
+exactly one positive root, alpha_i, to a negative one, and a named type
+must have rank * h roots, h its Coxeter number.  From then on every
+operation is on root indices and is exact.
+
+A group element g is the tuple of the roots g(alpha_1), .., g(alpha_n);
+it determines g, so equality and hashing are exact.  Elements are interned
+into integer ids as they are reached.  The right-multiplication table,
+the right-descent bitmasks and the lengths are indexed by id and fill on
+demand; W itself is never enumerated.
 
 Conventions used throughout the package:
   * generators are 1-based integers 1..n,
   * a word is a tuple of generator indices, read left to right,
   * words multiply left to right: element_of((i, j)) is s_i followed by
     s_j, acting on the right,
-  * s is a right descent of g iff g sends alpha_s to a negative root; in
-    matrix terms, column s of g has no entry above tol.
+  * s is a right descent of g iff g sends alpha_s to a negative root.
 
 Only finite groups are supported.  Construction rejects any Coxeter
 matrix whose bilinear form is not positive definite; positive
@@ -25,9 +33,9 @@ exactly the A/B/D/E6/E7/E8/F4/H3/H4/I2(m) catalog.
 from __future__ import annotations
 
 import json
-import math
 import re
 from collections import deque
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -37,6 +45,11 @@ from .backend import active as _K
 Word = tuple[int, ...]
 
 MAX_WORD_LETTERS = 62  # position sets are packed into int64 bitmasks
+MAX_ROOTS = 1000  # the reflection table holds |Phi|^2 root indices
+# Two orbit points closer than this in every simple-root coordinate are the
+# same root.  Used only while Phi is built; the validation that follows
+# catches any mismatch.
+_SAME_ROOT = 1e-6
 
 
 def _as_word(letters: Iterable[int]) -> Word:
@@ -47,9 +60,10 @@ def _as_word(letters: Iterable[int]) -> Word:
 class CoxeterMatrix:
     """Validated symmetric Coxeter matrix of a finite group."""
 
-    __slots__ = ("m", "rank", "name")
+    __slots__ = ("m", "rank", "name", "coxeter_number")
 
-    def __init__(self, rows: Sequence[Sequence[int]], name: str | None = None):
+    def __init__(self, rows: Sequence[Sequence[int]], name: str | None = None,
+                 coxeter_number: int | None = None):
         m = np.asarray(rows, dtype=np.int64)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("Coxeter matrix must be square")
@@ -75,6 +89,7 @@ class CoxeterMatrix:
         self.m = m
         self.rank = n
         self.name = name
+        self.coxeter_number = coxeter_number  # known for named types only
 
     def __repr__(self) -> str:
         return f"CoxeterMatrix({self.name or self.m.tolist()})"
@@ -88,7 +103,8 @@ class CoxeterMatrix:
             order = int(im.group(1))
             if order < 2:
                 raise ValueError("I2(m) needs m >= 2")
-            return CoxeterMatrix([[1, order], [order, 1]], name=f"I2:{order}")
+            return CoxeterMatrix([[1, order], [order, 1]], name=f"I2:{order}",
+                                 coxeter_number=order)
         tm = re.fullmatch(r"([ABDEFHabdefh])(\d+)", name)
         if not tm:
             raise ValueError(f"unrecognized group name {name!r}")
@@ -98,36 +114,42 @@ class CoxeterMatrix:
             if rank < 1:
                 raise ValueError("A_n needs n >= 1")
             edges = {(i, i + 1): 3 for i in range(1, rank)}
+            h = rank + 1
         elif family == "B":
             if rank < 2:
                 raise ValueError("B_n needs n >= 2")
             edges = {(i, i + 1): 3 for i in range(1, rank - 1)}
             edges[(rank - 1, rank)] = 4
+            h = 2 * rank
         elif family == "D":
             if rank < 4:
                 raise ValueError("D_n needs n >= 4")
             edges = {(i, i + 1): 3 for i in range(1, rank - 1)}
             edges[(rank - 2, rank)] = 3
+            h = 2 * rank - 2
         elif family == "E":
             if rank not in (6, 7, 8):
                 raise ValueError("E_n needs n in {6, 7, 8}")
             chain = [1, 3, 4, 5, 6, 7, 8][: rank - 1]
             edges = {(a, b): 3 for a, b in zip(chain, chain[1:])}
             edges[(2, 4)] = 3
+            h = {6: 12, 7: 18, 8: 30}[rank]
         elif family == "F":
             if rank != 4:
                 raise ValueError("only F4 exists")
             edges = {(1, 2): 3, (2, 3): 4, (3, 4): 3}
-        elif family == "H":
+            h = 12
+        else:  # H
             if rank not in (3, 4):
                 raise ValueError("H_n needs n in {3, 4}")
             edges = {(1, 2): 5}
             edges.update({(i, i + 1): 3 for i in range(2, rank)})
+            h = {3: 10, 4: 30}[rank]
         rows = [[1 if i == j else 2 for j in range(rank)] for i in range(rank)]
         for (a, b), order in edges.items():
             rows[a - 1][b - 1] = order
             rows[b - 1][a - 1] = order
-        return CoxeterMatrix(rows, name=family + str(rank))
+        return CoxeterMatrix(rows, name=family + str(rank), coxeter_number=h)
 
     @staticmethod
     def from_spec(spec) -> "CoxeterMatrix":
@@ -156,166 +178,217 @@ class CoxeterMatrix:
         raise ValueError(f"cannot interpret group spec {spec!r}")
 
 
-class GroupElement:
-    """Group element as its matrix in the simple-root basis.
+def _root_system(gram: np.ndarray) -> tuple[np.ndarray, list[bool], list[list[int]]]:
+    """The roots of a finite system and the reflections' action on them.
 
-    Equality and hashing go through a key obtained by rounding every
-    entry to the system's grid, so elements coming from different words
-    compare correctly.
+    Returns (roots, negative, reflect): roots is a (|Phi|, n) array of
+    simple-root coordinates with the simple roots first, negative[r] says
+    whether root r is negative, and reflect[b][c] is the index of
+    s_beta(gamma) for beta = roots[b] and gamma = roots[c].  Raises when
+    the orbit fails validation.
+    """
+    n = gram.shape[0]
+    coords = np.eye(n)
+    perm: list[list[int]] = [[] for _ in range(n)]  # perm[s][r]: index of s(root r)
+    parent: list[tuple[int, int]] = []  # root n + k is s(root r) for parent[k] = (r, s)
+    r = 0
+    while r < len(coords):
+        beta = coords[r]
+        for s in range(n):
+            image = beta.copy()
+            image[s] -= 2.0 * gram[s] @ beta
+            gap = np.abs(coords - image).max(axis=1)
+            k = int(gap.argmin())
+            if gap[k] > _SAME_ROOT:
+                k = len(coords)
+                if k == MAX_ROOTS:
+                    raise ValueError(f"root systems are limited to {MAX_ROOTS} roots")
+                coords = np.vstack([coords, image])
+                parent.append((r, s))
+            perm[s].append(k)
+        r += 1
+    size = len(coords)
+    negative = coords.sum(axis=1) < 0
+    flips = np.asarray(perm)
+    for s in range(n):
+        if sorted(perm[s]) != list(range(size)):
+            raise ValueError(f"s_{s + 1} does not permute the computed roots")
+        if np.flatnonzero(~negative & negative[flips[s]]).tolist() != [s]:
+            raise ValueError(f"s_{s + 1} must send alpha_{s + 1}, and no other "
+                             "positive root, to a negative root")
+    # s_beta for beta = s(gamma) is s s_gamma s, so each row is exact
+    reflect = np.empty((size, size), dtype=np.int64)
+    reflect[:n] = flips
+    for k, (r, s) in enumerate(parent, start=n):
+        reflect[k] = flips[s][reflect[r][flips[s]]]
+    coords.setflags(write=False)
+    return coords, negative.tolist(), reflect.tolist()
+
+
+@dataclass(frozen=True, slots=True)
+class GroupElement:
+    """Group element as the indices of the roots it sends the simple roots to.
+
+    The tuple determines the element, so equality and hashing are exact.
+    Elements come from a CoxeterSystem, which interns them.
     """
 
-    __slots__ = ("mat", "_key")
-
-    def __init__(self, mat: np.ndarray, key: bytes):
-        self.mat = mat
-        self._key = key
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, GroupElement) and self._key == other._key
-
-    def __hash__(self) -> int:
-        return hash(self._key)
-
-    def __repr__(self) -> str:
-        return f"GroupElement({self.mat.shape[0]}x{self.mat.shape[0]}, {hash(self) & 0xFFFFFF:#08x})"
+    roots: tuple[int, ...]
 
 
 class CoxeterSystem:
-    """A finite Coxeter system (W, S) with cached reflection matrices."""
+    """A finite Coxeter system (W, S) with lazily interned elements."""
 
-    def __init__(self, matrix, tol: float = 1e-6, size_guard: int = 10**7):
-        cm = CoxeterMatrix.from_spec(matrix) if not isinstance(matrix, CoxeterMatrix) else matrix
+    def __init__(self, matrix):
+        cm = CoxeterMatrix.from_spec(matrix)
         self.coxeter_matrix = cm
         self.m = cm.m
-        self.rank = cm.rank
+        self.rank = n = cm.rank
         self.name = cm.name
-        self.tol = float(tol)
-        self.size_guard = int(size_guard)
-        n = self.rank
         gram = -np.cos(np.pi / self.m.astype(np.float64))
-        refl = np.empty((n, n, n), dtype=np.float64)
-        for s in range(n):
-            refl[s] = np.eye(n)
-            refl[s][s, :] -= 2.0 * gram[s, :]
-        refl.setflags(write=False)
-        self.refl = refl
-        self._id_key = self._key_of(np.eye(n))
-        self.identity = GroupElement(np.eye(n), self._id_key)
-        self._len_cache: dict[bytes, int] = {self._id_key: 0}
+        self.roots, self._negative, self._reflect = _root_system(gram)
+        h = cm.coxeter_number
+        if h is not None and len(self.roots) != n * h:
+            raise ValueError(f"{cm.name} needs {n * h} roots, found {len(self.roots)}")
+        # interned elements; id 0 is the identity, which fixes every simple root
+        start = tuple(range(n))
+        self.identity = GroupElement(start)
+        self._ids = {start: 0}
+        self._elements = [self.identity]
+        self._right = [[-1] * n]  # _right[g][s]: id of g * s_(s+1), -1 until known
+        self._desc = [0]  # right descents of each id as a bitmask, bit s for s_(s+1)
+        self._len = [0]
 
     # -- element plumbing ------------------------------------------------
 
-    def _key_of(self, mat: np.ndarray) -> bytes:
-        return np.rint(mat / self.tol).astype(np.int64).tobytes()
+    def _id(self, g: GroupElement) -> int:
+        try:
+            return self._ids[g.roots]
+        except KeyError:
+            raise ValueError(f"{g!r} is not an element of {self.name or 'this system'}") from None
 
-    def _element(self, mat: np.ndarray) -> GroupElement:
-        return GroupElement(mat, self._key_of(mat))
+    def _step(self, g: int, s: int) -> int:
+        """Id of g * s_(s+1), interning it on first sight; fills both table cells."""
+        t = self._elements[g].roots
+        row = self._reflect[t[s]]  # g s = s_beta g for beta = g(alpha_s)
+        roots = tuple(row[c] for c in t)
+        h = self._ids.get(roots)
+        if h is None:
+            h = len(self._elements)
+            self._ids[roots] = h
+            self._elements.append(GroupElement(roots))
+            self._right.append([-1] * self.rank)
+            neg = self._negative
+            self._desc.append(sum(1 << j for j, c in enumerate(roots) if neg[c]))
+            self._len.append(self._len[g] + (-1 if self._desc[g] >> s & 1 else 1))
+        self._right[g][s] = h
+        self._right[h][s] = g
+        return h
+
+    def _times(self, g: int, s: int) -> int:
+        h = self._right[g][s]
+        return h if h >= 0 else self._step(g, s)
+
+    def _fold(self, g: int, word: Iterable[int]) -> int:
+        """Id of g times the word; letters are checked."""
+        for s in self._word(word):
+            g = self._times(g, s - 1)
+        return g
 
     def generator(self, s: int) -> GroupElement:
         self._check_letter(s)
-        return self._element(self.refl[s - 1].copy())
+        return self._elements[self._times(0, s - 1)]
 
     def _check_letter(self, s: int) -> None:
         if not (isinstance(s, (int, np.integer)) and 1 <= s <= self.rank):
             raise ValueError(f"generator index {s!r} out of range 1..{self.rank}")
 
-    def _word_array(self, word: Iterable[int]) -> np.ndarray:
+    def _word(self, word: Iterable[int]) -> Word:
+        """The word as a tuple of ints, every letter checked."""
         w = _as_word(word)
-        for s in w:
-            self._check_letter(s)
+        if w and not (min(w) >= 1 and max(w) <= self.rank):
+            bad = next(s for s in w if not 1 <= s <= self.rank)
+            raise ValueError(f"generator index {bad!r} out of range 1..{self.rank}")
+        return w
+
+    def _letters(self, word: Iterable[int]) -> Word:
+        """0-based letters of a checked word of at most MAX_WORD_LETTERS."""
+        w = self._word(word)
         if len(w) > MAX_WORD_LETTERS:
             raise ValueError(f"words are limited to {MAX_WORD_LETTERS} letters")
-        return np.asarray([s - 1 for s in w], dtype=np.int64)
+        return tuple(s - 1 for s in w)
 
     def element_of(self, word: Iterable[int]) -> GroupElement:
-        mat = np.eye(self.rank)
-        for s in _as_word(word):
-            self._check_letter(s)
-            mat = mat @ self.refl[s - 1]
-        return self._element(mat)
+        return self._elements[self._fold(0, word)]
 
     def multiply(self, g: GroupElement, h: GroupElement) -> GroupElement:
-        return self._element(g.mat @ h.mat)
+        return self._elements[self._fold(self._id(g), self.word_of(h))]
 
     def inverse(self, g: GroupElement) -> GroupElement:
-        return self._element(np.linalg.inv(g.mat))
+        return self._elements[self._fold(0, reversed(self.word_of(g)))]
 
     def is_identity(self, g: GroupElement) -> bool:
-        return g._key == self._id_key
+        return g == self.identity
 
     # -- descents and length ---------------------------------------------
 
-    def _col_negative(self, mat: np.ndarray, s: int) -> bool:
-        # image of alpha_s is column s-1; roots have all coords of one sign
-        return bool(np.all(mat[:, s - 1] <= self.tol))
-
     def right_descents(self, g: GroupElement) -> frozenset[int]:
-        return frozenset(s for s in range(1, self.rank + 1) if self._col_negative(g.mat, s))
+        d = self._desc[self._id(g)]
+        return frozenset(s + 1 for s in range(self.rank) if d >> s & 1)
 
     def left_descents(self, g: GroupElement) -> frozenset[int]:
         return self.right_descents(self.inverse(g))
 
     def length(self, g: GroupElement) -> int:
-        cached = self._len_cache.get(g._key)
-        if cached is not None:
-            return cached
-        mat = g.mat
-        steps = 0
-        while True:
-            key = self._key_of(mat)
-            if key == self._id_key:
-                break
-            hit = self._len_cache.get(key)
-            if hit is not None:
-                steps += hit
-                break
-            for s in range(1, self.rank + 1):
-                if self._col_negative(mat, s):
-                    mat = mat @ self.refl[s - 1]
-                    steps += 1
-                    break
-            else:
-                raise ValueError("matrix is not a group element: no descent found")
-            if steps > self.size_guard:
-                raise ValueError("length computation exceeded size guard")
-        self._len_cache[g._key] = steps
-        return steps
+        return self._len[self._id(g)]
 
     def is_reduced(self, word: Iterable[int]) -> bool:
         """True iff every prefix extension of the word is a length ascent."""
-        mat = np.eye(self.rank)
-        for s in _as_word(word):
-            self._check_letter(s)
-            if self._col_negative(mat, s):
+        g = 0
+        for s in self._word(word):
+            if self._desc[g] >> (s - 1) & 1:
                 return False
-            mat = mat @ self.refl[s - 1]
+            g = self._times(g, s - 1)
         return True
+
+    def bruhat_le(self, u: GroupElement, w: GroupElement) -> bool:
+        """Bruhat order u <= w, by Deodhar's Z-property: for a right descent
+        s of w, u <= w iff min(u, us) <= ws.  Takes at most l(w) steps."""
+        u, w = self._id(u), self._id(w)
+        desc, length = self._desc, self._len
+        while length[u] <= length[w]:
+            if u == w:
+                return True
+            d = desc[w]
+            s = (d & -d).bit_length() - 1
+            if desc[u] >> s & 1:
+                u = self._times(u, s)
+            w = self._times(w, s)
+        return False
 
     # -- word operations ---------------------------------------------------
 
+    def _demazure(self, letters: Iterable[int]) -> int:
+        """Id of the Demazure product of 0-based letters."""
+        g = 0
+        for s in letters:
+            if not self._desc[g] >> s & 1:
+                g = self._times(g, s)
+        return g
+
     def demazure_product(self, word: Iterable[int]) -> GroupElement:
         """Greedy fold keeping only the length-increasing letters."""
-        mat = np.eye(self.rank)
-        for s in _as_word(word):
-            self._check_letter(s)
-            if not self._col_negative(mat, s):
-                mat = mat @ self.refl[s - 1]
-        return self._element(mat)
+        return self._elements[self._demazure(s - 1 for s in self._word(word))]
 
     def word_of(self, g: GroupElement) -> Word:
         """A reduced word for g, deterministic (smallest descent stripped last)."""
-        mat = g.mat
+        g = self._id(g)
         out: list[int] = []
-        while self._key_of(mat) != self._id_key:
-            for s in range(1, self.rank + 1):
-                if self._col_negative(mat, s):
-                    mat = mat @ self.refl[s - 1]
-                    out.append(s)
-                    break
-            else:
-                raise ValueError("matrix is not a group element: no descent found")
-            if len(out) > self.size_guard:
-                raise ValueError("word extraction exceeded size guard")
+        while g:
+            d = self._desc[g]
+            s = (d & -d).bit_length() - 1
+            out.append(s + 1)
+            g = self._times(g, s)
         return tuple(reversed(out))
 
     def nil_reduce(self, word: Iterable[int]) -> Word:
@@ -351,9 +424,7 @@ class CoxeterSystem:
 
         pos is 1-based; the window letters are read off the word itself.
         """
-        w = _as_word(word)
-        for s in w:
-            self._check_letter(s)
+        w = self._word(word)
         window = self._braid_window(w, pos)
         if window is None:
             raise ValueError(f"no braid move applies at position {pos} of {w}")
@@ -381,18 +452,13 @@ class CoxeterSystem:
         return tuple(sorted(seen))
 
     def longest_element(self) -> GroupElement:
-        mat = np.eye(self.rank)
-        steps = 0
-        while True:
-            for s in range(1, self.rank + 1):
-                if not self._col_negative(mat, s):
-                    mat = mat @ self.refl[s - 1]
-                    steps += 1
-                    break
-            else:
-                return self._element(mat)
-            if steps > self.size_guard:
-                raise ValueError("longest element exceeded size guard")
+        """Climb by the smallest ascent until every generator is a descent."""
+        full = (1 << self.rank) - 1
+        g = 0
+        while self._desc[g] != full:
+            up = ~self._desc[g] & full
+            g = self._times(g, (up & -up).bit_length() - 1)
+        return self._elements[g]
 
     def c_sorting_word(self, c: Iterable[int], g: GroupElement) -> Word:
         """Lexicographically first reduced word of g as a subword of c^infinity.
@@ -402,17 +468,18 @@ class CoxeterSystem:
         cw = _as_word(c)
         if sorted(cw) != list(range(1, self.rank + 1)):
             raise ValueError("c must contain each generator exactly once")
-        u = np.eye(self.rank)
-        vinv = np.linalg.inv(g.mat)  # (u^{-1} g)^{-1}, updated as g^{-1} u
+        desc = self._desc
+        u = 0
+        vinv = self._id(self.inverse(g))  # (u^{-1} g)^{-1}, updated as g^{-1} u
         remaining = self.length(g)
         out: list[int] = []
         while remaining > 0:
             took_any = False
             for s in cw:
                 # descend toward g while keeping the prefix reduced
-                if self._col_negative(vinv, s) and not self._col_negative(u, s):
-                    u = u @ self.refl[s - 1]
-                    vinv = vinv @ self.refl[s - 1]
+                if desc[vinv] >> (s - 1) & 1 and not desc[u] >> (s - 1) & 1:
+                    u = self._times(u, s - 1)
+                    vinv = self._times(vinv, s - 1)
                     out.append(s)
                     remaining -= 1
                     took_any = True
@@ -424,26 +491,20 @@ class CoxeterSystem:
 
     # -- reduced subwords ---------------------------------------------------
 
-    def reduced_subword_masks(self, word: Iterable[int], pi: GroupElement) -> np.ndarray:
-        """Sorted int64 bitmasks of positions carrying a reduced word of pi."""
-        w = self._word_array(word)
-        n = self.rank
-        pi_inv = np.ascontiguousarray(np.linalg.inv(pi.mat))
-        pi_len = self.length(pi)
-        cap = 1024
-        while True:
-            out = np.empty(cap, dtype=np.int64)
-            count = int(
-                _K.reduced_subword_masks(self.refl, w, pi_inv, pi_len, self.tol, out, 2**62)
-            )
-            if count <= cap:
-                return np.sort(out[:count])
-            cap = count
+    def reduced_subword_masks(self, word: Iterable[int], pi: GroupElement) -> list[int]:
+        """Sorted bitmasks (bit p for position p) of the position sets of
+        word that carry a reduced word of pi."""
+        letters = self._letters(word)
+        start = self._id(self.inverse(pi))
+        return sorted(_K.reduced_subword_masks(
+            self._right, self._desc, self._len, self._step, letters, start))
 
     def contains_reduced(self, word: Iterable[int], pi: GroupElement) -> bool:
-        """True iff some subword of word is a reduced word of pi."""
-        w = self._word_array(word)
-        pi_inv = np.ascontiguousarray(np.linalg.inv(pi.mat))
-        pi_len = self.length(pi)
-        out = np.empty(1, dtype=np.int64)
-        return int(_K.reduced_subword_masks(self.refl, w, pi_inv, pi_len, self.tol, out, 1)) > 0
+        """True iff some subword of word is a reduced word of pi.
+
+        That holds iff pi <= Dem(word) in Bruhat order (Knutson-Miller,
+        Subword complexes in Coxeter groups, 2004, section 3), so no
+        subword is searched.
+        """
+        dem = self._elements[self._demazure(self._letters(word))]
+        return self.bruhat_le(pi, dem)

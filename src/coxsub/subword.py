@@ -59,7 +59,7 @@ def build(d: SubwordDescriptor) -> LabeledComplex:
     if len(masks) == 0:
         return LabeledComplex.void()
     full = (1 << len(d.word)) - 1
-    facet_masks = sorted({full ^ int(mk) for mk in masks})
+    facet_masks = sorted(full ^ mk for mk in masks)
     facets = [tuple(d.labels[p] for p in range(len(d.word)) if fm >> p & 1)
               for fm in facet_masks]
     used = 0

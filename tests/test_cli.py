@@ -131,7 +131,7 @@ def test_bench_json(capsys):
     assert doc["word_length"] == 9
     assert doc["masks"] > 0
     assert doc["python_ms"] > 0
-    assert doc["active_backend"] in ("numba", "python")
+    assert doc["active_backend"] == "python"
 
 
 def test_bad_input_exit_codes(capsys):
@@ -147,6 +147,10 @@ def test_bad_input_exit_codes(capsys):
     code, _, err = run(capsys, "complex", "--group", "Q9",
                        "--word", "1", "--pi", "w0")
     assert code == 2
+    code, _, err = run(capsys, "poset", "--group", "A2", "--pi", "w0", "--cap", "0")
+    assert code == 2 and "--cap" in err
+    code, _, err = run(capsys, "bench", "--group", "A2", "--repeat", "0")
+    assert code == 2 and "--repeat" in err
 
 
 def test_group_spec_file(capsys, tmp_path):

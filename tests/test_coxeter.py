@@ -1,10 +1,9 @@
 import random
 
-import numpy as np
 import pytest
 
-from conftest import system
-from coxsub.coxeter import MAX_WORD_LETTERS, CoxeterMatrix, CoxeterSystem
+from conftest import random_pi, system
+from coxsub.coxeter import MAX_ROOTS, MAX_WORD_LETTERS, CoxeterMatrix, CoxeterSystem
 
 
 def group_order(sys_):
@@ -43,9 +42,10 @@ def test_from_spec_forms():
 
 
 def test_infinite_group_rejected():
-    # affine triangle: not positive definite
-    with pytest.raises(ValueError):
-        CoxeterSystem(CoxeterMatrix([[1, 3, 3], [3, 1, 3], [3, 3, 1]]))
+    # affine triangle and affine C2: not positive definite
+    for rows in ([[1, 3, 3], [3, 1, 3], [3, 3, 1]], [[1, 4, 2], [4, 1, 4], [2, 4, 1]]):
+        with pytest.raises(ValueError):
+            CoxeterSystem(CoxeterMatrix(rows))
 
 
 def test_group_orders_and_longest():
@@ -197,10 +197,44 @@ def test_word_length_guard():
 
 
 def test_tolerance_grid_is_stable():
-    # H3 entries involve the golden ratio; long equal words must collide
+    # H3 roots involve the golden ratio; w0 reached by a word and by the
+    # ascent climb must be the same exact element
     H3 = system("H3")
     w0 = H3.longest_element()
     a = H3.element_of(H3.word_of(w0))
-    b = H3.longest_element()
-    assert a == b and hash(a) == hash(b)
-    assert np.allclose(a.mat, b.mat)
+    b = H3.element_of((3, 2, 1) * 5)
+    assert a == w0 == b and hash(a) == hash(w0) == hash(b)
+
+
+def test_root_system_sizes():
+    coxeter_number = {f"A{n}": n + 1 for n in range(1, 9)}
+    coxeter_number.update({f"B{n}": 2 * n for n in range(2, 9)})
+    coxeter_number.update({f"D{n}": 2 * n - 2 for n in range(4, 9)})
+    coxeter_number.update({"E6": 12, "E7": 18, "E8": 30, "F4": 12, "H3": 10, "H4": 30})
+    coxeter_number.update({f"I2:{m}": m for m in range(2, 13)})
+    for name, h in coxeter_number.items():
+        sys_ = CoxeterSystem(CoxeterMatrix.named(name))
+        assert len(sys_.roots) == sys_.rank * h, name
+        assert sys_.length(sys_.longest_element()) == sys_.rank * h // 2, name
+
+
+def test_root_count_limit():
+    assert len(CoxeterSystem(CoxeterMatrix.named(f"I2:{MAX_ROOTS // 2}")).roots) == MAX_ROOTS
+    with pytest.raises(ValueError):
+        CoxeterSystem(CoxeterMatrix.named(f"I2:{MAX_ROOTS // 2 + 1}"))
+
+
+def test_contains_reduced_is_bruhat_below_demazure():
+    rng = random.Random(7)
+    names = ("A3", "B3", "H3", "A4", "D4")
+    for k in range(1500):
+        sys_ = system(names[k % len(names)])
+        word = tuple(rng.randrange(1, sys_.rank + 1) for _ in range(rng.randrange(0, 13)))
+        if rng.random() < 0.5:
+            pi = random_pi(sys_, rng, word)  # below the Demazure product
+        else:
+            pi = sys_.element_of([rng.randrange(1, sys_.rank + 1)
+                                  for _ in range(rng.randrange(0, 9))])
+        found = len(sys_.reduced_subword_masks(word, pi)) > 0
+        assert sys_.contains_reduced(word, pi) == found, (sys_.name, word, pi)
+        assert sys_.bruhat_le(pi, sys_.demazure_product(word)) == found

@@ -1,95 +1,88 @@
 import random
 
 import numpy as np
-import pytest
 
-from conftest import system
+from conftest import brute_facets, random_pi, system
 from coxsub import backend
 
-needs_numba = pytest.mark.skipif(backend.numba_kernels is None,
-                                 reason="numba backend unavailable")
 
-
-def mask_args(sys_, word, pi):
-    w = np.array([a - 1 for a in word], dtype=np.int64)
-    pi_inv = np.ascontiguousarray(np.linalg.inv(pi.mat))
-    return sys_.refl, w, pi_inv, sys_.length(pi)
-
-
-def run_masks(kernels, sys_, word, pi):
-    refl, w, pi_inv, pi_len = mask_args(sys_, word, pi)
-    out = np.empty(1 << 16, dtype=np.int64)
-    n = int(kernels.reduced_subword_masks(refl, w, pi_inv, pi_len, sys_.tol,
-                                          out, 2 ** 62))
-    return sorted(int(x) for x in out[:n])
+def run_masks(sys_, word, pi, stop_after=None):
+    """The kernel called directly, on the tables of sys_."""
+    return backend.active.reduced_subword_masks(
+        sys_._right, sys_._desc, sys_._len, sys_._step,
+        tuple(a - 1 for a in word), sys_._id(sys_.inverse(pi)), stop_after)
 
 
 def test_python_masks_match_library():
     A2 = system("A2")
     w0 = A2.longest_element()
-    got = run_masks(backend.python_kernels, A2, (1, 2, 1, 2, 1), w0)
-    assert got == [int(m) for m in A2.reduced_subword_masks((1, 2, 1, 2, 1), w0)]
+    got = sorted(run_masks(A2, (1, 2, 1, 2, 1), w0))
+    assert got == A2.reduced_subword_masks((1, 2, 1, 2, 1), w0)
     assert len(got) == 5
 
 
-@needs_numba
-def test_backends_agree_on_masks():
+def test_kernel_masks_match_brute():
     rng = random.Random(22)
-    for _ in range(40):
-        sys_ = system(rng.choice(("A2", "A3", "B3")))
-        n = rng.randrange(0, 11)
-        word = tuple(rng.randrange(1, sys_.rank + 1) for _ in range(n))
-        kept = [a for a in word if rng.random() < 0.7]
-        pi = sys_.demazure_product(kept)
-        py = run_masks(backend.python_kernels, sys_, word, pi)
-        nb = run_masks(backend.numba_kernels, sys_, word, pi)
-        assert py == nb
+    for _ in range(60):
+        sys_ = system(rng.choice(("A2", "A3", "B3", "H3")))
+        word = tuple(rng.randrange(1, sys_.rank + 1) for _ in range(rng.randrange(0, 11)))
+        pi = random_pi(sys_, rng, word)
+        got = run_masks(sys_, word, pi)
+        assert len(got) == len(set(got))
+        full = (1 << len(word)) - 1
+        facets = {frozenset(p + 1 for p in range(len(word)) if (full ^ m) >> p & 1)
+                  for m in got}
+        assert facets == brute_facets(sys_, word, pi)
 
 
-@needs_numba
-def test_backends_agree_on_stop_after():
+def test_stop_after():
     A3 = system("A3")
     w0 = A3.longest_element()
-    refl, w, pi_inv, pi_len = mask_args(A3, (1, 2, 1, 3, 2, 1, 1, 2, 1), w0)
-    for kernels in (backend.python_kernels, backend.numba_kernels):
-        out = np.empty(4, dtype=np.int64)
-        n = int(kernels.reduced_subword_masks(refl, w, pi_inv, pi_len, A3.tol,
-                                              out, 1))
-        assert n >= 1  # found immediately, possibly counted past the buffer
+    word = (1, 2, 1, 3, 2, 1, 1, 2, 1)
+    every = run_masks(A3, word, w0)
+    assert len(every) > 2
+    for k in (1, 2):
+        first = run_masks(A3, word, w0, stop_after=k)
+        assert len(first) == k and set(first) <= set(every)
+    # a void instance finds nothing, whatever the limit
+    assert run_masks(A3, (1, 2), w0, stop_after=1) == []
 
 
-def test_overflow_count_without_store():
-    # a tiny out buffer still yields the exact count
-    A2 = system("A2")
-    w0 = A2.longest_element()
-    refl, w, pi_inv, pi_len = mask_args(A2, (1, 2, 1, 2, 1), w0)
-    out = np.empty(2, dtype=np.int64)
-    n = int(backend.python_kernels.reduced_subword_masks(
-        refl, w, pi_inv, pi_len, A2.tol, out, 2 ** 62))
-    assert n == 5
-
-
-def test_popcounts_both_backends():
+def test_popcounts():
     masks = np.array([0, 1, 3, 0b1011, 2 ** 62 - 1, 2 ** 40 + 2 ** 13],
                      dtype=np.int64)
     want = [bin(int(m)).count("1") for m in masks]
-    for kernels in filter(None, (backend.python_kernels, backend.numba_kernels)):
-        out = np.empty(len(masks), dtype=np.int64)
-        kernels.popcounts(masks, out)
-        assert list(out) == want
+    out = np.empty(len(masks), dtype=np.int64)
+    backend.active.popcounts(masks, out)
+    assert list(out) == want
 
 
-def test_fill_submasks_both_backends():
+def test_fill_submasks():
     facets = np.array([0b101, 0b11], dtype=np.int64)
     want_count = 2 ** 2 + 2 ** 2
-    for kernels in filter(None, (backend.python_kernels, backend.numba_kernels)):
-        out = np.empty(want_count, dtype=np.int64)
-        n = int(kernels.fill_submasks(facets, out))
-        assert n == want_count
-        got = sorted(int(x) for x in out[:n])
-        assert got == sorted([0b101, 0b100, 0b001, 0, 0b11, 0b10, 0b01, 0])
+    out = np.empty(want_count, dtype=np.int64)
+    n = int(backend.active.fill_submasks(facets, out))
+    assert n == want_count
+    got = sorted(int(x) for x in out[:n])
+    assert got == sorted([0b101, 0b100, 0b001, 0, 0b11, 0b10, 0b01, 0])
+    # facets of mixed sizes, against the submask loop
+    rng = random.Random(5)
+    facets = np.array([rng.getrandbits(rng.randrange(0, 13)) for _ in range(30)],
+                      dtype=np.int64)
+    want = []
+    for f in facets.tolist():
+        sub = f
+        while True:
+            want.append(sub)
+            if sub == 0:
+                break
+            sub = (sub - 1) & f
+    out = np.empty(len(want), dtype=np.int64)
+    assert backend.active.fill_submasks(facets, out) == len(want)
+    assert sorted(out.tolist()) == sorted(want)
 
 
 def test_backend_name_consistent():
-    assert backend.backend_name() in ("numba", "python")
-    assert backend.active in (backend.numba_kernels, backend.python_kernels)
+    assert backend.backend_name() == "python"
+    assert sorted(vars(backend.active)) == ["fill_submasks", "popcounts",
+                                            "reduced_subword_masks"]
