@@ -2,30 +2,42 @@
 
 A braid move replaces the alternating window w(i,j) = s_i s_j s_i ... of
 length m = m_ij inside a word by w(j,i).  For a fixed prefix Q, suffix Q'
-and target element pi this module builds the two complexes
+and target element pi this module compares the two complexes
 
     side 1: Delta(Q w(i,j) Q'; pi)     side 2: Delta(Q w(j,i) Q'; pi)
 
-on a shared vertex namespace, evaluates the window conditions, carves out
-the interface subcomplex families, classifies the move into one of four
-cases (isomorphic / one side subdivides the other / common refinement),
-realizes each verdict as an explicit iterated edge subdivision, and checks
-the H- and gamma-polynomial bookkeeping of the subdivisions.
+on one shared vertex set, evaluates the window conditions, carves out the
+interface face families, classifies the move into one of four cases
+(isomorphic / one side subdivides the other / common refinement),
+realizes each verdict as an explicit iterated edge subdivision, and
+checks the H- and gamma-polynomial bookkeeping of the subdivisions.
 
-Vertex namespace shared by both sides: prefix positions are "Q1", "Q2",
-..., suffix positions "Q'1", "Q'2", ...; window positions of side 1 are
-"f1".."f{m}".  Window positions of side 2 are identified crosswise at the
-endpoints, first position -> "f{m}" and last position -> "f1", while the
-internal ones stay separate as "g2".."g{m-1}".  The common endpoint edge
-{"f1", "f{m}"} plays the role of F on side 1 and of G on side 2.
+Bit universe.  A move has one vertex universe of L + m - 2 bits, where
+L = |Q| + m + |Q'|: bits 0..L-1 are the side-1 word positions (Q, the
+window slots f1..fm, Q'), bits L..L+m-3 the internal side-2 window slots
+g2..g(m-1).  A side-1 face is its position mask.  Side 2 reaches the
+universe by one fixed permutation: its window endpoints cross (first slot
+to fm, last to f1) and its internal slots move as one block to the top.
+The endpoint edge {f1, fm} is then F on side 1 and G on side 2.  The
+universe can exceed 62 bits, so its masks are Python ints.
+
+Link insertion.  The interface families come from the complexes of the
+words with the window shortened by two, the links of window edges
+(Knutson-Miller 2004).  An inner face becomes a side face by opening two
+empty bit slots in its position mask: at window slots l and l+1 for the
+link of the edge there, or at both window endpoints for F and G.  All
+face algebra runs on these masks; labels ("Q1", "f1", "g2", "Q'1", ...)
+appear only in the reported complexes, the witnesses and the mismatches.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
+from itertools import zip_longest
 
-from .coxeter import MAX_WORD_LETTERS, CoxeterSystem, GroupElement, Word
-from .simplicial import LabeledComplex, family_is_downward_closed, k_subdivide
+from .coxeter import CoxeterSystem, GroupElement, Word
+from .simplicial import LabeledComplex, k_subdivide
 from .subword import SubwordDescriptor, build
 
 
@@ -42,8 +54,16 @@ def g_label(l: int, m: int) -> str:
     return f"g{l}"
 
 
-def _w_label(t: int) -> str:
-    return f"w{t}"
+def _faces(x: LabeledComplex, bit: dict) -> list[int]:
+    """Every face of x as a mask with vertex v at bit ``bit[v]``."""
+    faces = x.faces_masks().tolist()
+    out = [0] * len(faces)
+    for c in range(0, len(x.vertices), 8):
+        table = [0]  # images of the 256 values of vertex bits c..c+7
+        for v in x.vertices[c:c + 8]:
+            table += [t | 1 << bit[v] for t in table]
+        out = [o | table[f >> c & 255] for o, f in zip(out, faces)]
+    return out
 
 
 @dataclass(frozen=True)
@@ -58,16 +78,13 @@ class BraidContext:
     pi: GroupElement
 
     def __post_init__(self):
-        object.__setattr__(self, "Q", tuple(int(a) for a in self.Q))
-        object.__setattr__(self, "Qp", tuple(int(a) for a in self.Qp))
-        n = self.system.rank
-        for a in (self.i, self.j, *self.Q, *self.Qp):
-            if not 1 <= a <= n:
-                raise ValueError(f"letter {a} out of range for rank {n}")
+        check = self.system.check_word
+        object.__setattr__(self, "Q", check(self.Q))
+        object.__setattr__(self, "Qp", check(self.Qp))
+        check((self.i, self.j))
         if self.i == self.j:
             raise ValueError("window letters must differ")
-        if len(self.Q) + self.m + len(self.Qp) > MAX_WORD_LETTERS:
-            raise ValueError(f"words are limited to {MAX_WORD_LETTERS} letters")
+        check(self.side_word(1))
 
     @property
     def m(self) -> int:
@@ -87,27 +104,110 @@ class BraidContext:
     def side_word(self, side: int, k: int = 0) -> Word:
         return self.Q + self.window_word(k, side) + self.Qp
 
-    def _outer_labels(self) -> tuple[list[str], list[str]]:
-        return ([f"Q{p}" for p in range(1, len(self.Q) + 1)],
-                [f"Q'{p}" for p in range(1, len(self.Qp) + 1)])
+    def _labels(self, window) -> tuple[str, ...]:
+        return (tuple(f"Q{p}" for p in range(1, len(self.Q) + 1)) + tuple(window)
+                + tuple(f"Q'{p}" for p in range(1, len(self.Qp) + 1)))
 
     def side_descriptor(self, side: int) -> SubwordDescriptor:
         """Full-window descriptor with the shared vertex namespace."""
         m = self.m
-        q, qp = self._outer_labels()
-        if side == 1:
-            win = [f_label(l) for l in range(1, m + 1)]
-        else:
-            win = [g_label(l, m) for l in range(1, m + 1)]
+        lab = f_label if side == 1 else (lambda l: g_label(l, m))
         return SubwordDescriptor(self.system, self.side_word(side), self.pi,
-                                 labels=tuple(q + win + qp))
+                                 labels=self._labels(lab(l) for l in range(1, m + 1)))
 
     def inner_descriptor(self, side: int) -> SubwordDescriptor:
         """Window shortened by two, with neutral labels "w1".."w{m-2}"."""
-        q, qp = self._outer_labels()
-        win = [_w_label(t) for t in range(1, self.m - 1)]
         return SubwordDescriptor(self.system, self.side_word(side, 2), self.pi,
-                                 labels=tuple(q + win + qp))
+                                 labels=self._labels(f"w{t}" for t in range(1, self.m - 1)))
+
+    @property
+    def facts(self) -> "MoveFacts":
+        """The derived facts of this move.  They are kept for the most
+        recent move only, so a long-lived context stays small."""
+        return _facts(self)
+
+
+class MoveFacts:
+    """The derived facts of one braid move, each computed on first use:
+    the bit universe (see the module docstring), the complexes of both
+    sides and of the shortened windows, their faces as masks, the
+    interface families and the window conditions."""
+
+    def __init__(self, ctx: BraidContext):
+        self.ctx = ctx
+        self.m = m = ctx.m
+        self.q = q = len(ctx.Q)
+        self.L = L = q + m + len(ctx.Qp)
+        self.universe = ctx._labels(f_label(l) for l in range(1, m + 1)) \
+            + tuple(f"g{l}" for l in range(2, m))
+        self.bit = {v: b for b, v in enumerate(self.universe)}
+        self.endpoint = 1 << q | 1 << (q + m - 1)
+        block = (1 << (m - 2)) - 1
+        self.internal = (block << (q + 1), block << L)  # per side
+
+    def from_side2(self, masks) -> frozenset:
+        """Universe masks of masks over the positions of side_word(2): the
+        endpoints cross and the internal slots are lifted as one block."""
+        q, last = self.q, self.q + self.m - 1
+        outer = ~(((1 << self.m) - 1) << q)
+        inside, lift = self.internal[0], self.L - q - 1
+        return frozenset(x & outer | (x >> q & 1) << last | (x >> last & 1) << q
+                         | (x & inside) << lift for x in masks)
+
+    def universe_faces(self, x: LabeledComplex) -> frozenset:
+        """The faces of a complex over universe labels, as universe masks."""
+        return frozenset(_faces(x, self.bit))
+
+    def face_labels(self, masks) -> tuple[tuple[str, ...], ...]:
+        """Up to five faces as sorted label tuples, in sorted order."""
+        uni = self.universe
+        return tuple(sorted(tuple(sorted(uni[b] for b in range(len(uni)) if f >> b & 1))
+                            for f in masks)[:5])
+
+    @cached_property
+    def conditions(self) -> dict:
+        """A2, B2, A3 and B3 by name; the length-3 ones are None at m = 2."""
+        return {f"{w}{k}": condition(self.ctx, w, k) if k <= self.m else None
+                for k in (2, 3) for w in "AB"}
+
+    @property
+    def supported(self) -> bool:
+        """The case table applies: m <= 3 or both length-3 conditions."""
+        return self.m <= 3 or bool(self.conditions["A3"] and self.conditions["B3"])
+
+    @property
+    def chain_checked(self) -> bool:
+        """No face holds the endpoint edge and an internal vertex at once:
+        m = 2 or both length-3 conditions (unlike ``supported`` at m = 3)."""
+        return self.m == 2 or bool(self.conditions["A3"] and self.conditions["B3"])
+
+    @cached_property
+    def sides(self) -> tuple[LabeledComplex, LabeledComplex]:
+        return build(self.ctx.side_descriptor(1)), build(self.ctx.side_descriptor(2))
+
+    @cached_property
+    def inner(self) -> tuple[LabeledComplex, LabeledComplex]:
+        return build(self.ctx.inner_descriptor(1)), build(self.ctx.inner_descriptor(2))
+
+    @cached_property
+    def faces(self) -> tuple[frozenset, frozenset]:
+        """The faces of both sides as universe masks."""
+        return self.universe_faces(self.sides[0]), self.universe_faces(self.sides[1])
+
+    @cached_property
+    def inner_faces(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The faces of both inner complexes over their word positions."""
+        pos = {v: p for p, v in enumerate(self.ctx.inner_descriptor(1).labels)}
+        return tuple(_faces(self.inner[0], pos)), tuple(_faces(self.inner[1], pos))
+
+    @cached_property
+    def families(self) -> "Subfamilies":
+        return subfamilies(self.ctx)
+
+
+@lru_cache(maxsize=1)
+def _facts(ctx: BraidContext) -> MoveFacts:
+    return MoveFacts(ctx)
 
 
 def condition(ctx: BraidContext, which: str, k: int) -> bool:
@@ -117,25 +217,12 @@ def condition(ctx: BraidContext, which: str, k: int) -> bool:
     return not ctx.system.contains_reduced(ctx.side_word(side, k), ctx.pi)
 
 
-def build_sides(ctx: BraidContext) -> tuple[LabeledComplex, LabeledComplex]:
-    return build(ctx.side_descriptor(1)), build(ctx.side_descriptor(2))
-
-
-def build_inner(ctx: BraidContext, side: int) -> LabeledComplex:
-    return build(ctx.inner_descriptor(side))
-
-
-def _remap(face: frozenset, table: dict) -> frozenset:
-    return frozenset(table.get(v, v) for v in face)
-
-
 @dataclass(frozen=True, eq=False)
 class Subfamilies:
-    """The four interface face families (not downward closed).
-
-    d1_int / d2_int collect the faces meeting an internal window vertex,
-    d1_F / d2_G the faces containing the endpoint edge, each expressed
-    through the link isomorphisms of the shortened-window complexes.
+    """The four interface face families (not downward closed) as sets of
+    universe masks: d1_int / d2_int hold the faces meeting an internal
+    window vertex, d1_F / d2_G those containing the endpoint edge, each
+    built through the link isomorphisms of the shortened-window complexes.
     """
 
     d1_int: frozenset
@@ -144,68 +231,49 @@ class Subfamilies:
     d2_G: frozenset
 
 
-def subfamilies(ctx: BraidContext,
-                inner: tuple[LabeledComplex, LabeledComplex] | None = None
-                ) -> Subfamilies:
-    m = ctx.m
-    k1, k2 = inner if inner is not None else (build_inner(ctx, 1), build_inner(ctx, 2))
-    faces1 = k1.face_label_sets() if not k1.is_void else frozenset()
-    faces2 = k2.face_label_sets() if not k2.is_void else frozenset()
-    endpoint = frozenset({f_label(1), f_label(m)})
-
-    def shift_table(l: int, lab) -> dict:
-        # link iso for the edge at slots (l, l+1): w_t lands before or after it
-        return {_w_label(t): lab(t if t < l else t + 2) for t in range(1, m - 1)}
-
-    d1_int: set = set()
-    d2_int: set = set()
+def _link_families(faces, q: int, m: int) -> tuple[set, set]:
+    """Images of the inner faces of one side, over side-word positions: the
+    internal family of that side and the endpoint family of the other."""
+    internal: set = set()
     for l in range(2, m):
-        phi_l = shift_table(l, f_label)
-        phi_prev = shift_table(l - 1, f_label)
-        psi_l = shift_table(l, lambda t: g_label(t, m))
-        psi_prev = shift_table(l - 1, lambda t: g_label(t, m))
-        fl0, fl, fl1 = f_label(l - 1), f_label(l), f_label(l + 1)
-        gl0, gl, gl1 = g_label(l - 1, m), g_label(l, m), g_label(l + 1, m)
-        # star of f_l split along its link: faces reaching the next slot,
-        # faces reaching the previous slot, and the bare ones from either
-        for sig in faces1:
-            a = _remap(sig, phi_l)
-            b = _remap(sig, phi_prev)
-            d1_int.update((a | {fl, fl1}, a | {fl}, b | {fl}, b | {fl0, fl}))
-        for rho in faces2:
-            a = _remap(rho, psi_l)
-            b = _remap(rho, psi_prev)
-            d2_int.update((a | {gl, gl1}, a | {gl}, b | {gl}, b | {gl0, gl}))
-    psi_F = {_w_label(t): f_label(t + 1) for t in range(1, m - 1)}
-    phi_G = {_w_label(t): g_label(t + 1, m) for t in range(1, m - 1)}
-    d1_F = frozenset(_remap(rho, psi_F) | endpoint for rho in faces2)
-    d2_G = frozenset(_remap(sig, phi_G) | endpoint for sig in faces1)
-    return Subfamilies(frozenset(d1_int), d1_F, frozenset(d2_int), d2_G)
+        p = q + l - 1  # bit of window slot l
+        low = (1 << p) - 1
+        here, prev, nxt = 1 << p, 1 << (p - 1), 1 << (p + 1)
+        # star of slot l split along its link: faces reaching the next
+        # slot, faces reaching the previous slot, and the bare ones
+        for x in faces:
+            a = x & low | x >> p << (p + 2)  # slots l, l+1 opened
+            b = x & low >> 1 | x >> (p - 1) << (p + 1)  # slots l-1, l opened
+            internal.update((a | here | nxt, a | here, b | here, b | prev | here))
+    last = q + m - 1
+    # slots 1 and m opened: inner slot t lands on slot t + 1
+    endpoint = {x & ((1 << q) - 1) | (x >> q & ((1 << (m - 2)) - 1)) << (q + 1)
+                | x >> (last - 1) << (last + 1) | 1 << q | 1 << last for x in faces}
+    return internal, endpoint
 
 
-def tilde(ctx: BraidContext, side: int,
-          complex_: LabeledComplex | None = None) -> LabeledComplex:
+def subfamilies(ctx: BraidContext) -> Subfamilies:
+    f = ctx.facts
+    k1, k2 = f.inner_faces
+    d1_int, d2_G = _link_families(k1, f.q, f.m)
+    d2_int, d1_F = _link_families(k2, f.q, f.m)
+    return Subfamilies(frozenset(d1_int), frozenset(d1_F),
+                       f.from_side2(d2_int), f.from_side2(d2_G))
+
+
+def tilde(ctx: BraidContext, side: int) -> frozenset:
     """Largest subcomplex avoiding the endpoint edge and the internal
-    window vertices of the given side."""
-    x = complex_ if complex_ is not None else build(ctx.side_descriptor(side))
-    if x.is_void:
-        return x
-    m = ctx.m
-    if side == 1:
-        internal = {f_label(l) for l in range(2, m)}
-    else:
-        internal = {g_label(l, m) for l in range(2, m)}
-    endpoint = frozenset({f_label(1), f_label(m)})
-    keep = [fs for fs in x.face_label_sets()
-            if not fs & internal and not endpoint <= fs]
-    return LabeledComplex.from_faces(keep)
+    window vertices of the given side, as a set of universe masks."""
+    f = ctx.facts
+    inside, ends = f.internal[side - 1], f.endpoint
+    return frozenset(x for x in f.faces[side - 1] if not x & inside and x & ends != ends)
 
 
 @dataclass(frozen=True, eq=False)
 class DecompositionReport:
     """Face-set identities tying the two sides together over the shared
-    namespace; ``checks`` preserves evaluation order, ``mismatches`` holds
-    up to five offending faces per failed check.
+    universe; ``checks`` preserves evaluation order, ``mismatches`` holds
+    up to five offending faces (as labels) per failed check.
 
     The refinement-chain identities presume that no face contains the
     endpoint edge together with an internal window vertex, which is what
@@ -222,19 +290,12 @@ class DecompositionReport:
         return self.ok
 
 
-def verify_decomposition(ctx: BraidContext,
-                         sides: tuple[LabeledComplex, LabeledComplex] | None = None,
-                         fams: Subfamilies | None = None) -> DecompositionReport:
-    m = ctx.m
-    d1x, d2x = sides if sides is not None else build_sides(ctx)
-    fams = fams if fams is not None else subfamilies(ctx)
-    faces1 = set(d1x.face_label_sets()) if not d1x.is_void else set()
-    faces2 = set(d2x.face_label_sets()) if not d2x.is_void else set()
-    t1 = set(tilde(ctx, 1, d1x).face_label_sets()) if faces1 else set()
-    t2 = set(tilde(ctx, 2, d2x).face_label_sets()) if faces2 else set()
-    int1 = {f_label(l) for l in range(2, m)}
-    int2 = {g_label(l, m) for l in range(2, m)}
-    endpoint = frozenset({f_label(1), f_label(m)})
+def verify_decomposition(ctx: BraidContext) -> DecompositionReport:
+    facts = ctx.facts
+    faces1, faces2 = facts.faces
+    fams = facts.families
+    t1, t2 = tilde(ctx, 1), tilde(ctx, 2)
+    (int1, int2), ends = facts.internal, facts.endpoint
 
     checks: list[tuple[str, bool]] = []
     mismatches: dict = {}
@@ -243,18 +304,13 @@ def verify_decomposition(ctx: BraidContext,
         ok = got == want
         checks.append((name, ok))
         if not ok:
-            diff = sorted(map(sorted, set(got) ^ set(want)))[:5]
-            mismatches[name] = tuple(map(tuple, diff))
+            mismatches[name] = facts.face_labels(got ^ want)
 
     # families against their direct membership descriptions
-    record("internal family, side 1", fams.d1_int,
-           {fs for fs in faces1 if fs & int1})
-    record("endpoint family, side 1", fams.d1_F,
-           {fs for fs in faces1 if endpoint <= fs})
-    record("internal family, side 2", fams.d2_int,
-           {fs for fs in faces2 if fs & int2})
-    record("endpoint family, side 2", fams.d2_G,
-           {fs for fs in faces2 if endpoint <= fs})
+    record("internal family, side 1", fams.d1_int, {f for f in faces1 if f & int1})
+    record("endpoint family, side 1", fams.d1_F, {f for f in faces1 if f & ends == ends})
+    record("internal family, side 2", fams.d2_int, {f for f in faces2 if f & int2})
+    record("endpoint family, side 2", fams.d2_G, {f for f in faces2 if f & ends == ends})
 
     # the reduced complexes coincide
     record("reduced complexes equal", t1, t2)
@@ -262,55 +318,36 @@ def verify_decomposition(ctx: BraidContext,
     # side 2 decomposes into the common part and its interface families
     patch2 = fams.d2_int | fams.d2_G
     record("side 2 partition", faces2, t1 | patch2)
-    ok_disjoint = not (t1 & patch2)
-    checks.append(("side 2 partition disjoint", ok_disjoint))
-    if not ok_disjoint:
-        mismatches["side 2 partition disjoint"] = tuple(
-            map(tuple, sorted(map(sorted, t1 & patch2))[:5]))
+    record("side 2 partition disjoint", t1 & patch2, frozenset())
 
     # both sides patched with the other side's families agree
-    record("patched union identity",
-           faces1 | fams.d2_int | fams.d2_G,
-           faces2 | fams.d1_int | fams.d1_F)
+    record("patched union identity", faces1 | patch2, faces2 | fams.d1_int | fams.d1_F)
 
     # four expressions for the common refinement; these need that no face
-    # holds the endpoint edge and an internal vertex at once, which the
-    # length-3 window conditions (trivial for m = 2) guarantee
-    chain_checked = m == 2 or (condition(ctx, "A", 3) and condition(ctx, "B", 3))
-    if chain_checked:
-        exprs = [
-            ("refinement chain 1=2", (faces1 - fams.d1_F) | fams.d2_int,
-             t1 | fams.d1_int | fams.d2_int),
-            ("refinement chain 2=3", t1 | fams.d1_int | fams.d2_int,
-             t2 | fams.d1_int | fams.d2_int),
-            ("refinement chain 3=4", t2 | fams.d1_int | fams.d2_int,
-             (faces2 - fams.d2_G) | fams.d1_int),
-        ]
-        for name, got, want in exprs:
-            record(name, got, want)
+    # holds the endpoint edge and an internal vertex at once
+    if facts.chain_checked:
+        both = fams.d1_int | fams.d2_int
+        record("refinement chain 1=2", (faces1 - fams.d1_F) | fams.d2_int, t1 | both)
+        record("refinement chain 2=3", t1 | both, t2 | both)
+        record("refinement chain 3=4", t2 | both, (faces2 - fams.d2_G) | fams.d1_int)
 
     ok = all(flag for _, flag in checks)
-    return DecompositionReport(ok, tuple(checks), mismatches, chain_checked)
+    return DecompositionReport(ok, tuple(checks), mismatches, facts.chain_checked)
 
 
-def check_A3B3_edges(ctx: BraidContext,
-                     sides: tuple[LabeledComplex, LabeledComplex] | None = None
-                     ) -> bool:
+def check_A3B3_edges(ctx: BraidContext) -> bool:
     """No window edge skips a slot when both length-3 window conditions
     hold and m > 3: {f_k, f_l} with f_k internal requires |k - l| = 1."""
-    m = ctx.m
+    f, m = ctx.facts, ctx.m
     if m <= 3:
         raise ValueError("needs m > 3")
-    if not (condition(ctx, "A", 3) and condition(ctx, "B", 3)):
+    if not f.supported:  # for m > 3: both length-3 window conditions
         raise ValueError("needs both length-3 window conditions")
-    d1x, d2x = sides if sides is not None else build_sides(ctx)
-    for x, lab in ((d1x, f_label), (d2x, lambda l: g_label(l, m))):
-        for k in range(2, m):
-            for l in range(1, m + 1):
-                if l == k or abs(k - l) == 1:
-                    continue
-                if x.has_face((lab(k), lab(l))):
-                    return False
+    for faces, lab in ((f.faces[0], f_label), (f.faces[1], lambda l: g_label(l, m))):
+        slot = [0] + [1 << f.bit[lab(l)] for l in range(1, m + 1)]
+        if any(slot[k] | slot[l] in faces
+               for k in range(2, m) for l in range(1, m + 1) if abs(k - l) > 1):
+            return False
     return True
 
 
@@ -328,14 +365,6 @@ def _mono_sub(a: dict, b: dict) -> dict:
     return {key: c for key, c in out.items() if c}
 
 
-def _mono_shift(d: dict) -> dict:
-    return {(p + 1, q + 1): c for (p, q), c in d.items()}
-
-
-def _mono_scale(d: dict, c: int) -> dict:
-    return {key: c * v for key, v in d.items()} if c else {}
-
-
 def _gamma_coeffs(x: LabeledComplex) -> tuple[int, ...] | None:
     """Gamma coefficients, () for VOID, None when h is not palindromic."""
     if x.is_void:
@@ -345,22 +374,16 @@ def _gamma_coeffs(x: LabeledComplex) -> tuple[int, ...] | None:
     return x.gamma().coeffs
 
 
-def _gamma_normal(t) -> tuple[int, ...]:
+def _gamma_sub(a, b) -> list[int]:
+    return [x - y for x, y in zip_longest(a, b, fillvalue=0)]
+
+
+def _trim(t) -> tuple[int, ...]:
+    """Coefficients without trailing zeros."""
     t = list(t)
     while t and t[-1] == 0:
         t.pop()
     return tuple(t)
-
-
-def _gamma_sub(a, b) -> tuple[int, ...]:
-    n = max(len(a), len(b))
-    a = tuple(a) + (0,) * (n - len(a))
-    b = tuple(b) + (0,) * (n - len(b))
-    return _gamma_normal(x - y for x, y in zip(a, b))
-
-
-def _gamma_shift_scale(t, c: int) -> tuple[int, ...]:
-    return _gamma_normal((0, *(c * v for v in t))) if t else ()
 
 
 @dataclass(frozen=True, eq=False)
@@ -382,21 +405,18 @@ class PolyDeltaReport:
 
 
 def hypothesis_met(ctx: BraidContext) -> bool:
-    return ctx.m <= 3 or (condition(ctx, "A", 3) and condition(ctx, "B", 3))
+    return ctx.facts.supported
 
 
-def polynomial_delta(ctx: BraidContext,
-                     sides: tuple[LabeledComplex, LabeledComplex] | None = None,
-                     inner: tuple[LabeledComplex, LabeledComplex] | None = None
-                     ) -> PolyDeltaReport:
+def polynomial_delta(ctx: BraidContext) -> PolyDeltaReport:
     m = ctx.m
-    if not hypothesis_met(ctx):
+    if not ctx.facts.supported:
         raise ValueError("needs m <= 3 or both length-3 window conditions")
-    d1x, d2x = sides if sides is not None else build_sides(ctx)
-    k1x, k2x = inner if inner is not None else (build_inner(ctx, 1), build_inner(ctx, 2))
+    d1x, d2x = ctx.facts.sides
+    k1x, k2x = ctx.facts.inner
     delta_h = _mono_sub(_h_monomials(d2x), _h_monomials(d1x))
-    rhs_h = _mono_scale(_mono_shift(_mono_sub(_h_monomials(k2x), _h_monomials(k1x))),
-                        m - 2)
+    rhs_h = {(a + 1, t + 1): (m - 2) * c for (a, t), c in
+             _mono_sub(_h_monomials(k2x), _h_monomials(k1x)).items() if m > 2}
     sph = (ctx.system.demazure_product(ctx.side_word(1)) == ctx.pi,
            ctx.system.demazure_product(ctx.side_word(2)) == ctx.pi)
     delta_gamma = rhs_gamma = gamma_ok = None
@@ -406,8 +426,8 @@ def polynomial_delta(ctx: BraidContext,
             gamma_ok = False
         else:
             g1, g2, gk1, gk2 = parts
-            delta_gamma = _gamma_sub(g2, g1)
-            rhs_gamma = _gamma_shift_scale(_gamma_sub(gk2, gk1), m - 2)
+            delta_gamma = _trim(_gamma_sub(g2, g1))
+            rhs_gamma = _trim([0] + [(m - 2) * c for c in _gamma_sub(gk2, gk1)])
             gamma_ok = delta_gamma == rhs_gamma
     return PolyDeltaReport(delta_h, rhs_h, delta_h == rhs_h, sph,
                            delta_gamma, rhs_gamma, gamma_ok)
@@ -456,17 +476,11 @@ class CaseReport:
 
 
 def classify(ctx: BraidContext) -> CaseReport:
-    m = ctx.m
-    A2 = condition(ctx, "A", 2)
-    B2 = condition(ctx, "B", 2)
-    A3 = condition(ctx, "A", 3) if m >= 3 else None
-    B3 = condition(ctx, "B", 3) if m >= 3 else None
-    supported = m <= 3 or bool(A3 and B3)
-    d1x, d2x = build_sides(ctx)
-    inner = (build_inner(ctx, 1), build_inner(ctx, 2))
-    fams = subfamilies(ctx, inner)
-    dec = verify_decomposition(ctx, (d1x, d2x), fams)
-    poly = polynomial_delta(ctx, (d1x, d2x), inner) if supported else None
+    m, f = ctx.m, ctx.facts
+    c = f.conditions
+    d1x, d2x = f.sides
+    dec = verify_decomposition(ctx)
+    poly = polynomial_delta(ctx) if f.supported else None
 
     endpoint_edge = (f_label(1), f_label(m))
     reversed_edge = (f_label(m), f_label(1))
@@ -478,31 +492,22 @@ def classify(ctx: BraidContext) -> CaseReport:
     witness_ok: bool | None = None
     if m == 2:
         case = 1
-    elif supported:
+    elif f.supported:
         case = {(True, True): 1, (False, True): 2,
-                (True, False): 3, (False, False): 4}[(A2, B2)]
+                (True, False): 3, (False, False): 4}[(c["A2"], c["B2"])]
 
     if case == 1:
         witness_ok = d1x == d2x
         witness = {"kind": "equality", "map": {v: v for v in d1x.vertices}}
-    elif case == 2:
-        # side 2 carries the endpoint edge; walk the fresh vertices from
-        # the "f{m}" end so they land on the side-1 window slots
-        if d2x.has_face(reversed_edge):
-            sub = k_subdivide(d2x, reversed_edge, m - 2, fresh_f)
-            witness_ok = sub == d1x
-        else:
-            witness_ok = False
-        witness = {"kind": "subdivision", "of_side": 2, "edge": reversed_edge,
-                   "fresh": tuple(fresh_f)}
-    elif case == 3:
-        if d1x.has_face(endpoint_edge):
-            sub = k_subdivide(d1x, endpoint_edge, m - 2, fresh_g)
-            witness_ok = sub == d2x
-        else:
-            witness_ok = False
-        witness = {"kind": "subdivision", "of_side": 1, "edge": endpoint_edge,
-                   "fresh": tuple(fresh_g)}
+    elif case in (2, 3):
+        # the coarser side carries the endpoint edge; walking the fresh
+        # vertices from its first end lands them on the finer side's slots
+        coarse, fine, edge, fresh = ((d2x, d1x, reversed_edge, fresh_f) if case == 2
+                                     else (d1x, d2x, endpoint_edge, fresh_g))
+        witness_ok = (coarse.has_face(edge)
+                      and k_subdivide(coarse, edge, m - 2, fresh) == fine)
+        witness = {"kind": "subdivision", "of_side": 4 - case, "edge": edge,
+                   "fresh": tuple(fresh)}
     elif case == 4:
         agree = False
         if d1x.has_face(endpoint_edge) and d2x.has_face(reversed_edge):
@@ -516,14 +521,12 @@ def classify(ctx: BraidContext) -> CaseReport:
         if agree and dec.chain_checked:
             # under the window hypothesis the refinement also has a direct
             # face-set expression through the interface families
-            faces1 = set(d1x.face_label_sets()) if not d1x.is_void else set()
-            target = (faces1 - fams.d1_F) | fams.d2_int
-            expr_ok = (family_is_downward_closed(target)
-                       and LabeledComplex.from_faces(target) == sub1)
+            target = (f.faces[0] - f.families.d1_F) | f.families.d2_int
+            expr_ok = target == f.universe_faces(sub1)
             witness["interface_expression_matches"] = expr_ok
             witness_ok = agree and expr_ok
 
-    return CaseReport(ctx, m, case, A2, B2, A3, B3, supported,
+    return CaseReport(ctx, m, case, c["A2"], c["B2"], c["A3"], c["B3"], f.supported,
                       d1x, d2x, witness, witness_ok, dec, poly)
 
 
@@ -547,12 +550,8 @@ def _row_summary(system: CoxeterSystem, word: Word, pi: GroupElement) -> dict:
     d = SubwordDescriptor(system, word, pi)
     x = build(d)
     spherical = system.demazure_product(word) == pi
-    gamma = None
-    if spherical and not x.is_void:
-        gamma = x.gamma().coeffs
-    gamma1 = 0
-    if gamma is not None and len(gamma) > 1:
-        gamma1 = gamma[1]
+    gamma = x.gamma().coeffs if spherical and not x.is_void else None
+    gamma1 = gamma[1] if gamma is not None and len(gamma) > 1 else 0
     return {
         "word": word,
         "f_vector": x.f_vector(),

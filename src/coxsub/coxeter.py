@@ -311,12 +311,17 @@ class CoxeterSystem:
             raise ValueError(f"generator index {bad!r} out of range 1..{self.rank}")
         return w
 
-    def _letters(self, word: Iterable[int]) -> Word:
-        """0-based letters of a checked word of at most MAX_WORD_LETTERS."""
+    def check_word(self, word: Iterable[int]) -> Word:
+        """The word as a tuple of ints; raises ValueError unless every
+        letter lies in 1..rank and there are at most MAX_WORD_LETTERS."""
         w = self._word(word)
         if len(w) > MAX_WORD_LETTERS:
             raise ValueError(f"words are limited to {MAX_WORD_LETTERS} letters")
-        return tuple(s - 1 for s in w)
+        return w
+
+    def _letters(self, word: Iterable[int]) -> Word:
+        """0-based letters of a checked word."""
+        return tuple(s - 1 for s in self.check_word(word))
 
     def element_of(self, word: Iterable[int]) -> GroupElement:
         return self._elements[self._fold(0, word)]

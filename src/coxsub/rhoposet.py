@@ -15,7 +15,7 @@ likewise checked rather than assumed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .braid import classify, move_context
 from .coxeter import CoxeterSystem, GroupElement, Word
@@ -215,11 +215,9 @@ def build_rho(system: CoxeterSystem, Q, Qp, pi: GroupElement,
                      violations + anti_bad,
                      SemilatticeResult(applicable=False),
                      GapReport(checked=False))
-    if antisymmetric:
-        object.__setattr__(poset, "semilattice", semilattice_check(poset))
-    if len(words) <= global_check_limit:
-        object.__setattr__(poset, "gap", _gap_scan(poset, frontier_cap))
-    return poset
+    semilattice = semilattice_check(poset) if antisymmetric else poset.semilattice
+    gap = _gap_scan(poset, frontier_cap) if len(words) <= global_check_limit else poset.gap
+    return replace(poset, semilattice=semilattice, gap=gap)
 
 
 def semilattice_check(p: RhoPoset) -> SemilatticeResult:
@@ -308,11 +306,12 @@ def export_dot(p: RhoPoset) -> str:
         f"  // {len(p.words)} reduced words, {len(p.classes)} classes,"
         f" antisymmetric={str(p.antisymmetric).lower()}",
     ]
+    index = {w: k for k, w in enumerate(p.words)}
     for k, w in enumerate(p.words):
         lines.append(f'  w{k} [label="{_word_text(w)}"];')
     for e in p.edges:
         if e.case == 1 and e.verified:
-            a, b = p.words.index(e.word_a), p.words.index(e.word_b)
+            a, b = index[e.word_a], index[e.word_b]
             lines.append(f"  w{a} -> w{b} [dir=none, style=dashed, label=\"1\"];")
     move_by_cover: dict[tuple[int, int], MoveEdge] = {}
     for e in p.edges:
@@ -326,7 +325,7 @@ def export_dot(p: RhoPoset) -> str:
         e = move_by_cover.get((a, b))
         if e is None:
             continue  # relation induced transitively; no single move to draw
-        ia, ib = p.words.index(e.lower), p.words.index(e.upper)
+        ia, ib = index[e.lower], index[e.upper]
         lines.append(f'  w{ia} -> w{ib} [label="{e.case}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

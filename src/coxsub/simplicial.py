@@ -79,9 +79,15 @@ class GammaPoly:
 
 
 class LabeledComplex:
-    """Immutable simplicial complex over labeled vertices."""
+    """Immutable simplicial complex over labeled vertices.
 
-    __slots__ = ("vertices", "facets", "_index", "_faces", "_face_labels")
+    Invariant: the facets form an antichain (no facet inside another).
+    ``from_facets`` prunes to the maximal sets; ``subword.build`` (facets
+    of one size), ``edge_subdivide``, ``join`` and ``relabel`` preserve it.
+    Equality and hashing read the facets alone because of it.
+    """
+
+    __slots__ = ("vertices", "facets", "_index", "_faces")
 
     def __init__(self, vertices: Sequence[Label], facet_masks: Iterable[int]):
         vertices = tuple(vertices)
@@ -98,7 +104,6 @@ class LabeledComplex:
         object.__setattr__(self, "facets", tuple(masks))
         object.__setattr__(self, "_index", {v: i for i, v in enumerate(vertices)})
         object.__setattr__(self, "_faces", None)
-        object.__setattr__(self, "_face_labels", None)
 
     def __setattr__(self, *a):  # immutability by convention
         raise AttributeError("LabeledComplex is immutable")
@@ -176,13 +181,9 @@ class LabeledComplex:
         return self._faces
 
     def face_label_sets(self) -> frozenset[frozenset]:
-        if self._face_labels is None:
-            verts = self.vertices
-            out = frozenset(
-                frozenset(verts[i] for i in _bits(int(m))) for m in self.faces_masks()
-            )
-            object.__setattr__(self, "_face_labels", out)
-        return self._face_labels
+        verts = self.vertices
+        return frozenset(frozenset(verts[i] for i in _bits(m))
+                         for m in self.faces_masks().tolist())
 
     def _mask_of_labels(self, labels: Iterable[Label]) -> int:
         try:
@@ -198,15 +199,14 @@ class LabeledComplex:
         return any(mask & f == mask for f in self.facets)
 
     def __eq__(self, other) -> bool:
-        """Equality as face sets over labels; vertex order is irrelevant."""
+        """Equality as face sets over labels, decided on the facets;
+        vertex order is irrelevant."""
         if not isinstance(other, LabeledComplex):
             return NotImplemented
-        if self.is_void or other.is_void:
-            return self.is_void and other.is_void
-        return self.face_label_sets() == other.face_label_sets()
+        return set(self.facet_label_sets()) == set(other.facet_label_sets())
 
     def __hash__(self):
-        return hash(self.face_label_sets())
+        return hash(frozenset(self.facet_label_sets()))
 
     def __repr__(self) -> str:
         if self.is_void:
@@ -322,18 +322,14 @@ class LabeledComplex:
 
     def is_flag(self) -> bool:
         """True iff every clique of the 1-skeleton is a face."""
-        faces = set(int(m) for m in self.faces_masks())
+        faces = self.faces_masks().tolist()
+        edges = [(m, *_bits(m)) for m in faces if m.bit_count() == 2]
         adj = [0] * len(self.vertices)
-        for m in faces:
-            if m.bit_count() == 2:
-                a, b = _bits(m)
-                adj[a] |= 1 << b
-                adj[b] |= 1 << a
-        stack = []
-        for m in faces:
-            if m.bit_count() == 2:
-                a, b = _bits(m)
-                stack.append((m, adj[a] & adj[b] & ~((1 << (b + 1)) - 1)))
+        for _, a, b in edges:
+            adj[a] |= 1 << b
+            adj[b] |= 1 << a
+        faces = set(faces)
+        stack = [(m, adj[a] & adj[b] & ~((1 << (b + 1)) - 1)) for m, a, b in edges]
         while stack:
             cmask, cand = stack.pop()
             while cand:
@@ -426,16 +422,14 @@ def is_isomorphic_constrained(
     sig_x = {v: signature(x, v) for v in vx}
     sig_y = {v: signature(y, v) for v in vy}
 
-    def pool(v):
-        if v in fixed:
-            cands = [fixed[v]]
-        elif v in free_x:
-            cands = sorted(free_y & set(vy), key=_label_key)
-        else:
-            cands = sorted(rest_y, key=_label_key)
-        return [w for w in cands if sig_y[w] == sig_x[v]]
+    free_cands = sorted(free_y & set(vy), key=_label_key)
+    rest_cands = sorted(rest_y, key=_label_key)
+    pools = {}
+    for v in vx:
+        cands = [fixed[v]] if v in fixed else free_cands if v in free_x else rest_cands
+        pools[v] = [w for w in cands if sig_y[w] == sig_x[v]]
 
-    order = sorted(vx, key=lambda v: (len(pool(v)), _label_key(v)))
+    order = sorted(vx, key=lambda v: (len(pools[v]), _label_key(v)))
     y_facets = set(y.facets)
     assign: dict = {}
     used: set = set()
@@ -448,7 +442,7 @@ def is_isomorphic_constrained(
                     return False
             return True
         v = order[idx]
-        for w in pool(v):
+        for w in pools[v]:
             if w in used:
                 continue
             assign[v] = w

@@ -12,7 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .coxeter import MAX_WORD_LETTERS, CoxeterSystem, GroupElement, Word
+import numpy as np
+
+from .coxeter import CoxeterSystem, GroupElement, Word
 from .simplicial import LabeledComplex
 
 
@@ -30,14 +32,8 @@ class SubwordDescriptor:
     labels: tuple = ()
 
     def __post_init__(self):
-        word = tuple(int(a) for a in self.word)
+        word = self.system.check_word(self.word)
         object.__setattr__(self, "word", word)
-        n = self.system.rank
-        for a in word:
-            if not 1 <= a <= n:
-                raise ValueError(f"letter {a} out of range for rank {n}")
-        if len(word) > MAX_WORD_LETTERS:
-            raise ValueError(f"words are limited to {MAX_WORD_LETTERS} letters")
         labels = tuple(self.labels) if self.labels else tuple(range(1, len(word) + 1))
         if len(labels) != len(word):
             raise ValueError("need exactly one label per position")
@@ -59,14 +55,15 @@ def build(d: SubwordDescriptor) -> LabeledComplex:
     if len(masks) == 0:
         return LabeledComplex.void()
     full = (1 << len(d.word)) - 1
-    facet_masks = sorted(full ^ mk for mk in masks)
-    facets = [tuple(d.labels[p] for p in range(len(d.word)) if fm >> p & 1)
-              for fm in facet_masks]
-    used = 0
-    for fm in facet_masks:
-        used |= fm
-    order = tuple(d.labels[p] for p in range(len(d.word)) if used >> p & 1)
-    return LabeledComplex.from_facets(facets, vertex_order=order)
+    facets = np.asarray([full ^ mk for mk in masks], dtype=np.int64)
+    used = int(np.bitwise_or.reduce(facets))
+    positions = [p for p in range(len(d.word)) if used >> p & 1]
+    # compress to the used positions; every facet has |word| - l(pi)
+    # positions, so the facets form an antichain as they are
+    packed = np.zeros_like(facets)
+    for k, p in enumerate(positions):
+        packed |= (facets >> p & 1) << k
+    return LabeledComplex(tuple(d.labels[p] for p in positions), packed.tolist())
 
 
 def is_face(d: SubwordDescriptor, face) -> bool:

@@ -14,9 +14,9 @@ import pytest
 
 from conftest import (brute_facets, random_context, random_descriptor,
                       spherical_complex, system)
-from coxsub.braid import (BraidContext, apply_sequence, build_sides, classify,
-                          condition, f_label, hypothesis_met, subfamilies,
-                          tilde, verify_decomposition)
+from coxsub.braid import (BraidContext, apply_sequence, classify, condition,
+                          f_label, hypothesis_met, subfamilies, tilde,
+                          verify_decomposition)
 from coxsub.rhoposet import build_rho, poset_json
 from coxsub.simplicial import LabeledComplex
 from coxsub.subword import (SubwordDescriptor, build, complex_json,
@@ -131,18 +131,16 @@ def test_criterion_06_structural_suite():
     for _ in range(200):
         ctx = random_context(rng, names=("A3", "B3", "H3"), max_side=6)
         m = ctx.m
-        d1x, d2x = build_sides(ctx)
-        # reduced complexes coincide literally in the shared namespace
-        assert tilde(ctx, 1, d1x) == tilde(ctx, 2, d2x)
+        d1x, d2x = ctx.facts.sides
+        # reduced complexes coincide literally in the shared universe
+        assert tilde(ctx, 1) == tilde(ctx, 2)
         # side 2 splits into the reduced part and the interface families
         fams = subfamilies(ctx)
-        faces2 = set(d2x.face_label_sets()) if not d2x.is_void else set()
-        t2 = tilde(ctx, 2, d2x)
-        kept = set(t2.face_label_sets()) if not t2.is_void else set()
-        assert kept | fams.d2_int | fams.d2_G == faces2
+        kept = tilde(ctx, 2)
+        assert kept | fams.d2_int | fams.d2_G == ctx.facts.faces[1]
         assert kept & (fams.d2_int | fams.d2_G) == set()
         # full decomposition report (chain identities on the hypothesis subset)
-        dec = verify_decomposition(ctx, (d1x, d2x), fams)
+        dec = verify_decomposition(ctx)
         assert dec.ok, dec.mismatches
         chained += dec.chain_checked
         # endpoint-edge pairing and window-condition monotonicity

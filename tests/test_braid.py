@@ -3,17 +3,28 @@ import random
 import pytest
 
 from conftest import random_context, system
-from coxsub.braid import (BraidContext, apply_sequence, build_inner,
-                          build_sides, check_A3B3_edges, classify, condition,
-                          f_label, find_move_path, g_label, hypothesis_met,
-                          move_context, polynomial_delta, subfamilies, tilde,
-                          verify_decomposition)
+from coxsub.braid import (BraidContext, apply_sequence, check_A3B3_edges,
+                          classify, condition, f_label, find_move_path, g_label,
+                          hypothesis_met, move_context, polynomial_delta,
+                          subfamilies, tilde, verify_decomposition)
 from coxsub.simplicial import LabeledComplex, k_subdivide
+from coxsub.subword import build
 
 
 def i2_context(m: int) -> BraidContext:
     sys_ = system(f"I2:{m}")
     return BraidContext(sys_, (1, 2), (), 1, 2, sys_.longest_element())
+
+
+def _mask(ctx: BraidContext, labels) -> int:
+    """Universe mask of a label set, read off the move's label table."""
+    return sum(1 << ctx.facts.bit[v] for v in labels)
+
+
+def _label_sets(ctx: BraidContext, masks) -> set:
+    """Universe masks turned back into label sets."""
+    uni = ctx.facts.universe
+    return {frozenset(uni[b] for b in range(len(uni)) if f >> b & 1) for f in masks}
 
 
 def test_window_word_identities():
@@ -47,7 +58,7 @@ def test_endpoint_edge_pairing():
     rng = random.Random(11)
     for _ in range(60):
         ctx = random_context(rng)
-        d1x, d2x = build_sides(ctx)
+        d1x, d2x = ctx.facts.sides
         edge = (f_label(1), f_label(ctx.m))
         assert condition(ctx, "B", 2) == (not d1x.has_face(edge))
         assert condition(ctx, "A", 2) == (not d2x.has_face(edge))
@@ -64,6 +75,10 @@ def test_shared_namespace_crossing():
     assert d1.labels == ("Q1", "Q2", "f1", "f2", "f3", "f4", "f5")
     assert d2.labels == ("Q1", "Q2", "f5", "g2", "g3", "g4", "f1")
     assert ctx.inner_descriptor(1).labels == ("Q1", "Q2", "w1", "w2", "w3")
+    assert ctx.facts.universe == d1.labels + ("g2", "g3", "g4")
+    # side 2 reaches the universe by one fixed bit permutation
+    for p, label in enumerate(d2.labels):
+        assert ctx.facts.from_side2([1 << p]) == {_mask(ctx, [label])}
 
 
 def test_i2_family():
@@ -79,7 +94,7 @@ def test_i2_family():
         assert rep.decomposition.ok
         assert rep.poly.h_ok and rep.poly.gamma_ok
         # shortened windows: side 1 stays reduced, side 2 gets a double letter
-        k1, k2 = build_inner(ctx, 1), build_inner(ctx, 2)
+        k1, k2 = ctx.facts.inner
         assert k1 == LabeledComplex.empty_face_only()
         assert k2.is_void
     rep5 = classify(i2_context(5))
@@ -160,17 +175,15 @@ def test_subfamily_membership():
     for _ in range(40):
         ctx = random_context(rng)
         m = ctx.m
-        d1x, d2x = build_sides(ctx)
+        faces1, faces2 = ctx.facts.faces
         fams = subfamilies(ctx)
-        internal_f = {f_label(l) for l in range(2, m)}
-        internal_g = {g_label(l, m) for l in range(2, m)}
-        endpoint = {f_label(1), f_label(m)}
-        faces1 = set(d1x.face_label_sets()) if not d1x.is_void else set()
-        faces2 = set(d2x.face_label_sets()) if not d2x.is_void else set()
+        internal_f = _mask(ctx, [f_label(l) for l in range(2, m)])
+        internal_g = _mask(ctx, [g_label(l, m) for l in range(2, m)])
+        endpoint = _mask(ctx, [f_label(1), f_label(m)])
         assert fams.d1_int == {s for s in faces1 if s & internal_f}
-        assert fams.d1_F == {s for s in faces1 if endpoint <= s}
+        assert fams.d1_F == {s for s in faces1 if s & endpoint == endpoint}
         assert fams.d2_int == {s for s in faces2 if s & internal_g}
-        assert fams.d2_G == {s for s in faces2 if endpoint <= s}
+        assert fams.d2_G == {s for s in faces2 if s & endpoint == endpoint}
 
 
 def test_tilde_isomorphism_and_partition():
@@ -179,14 +192,74 @@ def test_tilde_isomorphism_and_partition():
         ctx = random_context(rng)
         t1 = tilde(ctx, 1)
         t2 = tilde(ctx, 2)
-        assert t1 == t2  # label re-addressing makes the reduced sides literal
+        assert t1 == t2  # the shared universe makes the reduced sides literal
+        assert all(f & ~(1 << b) in t2 for f in t2 for b in range(f.bit_length()))
         fams = subfamilies(ctx)
-        d2x = build_sides(ctx)[1]
-        faces2 = set(d2x.face_label_sets()) if not d2x.is_void else set()
-        kept = set(t2.face_label_sets()) if not t2.is_void else set()
         rest = fams.d2_int | fams.d2_G
-        assert kept & rest == set()
-        assert kept | rest == faces2
+        assert t2 & rest == set()
+        assert t2 | rest == ctx.facts.faces[1]
+
+
+def _remap(face: frozenset, table: dict) -> frozenset:
+    return frozenset(table.get(v, v) for v in face)
+
+
+def _label_reference(ctx: BraidContext):
+    """The interface families and reduced complexes built on label sets
+    through the shift tables of the link isomorphisms."""
+    m = ctx.m
+    k1, k2 = build(ctx.inner_descriptor(1)), build(ctx.inner_descriptor(2))
+    faces1, faces2 = k1.face_label_sets(), k2.face_label_sets()
+    endpoint = frozenset({f_label(1), f_label(m)})
+
+    def shift_table(l: int, lab) -> dict:
+        # link iso for the edge at slots (l, l+1): w_t lands before or after it
+        return {f"w{t}": lab(t if t < l else t + 2) for t in range(1, m - 1)}
+
+    d1_int: set = set()
+    d2_int: set = set()
+    for l in range(2, m):
+        phi_l = shift_table(l, f_label)
+        phi_prev = shift_table(l - 1, f_label)
+        psi_l = shift_table(l, lambda t: g_label(t, m))
+        psi_prev = shift_table(l - 1, lambda t: g_label(t, m))
+        fl0, fl, fl1 = f_label(l - 1), f_label(l), f_label(l + 1)
+        gl0, gl, gl1 = g_label(l - 1, m), g_label(l, m), g_label(l + 1, m)
+        for sig in faces1:
+            a = _remap(sig, phi_l)
+            b = _remap(sig, phi_prev)
+            d1_int.update((a | {fl, fl1}, a | {fl}, b | {fl}, b | {fl0, fl}))
+        for rho in faces2:
+            a = _remap(rho, psi_l)
+            b = _remap(rho, psi_prev)
+            d2_int.update((a | {gl, gl1}, a | {gl}, b | {gl}, b | {gl0, gl}))
+    psi_F = {f"w{t}": f_label(t + 1) for t in range(1, m - 1)}
+    phi_G = {f"w{t}": g_label(t + 1, m) for t in range(1, m - 1)}
+    d1_F = {_remap(rho, psi_F) | endpoint for rho in faces2}
+    d2_G = {_remap(sig, phi_G) | endpoint for sig in faces1}
+    reduced = []
+    for side, x in zip((1, 2), ctx.facts.sides):
+        internal = {(f_label(l) if side == 1 else g_label(l, m)) for l in range(2, m)}
+        reduced.append({fs for fs in x.face_label_sets()
+                        if not fs & internal and not endpoint <= fs})
+    return (d1_int, d1_F, d2_int, d2_G), reduced
+
+
+def test_mask_families_match_label_reference():
+    rng = random.Random(22)
+    seen_m = set()
+    for _ in range(40):
+        ctx = random_context(rng)
+        seen_m.add(ctx.m)
+        fams = subfamilies(ctx)
+        want_fams, want_reduced = _label_reference(ctx)
+        got = (fams.d1_int, fams.d1_F, fams.d2_int, fams.d2_G)
+        for mask_family, label_family in zip(got, want_fams):
+            assert _label_sets(ctx, mask_family) == label_family
+        for side, x in zip((1, 2), ctx.facts.sides):
+            assert _label_sets(ctx, ctx.facts.faces[side - 1]) == set(x.face_label_sets())
+            assert _label_sets(ctx, tilde(ctx, side)) == want_reduced[side - 1]
+    assert seen_m >= {2, 3, 4, 5}
 
 
 def test_decomposition_report():
@@ -217,9 +290,9 @@ def test_chain_identity_needs_window_conditions():
     dec = rep.decomposition
     assert dec.ok and not dec.chain_checked
     fams = subfamilies(ctx)
-    endpoint = {f_label(1), f_label(4)}
-    internal = {f_label(2), f_label(3)}
-    bad = [s for s in fams.d1_int if endpoint <= s and s & internal]
+    endpoint = _mask(ctx, [f_label(1), f_label(4)])
+    internal = _mask(ctx, [f_label(2), f_label(3)])
+    bad = [s for s in fams.d1_int if s & endpoint == endpoint and s & internal]
     assert bad  # the gated faces that break the literal chain equality
 
 
@@ -260,8 +333,8 @@ def test_polynomial_identity_recomputed():
                 polynomial_delta(ctx)
             continue
         rep = polynomial_delta(ctx)
-        d1x, d2x = build_sides(ctx)
-        k1, k2 = build_inner(ctx, 1), build_inner(ctx, 2)
+        d1x, d2x = ctx.facts.sides
+        k1, k2 = ctx.facts.inner
         delta = subtract(monomials(d2x), monomials(d1x))
         inner = subtract(monomials(k2), monomials(k1))
         rhs = {(a + 1, t + 1): (ctx.m - 2) * c for (a, t), c in inner.items()}

@@ -3,7 +3,9 @@ import random
 import pytest
 
 from conftest import random_pi, system
+from coxsub.braid import BraidContext
 from coxsub.coxeter import MAX_ROOTS, MAX_WORD_LETTERS, CoxeterMatrix, CoxeterSystem
+from coxsub.subword import SubwordDescriptor
 
 
 def group_order(sys_):
@@ -190,6 +192,10 @@ def test_word_length_guard():
     long_word = (1, 2) * (MAX_WORD_LETTERS // 2 + 1)
     with pytest.raises(ValueError):
         A2.contains_reduced(long_word, A2.identity)
+    with pytest.raises(ValueError):
+        SubwordDescriptor(A2, long_word, A2.identity)
+    with pytest.raises(ValueError):
+        BraidContext(A2, long_word[:30], long_word[:30], 1, 2, A2.identity)
     with pytest.raises(ValueError):
         A2.element_of((0,))
     with pytest.raises(ValueError):
