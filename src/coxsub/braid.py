@@ -166,9 +166,12 @@ class MoveFacts:
 
     @cached_property
     def conditions(self) -> dict:
-        """A2, B2, A3 and B3 by name; the length-3 ones are None at m = 2."""
-        return {f"{w}{k}": condition(self.ctx, w, k) if k <= self.m else None
-                for k in (2, 3) for w in "AB"}
+        """A2, B2, A3 and B3 by name; the length-3 ones are None at m = 2.
+        A2 and B2 say that the inner complexes are void."""
+        long = self.m >= 3
+        return {"A2": self.inner[0].is_void, "B2": self.inner[1].is_void,
+                "A3": condition(self.ctx, "A", 3) if long else None,
+                "B3": condition(self.ctx, "B", 3) if long else None}
 
     @property
     def supported(self) -> bool:

@@ -3,11 +3,10 @@
 Subcommands: ``complex`` builds one subword complex, ``classify`` grades a
 single braid move, ``chain`` replays a move sequence, ``poset`` builds the
 reduced-word order, ``demo`` reruns the worked dihedral and rank-3 chain
-examples with their frozen expectations, ``bench`` times the
-reduced-subword enumeration kernel.
+examples with their frozen expectations.
 
 Exit codes: 0 success, 2 unusable input, 3 a verification check failed.
-All output except bench timings is deterministic for a fixed invocation.
+All output is deterministic for a fixed invocation.
 """
 
 from __future__ import annotations
@@ -16,15 +15,13 @@ import argparse
 import json
 import os
 import sys
-import time
 
 import numpy as np
 
-from . import backend
 from .braid import (CASE_NAMES, apply_sequence, classify, find_move_path,
                     move_context)
 from .coxeter import CoxeterMatrix, CoxeterSystem
-from .rhoposet import build_rho, export_dot, poset_json
+from .rhoposet import _word_text, build_rho, export_dot, poset_json
 from .subword import SubwordDescriptor, build, complex_json
 
 
@@ -123,12 +120,6 @@ def case_report_json(rep) -> dict:
 
 def _emit(obj) -> None:
     print(json.dumps(obj, indent=2, sort_keys=True))
-
-
-def _word_text(word) -> str:
-    if word and max(word) > 9:
-        return "-".join(map(str, word))
-    return "".join(map(str, word))
 
 
 # -- subcommands --------------------------------------------------------------
@@ -361,35 +352,6 @@ def cmd_demo(args) -> int:
     return demo_a3_chain(args)
 
 
-def cmd_bench(args) -> int:
-    if args.repeat < 1:
-        raise ValueError("--repeat must be at least 1")
-    system = load_system(args.group)
-    w0 = system.longest_element()
-    cw = system.c_sorting_word(range(1, system.rank + 1), w0)
-    word = (cw * ((args.length + len(cw) - 1) // len(cw)))[:args.length]
-    count = len(system.reduced_subword_masks(word, w0))  # fills the tables
-    best = float("inf")
-    for _ in range(args.repeat):
-        t0 = time.perf_counter()
-        system.reduced_subword_masks(word, w0)
-        best = min(best, time.perf_counter() - t0)
-    ms = best * 1e3
-    result = {
-        "group": args.group,
-        "word_length": len(word),
-        "masks": count,
-        "python_ms": round(ms, 3),
-        "active_backend": backend.backend_name(),
-    }
-    if args.json:
-        _emit(result)
-    else:
-        print(f"{len(word)}-letter word in {args.group}: {count} reduced subwords")
-        print(f"best of {args.repeat}: {ms:.3f} ms")
-    return 0
-
-
 # -- parser --------------------------------------------------------------------
 
 
@@ -444,13 +406,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("which", choices=("i2", "a3-chain"))
     p.add_argument("--m", type=int, default=5, help="dihedral order for the i2 demo")
     p.set_defaults(fn=cmd_demo)
-
-    p = sub.add_parser("bench", help="time the reduced-subword enumeration kernel")
-    common(p)
-    p.add_argument("--length", type=int, default=18, help="benchmark word length")
-    p.add_argument("--repeat", type=int, default=5)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=cmd_bench)
     return top
 
 

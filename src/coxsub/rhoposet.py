@@ -19,8 +19,10 @@ from dataclasses import dataclass, replace
 
 from .braid import classify, move_context
 from .coxeter import CoxeterSystem, GroupElement, Word
-from .simplicial import LabeledComplex, is_isomorphic_constrained
+from .simplicial import LabeledComplex, is_isomorphic_constrained, iso_invariant
 from .subword import SubwordDescriptor, build
+
+FRONTIER_CAP = 512  # subdivision classes per depth before the gap scan stops
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,49 +110,43 @@ def _closure(n: int, covers) -> list[list[bool]]:
     return [[bool(reach[a] >> b & 1) for b in range(n)] for a in range(n)]
 
 
-def _fresh_labels():
-    c = 0
-    while True:
-        yield f"+{c}"
-        c += 1
-
-
-def _all_edges(x: LabeledComplex):
-    return sorted(tuple(sorted(fs, key=str)) for fs in x.face_label_sets()
-                  if len(fs) == 2)
-
-
 def _iso(x: LabeledComplex, y: LabeledComplex) -> bool:
     return is_isomorphic_constrained(x, y) is not None
 
 
-def _subdivision_frontiers(x: LabeledComplex, depth: int, cap: int):
+def _subdivision_frontiers(x: LabeledComplex, depth: int):
     """Iso-class representatives of iterated single edge subdivisions of x,
-    one list per depth 1..depth; truncation flag when cap is exceeded."""
-    names = _fresh_labels()
+    bucketed by ``iso_invariant``, one dict per depth 1..depth; truncation
+    flag when a depth exceeds FRONTIER_CAP classes.  x has the vertices
+    0..n-1 and each subdivision adds the next integer."""
     frontiers = []
     cur = [x]
     truncated = False
     for _ in range(depth):
-        nxt: list[LabeledComplex] = []
+        nxt: dict[tuple, list[LabeledComplex]] = {}
+        count = 0
         for z in cur:
-            for e in _all_edges(z):
-                w = z.edge_subdivide(e, next(names))
-                if not any(_iso(w, seen) for seen in nxt):
-                    nxt.append(w)
-            if len(nxt) > cap:
+            fresh = len(z.vertices)
+            for e in z.faces_masks().tolist():
+                if e.bit_count() != 2:
+                    continue
+                w = z.edge_subdivide(((e & -e).bit_length() - 1, e.bit_length() - 1), fresh)
+                bucket = nxt.setdefault(iso_invariant(w), [])
+                if not any(_iso(w, seen) for seen in bucket):
+                    bucket.append(w)
+                    count += 1
+            if count > FRONTIER_CAP:
                 truncated = True
                 break
         frontiers.append(nxt)
-        cur = nxt
+        cur = [w for bucket in nxt.values() for w in bucket]
         if truncated or not cur:
             break
     return frontiers, truncated
 
 
 def build_rho(system: CoxeterSystem, Q, Qp, pi: GroupElement,
-              cap: int = 100_000, global_check_limit: int = 24,
-              frontier_cap: int = 512) -> RhoPoset:
+              cap: int = 100_000, global_check_limit: int = 24) -> RhoPoset:
     """Build the order; see the module docstring for the construction."""
     Q, Qp = tuple(Q), tuple(Qp)
     words = system.reduced_words(pi, cap=cap)
@@ -216,7 +212,7 @@ def build_rho(system: CoxeterSystem, Q, Qp, pi: GroupElement,
                      SemilatticeResult(applicable=False),
                      GapReport(checked=False))
     semilattice = semilattice_check(poset) if antisymmetric else poset.semilattice
-    gap = _gap_scan(poset, frontier_cap) if len(words) <= global_check_limit else poset.gap
+    gap = _gap_scan(poset) if len(words) <= global_check_limit else poset.gap
     return replace(poset, semilattice=semilattice, gap=gap)
 
 
@@ -250,15 +246,17 @@ def semilattice_check(p: RhoPoset) -> SemilatticeResult:
     return SemilatticeResult(True, meet, join, meet_cert, join_cert)
 
 
-def _gap_scan(p: RhoPoset, frontier_cap: int) -> GapReport:
+def _gap_scan(p: RhoPoset) -> GapReport:
     n = len(p.classes)
-    reps = [p.complexes[p.class_rep(c)] for c in range(n)]
+    reps = [LabeledComplex(range(len(x.vertices)), x.facets)  # on 0..n-1
+            for x in (p.complexes[p.class_rep(c)] for c in range(n))]
+    inv = [iso_invariant(x) for x in reps]
     f0 = [0 if x.is_void else len(x.vertices) for x in reps]
 
     iso_pairs = []
     for a in range(n):
         for b in range(a + 1, n):
-            if f0[a] == f0[b] and _iso(reps[a], reps[b]):
+            if inv[a] == inv[b] and _iso(reps[a], reps[b]):
                 iso_pairs.append((p.class_rep(a), p.class_rep(b)))
 
     subdivision_pairs = []
@@ -269,11 +267,12 @@ def _gap_scan(p: RhoPoset, frontier_cap: int) -> GapReport:
         if not targets or reps[a].is_void:
             continue
         depth = max(f0[b] - f0[a] for b in targets)
-        frontiers, trunc = _subdivision_frontiers(reps[a], depth, frontier_cap)
+        frontiers, trunc = _subdivision_frontiers(reps[a], depth)
         truncated = truncated or trunc
         for b in targets:
             d = f0[b] - f0[a]
-            if d <= len(frontiers) and any(_iso(z, reps[b]) for z in frontiers[d - 1]):
+            if d <= len(frontiers) and any(
+                    _iso(z, reps[b]) for z in frontiers[d - 1].get(inv[b], ())):
                 subdivision_pairs.append((p.class_rep(a), p.class_rep(b)))
     return GapReport(True, truncated, tuple(iso_pairs), tuple(subdivision_pairs))
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
-from typing import Hashable, Iterable, Mapping, Sequence
+from typing import Hashable, Iterable, Sequence
 
 import numpy as np
 
@@ -83,11 +83,11 @@ class LabeledComplex:
 
     Invariant: the facets form an antichain (no facet inside another).
     ``from_facets`` prunes to the maximal sets; ``subword.build`` (facets
-    of one size), ``edge_subdivide``, ``join`` and ``relabel`` preserve it.
+    of one size) and ``edge_subdivide`` preserve it.
     Equality and hashing read the facets alone because of it.
     """
 
-    __slots__ = ("vertices", "facets", "_index", "_faces")
+    __slots__ = ("vertices", "facets", "_index", "_faces", "_f", "_sig")
 
     def __init__(self, vertices: Sequence[Label], facet_masks: Iterable[int]):
         vertices = tuple(vertices)
@@ -104,6 +104,8 @@ class LabeledComplex:
         object.__setattr__(self, "facets", tuple(masks))
         object.__setattr__(self, "_index", {v: i for i, v in enumerate(vertices)})
         object.__setattr__(self, "_faces", None)
+        object.__setattr__(self, "_f", None)
+        object.__setattr__(self, "_sig", None)
 
     def __setattr__(self, *a):  # immutability by convention
         raise AttributeError("LabeledComplex is immutable")
@@ -129,12 +131,6 @@ class LabeledComplex:
                 raise ValueError("vertex_order is missing labels used by facets")
         index = {v: i for i, v in enumerate(vertices)}
         return LabeledComplex(vertices, {_mask_of(index[v] for v in f) for f in maximal})
-
-    @staticmethod
-    def from_faces(faces: Iterable[Iterable[Label]],
-                   vertex_order: Sequence[Label] | None = None) -> "LabeledComplex":
-        """Downward closure of a face family (its maximal members as facets)."""
-        return LabeledComplex.from_facets(faces, vertex_order)
 
     @staticmethod
     def void() -> "LabeledComplex":
@@ -226,32 +222,6 @@ class LabeledComplex:
             vertex_order=self.vertices,
         )
 
-    def star(self, face: Iterable[Label]) -> "LabeledComplex":
-        face = tuple(face)
-        if not self.has_face(face):
-            raise ValueError(f"{face!r} is not a face")
-        mask = self._mask_of_labels(face)
-        keep = [f for f in self.facets if f & mask == mask]
-        return LabeledComplex.from_facets(
-            [frozenset(self.vertices[i] for i in _bits(f)) for f in keep],
-            vertex_order=self.vertices,
-        )
-
-    def boundary_star(self, face: Iterable[Label]) -> "LabeledComplex":
-        """Faces of the star that do not contain the whole of `face`."""
-        face = tuple(face)
-        star = self.star(face)
-        mask = star._mask_of_labels(face)
-        gen = []
-        for f in star.facets:
-            for i in _bits(mask):
-                gen.append(frozenset(star.vertices[b] for b in _bits(f & ~(1 << i))))
-        return LabeledComplex.from_facets(gen, vertex_order=star.vertices)
-
-    def relabel(self, mapping: Mapping[Label, Label]) -> "LabeledComplex":
-        new_vertices = tuple(mapping.get(v, v) for v in self.vertices)
-        return LabeledComplex(new_vertices, self.facets)
-
     def edge_subdivide(self, edge: Iterable[Label], fresh: Label) -> "LabeledComplex":
         """Subdivide along an edge: facets containing it split at a new vertex."""
         s, t = tuple(edge)
@@ -276,16 +246,15 @@ class LabeledComplex:
 
     def f_vector(self) -> tuple[int, ...]:
         """(f_0, .., f_{dim}); empty for the void complex and for {()}."""
-        faces = self.faces_masks()
-        if faces.size == 0:
-            return ()
-        counts = np.zeros(faces.size, dtype=np.int64)
-        _K.popcounts(faces, counts)
-        top = int(counts.max())
-        if top == 0:
-            return ()
-        hist = np.bincount(counts, minlength=top + 1)
-        return tuple(int(x) for x in hist[1:])
+        if self._f is None:
+            faces = self.faces_masks()
+            f: tuple[int, ...] = ()
+            if faces.size:
+                counts = np.zeros(faces.size, dtype=np.int64)
+                _K.popcounts(faces, counts)
+                f = tuple(int(x) for x in np.bincount(counts)[1:])
+            object.__setattr__(self, "_f", f)
+        return self._f
 
     def h_vector(self) -> tuple[int, ...]:
         if self.is_void:
@@ -342,17 +311,6 @@ class LabeledComplex:
         return True
 
 
-def join(x: LabeledComplex, y: LabeledComplex) -> LabeledComplex:
-    """Simplicial join; labels must be disjoint.  Void absorbs the join."""
-    if set(x.vertices) & set(y.vertices):
-        raise ValueError("join requires disjoint vertex labels")
-    if x.is_void or y.is_void:
-        return LabeledComplex.void()
-    shift = len(x.vertices)
-    facets = [fx | (fy << shift) for fx in x.facets for fy in y.facets]
-    return LabeledComplex(x.vertices + y.vertices, facets)
-
-
 def k_subdivide(x: LabeledComplex, edge: Sequence[Label], k: int,
                 fresh: Sequence[Label]) -> LabeledComplex:
     """Iterated edge subdivision.
@@ -372,85 +330,74 @@ def k_subdivide(x: LabeledComplex, edge: Sequence[Label], k: int,
     return cur
 
 
-def family_is_downward_closed(faces: Iterable[frozenset]) -> bool:
-    fam = set(frozenset(f) for f in faces)
-    for f in fam:
-        for v in f:
-            if f - {v} not in fam:
-                return False
-    return True
 
 
-def is_isomorphic_constrained(
-    x: LabeledComplex,
-    y: LabeledComplex,
-    fixed: Mapping[Label, Label] | None = None,
-    free: tuple[Iterable[Label], Iterable[Label]] | None = None,
-) -> dict | None:
+def _signatures(c: LabeledComplex) -> list[tuple[int, ...]]:
+    """Per vertex index: the sorted sizes of the facets through it."""
+    if c._sig is None:
+        sizes: list[list[int]] = [[] for _ in c.vertices]
+        for f in c.facets:
+            k = f.bit_count()
+            while f:
+                low = f & -f
+                sizes[low.bit_length() - 1].append(k)
+                f ^= low
+        object.__setattr__(c, "_sig", [tuple(sorted(s)) for s in sizes])
+    return c._sig
+
+
+def iso_invariant(x: LabeledComplex) -> tuple:
+    """Facet count and sorted vertex signatures; isomorphic complexes agree."""
+    return len(x.facets), tuple(sorted(_signatures(x)))
+
+
+def is_isomorphic_constrained(x: LabeledComplex, y: LabeledComplex) -> dict | None:
     """Search for a facet-set-preserving vertex bijection x -> y.
 
-    The bijection must extend `fixed` and map the first `free` label set
-    onto the second; vertices in neither pool are matched among
-    themselves.  Returns the mapping or None.
+    A vertex may only go to a vertex of equal signature, and each facet of
+    x is checked as soon as its last vertex in search order is assigned.
+    Returns the mapping of labels or None.
     """
     if x.is_void or y.is_void:
         return {} if (x.is_void and y.is_void) else None
-    vx, vy = x.vertices, y.vertices
-    if len(vx) != len(vy) or len(x.facets) != len(y.facets):
-        return None
-    if sorted(f.bit_count() for f in x.facets) != sorted(f.bit_count() for f in y.facets):
+    sig_x, sig_y = _signatures(x), _signatures(y)
+    if len(x.facets) != len(y.facets) or sorted(sig_x) != sorted(sig_y):
         return None
 
-    fixed = dict(fixed or {})
-    free_x = set(free[0]) if free else set()
-    free_y = set(free[1]) if free else set()
-    for k, v in fixed.items():
-        if k not in x._index or v not in y._index:
-            return None
-    if len(set(fixed.values())) != len(fixed):
-        return None
-    rest_x = [v for v in vx if v not in fixed and v not in free_x]
-    rest_y = set(vy) - set(fixed.values()) - free_y
-    if len(free_x & set(vx)) != len(free_y & set(vy)) or len(rest_x) != len(rest_y):
-        return None
-
-    def signature(c: LabeledComplex, v) -> tuple:
-        bit = 1 << c._index[v]
-        sizes = sorted(f.bit_count() for f in c.facets if f & bit)
-        return (len(sizes), tuple(sizes))
-
-    sig_x = {v: signature(x, v) for v in vx}
-    sig_y = {v: signature(y, v) for v in vy}
-
-    free_cands = sorted(free_y & set(vy), key=_label_key)
-    rest_cands = sorted(rest_y, key=_label_key)
-    pools = {}
-    for v in vx:
-        cands = [fixed[v]] if v in fixed else free_cands if v in free_x else rest_cands
-        pools[v] = [w for w in cands if sig_y[w] == sig_x[v]]
-
-    order = sorted(vx, key=lambda v: (len(pools[v]), _label_key(v)))
+    by_sig: dict = {}
+    for w, s in enumerate(sig_y):
+        by_sig.setdefault(s, []).append(1 << w)
+    pools = [by_sig[s] for s in sig_x]
+    order = sorted(range(len(pools)), key=lambda v: (len(pools[v]), v))
+    # the facets of x by the search step that assigns their last vertex
+    due: list[list[tuple[int, ...]]] = []
+    rest, assigned = list(x.facets), 0
+    for v in order:
+        assigned |= 1 << v
+        due.append([tuple(_bits(f)) for f in rest if not f & ~assigned])
+        rest = [f for f in rest if f & ~assigned]
     y_facets = set(y.facets)
-    assign: dict = {}
-    used: set = set()
+    image = [0] * len(order)  # assigned vertex of y, as a bit
 
-    def backtrack(idx: int) -> bool:
-        if idx == len(order):
-            for f in x.facets:
-                mapped = _mask_of(y._index[assign[x.vertices[i]]] for i in _bits(f))
-                if mapped not in y_facets:
-                    return False
+    def extend(k: int, used: int) -> bool:
+        if k == len(order):
             return True
-        v = order[idx]
-        for w in pools[v]:
-            if w in used:
+        v = order[k]
+        for bit in pools[v]:
+            if used & bit:
                 continue
-            assign[v] = w
-            used.add(w)
-            if backtrack(idx + 1):
-                return True
-            used.discard(w)
-            del assign[v]
+            image[v] = bit
+            for f in due[k]:
+                mapped = 0
+                for u in f:
+                    mapped |= image[u]
+                if mapped not in y_facets:
+                    break
+            else:
+                if extend(k + 1, used | bit):
+                    return True
         return False
 
-    return dict(assign) if backtrack(0) else None
+    if not extend(0, 0):
+        return None
+    return {x.vertices[v]: y.vertices[image[v].bit_length() - 1] for v in order}

@@ -123,17 +123,6 @@ def test_demo_deterministic(capsys):
     assert out1 == out2
 
 
-def test_bench_json(capsys):
-    code, out, _ = run(capsys, "bench", "--group", "A2", "--length", "9",
-                       "--repeat", "1", "--json")
-    assert code == 0
-    doc = json.loads(out)
-    assert doc["word_length"] == 9
-    assert doc["masks"] > 0
-    assert doc["python_ms"] > 0
-    assert doc["active_backend"] == "python"
-
-
 def test_bad_input_exit_codes(capsys):
     code, _, err = run(capsys, "complex", "--group", "A2",
                        "--word", "1,7", "--pi", "w0")
@@ -149,8 +138,6 @@ def test_bad_input_exit_codes(capsys):
     assert code == 2
     code, _, err = run(capsys, "poset", "--group", "A2", "--pi", "w0", "--cap", "0")
     assert code == 2 and "--cap" in err
-    code, _, err = run(capsys, "bench", "--group", "A2", "--repeat", "0")
-    assert code == 2 and "--repeat" in err
 
 
 def test_group_spec_file(capsys, tmp_path):

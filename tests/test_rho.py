@@ -204,3 +204,15 @@ def test_gap_scan_skipped_above_limit():
     A3 = system("A3")
     p = build_rho(A3, (1, 2, 3), (), A3.longest_element(), global_check_limit=4)
     assert not p.gap.checked and not p.gap.clean
+
+
+@pytest.mark.parametrize("Q, Qp, subdivisions", [
+    ((1, 3), (1, 2), 9), ((2, 1), (2, 1), 6), ((1, 3), (3, 2), 9)])
+def test_gap_scan_two_letter_factors(Q, Qp, subdivisions):
+    # these scans subdivide complexes whose vertices are positions of the
+    # full word; fresh vertices once mixed labels that could not be sorted
+    A3 = system("A3")
+    gap = build_rho(A3, Q, Qp, A3.longest_element()).gap
+    assert gap.checked and not gap.truncated
+    assert len(gap.iso_pairs) == 2
+    assert len(gap.subdivision_pairs) == subdivisions
