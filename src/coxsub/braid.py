@@ -33,12 +33,12 @@ appear only in the reported complexes, the witnesses and the mismatches.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import zip_longest
 
 from .coxeter import CoxeterSystem, GroupElement, Word
-from .simplicial import LabeledComplex, k_subdivide
-from .subword import SubwordDescriptor, build
+from .simplicial import LabeledComplex, k_subdivide, scatter_bits
+from .subword import SubwordDescriptor, build, position_complex
 
 
 def f_label(l: int) -> str:
@@ -52,18 +52,6 @@ def g_label(l: int, m: int) -> str:
     if l == m:
         return f_label(1)
     return f"g{l}"
-
-
-def _faces(x: LabeledComplex, bit: dict) -> list[int]:
-    """Every face of x as a mask with vertex v at bit ``bit[v]``."""
-    faces = x.faces_masks().tolist()
-    out = [0] * len(faces)
-    for c in range(0, len(x.vertices), 8):
-        table = [0]  # images of the 256 values of vertex bits c..c+7
-        for v in x.vertices[c:c + 8]:
-            table += [t | 1 << bit[v] for t in table]
-        out = [o | table[f >> c & 255] for o, f in zip(out, faces)]
-    return out
 
 
 @dataclass(frozen=True)
@@ -128,12 +116,13 @@ class BraidContext:
 
 
 class MoveFacts:
-    """The derived facts of one braid move, each computed on first use:
-    the bit universe (see the module docstring), the complexes of both
-    sides and of the shortened windows, their faces as masks, the
-    interface families and the window conditions."""
+    """The derived facts of one braid move.  Made at once: the bit universe
+    (see the module docstring) and the complexes of both sides and of the
+    shortened windows, read from a build memo (see ``subword.build``).
+    Made on first use: their faces as masks, the interface families and
+    the window conditions."""
 
-    def __init__(self, ctx: BraidContext):
+    def __init__(self, ctx: BraidContext, memo: dict | None = None):
         self.ctx = ctx
         self.m = m = ctx.m
         self.q = q = len(ctx.Q)
@@ -144,6 +133,13 @@ class MoveFacts:
         self.endpoint = 1 << q | 1 << (q + m - 1)
         block = (1 << (m - 2)) - 1
         self.internal = (block << (q + 1), block << L)  # per side
+        memo = {} if memo is None else memo
+        descs = (ctx.side_descriptor(1), ctx.side_descriptor(2),
+                 ctx.inner_descriptor(1), ctx.inner_descriptor(2))
+        self.sides = build(descs[0], memo), build(descs[1], memo)
+        self.inner = build(descs[2], memo), build(descs[3], memo)
+        # the position complexes behind the four, for faces over word positions
+        self._entries = tuple(position_complex(d, memo) for d in descs)
 
     def from_side2(self, masks) -> frozenset:
         """Universe masks of masks over the positions of side_word(2): the
@@ -156,7 +152,8 @@ class MoveFacts:
 
     def universe_faces(self, x: LabeledComplex) -> frozenset:
         """The faces of a complex over universe labels, as universe masks."""
-        return frozenset(_faces(x, self.bit))
+        bit = self.bit
+        return frozenset(scatter_bits(x.faces_masks().tolist(), [bit[v] for v in x.vertices]))
 
     def face_labels(self, masks) -> tuple[tuple[str, ...], ...]:
         """Up to five faces as sorted label tuples, in sorted order."""
@@ -185,32 +182,32 @@ class MoveFacts:
         return self.m == 2 or bool(self.conditions["A3"] and self.conditions["B3"])
 
     @cached_property
-    def sides(self) -> tuple[LabeledComplex, LabeledComplex]:
-        return build(self.ctx.side_descriptor(1)), build(self.ctx.side_descriptor(2))
-
-    @cached_property
-    def inner(self) -> tuple[LabeledComplex, LabeledComplex]:
-        return build(self.ctx.inner_descriptor(1)), build(self.ctx.inner_descriptor(2))
-
-    @cached_property
     def faces(self) -> tuple[frozenset, frozenset]:
-        """The faces of both sides as universe masks."""
-        return self.universe_faces(self.sides[0]), self.universe_faces(self.sides[1])
+        """The faces of both sides as universe masks: side 1 over its word
+        positions as they are, side 2 through ``from_side2``."""
+        side1, side2 = self._entries[:2]
+        return frozenset(side1.word_faces), self.from_side2(side2.word_faces)
 
-    @cached_property
+    @property
     def inner_faces(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """The faces of both inner complexes over their word positions."""
-        pos = {v: p for p, v in enumerate(self.ctx.inner_descriptor(1).labels)}
-        return tuple(_faces(self.inner[0], pos)), tuple(_faces(self.inner[1], pos))
+        return self._entries[2].word_faces, self._entries[3].word_faces
 
     @cached_property
     def families(self) -> "Subfamilies":
         return subfamilies(self.ctx)
 
 
-@lru_cache(maxsize=1)
-def _facts(ctx: BraidContext) -> MoveFacts:
-    return MoveFacts(ctx)
+_recent: list = [None]  # the facts of the most recent move
+
+
+def _facts(ctx: BraidContext, memo: dict | None = None) -> MoveFacts:
+    """The facts of ``ctx``, made with ``memo`` unless they are the most
+    recent ones."""
+    f = _recent[0]
+    if f is None or f.ctx != ctx:
+        f = _recent[0] = MoveFacts(ctx, memo)
+    return f
 
 
 def condition(ctx: BraidContext, which: str, k: int) -> bool:
@@ -478,8 +475,10 @@ class CaseReport:
         return CASE_NAMES[self.case]
 
 
-def classify(ctx: BraidContext) -> CaseReport:
-    m, f = ctx.m, ctx.facts
+def classify(ctx: BraidContext, memo: dict | None = None) -> CaseReport:
+    """The verdict on one move; ``memo`` is the build memo of a caller that
+    classifies several moves over the same words (see ``subword.build``)."""
+    m, f = ctx.m, _facts(ctx, memo)
     c = f.conditions
     d1x, d2x = f.sides
     dec = verify_decomposition(ctx)
@@ -549,9 +548,8 @@ class SequenceReport:
     rows: tuple[dict, ...]  # summary per word, aligned with ``words``
 
 
-def _row_summary(system: CoxeterSystem, word: Word, pi: GroupElement) -> dict:
-    d = SubwordDescriptor(system, word, pi)
-    x = build(d)
+def _row_summary(system: CoxeterSystem, word: Word, pi: GroupElement, memo: dict) -> dict:
+    x = build(SubwordDescriptor(system, word, pi), memo)
     spherical = system.demazure_product(word) == pi
     gamma = x.gamma().coeffs if spherical and not x.is_void else None
     gamma1 = gamma[1] if gamma is not None and len(gamma) > 1 else 0
@@ -586,16 +584,18 @@ def move_context(system: CoxeterSystem, word: Word, pos: int,
 
 def apply_sequence(system: CoxeterSystem, word: Word, pi: GroupElement,
                    positions) -> SequenceReport:
-    """Classify each braid move of the sequence and summarize every word."""
+    """Classify each braid move of the sequence and summarize every word;
+    each (word, pi) is built once."""
     cur = tuple(word)
     words = [cur]
     steps = []
+    memo: dict = {}
     for pos in positions:
         ctx = move_context(system, cur, pos, pi)
-        steps.append(SequenceStep(pos, classify(ctx)))
+        steps.append(SequenceStep(pos, classify(ctx, memo)))
         cur = system.apply_braid_move(cur, pos)
         words.append(cur)
-    rows = tuple(_row_summary(system, w, pi) for w in words)
+    rows = tuple(_row_summary(system, w, pi, memo) for w in words)
     return SequenceReport(tuple(words), tuple(steps), rows)
 
 

@@ -499,7 +499,11 @@ class CoxeterSystem:
     def reduced_subword_masks(self, word: Iterable[int], pi: GroupElement) -> list[int]:
         """Sorted bitmasks (bit p for position p) of the position sets of
         word that carry a reduced word of pi."""
-        letters = self._letters(word)
+        return self._subword_masks(self._letters(word), pi)
+
+    def _subword_masks(self, letters: Word, pi: GroupElement) -> list[int]:
+        """``reduced_subword_masks`` of a checked word given as 0-based
+        letters (``_letters``)."""
         start = self._id(self.inverse(pi))
         return sorted(_K.reduced_subword_masks(
             self._right, self._desc, self._len, self._step, letters, start))

@@ -147,12 +147,14 @@ def _subdivision_frontiers(x: LabeledComplex, depth: int):
 
 def build_rho(system: CoxeterSystem, Q, Qp, pi: GroupElement,
               cap: int = 100_000, global_check_limit: int = 24) -> RhoPoset:
-    """Build the order; see the module docstring for the construction."""
+    """Build the order; see the module docstring for the construction.
+    Each (word, pi) is built once, the moves reading relabels of it."""
     Q, Qp = tuple(Q), tuple(Qp)
     words = system.reduced_words(pi, cap=cap)
     index = {w: k for k, w in enumerate(words)}
+    memo: dict = {}
     complexes = {
-        w: build(SubwordDescriptor(system, Q + w + Qp, pi)) for w in words
+        w: build(SubwordDescriptor(system, Q + w + Qp, pi), memo) for w in words
     }
 
     parent = list(range(len(words)))
@@ -176,7 +178,7 @@ def build_rho(system: CoxeterSystem, Q, Qp, pi: GroupElement,
             if w2 < w:
                 continue  # the mirrored move on w2 reproduces this pair
             ctx = move_context(system, Q + w + Qp, len(Q) + pos, pi)
-            rep = classify(ctx)
+            rep = classify(ctx, memo)
             lower = upper = None
             if rep.case == 1 and rep.witness_ok:
                 union(index[w], index[w2])
@@ -248,7 +250,7 @@ def semilattice_check(p: RhoPoset) -> SemilatticeResult:
 
 def _gap_scan(p: RhoPoset) -> GapReport:
     n = len(p.classes)
-    reps = [LabeledComplex(range(len(x.vertices)), x.facets)  # on 0..n-1
+    reps = [x.relabel(range(len(x.vertices)))  # on 0..n-1
             for x in (p.complexes[p.class_rep(c)] for c in range(n))]
     inv = [iso_invariant(x) for x in reps]
     f0 = [0 if x.is_void else len(x.vertices) for x in reps]

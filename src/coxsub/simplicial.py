@@ -49,6 +49,19 @@ def _bits(mask: int):
         mask ^= low
 
 
+def scatter_bits(masks: Iterable[int], bits: Sequence[int]) -> list[int]:
+    """Each mask with its bit k moved to bit ``bits[k]``; one lookup table
+    per eight source bits."""
+    src = list(masks)
+    out = [0] * len(src)
+    for c in range(0, len(bits), 8):
+        table = [0]  # images of the 256 values of source bits c..c+7
+        for b in bits[c:c + 8]:
+            table += [t | 1 << b for t in table]
+        out = [o | table[f >> c & 255] for o, f in zip(out, src)]
+    return out
+
+
 @dataclass(frozen=True)
 class HPoly:
     """Homogeneous two-variable h-polynomial, coeffs h_0..h_n."""
@@ -82,12 +95,12 @@ class LabeledComplex:
     """Immutable simplicial complex over labeled vertices.
 
     Invariant: the facets form an antichain (no facet inside another).
-    ``from_facets`` prunes to the maximal sets; ``subword.build`` (facets
-    of one size) and ``edge_subdivide`` preserve it.
+    ``from_facets`` prunes to the maximal sets; ``subword.PositionComplex``
+    (facets of one size), ``relabel`` and ``edge_subdivide`` preserve it.
     Equality and hashing read the facets alone because of it.
     """
 
-    __slots__ = ("vertices", "facets", "_index", "_faces", "_f", "_sig")
+    __slots__ = ("vertices", "facets", "_index", "_cache")
 
     def __init__(self, vertices: Sequence[Label], facet_masks: Iterable[int]):
         vertices = tuple(vertices)
@@ -103,9 +116,9 @@ class LabeledComplex:
         object.__setattr__(self, "vertices", vertices)
         object.__setattr__(self, "facets", tuple(masks))
         object.__setattr__(self, "_index", {v: i for i, v in enumerate(vertices)})
-        object.__setattr__(self, "_faces", None)
-        object.__setattr__(self, "_f", None)
-        object.__setattr__(self, "_sig", None)
+        # the facts that do not depend on labels, filled on first use and
+        # shared with every relabel: "faces", "f", "h" and "sig"
+        object.__setattr__(self, "_cache", {})
 
     def __setattr__(self, *a):  # immutability by convention
         raise AttributeError("LabeledComplex is immutable")
@@ -163,7 +176,8 @@ class LabeledComplex:
 
     def faces_masks(self) -> np.ndarray:
         """Sorted masks of every face, the empty face included (unless void)."""
-        if self._faces is None:
+        faces = self._cache.get("faces")
+        if faces is None:
             if self.is_void:
                 faces = np.empty(0, dtype=np.int64)
             else:
@@ -173,8 +187,9 @@ class LabeledComplex:
                 buf = np.empty(total, dtype=np.int64)
                 count = int(_K.fill_submasks(np.asarray(self.facets, dtype=np.int64), buf))
                 faces = np.unique(buf[:count])
-            object.__setattr__(self, "_faces", faces)
-        return self._faces
+            faces.flags.writeable = False  # relabels share the array
+            self._cache["faces"] = faces
+        return faces
 
     def face_label_sets(self) -> frozenset[frozenset]:
         verts = self.vertices
@@ -211,6 +226,23 @@ class LabeledComplex:
 
     # -- derived complexes ---------------------------------------------------
 
+    def relabel(self, labels: Sequence[Label]) -> "LabeledComplex":
+        """The same facets over new vertex labels, ``labels[k]`` naming
+        vertex k.  The face masks, f- and h-vector and vertex signatures do
+        not depend on labels: the two complexes share them, and whichever
+        asks first computes them."""
+        labels = tuple(labels)
+        if len(labels) != len(self.vertices):
+            raise ValueError("need exactly one label per vertex")
+        if len(set(labels)) != len(labels):
+            raise ValueError("vertex labels must be distinct")
+        out = object.__new__(LabeledComplex)
+        object.__setattr__(out, "vertices", labels)
+        object.__setattr__(out, "facets", self.facets)
+        object.__setattr__(out, "_index", {v: i for i, v in enumerate(labels)})
+        object.__setattr__(out, "_cache", self._cache)
+        return out
+
     def link(self, face: Iterable[Label]) -> "LabeledComplex":
         face = tuple(face)
         if not self.has_face(face):
@@ -246,27 +278,30 @@ class LabeledComplex:
 
     def f_vector(self) -> tuple[int, ...]:
         """(f_0, .., f_{dim}); empty for the void complex and for {()}."""
-        if self._f is None:
+        f = self._cache.get("f")
+        if f is None:
             faces = self.faces_masks()
-            f: tuple[int, ...] = ()
+            f = ()
             if faces.size:
                 counts = np.zeros(faces.size, dtype=np.int64)
                 _K.popcounts(faces, counts)
                 f = tuple(int(x) for x in np.bincount(counts)[1:])
-            object.__setattr__(self, "_f", f)
-        return self._f
+            self._cache["f"] = f
+        return f
 
     def h_vector(self) -> tuple[int, ...]:
-        if self.is_void:
-            raise ValueError("the void complex has no h-vector")
-        if not self.is_pure:
-            raise ValueError("h-vector requires a pure complex")
-        f = (1,) + self.f_vector()  # f[i] = f_{i-1}
-        n = self.dim + 1
-        return tuple(
-            sum((-1) ** (k - i) * comb(n - i, k - i) * f[i] for i in range(k + 1))
-            for k in range(n + 1)
-        )
+        h = self._cache.get("h")
+        if h is None:
+            if self.is_void:
+                raise ValueError("the void complex has no h-vector")
+            if not self.is_pure:
+                raise ValueError("h-vector requires a pure complex")
+            f = (1,) + self.f_vector()  # f[i] = f_{i-1}
+            n = self.dim + 1
+            h = self._cache["h"] = tuple(
+                sum((-1) ** (k - i) * comb(n - i, k - i) * f[i] for i in range(k + 1))
+                for k in range(n + 1))
+        return h
 
     def h_poly(self) -> HPoly:
         h = self.h_vector()
@@ -334,7 +369,8 @@ def k_subdivide(x: LabeledComplex, edge: Sequence[Label], k: int,
 
 def _signatures(c: LabeledComplex) -> list[tuple[int, ...]]:
     """Per vertex index: the sorted sizes of the facets through it."""
-    if c._sig is None:
+    sig = c._cache.get("sig")
+    if sig is None:
         sizes: list[list[int]] = [[] for _ in c.vertices]
         for f in c.facets:
             k = f.bit_count()
@@ -342,8 +378,8 @@ def _signatures(c: LabeledComplex) -> list[tuple[int, ...]]:
                 low = f & -f
                 sizes[low.bit_length() - 1].append(k)
                 f ^= low
-        object.__setattr__(c, "_sig", [tuple(sorted(s)) for s in sizes])
-    return c._sig
+        sig = c._cache["sig"] = [tuple(sorted(s)) for s in sizes]
+    return sig
 
 
 def iso_invariant(x: LabeledComplex) -> tuple:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coxeter import CoxeterSystem, GroupElement, Word
-from .simplicial import LabeledComplex
+from .simplicial import LabeledComplex, scatter_bits
 
 
 @dataclass(frozen=True)
@@ -49,21 +49,67 @@ class SubwordDescriptor:
             raise KeyError(f"unknown position label {label!r}") from None
 
 
-def build(d: SubwordDescriptor) -> LabeledComplex:
-    """The subword complex of ``d``, VOID when no reduced expression fits."""
-    masks = d.system.reduced_subword_masks(d.word, d.pi)
-    if len(masks) == 0:
-        return LabeledComplex.void()
-    full = (1 << len(d.word)) - 1
-    facets = np.asarray([full ^ mk for mk in masks], dtype=np.int64)
-    used = int(np.bitwise_or.reduce(facets))
-    positions = [p for p in range(len(d.word)) if used >> p & 1]
-    # compress to the used positions; every facet has |word| - l(pi)
-    # positions, so the facets form an antichain as they are
-    packed = np.zeros_like(facets)
-    for k, p in enumerate(positions):
-        packed |= (facets >> p & 1) << k
-    return LabeledComplex(tuple(d.labels[p] for p in positions), packed.tolist())
+class PositionComplex:
+    """Delta(word; pi) with the used 0-based word positions as vertices.
+
+    It is made from the kernel masks once per (word, pi) and memo.  Every
+    labeled complex of the pair is a relabel of it, so its faces and its
+    f- and h-vector are computed once, by whichever relabel asks first.
+    """
+
+    __slots__ = ("complex", "_word_faces")
+
+    def __init__(self, system: CoxeterSystem, word: Word, pi: GroupElement):
+        self._word_faces = None
+        masks = system._subword_masks(tuple(s - 1 for s in word), pi)
+        if not masks:
+            self.complex = LabeledComplex.void()
+            return
+        full = (1 << len(word)) - 1
+        facets = np.asarray([full ^ mk for mk in masks], dtype=np.int64)
+        used = int(np.bitwise_or.reduce(facets))
+        positions = [p for p in range(len(word)) if used >> p & 1]
+        # compress to the used positions; every facet has |word| - l(pi)
+        # positions, so the facets form an antichain as they are
+        packed = np.zeros_like(facets)
+        for k, p in enumerate(positions):
+            packed |= (facets >> p & 1) << k
+        self.complex = LabeledComplex(positions, packed.tolist())
+
+    @property
+    def word_faces(self) -> tuple[int, ...]:
+        """Every face as a mask over word positions, bit p for position p."""
+        if self._word_faces is None:
+            x = self.complex
+            self._word_faces = tuple(scatter_bits(x.faces_masks().tolist(), x.vertices))
+        return self._word_faces
+
+    def relabel(self, labels) -> LabeledComplex:
+        """The complex with word position p named ``labels[p]``."""
+        return self.complex.relabel([labels[p] for p in self.complex.vertices])
+
+
+def position_complex(d: SubwordDescriptor, memo: dict) -> PositionComplex:
+    """The entry of ``memo`` for (d.word, d.pi), made on first request.
+
+    A memo is a plain dict over one system that a computation which
+    builds the same words again (an order, a chain of moves) creates and
+    passes to all its builds; it lives as long as that computation.
+    """
+    key = (d.word, d.pi)
+    entry = memo.get(key)
+    if entry is None:
+        entry = memo[key] = PositionComplex(d.system, d.word, d.pi)
+    return entry
+
+
+def build(d: SubwordDescriptor, memo: dict | None = None) -> LabeledComplex:
+    """The subword complex of ``d``, VOID when no reduced expression fits.
+
+    Without a memo the complex is made afresh; with one it is a relabel of
+    the memo's position complex (see ``position_complex``).
+    """
+    return position_complex(d, {} if memo is None else memo).relabel(d.labels)
 
 
 def is_face(d: SubwordDescriptor, face) -> bool:

@@ -1,4 +1,7 @@
+import hashlib
 import json
+
+import pytest
 
 from coxsub import cli
 
@@ -147,3 +150,23 @@ def test_group_spec_file(capsys, tmp_path):
                        "--word", "1,2,1,2,1,2,1", "--pi", "w0")
     assert code == 0
     assert "f-vector (7, 7)" in out
+
+
+# SHA-256 of the standard output of the worked examples; a change to any
+# printed byte, ordering or float formatting fails here
+PINNED = [
+    (("demo", "a3-chain"),
+     "eb423c851c9208a850343309de6ee6e95eeafa62509737293f94b038a713bcce"),
+    (("chain", "--group", "A3", "--word", "1,2,3,3,2,1,3,2,3", "--pi", "w0",
+      "--moves", "6,4,6,5,8,6,4,6", "--json"),
+     "6e2cf64a55bc695ba8f300e449cf33e3a753fba6a22d304c1501842a3afd3368"),
+    (("poset", "--group", "A3", "--Q", "1,2,3", "--pi", "w0", "--json", "-"),
+     "083e70c7bff891630297df078d2578b560eba3e8c39c93f2d44f7c29662ea4ec"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", PINNED, ids=["demo", "chain", "poset"])
+def test_worked_examples_pinned(capsys, argv, digest):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

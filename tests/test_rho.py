@@ -3,7 +3,8 @@ import json
 import pytest
 
 from conftest import system
-from coxsub.braid import classify, move_context
+from coxsub import backend, cli
+from coxsub.braid import apply_sequence, classify, move_context
 from coxsub.rhoposet import (GapReport, RhoPoset, SemilatticeResult, build_rho,
                              export_dot, poset_json, semilattice_check,
                              transitive_reduction)
@@ -216,3 +217,31 @@ def test_gap_scan_two_letter_factors(Q, Qp, subdivisions):
     assert gap.checked and not gap.truncated
     assert len(gap.iso_pairs) == 2
     assert len(gap.subdivision_pairs) == subdivisions
+
+
+def _kernel_calls(monkeypatch) -> list:
+    """Record the (letters, start) of every subword-kernel call."""
+    seen = []
+    kernel = backend.active.reduced_subword_masks
+
+    def counted(right, desc, length, step, word, start, stop_after=None):
+        seen.append((word, start))
+        return kernel(right, desc, length, step, word, start, stop_after)
+
+    monkeypatch.setattr(backend.active, "reduced_subword_masks", counted)
+    return seen
+
+
+def test_each_complex_built_once(monkeypatch):
+    A3 = system("A3")
+    w0 = A3.longest_element()
+    seen = _kernel_calls(monkeypatch)
+    p = build_rho(A3, (1, 1), (1, 3), w0)
+    # 16 side words and 24 shortened-window words, each enumerated once
+    assert len(seen) == len(set(seen)) == 40
+    assert len(p.edges) == 18
+    seen.clear()
+    rep = apply_sequence(A3, cli.CHAIN_START, w0, cli.CHAIN_MOVES)
+    assert len(seen) == len(set(seen)) == 21
+    letters = {word for word, _ in seen}
+    assert all(tuple(s - 1 for s in w) in letters for w in rep.words)

@@ -203,3 +203,18 @@ def test_isomorphism_matches_brute_force():
             elif iso_invariant(a) == iso_invariant(b):
                 same_invariant_not_iso += 1
     assert same_invariant_not_iso > 0
+
+
+def test_relabel():
+    pent = cycle(5)
+    pent.h_vector()
+    named = pent.relabel("abcde")
+    assert named.vertices == tuple("abcde") and named.facets == pent.facets
+    assert named.has_face(("a", "b")) and not named.has_face(("a", "c"))
+    assert named.h_vector() == pent.h_vector() == (1, 3, 1)
+    assert named.faces_masks() is pent.faces_masks()
+    assert pent.vertices == (1, 2, 3, 4, 5)  # the source keeps its labels
+    with pytest.raises(ValueError):
+        pent.relabel("abcd")
+    with pytest.raises(ValueError):
+        pent.relabel("abcda")

@@ -2,10 +2,11 @@ import random
 
 import pytest
 
-from conftest import brute_facets, brute_is_face, random_descriptor, system
-from coxsub.simplicial import LabeledComplex
+from conftest import (brute_facets, brute_is_face, random_descriptor, random_pi,
+                      system)
+from coxsub.simplicial import LabeledComplex, iso_invariant
 from coxsub.subword import (SubwordDescriptor, build, complex_json, is_face,
-                            is_spherical, link_oracle_check)
+                            is_spherical, link_oracle_check, position_complex)
 
 
 def test_descriptor_validation():
@@ -149,3 +150,43 @@ def test_complex_json():
     void = complex_json(SubwordDescriptor(A2, (1, 2), w0))
     assert void["facets"] == [] and void["h_vector"] is None
     assert void["gamma"] is None
+
+
+def _snapshot(x: LabeledComplex) -> tuple:
+    return (x.vertices, x.facets, x.faces_masks().tolist(), x.f_vector(),
+            iso_invariant(x))
+
+
+def test_memo_relabel_matches_fresh_build():
+    rng = random.Random(12)
+    voids = 0
+    for k in range(40):
+        sys_ = system(rng.choice(("A3", "B3", "H3")))
+        word = tuple(rng.randrange(1, sys_.rank + 1) for _ in range(rng.randrange(1, 10)))
+        pi = sys_.longest_element() if k % 4 == 0 else random_pi(sys_, rng, word)
+        labels = tuple(f"v{t}" if t % 2 else t for t in rng.sample(range(100), len(word)))
+        memo: dict = {}
+        build(SubwordDescriptor(sys_, word, pi), memo)  # the memo's first request
+        d = SubwordDescriptor(sys_, word, pi, labels=labels)
+        source = position_complex(d, memo).complex
+        before = (source.vertices, source.facets)
+        served, fresh = build(d, memo), build(d)
+        assert len(memo) == 1
+        assert _snapshot(served) == _snapshot(fresh)
+        assert served == fresh
+        if fresh.is_void:
+            voids += 1
+            with pytest.raises(ValueError):
+                served.h_vector()
+        else:
+            assert served.h_vector() == fresh.h_vector()
+            assert served.is_flag() == fresh.is_flag()
+            # the face array the relabels share is read-only
+            with pytest.raises(ValueError):
+                served.faces_masks()[0] = 1
+        # the relabel left the labels and facets of its source as they were,
+        # and the facts it computed hold for the source too
+        assert (source.vertices, source.facets) == before
+        assert source.vertices == tuple(labels.index(v) for v in served.vertices)
+        assert _snapshot(source)[1:] == _snapshot(fresh)[1:]
+    assert voids >= 3
