@@ -1,10 +1,9 @@
-"""The hot loops: reduced-subword enumeration and face-set bit tricks.
+"""The hot loops: reduced-subword enumeration and face enumeration.
 
 Conventions:
   * generator indices are 0-based here (the public API is 1-based),
-  * a word position set is one bitmask, bit p for position p; the face
-    helpers take int64 numpy arrays, so ambient words are limited to 62
-    letters,
+  * a word position set, a facet and a face are each one bitmask in a
+    Python int, bit p for position or vertex p,
   * group elements are the integer ids a CoxeterSystem interns them under,
     id 0 being the identity, and the enumeration reads three tables the
     system owns: right[g][s] is the id of g*s, or -1 until step(g, s)
@@ -13,8 +12,6 @@ Conventions:
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 
 def reduced_subword_masks(right, desc, length, step, word, start, stop_after=None):
@@ -55,36 +52,25 @@ def reduced_subword_masks(right, desc, length, step, word, start, stop_after=Non
     return out
 
 
-def fill_submasks(facets, out):
-    """Write every submask of every facet mask into out; returns count.
+def fill_submasks(facets, out: list) -> int:
+    """Append every submask of every facet mask to the list out; returns
+    how many were appended, sum(2**popcount(f)).
 
-    Duplicates across facets are kept; the caller deduplicates.  out must
-    hold sum(2**popcount(f)) entries.  Facets of one size are done together:
-    each row of their block starts as [0] and doubles once per facet bit.
+    Duplicates across facets are kept; the caller deduplicates.  Each
+    facet's submasks start as [0] and double once per facet bit.
     """
-    by_size: dict[int, list[int]] = {}
-    for f in facets.tolist():
-        by_size.setdefault(f.bit_count(), []).append(f)
-    idx = 0
-    for k, group in by_size.items():
-        rest = np.array(group, dtype=np.int64)
-        block = out[idx: idx + (len(group) << k)].reshape(len(group), 1 << k)
-        block[:, 0] = 0
-        for b in range(k):
-            low = rest & -rest
-            block[:, 1 << b: 2 << b] = block[:, : 1 << b] | low[:, None]
-            rest ^= low
-        idx += block.size
-    return idx
+    start = len(out)
+    for f in facets:
+        subs = [0]
+        while f:
+            low = f & -f
+            subs += [x | low for x in subs]
+            f ^= low
+        out += subs
+    return len(out) - start
 
 
-def popcounts(masks, out):
-    """Per-element popcount of nonnegative int64 masks, written into out."""
-    x = masks - ((masks >> 1) & 0x5555555555555555)
-    x = (x & 0x3333333333333333) + ((x >> 2) & 0x3333333333333333)
-    x = (x + (x >> 4)) & 0x0F0F0F0F0F0F0F0F
-    x = x + (x >> 8)
-    x = x + (x >> 16)
-    x = x + (x >> 32)
-    out[:] = x & 0x7F
+def popcounts(masks, out: list) -> list:
+    """Per-element popcount of nonnegative int masks, written into out."""
+    out[:] = map(int.bit_count, masks)
     return out

@@ -76,7 +76,7 @@ class BraidContext:
 
     @property
     def m(self) -> int:
-        return int(self.system.m[self.i - 1, self.j - 1])
+        return self.system.m[self.i - 1, self.j - 1]
 
     def swapped(self) -> "BraidContext":
         """The same move read in the other direction (i and j exchanged)."""
@@ -117,10 +117,10 @@ class BraidContext:
 
 class MoveFacts:
     """The derived facts of one braid move.  Made at once: the bit universe
-    (see the module docstring) and the complexes of both sides and of the
-    shortened windows, read from a build memo (see ``subword.build``).
-    Made on first use: their faces as masks, the interface families and
-    the window conditions."""
+    (see the module docstring), the complexes of both sides and of the
+    shortened windows, read from a build memo (see ``subword.build``),
+    and whether each side is a sphere.  Made on first use: their faces as
+    masks, the interface families and the window conditions."""
 
     def __init__(self, ctx: BraidContext, memo: dict | None = None):
         self.ctx = ctx
@@ -140,6 +140,7 @@ class MoveFacts:
         self.inner = build(descs[2], memo), build(descs[3], memo)
         # the position complexes behind the four, for faces over word positions
         self._entries = tuple(position_complex(d, memo) for d in descs)
+        self.spherical = self._entries[0].spherical, self._entries[1].spherical
 
     def from_side2(self, masks) -> frozenset:
         """Universe masks of masks over the positions of side_word(2): the
@@ -153,7 +154,7 @@ class MoveFacts:
     def universe_faces(self, x: LabeledComplex) -> frozenset:
         """The faces of a complex over universe labels, as universe masks."""
         bit = self.bit
-        return frozenset(scatter_bits(x.faces_masks().tolist(), [bit[v] for v in x.vertices]))
+        return frozenset(scatter_bits(x.faces_masks(), [bit[v] for v in x.vertices]))
 
     def face_labels(self, masks) -> tuple[tuple[str, ...], ...]:
         """Up to five faces as sorted label tuples, in sorted order."""
@@ -355,7 +356,9 @@ def check_A3B3_edges(ctx: BraidContext) -> bool:
 
 
 def _h_monomials(x: LabeledComplex) -> dict:
-    return {} if x.is_void else x.h_poly().monomials()
+    """Nonzero h-coefficients keyed by (alpha exponent, t exponent)."""
+    h = () if x.is_void else x.h_vector()
+    return {(k, len(h) - 1 - k): c for k, c in enumerate(h) if c}
 
 
 def _mono_sub(a: dict, b: dict) -> dict:
@@ -369,7 +372,7 @@ def _gamma_coeffs(x: LabeledComplex) -> tuple[int, ...] | None:
     """Gamma coefficients, () for VOID, None when h is not palindromic."""
     if x.is_void:
         return ()
-    if not x.h_poly().is_palindromic():
+    if x.h_vector() != x.h_vector()[::-1]:
         return None
     return x.gamma().coeffs
 
@@ -417,8 +420,7 @@ def polynomial_delta(ctx: BraidContext) -> PolyDeltaReport:
     delta_h = _mono_sub(_h_monomials(d2x), _h_monomials(d1x))
     rhs_h = {(a + 1, t + 1): (m - 2) * c for (a, t), c in
              _mono_sub(_h_monomials(k2x), _h_monomials(k1x)).items() if m > 2}
-    sph = (ctx.system.demazure_product(ctx.side_word(1)) == ctx.pi,
-           ctx.system.demazure_product(ctx.side_word(2)) == ctx.pi)
+    sph = ctx.facts.spherical
     delta_gamma = rhs_gamma = gamma_ok = None
     if sph[0] and sph[1]:
         parts = [_gamma_coeffs(x) for x in (d1x, d2x, k1x, k2x)]
@@ -549,8 +551,8 @@ class SequenceReport:
 
 
 def _row_summary(system: CoxeterSystem, word: Word, pi: GroupElement, memo: dict) -> dict:
-    x = build(SubwordDescriptor(system, word, pi), memo)
-    spherical = system.demazure_product(word) == pi
+    d = SubwordDescriptor(system, word, pi)
+    x, spherical = build(d, memo), position_complex(d, memo).spherical
     gamma = x.gamma().coeffs if spherical and not x.is_void else None
     gamma1 = gamma[1] if gamma is not None and len(gamma) > 1 else 0
     return {
@@ -567,18 +569,11 @@ def _row_summary(system: CoxeterSystem, word: Word, pi: GroupElement, memo: dict
 def move_context(system: CoxeterSystem, word: Word, pos: int,
                  pi: GroupElement) -> BraidContext:
     """Context of the braid move starting at 1-based position ``pos``."""
-    word = tuple(word)
-    if not 1 <= pos <= len(word) - 1:
-        raise ValueError(f"position {pos} out of range")
-    i, j = word[pos - 1], word[pos]
-    if i == j:
-        raise ValueError(f"no braid window at position {pos}")
-    m = int(system.m[i - 1, j - 1])
-    if pos + m - 1 > len(word):
-        raise ValueError(f"window at position {pos} runs past the word")
-    expect = tuple(i if t % 2 == 0 else j for t in range(m))
-    if word[pos - 1:pos - 1 + m] != expect:
-        raise ValueError(f"window at position {pos} does not alternate")
+    word = system.check_word(word)
+    window = system._braid_window(word, pos)
+    if window is None:
+        raise ValueError(f"no braid window at position {pos} of {word}")
+    i, j, m = window
     return BraidContext(system, word[:pos - 1], word[pos - 1 + m:], i, j, pi)
 
 

@@ -16,13 +16,11 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from .braid import (CASE_NAMES, apply_sequence, classify, find_move_path,
                     move_context)
 from .coxeter import CoxeterMatrix, CoxeterSystem
 from .rhoposet import _word_text, build_rho, export_dot, poset_json
-from .subword import SubwordDescriptor, build, complex_json
+from .subword import SubwordDescriptor, complex_json, complex_summary
 
 
 def parse_word(text: str) -> tuple[int, ...]:
@@ -53,20 +51,7 @@ def _jsonable(x):
         return sorted((_jsonable(v) for v in x), key=str)
     if isinstance(x, (list, tuple)):
         return [_jsonable(v) for v in x]
-    if isinstance(x, (np.integer,)):
-        return int(x)
     return x
-
-
-def _complex_summary(x) -> dict:
-    index = {v: k for k, v in enumerate(x.vertices)}
-    out = {
-        "vertices": [str(v) for v in x.vertices],
-        "facets": sorted(sorted(index[v] for v in fs) for fs in x.facet_label_sets()),
-        "f_vector": list(x.f_vector()),
-        "h_vector": None if x.is_void else list(x.h_vector()),
-    }
-    return out
 
 
 def _mono_json(poly: dict) -> list:
@@ -104,8 +89,8 @@ def case_report_json(rep) -> dict:
         "case_name": rep.case_name,
         "supported": rep.supported,
         "conditions": {"A2": rep.A2, "B2": rep.B2, "A3": rep.A3, "B3": rep.B3},
-        "delta1": _complex_summary(rep.delta1),
-        "delta2": _complex_summary(rep.delta2),
+        "delta1": complex_summary(rep.delta1),
+        "delta2": complex_summary(rep.delta2),
         "witness": _jsonable(rep.witness),
         "witness_ok": rep.witness_ok,
         "decomposition": {
@@ -134,7 +119,6 @@ def cmd_complex(args) -> int:
     if args.json:
         _emit(out)
         return 0
-    x = build(d)
     print(f"word {_word_text(word)}  (rank {system.rank})")
     print(f"f-vector {tuple(out['f_vector'])}  spherical {out['spherical']}"
           f"  flag {out['flag']}")
@@ -142,14 +126,12 @@ def cmd_complex(args) -> int:
         print(f"h-vector {tuple(out['h_vector'])}")
     if out["gamma"] is not None:
         print(f"gamma    {tuple(out['gamma'])}")
-    if x.is_void:
+    if not out["facets"]:
         print("facets   none (void complex)")
     else:
-        facets = " ".join(
-            "{" + ",".join(str(v) for v in sorted(fs, key=str)) + "}"
-            for fs in sorted(x.facet_label_sets(), key=lambda s: sorted(map(str, s)))
-        )
-        print(f"facets   {facets if facets else '{} (single empty face)'}")
+        labels = out["vertices"]
+        facets = sorted(sorted(labels[k] for k in f) for f in out["facets"])
+        print("facets   " + " ".join("{" + ",".join(f) + "}" for f in facets))
     return 0
 
 
@@ -198,16 +180,7 @@ def cmd_chain(args) -> int:
         _emit({
             "words": [list(w) for w in rep.words],
             "moves": positions,
-            "rows": [
-                {"word": list(r["word"]),
-                 "f_vector": list(r["f_vector"]),
-                 "vertices": [str(v) for v in r["vertices"]],
-                 "h_vector": None if r["h_vector"] is None else list(r["h_vector"]),
-                 "spherical": r["spherical"],
-                 "gamma": None if r["gamma"] is None else list(r["gamma"]),
-                 "gamma1": r["gamma1"]}
-                for r in rep.rows
-            ],
+            "rows": [dict(r, vertices=[str(v) for v in r["vertices"]]) for r in rep.rows],
             "steps": [
                 {"pos": s.pos, "case": s.report.case,
                  "case_name": s.report.case_name,

@@ -25,9 +25,10 @@ Conventions used throughout the package:
   * s is a right descent of g iff g sends alpha_s to a negative root.
 
 Only finite groups are supported.  Construction rejects any Coxeter
-matrix whose bilinear form is not positive definite; positive
-definiteness is the classical finiteness criterion and carves out
-exactly the A/B/D/E6/E7/E8/F4/H3/H4/I2(m) catalog.
+matrix whose bilinear form is not positive definite (decided by a
+Cholesky factorization); positive definiteness is the classical
+finiteness criterion and carves out exactly the A/B/D/E6/E7/E8/F4/H3/H4/
+I2(m) catalog.
 """
 
 from __future__ import annotations
@@ -36,40 +37,71 @@ import json
 import re
 from collections import deque
 from dataclasses import dataclass
+from math import cos, pi as PI, sqrt
+from operator import index as _int
 from typing import Iterable, Sequence
-
-import numpy as np
 
 from .backend import active as _K
 
 Word = tuple[int, ...]
 
-MAX_WORD_LETTERS = 62  # position sets are packed into int64 bitmasks
+# An input bound: the facets the kernel enumerates can grow exponentially
+# with the letters.  simplicial.MAX_VERTICES matches it.
+MAX_WORD_LETTERS = 62
 MAX_ROOTS = 1000  # the reflection table holds |Phi|^2 root indices
-# Two orbit points closer than this in every simple-root coordinate are the
-# same root.  Used only while Phi is built; the validation that follows
-# catches any mismatch.
-_SAME_ROOT = 1e-6
 
 
 def _as_word(letters: Iterable[int]) -> Word:
-    word = tuple(int(x) for x in letters)
-    return word
+    """The letters as a tuple of ints; any integer type is accepted."""
+    try:
+        return tuple(map(_int, letters))
+    except TypeError:
+        raise ValueError(f"letters must be integers, got {letters!r}") from None
+
+
+def _gram(m: dict, n: int) -> list[list[float]]:
+    """B(a_i, a_j) = -cos(pi / m_ij), the form of the geometric representation."""
+    return [[-cos(PI / m[i, j]) for j in range(n)] for i in range(n)]
+
+
+def _positive_definite(a: list[list[float]]) -> bool:
+    """Whether the symmetric matrix has a Cholesky factorization with
+    every pivot above 1e-8."""
+    low: list[list[float]] = []
+    for i, row in enumerate(a):
+        low.append([])
+        for j in range(i + 1):
+            x = row[j] - sum(p * q for p, q in zip(low[i], low[j]))
+            if j < i:
+                low[i].append(x / low[j][j])
+            elif x <= 1e-8:
+                return False
+            else:
+                low[i].append(sqrt(x))
+    return True
 
 
 class CoxeterMatrix:
-    """Validated symmetric Coxeter matrix of a finite group."""
+    """Validated symmetric Coxeter matrix of a finite group.
 
-    __slots__ = ("m", "rank", "name", "coxeter_number")
+    ``rows`` holds the matrix as a tuple of rows; ``m[i, j]`` reads the
+    entry of the 0-based generators i and j.
+    """
+
+    __slots__ = ("rows", "m", "rank", "name", "coxeter_number")
 
     def __init__(self, rows: Sequence[Sequence[int]], name: str | None = None,
                  coxeter_number: int | None = None):
-        m = np.asarray(rows, dtype=np.int64)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        try:
+            rows = tuple(tuple(int(x) for x in r) for r in rows)
+        except (TypeError, ValueError, OverflowError):
+            raise ValueError("a Coxeter matrix is a list of rows of integers") from None
+        n = len(rows)
+        if any(len(r) != n for r in rows):
             raise ValueError("Coxeter matrix must be square")
-        n = m.shape[0]
         if n == 0:
             raise ValueError("Coxeter matrix must have positive rank")
+        m = {(i, j): rows[i][j] for i in range(n) for j in range(n)}
         for i in range(n):
             if m[i, i] != 1:
                 raise ValueError("diagonal entries must be 1")
@@ -78,21 +110,19 @@ class CoxeterMatrix:
                     raise ValueError("Coxeter matrix must be symmetric")
                 if m[i, j] < 2:
                     raise ValueError("off-diagonal entries must be >= 2")
-        gram = -np.cos(np.pi / m.astype(np.float64))
-        eigs = np.linalg.eigvalsh(gram)
-        if eigs[0] <= 1e-8:
+        if not _positive_definite(_gram(m, n)):
             raise ValueError(
                 "Coxeter matrix does not define a finite group "
                 "(bilinear form is not positive definite)"
             )
-        m.setflags(write=False)
+        self.rows = rows
         self.m = m
         self.rank = n
         self.name = name
         self.coxeter_number = coxeter_number  # known for named types only
 
     def __repr__(self) -> str:
-        return f"CoxeterMatrix({self.name or self.m.tolist()})"
+        return f"CoxeterMatrix({self.name or [list(r) for r in self.rows]})"
 
     @staticmethod
     def named(name: str) -> "CoxeterMatrix":
@@ -178,51 +208,50 @@ class CoxeterMatrix:
         raise ValueError(f"cannot interpret group spec {spec!r}")
 
 
-def _root_system(gram: np.ndarray) -> tuple[np.ndarray, list[bool], list[list[int]]]:
+def _root_system(gram: list[list[float]]) -> tuple[tuple, list[bool], list[list[int]]]:
     """The roots of a finite system and the reflections' action on them.
 
-    Returns (roots, negative, reflect): roots is a (|Phi|, n) array of
-    simple-root coordinates with the simple roots first, negative[r] says
-    whether root r is negative, and reflect[b][c] is the index of
+    Returns (roots, negative, reflect): roots is a tuple of |Phi| tuples
+    of simple-root coordinates with the simple roots first, negative[r]
+    says whether root r is negative, and reflect[b][c] is the index of
     s_beta(gamma) for beta = roots[b] and gamma = roots[c].  Raises when
     the orbit fails validation.
     """
-    n = gram.shape[0]
-    coords = np.eye(n)
+    n = len(gram)
+    coords = [tuple(float(i == j) for j in range(n)) for i in range(n)]
+    # orbit points are looked up by their coordinates rounded to 6 decimals;
+    # the validation below catches any mismatch
+    seen = {v: k for k, v in enumerate(coords)}
     perm: list[list[int]] = [[] for _ in range(n)]  # perm[s][r]: index of s(root r)
     parent: list[tuple[int, int]] = []  # root n + k is s(root r) for parent[k] = (r, s)
     r = 0
     while r < len(coords):
         beta = coords[r]
         for s in range(n):
-            image = beta.copy()
-            image[s] -= 2.0 * gram[s] @ beta
-            gap = np.abs(coords - image).max(axis=1)
-            k = int(gap.argmin())
-            if gap[k] > _SAME_ROOT:
-                k = len(coords)
+            image = list(beta)
+            image[s] -= 2.0 * sum(g * b for g, b in zip(gram[s], beta))
+            k = seen.setdefault(tuple(round(x, 6) for x in image), len(coords))
+            if k == len(coords):
                 if k == MAX_ROOTS:
                     raise ValueError(f"root systems are limited to {MAX_ROOTS} roots")
-                coords = np.vstack([coords, image])
+                coords.append(tuple(image))
                 parent.append((r, s))
             perm[s].append(k)
         r += 1
     size = len(coords)
-    negative = coords.sum(axis=1) < 0
-    flips = np.asarray(perm)
-    for s in range(n):
-        if sorted(perm[s]) != list(range(size)):
+    negative = [sum(v) < 0 for v in coords]
+    for s, flips in enumerate(perm):
+        if sorted(flips) != list(range(size)):
             raise ValueError(f"s_{s + 1} does not permute the computed roots")
-        if np.flatnonzero(~negative & negative[flips[s]]).tolist() != [s]:
+        if [c for c in range(size) if negative[flips[c]] and not negative[c]] != [s]:
             raise ValueError(f"s_{s + 1} must send alpha_{s + 1}, and no other "
                              "positive root, to a negative root")
     # s_beta for beta = s(gamma) is s s_gamma s, so each row is exact
-    reflect = np.empty((size, size), dtype=np.int64)
-    reflect[:n] = flips
-    for k, (r, s) in enumerate(parent, start=n):
-        reflect[k] = flips[s][reflect[r][flips[s]]]
-    coords.setflags(write=False)
-    return coords, negative.tolist(), reflect.tolist()
+    reflect = perm[:]
+    for r, s in parent:
+        flips, row = perm[s], reflect[r]
+        reflect.append([flips[row[flips[c]]] for c in range(size)])
+    return tuple(coords), negative, reflect
 
 
 @dataclass(frozen=True, slots=True)
@@ -245,8 +274,7 @@ class CoxeterSystem:
         self.m = cm.m
         self.rank = n = cm.rank
         self.name = cm.name
-        gram = -np.cos(np.pi / self.m.astype(np.float64))
-        self.roots, self._negative, self._reflect = _root_system(gram)
+        self.roots, self._negative, self._reflect = _root_system(_gram(self.m, n))
         h = cm.coxeter_number
         if h is not None and len(self.roots) != n * h:
             raise ValueError(f"{cm.name} needs {n * h} roots, found {len(self.roots)}")
@@ -296,12 +324,8 @@ class CoxeterSystem:
         return g
 
     def generator(self, s: int) -> GroupElement:
-        self._check_letter(s)
+        (s,) = self._word((s,))
         return self._elements[self._times(0, s - 1)]
-
-    def _check_letter(self, s: int) -> None:
-        if not (isinstance(s, (int, np.integer)) and 1 <= s <= self.rank):
-            raise ValueError(f"generator index {s!r} out of range 1..{self.rank}")
 
     def _word(self, word: Iterable[int]) -> Word:
         """The word as a tuple of ints, every letter checked."""
@@ -340,9 +364,6 @@ class CoxeterSystem:
     def right_descents(self, g: GroupElement) -> frozenset[int]:
         d = self._desc[self._id(g)]
         return frozenset(s + 1 for s in range(self.rank) if d >> s & 1)
-
-    def left_descents(self, g: GroupElement) -> frozenset[int]:
-        return self.right_descents(self.inverse(g))
 
     def length(self, g: GroupElement) -> int:
         return self._len[self._id(g)]
@@ -402,27 +423,17 @@ class CoxeterSystem:
 
     def braid_move_positions(self, word: Iterable[int]) -> tuple[int, ...]:
         """1-based positions where a braid move window starts."""
-        w = _as_word(word)
-        out = []
-        for pos in range(1, len(w)):
-            if self._braid_window(w, pos) is not None:
-                out.append(pos)
-        return tuple(out)
+        w = self._word(word)
+        return tuple(pos for pos in range(1, len(w)) if self._braid_window(w, pos))
 
     def _braid_window(self, w: Word, pos: int):
-        """Window (i, j, order) if a braid move applies at 1-based pos."""
-        if not (1 <= pos <= len(w) - 1):
+        """Window (i, j, order) if a braid move applies at 1-based pos of
+        the checked word w, else None."""
+        if not 1 <= pos < len(w) or w[pos - 1] == w[pos]:
             return None
         i, j = w[pos - 1], w[pos]
-        if i == j:
-            return None
-        order = int(self.m[i - 1, j - 1])
-        if pos + order - 1 > len(w):
-            return None
-        for t in range(order):
-            if w[pos - 1 + t] != (i if t % 2 == 0 else j):
-                return None
-        return i, j, order
+        order = self.m[i - 1, j - 1]
+        return (i, j, order) if w[pos - 1:pos - 1 + order] == ((i, j) * order)[:order] else None
 
     def apply_braid_move(self, word: Iterable[int], pos: int) -> Word:
         """Replace the alternating window of length m(i,j) starting at pos.
@@ -434,8 +445,7 @@ class CoxeterSystem:
         if window is None:
             raise ValueError(f"no braid move applies at position {pos} of {w}")
         i, j, order = window
-        flipped = tuple(j if t % 2 == 0 else i for t in range(order))
-        return w[: pos - 1] + flipped + w[pos - 1 + order :]
+        return w[: pos - 1] + ((j, i) * order)[:order] + w[pos - 1 + order :]
 
     def reduced_words(self, g: GroupElement, cap: int = 100_000) -> tuple[Word, ...]:
         """All reduced words of g, via braid-move closure from one of them.
@@ -507,6 +517,33 @@ class CoxeterSystem:
         start = self._id(self.inverse(pi))
         return sorted(_K.reduced_subword_masks(
             self._right, self._desc, self._len, self._step, letters, start))
+
+    def _subword_h(self, letters: Word, pi: GroupElement) -> tuple[int, ...] | None:
+        """h-vector of Delta(Q; pi) for 0-based letters, None when void.
+
+        Vertex decomposition at the first position (Knutson-Miller 2004,
+        section 2): for Q = (s, Q'), h(Q; pi) = h(Q'; s pi) + t h(Q'; pi)
+        when s is a left descent of pi, else h(Q'; pi) with a trailing 0
+        (a cone point).  States are (position, w = pi^-1) as in the kernel,
+        filled from the last position back; l(w) > positions left is void.
+        """
+        desc, length = self._desc, self._len
+        start = self._id(self.inverse(pi))
+        layers = [{start}]  # the live states per position
+        for p, s in enumerate(letters):
+            nxt = {self._times(w, s) for w in layers[-1] if desc[w] >> s & 1} | layers[-1]
+            layers.append({w for w in nxt if length[w] < len(letters) - p})
+        h = {0: (1,)} if 0 in layers[-1] else {}
+        for p in range(len(letters) - 1, -1, -1):
+            s, below, h = letters[p], h, {}
+            for w in layers[p]:
+                link = below.get(w)
+                if not desc[w] >> s & 1:
+                    if link is not None:
+                        h[w] = link + (0,)
+                elif (rest := below.get(self._right[w][s])) is not None:
+                    h[w] = rest if link is None else tuple(map(sum, zip(rest, (0,) + link)))
+        return h.get(start)
 
     def contains_reduced(self, word: Iterable[int], pi: GroupElement) -> bool:
         """True iff some subword of word is a reduced word of pi.

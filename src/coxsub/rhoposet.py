@@ -127,9 +127,7 @@ def _subdivision_frontiers(x: LabeledComplex, depth: int):
         count = 0
         for z in cur:
             fresh = len(z.vertices)
-            for e in z.faces_masks().tolist():
-                if e.bit_count() != 2:
-                    continue
+            for e in z.edge_masks():
                 w = z.edge_subdivide(((e & -e).bit_length() - 1, e.bit_length() - 1), fresh)
                 bucket = nxt.setdefault(iso_invariant(w), [])
                 if not any(_iso(w, seen) for seen in bucket):

@@ -1,8 +1,10 @@
 """Labeled simplicial complexes with bitset faces.
 
 A complex carries an ordered tuple of vertex labels (any hashable) and
-its facets as int64 bitmasks over that order.  Two degenerate complexes
-are distinguished on purpose:
+its facets as bitmasks over that order, bit k for vertex k, held in
+Python ints.  Its faces, when enumerated, are the sorted tuple of the
+submasks of its facets.  Two degenerate complexes are distinguished on
+purpose:
 
   * the void complex has no faces at all: no facets, no empty face;
   * the complex {()} has the single facet (), i.e. only the empty face.
@@ -20,19 +22,25 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
+from operator import index as _int
 from typing import Hashable, Iterable, Sequence
-
-import numpy as np
 
 from .backend import active as _K
 
 Label = Hashable
 
+MAX_VERTICES = 62  # as many as a word has letters (coxeter.MAX_WORD_LETTERS)
+# Faces are Python ints, some 36 bytes each in a list: past this many
+# submasks (about 150 MB) an enumeration, or is_flag's search, stops.
+MAX_FACES = 1 << 22
+FACE_LIMIT_ERROR = f"face enumeration too large (limit {MAX_FACES} faces)"
+
 
 def _label_key(v):
-    if isinstance(v, (int, np.integer)):
-        return (0, int(v), "")
-    return (1, 0, str(v))
+    try:
+        return (0, _int(v), "")
+    except TypeError:
+        return (1, 0, str(v))
 
 
 def _mask_of(indices: Iterable[int]) -> int:
@@ -63,25 +71,6 @@ def scatter_bits(masks: Iterable[int], bits: Sequence[int]) -> list[int]:
 
 
 @dataclass(frozen=True)
-class HPoly:
-    """Homogeneous two-variable h-polynomial, coeffs h_0..h_n."""
-
-    n: int
-    coeffs: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.coeffs) != self.n + 1:
-            raise ValueError("h-polynomial needs n+1 coefficients")
-
-    def monomials(self) -> dict[tuple[int, int], int]:
-        """Nonzero coefficients keyed by (alpha exponent, t exponent)."""
-        return {(k, self.n - k): c for k, c in enumerate(self.coeffs) if c != 0}
-
-    def is_palindromic(self) -> bool:
-        return self.coeffs == self.coeffs[::-1]
-
-
-@dataclass(frozen=True)
 class GammaPoly:
     """Gamma vector gamma_0..gamma_{floor(n/2)}; () is the zero polynomial."""
 
@@ -106,9 +95,9 @@ class LabeledComplex:
         vertices = tuple(vertices)
         if len(set(vertices)) != len(vertices):
             raise ValueError("vertex labels must be distinct")
-        if len(vertices) > 62:
-            raise ValueError("complexes are limited to 62 vertices")
-        masks = sorted(set(int(f) for f in facet_masks))
+        if len(vertices) > MAX_VERTICES:
+            raise ValueError(f"complexes are limited to {MAX_VERTICES} vertices")
+        masks = sorted(set(map(_int, facet_masks)))
         full = (1 << len(vertices)) - 1
         for f in masks:
             if f & ~full:
@@ -117,7 +106,7 @@ class LabeledComplex:
         object.__setattr__(self, "facets", tuple(masks))
         object.__setattr__(self, "_index", {v: i for i, v in enumerate(vertices)})
         # the facts that do not depend on labels, filled on first use and
-        # shared with every relabel: "faces", "f", "h" and "sig"
+        # shared with every relabel: "faces", "f", "h", "gamma" and "sig"
         object.__setattr__(self, "_cache", {})
 
     def __setattr__(self, *a):  # immutability by convention
@@ -166,35 +155,32 @@ class LabeledComplex:
             return None
         return max(f.bit_count() for f in self.facets) - 1
 
-    @property
-    def is_pure(self) -> bool:
-        sizes = {f.bit_count() for f in self.facets}
-        return len(sizes) <= 1
-
     def facet_label_sets(self) -> tuple[frozenset, ...]:
         return tuple(frozenset(self.vertices[i] for i in _bits(f)) for f in self.facets)
 
-    def faces_masks(self) -> np.ndarray:
+    def faces_masks(self) -> tuple[int, ...]:
         """Sorted masks of every face, the empty face included (unless void)."""
         faces = self._cache.get("faces")
         if faces is None:
-            if self.is_void:
-                faces = np.empty(0, dtype=np.int64)
-            else:
-                total = sum(1 << f.bit_count() for f in self.facets)
-                if total > 1 << 22:
-                    raise ValueError("face enumeration too large")
-                buf = np.empty(total, dtype=np.int64)
-                count = int(_K.fill_submasks(np.asarray(self.facets, dtype=np.int64), buf))
-                faces = np.unique(buf[:count])
-            faces.flags.writeable = False  # relabels share the array
-            self._cache["faces"] = faces
+            if sum(1 << f.bit_count() for f in self.facets) > MAX_FACES:
+                raise ValueError(FACE_LIMIT_ERROR)
+            buf: list[int] = []
+            _K.fill_submasks(self.facets, buf)
+            faces = self._cache["faces"] = tuple(sorted(set(buf)))
         return faces
+
+    def edge_masks(self) -> list[int]:
+        """Sorted masks of the edges, read from the facets."""
+        edges = set()
+        for f in self.facets:
+            bits = [1 << i for i in _bits(f)]
+            edges.update(a | b for k, a in enumerate(bits) for b in bits[k + 1:])
+        return sorted(edges)
 
     def face_label_sets(self) -> frozenset[frozenset]:
         verts = self.vertices
         return frozenset(frozenset(verts[i] for i in _bits(m))
-                         for m in self.faces_masks().tolist())
+                         for m in self.faces_masks())
 
     def _mask_of_labels(self, labels: Iterable[Label]) -> int:
         try:
@@ -228,9 +214,9 @@ class LabeledComplex:
 
     def relabel(self, labels: Sequence[Label]) -> "LabeledComplex":
         """The same facets over new vertex labels, ``labels[k]`` naming
-        vertex k.  The face masks, f- and h-vector and vertex signatures do
-        not depend on labels: the two complexes share them, and whichever
-        asks first computes them."""
+        vertex k.  The face masks, f-, h- and gamma vector and vertex
+        signatures do not depend on labels: the two complexes share them,
+        and whichever asks first computes them."""
         labels = tuple(labels)
         if len(labels) != len(self.vertices):
             raise ValueError("need exactly one label per vertex")
@@ -281,20 +267,26 @@ class LabeledComplex:
         f = self._cache.get("f")
         if f is None:
             faces = self.faces_masks()
-            f = ()
-            if faces.size:
-                counts = np.zeros(faces.size, dtype=np.int64)
-                _K.popcounts(faces, counts)
-                f = tuple(int(x) for x in np.bincount(counts)[1:])
-            self._cache["f"] = f
+            counts = [0] * (self.dim + 2 if faces else 1)
+            for k in _K.popcounts(faces, [0] * len(faces)):
+                counts[k] += 1
+            f = self._cache["f"] = tuple(counts[1:])
         return f
+
+    def _know_h(self, h: tuple[int, ...]) -> None:
+        """Record the h-vector, found without faces, and the f-vector of it:
+        f_{i-1} = sum_k C(n-k, i-k) h_k."""
+        n = len(h) - 1
+        self._cache["h"] = h
+        self._cache["f"] = tuple(sum(comb(n - k, i - k) * h[k] for k in range(i + 1))
+                                 for i in range(1, n + 1))
 
     def h_vector(self) -> tuple[int, ...]:
         h = self._cache.get("h")
         if h is None:
             if self.is_void:
                 raise ValueError("the void complex has no h-vector")
-            if not self.is_pure:
+            if len({f.bit_count() for f in self.facets}) > 1:
                 raise ValueError("h-vector requires a pure complex")
             f = (1,) + self.f_vector()  # f[i] = f_{i-1}
             n = self.dim + 1
@@ -303,46 +295,54 @@ class LabeledComplex:
                 for k in range(n + 1))
         return h
 
-    def h_poly(self) -> HPoly:
-        h = self.h_vector()
-        return HPoly(len(h) - 1, h)
-
     def gamma(self) -> GammaPoly:
         """Gamma vector of a palindromic h-vector; zero for the void complex."""
         if self.is_void:
             return GammaPoly(())
-        h = list(self.h_vector())
-        if h != h[::-1]:
-            raise ValueError("h-vector is not palindromic; gamma is undefined")
-        n = len(h) - 1
-        out = []
-        for k in range(n // 2 + 1):
-            c = h[k]
-            out.append(c)
-            for i in range(k, n - k + 1):
-                h[i] -= c * comb(n - 2 * k, i - k)
-        assert not any(h), "palindromic peel left a remainder"
-        return GammaPoly(tuple(out))
+        g = self._cache.get("gamma")
+        if g is None:
+            h = list(self.h_vector())
+            if h != h[::-1]:
+                raise ValueError("h-vector is not palindromic; gamma is undefined")
+            n = len(h) - 1
+            out = []
+            for k in range(n // 2 + 1):
+                c = h[k]
+                out.append(c)
+                for i in range(k, n - k + 1):
+                    h[i] -= c * comb(n - 2 * k, i - k)
+            assert not any(h), "palindromic peel left a remainder"
+            g = self._cache["gamma"] = GammaPoly(tuple(out))
+        return g
 
     def is_flag(self) -> bool:
-        """True iff every clique of the 1-skeleton is a face."""
-        faces = self.faces_masks().tolist()
-        edges = [(m, *_bits(m)) for m in faces if m.bit_count() == 2]
-        adj = [0] * len(self.vertices)
-        for _, a, b in edges:
-            adj[a] |= 1 << b
-            adj[b] |= 1 << a
-        faces = set(faces)
-        stack = [(m, adj[a] & adj[b] & ~((1 << (b + 1)) - 1)) for m, a, b in edges]
+        """True iff every clique of the 1-skeleton is a face.  A clique is
+        a face iff some facet holds it, so the search carries the facets
+        through its clique, bit k for facet k; it grows each clique by its
+        smallest candidate first, and every clique it visits is a face."""
+        n = len(self.vertices)
+        through = [0] * n  # facets through each vertex
+        adj = [0] * n
+        for k, f in enumerate(self.facets):
+            for v in _bits(f):
+                through[v] |= 1 << k
+                adj[v] |= f
+        # (facets through the clique, its common neighbours above its top)
+        stack = [(through[v], adj[v] >> v + 1 << v + 1) for v in reversed(range(n))]
+        visited = 0
         while stack:
-            cmask, cand = stack.pop()
+            held, cand = stack.pop()
+            grown = []
             while cand:
                 v = (cand & -cand).bit_length() - 1
                 cand &= cand - 1
-                nm = cmask | (1 << v)
-                if nm not in faces:
+                if not held & through[v]:
                     return False
-                stack.append((nm, cand & adj[v]))
+                grown.append((held & through[v], cand & adj[v]))
+            visited += len(grown)
+            if visited > MAX_FACES:
+                raise ValueError(FACE_LIMIT_ERROR)
+            stack += reversed(grown)
         return True
 
 

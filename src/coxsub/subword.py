@@ -6,13 +6,16 @@ the complements of reduced expressions.  Positions are the vertex
 candidates: two positions are distinct vertices even when they carry the
 same letter.  A position that lies in no facet is not a vertex of the
 complex and is dropped from its vertex set.
+
+The facets come from the reduced-subword kernel; the h-vector, and from
+it f and gamma, from the vertex decomposition (``CoxeterSystem._subword_h``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
+from functools import reduce
+from operator import or_
 
 from .coxeter import CoxeterSystem, GroupElement, Word
 from .simplicial import LabeledComplex, scatter_bits
@@ -52,36 +55,39 @@ class SubwordDescriptor:
 class PositionComplex:
     """Delta(word; pi) with the used 0-based word positions as vertices.
 
-    It is made from the kernel masks once per (word, pi) and memo.  Every
-    labeled complex of the pair is a relabel of it, so its faces and its
-    f- and h-vector are computed once, by whichever relabel asks first.
+    It is made once per (word, pi) and memo, with its facets, h- and
+    f-vector and sphericity.  Every labeled complex of the pair is a
+    relabel of it, sharing these and the faces and gamma computed later.
     """
 
-    __slots__ = ("complex", "_word_faces")
+    __slots__ = ("complex", "spherical", "_word_faces")
 
     def __init__(self, system: CoxeterSystem, word: Word, pi: GroupElement):
         self._word_faces = None
-        masks = system._subword_masks(tuple(s - 1 for s in word), pi)
+        letters = tuple(s - 1 for s in word)
+        # Demazure criterion: the complex is a sphere iff Dem(word) = pi
+        self.spherical = system._demazure(letters) == system._id(pi)
+        masks = system._subword_masks(letters, pi)
         if not masks:
             self.complex = LabeledComplex.void()
             return
         full = (1 << len(word)) - 1
-        facets = np.asarray([full ^ mk for mk in masks], dtype=np.int64)
-        used = int(np.bitwise_or.reduce(facets))
-        positions = [p for p in range(len(word)) if used >> p & 1]
-        # compress to the used positions; every facet has |word| - l(pi)
-        # positions, so the facets form an antichain as they are
-        packed = np.zeros_like(facets)
-        for k, p in enumerate(positions):
-            packed |= (facets >> p & 1) << k
-        self.complex = LabeledComplex(positions, packed.tolist())
+        facets = [full ^ mk for mk in masks]
+        used = reduce(or_, facets)
+        # compress to the used positions, bit p to the number of used ones
+        # below it; every facet has |word| - l(pi) positions, so the facets
+        # form an antichain as they are
+        packed = scatter_bits(facets, [(used & ((1 << p) - 1)).bit_count()
+                                       for p in range(len(word))])
+        self.complex = LabeledComplex([p for p in range(len(word)) if used >> p & 1], packed)
+        self.complex._know_h(system._subword_h(letters, pi))
 
     @property
     def word_faces(self) -> tuple[int, ...]:
         """Every face as a mask over word positions, bit p for position p."""
         if self._word_faces is None:
             x = self.complex
-            self._word_faces = tuple(scatter_bits(x.faces_masks().tolist(), x.vertices))
+            self._word_faces = tuple(scatter_bits(x.faces_masks(), x.vertices))
         return self._word_faces
 
     def relabel(self, labels) -> LabeledComplex:
@@ -149,24 +155,21 @@ def link_oracle_check(d: SubwordDescriptor, face) -> bool:
     return x.link(face) == build(shortened)
 
 
-def complex_json(d: SubwordDescriptor) -> dict:
-    """JSON-ready summary; facets index into the ``vertices`` array."""
-    x = build(d)
-    spherical = is_spherical(d)
+def complex_summary(x: LabeledComplex) -> dict:
+    """JSON-ready vertices, facets (indices into the vertices), f and h."""
     index = {v: k for k, v in enumerate(x.vertices)}
-    facets = sorted(sorted(index[v] for v in fs) for fs in x.facet_label_sets())
-    out = {
-        "word": list(d.word),
+    return {
         "vertices": [str(v) for v in x.vertices],
-        "facets": facets,
+        "facets": sorted(sorted(index[v] for v in fs) for fs in x.facet_label_sets()),
         "f_vector": list(x.f_vector()),
-        "spherical": spherical,
-        "flag": x.is_flag(),
-        "h_vector": None,
-        "gamma": None,
+        "h_vector": None if x.is_void else list(x.h_vector()),
     }
-    if not x.is_void:
-        out["h_vector"] = list(x.h_vector())
-        if spherical:
-            out["gamma"] = list(x.gamma().coeffs)
-    return out
+
+
+def complex_json(d: SubwordDescriptor) -> dict:
+    """JSON-ready summary of the complex of ``d`` (see ``complex_summary``)."""
+    memo: dict = {}
+    x, spherical = build(d, memo), position_complex(d, memo).spherical
+    gamma = list(x.gamma().coeffs) if spherical and not x.is_void else None
+    return dict(complex_summary(x), word=list(d.word), spherical=spherical,
+                flag=x.is_flag(), gamma=gamma)

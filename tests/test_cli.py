@@ -33,6 +33,36 @@ def test_complex_json(capsys):
     assert len(doc["facets"]) == 5
 
 
+def test_complex_past_the_face_limit(capsys):
+    # a join of two boundaries of the 8-simplex: 81 facets of 16 vertices,
+    # more submasks than the face enumeration allows; h, f and gamma come
+    # from the vertex decomposition and flagness from the facets
+    word = ",".join(["1,3"] * 9)
+    code, out, err = run(capsys, "complex", "--group", "A3", "--word", word,
+                         "--pi", "1,3", "--json")
+    assert code == 0, err
+    doc = json.loads(out)
+    assert len(doc["facets"]) == 81
+    assert doc["h_vector"] == [1, 2, 3, 4, 5, 6, 7, 8, 9, 8, 7, 6, 5, 4, 3, 2, 1]
+    assert doc["f_vector"][0] == 18 and doc["f_vector"][-1] == 81
+    assert doc["flag"] is False and doc["spherical"] is True
+    assert doc["gamma"][0] == 1
+
+
+def test_complex_builds_once(capsys, monkeypatch):
+    from coxsub import backend
+
+    calls = []
+    kernel = backend.active.reduced_subword_masks
+    monkeypatch.setattr(backend.active, "reduced_subword_masks",
+                        lambda *a, **k: calls.append(1) or kernel(*a, **k))
+    for extra in ((), ("--json",)):
+        calls.clear()
+        code, _, _ = run(capsys, "complex", "--group", "A2", "--word", "1,2,1,2,1",
+                         "--pi", "w0", *extra)
+        assert code == 0 and len(calls) == 1
+
+
 def test_complex_void(capsys):
     code, out, _ = run(capsys, "complex", "--group", "A2",
                        "--word", "1,2", "--pi", "w0")

@@ -1,7 +1,5 @@
 import random
 
-import numpy as np
-
 from conftest import brute_facets, random_pi, system
 from coxsub import backend
 
@@ -49,37 +47,35 @@ def test_stop_after():
 
 
 def test_popcounts():
-    masks = np.array([0, 1, 3, 0b1011, 2 ** 62 - 1, 2 ** 40 + 2 ** 13],
-                     dtype=np.int64)
-    want = [bin(int(m)).count("1") for m in masks]
-    out = np.empty(len(masks), dtype=np.int64)
+    masks = [0, 1, 3, 0b1011, 2 ** 62 - 1, 2 ** 40 + 2 ** 13]
+    want = [bin(m).count("1") for m in masks]
+    out = [0] * len(masks)
     backend.active.popcounts(masks, out)
-    assert list(out) == want
+    assert out == want
 
 
 def test_fill_submasks():
-    facets = np.array([0b101, 0b11], dtype=np.int64)
+    facets = [0b101, 0b11]
     want_count = 2 ** 2 + 2 ** 2
-    out = np.empty(want_count, dtype=np.int64)
-    n = int(backend.active.fill_submasks(facets, out))
-    assert n == want_count
-    got = sorted(int(x) for x in out[:n])
+    out = []
+    n = backend.active.fill_submasks(facets, out)
+    assert n == want_count == len(out)
+    got = sorted(out)
     assert got == sorted([0b101, 0b100, 0b001, 0, 0b11, 0b10, 0b01, 0])
     # facets of mixed sizes, against the submask loop
     rng = random.Random(5)
-    facets = np.array([rng.getrandbits(rng.randrange(0, 13)) for _ in range(30)],
-                      dtype=np.int64)
+    facets = [rng.getrandbits(rng.randrange(0, 13)) for _ in range(30)]
     want = []
-    for f in facets.tolist():
+    for f in facets:
         sub = f
         while True:
             want.append(sub)
             if sub == 0:
                 break
             sub = (sub - 1) & f
-    out = np.empty(len(want), dtype=np.int64)
+    out = [-1]  # the count is of what was appended
     assert backend.active.fill_submasks(facets, out) == len(want)
-    assert sorted(out.tolist()) == sorted(want)
+    assert sorted(out[1:]) == sorted(want)
 
 
 def test_backend_name_consistent():

@@ -3,9 +3,10 @@ import random
 
 import pytest
 
-from conftest import spherical_complex
+from conftest import random_descriptor, spherical_complex
 from coxsub.simplicial import (LabeledComplex, is_isomorphic_constrained,
                                iso_invariant, k_subdivide)
+from coxsub.subword import build
 
 
 def cycle(n, labels=None):
@@ -193,7 +194,7 @@ def test_isomorphism_matches_brute_force():
             [[relabel[v] for v in f] for f in x.facet_label_sets()])
         n = len(x.vertices)
         subs = [x.edge_subdivide([x.vertices[i] for i in range(n) if e >> i & 1], "new")
-                for e in x.faces_masks().tolist() if e.bit_count() == 2]
+                for e in x.faces_masks() if e.bit_count() == 2]
         for a, b in [(x, shuffled), (x, other), *itertools.combinations(subs, 2)]:
             m = is_isomorphic_constrained(a, b)
             assert (m is not None) == _brute_isomorphic(a, b)
@@ -218,3 +219,40 @@ def test_relabel():
         pent.relabel("abcd")
     with pytest.raises(ValueError):
         pent.relabel("abcda")
+
+
+def _flag_by_cliques(x) -> bool:
+    """Flagness by definition: every nonempty vertex set whose pairs are
+    all edges is a face, over the enumerated faces."""
+    faces = set(x.faces_masks())
+    edges = {m for m in faces if m.bit_count() == 2}
+    n = len(x.vertices)
+    for mask in range(1, 1 << n):
+        bits = [1 << i for i in range(n) if mask >> i & 1]
+        if all(a | b in edges for k, a in enumerate(bits) for b in bits[k + 1:]) \
+                and mask not in faces:
+            return False
+    return True
+
+
+def test_is_flag_matches_clique_definition():
+    rng = random.Random(14)
+    cases = [cycle(n) for n in range(3, 8)]
+    cases.append(LabeledComplex.from_facets([(1, 2, 3)]))  # a full triangle
+    cases.append(LabeledComplex.from_facets(  # boundary of the tetrahedron
+        [f for f in itertools.combinations(range(4), 3)]))
+    cases += [LabeledComplex.void(), LabeledComplex.empty_face_only()]
+    cases += [LabeledComplex.from_facets(  # random small complexes
+        [rng.sample(range(7), rng.randrange(1, 5)) for _ in range(rng.randrange(1, 9))])
+        for _ in range(60)]
+    while len(cases) < 180:
+        x = build(random_descriptor(rng, names=("A2", "A3", "B3", "H3"), max_len=9))
+        cases.append(x)
+        edges = sorted(tuple(sorted(f, key=str)) for f in x.face_label_sets() if len(f) == 2)
+        if edges:  # an edge subdivision is no word complex in general
+            cases.append(x.edge_subdivide(edges[rng.randrange(len(edges))], "new"))
+    flags = [x.is_flag() for x in cases]
+    assert flags == [_flag_by_cliques(x) for x in cases]
+    assert flags[0] is False and all(flags[1:5])  # the triangle boundary only
+    assert True in flags[9:] and False in flags[9:]
+
