@@ -14,7 +14,7 @@ Conventions:
 from __future__ import annotations
 
 
-def reduced_subword_masks(right, desc, length, step, word, start, stop_after=None):
+def reduced_subword_masks(right, desc, length, step, word, start):
     """Position masks of the subwords of ``word`` that are reduced words of pi.
 
     ``start`` is the id of pi^-1.  Positions are read left to right, and
@@ -25,7 +25,6 @@ def reduced_subword_masks(right, desc, length, step, word, start, stop_after=Non
     fewer than l(w) positions remain.  Every branch step is a table read.
 
     word: tuple of 0-based letters.
-    stop_after: return as soon as this many masks have been found.
 
     Returns the masks in search order.
     """
@@ -36,8 +35,6 @@ def reduced_subword_masks(right, desc, length, step, word, start, stop_after=Non
         p, w, mask = stack.pop()
         if w == 0:
             out.append(mask)
-            if stop_after is not None and len(out) >= stop_after:
-                break
             continue
         d = desc[w]
         row = right[w]

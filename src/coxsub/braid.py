@@ -137,9 +137,10 @@ class MoveFacts:
         descs = (ctx.side_descriptor(1), ctx.side_descriptor(2),
                  ctx.inner_descriptor(1), ctx.inner_descriptor(2))
         self.sides = build(descs[0], memo), build(descs[1], memo)
-        self.inner = build(descs[2], memo), build(descs[3], memo)
         # the position complexes behind the four, for faces over word positions
         self._entries = tuple(position_complex(d, memo) for d in descs)
+        # no output names an inner vertex, so they keep their word positions
+        self.inner = self._entries[2].complex, self._entries[3].complex
         self.spherical = self._entries[0].spherical, self._entries[1].spherical
 
     def from_side2(self, masks) -> frozenset:
@@ -355,38 +356,12 @@ def check_A3B3_edges(ctx: BraidContext) -> bool:
 # -- polynomial bookkeeping -------------------------------------------------
 
 
-def _h_monomials(x: LabeledComplex) -> dict:
-    """Nonzero h-coefficients keyed by (alpha exponent, t exponent)."""
-    h = () if x.is_void else x.h_vector()
-    return {(k, len(h) - 1 - k): c for k, c in enumerate(h) if c}
-
-
-def _mono_sub(a: dict, b: dict) -> dict:
-    out = dict(a)
-    for key, c in b.items():
-        out[key] = out.get(key, 0) - c
-    return {key: c for key, c in out.items() if c}
-
-
-def _gamma_coeffs(x: LabeledComplex) -> tuple[int, ...] | None:
-    """Gamma coefficients, () for VOID, None when h is not palindromic."""
-    if x.is_void:
-        return ()
-    if x.h_vector() != x.h_vector()[::-1]:
-        return None
-    return x.gamma().coeffs
-
-
-def _gamma_sub(a, b) -> list[int]:
-    return [x - y for x, y in zip_longest(a, b, fillvalue=0)]
-
-
-def _trim(t) -> tuple[int, ...]:
-    """Coefficients without trailing zeros."""
-    t = list(t)
-    while t and t[-1] == 0:
-        t.pop()
-    return tuple(t)
+def _coeff_sub(a, b) -> tuple[int, ...]:
+    """The coefficients a - b, without trailing zeros."""
+    d = [x - y for x, y in zip_longest(a, b, fillvalue=0)]
+    while d and d[-1] == 0:
+        d.pop()
+    return tuple(d)
 
 
 @dataclass(frozen=True, eq=False)
@@ -417,19 +392,23 @@ def polynomial_delta(ctx: BraidContext) -> PolyDeltaReport:
         raise ValueError("needs m <= 3 or both length-3 window conditions")
     d1x, d2x = ctx.facts.sides
     k1x, k2x = ctx.facts.inner
-    delta_h = _mono_sub(_h_monomials(d2x), _h_monomials(d1x))
-    rhs_h = {(a + 1, t + 1): (m - 2) * c for (a, t), c in
-             _mono_sub(_h_monomials(k2x), _h_monomials(k1x)).items() if m > 2}
+    # the sides have h-degree n, the inner complexes n - 2
+    n = ctx.facts.L - ctx.system.length(ctx.pi)
+    h1, h2, hk1, hk2 = (() if x.is_void else x.h_vector() for x in (d1x, d2x, k1x, k2x))
+    delta_h = {(k, n - k): c for k, c in enumerate(_coeff_sub(h2, h1)) if c}
+    rhs_h = {(k + 1, n - 1 - k): (m - 2) * c
+             for k, c in enumerate(_coeff_sub(hk2, hk1)) if m > 2 and c}
     sph = ctx.facts.spherical
     delta_gamma = rhs_gamma = gamma_ok = None
     if sph[0] and sph[1]:
-        parts = [_gamma_coeffs(x) for x in (d1x, d2x, k1x, k2x)]
-        if None in parts:
+        try:
+            g1, g2, gk1, gk2 = (x.gamma().coeffs for x in (d1x, d2x, k1x, k2x))
+        except ValueError:  # an inner h-vector is not palindromic
             gamma_ok = False
         else:
-            g1, g2, gk1, gk2 = parts
-            delta_gamma = _trim(_gamma_sub(g2, g1))
-            rhs_gamma = _trim([0] + [(m - 2) * c for c in _gamma_sub(gk2, gk1)])
+            delta_gamma = _coeff_sub(g2, g1)
+            dk = _coeff_sub(gk2, gk1)
+            rhs_gamma = (0,) + tuple((m - 2) * c for c in dk) if m > 2 and dk else ()
             gamma_ok = delta_gamma == rhs_gamma
     return PolyDeltaReport(delta_h, rhs_h, delta_h == rhs_h, sph,
                            delta_gamma, rhs_gamma, gamma_ok)
@@ -501,7 +480,8 @@ def classify(ctx: BraidContext, memo: dict | None = None) -> CaseReport:
                 (True, False): 3, (False, False): 4}[(c["A2"], c["B2"])]
 
     if case == 1:
-        witness_ok = d1x == d2x
+        # equal face sets in the shared universe are equal complexes
+        witness_ok = f.faces[0] == f.faces[1]
         witness = {"kind": "equality", "map": {v: v for v in d1x.vertices}}
     elif case in (2, 3):
         # the coarser side carries the endpoint edge; walking the fresh
@@ -596,29 +576,14 @@ def apply_sequence(system: CoxeterSystem, word: Word, pi: GroupElement,
 
 def find_move_path(system: CoxeterSystem, start: Word, goal: Word,
                    cap: int = 100_000) -> list[int]:
-    """Shortest braid-move position sequence from start to goal (BFS)."""
-    start, goal = tuple(start), tuple(goal)
-    if start == goal:
-        return []
-    parent: dict[Word, tuple[Word, int] | None] = {start: None}
-    queue = [start]
-    head = 0
-    while head < len(queue):
-        w = queue[head]
-        head += 1
-        for pos in system.braid_move_positions(w):
-            w2 = system.apply_braid_move(w, pos)
-            if w2 in parent:
-                continue
-            parent[w2] = (w, pos)
-            if w2 == goal:
-                path = []
-                back: Word | None = w2
-                while parent[back] is not None:
-                    back, pos0 = parent[back]
-                    path.append(pos0)
-                return path[::-1]
-            if len(parent) > cap:
-                raise ValueError(f"braid-move search exceeded cap {cap}")
-            queue.append(w2)
-    raise ValueError("words are not related by braid moves")
+    """Shortest braid-move position sequence from start to goal; the cap
+    is that of ``CoxeterSystem._braid_search``."""
+    w = tuple(goal)
+    parent = system._braid_search(tuple(start), cap, w)
+    if w not in parent:
+        raise ValueError("words are not related by braid moves")
+    path = []
+    while parent[w] is not None:
+        w, pos = parent[w]
+        path.append(pos)
+    return path[::-1]

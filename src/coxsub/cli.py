@@ -44,16 +44,6 @@ def resolve_pi(system: CoxeterSystem, text: str):
     return system.element_of(parse_word(text))
 
 
-def _jsonable(x):
-    if isinstance(x, dict):
-        return {str(k): _jsonable(v) for k, v in x.items()}
-    if isinstance(x, (set, frozenset)):
-        return sorted((_jsonable(v) for v in x), key=str)
-    if isinstance(x, (list, tuple)):
-        return [_jsonable(v) for v in x]
-    return x
-
-
 def _mono_json(poly: dict) -> list:
     return [[a, t, c] for (a, t), c in sorted(poly.items())]
 
@@ -66,8 +56,8 @@ def _poly_json(poly) -> dict | None:
         "rhs_h": _mono_json(poly.rhs_h),
         "h_ok": poly.h_ok,
         "spherical": list(poly.spherical),
-        "delta_gamma": _jsonable(poly.delta_gamma),
-        "rhs_gamma": _jsonable(poly.rhs_gamma),
+        "delta_gamma": poly.delta_gamma,
+        "rhs_gamma": poly.rhs_gamma,
         "gamma_ok": poly.gamma_ok,
     }
 
@@ -91,7 +81,7 @@ def case_report_json(rep) -> dict:
         "conditions": {"A2": rep.A2, "B2": rep.B2, "A3": rep.A3, "B3": rep.B3},
         "delta1": complex_summary(rep.delta1),
         "delta2": complex_summary(rep.delta2),
-        "witness": _jsonable(rep.witness),
+        "witness": rep.witness,
         "witness_ok": rep.witness_ok,
         "decomposition": {
             "ok": rep.decomposition.ok,

@@ -110,6 +110,8 @@ class CoxeterMatrix:
                     raise ValueError("Coxeter matrix must be symmetric")
                 if m[i, j] < 2:
                     raise ValueError("off-diagonal entries must be >= 2")
+                if m[i, j] > MAX_ROOTS // 2:  # <s_i, s_j> alone has 2 m_ij roots
+                    raise ValueError(f"root systems are limited to {MAX_ROOTS} roots")
         if not _positive_definite(_gram(m, n)):
             raise ValueError(
                 "Coxeter matrix does not define a finite group "
@@ -447,24 +449,36 @@ class CoxeterSystem:
         i, j, order = window
         return w[: pos - 1] + ((j, i) * order)[:order] + w[pos - 1 + order :]
 
-    def reduced_words(self, g: GroupElement, cap: int = 100_000) -> tuple[Word, ...]:
-        """All reduced words of g, via braid-move closure from one of them.
+    def _braid_search(self, start: Word, cap: int, goal: Word | None = None) -> dict:
+        """Breadth-first search over braid moves from ``start``.
 
-        Raises if the count exceeds cap.
+        Returns the parent map: each word reached, keyed to the word it was
+        reached from and the 1-based position of that move (None for
+        start).  Stops as soon as ``goal`` is reached; raises once more
+        than cap words are reached.
         """
-        seed = self.word_of(g)
-        seen = {seed}
-        queue = deque([seed])
-        while queue:
+        parent: dict = {start: None}
+        queue = deque([start])
+        while queue and goal not in parent:
             w = queue.popleft()
             for pos in self.braid_move_positions(w):
                 nxt = self.apply_braid_move(w, pos)
-                if nxt not in seen:
-                    if len(seen) >= cap:
-                        raise ValueError(f"more than {cap} reduced words")
-                    seen.add(nxt)
-                    queue.append(nxt)
-        return tuple(sorted(seen))
+                if nxt in parent:
+                    continue
+                parent[nxt] = (w, pos)
+                if nxt == goal:
+                    break
+                if len(parent) > cap:
+                    raise ValueError(f"more than {cap} reduced words")
+                queue.append(nxt)
+        return parent
+
+    def reduced_words(self, g: GroupElement, cap: int = 100_000) -> tuple[Word, ...]:
+        """All reduced words of g, the braid-move closure of one of them.
+
+        Raises if the count exceeds cap.
+        """
+        return tuple(sorted(self._braid_search(self.word_of(g), cap)))
 
     def longest_element(self) -> GroupElement:
         """Climb by the smallest ascent until every generator is a descent."""

@@ -157,10 +157,10 @@ def link_oracle_check(d: SubwordDescriptor, face) -> bool:
 
 def complex_summary(x: LabeledComplex) -> dict:
     """JSON-ready vertices, facets (indices into the vertices), f and h."""
-    index = {v: k for k, v in enumerate(x.vertices)}
+    n = len(x.vertices)
     return {
         "vertices": [str(v) for v in x.vertices],
-        "facets": sorted(sorted(index[v] for v in fs) for fs in x.facet_label_sets()),
+        "facets": sorted([k for k in range(n) if f >> k & 1] for f in x.facets),
         "f_vector": list(x.f_vector()),
         "h_vector": None if x.is_void else list(x.h_vector()),
     }

@@ -393,6 +393,22 @@ def test_a3_chain_frozen():
     assert all(r["spherical"] for r in rep.rows)
 
 
+def test_case1_witness_matches_label_equality():
+    rng = random.Random(23)
+    case1_orders, outcomes = set(), set()
+    for _ in range(300):
+        ctx = random_context(rng)
+        rep = classify(ctx)
+        equal = rep.delta1 == rep.delta2  # the reference
+        assert (ctx.facts.faces[0] == ctx.facts.faces[1]) == equal
+        if rep.case == 1:
+            assert rep.witness_ok == equal
+            case1_orders.add(min(rep.m, 3))
+        outcomes.add(equal)
+    # the sweep holds case-1 moves at m = 2 and m >= 3, equal and unequal sides
+    assert case1_orders == {2, 3} and outcomes == {True, False}
+
+
 def test_find_move_path():
     A2 = system("A2")
     assert find_move_path(A2, (1, 2, 1), (2, 1, 2)) == [1]
@@ -410,6 +426,29 @@ def test_find_move_path():
         assert cur == b
     with pytest.raises(ValueError):
         find_move_path(A3, (1, 2, 1), (2, 3, 2))  # different elements
+
+
+def test_find_move_path_cap():
+    A3 = system("A3")
+    words = A3.reduced_words(A3.longest_element())
+    start = words[0]
+    # the word the search reaches last, as the 16th
+    far = list(A3._braid_search(start, len(words)))[-1]
+    # a goal is returned as soon as it is reached, even past the cap
+    for cap in (len(words), len(words) - 1):
+        cur = start
+        for pos in find_move_path(A3, start, far, cap=cap):
+            cur = A3.apply_braid_move(cur, pos)
+        assert cur == far
+    with pytest.raises(ValueError, match=f"more than {len(words) - 2}"):
+        find_move_path(A3, start, far, cap=len(words) - 2)
+    # without a reachable goal the cap acts as in reduced_words
+    B3 = system("B3")
+    w = B3.word_of(B3.longest_element())
+    with pytest.raises(ValueError, match="not related"):
+        find_move_path(B3, w, (1,), cap=42)
+    with pytest.raises(ValueError, match="more than 41"):
+        find_move_path(B3, w, (1,), cap=41)
 
 
 def test_case4_common_refinement():

@@ -171,6 +171,9 @@ def test_bad_input_exit_codes(capsys):
     assert code == 2
     code, _, err = run(capsys, "poset", "--group", "A2", "--pi", "w0", "--cap", "0")
     assert code == 2 and "--cap" in err
+    code, _, err = run(capsys, "complex", "--group", "I2:40000",
+                       "--word", "1,2", "--pi", "1")
+    assert code == 2 and "limited to 1000 roots" in err
 
 
 def test_group_spec_file(capsys, tmp_path):

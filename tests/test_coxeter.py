@@ -141,6 +141,10 @@ def test_reduced_word_enumeration():
     assert len(B3.reduced_words(B3.longest_element(), cap=100)) == 42
     with pytest.raises(ValueError):
         B3.reduced_words(B3.longest_element(), cap=10)
+    # the cap is the largest count returned
+    assert len(B3.reduced_words(B3.longest_element(), cap=42)) == 42
+    with pytest.raises(ValueError, match="more than 41"):
+        B3.reduced_words(B3.longest_element(), cap=41)
 
 
 def test_braid_moves():
@@ -228,6 +232,18 @@ def test_root_count_limit():
     assert len(CoxeterSystem(CoxeterMatrix.named(f"I2:{MAX_ROOTS // 2}")).roots) == MAX_ROOTS
     with pytest.raises(ValueError):
         CoxeterSystem(CoxeterMatrix.named(f"I2:{MAX_ROOTS // 2 + 1}"))
+
+
+def test_large_dihedral_order_hits_the_root_limit():
+    # I2(m) is finite for every m, but from m = 31,416 on the Cholesky
+    # pivot sin^2(pi/m) falls under the positive-definiteness tolerance
+    for spec in ("I2:40000", '{"matrix": [[1, 40000], [40000, 1]]}',
+                 {"matrix": [[1, 2, 2], [2, 1, 40000], [2, 40000, 1]]}):
+        with pytest.raises(ValueError, match=f"limited to {MAX_ROOTS} roots"):
+            CoxeterMatrix.from_spec(spec)
+    # an affine matrix with small entries is still not a finite group
+    with pytest.raises(ValueError, match="not define a finite group"):
+        CoxeterMatrix.from_spec('{"matrix": [[1, 3, 3], [3, 1, 3], [3, 3, 1]]}')
 
 
 def test_contains_reduced_is_bruhat_below_demazure():

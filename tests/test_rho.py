@@ -224,9 +224,9 @@ def _kernel_calls(monkeypatch) -> list:
     seen = []
     kernel = backend.active.reduced_subword_masks
 
-    def counted(right, desc, length, step, word, start, stop_after=None):
+    def counted(right, desc, length, step, word, start):
         seen.append((word, start))
-        return kernel(right, desc, length, step, word, start, stop_after)
+        return kernel(right, desc, length, step, word, start)
 
     monkeypatch.setattr(backend.active, "reduced_subword_masks", counted)
     return seen

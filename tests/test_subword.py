@@ -3,10 +3,11 @@ import random
 import pytest
 
 from conftest import (brute_facets, brute_is_face, random_descriptor, random_pi,
-                      system)
-from coxsub.simplicial import LabeledComplex, iso_invariant
-from coxsub.subword import (SubwordDescriptor, build, complex_json, is_face,
-                            is_spherical, link_oracle_check, position_complex)
+                      spherical_complex, system)
+from coxsub.simplicial import LabeledComplex, iso_invariant, k_subdivide
+from coxsub.subword import (SubwordDescriptor, build, complex_json, complex_summary,
+                            is_face, is_spherical, link_oracle_check,
+                            position_complex)
 
 
 def test_descriptor_validation():
@@ -150,6 +151,31 @@ def test_complex_json():
     void = complex_json(SubwordDescriptor(A2, (1, 2), w0))
     assert void["facets"] == [] and void["h_vector"] is None
     assert void["gamma"] is None
+
+
+def _facets_by_labels(x: LabeledComplex) -> list:
+    """The facets of ``complex_summary`` read through the vertex labels."""
+    index = {v: k for k, v in enumerate(x.vertices)}
+    return sorted(sorted(index[v] for v in fs) for fs in x.facet_label_sets())
+
+
+def test_complex_summary_facets_match_label_reference():
+    rng = random.Random(31)
+    cases = [LabeledComplex.void(), LabeledComplex.empty_face_only(),
+             LabeledComplex.from_facets([("b", "a"), ("c", "b")], vertex_order="cba")]
+    for _ in range(20):
+        _, x = spherical_complex(rng)
+        labels = [("v", k) if k % 2 else f"x{k}" for k in range(len(x.vertices))]
+        rng.shuffle(labels)
+        y = x.relabel(labels)
+        cases += [x, y]
+        for e in y.edge_masks()[:1]:
+            s, t = (y.vertices[k] for k in range(len(labels)) if e >> k & 1)
+            cases += [y.edge_subdivide((s, t), "fresh"),
+                      k_subdivide(y, (t, s), 2, ("r1", "r2"))]
+    assert len(cases) > 60  # most complexes had an edge to subdivide
+    for x in cases:
+        assert complex_summary(x)["facets"] == _facets_by_labels(x)
 
 
 def _snapshot(x: LabeledComplex) -> tuple:
