@@ -28,6 +28,12 @@ empty bit slots in its position mask: at window slots l and l+1 for the
 link of the edge there, or at both window endpoints for F and G.  All
 face algebra runs on these masks; labels ("Q1", "f1", "g2", "Q'1", ...)
 appear only in the reported complexes, the witnesses and the mismatches.
+
+Witnesses.  Each verdict is replayed on the universe masks of the sides'
+facets: equal facet sets are equal complexes, and an iterated edge
+subdivision turns the facets through the endpoint edge into new facets
+over the fresh window bits.  ``classify`` makes the facts of its move
+once, as a ``MoveFacts``, and hands them to every check it runs.
 """
 
 from __future__ import annotations
@@ -37,7 +43,7 @@ from functools import cached_property
 from itertools import zip_longest
 
 from .coxeter import CoxeterSystem, GroupElement, Word
-from .simplicial import LabeledComplex, k_subdivide, scatter_bits
+from .simplicial import LabeledComplex, face_set
 from .subword import SubwordDescriptor, build, position_complex
 
 
@@ -103,24 +109,13 @@ class BraidContext:
         return SubwordDescriptor(self.system, self.side_word(side), self.pi,
                                  labels=self._labels(lab(l) for l in range(1, m + 1)))
 
-    def inner_descriptor(self, side: int) -> SubwordDescriptor:
-        """Window shortened by two, with neutral labels "w1".."w{m-2}"."""
-        return SubwordDescriptor(self.system, self.side_word(side, 2), self.pi,
-                                 labels=self._labels(f"w{t}" for t in range(1, self.m - 1)))
-
-    @property
-    def facts(self) -> "MoveFacts":
-        """The derived facts of this move.  They are kept for the most
-        recent move only, so a long-lived context stays small."""
-        return _facts(self)
-
 
 class MoveFacts:
     """The derived facts of one braid move.  Made at once: the bit universe
     (see the module docstring), the complexes of both sides and of the
     shortened windows, read from a build memo (see ``subword.build``),
-    and whether each side is a sphere.  Made on first use: their faces as
-    masks, the interface families and the window conditions."""
+    and whether each side is a sphere.  Made on first use: their facets
+    and faces as masks, the interface families and the window conditions."""
 
     def __init__(self, ctx: BraidContext, memo: dict | None = None):
         self.ctx = ctx
@@ -129,17 +124,15 @@ class MoveFacts:
         self.L = L = q + m + len(ctx.Qp)
         self.universe = ctx._labels(f_label(l) for l in range(1, m + 1)) \
             + tuple(f"g{l}" for l in range(2, m))
-        self.bit = {v: b for b, v in enumerate(self.universe)}
         self.endpoint = 1 << q | 1 << (q + m - 1)
         block = (1 << (m - 2)) - 1
         self.internal = (block << (q + 1), block << L)  # per side
         memo = {} if memo is None else memo
-        descs = (ctx.side_descriptor(1), ctx.side_descriptor(2),
-                 ctx.inner_descriptor(1), ctx.inner_descriptor(2))
-        self.sides = build(descs[0], memo), build(descs[1], memo)
-        # the position complexes behind the four, for faces over word positions
-        self._entries = tuple(position_complex(d, memo) for d in descs)
-        # no output names an inner vertex, so they keep their word positions
+        self.sides = build(ctx.side_descriptor(1), memo), build(ctx.side_descriptor(2), memo)
+        # the memo entries of the sides and of the shortened windows, for
+        # faces over word positions; no output names an inner vertex
+        self._entries = tuple(position_complex(ctx.system, ctx.side_word(side, k), ctx.pi, memo)
+                              for k in (0, 2) for side in (1, 2))
         self.inner = self._entries[2].complex, self._entries[3].complex
         self.spherical = self._entries[0].spherical, self._entries[1].spherical
 
@@ -151,11 +144,6 @@ class MoveFacts:
         inside, lift = self.internal[0], self.L - q - 1
         return frozenset(x & outer | (x >> q & 1) << last | (x >> last & 1) << q
                          | (x & inside) << lift for x in masks)
-
-    def universe_faces(self, x: LabeledComplex) -> frozenset:
-        """The faces of a complex over universe labels, as universe masks."""
-        bit = self.bit
-        return frozenset(scatter_bits(x.faces_masks(), [bit[v] for v in x.vertices]))
 
     def face_labels(self, masks) -> tuple[tuple[str, ...], ...]:
         """Up to five faces as sorted label tuples, in sorted order."""
@@ -184,32 +172,21 @@ class MoveFacts:
         return self.m == 2 or bool(self.conditions["A3"] and self.conditions["B3"])
 
     @cached_property
+    def facets(self) -> tuple[frozenset, frozenset]:
+        """The facets of both sides as universe masks, as ``faces``."""
+        side1, side2 = self._entries[:2]
+        return frozenset(side1.word_facets), self.from_side2(side2.word_facets)
+
+    @cached_property
     def faces(self) -> tuple[frozenset, frozenset]:
         """The faces of both sides as universe masks: side 1 over its word
         positions as they are, side 2 through ``from_side2``."""
         side1, side2 = self._entries[:2]
         return frozenset(side1.word_faces), self.from_side2(side2.word_faces)
 
-    @property
-    def inner_faces(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """The faces of both inner complexes over their word positions."""
-        return self._entries[2].word_faces, self._entries[3].word_faces
-
     @cached_property
     def families(self) -> "Subfamilies":
-        return subfamilies(self.ctx)
-
-
-_recent: list = [None]  # the facts of the most recent move
-
-
-def _facts(ctx: BraidContext, memo: dict | None = None) -> MoveFacts:
-    """The facts of ``ctx``, made with ``memo`` unless they are the most
-    recent ones."""
-    f = _recent[0]
-    if f is None or f.ctx != ctx:
-        f = _recent[0] = MoveFacts(ctx, memo)
-    return f
+        return subfamilies(self)
 
 
 def condition(ctx: BraidContext, which: str, k: int) -> bool:
@@ -254,19 +231,17 @@ def _link_families(faces, q: int, m: int) -> tuple[set, set]:
     return internal, endpoint
 
 
-def subfamilies(ctx: BraidContext) -> Subfamilies:
-    f = ctx.facts
-    k1, k2 = f.inner_faces
+def subfamilies(f: MoveFacts) -> Subfamilies:
+    k1, k2 = (e.word_faces for e in f._entries[2:])  # over inner word positions
     d1_int, d2_G = _link_families(k1, f.q, f.m)
     d2_int, d1_F = _link_families(k2, f.q, f.m)
     return Subfamilies(frozenset(d1_int), frozenset(d1_F),
                        f.from_side2(d2_int), f.from_side2(d2_G))
 
 
-def tilde(ctx: BraidContext, side: int) -> frozenset:
+def tilde(f: MoveFacts, side: int) -> frozenset:
     """Largest subcomplex avoiding the endpoint edge and the internal
     window vertices of the given side, as a set of universe masks."""
-    f = ctx.facts
     inside, ends = f.internal[side - 1], f.endpoint
     return frozenset(x for x in f.faces[side - 1] if not x & inside and x & ends != ends)
 
@@ -292,11 +267,10 @@ class DecompositionReport:
         return self.ok
 
 
-def verify_decomposition(ctx: BraidContext) -> DecompositionReport:
-    facts = ctx.facts
+def verify_decomposition(facts: MoveFacts) -> DecompositionReport:
     faces1, faces2 = facts.faces
     fams = facts.families
-    t1, t2 = tilde(ctx, 1), tilde(ctx, 2)
+    t1, t2 = tilde(facts, 1), tilde(facts, 2)
     (int1, int2), ends = facts.internal, facts.endpoint
 
     checks: list[tuple[str, bool]] = []
@@ -337,16 +311,18 @@ def verify_decomposition(ctx: BraidContext) -> DecompositionReport:
     return DecompositionReport(ok, tuple(checks), mismatches, facts.chain_checked)
 
 
-def check_A3B3_edges(ctx: BraidContext) -> bool:
+def check_A3B3_edges(f: MoveFacts) -> bool:
     """No window edge skips a slot when both length-3 window conditions
     hold and m > 3: {f_k, f_l} with f_k internal requires |k - l| = 1."""
-    f, m = ctx.facts, ctx.m
+    m, q = f.m, f.q
     if m <= 3:
         raise ValueError("needs m > 3")
     if not f.supported:  # for m > 3: both length-3 window conditions
         raise ValueError("needs both length-3 window conditions")
-    for faces, lab in ((f.faces[0], f_label), (f.faces[1], lambda l: g_label(l, m))):
-        slot = [0] + [1 << f.bit[lab(l)] for l in range(1, m + 1)]
+    # the universe bits of window slots 1..m on each side (slot[0] unused)
+    slots1 = [0] + [1 << (q + l - 1) for l in range(1, m + 1)]
+    slots2 = [0, slots1[m]] + [1 << (f.L + l - 2) for l in range(2, m)] + [slots1[1]]
+    for faces, slot in ((f.faces[0], slots1), (f.faces[1], slots2)):
         if any(slot[k] | slot[l] in faces
                for k in range(2, m) for l in range(1, m + 1) if abs(k - l) > 1):
             return False
@@ -382,23 +358,19 @@ class PolyDeltaReport:
     gamma_ok: bool | None
 
 
-def hypothesis_met(ctx: BraidContext) -> bool:
-    return ctx.facts.supported
-
-
-def polynomial_delta(ctx: BraidContext) -> PolyDeltaReport:
-    m = ctx.m
-    if not ctx.facts.supported:
+def polynomial_delta(f: MoveFacts) -> PolyDeltaReport:
+    m = f.m
+    if not f.supported:
         raise ValueError("needs m <= 3 or both length-3 window conditions")
-    d1x, d2x = ctx.facts.sides
-    k1x, k2x = ctx.facts.inner
+    d1x, d2x = f.sides
+    k1x, k2x = f.inner
     # the sides have h-degree n, the inner complexes n - 2
-    n = ctx.facts.L - ctx.system.length(ctx.pi)
+    n = f.L - f.ctx.system.length(f.ctx.pi)
     h1, h2, hk1, hk2 = (() if x.is_void else x.h_vector() for x in (d1x, d2x, k1x, k2x))
     delta_h = {(k, n - k): c for k, c in enumerate(_coeff_sub(h2, h1)) if c}
     rhs_h = {(k + 1, n - 1 - k): (m - 2) * c
              for k, c in enumerate(_coeff_sub(hk2, hk1)) if m > 2 and c}
-    sph = ctx.facts.spherical
+    sph = f.spherical
     delta_gamma = rhs_gamma = gamma_ok = None
     if sph[0] and sph[1]:
         try:
@@ -456,19 +428,38 @@ class CaseReport:
         return CASE_NAMES[self.case]
 
 
+def _subdivide(facets, s: int, t: int, fresh) -> frozenset | None:
+    """Facet masks after the iterated edge subdivision of ``k_subdivide``,
+    on single bits: {s, t} at fresh[0], then {fresh[0], t} at fresh[1],
+    and so on.  None when no facet holds the edge {s, t}."""
+    if not any(x & s and x & t for x in facets):
+        return None
+    for r in fresh:
+        edge, out = s | t, set()
+        for x in facets:
+            if x & edge == edge:
+                out.update((x ^ s | r, x ^ t | r))
+            else:
+                out.add(x)
+        facets, s = out, r
+    return frozenset(facets)
+
+
+def _interface_expression_ok(f: MoveFacts, facets) -> bool:
+    """Whether the complex with these universe facets has the faces
+    (side 1 - d1_F) | d2_int, the common refinement's expression through
+    the interface families under the window hypothesis."""
+    return (f.faces[0] - f.families.d1_F) | f.families.d2_int == face_set(facets)
+
+
 def classify(ctx: BraidContext, memo: dict | None = None) -> CaseReport:
     """The verdict on one move; ``memo`` is the build memo of a caller that
     classifies several moves over the same words (see ``subword.build``)."""
-    m, f = ctx.m, _facts(ctx, memo)
-    c = f.conditions
+    f = MoveFacts(ctx, memo)
+    m, c = f.m, f.conditions
     d1x, d2x = f.sides
-    dec = verify_decomposition(ctx)
-    poly = polynomial_delta(ctx) if f.supported else None
-
-    endpoint_edge = (f_label(1), f_label(m))
-    reversed_edge = (f_label(m), f_label(1))
-    fresh_f = [f_label(l) for l in range(m - 1, 1, -1)]
-    fresh_g = [g_label(l, m) for l in range(m - 1, 1, -1)]
+    dec = verify_decomposition(f)
+    poly = polynomial_delta(f) if f.supported else None
 
     case: int | None = None
     witness: dict | None = None
@@ -479,36 +470,32 @@ def classify(ctx: BraidContext, memo: dict | None = None) -> CaseReport:
         case = {(True, True): 1, (False, True): 2,
                 (True, False): 3, (False, False): 4}[(c["A2"], c["B2"])]
 
+    facets1, facets2 = f.facets
     if case == 1:
-        # equal face sets in the shared universe are equal complexes
-        witness_ok = f.faces[0] == f.faces[1]
+        witness_ok = facets1 == facets2
         witness = {"kind": "equality", "map": {v: v for v in d1x.vertices}}
-    elif case in (2, 3):
-        # the coarser side carries the endpoint edge; walking the fresh
-        # vertices from its first end lands them on the finer side's slots
-        coarse, fine, edge, fresh = ((d2x, d1x, reversed_edge, fresh_f) if case == 2
-                                     else (d1x, d2x, endpoint_edge, fresh_g))
-        witness_ok = (coarse.has_face(edge)
-                      and k_subdivide(coarse, edge, m - 2, fresh) == fine)
-        witness = {"kind": "subdivision", "of_side": 4 - case, "edge": edge,
-                   "fresh": tuple(fresh)}
-    elif case == 4:
-        agree = False
-        if d1x.has_face(endpoint_edge) and d2x.has_face(reversed_edge):
-            sub1 = k_subdivide(d1x, endpoint_edge, m - 2, fresh_g)
-            sub2 = k_subdivide(d2x, reversed_edge, m - 2, fresh_f)
-            agree = sub1 == sub2
-        witness_ok = agree
-        witness = {"kind": "common refinement", "edge": endpoint_edge,
-                   "fresh_from_side_1": tuple(fresh_g),
-                   "fresh_from_side_2": tuple(fresh_f), "agree": agree}
-        if agree and dec.chain_checked:
-            # under the window hypothesis the refinement also has a direct
-            # face-set expression through the interface families
-            target = (f.faces[0] - f.families.d1_F) | f.families.d2_int
-            expr_ok = target == f.universe_faces(sub1)
-            witness["interface_expression_matches"] = expr_ok
-            witness_ok = agree and expr_ok
+    elif case:
+        # each side refined along the endpoint edge, walking fresh vertices
+        # from its first end onto the other side's internal window slots;
+        # the side without the edge gives None (B2: side 1, A2: side 2)
+        first, last, slots = 1 << f.q, 1 << (f.q + m - 1), range(m - 1, 1, -1)
+        sub1 = _subdivide(facets1, first, last, [1 << (f.L + l - 2) for l in slots])
+        sub2 = _subdivide(facets2, last, first, [first << (l - 1) for l in slots])
+        edge = (f_label(1), f_label(m))
+        fresh_f, fresh_g = tuple(map(f_label, slots)), tuple(g_label(l, m) for l in slots)
+        if case == 2:
+            witness_ok = sub2 == facets1
+            witness = {"kind": "subdivision", "of_side": 2, "edge": edge[::-1], "fresh": fresh_f}
+        elif case == 3:
+            witness_ok = sub1 == facets2
+            witness = {"kind": "subdivision", "of_side": 1, "edge": edge, "fresh": fresh_g}
+        else:
+            witness_ok = agree = sub1 is not None and sub1 == sub2
+            witness = {"kind": "common refinement", "edge": edge, "fresh_from_side_1": fresh_g,
+                       "fresh_from_side_2": fresh_f, "agree": agree}
+            if agree and dec.chain_checked:
+                witness_ok = _interface_expression_ok(f, sub1)
+                witness["interface_expression_matches"] = witness_ok
 
     return CaseReport(ctx, m, case, c["A2"], c["B2"], c["A3"], c["B3"], f.supported,
                       d1x, d2x, witness, witness_ok, dec, poly)
@@ -532,7 +519,7 @@ class SequenceReport:
 
 def _row_summary(system: CoxeterSystem, word: Word, pi: GroupElement, memo: dict) -> dict:
     d = SubwordDescriptor(system, word, pi)
-    x, spherical = build(d, memo), position_complex(d, memo).spherical
+    x, spherical = build(d, memo), position_complex(system, d.word, pi, memo).spherical
     gamma = x.gamma().coeffs if spherical and not x.is_void else None
     gamma1 = gamma[1] if gamma is not None and len(gamma) > 1 else 0
     return {
@@ -550,11 +537,10 @@ def move_context(system: CoxeterSystem, word: Word, pos: int,
                  pi: GroupElement) -> BraidContext:
     """Context of the braid move starting at 1-based position ``pos``."""
     word = system.check_word(word)
-    window = system._braid_window(word, pos)
-    if window is None:
-        raise ValueError(f"no braid window at position {pos} of {word}")
-    i, j, m = window
-    return BraidContext(system, word[:pos - 1], word[pos - 1 + m:], i, j, pi)
+    for p, i, j, m, _ in system._braid_moves(word):
+        if p == pos:
+            return BraidContext(system, word[:pos - 1], word[pos - 1 + m:], i, j, pi)
+    raise ValueError(f"no braid window at position {pos} of {word}")
 
 
 def apply_sequence(system: CoxeterSystem, word: Word, pi: GroupElement,
@@ -579,7 +565,7 @@ def find_move_path(system: CoxeterSystem, start: Word, goal: Word,
     """Shortest braid-move position sequence from start to goal; the cap
     is that of ``CoxeterSystem._braid_search``."""
     w = tuple(goal)
-    parent = system._braid_search(tuple(start), cap, w)
+    parent = system._braid_search(system._word(start), cap, w)
     if w not in parent:
         raise ValueError("words are not related by braid moves")
     path = []

@@ -425,17 +425,21 @@ class CoxeterSystem:
 
     def braid_move_positions(self, word: Iterable[int]) -> tuple[int, ...]:
         """1-based positions where a braid move window starts."""
-        w = self._word(word)
-        return tuple(pos for pos in range(1, len(w)) if self._braid_window(w, pos))
+        return tuple(move[0] for move in self._braid_moves(self._word(word)))
 
-    def _braid_window(self, w: Word, pos: int):
-        """Window (i, j, order) if a braid move applies at 1-based pos of
-        the checked word w, else None."""
-        if not 1 <= pos < len(w) or w[pos - 1] == w[pos]:
-            return None
-        i, j = w[pos - 1], w[pos]
-        order = self.m[i - 1, j - 1]
-        return (i, j, order) if w[pos - 1:pos - 1 + order] == ((i, j) * order)[:order] else None
+    def _braid_moves(self, w: Word):
+        """Each braid move on the checked word w, left to right, as
+        (pos, i, j, order, next word): the alternating window of letters
+        i, j and length order starts at 1-based pos, and next word holds
+        the other alternating window in its place."""
+        m = self.m
+        for p in range(len(w) - 1):
+            i, j = w[p], w[p + 1]
+            if i == j:
+                continue
+            order = m[i - 1, j - 1]
+            if w[p:p + order] == ((i, j) * order)[:order]:
+                yield p + 1, i, j, order, w[:p] + ((j, i) * order)[:order] + w[p + order:]
 
     def apply_braid_move(self, word: Iterable[int], pos: int) -> Word:
         """Replace the alternating window of length m(i,j) starting at pos.
@@ -443,11 +447,10 @@ class CoxeterSystem:
         pos is 1-based; the window letters are read off the word itself.
         """
         w = self._word(word)
-        window = self._braid_window(w, pos)
-        if window is None:
-            raise ValueError(f"no braid move applies at position {pos} of {w}")
-        i, j, order = window
-        return w[: pos - 1] + ((j, i) * order)[:order] + w[pos - 1 + order :]
+        for move in self._braid_moves(w):
+            if move[0] == pos:
+                return move[4]
+        raise ValueError(f"no braid move applies at position {pos} of {w}")
 
     def _braid_search(self, start: Word, cap: int, goal: Word | None = None) -> dict:
         """Breadth-first search over braid moves from ``start``.
@@ -461,8 +464,7 @@ class CoxeterSystem:
         queue = deque([start])
         while queue and goal not in parent:
             w = queue.popleft()
-            for pos in self.braid_move_positions(w):
-                nxt = self.apply_braid_move(w, pos)
+            for pos, _, _, _, nxt in self._braid_moves(w):
                 if nxt in parent:
                     continue
                 parent[nxt] = (w, pos)

@@ -17,12 +17,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .braid import classify, move_context
+from .braid import BraidContext, classify
 from .coxeter import CoxeterSystem, GroupElement, Word
 from .simplicial import LabeledComplex, is_isomorphic_constrained, iso_invariant
 from .subword import SubwordDescriptor, build
 
 FRONTIER_CAP = 512  # subdivision classes per depth before the gap scan stops
+GAP_SCAN_WORDS = 24  # the gap scan runs on orders of at most this many words
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,7 +145,7 @@ def _subdivision_frontiers(x: LabeledComplex, depth: int):
 
 
 def build_rho(system: CoxeterSystem, Q, Qp, pi: GroupElement,
-              cap: int = 100_000, global_check_limit: int = 24) -> RhoPoset:
+              cap: int = 100_000) -> RhoPoset:
     """Build the order; see the module docstring for the construction.
     Each (word, pi) is built once, the moves reading relabels of it."""
     Q, Qp = tuple(Q), tuple(Qp)
@@ -171,11 +172,10 @@ def build_rho(system: CoxeterSystem, Q, Qp, pi: GroupElement,
     edges: list[MoveEdge] = []
     oriented: list[tuple[Word, Word]] = []  # (lower word, upper word)
     for w in words:
-        for pos in system.braid_move_positions(w):
-            w2 = system.apply_braid_move(w, pos)
+        for pos, i, j, m, w2 in system._braid_moves(w):
             if w2 < w:
                 continue  # the mirrored move on w2 reproduces this pair
-            ctx = move_context(system, Q + w + Qp, len(Q) + pos, pi)
+            ctx = BraidContext(system, Q + w[:pos - 1], w[pos - 1 + m:] + Qp, i, j, pi)
             rep = classify(ctx, memo)
             lower = upper = None
             if rep.case == 1 and rep.witness_ok:
@@ -212,7 +212,7 @@ def build_rho(system: CoxeterSystem, Q, Qp, pi: GroupElement,
                      SemilatticeResult(applicable=False),
                      GapReport(checked=False))
     semilattice = semilattice_check(poset) if antisymmetric else poset.semilattice
-    gap = _gap_scan(poset) if len(words) <= global_check_limit else poset.gap
+    gap = _gap_scan(poset) if len(words) <= GAP_SCAN_WORDS else poset.gap
     return replace(poset, semilattice=semilattice, gap=gap)
 
 

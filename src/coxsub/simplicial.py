@@ -70,6 +70,17 @@ def scatter_bits(masks: Iterable[int], bits: Sequence[int]) -> list[int]:
     return out
 
 
+def face_set(facets: Iterable[int]) -> set[int]:
+    """Every submask of the facet masks, the empty one included; raises
+    past MAX_FACES submasks."""
+    facets = list(facets)
+    if sum(1 << f.bit_count() for f in facets) > MAX_FACES:
+        raise ValueError(FACE_LIMIT_ERROR)
+    buf: list[int] = []
+    _K.fill_submasks(facets, buf)
+    return set(buf)
+
+
 @dataclass(frozen=True)
 class GammaPoly:
     """Gamma vector gamma_0..gamma_{floor(n/2)}; () is the zero polynomial."""
@@ -162,11 +173,7 @@ class LabeledComplex:
         """Sorted masks of every face, the empty face included (unless void)."""
         faces = self._cache.get("faces")
         if faces is None:
-            if sum(1 << f.bit_count() for f in self.facets) > MAX_FACES:
-                raise ValueError(FACE_LIMIT_ERROR)
-            buf: list[int] = []
-            _K.fill_submasks(self.facets, buf)
-            faces = self._cache["faces"] = tuple(sorted(set(buf)))
+            faces = self._cache["faces"] = tuple(sorted(face_set(self.facets)))
         return faces
 
     def edge_masks(self) -> list[int]:

@@ -60,19 +60,19 @@ class PositionComplex:
     relabel of it, sharing these and the faces and gamma computed later.
     """
 
-    __slots__ = ("complex", "spherical", "_word_faces")
+    __slots__ = ("complex", "spherical", "word_facets", "_word_faces")
 
     def __init__(self, system: CoxeterSystem, word: Word, pi: GroupElement):
         self._word_faces = None
         letters = tuple(s - 1 for s in word)
         # Demazure criterion: the complex is a sphere iff Dem(word) = pi
         self.spherical = system._demazure(letters) == system._id(pi)
-        masks = system._subword_masks(letters, pi)
-        if not masks:
+        full = (1 << len(word)) - 1
+        # every facet as a mask over word positions, bit p for position p
+        self.word_facets = facets = [full ^ mk for mk in system._subword_masks(letters, pi)]
+        if not facets:
             self.complex = LabeledComplex.void()
             return
-        full = (1 << len(word)) - 1
-        facets = [full ^ mk for mk in masks]
         used = reduce(or_, facets)
         # compress to the used positions, bit p to the number of used ones
         # below it; every facet has |word| - l(pi) positions, so the facets
@@ -95,17 +95,19 @@ class PositionComplex:
         return self.complex.relabel([labels[p] for p in self.complex.vertices])
 
 
-def position_complex(d: SubwordDescriptor, memo: dict) -> PositionComplex:
-    """The entry of ``memo`` for (d.word, d.pi), made on first request.
+def position_complex(system: CoxeterSystem, word: Word, pi: GroupElement,
+                     memo: dict) -> PositionComplex:
+    """The entry of ``memo`` for (word, pi), made on first request; the
+    word must be checked (``CoxeterSystem.check_word``).
 
     A memo is a plain dict over one system that a computation which
     builds the same words again (an order, a chain of moves) creates and
     passes to all its builds; it lives as long as that computation.
     """
-    key = (d.word, d.pi)
+    key = (word, pi)
     entry = memo.get(key)
     if entry is None:
-        entry = memo[key] = PositionComplex(d.system, d.word, d.pi)
+        entry = memo[key] = PositionComplex(system, word, pi)
     return entry
 
 
@@ -115,7 +117,8 @@ def build(d: SubwordDescriptor, memo: dict | None = None) -> LabeledComplex:
     Without a memo the complex is made afresh; with one it is a relabel of
     the memo's position complex (see ``position_complex``).
     """
-    return position_complex(d, {} if memo is None else memo).relabel(d.labels)
+    entry = position_complex(d.system, d.word, d.pi, {} if memo is None else memo)
+    return entry.relabel(d.labels)
 
 
 def is_face(d: SubwordDescriptor, face) -> bool:
@@ -169,7 +172,7 @@ def complex_summary(x: LabeledComplex) -> dict:
 def complex_json(d: SubwordDescriptor) -> dict:
     """JSON-ready summary of the complex of ``d`` (see ``complex_summary``)."""
     memo: dict = {}
-    x, spherical = build(d, memo), position_complex(d, memo).spherical
+    x, spherical = build(d, memo), position_complex(d.system, d.word, d.pi, memo).spherical
     gamma = list(x.gamma().coeffs) if spherical and not x.is_void else None
     return dict(complex_summary(x), word=list(d.word), spherical=spherical,
                 flag=x.is_flag(), gamma=gamma)

@@ -14,8 +14,8 @@ import pytest
 
 from conftest import (brute_facets, random_context, random_descriptor,
                       spherical_complex, system)
-from coxsub.braid import (BraidContext, apply_sequence, classify, condition,
-                          f_label, hypothesis_met, subfamilies, tilde,
+from coxsub.braid import (BraidContext, MoveFacts, apply_sequence, classify,
+                          condition, f_label, subfamilies, tilde,
                           verify_decomposition)
 from coxsub.rhoposet import build_rho, poset_json
 from coxsub.simplicial import LabeledComplex
@@ -112,7 +112,7 @@ def test_criterion_05_polynomial_identity_batch():
     checked = 0
     while checked < 200:
         ctx = random_context(rng, names=("A3", "B3", "H3"), max_side=6)
-        if not hypothesis_met(ctx):
+        if not MoveFacts(ctx).supported:
             continue
         rep = classify(ctx)
         assert rep.poly is not None and rep.poly.h_ok, (ctx.Q, ctx.Qp, ctx.i, ctx.j)
@@ -130,17 +130,17 @@ def test_criterion_06_structural_suite():
     unsupported = 0
     for _ in range(200):
         ctx = random_context(rng, names=("A3", "B3", "H3"), max_side=6)
-        m = ctx.m
-        d1x, d2x = ctx.facts.sides
+        m, f = ctx.m, MoveFacts(ctx)
+        d1x, d2x = f.sides
         # reduced complexes coincide literally in the shared universe
-        assert tilde(ctx, 1) == tilde(ctx, 2)
+        assert tilde(f, 1) == tilde(f, 2)
         # side 2 splits into the reduced part and the interface families
-        fams = subfamilies(ctx)
-        kept = tilde(ctx, 2)
-        assert kept | fams.d2_int | fams.d2_G == ctx.facts.faces[1]
+        fams = subfamilies(f)
+        kept = tilde(f, 2)
+        assert kept | fams.d2_int | fams.d2_G == f.faces[1]
         assert kept & (fams.d2_int | fams.d2_G) == set()
         # full decomposition report (chain identities on the hypothesis subset)
-        dec = verify_decomposition(ctx)
+        dec = verify_decomposition(f)
         assert dec.ok, dec.mismatches
         chained += dec.chain_checked
         # endpoint-edge pairing and window-condition monotonicity

@@ -3,12 +3,13 @@ import random
 import pytest
 
 from conftest import random_context, system
-from coxsub.braid import (BraidContext, apply_sequence, check_A3B3_edges,
+from coxsub import braid
+from coxsub.braid import (BraidContext, MoveFacts, apply_sequence, check_A3B3_edges,
                           classify, condition, f_label, find_move_path, g_label,
-                          hypothesis_met, move_context, polynomial_delta,
-                          subfamilies, tilde, verify_decomposition)
-from coxsub.simplicial import LabeledComplex, k_subdivide
-from coxsub.subword import build
+                          move_context, polynomial_delta, subfamilies, tilde,
+                          verify_decomposition)
+from coxsub.simplicial import LabeledComplex, face_set, k_subdivide
+from coxsub.subword import SubwordDescriptor, build
 
 
 def i2_context(m: int) -> BraidContext:
@@ -16,15 +17,15 @@ def i2_context(m: int) -> BraidContext:
     return BraidContext(sys_, (1, 2), (), 1, 2, sys_.longest_element())
 
 
-def _mask(ctx: BraidContext, labels) -> int:
+def _mask(f: MoveFacts, labels) -> int:
     """Universe mask of a label set, read off the move's label table."""
-    return sum(1 << ctx.facts.bit[v] for v in labels)
+    return sum(1 << f.universe.index(v) for v in labels)
 
 
-def _label_sets(ctx: BraidContext, masks) -> set:
+def _label_sets(f: MoveFacts, masks) -> set:
     """Universe masks turned back into label sets."""
-    uni = ctx.facts.universe
-    return {frozenset(uni[b] for b in range(len(uni)) if f >> b & 1) for f in masks}
+    uni = f.universe
+    return {frozenset(uni[b] for b in range(len(uni)) if x >> b & 1) for x in masks}
 
 
 def test_window_word_identities():
@@ -58,7 +59,7 @@ def test_endpoint_edge_pairing():
     rng = random.Random(11)
     for _ in range(60):
         ctx = random_context(rng)
-        d1x, d2x = ctx.facts.sides
+        d1x, d2x = MoveFacts(ctx).sides
         edge = (f_label(1), f_label(ctx.m))
         assert condition(ctx, "B", 2) == (not d1x.has_face(edge))
         assert condition(ctx, "A", 2) == (not d2x.has_face(edge))
@@ -74,11 +75,11 @@ def test_shared_namespace_crossing():
     d2 = ctx.side_descriptor(2)
     assert d1.labels == ("Q1", "Q2", "f1", "f2", "f3", "f4", "f5")
     assert d2.labels == ("Q1", "Q2", "f5", "g2", "g3", "g4", "f1")
-    assert ctx.inner_descriptor(1).labels == ("Q1", "Q2", "w1", "w2", "w3")
-    assert ctx.facts.universe == d1.labels + ("g2", "g3", "g4")
+    f = MoveFacts(ctx)
+    assert f.universe == d1.labels + ("g2", "g3", "g4")
     # side 2 reaches the universe by one fixed bit permutation
     for p, label in enumerate(d2.labels):
-        assert ctx.facts.from_side2([1 << p]) == {_mask(ctx, [label])}
+        assert f.from_side2([1 << p]) == {_mask(f, [label])}
 
 
 def test_i2_family():
@@ -94,7 +95,7 @@ def test_i2_family():
         assert rep.decomposition.ok
         assert rep.poly.h_ok and rep.poly.gamma_ok
         # shortened windows: side 1 stays reduced, side 2 gets a double letter
-        k1, k2 = ctx.facts.inner
+        k1, k2 = MoveFacts(ctx).inner
         assert k1 == LabeledComplex.empty_face_only()
         assert k2.is_void
     rep5 = classify(i2_context(5))
@@ -174,12 +175,12 @@ def test_subfamily_membership():
     rng = random.Random(15)
     for _ in range(40):
         ctx = random_context(rng)
-        m = ctx.m
-        faces1, faces2 = ctx.facts.faces
-        fams = subfamilies(ctx)
-        internal_f = _mask(ctx, [f_label(l) for l in range(2, m)])
-        internal_g = _mask(ctx, [g_label(l, m) for l in range(2, m)])
-        endpoint = _mask(ctx, [f_label(1), f_label(m)])
+        m, f = ctx.m, MoveFacts(ctx)
+        faces1, faces2 = f.faces
+        fams = subfamilies(f)
+        internal_f = _mask(f, [f_label(l) for l in range(2, m)])
+        internal_g = _mask(f, [g_label(l, m) for l in range(2, m)])
+        endpoint = _mask(f, [f_label(1), f_label(m)])
         assert fams.d1_int == {s for s in faces1 if s & internal_f}
         assert fams.d1_F == {s for s in faces1 if s & endpoint == endpoint}
         assert fams.d2_int == {s for s in faces2 if s & internal_g}
@@ -189,26 +190,29 @@ def test_subfamily_membership():
 def test_tilde_isomorphism_and_partition():
     rng = random.Random(16)
     for _ in range(40):
-        ctx = random_context(rng)
-        t1 = tilde(ctx, 1)
-        t2 = tilde(ctx, 2)
+        f = MoveFacts(random_context(rng))
+        t1 = tilde(f, 1)
+        t2 = tilde(f, 2)
         assert t1 == t2  # the shared universe makes the reduced sides literal
-        assert all(f & ~(1 << b) in t2 for f in t2 for b in range(f.bit_length()))
-        fams = subfamilies(ctx)
+        assert all(x & ~(1 << b) in t2 for x in t2 for b in range(x.bit_length()))
+        fams = subfamilies(f)
         rest = fams.d2_int | fams.d2_G
         assert t2 & rest == set()
-        assert t2 | rest == ctx.facts.faces[1]
+        assert t2 | rest == f.faces[1]
 
 
 def _remap(face: frozenset, table: dict) -> frozenset:
     return frozenset(table.get(v, v) for v in face)
 
 
-def _label_reference(ctx: BraidContext):
+def _label_reference(f: MoveFacts):
     """The interface families and reduced complexes built on label sets
     through the shift tables of the link isomorphisms."""
-    m = ctx.m
-    k1, k2 = build(ctx.inner_descriptor(1)), build(ctx.inner_descriptor(2))
+    ctx, m = f.ctx, f.m
+    # the shortened windows, with neutral labels "w1".."w{m-2}"
+    inner = ctx._labels(f"w{t}" for t in range(1, m - 1))
+    k1, k2 = (build(SubwordDescriptor(ctx.system, ctx.side_word(side, 2), ctx.pi, inner))
+              for side in (1, 2))
     faces1, faces2 = k1.face_label_sets(), k2.face_label_sets()
     endpoint = frozenset({f_label(1), f_label(m)})
 
@@ -238,7 +242,7 @@ def _label_reference(ctx: BraidContext):
     d1_F = {_remap(rho, psi_F) | endpoint for rho in faces2}
     d2_G = {_remap(sig, phi_G) | endpoint for sig in faces1}
     reduced = []
-    for side, x in zip((1, 2), ctx.facts.sides):
+    for side, x in zip((1, 2), f.sides):
         internal = {(f_label(l) if side == 1 else g_label(l, m)) for l in range(2, m)}
         reduced.append({fs for fs in x.face_label_sets()
                         if not fs & internal and not endpoint <= fs})
@@ -249,16 +253,16 @@ def test_mask_families_match_label_reference():
     rng = random.Random(22)
     seen_m = set()
     for _ in range(40):
-        ctx = random_context(rng)
-        seen_m.add(ctx.m)
-        fams = subfamilies(ctx)
-        want_fams, want_reduced = _label_reference(ctx)
+        f = MoveFacts(random_context(rng))
+        seen_m.add(f.m)
+        fams = subfamilies(f)
+        want_fams, want_reduced = _label_reference(f)
         got = (fams.d1_int, fams.d1_F, fams.d2_int, fams.d2_G)
         for mask_family, label_family in zip(got, want_fams):
-            assert _label_sets(ctx, mask_family) == label_family
-        for side, x in zip((1, 2), ctx.facts.sides):
-            assert _label_sets(ctx, ctx.facts.faces[side - 1]) == set(x.face_label_sets())
-            assert _label_sets(ctx, tilde(ctx, side)) == want_reduced[side - 1]
+            assert _label_sets(f, mask_family) == label_family
+        for side, x in zip((1, 2), f.sides):
+            assert _label_sets(f, f.faces[side - 1]) == set(x.face_label_sets())
+            assert _label_sets(f, tilde(f, side)) == want_reduced[side - 1]
     assert seen_m >= {2, 3, 4, 5}
 
 
@@ -266,7 +270,7 @@ def test_decomposition_report():
     rng = random.Random(17)
     for _ in range(40):
         ctx = random_context(rng)
-        dec = verify_decomposition(ctx)
+        dec = verify_decomposition(MoveFacts(ctx))
         assert dec.ok, dec.mismatches
         assert bool(dec)
         names = [n for n, _ in dec.checks]
@@ -289,9 +293,10 @@ def test_chain_identity_needs_window_conditions():
     assert rep.case is None and not rep.supported
     dec = rep.decomposition
     assert dec.ok and not dec.chain_checked
-    fams = subfamilies(ctx)
-    endpoint = _mask(ctx, [f_label(1), f_label(4)])
-    internal = _mask(ctx, [f_label(2), f_label(3)])
+    f = MoveFacts(ctx)
+    fams = subfamilies(f)
+    endpoint = _mask(f, [f_label(1), f_label(4)])
+    internal = _mask(f, [f_label(2), f_label(3)])
     bad = [s for s in fams.d1_int if s & endpoint == endpoint and s & internal]
     assert bad  # the gated faces that break the literal chain equality
 
@@ -300,13 +305,13 @@ def test_check_A3B3_edges():
     sys4 = system("I2:4")
     ctx = BraidContext(sys4, (1, 2), (), 1, 2, sys4.longest_element())
     assert condition(ctx, "A", 3) and condition(ctx, "B", 3)
-    assert check_A3B3_edges(ctx)
+    assert check_A3B3_edges(MoveFacts(ctx))
     with pytest.raises(ValueError):
-        check_A3B3_edges(i2_context(3))  # m must exceed 3
+        check_A3B3_edges(MoveFacts(i2_context(3)))  # m must exceed 3
     B3 = system("B3")
     bad = BraidContext(B3, (1, 3, 2), (3,), 3, 2, B3.element_of((1, 2)))
     with pytest.raises(ValueError):
-        check_A3B3_edges(bad)  # window conditions fail
+        check_A3B3_edges(MoveFacts(bad))  # window conditions fail
 
 
 def test_polynomial_identity_recomputed():
@@ -327,17 +332,17 @@ def test_polynomial_identity_recomputed():
     rng = random.Random(18)
     checked = 0
     while checked < 60:
-        ctx = random_context(rng)
-        if not hypothesis_met(ctx):
+        f = MoveFacts(random_context(rng))
+        if not f.supported:
             with pytest.raises(ValueError):
-                polynomial_delta(ctx)
+                polynomial_delta(f)
             continue
-        rep = polynomial_delta(ctx)
-        d1x, d2x = ctx.facts.sides
-        k1, k2 = ctx.facts.inner
+        rep = polynomial_delta(f)
+        d1x, d2x = f.sides
+        k1, k2 = f.inner
         delta = subtract(monomials(d2x), monomials(d1x))
         inner = subtract(monomials(k2), monomials(k1))
-        rhs = {(a + 1, t + 1): (ctx.m - 2) * c for (a, t), c in inner.items()}
+        rhs = {(a + 1, t + 1): (f.m - 2) * c for (a, t), c in inner.items()}
         assert rep.delta_h == delta
         assert rep.rhs_h == rhs
         assert delta == rhs
@@ -348,14 +353,14 @@ def test_polynomial_identity_recomputed():
 
 
 def test_hypothesis_met():
-    assert hypothesis_met(i2_context(3))
-    assert hypothesis_met(i2_context(7))  # extra letters keep A3/B3 true here
+    assert MoveFacts(i2_context(3)).supported
+    assert MoveFacts(i2_context(7)).supported  # extra letters keep A3/B3 true here
     B3 = system("B3")
     bad = BraidContext(B3, (1, 3, 2), (3,), 3, 2, B3.element_of((1, 2)))
-    assert not hypothesis_met(bad)
+    assert not MoveFacts(bad).supported
     sys2 = system("A3")
     ctx2 = BraidContext(sys2, (), (), 1, 3, sys2.element_of((1, 3)))
-    assert ctx2.m == 2 and hypothesis_met(ctx2)
+    assert ctx2.m == 2 and MoveFacts(ctx2).supported
 
 
 def test_move_context_validation():
@@ -400,13 +405,99 @@ def test_case1_witness_matches_label_equality():
         ctx = random_context(rng)
         rep = classify(ctx)
         equal = rep.delta1 == rep.delta2  # the reference
-        assert (ctx.facts.faces[0] == ctx.facts.faces[1]) == equal
+        f = MoveFacts(ctx)
+        assert (f.faces[0] == f.faces[1]) == equal
+        assert (f.facets[0] == f.facets[1]) == equal
         if rep.case == 1:
             assert rep.witness_ok == equal
             case1_orders.add(min(rep.m, 3))
         outcomes.add(equal)
     # the sweep holds case-1 moves at m = 2 and m >= 3, equal and unequal sides
     assert case1_orders == {2, 3} and outcomes == {True, False}
+
+
+def test_subdivision_witnesses_match_label_reference():
+    rng = random.Random(24)
+    seen = set()
+    for _ in range(200):
+        ctx = random_context(rng)
+        rep = classify(ctx)
+        if rep.case not in (2, 3, 4):
+            continue
+        seen.add(rep.case)
+        f, m = MoveFacts(ctx), rep.m
+        ends = (f_label(1), f_label(m))
+        fresh_f = [f_label(l) for l in range(m - 1, 1, -1)]
+        fresh_g = [g_label(l, m) for l in range(m - 1, 1, -1)]
+        # the reference: labelled subdivisions, None where the edge is missing
+        refs, masks = [], []
+        for x, facets, edge, fresh in ((rep.delta1, f.facets[0], ends, fresh_g),
+                                       (rep.delta2, f.facets[1], ends[::-1], fresh_f)):
+            refs.append(k_subdivide(x, edge, m - 2, fresh) if x.has_face(edge) else None)
+            bits = [_mask(f, [v]) for v in edge + tuple(fresh)]
+            masks.append(braid._subdivide(facets, bits[0], bits[1], bits[2:]))
+        for ref, mask in zip(refs, masks):
+            assert (ref is None) == (mask is None)
+            if ref is not None:
+                assert _label_sets(f, mask) == set(ref.facet_label_sets())
+        sub1, sub2 = refs
+        if rep.case == 2:
+            assert rep.witness_ok == (sub2 == rep.delta1)
+        elif rep.case == 3:
+            assert rep.witness_ok == (sub1 == rep.delta2)
+        else:
+            assert rep.witness["agree"] == (sub1 is not None and sub1 == sub2)
+            assert rep.witness_ok == (rep.witness["agree"] and
+                                      rep.witness.get("interface_expression_matches", True))
+    assert seen == {2, 3, 4}
+
+
+def test_mask_subdivision_matches_k_subdivide():
+    rng = random.Random(25)
+    non_edges = 0
+    for _ in range(60):
+        n = rng.randrange(3, 8)
+        facets = [rng.sample(range(n), rng.randrange(2, n + 1))
+                  for _ in range(rng.randrange(1, 5))]
+        x = LabeledComplex.from_facets(facets)
+        verts = x.vertices
+        s, t = rng.sample(range(len(verts)), 2)
+        k = rng.randrange(0, 4)
+        # fresh vertex r_i lands at index len(verts) + i - 1, as edge_subdivide appends it
+        fresh_bits = [1 << (len(verts) + r) for r in range(k)]
+        got = braid._subdivide(x.facets, 1 << s, 1 << t, fresh_bits)
+        edge = (verts[s], verts[t])
+        if not x.has_face(edge):
+            non_edges += 1
+            assert got is None
+            with pytest.raises(ValueError):
+                k_subdivide(x, edge, k, [f"r{r}" for r in range(k)])
+            continue
+        ref = k_subdivide(x, edge, k, [f"r{r}" for r in range(k)])
+        assert got == frozenset(ref.facets)
+        assert face_set(got) == set(ref.faces_masks())
+    assert non_edges > 0
+
+
+def test_interface_expression_on_chain_checked_moves():
+    # the common-refinement expression also describes the finer side of a
+    # one-sided subdivision; no known move reaches it in case 4
+    rng = random.Random(26)
+    contexts = [i2_context(m) for m in range(3, 8)]
+    contexts += [random_context(rng) for _ in range(150)]
+    seen = set()
+    for ctx in contexts:
+        f = MoveFacts(ctx)
+        if f.m == 2 or not f.chain_checked:
+            continue
+        case = classify(ctx).case
+        if case not in (2, 3):
+            continue
+        seen.add(case)
+        fine, coarse = f.facets if case == 2 else f.facets[::-1]
+        assert braid._interface_expression_ok(f, fine)
+        assert not braid._interface_expression_ok(f, coarse)
+    assert seen == {2, 3}
 
 
 def test_find_move_path():

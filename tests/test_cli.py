@@ -195,10 +195,21 @@ PINNED = [
      "6e2cf64a55bc695ba8f300e449cf33e3a753fba6a22d304c1501842a3afd3368"),
     (("poset", "--group", "A3", "--Q", "1,2,3", "--pi", "w0", "--json", "-"),
      "083e70c7bff891630297df078d2578b560eba3e8c39c93f2d44f7c29662ea4ec"),
+    # one move of each of the cases 2, 3 and 4
+    (("classify", "--group", "I2:5", "--word", "1,2,1,2,1,2,1", "--pos", "3",
+      "--pi", "w0", "--json"),
+     "22868b2f2fb63e8d263f4d2440894338967c54bc2ee7f03c033a46e181029865"),
+    (("classify", "--group", "A3", "--word", "1,1,2,1,1,3,2,1", "--pos", "2",
+      "--pi", "w0", "--json"),
+     "6dd945b14236acf563909cca3c3c5ae73c818b82832967601a356914703a9bd5"),
+    (("classify", "--group", "A3", "--word", "1,1,2,1", "--pos", "2", "--pi", "1",
+      "--json"),
+     "2c093fc14c021f5fc0bc971457f8536c34d888cb4dc7735f816b4de5051b25d5"),
 ]
 
 
-@pytest.mark.parametrize("argv,digest", PINNED, ids=["demo", "chain", "poset"])
+@pytest.mark.parametrize("argv,digest", PINNED,
+                         ids=["demo", "chain", "poset", "case2", "case3", "case4"])
 def test_worked_examples_pinned(capsys, argv, digest):
     code, out, _ = run(capsys, *argv)
     assert code == 0

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from conftest import system
-from coxsub import backend, cli
+from coxsub import backend, cli, rhoposet
 from coxsub.braid import apply_sequence, classify, move_context
 from coxsub.rhoposet import (GapReport, RhoPoset, SemilatticeResult, build_rho,
                              export_dot, poset_json, semilattice_check,
@@ -201,9 +201,10 @@ def test_cap_respected():
         build_rho(A3, (), (), A3.longest_element(), cap=5)
 
 
-def test_gap_scan_skipped_above_limit():
+def test_gap_scan_skipped_above_limit(monkeypatch):
+    monkeypatch.setattr(rhoposet, "GAP_SCAN_WORDS", 4)
     A3 = system("A3")
-    p = build_rho(A3, (1, 2, 3), (), A3.longest_element(), global_check_limit=4)
+    p = build_rho(A3, (1, 2, 3), (), A3.longest_element())
     assert not p.gap.checked and not p.gap.clean
 
 

@@ -194,7 +194,7 @@ def test_memo_relabel_matches_fresh_build():
         memo: dict = {}
         build(SubwordDescriptor(sys_, word, pi), memo)  # the memo's first request
         d = SubwordDescriptor(sys_, word, pi, labels=labels)
-        source = position_complex(d, memo).complex
+        source = position_complex(d.system, d.word, d.pi, memo).complex
         before = (source.vertices, source.facets)
         served, fresh = build(d, memo), build(d)
         assert len(memo) == 1
