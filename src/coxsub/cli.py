@@ -19,7 +19,7 @@ import sys
 from .braid import (CASE_NAMES, apply_sequence, classify, find_move_path,
                     move_context)
 from .coxeter import CoxeterMatrix, CoxeterSystem
-from .rhoposet import _word_text, build_rho, export_dot, poset_json
+from .rhoposet import GAP_SCAN_WORDS, _word_text, build_rho, export_dot, poset_json
 from .subword import SubwordDescriptor, complex_json, complex_summary
 
 
@@ -236,6 +236,9 @@ def cmd_poset(args) -> int:
             print(f"definition gap: iso pairs {len(p.gap.iso_pairs)},"
                   f" subdivision pairs {len(p.gap.subdivision_pairs)}"
                   f"{' (scan truncated)' if p.gap.truncated else ''}")
+        else:
+            print(f"definition gap: not checked ({len(p.words)} reduced words;"
+                  f" the scan runs up to {GAP_SCAN_WORDS})")
     bad = [e for e in p.edges if e.lower is not None and not e.verified]
     return 3 if bad else 0
 

@@ -111,37 +111,57 @@ def _closure(n: int, covers) -> list[list[bool]]:
     return [[bool(reach[a] >> b & 1) for b in range(n)] for a in range(n)]
 
 
-def _iso(x: LabeledComplex, y: LabeledComplex) -> bool:
-    return is_isomorphic_constrained(x, y) is not None
+class _ClassTable:
+    """The isomorphism classes met in one gap scan.  Each class keeps one
+    representative on the vertices 0..n-1, the classes are bucketed by
+    ``iso_invariant``, and a class's single edge subdivisions are found,
+    as class ids, when first asked for."""
+
+    def __init__(self):
+        self.reps: list[LabeledComplex] = []
+        self.buckets: dict[tuple, list[int]] = {}
+        self.children: dict[int, dict[int, None]] = {}
+
+    def intern(self, x: LabeledComplex) -> int:
+        bucket = self.buckets.setdefault(iso_invariant(x), [])
+        for c in bucket:
+            if is_isomorphic_constrained(self.reps[c], x) is not None:
+                return c
+        bucket.append(len(self.reps))
+        self.reps.append(x)
+        return bucket[-1]
+
+    def subdivisions(self, c: int) -> dict[int, None]:
+        kids = self.children.get(c)
+        if kids is None:
+            z = self.reps[c]
+            fresh = len(z.vertices)  # the next integer vertex
+            kids = self.children[c] = dict.fromkeys(
+                self.intern(z.edge_subdivide(
+                    ((e & -e).bit_length() - 1, e.bit_length() - 1), fresh))
+                for e in z.edge_masks())
+        return kids
 
 
-def _subdivision_frontiers(x: LabeledComplex, depth: int):
-    """Iso-class representatives of iterated single edge subdivisions of x,
-    bucketed by ``iso_invariant``, one dict per depth 1..depth; truncation
-    flag when a depth exceeds FRONTIER_CAP classes.  x has the vertices
-    0..n-1 and each subdivision adds the next integer."""
-    frontiers = []
-    cur = [x]
-    truncated = False
+def _subdivision_frontiers(table: _ClassTable, c: int, depth: int):
+    """The classes of the iterated single edge subdivisions of class c,
+    one insertion-ordered set of class ids per depth 1..depth, and a
+    truncation flag.  Once a depth holds more than FRONTIER_CAP classes it
+    is cut off after the class whose children crossed the cap, and no
+    deeper depth is listed: a class in the cut depth is still a true
+    subdivision, but a class missing from it or from the deeper depths
+    proves nothing."""
+    frontiers: list[dict[int, None]] = []
+    cur: dict[int, None] = {c: None}
     for _ in range(depth):
-        nxt: dict[tuple, list[LabeledComplex]] = {}
-        count = 0
+        nxt: dict[int, None] = {}
         for z in cur:
-            fresh = len(z.vertices)
-            for e in z.edge_masks():
-                w = z.edge_subdivide(((e & -e).bit_length() - 1, e.bit_length() - 1), fresh)
-                bucket = nxt.setdefault(iso_invariant(w), [])
-                if not any(_iso(w, seen) for seen in bucket):
-                    bucket.append(w)
-                    count += 1
-            if count > FRONTIER_CAP:
-                truncated = True
-                break
+            nxt.update(table.subdivisions(z))
+            if len(nxt) > FRONTIER_CAP:
+                return frontiers + [nxt], True
         frontiers.append(nxt)
-        cur = [w for bucket in nxt.values() for w in bucket]
-        if truncated or not cur:
-            break
-    return frontiers, truncated
+        cur = nxt
+    return frontiers, False
 
 
 def build_rho(system: CoxeterSystem, Q, Qp, pi: GroupElement,
@@ -247,18 +267,19 @@ def semilattice_check(p: RhoPoset) -> SemilatticeResult:
 
 
 def _gap_scan(p: RhoPoset) -> GapReport:
+    """Compare the order with its definition through one class table:
+    isomorphic representatives share a class id, and each class met is
+    subdivided once however many frontiers reach it."""
     n = len(p.classes)
     reps = [x.relabel(range(len(x.vertices)))  # on 0..n-1
             for x in (p.complexes[p.class_rep(c)] for c in range(n))]
-    inv = [iso_invariant(x) for x in reps]
+    table = _ClassTable()
+    ids = [table.intern(x) for x in reps]
     f0 = [0 if x.is_void else len(x.vertices) for x in reps]
 
-    iso_pairs = []
-    for a in range(n):
-        for b in range(a + 1, n):
-            if inv[a] == inv[b] and _iso(reps[a], reps[b]):
-                iso_pairs.append((p.class_rep(a), p.class_rep(b)))
-
+    iso_pairs = tuple((p.class_rep(a), p.class_rep(b))
+                      for a in range(n) for b in range(a + 1, n)
+                      if ids[a] == ids[b])
     subdivision_pairs = []
     truncated = False
     for a in range(n):
@@ -267,14 +288,13 @@ def _gap_scan(p: RhoPoset) -> GapReport:
         if not targets or reps[a].is_void:
             continue
         depth = max(f0[b] - f0[a] for b in targets)
-        frontiers, trunc = _subdivision_frontiers(reps[a], depth)
+        frontiers, trunc = _subdivision_frontiers(table, ids[a], depth)
         truncated = truncated or trunc
         for b in targets:
             d = f0[b] - f0[a]
-            if d <= len(frontiers) and any(
-                    _iso(z, reps[b]) for z in frontiers[d - 1].get(inv[b], ())):
+            if d <= len(frontiers) and ids[b] in frontiers[d - 1]:
                 subdivision_pairs.append((p.class_rep(a), p.class_rep(b)))
-    return GapReport(True, truncated, tuple(iso_pairs), tuple(subdivision_pairs))
+    return GapReport(True, truncated, iso_pairs, tuple(subdivision_pairs))
 
 
 def transitive_reduction(p: RhoPoset) -> tuple[tuple[int, int], ...]:

@@ -117,7 +117,8 @@ class LabeledComplex:
         object.__setattr__(self, "facets", tuple(masks))
         object.__setattr__(self, "_index", {v: i for i, v in enumerate(vertices)})
         # the facts that do not depend on labels, filled on first use and
-        # shared with every relabel: "faces", "f", "h", "gamma" and "sig"
+        # shared with every relabel: "faces", "f", "h", "gamma", "sig" and the
+        # isomorphism search "plan"
         object.__setattr__(self, "_cache", {})
 
     def __setattr__(self, *a):  # immutability by convention
@@ -258,14 +259,29 @@ class LabeledComplex:
         tbit = 1 << self._index[t]
         ebits = sbit | tbit
         rbit = 1 << len(self.vertices)
-        out = []
+        out, split = [], []
         for f in self.facets:
             if f & ebits == ebits:
                 out.append((f & ~sbit) | rbit)
                 out.append((f & ~tbit) | rbit)
+                split.append(f)
             else:
                 out.append(f)
-        return LabeledComplex(self.vertices + (fresh,), out)
+        child = LabeledComplex(self.vertices + (fresh,), out)
+        sig = self._cache.get("sig")
+        if sig is not None:  # only the vertices of the split facets gain sizes
+            r = len(self.vertices)
+            gain: dict[int, tuple[int, ...]] = {r: ()}
+            for f in split:
+                k = (f.bit_count(),)
+                for u in _bits(f & ~ebits):
+                    gain[u] = gain.get(u, ()) + k
+                gain[r] += k + k
+            sig = sig + [()]
+            for u, more in gain.items():
+                sig[u] = tuple(sorted(sig[u] + more))
+            child._cache["sig"] = sig
+        return child
 
     # -- enumerative invariants ---------------------------------------------
 
@@ -399,7 +415,9 @@ def is_isomorphic_constrained(x: LabeledComplex, y: LabeledComplex) -> dict | No
 
     A vertex may only go to a vertex of equal signature, and each facet of
     x is checked as soon as its last vertex in search order is assigned.
-    Returns the mapping of labels or None.
+    That plan depends on x alone and is cached with it, so a caller testing
+    many complexes against one passes that one as x.  Returns the mapping
+    of labels or None.
     """
     if x.is_void or y.is_void:
         return {} if (x.is_void and y.is_void) else None
@@ -411,14 +429,19 @@ def is_isomorphic_constrained(x: LabeledComplex, y: LabeledComplex) -> dict | No
     for w, s in enumerate(sig_y):
         by_sig.setdefault(s, []).append(1 << w)
     pools = [by_sig[s] for s in sig_x]
-    order = sorted(range(len(pools)), key=lambda v: (len(pools[v]), v))
-    # the facets of x by the search step that assigns their last vertex
-    due: list[list[tuple[int, ...]]] = []
-    rest, assigned = list(x.facets), 0
-    for v in order:
-        assigned |= 1 << v
-        due.append([tuple(_bits(f)) for f in rest if not f & ~assigned])
-        rest = [f for f in rest if f & ~assigned]
+    plan = x._cache.get("plan")  # x's signatures fix it, so relabels share it
+    if plan is None:
+        # rarest signature first; each facet of x, as vertex indices, is
+        # due at the search step that assigns its last vertex
+        order = sorted(range(len(pools)), key=lambda v: (len(pools[v]), v))
+        rank = {v: k for k, v in enumerate(order)}
+        due: list[list[tuple[int, ...]]] = [[] for _ in order]
+        for f in x.facets:
+            if f:
+                vs = tuple(_bits(f))
+                due[max(rank[u] for u in vs)].append(vs)
+        plan = x._cache["plan"] = (order, due)
+    order, due = plan
     y_facets = set(y.facets)
     image = [0] * len(order)  # assigned vertex of y, as a bit
 

@@ -132,6 +132,16 @@ def test_poset_stdout_deterministic(capsys):
     assert json.loads(out1)["word_count"] == 16
 
 
+def test_poset_gap_not_checked(capsys):
+    # B3 w0 has 42 reduced words, past the scan's limit
+    code, out, _ = run(capsys, "poset", "--group", "B3", "--pi", "w0")
+    assert code == 0
+    assert "definition gap: not checked (42 reduced words; the scan runs up to 24)" in out
+    code, out, _ = run(capsys, "poset", "--group", "B3", "--pi", "w0", "--json", "-")
+    assert json.loads(out)["gap"] == {
+        "checked": False, "truncated": False, "iso_pairs": [], "subdivision_pairs": []}
+
+
 def test_demo_i2(capsys):
     code, out, _ = run(capsys, "demo", "i2", "--m", "5")
     assert code == 0

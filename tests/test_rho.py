@@ -8,6 +8,7 @@ from coxsub.braid import apply_sequence, classify, move_context
 from coxsub.rhoposet import (GapReport, RhoPoset, SemilatticeResult, build_rho,
                              export_dot, poset_json, semilattice_check,
                              transitive_reduction)
+from coxsub.simplicial import is_isomorphic_constrained, iso_invariant
 
 
 def a3_instance() -> RhoPoset:
@@ -218,6 +219,92 @@ def test_gap_scan_two_letter_factors(Q, Qp, subdivisions):
     assert gap.checked and not gap.truncated
     assert len(gap.iso_pairs) == 2
     assert len(gap.subdivision_pairs) == subdivisions
+
+
+def test_gap_scan_truncated(capsys, monkeypatch):
+    # a cut frontier still reports true pairs, only fewer of them
+    A3 = system("A3")
+    args = ("poset", "--group", "A3", "--Q", "1,3", "--Qprime", "1,2", "--pi", "w0")
+    full = build_rho(A3, (1, 3), (1, 2), A3.longest_element()).gap
+    monkeypatch.setattr(rhoposet, "FRONTIER_CAP", 4)
+    gap = build_rho(A3, (1, 3), (1, 2), A3.longest_element()).gap
+    assert gap.checked and gap.truncated and not gap.clean
+    assert gap.iso_pairs == full.iso_pairs
+    assert 0 < len(gap.subdivision_pairs) < len(full.subdivision_pairs)
+    assert set(gap.subdivision_pairs) <= set(full.subdivision_pairs)
+    assert cli.main(list(args)) == 0
+    assert "subdivision pairs 5 (scan truncated)" in capsys.readouterr().out
+
+
+def _oracle_gap(p: RhoPoset) -> GapReport:
+    """The gap scan without a class table: every pair of representatives
+    searched directly, and each class's subdivision frontiers rebuilt
+    from its own representative."""
+    n = len(p.classes)
+    reps = [x.relabel(range(len(x.vertices)))
+            for x in (p.complexes[p.class_rep(c)] for c in range(n))]
+    inv = [iso_invariant(x) for x in reps]
+    f0 = [0 if x.is_void else len(x.vertices) for x in reps]
+
+    def iso(x, y):
+        return is_isomorphic_constrained(x, y) is not None
+
+    def frontiers_of(x, depth):
+        frontiers, cur = [], [x]
+        for _ in range(depth):
+            nxt, count = {}, 0
+            for z in cur:
+                fresh = len(z.vertices)
+                for e in z.edge_masks():
+                    w = z.edge_subdivide(((e & -e).bit_length() - 1, e.bit_length() - 1), fresh)
+                    bucket = nxt.setdefault(iso_invariant(w), [])
+                    if not any(iso(w, seen) for seen in bucket):
+                        bucket.append(w)
+                        count += 1
+                assert count <= rhoposet.FRONTIER_CAP  # no truncation here
+            frontiers.append(nxt)
+            cur = [w for bucket in nxt.values() for w in bucket]
+            if not cur:
+                break
+        return frontiers
+
+    iso_pairs = tuple((p.class_rep(a), p.class_rep(b))
+                      for a in range(n) for b in range(a + 1, n)
+                      if inv[a] == inv[b] and iso(reps[a], reps[b]))
+    subdivision_pairs = []
+    for a in range(n):
+        targets = [b for b in range(n)
+                   if b != a and not p.leq[a][b] and f0[b] > f0[a]]
+        if not targets or reps[a].is_void:
+            continue
+        frontiers = frontiers_of(reps[a], max(f0[b] - f0[a] for b in targets))
+        for b in targets:
+            d = f0[b] - f0[a]
+            if d <= len(frontiers) and any(
+                    iso(z, reps[b]) for z in frontiers[d - 1].get(inv[b], ())):
+                subdivision_pairs.append((p.class_rep(a), p.class_rep(b)))
+    return GapReport(True, False, iso_pairs, tuple(subdivision_pairs))
+
+
+def _short_words(rank: int):
+    return [()] + [(i,) for i in range(1, rank + 1)] + [
+        (i, j) for i in range(1, rank + 1) for j in range(1, rank + 1)]
+
+
+@pytest.mark.parametrize("name", ["A2", "B2", "I2:5", "I2:6", "A3"])
+def test_gap_scan_matches_per_class_frontiers(name):
+    W = system(name)
+    if name == "A3":  # the two-letter pairs are the ones with subdivision pairs
+        pairs = [((1, 2, 3), (3, 3, 2)), ((2, 2, 3), (2, 3, 3)),
+                 ((1, 3), (1, 2)), ((2, 1), (2, 1)), ((1, 3), (3, 2))]
+    else:
+        pairs = [(Q, Qp) for Q in _short_words(2) for Qp in _short_words(2)]
+    for Q, Qp in pairs:
+        p = build_rho(W, Q, Qp, W.longest_element())
+        got, want = p.gap, _oracle_gap(p)
+        assert got.checked and not got.truncated
+        assert (got.iso_pairs, got.subdivision_pairs) == \
+            (want.iso_pairs, want.subdivision_pairs), (Q, Qp)
 
 
 def _kernel_calls(monkeypatch) -> list:

@@ -4,8 +4,9 @@ import random
 import pytest
 
 from conftest import random_descriptor, spherical_complex
-from coxsub.simplicial import (LabeledComplex, is_isomorphic_constrained,
-                               iso_invariant, k_subdivide)
+from coxsub.simplicial import (LabeledComplex, _signatures,
+                               is_isomorphic_constrained, iso_invariant,
+                               k_subdivide)
 from coxsub.subword import build
 
 
@@ -115,6 +116,27 @@ def test_edge_subdivide_h_identity():
             assert h1[k] == h0[k] + add
 
 
+def test_edge_subdivide_derives_signatures():
+    # a subdivision derives its vertex signatures from its parent's; they
+    # must equal a fresh count over its facets, pure complexes or not
+    rng = random.Random(17)
+    starts = [spherical_complex(rng)[1] for _ in range(15)]
+    starts += [LabeledComplex.from_facets(
+        [rng.sample(range(6), rng.randrange(2, 5)) for _ in range(rng.randrange(2, 7))])
+        for _ in range(15)]
+    for x in starts:
+        _signatures(x)
+        for step in range(5):
+            edges = x.edge_masks()
+            if not edges:
+                break
+            e = rng.choice(edges)
+            ends = (x.vertices[(e & -e).bit_length() - 1], x.vertices[e.bit_length() - 1])
+            x = x.edge_subdivide(ends, f"r{step}")
+            derived = x._cache["sig"]
+            assert derived == _signatures(LabeledComplex(x.vertices, x.facets))
+
+
 def test_k_subdivide():
     sq = cycle(4)
     assert k_subdivide(sq, (1, 2), 0, []) == sq
@@ -160,6 +182,27 @@ def test_isomorphism_random_relabel():
         m = is_isomorphic_constrained(x, y)
         assert m is not None
         image = {frozenset(m[v] for v in f) for f in x.facet_label_sets()}
+        assert image == set(y.facet_label_sets())
+
+
+def test_isomorphism_plan_shared_through_relabel():
+    # the search plan cached on x serves every relabel of x, and the
+    # mapping it yields is in the relabel's own labels
+    rng = random.Random(19)
+    for _ in range(20):
+        _, x = spherical_complex(rng)
+        perm = list(x.vertices)
+        rng.shuffle(perm)
+        relabel = dict(zip(x.vertices, perm))
+        y = LabeledComplex.from_facets(
+            [tuple(relabel[v] for v in f) for f in x.facet_label_sets()])
+        assert is_isomorphic_constrained(x, y) is not None
+        named = x.relabel([f"v{k}" for k in range(len(x.vertices))])
+        plan = x._cache["plan"]
+        m = is_isomorphic_constrained(named, y)
+        assert named._cache["plan"] is plan
+        assert set(m) == set(named.vertices)
+        image = {frozenset(m[v] for v in f) for f in named.facet_label_sets()}
         assert image == set(y.facet_label_sets())
 
 
