@@ -43,7 +43,7 @@ from functools import cached_property
 from itertools import zip_longest
 
 from .coxeter import CoxeterSystem, GroupElement, Word
-from .simplicial import LabeledComplex, face_set
+from .simplicial import LabeledComplex, face_set, subdivide
 from .subword import SubwordDescriptor, build, position_complex
 
 
@@ -83,10 +83,6 @@ class BraidContext:
     @property
     def m(self) -> int:
         return self.system.m[self.i - 1, self.j - 1]
-
-    def swapped(self) -> "BraidContext":
-        """The same move read in the other direction (i and j exchanged)."""
-        return BraidContext(self.system, self.Q, self.Qp, self.j, self.i, self.pi)
 
     def window_word(self, k: int, side: int = 1) -> Word:
         """Alternating window of length m - k; side 2 starts with j."""
@@ -311,24 +307,6 @@ def verify_decomposition(facts: MoveFacts) -> DecompositionReport:
     return DecompositionReport(ok, tuple(checks), mismatches, facts.chain_checked)
 
 
-def check_A3B3_edges(f: MoveFacts) -> bool:
-    """No window edge skips a slot when both length-3 window conditions
-    hold and m > 3: {f_k, f_l} with f_k internal requires |k - l| = 1."""
-    m, q = f.m, f.q
-    if m <= 3:
-        raise ValueError("needs m > 3")
-    if not f.supported:  # for m > 3: both length-3 window conditions
-        raise ValueError("needs both length-3 window conditions")
-    # the universe bits of window slots 1..m on each side (slot[0] unused)
-    slots1 = [0] + [1 << (q + l - 1) for l in range(1, m + 1)]
-    slots2 = [0, slots1[m]] + [1 << (f.L + l - 2) for l in range(2, m)] + [slots1[1]]
-    for faces, slot in ((f.faces[0], slots1), (f.faces[1], slots2)):
-        if any(slot[k] | slot[l] in faces
-               for k in range(2, m) for l in range(1, m + 1) if abs(k - l) > 1):
-            return False
-    return True
-
-
 # -- polynomial bookkeeping -------------------------------------------------
 
 
@@ -428,23 +406,6 @@ class CaseReport:
         return CASE_NAMES[self.case]
 
 
-def _subdivide(facets, s: int, t: int, fresh) -> frozenset | None:
-    """Facet masks after the iterated edge subdivision of ``k_subdivide``,
-    on single bits: {s, t} at fresh[0], then {fresh[0], t} at fresh[1],
-    and so on.  None when no facet holds the edge {s, t}."""
-    if not any(x & s and x & t for x in facets):
-        return None
-    for r in fresh:
-        edge, out = s | t, set()
-        for x in facets:
-            if x & edge == edge:
-                out.update((x ^ s | r, x ^ t | r))
-            else:
-                out.add(x)
-        facets, s = out, r
-    return frozenset(facets)
-
-
 def _interface_expression_ok(f: MoveFacts, facets) -> bool:
     """Whether the complex with these universe facets has the faces
     (side 1 - d1_F) | d2_int, the common refinement's expression through
@@ -479,8 +440,8 @@ def classify(ctx: BraidContext, memo: dict | None = None) -> CaseReport:
         # from its first end onto the other side's internal window slots;
         # the side without the edge gives None (B2: side 1, A2: side 2)
         first, last, slots = 1 << f.q, 1 << (f.q + m - 1), range(m - 1, 1, -1)
-        sub1 = _subdivide(facets1, first, last, [1 << (f.L + l - 2) for l in slots])
-        sub2 = _subdivide(facets2, last, first, [first << (l - 1) for l in slots])
+        sub1 = subdivide(facets1, first, last, [1 << (f.L + l - 2) for l in slots])
+        sub2 = subdivide(facets2, last, first, [first << (l - 1) for l in slots])
         edge = (f_label(1), f_label(m))
         fresh_f, fresh_g = tuple(map(f_label, slots)), tuple(g_label(l, m) for l in slots)
         if case == 2:

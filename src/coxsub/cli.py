@@ -16,8 +16,7 @@ import json
 import os
 import sys
 
-from .braid import (CASE_NAMES, apply_sequence, classify, find_move_path,
-                    move_context)
+from .braid import apply_sequence, classify, find_move_path, move_context
 from .coxeter import CoxeterMatrix, CoxeterSystem
 from .rhoposet import GAP_SCAN_WORDS, _word_text, build_rho, export_dot, poset_json
 from .subword import SubwordDescriptor, complex_json, complex_summary

@@ -93,7 +93,7 @@ class CoxeterMatrix:
     def __init__(self, rows: Sequence[Sequence[int]], name: str | None = None,
                  coxeter_number: int | None = None):
         try:
-            rows = tuple(tuple(int(x) for x in r) for r in rows)
+            rows = tuple(tuple(map(_int, r)) for r in rows)
         except (TypeError, ValueError, OverflowError):
             raise ValueError("a Coxeter matrix is a list of rows of integers") from None
         n = len(rows)
@@ -199,6 +199,8 @@ class CoxeterMatrix:
             if "type" in spec:
                 family = str(spec["type"])
                 if family.upper().startswith("I2"):
+                    if "m" not in spec:
+                        raise ValueError("type I2 needs its order m")
                     return CoxeterMatrix.named(f"I2:{spec['m']}")
                 rank = spec.get("rank")
                 if rank is None:
@@ -419,14 +421,6 @@ class CoxeterSystem:
             g = self._times(g, s)
         return tuple(reversed(out))
 
-    def nil_reduce(self, word: Iterable[int]) -> Word:
-        """A reduced word for element_of(word)."""
-        return self.word_of(self.element_of(word))
-
-    def braid_move_positions(self, word: Iterable[int]) -> tuple[int, ...]:
-        """1-based positions where a braid move window starts."""
-        return tuple(move[0] for move in self._braid_moves(self._word(word)))
-
     def _braid_moves(self, w: Word):
         """Each braid move on the checked word w, left to right, as
         (pos, i, j, order, next word): the alternating window of letters
@@ -490,35 +484,6 @@ class CoxeterSystem:
             up = ~self._desc[g] & full
             g = self._times(g, (up & -up).bit_length() - 1)
         return self._elements[g]
-
-    def c_sorting_word(self, c: Iterable[int], g: GroupElement) -> Word:
-        """Lexicographically first reduced word of g as a subword of c^infinity.
-
-        c must be a reduced word using every generator exactly once.
-        """
-        cw = _as_word(c)
-        if sorted(cw) != list(range(1, self.rank + 1)):
-            raise ValueError("c must contain each generator exactly once")
-        desc = self._desc
-        u = 0
-        vinv = self._id(self.inverse(g))  # (u^{-1} g)^{-1}, updated as g^{-1} u
-        remaining = self.length(g)
-        out: list[int] = []
-        while remaining > 0:
-            took_any = False
-            for s in cw:
-                # descend toward g while keeping the prefix reduced
-                if desc[vinv] >> (s - 1) & 1 and not desc[u] >> (s - 1) & 1:
-                    u = self._times(u, s - 1)
-                    vinv = self._times(vinv, s - 1)
-                    out.append(s)
-                    remaining -= 1
-                    took_any = True
-                    if remaining == 0:
-                        break
-            if not took_any:
-                raise ValueError("sorting word stalled; element unreachable")
-        return tuple(out)
 
     # -- reduced subwords ---------------------------------------------------
 

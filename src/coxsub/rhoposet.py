@@ -73,7 +73,6 @@ class RhoPoset:
     Qp: Word
     pi: GroupElement
     words: tuple[Word, ...]
-    complexes: dict  # word -> LabeledComplex on 1-based full-word positions
     edges: tuple[MoveEdge, ...]
     classes: tuple[tuple[Word, ...], ...]
     class_of: dict  # word -> class index
@@ -82,10 +81,6 @@ class RhoPoset:
     violations: tuple
     semilattice: SemilatticeResult
     gap: GapReport
-
-    @property
-    def elements(self) -> tuple[Word, ...]:
-        return self.words
 
     def class_rep(self, c: int) -> Word:
         return self.classes[c][0]
@@ -172,9 +167,6 @@ def build_rho(system: CoxeterSystem, Q, Qp, pi: GroupElement,
     words = system.reduced_words(pi, cap=cap)
     index = {w: k for k, w in enumerate(words)}
     memo: dict = {}
-    complexes = {
-        w: build(SubwordDescriptor(system, Q + w + Qp, pi), memo) for w in words
-    }
 
     parent = list(range(len(words)))
 
@@ -226,13 +218,13 @@ def build_rho(system: CoxeterSystem, Q, Qp, pi: GroupElement,
     antisymmetric = not violations and not anti_bad
     leq = tuple(tuple(row) for row in leq_rows)
 
-    poset = RhoPoset(system, Q, Qp, pi, words, complexes, tuple(edges),
+    poset = RhoPoset(system, Q, Qp, pi, words, tuple(edges),
                      classes, class_of, leq, antisymmetric,
                      violations + anti_bad,
                      SemilatticeResult(applicable=False),
                      GapReport(checked=False))
     semilattice = semilattice_check(poset) if antisymmetric else poset.semilattice
-    gap = _gap_scan(poset) if len(words) <= GAP_SCAN_WORDS else poset.gap
+    gap = _gap_scan(poset, memo) if len(words) <= GAP_SCAN_WORDS else poset.gap
     return replace(poset, semilattice=semilattice, gap=gap)
 
 
@@ -266,13 +258,16 @@ def semilattice_check(p: RhoPoset) -> SemilatticeResult:
     return SemilatticeResult(True, meet, join, meet_cert, join_cert)
 
 
-def _gap_scan(p: RhoPoset) -> GapReport:
+def _gap_scan(p: RhoPoset, memo: dict) -> GapReport:
     """Compare the order with its definition through one class table:
     isomorphic representatives share a class id, and each class met is
-    subdivided once however many frontiers reach it."""
+    subdivided once however many frontiers reach it.  The class
+    representatives are built through ``memo`` (see ``subword.build``)."""
     n = len(p.classes)
-    reps = [x.relabel(range(len(x.vertices)))  # on 0..n-1
-            for x in (p.complexes[p.class_rep(c)] for c in range(n))]
+    reps = []
+    for c in range(n):
+        x = build(SubwordDescriptor(p.system, p.Q + p.class_rep(c) + p.Qp, p.pi), memo)
+        reps.append(x.relabel(range(len(x.vertices))))  # on 0..n-1
     table = _ClassTable()
     ids = [table.intern(x) for x in reps]
     f0 = [0 if x.is_void else len(x.vertices) for x in reps]

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 from operator import index as _int
-from typing import Hashable, Iterable, Sequence
+from typing import Collection, Hashable, Iterable, Sequence
 
 from .backend import active as _K
 
@@ -31,7 +31,8 @@ Label = Hashable
 
 MAX_VERTICES = 62  # as many as a word has letters (coxeter.MAX_WORD_LETTERS)
 # Faces are Python ints, some 36 bytes each in a list: past this many
-# submasks (about 150 MB) an enumeration, or is_flag's search, stops.
+# submasks (about 150 MB) an enumeration, or is_flag's search, stops, and
+# past this many facets a subword complex is not built.
 MAX_FACES = 1 << 22
 FACE_LIMIT_ERROR = f"face enumeration too large (limit {MAX_FACES} faces)"
 
@@ -100,7 +101,7 @@ class LabeledComplex:
     Equality and hashing read the facets alone because of it.
     """
 
-    __slots__ = ("vertices", "facets", "_index", "_cache")
+    __slots__ = ("vertices", "facets", "_cache")
 
     def __init__(self, vertices: Sequence[Label], facet_masks: Iterable[int]):
         vertices = tuple(vertices)
@@ -115,7 +116,6 @@ class LabeledComplex:
                 raise ValueError("facet mask uses unknown vertices")
         object.__setattr__(self, "vertices", vertices)
         object.__setattr__(self, "facets", tuple(masks))
-        object.__setattr__(self, "_index", {v: i for i, v in enumerate(vertices)})
         # the facts that do not depend on labels, filled on first use and
         # shared with every relabel: "faces", "f", "h", "gamma", "sig" and the
         # isomorphism search "plan"
@@ -185,24 +185,6 @@ class LabeledComplex:
             edges.update(a | b for k, a in enumerate(bits) for b in bits[k + 1:])
         return sorted(edges)
 
-    def face_label_sets(self) -> frozenset[frozenset]:
-        verts = self.vertices
-        return frozenset(frozenset(verts[i] for i in _bits(m))
-                         for m in self.faces_masks())
-
-    def _mask_of_labels(self, labels: Iterable[Label]) -> int:
-        try:
-            return _mask_of(self._index[v] for v in labels)
-        except KeyError as err:
-            raise ValueError(f"label {err.args[0]!r} is not a vertex") from None
-
-    def has_face(self, labels: Iterable[Label]) -> bool:
-        labels = tuple(labels)
-        if not all(v in self._index for v in labels):
-            return False
-        mask = self._mask_of_labels(labels)
-        return any(mask & f == mask for f in self.facets)
-
     def __eq__(self, other) -> bool:
         """Equality as face sets over labels, decided on the facets;
         vertex order is irrelevant."""
@@ -233,46 +215,29 @@ class LabeledComplex:
         out = object.__new__(LabeledComplex)
         object.__setattr__(out, "vertices", labels)
         object.__setattr__(out, "facets", self.facets)
-        object.__setattr__(out, "_index", {v: i for i, v in enumerate(labels)})
         object.__setattr__(out, "_cache", self._cache)
         return out
 
-    def link(self, face: Iterable[Label]) -> "LabeledComplex":
-        face = tuple(face)
-        if not self.has_face(face):
-            raise ValueError(f"{face!r} is not a face")
-        mask = self._mask_of_labels(face)
-        sub = [f & ~mask for f in self.facets if f & mask == mask]
-        return LabeledComplex.from_facets(
-            [frozenset(self.vertices[i] for i in _bits(f)) for f in sub],
-            vertex_order=self.vertices,
-        )
-
     def edge_subdivide(self, edge: Iterable[Label], fresh: Label) -> "LabeledComplex":
-        """Subdivide along an edge: facets containing it split at a new vertex."""
+        """Subdivide along an edge: facets containing it split at a new
+        vertex, appended as the last one (``subdivide`` with one step)."""
         s, t = tuple(edge)
-        if not self.has_face((s, t)):
-            raise ValueError(f"{{{s!r}, {t!r}}} is not an edge of the complex")
-        if fresh in self._index:
+        verts = self.vertices
+        if fresh in verts:
             raise ValueError(f"fresh label {fresh!r} is already a vertex")
-        sbit = 1 << self._index[s]
-        tbit = 1 << self._index[t]
-        ebits = sbit | tbit
-        rbit = 1 << len(self.vertices)
-        out, split = [], []
-        for f in self.facets:
-            if f & ebits == ebits:
-                out.append((f & ~sbit) | rbit)
-                out.append((f & ~tbit) | rbit)
-                split.append(f)
-            else:
-                out.append(f)
-        child = LabeledComplex(self.vertices + (fresh,), out)
+        out = None
+        if s in verts and t in verts:
+            sbit, tbit = 1 << verts.index(s), 1 << verts.index(t)
+            out = subdivide(self.facets, sbit, tbit, (1 << len(verts),))
+        if out is None:
+            raise ValueError(f"{{{s!r}, {t!r}}} is not an edge of the complex")
+        child = LabeledComplex(verts + (fresh,), out)
         sig = self._cache.get("sig")
         if sig is not None:  # only the vertices of the split facets gain sizes
-            r = len(self.vertices)
+            r = len(verts)
             gain: dict[int, tuple[int, ...]] = {r: ()}
-            for f in split:
+            ebits = sbit | tbit
+            for f in (f for f in self.facets if f & ebits == ebits):
                 k = (f.bit_count(),)
                 for u in _bits(f & ~ebits):
                     gain[u] = gain.get(u, ()) + k
@@ -369,25 +334,22 @@ class LabeledComplex:
         return True
 
 
-def k_subdivide(x: LabeledComplex, edge: Sequence[Label], k: int,
-                fresh: Sequence[Label]) -> LabeledComplex:
-    """Iterated edge subdivision.
-
-    The edge (s, t) is ordered: the i-th step subdivides {r_{i-1}, t}
-    with the new vertex r_i, starting from r_0 = s.  fresh supplies
-    r_1..r_k.
-    """
-    s, t = edge
-    if len(fresh) != k:
-        raise ValueError("need exactly k fresh labels")
-    cur = x
-    prev = s
+def subdivide(facets: Collection[int], s: int, t: int,
+              fresh: Iterable[int]) -> frozenset | None:
+    """Facet masks after the iterated edge subdivision of the edge {s, t}
+    (single bits): {s, t} at fresh[0], then {fresh[0], t} at fresh[1], and
+    so on.  None when s == t or no facet holds the edge."""
+    if s == t or not any(x & s and x & t for x in facets):
+        return None
     for r in fresh:
-        cur = cur.edge_subdivide((prev, t), r)
-        prev = r
-    return cur
-
-
+        edge, out = s | t, set()
+        for x in facets:
+            if x & edge == edge:
+                out.update((x ^ s | r, x ^ t | r))
+            else:
+                out.add(x)
+        facets, s = out, r
+    return frozenset(facets)
 
 
 def _signatures(c: LabeledComplex) -> list[tuple[int, ...]]:

@@ -18,7 +18,7 @@ from functools import reduce
 from operator import or_
 
 from .coxeter import CoxeterSystem, GroupElement, Word
-from .simplicial import LabeledComplex, scatter_bits
+from .simplicial import FACE_LIMIT_ERROR, MAX_FACES, LabeledComplex, scatter_bits
 
 
 @dataclass(frozen=True)
@@ -44,13 +44,6 @@ class SubwordDescriptor:
             raise ValueError("position labels must be pairwise distinct")
         object.__setattr__(self, "labels", labels)
 
-    def position_of(self, label) -> int:
-        """0-based position carrying the given label."""
-        try:
-            return self.labels.index(label)
-        except ValueError:
-            raise KeyError(f"unknown position label {label!r}") from None
-
 
 class PositionComplex:
     """Delta(word; pi) with the used 0-based word positions as vertices.
@@ -67,12 +60,17 @@ class PositionComplex:
         letters = tuple(s - 1 for s in word)
         # Demazure criterion: the complex is a sphere iff Dem(word) = pi
         self.spherical = system._demazure(letters) == system._id(pi)
+        # h first: it sums to the facet count, which bounds the kernel's work
+        h = system._subword_h(letters, pi)
+        if h is None:
+            self.word_facets = []
+            self.complex = LabeledComplex.void()
+            return
+        if sum(h) > MAX_FACES:
+            raise ValueError(FACE_LIMIT_ERROR)
         full = (1 << len(word)) - 1
         # every facet as a mask over word positions, bit p for position p
         self.word_facets = facets = [full ^ mk for mk in system._subword_masks(letters, pi)]
-        if not facets:
-            self.complex = LabeledComplex.void()
-            return
         used = reduce(or_, facets)
         # compress to the used positions, bit p to the number of used ones
         # below it; every facet has |word| - l(pi) positions, so the facets
@@ -80,7 +78,7 @@ class PositionComplex:
         packed = scatter_bits(facets, [(used & ((1 << p) - 1)).bit_count()
                                        for p in range(len(word))])
         self.complex = LabeledComplex([p for p in range(len(word)) if used >> p & 1], packed)
-        self.complex._know_h(system._subword_h(letters, pi))
+        self.complex._know_h(h)
 
     @property
     def word_faces(self) -> tuple[int, ...]:
@@ -119,43 +117,6 @@ def build(d: SubwordDescriptor, memo: dict | None = None) -> LabeledComplex:
     """
     entry = position_complex(d.system, d.word, d.pi, {} if memo is None else memo)
     return entry.relabel(d.labels)
-
-
-def is_face(d: SubwordDescriptor, face) -> bool:
-    """Whether the label set ``face`` is a face of the subword complex.
-
-    Works directly from the definition, so it does not require building
-    the whole complex; unknown labels raise.
-    """
-    drop = {d.position_of(lab) for lab in face}
-    rest = tuple(d.word[p] for p in range(len(d.word)) if p not in drop)
-    return d.system.contains_reduced(rest, d.pi)
-
-
-def is_spherical(d: SubwordDescriptor) -> bool:
-    """Demazure criterion: the complex is a sphere iff dem(Q) = pi."""
-    return d.system.demazure_product(d.word) == d.pi
-
-
-def link_oracle_check(d: SubwordDescriptor, face) -> bool:
-    """Compare Lk(face) against the complex of the word with ``face`` deleted.
-
-    The two complexes share their labels, so the comparison is literal
-    face-set equality.  Raises when ``face`` is not a face.
-    """
-    x = build(d)
-    face = tuple(face)
-    drop = {d.position_of(lab) for lab in face}
-    if not x.has_face(face):
-        raise ValueError(f"{face!r} is not a face")
-    keep = [p for p in range(len(d.word)) if p not in drop]
-    shortened = SubwordDescriptor(
-        d.system,
-        tuple(d.word[p] for p in keep),
-        d.pi,
-        labels=tuple(d.labels[p] for p in keep),
-    )
-    return x.link(face) == build(shortened)
 
 
 def complex_summary(x: LabeledComplex) -> dict:

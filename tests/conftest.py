@@ -1,13 +1,15 @@
-"""Shared builders for the test suite: cached small systems, a brute-force
-subword oracle, and seeded random context/complex generators."""
+"""Shared builders for the test suite: cached small systems, brute-force
+subword oracles, label-set oracles on complexes, and seeded random
+context/complex generators."""
 
 from __future__ import annotations
 
 import itertools
 import random
 
-from coxsub.braid import BraidContext
+from coxsub.braid import BraidContext, MoveFacts
 from coxsub.coxeter import CoxeterMatrix, CoxeterSystem
+from coxsub.simplicial import LabeledComplex
 from coxsub.subword import SubwordDescriptor, build
 
 _SYSTEMS: dict = {}
@@ -94,3 +96,77 @@ def spherical_complex(rng: random.Random, names=("A2", "A3", "B3"),
         x = build(d)
         if not x.is_void:
             return d, x
+
+
+# -- label-set oracles on complexes ---------------------------------------------
+
+
+def face_label_sets(x: LabeledComplex) -> frozenset[frozenset]:
+    """Every face of x as a set of vertex labels."""
+    return frozenset(frozenset(x.vertices[i] for i in range(len(x.vertices)) if m >> i & 1)
+                     for m in x.faces_masks())
+
+
+def has_face(x: LabeledComplex, labels) -> bool:
+    """Whether the labels span a face of x; unknown labels span none."""
+    face = frozenset(labels)
+    return face <= set(x.vertices) and any(face <= f for f in x.facet_label_sets())
+
+
+def link(x: LabeledComplex, face) -> LabeledComplex:
+    """Lk(face): the facets through the face, with the face removed."""
+    face = frozenset(face)
+    if not has_face(x, face):
+        raise ValueError(f"{sorted(face, key=str)!r} is not a face")
+    return LabeledComplex.from_facets([f - face for f in x.facet_label_sets() if face <= f],
+                                      vertex_order=x.vertices)
+
+
+def k_subdivide(x: LabeledComplex, edge, k: int, fresh) -> LabeledComplex:
+    """Iterated edge subdivision on label sets: the edge (s, t) is
+    ordered, and the i-th step subdivides {r_(i-1), t} at the new vertex
+    r_i, starting from r_0 = s; fresh supplies r_1..r_k, appended to the
+    vertex order in turn."""
+    s, t = edge
+    if len(fresh) != k:
+        raise ValueError("need exactly k fresh labels")
+    if s == t or not has_face(x, edge):
+        raise ValueError(f"{edge!r} is not an edge")
+    facets = x.facet_label_sets()
+    for r in fresh:
+        e = frozenset((s, t))
+        facets = [g for f in facets
+                  for g in ((f - {s} | {r}, f - {t} | {r}) if e <= f else (f,))]
+        s = r
+    return LabeledComplex.from_facets(facets, vertex_order=x.vertices + tuple(fresh))
+
+
+def link_oracle_check(d: SubwordDescriptor, face) -> bool:
+    """Compare Lk(face) against the complex of the word with ``face``
+    deleted (Knutson-Miller 2004).  The two complexes share their labels,
+    so the comparison is literal face-set equality.  Raises when ``face``
+    is not a face."""
+    x = build(d)
+    drop = {d.labels.index(lab) for lab in face}
+    keep = [p for p in range(len(d.word)) if p not in drop]
+    shortened = SubwordDescriptor(d.system, tuple(d.word[p] for p in keep), d.pi,
+                                  labels=tuple(d.labels[p] for p in keep))
+    return link(x, face) == build(shortened)
+
+
+def check_A3B3_edges(f: MoveFacts) -> bool:
+    """No window edge skips a slot when both length-3 window conditions
+    hold and m > 3: {f_k, f_l} with f_k internal requires |k - l| = 1."""
+    m, q = f.m, f.q
+    if m <= 3:
+        raise ValueError("needs m > 3")
+    if not f.supported:  # for m > 3: both length-3 window conditions
+        raise ValueError("needs both length-3 window conditions")
+    # the universe bits of window slots 1..m on each side (slot[0] unused)
+    slots1 = [0] + [1 << (q + l - 1) for l in range(1, m + 1)]
+    slots2 = [0, slots1[m]] + [1 << (f.L + l - 2) for l in range(2, m)] + [slots1[1]]
+    for faces, slot in ((f.faces[0], slots1), (f.faces[1], slots2)):
+        if any(slot[k] | slot[l] in faces
+               for k in range(2, m) for l in range(1, m + 1) if abs(k - l) > 1):
+            return False
+    return True

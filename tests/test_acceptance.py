@@ -12,15 +12,13 @@ import time
 
 import pytest
 
-from conftest import (brute_facets, random_context, random_descriptor,
-                      spherical_complex, system)
+from conftest import (brute_facets, face_label_sets, has_face, link, link_oracle_check,
+                      random_context, random_descriptor, spherical_complex, system)
 from coxsub.braid import (BraidContext, MoveFacts, apply_sequence, classify,
                           condition, f_label, subfamilies, tilde,
                           verify_decomposition)
 from coxsub.rhoposet import build_rho, poset_json
-from coxsub.simplicial import LabeledComplex
-from coxsub.subword import (SubwordDescriptor, build, complex_json,
-                            link_oracle_check)
+from coxsub.subword import SubwordDescriptor, build, complex_json
 
 # descriptors and complexes built while running criteria 1-8; criterion 9
 # replays the sphericity bookkeeping over all of them
@@ -101,7 +99,7 @@ def test_criterion_04_duplicated_letters_square():
     d = _note(SubwordDescriptor(A2, (1, 1, 2, 2, 1), A2.longest_element()))
     x = build(d)
     ok = (x.f_vector() == (4, 4)
-          and not x.has_face((1, 2)) and not x.has_face((3, 4))
+          and not has_face(x, (1, 2)) and not has_face(x, (3, 4))
           and 5 not in x.vertices)
     _line(4, ok, "square boundary: non-faces {1,2},{3,4}; position 5 dropped")
 
@@ -145,8 +143,8 @@ def test_criterion_06_structural_suite():
         chained += dec.chain_checked
         # endpoint-edge pairing and window-condition monotonicity
         edge = (f_label(1), f_label(m))
-        assert condition(ctx, "B", 2) == (not d1x.has_face(edge))
-        assert condition(ctx, "A", 2) == (not d2x.has_face(edge))
+        assert condition(ctx, "B", 2) == (not has_face(d1x, edge))
+        assert condition(ctx, "A", 2) == (not has_face(d2x, edge))
         for which in ("A", "B"):
             vals = [condition(ctx, which, k) for k in range(m + 1)]
             assert all(b or not a for a, b in zip(vals, vals[1:]))
@@ -179,7 +177,7 @@ def test_criterion_07_oracle_equivalence():
         x = build(d)
         if x.is_void or not x.vertices:
             continue
-        faces = sorted(x.face_label_sets(),
+        faces = sorted(face_label_sets(x),
                        key=lambda f: (len(f), sorted(map(str, f))))
         face = tuple(faces[rng.randrange(len(faces))])
         assert link_oracle_check(d, face)
@@ -194,7 +192,7 @@ def test_criterion_08_subdivision_h_and_flagness():
         d, x = spherical_complex(rng)
         if not x.is_flag():
             continue
-        edges = sorted((tuple(sorted(f, key=str)) for f in x.face_label_sets()
+        edges = sorted((tuple(sorted(f, key=str)) for f in face_label_sets(x)
                         if len(f) == 2))
         if not edges:
             continue
@@ -202,7 +200,7 @@ def test_criterion_08_subdivision_h_and_flagness():
         edge = edges[rng.randrange(len(edges))]
         sub = x.edge_subdivide(edge, "star")
         h0, h1 = x.h_vector(), sub.h_vector()
-        link_h = x.link(edge).h_vector()
+        link_h = link(x, edge).h_vector()
         for k in range(len(h0)):
             add = link_h[k - 1] if 1 <= k <= len(link_h) else 0
             assert h1[k] == h0[k] + add
@@ -242,7 +240,7 @@ def test_criterion_10_reduced_word_order():
     w0 = A3.longest_element()
     p = build_rho(A3, (1, 2, 3), (), w0)
     q = build_rho(A3, (1, 2, 3), (), w0)
-    assert len(p.elements) == 16
+    assert len(p.words) == 16
     assert p.antisymmetric
     assert all(e.verified for e in p.edges if e.lower is not None)
     sl = p.semilattice

@@ -49,6 +49,18 @@ def test_complex_past_the_face_limit(capsys):
     assert doc["gamma"][0] == 1
 
 
+def test_complex_facet_count_past_the_limit(capsys, monkeypatch):
+    # (1,2,3,4)^15 in B4 has 6,892,441,920 facets: refused from h, before
+    # the kernel runs
+    from coxsub import backend
+
+    monkeypatch.setattr(backend.active, "reduced_subword_masks", None)
+    code, out, err = run(capsys, "complex", "--group", "B4",
+                         "--word", ",".join(["1,2,3,4"] * 15), "--pi", "w0")
+    assert code == 2 and out == ""
+    assert "face enumeration too large" in err
+
+
 def test_complex_builds_once(capsys, monkeypatch):
     from coxsub import backend
 
@@ -184,6 +196,13 @@ def test_bad_input_exit_codes(capsys):
     code, _, err = run(capsys, "complex", "--group", "I2:40000",
                        "--word", "1,2", "--pi", "1")
     assert code == 2 and "limited to 1000 roots" in err
+    # a non-integral entry is refused, not truncated to A2
+    code, _, err = run(capsys, "complex", "--group", '{"matrix": [[1, 3.9], [3.9, 1]]}',
+                       "--word", "1,2,1", "--pi", "w0")
+    assert code == 2 and "list of rows of integers" in err
+    code, _, err = run(capsys, "complex", "--group", '{"type": "I2"}',
+                       "--word", "1,2,1", "--pi", "w0")
+    assert code == 2 and "order m" in err
 
 
 def test_group_spec_file(capsys, tmp_path):
@@ -215,11 +234,21 @@ PINNED = [
     (("classify", "--group", "A3", "--word", "1,1,2,1", "--pos", "2", "--pi", "1",
       "--json"),
      "2c093fc14c021f5fc0bc971457f8536c34d888cb4dc7735f816b4de5051b25d5"),
+    # an order whose gap scan finds subdivision pairs, as JSON and as DOT
+    (("poset", "--group", "A3", "--Q", "1,2,3", "--Qprime", "3,3,2", "--pi", "w0",
+      "--json", "-"),
+     "a56083efbefe48259c771bedbb59dfa0c93e06a58edca45e750407a0aaec69d0"),
+    (("poset", "--group", "A3", "--Q", "1,2,3", "--Qprime", "3,3,2", "--pi", "w0",
+      "--dot", "-"),
+     "f07f40697eb257dfbc016a83b5b557fa65232f455a64d3fe5af5661505fd8ec5"),
+    (("complex", "--group", "A2", "--word", "1,2,1,2,1", "--pi", "w0", "--json"),
+     "172869ea79525533e0f5c0e18e17f2e5c6ff287c25730d3b81a37d4e2855758b"),
 ]
 
 
 @pytest.mark.parametrize("argv,digest", PINNED,
-                         ids=["demo", "chain", "poset", "case2", "case3", "case4"])
+                         ids=["demo", "chain", "poset", "case2", "case3", "case4",
+                              "gap_json", "gap_dot", "complex"])
 def test_worked_examples_pinned(capsys, argv, digest):
     code, out, _ = run(capsys, *argv)
     assert code == 0

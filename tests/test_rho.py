@@ -3,12 +3,13 @@ import json
 import pytest
 
 from conftest import system
-from coxsub import backend, cli, rhoposet
+from coxsub import backend, cli, rhoposet, subword
 from coxsub.braid import apply_sequence, classify, move_context
 from coxsub.rhoposet import (GapReport, RhoPoset, SemilatticeResult, build_rho,
                              export_dot, poset_json, semilattice_check,
                              transitive_reduction)
 from coxsub.simplicial import is_isomorphic_constrained, iso_invariant
+from coxsub.subword import SubwordDescriptor, build
 
 
 def a3_instance() -> RhoPoset:
@@ -19,7 +20,7 @@ def a3_instance() -> RhoPoset:
 def test_identity_poset():
     A3 = system("A3")
     p = build_rho(A3, (), (), A3.identity)
-    assert p.elements == ((),)
+    assert p.words == ((),)
     assert p.classes == (((),),)
     assert p.leq == ((True,),)
     assert p.antisymmetric
@@ -30,7 +31,7 @@ def test_identity_poset():
 def test_two_word_merge():
     A2 = system("A2")
     p = build_rho(A2, (), (), A2.longest_element())
-    assert p.elements == ((1, 2, 1), (2, 1, 2))
+    assert p.words == ((1, 2, 1), (2, 1, 2))
     assert len(p.edges) == 1
     e = p.edges[0]
     assert e.case == 1 and e.verified and e.lower is None
@@ -44,7 +45,7 @@ def test_two_word_merge():
 
 def test_a3_instance_frozen():
     p = a3_instance()
-    assert len(p.elements) == 16
+    assert len(p.words) == 16
     assert len(p.classes) == 6
     cases = {}
     for e in p.edges:
@@ -82,8 +83,8 @@ def test_every_cover_edge_verified():
         assert e.verified and e.report.witness_ok
         assert e.report.case in (2, 3)
         # f0 grows strictly toward the finer complex
-        low = p.complexes[e.lower]
-        up = p.complexes[e.upper]
+        low, up = (build(SubwordDescriptor(p.system, p.Q + w + p.Qp, p.pi))
+                   for w in (e.lower, e.upper))
         assert len(up.vertices) == len(low.vertices) + e.report.m - 2
 
 
@@ -156,7 +157,7 @@ def test_poset_json_shape():
 def test_semilattice_on_synthetic_orders():
     def make(leq, words):
         classes = tuple((w,) for w in words)
-        return RhoPoset(None, (), (), None, tuple(words), {}, (), classes,
+        return RhoPoset(None, (), (), None, tuple(words), (), classes,
                         {w: k for k, w in enumerate(words)}, leq, True, (),
                         SemilatticeResult(applicable=False), GapReport(False))
 
@@ -189,7 +190,7 @@ def test_semilattice_on_synthetic_orders():
 
 
 def test_semilattice_requires_antisymmetry():
-    p = RhoPoset(None, (), (), None, ((1,),), {}, (), (((1,),),), {(1,): 0},
+    p = RhoPoset(None, (), (), None, ((1,),), (), (((1,),),), {(1,): 0},
                  ((True,),), False, (((1,), (1,)),),
                  SemilatticeResult(applicable=False), GapReport(False))
     with pytest.raises(ValueError):
@@ -242,7 +243,8 @@ def _oracle_gap(p: RhoPoset) -> GapReport:
     from its own representative."""
     n = len(p.classes)
     reps = [x.relabel(range(len(x.vertices)))
-            for x in (p.complexes[p.class_rep(c)] for c in range(n))]
+            for x in (build(SubwordDescriptor(p.system, p.Q + p.class_rep(c) + p.Qp, p.pi))
+                      for c in range(n))]
     inv = [iso_invariant(x) for x in reps]
     f0 = [0 if x.is_void else len(x.vertices) for x in reps]
 
@@ -320,16 +322,36 @@ def _kernel_calls(monkeypatch) -> list:
     return seen
 
 
+def _position_complexes(monkeypatch) -> list:
+    """Record the (word, pi) and the made entry of every position complex."""
+    made = []
+    cls = subword.PositionComplex
+
+    def counted(system, word, pi):
+        entry = cls(system, word, pi)
+        made.append(((word, pi), entry))
+        return entry
+
+    monkeypatch.setattr(subword, "PositionComplex", counted)
+    return made
+
+
 def test_each_complex_built_once(monkeypatch):
     A3 = system("A3")
     w0 = A3.longest_element()
+    made = _position_complexes(monkeypatch)
     seen = _kernel_calls(monkeypatch)
     p = build_rho(A3, (1, 1), (1, 3), w0)
-    # 16 side words and 24 shortened-window words, each enumerated once
-    assert len(seen) == len(set(seen)) == 40
+    # 16 side words and 24 shortened-window words, each made once; the
+    # kernel runs once for each complex that is not void
+    keys = [key for key, _ in made]
+    assert len(keys) == len(set(keys)) == 40
+    assert len(seen) == len(set(seen)) == sum(not e.complex.is_void for _, e in made) == 18
     assert len(p.edges) == 18
+    made.clear()
     seen.clear()
     rep = apply_sequence(A3, cli.CHAIN_START, w0, cli.CHAIN_MOVES)
-    assert len(seen) == len(set(seen)) == 21
-    letters = {word for word, _ in seen}
-    assert all(tuple(s - 1 for s in w) in letters for w in rep.words)
+    keys = [key for key, _ in made]
+    assert len(keys) == len(set(keys)) == 21
+    assert len(seen) == len(set(seen)) == sum(not e.complex.is_void for _, e in made) == 14
+    assert {(w, w0) for w in rep.words} <= set(keys)

@@ -3,10 +3,10 @@ import random
 
 import pytest
 
-from conftest import random_descriptor, spherical_complex
-from coxsub.simplicial import (LabeledComplex, _signatures,
-                               is_isomorphic_constrained, iso_invariant,
-                               k_subdivide)
+from conftest import (face_label_sets, has_face, k_subdivide, link, random_descriptor,
+                      spherical_complex)
+from coxsub.simplicial import (LabeledComplex, _signatures, is_isomorphic_constrained,
+                               iso_invariant)
 from coxsub.subword import build
 
 
@@ -44,8 +44,8 @@ def test_pentagon_counts():
     assert pent.h_vector() == (1, 3, 1)
     assert pent.gamma().coeffs == (1, 1)
     assert pent.dim == 1 and pent.is_flag()
-    assert pent.has_face((1, 2)) and not pent.has_face((1, 3))
-    assert not pent.has_face(("nope",))
+    assert has_face(pent, (1, 2)) and not has_face(pent, (1, 3))
+    assert not has_face(pent, ("nope",))
 
 
 def test_triangle_boundary_not_flag():
@@ -72,28 +72,30 @@ def test_octahedron():
     assert octa.h_vector() == (1, 3, 3, 1)
     assert octa.gamma().coeffs == (1, 0)
     assert octa.is_flag()
-    assert octa.link((1,)) == cycle(4, [2, 3, 5, 6])
+    assert link(octa, (1,)) == cycle(4, [2, 3, 5, 6])
 
 
 def test_link():
     pent = cycle(5)
-    assert sorted(map(sorted, pent.link((1,)).facet_label_sets())) == [[2], [5]]
-    assert pent.link((1, 2)) == LabeledComplex.empty_face_only()
-    assert pent.link(()) == pent
+    assert sorted(map(sorted, link(pent, (1,)).facet_label_sets())) == [[2], [5]]
+    assert link(pent, (1, 2)) == LabeledComplex.empty_face_only()
+    assert link(pent, ()) == pent
     with pytest.raises(ValueError):
-        pent.link((1, 3))
+        link(pent, (1, 3))
 
 
 def test_edge_subdivide():
     sq = cycle(4)
     s = sq.edge_subdivide((1, 2), "x")
     assert s.f_vector() == (5, 5)
-    assert s.has_face((1, "x")) and s.has_face((2, "x")) and not s.has_face((1, 2))
+    assert has_face(s, (1, "x")) and has_face(s, (2, "x")) and not has_face(s, (1, 2))
     assert is_isomorphic_constrained(s, cycle(5)) is not None
-    with pytest.raises(ValueError):
-        sq.edge_subdivide((1, 3), "y")  # not an edge
-    with pytest.raises(ValueError):
-        sq.edge_subdivide((1, 2), 3)  # label already present
+    for edge, fresh in [((1, 3), "y"),  # not an edge
+                        ((1, "nope"), "y"),  # not a vertex
+                        ((1, 2), 3),  # label already present
+                        ((1, 1), "y")]:  # a vertex is no edge
+        with pytest.raises(ValueError):
+            sq.edge_subdivide(edge, fresh)
 
 
 def test_edge_subdivide_h_identity():
@@ -101,12 +103,12 @@ def test_edge_subdivide_h_identity():
     rng = random.Random(4)
     for _ in range(30):
         _, x = spherical_complex(rng)
-        edges = sorted(tuple(sorted(f, key=str)) for f in x.face_label_sets()
+        edges = sorted(tuple(sorted(f, key=str)) for f in face_label_sets(x)
                        if len(f) == 2)
         if not edges:
             continue
         edge = edges[rng.randrange(len(edges))]
-        link_h = x.link(edge).h_vector()
+        link_h = link(x, edge).h_vector()
         sub = x.edge_subdivide(edge, "fresh")
         h0 = list(x.h_vector())
         h1 = list(sub.h_vector())
@@ -149,6 +151,8 @@ def test_k_subdivide():
     assert hepta == step
     with pytest.raises(ValueError):
         k_subdivide(sq, (1, 2), 2, ["a"])  # not enough fresh labels
+    with pytest.raises(ValueError):
+        k_subdivide(sq, (1, 3), 1, ["a"])  # not an edge
 
 
 def test_equality_is_face_sets():
@@ -254,7 +258,7 @@ def test_relabel():
     pent.h_vector()
     named = pent.relabel("abcde")
     assert named.vertices == tuple("abcde") and named.facets == pent.facets
-    assert named.has_face(("a", "b")) and not named.has_face(("a", "c"))
+    assert has_face(named, ("a", "b")) and not has_face(named, ("a", "c"))
     assert named.h_vector() == pent.h_vector() == (1, 3, 1)
     assert named.faces_masks() is pent.faces_masks()
     assert pent.vertices == (1, 2, 3, 4, 5)  # the source keeps its labels
@@ -291,7 +295,7 @@ def test_is_flag_matches_clique_definition():
     while len(cases) < 180:
         x = build(random_descriptor(rng, names=("A2", "A3", "B3", "H3"), max_len=9))
         cases.append(x)
-        edges = sorted(tuple(sorted(f, key=str)) for f in x.face_label_sets() if len(f) == 2)
+        edges = sorted(tuple(sorted(f, key=str)) for f in face_label_sets(x) if len(f) == 2)
         if edges:  # an edge subdivision is no word complex in general
             cases.append(x.edge_subdivide(edges[rng.randrange(len(edges))], "new"))
     flags = [x.is_flag() for x in cases]

@@ -2,12 +2,16 @@ import random
 
 import pytest
 
-from conftest import (brute_facets, brute_is_face, random_descriptor, random_pi,
-                      spherical_complex, system)
-from coxsub.simplicial import LabeledComplex, iso_invariant, k_subdivide
+from conftest import (brute_facets, brute_is_face, face_label_sets, has_face, k_subdivide,
+                      link_oracle_check, random_descriptor, random_pi, spherical_complex,
+                      system)
+from coxsub.simplicial import LabeledComplex, iso_invariant
 from coxsub.subword import (SubwordDescriptor, build, complex_json, complex_summary,
-                            is_face, is_spherical, link_oracle_check,
                             position_complex)
+
+
+def spherical(d: SubwordDescriptor) -> bool:
+    return position_complex(d.system, d.word, d.pi, {}).spherical
 
 
 def test_descriptor_validation():
@@ -19,10 +23,6 @@ def test_descriptor_validation():
         SubwordDescriptor(A2, (1, 2), w0, labels=("a",))  # wrong label count
     with pytest.raises(ValueError):
         SubwordDescriptor(A2, (1, 2), w0, labels=("a", "a"))
-    d = SubwordDescriptor(A2, (1, 2, 1), w0, labels=("p", "q", "r"))
-    assert d.position_of("q") == 1  # 0-based slot in the word
-    with pytest.raises(KeyError):
-        d.position_of("z")
     # default labels are the 1-based positions
     assert SubwordDescriptor(A2, (1, 2), w0).labels == (1, 2)
 
@@ -36,7 +36,7 @@ def test_pentagon():
     assert x.h_vector() == (1, 3, 1)
     assert x.gamma().coeffs == (1, 1)
     assert x.is_flag()
-    assert is_spherical(d)
+    assert spherical(d)
     assert set(x.facet_label_sets()) == {
         frozenset(f) for f in ((1, 2), (2, 3), (3, 4), (4, 5), (1, 5))}
 
@@ -49,9 +49,9 @@ def test_duplicated_word_square():
     x = build(d)
     assert x.f_vector() == (4, 4)
     assert set(x.vertices) == {1, 2, 3, 4}  # position 5 is in every facet complement
-    assert not x.has_face((1, 2)) and not x.has_face((3, 4))
-    assert x.has_face((1, 3)) and x.has_face((2, 4))
-    assert is_spherical(d)
+    assert not has_face(x, (1, 2)) and not has_face(x, (3, 4))
+    assert has_face(x, (1, 3)) and has_face(x, (2, 4))
+    assert spherical(d)
 
 
 def test_single_empty_face():
@@ -69,17 +69,17 @@ def test_void():
     d = SubwordDescriptor(A2, (1, 2), w0)  # too short to contain pi
     x = build(d)
     assert x.is_void
-    assert not is_face(d, ())
-    assert not is_spherical(d)
+    assert not has_face(x, ())
+    assert not spherical(d)
 
 
 def test_spherical_iff_demazure():
     rng = random.Random(6)
     for _ in range(60):
         d = random_descriptor(rng)
-        assert is_spherical(d) == (d.system.demazure_product(d.word) == d.pi)
+        assert spherical(d) == (d.system.demazure_product(d.word) == d.pi)
         x = build(d)
-        if is_spherical(d) and not x.is_void:
+        if spherical(d) and not x.is_void:
             h = x.h_vector()
             assert h == h[::-1]  # sphere: palindromic by Dehn-Sommerville
 
@@ -93,9 +93,7 @@ def test_is_face_matches_brute():
             k = rng.randrange(0, len(d.word) + 1)
             probe = tuple(sorted(rng.sample(range(1, len(d.word) + 1), k)))
             want = brute_is_face(d.system, d.word, d.pi, probe)
-            assert is_face(d, probe) == want
-            if not x.is_void:
-                assert x.has_face(probe) == want
+            assert has_face(x, probe) == want
 
 
 def test_facets_match_brute():
@@ -119,8 +117,8 @@ def test_custom_labels_flow_through():
                           labels=("a", "b", "c", "d", "e"))
     x = build(d)
     assert set(x.vertices) == {"a", "b", "c", "d", "e"}
-    assert x.has_face(("a", "b"))
-    assert is_face(d, ("a", "e"))
+    assert has_face(x, ("a", "b"))
+    assert has_face(x, ("a", "e"))
 
 
 def test_link_oracle():
@@ -131,7 +129,7 @@ def test_link_oracle():
         x = build(d)
         if x.is_void or not x.vertices:
             continue
-        fs = sorted(x.face_label_sets(), key=lambda f: (len(f), sorted(map(str, f))))
+        fs = sorted(face_label_sets(x), key=lambda f: (len(f), sorted(map(str, f))))
         face = tuple(fs[rng.randrange(len(fs))])
         assert link_oracle_check(d, face)
         checked += 1
