@@ -37,7 +37,8 @@ class MoveEdge:
     verified: bool | None
     lower: Word | None  # oriented: complex(upper) subdivides complex(lower)
     upper: Word | None
-    report: object = None  # the full classification backing this edge
+    # the classification of this move or of a commutation-equivalent one
+    report: object = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -162,7 +163,14 @@ def _subdivision_frontiers(table: _ClassTable, c: int, depth: int):
 def build_rho(system: CoxeterSystem, Q, Qp, pi: GroupElement,
               cap: int = 100_000) -> RhoPoset:
     """Build the order; see the module docstring for the construction.
-    Each (word, pi) is built once, the moves reading relabels of it."""
+    Each (word, pi) is built once, the moves reading relabels of it.
+
+    One move is classified per commutation orbit: moves whose side-1 words,
+    with the window taken as one piece, differ only by commuting letters
+    have the same complexes up to a permutation of positions, so they
+    share the first one's report and verdict.  Two such words are
+    equivalent exactly when their projections onto every pair of
+    non-commuting symbols agree (the projection lemma of trace monoids)."""
     Q, Qp = tuple(Q), tuple(Qp)
     words = system.reduced_words(pi, cap=cap)
     index = {w: k for k, w in enumerate(words)}
@@ -181,14 +189,30 @@ def build_rho(system: CoxeterSystem, Q, Qp, pi: GroupElement,
         if ra != rb:
             parent[max(ra, rb)] = min(ra, rb)
 
+    # the symbol pairs that do not commute, a letter with itself included;
+    # 0 stands for a window as one piece, which commutes with the letters
+    # that commute with both of its letters
+    letters, mm = range(1, system.rank + 1), system.m
+    dependent = [(a, b) for a in letters for b in letters if a <= b and mm[a - 1, b - 1] != 2]
+    pairs = {(i, j): dependent + [(0, a) for a in letters
+                                  if mm[a - 1, i - 1] != 2 or mm[a - 1, j - 1] != 2]
+             for i in letters for j in letters if i != j}
+    orbits: dict = {}  # commutation orbit of a move -> its report
+
     edges: list[MoveEdge] = []
     oriented: list[tuple[Word, Word]] = []  # (lower word, upper word)
     for w in words:
         for pos, i, j, m, w2 in system._braid_moves(w):
             if w2 < w:
                 continue  # the mirrored move on w2 reproduces this pair
-            ctx = BraidContext(system, Q + w[:pos - 1], w[pos - 1 + m:] + Qp, i, j, pi)
-            rep = classify(ctx, memo)
+            head, tail = Q + w[:pos - 1], w[pos - 1 + m:] + Qp
+            piece = head + (0,) + tail
+            key = (i, j) + tuple(tuple(c for c in piece if c == a or c == b)
+                                 for a, b in pairs[i, j])
+            rep = orbits.get(key)
+            if rep is None:
+                ctx = BraidContext(system, head, tail, i, j, pi)
+                rep = orbits[key] = classify(ctx, memo)
             lower = upper = None
             if rep.case == 1 and rep.witness_ok:
                 union(index[w], index[w2])

@@ -1,9 +1,10 @@
 import hashlib
 import json
+from dataclasses import replace
 
 import pytest
 
-from coxsub import cli
+from coxsub import cli, rhoposet
 
 
 def run(capsys, *argv):
@@ -152,6 +153,21 @@ def test_poset_gap_not_checked(capsys):
     code, out, _ = run(capsys, "poset", "--group", "B3", "--pi", "w0", "--json", "-")
     assert json.loads(out)["gap"] == {
         "checked": False, "truncated": False, "iso_pairs": [], "subdivision_pairs": []}
+
+
+@pytest.mark.parametrize("fail", [
+    lambda rep: replace(rep, witness_ok=False),
+    lambda rep: replace(rep, decomposition=replace(rep.decomposition, ok=False)),
+    lambda rep: replace(rep, poly=rep.poly and replace(rep.poly, h_ok=False)),
+], ids=["witness", "decomposition", "h_identity"])
+def test_poset_failed_check_exits_3(capsys, monkeypatch, fail):
+    # a failed witness leaves the edge unoriented, and a failed identity
+    # leaves the witness standing; either is a failed check
+    direct = rhoposet.classify
+    monkeypatch.setattr(rhoposet, "classify", lambda ctx, memo=None: fail(direct(ctx, memo)))
+    code, out, _ = run(capsys, "poset", "--group", "A3", "--Q", "1,2,3", "--pi", "w0")
+    assert code == 3
+    assert "16 reduced words" in out
 
 
 def test_demo_i2(capsys):

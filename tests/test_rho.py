@@ -309,6 +309,64 @@ def test_gap_scan_matches_per_class_frontiers(name):
             (want.iso_pairs, want.subdivision_pairs), (Q, Qp)
 
 
+def _classify_calls(monkeypatch) -> list:
+    """Record the context of every move that ``build_rho`` classifies."""
+    seen = []
+    direct = rhoposet.classify
+
+    def counted(ctx, memo=None):
+        seen.append(ctx)
+        return direct(ctx, memo)
+
+    monkeypatch.setattr(rhoposet, "classify", counted)
+    return seen
+
+
+@pytest.mark.parametrize("name, Q, Qp, calls, edges", [
+    ("A4", (), (), 326, 1770), ("H3", (), (), 152, 640), ("A3", (1, 1), (1, 3), 14, 18)],
+    ids=["A4", "H3", "A3"])
+def test_one_classification_per_commutation_orbit(monkeypatch, name, Q, Qp, calls, edges):
+    W = system(name)
+    seen = _classify_calls(monkeypatch)
+    p = build_rho(W, Q, Qp, W.longest_element())
+    assert len(seen) == calls and len(p.edges) == edges
+    assert len({e.report for e in p.edges}) == calls
+
+
+def _edge_verdict(rep) -> tuple:
+    poly = rep.poly
+    return (rep.case, rep.witness_ok, cli.report_ok(rep), rep.A2, rep.B2, rep.A3, rep.B3,
+            rep.decomposition.ok, poly and poly.h_ok, poly and poly.gamma_ok)
+
+
+def _orbit_oracle(p: RhoPoset) -> None:
+    """Each edge's report, possibly carried from a commutation-equivalent
+    move, against a direct classification of the edge's own move."""
+    for e in p.edges:
+        ctx = move_context(p.system, p.Q + e.word_a + p.Qp, len(p.Q) + e.pos, p.pi)
+        direct = classify(ctx)
+        assert _edge_verdict(e.report) == _edge_verdict(direct), (e.word_a, e.pos)
+        assert e.case == direct.case and e.verified == direct.witness_ok
+        if e.lower is not None:
+            assert (e.lower, e.upper) == {2: (e.word_b, e.word_a),
+                                          3: (e.word_a, e.word_b)}[direct.case]
+
+
+@pytest.mark.parametrize("name", ["A4", "H3", "B3"])
+def test_orbit_verdicts_match_direct_classify(name):
+    W = system(name)
+    _orbit_oracle(build_rho(W, (), (), W.longest_element()))
+
+
+def test_orbit_verdicts_match_direct_classify_a3_pairs():
+    A3 = system("A3")
+    w0 = A3.longest_element()
+    two = [(a, b) for a in range(1, 4) for b in range(1, 4)]
+    for Q in two:
+        for Qp in two:
+            _orbit_oracle(build_rho(A3, Q, Qp, w0))
+
+
 def _kernel_calls(monkeypatch) -> list:
     """Record the (letters, start) of every subword-kernel call."""
     seen = []
@@ -342,11 +400,13 @@ def test_each_complex_built_once(monkeypatch):
     made = _position_complexes(monkeypatch)
     seen = _kernel_calls(monkeypatch)
     p = build_rho(A3, (1, 1), (1, 3), w0)
-    # 16 side words and 24 shortened-window words, each made once; the
-    # kernel runs once for each complex that is not void
+    # 14 of the 16 side words and 21 shortened-window words, each made
+    # once: one move per commutation orbit is classified, so two words are
+    # read by no classified move; the kernel runs once for each complex
+    # that is not void
     keys = [key for key, _ in made]
-    assert len(keys) == len(set(keys)) == 40
-    assert len(seen) == len(set(seen)) == sum(not e.complex.is_void for _, e in made) == 18
+    assert len(keys) == len(set(keys)) == 35
+    assert len(seen) == len(set(seen)) == sum(not e.complex.is_void for _, e in made) == 15
     assert len(p.edges) == 18
     made.clear()
     seen.clear()
