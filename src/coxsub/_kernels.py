@@ -1,52 +1,68 @@
-"""The hot loops: reduced-subword enumeration and face enumeration.
+"""The hot loops: the backward passes of the subword DP and the submask fill.
 
 Conventions:
   * generator indices are 0-based here (the public API is 1-based),
   * a word position set, a facet and a face are each one bitmask in a
     Python int, bit p for position or vertex p,
   * group elements are the integer ids a CoxeterSystem interns them under,
-    id 0 being the identity, and the enumeration reads three tables the
-    system owns: right[g][s] is the id of g*s, or -1 until step(g, s)
-    computes and records it; desc[g] is the bitmask of right descents of
-    g; length[g] is its Coxeter length.
+    id 0 being the identity; right[g][s] is the id of g*s and desc[g] the
+    bitmask of right descents of g, tables the system owns.
+
+The subword DP walks the vertex decomposition of Delta(word; pi)
+(Knutson-Miller 2004) on states (p, w) standing for Delta(word[p:]; w^-1),
+w = pi^-1 u for the product u of the letters taken before position p.  A
+forward pass (``CoxeterSystem._subword_layers``) lists the live states
+before each position; each pass below folds those layers back.
 """
 
 from __future__ import annotations
 
 
-def reduced_subword_masks(right, desc, length, step, word, start):
-    """Position masks of the subwords of ``word`` that are reduced words of pi.
+def subword_pass(right, desc, word, layers, leaf, cone, split):
+    """The value of the start state, None when void; the identity after
+    the last position, the complex {()}, has the value ``leaf``.  With
+    s = word[p], a state w without the right descent s is a cone over its
+    link (p + 1, w), of value cone(link, p); else it has split(rest, link,
+    p), rest the value of the deletion (p + 1, w s), link None when void.
+    The link lies inside the deletion, so a void deletion voids the state."""
+    vals = {0: leaf}
+    for p in range(len(word) - 1, -1, -1):
+        s, below, vals = word[p], vals, {}
+        for w in layers[p]:
+            link = below.get(w)
+            if not desc[w] >> s & 1:
+                if link is not None:
+                    vals[w] = cone(link, p)
+            elif (rest := below.get(right[w][s])) is not None:
+                vals[w] = split(rest, link, p)
+    (start,) = layers[0]
+    return vals.get(start)
 
-    ``start`` is the id of pi^-1.  Positions are read left to right, and
-    w = pi^-1 u is kept for the product u of the letters taken so far.  A
-    subword is a reduced word of pi exactly when each of its letters is a
-    right descent of the w before it and w ends at the identity, so a
-    letter is taken only when it is a descent of w, and a branch dies once
-    fewer than l(w) positions remain.  Every branch step is a table read.
 
-    word: tuple of 0-based letters.
+def subword_h(right, desc, word, layers):
+    """h-vector: h(deletion) + t h(link) at a descent, else h(link), 0."""
+    return subword_pass(right, desc, word, layers, (1,), lambda link, p: link + (0,),
+                        lambda rest, link, p: rest if link is None
+                        else tuple(map(sum, zip(rest, (0,) + link))))
 
-    Returns the masks in search order.
-    """
-    L = len(word)
-    out = []
-    stack = [(0, start, 0)]
-    while stack:
-        p, w, mask = stack.pop()
-        if w == 0:
-            out.append(mask)
-            continue
-        d = desc[w]
-        row = right[w]
-        # the next letter taken sits at or before position L - l(w)
-        for q in range(p, L - length[w] + 1):
-            s = word[q]
-            if d >> s & 1:
-                nxt = row[s]
-                if nxt < 0:
-                    nxt = step(w, s)
-                stack.append((q + 1, nxt, mask | 1 << q))
-    return out
+
+def reduced_subword_masks(right, desc, word, layers):
+    """Masks of the subwords of ``word`` that are reduced words of pi, or
+    []: the facet pass takes p exactly where its letter descends the state."""
+    return subword_pass(right, desc, word, layers, [0], lambda link, p: link,
+                        lambda rest, link, p: [x | 1 << p for x in rest] + (link or [])) or []
+
+
+def subword_faces(right, desc, word, layers, bits):
+    """Every face once, position p written at bit bits[p].  At a descent a
+    face without p lies in the deletion or in the link, which the subword
+    property puts inside the deletion; a face with p is a link face plus p."""
+    def cone(link, p, rest=None):
+        b = 1 << bits[p]
+        return (link if rest is None else rest) + [x | b for x in link]
+
+    return subword_pass(right, desc, word, layers, [0], cone,
+                        lambda rest, link, p: rest if link is None else cone(link, p, rest))
 
 
 def fill_submasks(facets, out: list) -> int:

@@ -1,7 +1,7 @@
-"""The kernel namespace.
+"""The kernel namespace over :mod:`coxsub._kernels`.
 
-The package calls the hot loops of :mod:`coxsub._kernels` only through
-``active``, so a profiler can wrap them by replacing its attributes.
+The package calls the facet pass, the submask fill and the popcounts only
+through ``active``, so a profiler can wrap them by replacing its attributes.
 """
 
 from types import SimpleNamespace

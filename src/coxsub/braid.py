@@ -123,6 +123,8 @@ class MoveFacts:
         self.endpoint = 1 << q | 1 << (q + m - 1)
         block = (1 << (m - 2)) - 1
         self.internal = (block << (q + 1), block << L)  # per side
+        # the universe bit of each side-2 word position, as ``from_side2``
+        self.side2_bits = [*range(q), q + m - 1, *range(L, L + m - 2), q, *range(q + m, L)]
         memo = {} if memo is None else memo
         self.sides = build(ctx.side_descriptor(1), memo), build(ctx.side_descriptor(2), memo)
         # the memo entries of the sides and of the shortened windows, for
@@ -176,9 +178,9 @@ class MoveFacts:
     @cached_property
     def faces(self) -> tuple[frozenset, frozenset]:
         """The faces of both sides as universe masks: side 1 over its word
-        positions as they are, side 2 through ``from_side2``."""
+        positions as they are, side 2 written at ``side2_bits``."""
         side1, side2 = self._entries[:2]
-        return frozenset(side1.word_faces), self.from_side2(side2.word_faces)
+        return frozenset(side1.word_faces), frozenset(side2.faces(self.side2_bits))
 
     @cached_property
     def families(self) -> "Subfamilies":
@@ -216,10 +218,9 @@ def _link_families(faces, q: int, m: int) -> tuple[set, set]:
         here, prev, nxt = 1 << p, 1 << (p - 1), 1 << (p + 1)
         # star of slot l split along its link: faces reaching the next
         # slot, faces reaching the previous slot, and the bare ones
-        for x in faces:
-            a = x & low | x >> p << (p + 2)  # slots l, l+1 opened
-            b = x & low >> 1 | x >> (p - 1) << (p + 1)  # slots l-1, l opened
-            internal.update((a | here | nxt, a | here, b | here, b | prev | here))
+        a = [x & low | x >> p << (p + 2) | here for x in faces]  # slots l, l+1 opened
+        b = [x & low >> 1 | x >> (p - 1) << (p + 1) | here for x in faces]  # l-1, l opened
+        internal.update(a, b, [x | nxt for x in a], [x | prev for x in b])
     last = q + m - 1
     # slots 1 and m opened: inner slot t lands on slot t + 1
     endpoint = {x & ((1 << q) - 1) | (x >> q & ((1 << (m - 2)) - 1)) << (q + 1)

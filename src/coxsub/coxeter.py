@@ -490,41 +490,20 @@ class CoxeterSystem:
     def reduced_subword_masks(self, word: Iterable[int], pi: GroupElement) -> list[int]:
         """Sorted bitmasks (bit p for position p) of the position sets of
         word that carry a reduced word of pi."""
-        return self._subword_masks(self._letters(word), pi)
+        letters = self._letters(word)
+        layers = self._subword_layers(letters, self._id(self.inverse(pi)))
+        return sorted(_K.reduced_subword_masks(self._right, self._desc, letters, layers))
 
-    def _subword_masks(self, letters: Word, pi: GroupElement) -> list[int]:
-        """``reduced_subword_masks`` of a checked word given as 0-based
-        letters (``_letters``)."""
-        start = self._id(self.inverse(pi))
-        return sorted(_K.reduced_subword_masks(
-            self._right, self._desc, self._len, self._step, letters, start))
-
-    def _subword_h(self, letters: Word, pi: GroupElement) -> tuple[int, ...] | None:
-        """h-vector of Delta(Q; pi) for 0-based letters, None when void.
-
-        Vertex decomposition at the first position (Knutson-Miller 2004,
-        section 2): for Q = (s, Q'), h(Q; pi) = h(Q'; s pi) + t h(Q'; pi)
-        when s is a left descent of pi, else h(Q'; pi) with a trailing 0
-        (a cone point).  States are (position, w = pi^-1) as in the kernel,
-        filled from the last position back; l(w) > positions left is void.
-        """
-        desc, length = self._desc, self._len
-        start = self._id(self.inverse(pi))
-        layers = [{start}]  # the live states per position
-        for p, s in enumerate(letters):
-            nxt = {self._times(w, s) for w in layers[-1] if desc[w] >> s & 1} | layers[-1]
-            layers.append({w for w in nxt if length[w] < len(letters) - p})
-        h = {0: (1,)} if 0 in layers[-1] else {}
-        for p in range(len(letters) - 1, -1, -1):
-            s, below, h = letters[p], h, {}
-            for w in layers[p]:
-                link = below.get(w)
-                if not desc[w] >> s & 1:
-                    if link is not None:
-                        h[w] = link + (0,)
-                elif (rest := below.get(self._right[w][s])) is not None:
-                    h[w] = rest if link is None else tuple(map(sum, zip(rest, (0,) + link)))
-        return h.get(start)
+    def _subword_layers(self, letters: Word, start: int) -> list[set[int]]:
+        """Forward pass of the subword DP (see ``_kernels``) from the id ``start``
+        of pi^-1: the states before each position; one not moved must fit the rest."""
+        desc, length, times, n = self._desc, self._len, self._times, len(letters)
+        layers = [{start}]
+        for p, s in enumerate(letters, 1):
+            here = layers[-1]
+            layers.append({times(w, s) for w in here if desc[w] >> s & 1})
+            layers[-1].update([w for w in here if length[w] <= n - p])
+        return layers
 
     def contains_reduced(self, word: Iterable[int], pi: GroupElement) -> bool:
         """True iff some subword of word is a reduced word of pi.

@@ -30,9 +30,10 @@ from .backend import active as _K
 Label = Hashable
 
 MAX_VERTICES = 62  # as many as a word has letters (coxeter.MAX_WORD_LETTERS)
-# Faces are Python ints, some 36 bytes each in a list: past this many
-# submasks (about 150 MB) an enumeration, or is_flag's search, stops, and
-# past this many facets a subword complex is not built.
+# Faces are Python ints, some 36 bytes each in a list.  Past this many
+# submasks of the facets, sum 2^|F| counted with repeats even by the face
+# pass that makes each face once (about 150 MB), an enumeration or is_flag's
+# search stops; past this many facets a subword complex is not built.
 MAX_FACES = 1 << 22
 FACE_LIMIT_ERROR = f"face enumeration too large (limit {MAX_FACES} faces)"
 
@@ -56,19 +57,6 @@ def _bits(mask: int):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
-
-
-def scatter_bits(masks: Iterable[int], bits: Sequence[int]) -> list[int]:
-    """Each mask with its bit k moved to bit ``bits[k]``; one lookup table
-    per eight source bits."""
-    src = list(masks)
-    out = [0] * len(src)
-    for c in range(0, len(bits), 8):
-        table = [0]  # images of the 256 values of source bits c..c+7
-        for b in bits[c:c + 8]:
-            table += [t | 1 << b for t in table]
-        out = [o | table[f >> c & 255] for o, f in zip(out, src)]
-    return out
 
 
 def face_set(facets: Iterable[int]) -> set[int]:

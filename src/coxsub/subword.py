@@ -7,8 +7,9 @@ candidates: two positions are distinct vertices even when they carry the
 same letter.  A position that lies in no facet is not a vertex of the
 complex and is dropped from its vertex set.
 
-The facets come from the reduced-subword kernel; the h-vector, and from
-it f and gamma, from the vertex decomposition (``CoxeterSystem._subword_h``).
+The vertex decomposition gives the h-vector (and f and gamma), the facets
+and, on demand, the faces: one forward pass over its states, one backward
+pass for each (see ``_kernels``).  Void complexes are told by Bruhat order.
 """
 
 from __future__ import annotations
@@ -17,8 +18,10 @@ from dataclasses import dataclass
 from functools import reduce
 from operator import or_
 
+from . import _kernels
+from .backend import active as _K
 from .coxeter import CoxeterSystem, GroupElement, Word
-from .simplicial import FACE_LIMIT_ERROR, MAX_FACES, LabeledComplex, scatter_bits
+from .simplicial import FACE_LIMIT_ERROR, MAX_FACES, LabeledComplex
 
 
 @dataclass(frozen=True)
@@ -49,44 +52,57 @@ class PositionComplex:
     """Delta(word; pi) with the used 0-based word positions as vertices.
 
     It is made once per (word, pi) and memo, with its facets, h- and
-    f-vector and sphericity.  Every labeled complex of the pair is a
-    relabel of it, sharing these and the faces and gamma computed later.
+    f-vector and sphericity, from one forward pass that it does not keep.
+    Every labeled complex of the pair is a relabel of it, sharing these
+    and the faces and gamma computed later.
     """
 
-    __slots__ = ("complex", "spherical", "word_facets", "_word_faces")
+    __slots__ = ("system", "letters", "start", "complex", "spherical", "word_facets", "_faces")
 
     def __init__(self, system: CoxeterSystem, word: Word, pi: GroupElement):
-        self._word_faces = None
-        letters = tuple(s - 1 for s in word)
-        # Demazure criterion: the complex is a sphere iff Dem(word) = pi
-        self.spherical = system._demazure(letters) == system._id(pi)
-        # h first: it sums to the facet count, which bounds the kernel's work
-        h = system._subword_h(letters, pi)
-        if h is None:
-            self.word_facets = []
-            self.complex = LabeledComplex.void()
+        self.system, self._faces = system, None
+        self.letters = letters = tuple(s - 1 for s in word)
+        dem = system._demazure(letters)
+        # Demazure criterion: the complex is a sphere iff Dem(word) = pi,
+        # and void iff pi is not below Dem(word) (Knutson-Miller, section 3)
+        self.spherical = dem == system._id(pi)
+        if not (self.spherical or system.bruhat_le(pi, system._elements[dem])):
+            self.word_facets, self.complex = [], LabeledComplex.void()
             return
+        self.start = system._id(system.inverse(pi))
+        tables = system._right, system._desc, letters, system._subword_layers(letters, self.start)
+        # h first: it sums to the facet count, which bounds the facet pass
+        h = _kernels.subword_h(*tables)
         if sum(h) > MAX_FACES:
             raise ValueError(FACE_LIMIT_ERROR)
         full = (1 << len(word)) - 1
         # every facet as a mask over word positions, bit p for position p
-        self.word_facets = facets = [full ^ mk for mk in system._subword_masks(letters, pi)]
-        used = reduce(or_, facets)
-        # compress to the used positions, bit p to the number of used ones
-        # below it; every facet has |word| - l(pi) positions, so the facets
-        # form an antichain as they are
-        packed = scatter_bits(facets, [(used & ((1 << p) - 1)).bit_count()
-                                       for p in range(len(word))])
+        self.word_facets = facets = [full ^ mk for mk in _K.reduced_subword_masks(*tables)]
+        used, packed = reduce(or_, facets), facets
+        # squeeze out the positions in no facet, the highest first; every
+        # facet has |word| - l(pi) positions, so they form an antichain
+        for p in range(len(word) - 1, -1, -1):
+            if not used >> p & 1:
+                packed = [f & ((1 << p) - 1) | f >> (p + 1) << p for f in packed]
         self.complex = LabeledComplex([p for p in range(len(word)) if used >> p & 1], packed)
         self.complex._know_h(h)
+
+    def faces(self, bits) -> list[int]:
+        """Every face once, word position p at bit ``bits[p]``, from a fresh
+        forward pass; refused where ``simplicial.face_set`` would be."""
+        if sum(1 << f.bit_count() for f in self.word_facets) > MAX_FACES:
+            raise ValueError(FACE_LIMIT_ERROR)
+        if self.complex.is_void:
+            return []
+        s, w = self.system, self.letters
+        return _kernels.subword_faces(s._right, s._desc, w, s._subword_layers(w, self.start), bits)
 
     @property
     def word_faces(self) -> tuple[int, ...]:
         """Every face as a mask over word positions, bit p for position p."""
-        if self._word_faces is None:
-            x = self.complex
-            self._word_faces = tuple(scatter_bits(x.faces_masks(), x.vertices))
-        return self._word_faces
+        if self._faces is None:
+            self._faces = tuple(self.faces(range(len(self.letters))))
+        return self._faces
 
     def relabel(self, labels) -> LabeledComplex:
         """The complex with word position p named ``labels[p]``."""

@@ -32,6 +32,34 @@ def brute_facets(sys_, word, pi):
     return {f for f in faces if not any(f < g for g in faces)}
 
 
+def subword_h_oracle(sys_, word, pi):
+    """h-vector of Delta(word; pi), None when void, by the vertex
+    decomposition at the first position (Knutson-Miller 2004, section 2):
+    for Q = (s, Q'), h(Q; pi) = h(Q'; s pi) + t h(Q'; pi) when s is a left
+    descent of pi, else h(Q'; pi) with a trailing 0 (a cone point).
+    States are (position, w = pi^-1 u) as in the library, held as plain
+    sets and filled from the last position back; l(w) > positions left
+    is void."""
+    letters = tuple(a - 1 for a in word)
+    desc, length = sys_._desc, sys_._len
+    start = sys_._id(sys_.inverse(pi))
+    layers = [{start}]  # the live states per position
+    for p, s in enumerate(letters):
+        nxt = {sys_._times(w, s) for w in layers[-1] if desc[w] >> s & 1} | layers[-1]
+        layers.append({w for w in nxt if length[w] < len(letters) - p})
+    h = {0: (1,)} if 0 in layers[-1] else {}
+    for p in range(len(letters) - 1, -1, -1):
+        s, below, h = letters[p], h, {}
+        for w in layers[p]:
+            link = below.get(w)
+            if not desc[w] >> s & 1:
+                if link is not None:
+                    h[w] = link + (0,)
+            elif (rest := below.get(sys_._times(w, s))) is not None:
+                h[w] = rest if link is None else tuple(map(sum, zip(rest, (0,) + link)))
+    return h.get(start)
+
+
 def brute_is_face(sys_, word, pi, positions) -> bool:
     word = tuple(word)
     rest = [word[p] for p in range(len(word)) if p + 1 not in set(positions)]

@@ -79,7 +79,7 @@ def test_shared_namespace_crossing():
     assert f.universe == d1.labels + ("g2", "g3", "g4")
     # side 2 reaches the universe by one fixed bit permutation
     for p, label in enumerate(d2.labels):
-        assert f.from_side2([1 << p]) == {_mask(f, [label])}
+        assert f.from_side2([1 << p]) == {_mask(f, [label])} == {1 << f.side2_bits[p]}
 
 
 def test_i2_family():

@@ -76,6 +76,24 @@ def test_complex_builds_once(capsys, monkeypatch):
         assert code == 0 and len(calls) == 1
 
 
+def test_complex_json_enumerates_no_faces(capsys, monkeypatch):
+    # f from h and flagness from the facets: no submask is filled, even
+    # for 1^40 in A1 with pi = s1, whose 2^40 - 1 faces exceed any limit
+    from coxsub import backend
+
+    monkeypatch.setattr(backend.active, "fill_submasks", None)
+    argv, digest = PINNED[-1]
+    code, out, err = run(capsys, *argv)
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    code, out, err = run(capsys, "complex", "--group", "A1", "--word", ",".join("1" * 40),
+                         "--pi", "1", "--json")
+    assert code == 0, err
+    doc = json.loads(out)
+    assert len(doc["facets"]) == 40 and doc["h_vector"] == [1] * 40
+    assert doc["f_vector"][-1] == 40 and doc["spherical"] is True and doc["flag"] is False
+
+
 def test_complex_void(capsys):
     code, out, _ = run(capsys, "complex", "--group", "A2",
                        "--word", "1,2", "--pi", "w0")

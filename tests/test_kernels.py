@@ -5,10 +5,10 @@ from coxsub import backend
 
 
 def run_masks(sys_, word, pi):
-    """The kernel called directly, on the tables of sys_."""
-    return backend.active.reduced_subword_masks(
-        sys_._right, sys_._desc, sys_._len, sys_._step,
-        tuple(a - 1 for a in word), sys_._id(sys_.inverse(pi)))
+    """The kernel called directly, on the tables and forward layers of sys_."""
+    letters = tuple(a - 1 for a in word)
+    layers = sys_._subword_layers(letters, sys_._id(sys_.inverse(pi)))
+    return backend.active.reduced_subword_masks(sys_._right, sys_._desc, letters, layers)
 
 
 def test_python_masks_match_library():

@@ -372,9 +372,10 @@ def _kernel_calls(monkeypatch) -> list:
     seen = []
     kernel = backend.active.reduced_subword_masks
 
-    def counted(right, desc, length, step, word, start):
+    def counted(right, desc, word, layers):
+        (start,) = layers[0]
         seen.append((word, start))
-        return kernel(right, desc, length, step, word, start)
+        return kernel(right, desc, word, layers)
 
     monkeypatch.setattr(backend.active, "reduced_subword_masks", counted)
     return seen

@@ -4,8 +4,8 @@ import pytest
 
 from conftest import (brute_facets, brute_is_face, face_label_sets, has_face, k_subdivide,
                       link_oracle_check, random_descriptor, random_pi, spherical_complex,
-                      system)
-from coxsub.simplicial import LabeledComplex, iso_invariant
+                      subword_h_oracle, system)
+from coxsub.simplicial import LabeledComplex, face_set, iso_invariant
 from coxsub.subword import (SubwordDescriptor, build, complex_json, complex_summary,
                             position_complex)
 
@@ -243,3 +243,56 @@ def test_h_recursion_matches_faces():
         seen["spherical"] += sys_.demazure_product(word) == pi
     assert min(seen.values()) >= 3, seen
 
+
+
+def _moved(mask: int, bits) -> int:
+    return sum(1 << bits[p] for p in range(len(bits)) if mask >> p & 1)
+
+
+def test_subword_dp_matches_oracles():
+    # h, facets and faces of the one forward pass and its backward passes,
+    # against the set-based h recursion, the 2^L facet scan and the
+    # submasks of the facets
+    rng = random.Random(31)
+    seen = {"void": 0, "empty face": 0, "spherical": 0, "general": 0}
+    for k in range(90):
+        sys_ = system(("A2", "A3", "B3", "H3", "A4", "D4")[k % 6])
+        word = tuple(rng.randrange(1, sys_.rank + 1) for _ in range(rng.randrange(0, 13)))
+        kind = k // 6 % 5
+        if kind == 0:
+            pi = sys_.longest_element()  # mostly void
+        elif kind == 1:  # a reduced subword's element, kept whole: {()}
+            word = tuple(a for a in word if rng.random() < 0.5)
+            word = sys_.word_of(sys_.element_of(word))
+            pi = sys_.element_of(word)
+        elif kind == 2:
+            pi = sys_.demazure_product(word)
+        else:
+            pi = random_pi(sys_, rng, word)
+        entry = position_complex(sys_, word, pi, {})
+        want_h = subword_h_oracle(sys_, word, pi)
+        x = entry.complex
+        if x.is_void:
+            seen["void"] += 1
+            assert want_h is None and entry.word_facets == [] and entry.faces(range(9)) == []
+            assert brute_facets(sys_, word, pi) == set()
+            continue
+        seen["empty face"] += x.facets == (0,)
+        seen["spherical" if entry.spherical else "general"] += 1
+        assert x.h_vector() == want_h
+        assert {frozenset(p + 1 for p in range(len(word)) if f >> p & 1)
+                for f in entry.word_facets} == brute_facets(sys_, word, pi)
+        faces = entry.faces(range(len(word)))
+        assert len(faces) == len(set(faces))
+        assert set(faces) == face_set(entry.word_facets) == set(entry.word_faces)
+        # any injective bit table: the faces written there are the moved faces
+        bits = rng.sample(range(len(word) + 4), len(word))
+        moved = entry.faces(bits)
+        assert len(moved) == len(faces)
+        assert set(moved) == {_moved(f, bits) for f in faces}
+    assert min(seen.values()) >= 5, seen
+    # the faces refuse where face_set refuses the facets: 40 x 2^39 submasks
+    A1 = system("A1")
+    entry = position_complex(A1, (1,) * 40, A1.generator(1), {})
+    with pytest.raises(ValueError, match="face enumeration too large"):
+        entry.faces(range(40))
