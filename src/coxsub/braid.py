@@ -15,11 +15,13 @@ checks the H- and gamma-polynomial bookkeeping of the subdivisions.
 Bit universe.  A move has one vertex universe of L + m - 2 bits, where
 L = |Q| + m + |Q'|: bits 0..L-1 are the side-1 word positions (Q, the
 window slots f1..fm, Q'), bits L..L+m-3 the internal side-2 window slots
-g2..g(m-1).  A side-1 face is its position mask.  Side 2 reaches the
-universe by one fixed permutation: its window endpoints cross (first slot
-to fm, last to f1) and its internal slots move as one block to the top.
-The endpoint edge {f1, fm} is then F on side 1 and G on side 2.  The
-universe can exceed 62 bits, so its masks are Python ints.
+g2..g(m-1).  ``MoveFacts.bits`` holds one table per side, the universe bit
+of each word position.  Side 1's is the identity.  Side 2's crosses the
+window endpoints (first slot to fm, last to f1) and lifts the internal
+slots as one block to the top; ``from_side2`` is its mask form.  The
+vertex names, the internal masks and the witnesses' fresh vertices all
+read these tables.  The endpoint edge {f1, fm} is then F on side 1 and G
+on side 2.  The universe can exceed 62 bits, so its masks are Python ints.
 
 Link insertion.  The interface families come from the complexes of the
 words with the window shortened by two, the links of window edges
@@ -42,22 +44,9 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import zip_longest
 
-from .coxeter import CoxeterSystem, GroupElement, Word
-from .simplicial import LabeledComplex, face_set, subdivide
+from .coxeter import MAX_REDUCED_WORDS, CoxeterSystem, GroupElement, Word
+from .simplicial import LabeledComplex, _bits, face_set, subdivide
 from .subword import SubwordDescriptor, build, position_complex
-
-
-def f_label(l: int) -> str:
-    return f"f{l}"
-
-
-def g_label(l: int, m: int) -> str:
-    """Side-2 window labels with the crosswise endpoint identification."""
-    if l == 1:
-        return f_label(m)
-    if l == m:
-        return f_label(1)
-    return f"g{l}"
 
 
 @dataclass(frozen=True)
@@ -94,17 +83,6 @@ class BraidContext:
     def side_word(self, side: int, k: int = 0) -> Word:
         return self.Q + self.window_word(k, side) + self.Qp
 
-    def _labels(self, window) -> tuple[str, ...]:
-        return (tuple(f"Q{p}" for p in range(1, len(self.Q) + 1)) + tuple(window)
-                + tuple(f"Q'{p}" for p in range(1, len(self.Qp) + 1)))
-
-    def side_descriptor(self, side: int) -> SubwordDescriptor:
-        """Full-window descriptor with the shared vertex namespace."""
-        m = self.m
-        lab = f_label if side == 1 else (lambda l: g_label(l, m))
-        return SubwordDescriptor(self.system, self.side_word(side), self.pi,
-                                 labels=self._labels(lab(l) for l in range(1, m + 1)))
-
 
 class MoveFacts:
     """The derived facts of one braid move.  Made at once: the bit universe
@@ -118,15 +96,20 @@ class MoveFacts:
         self.m = m = ctx.m
         self.q = q = len(ctx.Q)
         self.L = L = q + m + len(ctx.Qp)
-        self.universe = ctx._labels(f_label(l) for l in range(1, m + 1)) \
-            + tuple(f"g{l}" for l in range(2, m))
+        self.universe = (*(f"Q{p}" for p in range(1, q + 1)),
+                         *(f"f{l}" for l in range(1, m + 1)),
+                         *(f"Q'{p}" for p in range(1, len(ctx.Qp) + 1)),
+                         *(f"g{l}" for l in range(2, m)))
+        # the universe bit of each word position, per side
+        self.bits = (tuple(range(L)),
+                     (*range(q), q + m - 1, *range(L, L + m - 2), q, *range(q + m, L)))
         self.endpoint = 1 << q | 1 << (q + m - 1)
-        block = (1 << (m - 2)) - 1
-        self.internal = (block << (q + 1), block << L)  # per side
-        # the universe bit of each side-2 word position, as ``from_side2``
-        self.side2_bits = [*range(q), q + m - 1, *range(L, L + m - 2), q, *range(q + m, L)]
+        self.internal = tuple(sum(1 << b[p] for p in range(q + 1, q + m - 1)) for b in self.bits)
         memo = {} if memo is None else memo
-        self.sides = build(ctx.side_descriptor(1), memo), build(ctx.side_descriptor(2), memo)
+        self.sides = tuple(
+            build(SubwordDescriptor(ctx.system, ctx.side_word(side), ctx.pi,
+                                    labels=self.names(b)), memo)
+            for side, b in zip((1, 2), self.bits))
         # the memo entries of the sides and of the shortened windows, for
         # faces over word positions; no output names an inner vertex
         self._entries = tuple(position_complex(ctx.system, ctx.side_word(side, k), ctx.pi, memo)
@@ -134,9 +117,14 @@ class MoveFacts:
         self.inner = self._entries[2].complex, self._entries[3].complex
         self.spherical = self._entries[0].spherical, self._entries[1].spherical
 
+    def names(self, bits) -> tuple[str, ...]:
+        """The vertex names of universe bits."""
+        return tuple(self.universe[b] for b in bits)
+
     def from_side2(self, masks) -> frozenset:
-        """Universe masks of masks over the positions of side_word(2): the
-        endpoints cross and the internal slots are lifted as one block."""
+        """Universe masks of masks over the positions of side_word(2), as
+        ``bits[1]`` maps them: the endpoints cross and the internal slots
+        are lifted as one block."""
         q, last = self.q, self.q + self.m - 1
         outer = ~(((1 << self.m) - 1) << q)
         inside, lift = self.internal[0], self.L - q - 1
@@ -145,9 +133,7 @@ class MoveFacts:
 
     def face_labels(self, masks) -> tuple[tuple[str, ...], ...]:
         """Up to five faces as sorted label tuples, in sorted order."""
-        uni = self.universe
-        return tuple(sorted(tuple(sorted(uni[b] for b in range(len(uni)) if f >> b & 1))
-                            for f in masks)[:5])
+        return tuple(sorted(tuple(sorted(self.names(_bits(f)))) for f in masks)[:5])
 
     @cached_property
     def conditions(self) -> dict:
@@ -178,9 +164,9 @@ class MoveFacts:
     @cached_property
     def faces(self) -> tuple[frozenset, frozenset]:
         """The faces of both sides as universe masks: side 1 over its word
-        positions as they are, side 2 written at ``side2_bits``."""
+        positions as they are, side 2 written at ``bits[1]``."""
         side1, side2 = self._entries[:2]
-        return frozenset(side1.word_faces), frozenset(side2.faces(self.side2_bits))
+        return frozenset(side1.word_faces), frozenset(side2.faces(self.bits[1]))
 
     @cached_property
     def families(self) -> "Subfamilies":
@@ -414,6 +400,18 @@ def _interface_expression_ok(f: MoveFacts, facets) -> bool:
     return (f.faces[0] - f.families.d1_F) | f.families.d2_int == face_set(facets)
 
 
+def _refine(f: MoveFacts, side: int) -> tuple[frozenset | None, tuple, tuple]:
+    """Side 1 or 2 (``side`` 0 or 1) subdivided along the endpoint edge from
+    its first window slot at the other side's internal slots, slot m - 1
+    first: the universe facets (None without the edge) and the names of
+    the edge and of the fresh vertices."""
+    own, other = f.bits[side], f.bits[1 - side]
+    ends = own[f.q], own[f.q + f.m - 1]
+    fresh = [other[p] for p in range(f.q + f.m - 2, f.q, -1)]
+    facets = subdivide(f.facets[side], 1 << ends[0], 1 << ends[1], [1 << b for b in fresh])
+    return facets, f.names(ends), f.names(fresh)
+
+
 def classify(ctx: BraidContext, memo: dict | None = None) -> CaseReport:
     """The verdict on one move; ``memo`` is the build memo of a caller that
     classifies several moves over the same words (see ``subword.build``)."""
@@ -432,29 +430,21 @@ def classify(ctx: BraidContext, memo: dict | None = None) -> CaseReport:
         case = {(True, True): 1, (False, True): 2,
                 (True, False): 3, (False, False): 4}[(c["A2"], c["B2"])]
 
-    facets1, facets2 = f.facets
     if case == 1:
-        witness_ok = facets1 == facets2
+        witness_ok = f.facets[0] == f.facets[1]
         witness = {"kind": "equality", "map": {v: v for v in d1x.vertices}}
     elif case:
-        # each side refined along the endpoint edge, walking fresh vertices
-        # from its first end onto the other side's internal window slots;
-        # the side without the edge gives None (B2: side 1, A2: side 2)
-        first, last, slots = 1 << f.q, 1 << (f.q + m - 1), range(m - 1, 1, -1)
-        sub1 = subdivide(facets1, first, last, [1 << (f.L + l - 2) for l in slots])
-        sub2 = subdivide(facets2, last, first, [first << (l - 1) for l in slots])
-        edge = (f_label(1), f_label(m))
-        fresh_f, fresh_g = tuple(map(f_label, slots)), tuple(g_label(l, m) for l in slots)
-        if case == 2:
-            witness_ok = sub2 == facets1
-            witness = {"kind": "subdivision", "of_side": 2, "edge": edge[::-1], "fresh": fresh_f}
-        elif case == 3:
-            witness_ok = sub1 == facets2
-            witness = {"kind": "subdivision", "of_side": 1, "edge": edge, "fresh": fresh_g}
+        refined = _refine(f, 0), _refine(f, 1)
+        if case in (2, 3):
+            k = 3 - case  # the coarser side, whose refinement is the finer one
+            sub, edge, fresh = refined[k]
+            witness_ok = sub == f.facets[1 - k]
+            witness = {"kind": "subdivision", "of_side": k + 1, "edge": edge, "fresh": fresh}
         else:
+            (sub1, edge, fresh1), (sub2, _, fresh2) = refined
             witness_ok = agree = sub1 is not None and sub1 == sub2
-            witness = {"kind": "common refinement", "edge": edge, "fresh_from_side_1": fresh_g,
-                       "fresh_from_side_2": fresh_f, "agree": agree}
+            witness = {"kind": "common refinement", "edge": edge, "fresh_from_side_1": fresh1,
+                       "fresh_from_side_2": fresh2, "agree": agree}
             if agree and dec.chain_checked:
                 witness_ok = _interface_expression_ok(f, sub1)
                 witness["interface_expression_matches"] = witness_ok
@@ -516,14 +506,14 @@ def apply_sequence(system: CoxeterSystem, word: Word, pi: GroupElement,
     for pos in positions:
         ctx = move_context(system, cur, pos, pi)
         steps.append(SequenceStep(pos, classify(ctx, memo)))
-        cur = system.apply_braid_move(cur, pos)
+        cur = ctx.side_word(2)
         words.append(cur)
     rows = tuple(_row_summary(system, w, pi, memo) for w in words)
     return SequenceReport(tuple(words), tuple(steps), rows)
 
 
 def find_move_path(system: CoxeterSystem, start: Word, goal: Word,
-                   cap: int = 100_000) -> list[int]:
+                   cap: int = MAX_REDUCED_WORDS) -> list[int]:
     """Shortest braid-move position sequence from start to goal; the cap
     is that of ``CoxeterSystem._braid_search``."""
     w = tuple(goal)

@@ -17,7 +17,7 @@ import os
 import sys
 
 from .braid import apply_sequence, classify, find_move_path, move_context
-from .coxeter import CoxeterMatrix, CoxeterSystem
+from .coxeter import MAX_REDUCED_WORDS, CoxeterMatrix, CoxeterSystem
 from .rhoposet import GAP_SCAN_WORDS, _word_text, build_rho, export_dot, poset_json
 from .subword import SubwordDescriptor, complex_json, complex_summary
 
@@ -330,7 +330,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--group", required=True,
                        help="type name (A3, B4, H3, I2:7, ...), inline JSON, or a file")
         if cap:
-            p.add_argument("--cap", type=int, default=100_000,
+            p.add_argument("--cap", type=int, default=MAX_REDUCED_WORDS,
                            help="enumeration size guard")
 
     p = sub.add_parser("complex", help="build one subword complex")

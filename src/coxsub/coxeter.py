@@ -49,6 +49,7 @@ Word = tuple[int, ...]
 # with the letters.  simplicial.MAX_VERTICES matches it.
 MAX_WORD_LETTERS = 62
 MAX_ROOTS = 1000  # the reflection table holds |Phi|^2 root indices
+MAX_REDUCED_WORDS = 100_000  # default cap of every reduced-word search and of --cap
 
 
 def _as_word(letters: Iterable[int]) -> Word:
@@ -469,7 +470,7 @@ class CoxeterSystem:
                 queue.append(nxt)
         return parent
 
-    def reduced_words(self, g: GroupElement, cap: int = 100_000) -> tuple[Word, ...]:
+    def reduced_words(self, g: GroupElement, cap: int = MAX_REDUCED_WORDS) -> tuple[Word, ...]:
         """All reduced words of g, the braid-move closure of one of them.
 
         Raises if the count exceeds cap.

@@ -18,8 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .braid import BraidContext, classify
-from .coxeter import CoxeterSystem, GroupElement, Word
-from .simplicial import LabeledComplex, is_isomorphic_constrained, iso_invariant
+from .coxeter import MAX_REDUCED_WORDS, CoxeterSystem, GroupElement, Word
+from .simplicial import LabeledComplex, _bits, is_isomorphic_constrained, iso_invariant
 from .subword import SubwordDescriptor, build
 
 FRONTIER_CAP = 512  # subdivision classes per depth before the gap scan stops
@@ -77,7 +77,7 @@ class RhoPoset:
     edges: tuple[MoveEdge, ...]
     classes: tuple[tuple[Word, ...], ...]
     class_of: dict  # word -> class index
-    leq: tuple  # leq[a][b]: class b's complex refines class a's
+    leq: tuple  # reach rows: bit b of leq[a] when class b's complex refines class a's
     antisymmetric: bool
     violations: tuple
     semilattice: SemilatticeResult
@@ -87,24 +87,18 @@ class RhoPoset:
         return self.classes[c][0]
 
 
-def _closure(n: int, covers) -> list[list[bool]]:
+def _closure(n: int, covers) -> tuple[int, ...]:
+    """One reach row per class, bit b of row a when a <= b: the reflexive
+    and transitive closure of the covers, by Warshall's algorithm."""
     reach = [1 << a for a in range(n)]
     for a, b in covers:
         reach[a] |= 1 << b
-    changed = True
-    while changed:
-        changed = False
+    for k in range(n):
+        through = reach[k]
         for a in range(n):
-            acc = reach[a]
-            scan = acc
-            while scan:
-                low = scan & -scan
-                acc |= reach[low.bit_length() - 1]
-                scan ^= low
-            if acc != reach[a]:
-                reach[a] = acc
-                changed = True
-    return [[bool(reach[a] >> b & 1) for b in range(n)] for a in range(n)]
+            if reach[a] >> k & 1:
+                reach[a] |= through
+    return tuple(reach)
 
 
 class _ClassTable:
@@ -161,7 +155,7 @@ def _subdivision_frontiers(table: _ClassTable, c: int, depth: int):
 
 
 def build_rho(system: CoxeterSystem, Q, Qp, pi: GroupElement,
-              cap: int = 100_000) -> RhoPoset:
+              cap: int = MAX_REDUCED_WORDS) -> RhoPoset:
     """Build the order; see the module docstring for the construction.
     Each (word, pi) is built once, the moves reading relabels of it.
 
@@ -234,13 +228,10 @@ def build_rho(system: CoxeterSystem, Q, Qp, pi: GroupElement,
 
     covers = sorted({(class_of[lo], class_of[up]) for lo, up in oriented})
     violations = tuple((a, b) for a, b in covers if a == b)
-    leq_rows = _closure(len(classes), covers)
-    anti_bad = tuple(
-        (classes[a][0], classes[b][0])
-        for a in range(len(classes)) for b in range(a + 1, len(classes))
-        if leq_rows[a][b] and leq_rows[b][a])
+    leq = _closure(len(classes), covers)
+    anti_bad = tuple((classes[a][0], classes[b][0]) for a in range(len(classes))
+                     for b in _bits(leq[a] >> (a + 1) << (a + 1)) if leq[b] >> a & 1)
     antisymmetric = not violations and not anti_bad
-    leq = tuple(tuple(row) for row in leq_rows)
 
     poset = RhoPoset(system, Q, Qp, pi, words, tuple(edges),
                      classes, class_of, leq, antisymmetric,
@@ -261,24 +252,24 @@ def semilattice_check(p: RhoPoset) -> SemilatticeResult:
     """
     if not p.antisymmetric:
         raise ValueError("order is not antisymmetric")
-    n = len(p.classes)
-    leq = p.leq
+    n, up = len(p.classes), p.leq
+    down = [sum(1 << c for c in range(n) if up[c] >> a & 1) for a in range(n)]  # columns
 
-    def verdict(is_bound, beats) -> tuple[bool, tuple | None]:
+    def verdict(toward, away) -> tuple[bool, tuple | None]:
+        # a pair's bounds are the classes in both its ``toward`` rows; a
+        # bound is extremal when its ``away`` row meets them only in itself
         for a in range(n):
             for b in range(a + 1, n):
-                bounds = [c for c in range(n) if is_bound(c, a) and is_bound(c, b)]
-                extremal = [c for c in bounds
-                            if not any(d != c and beats(c, d) for d in bounds)]
+                bounds = toward[a] & toward[b]
+                extremal = [c for c in _bits(bounds) if away[c] & bounds == 1 << c]
                 if len(extremal) != 1:
                     reps = tuple(p.class_rep(c) for c in extremal)
                     return False, (p.class_rep(a), p.class_rep(b), reps)
         return True, None
 
-    # meet: unique maximal lower bound (beaten by anything above it)
-    meet, meet_cert = verdict(lambda c, a: leq[c][a], lambda c, d: leq[c][d])
-    # join: unique minimal upper bound (beaten by anything below it)
-    join, join_cert = verdict(lambda c, a: leq[a][c], lambda c, d: leq[d][c])
+    # meet: a unique maximal lower bound; join: a unique minimal upper bound
+    meet, meet_cert = verdict(down, up)
+    join, join_cert = verdict(up, down)
     return SemilatticeResult(True, meet, join, meet_cert, join_cert)
 
 
@@ -302,8 +293,7 @@ def _gap_scan(p: RhoPoset, memo: dict) -> GapReport:
     subdivision_pairs = []
     truncated = False
     for a in range(n):
-        targets = [b for b in range(n)
-                   if b != a and not p.leq[a][b] and f0[b] > f0[a]]
+        targets = [b for b in range(n) if not p.leq[a] >> b & 1 and f0[b] > f0[a]]
         if not targets or reps[a].is_void:
             continue
         depth = max(f0[b] - f0[a] for b in targets)
@@ -318,15 +308,12 @@ def _gap_scan(p: RhoPoset, memo: dict) -> GapReport:
 
 def transitive_reduction(p: RhoPoset) -> tuple[tuple[int, int], ...]:
     """Cover pairs of the class order (Hasse diagram edges)."""
-    n = len(p.classes)
     out = []
-    for a in range(n):
-        for b in range(n):
-            if a == b or not p.leq[a][b]:
-                continue
-            if not any(c != a and c != b and p.leq[a][c] and p.leq[c][b]
-                       for c in range(n)):
-                out.append((a, b))
+    for a, row in enumerate(p.leq):
+        above, through = row & ~(1 << a), 0
+        for c in _bits(above):  # what lies strictly above some c above a
+            through |= p.leq[c] & ~(1 << c)
+        out.extend((a, b) for b in _bits(above & ~through))
     return tuple(out)
 
 
@@ -391,8 +378,7 @@ def poset_json(p: RhoPoset) -> dict:
             {"a": list(e.word_a), "b": list(e.word_b), "pos": e.pos}
             for e in p.edges if e.case is None
         ],
-        "relation": [[a, b] for a in range(len(p.classes))
-                     for b in range(len(p.classes)) if a != b and p.leq[a][b]],
+        "relation": [[a, b] for a, row in enumerate(p.leq) for b in _bits(row & ~(1 << a))],
         "antisymmetric": p.antisymmetric,
         "violations": [list(map(list, v)) for v in p.violations],
         "semilattice": {

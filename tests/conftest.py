@@ -1,6 +1,6 @@
 """Shared builders for the test suite: cached small systems, brute-force
-subword oracles, label-set oracles on complexes, and seeded random
-context/complex generators."""
+subword oracles, label-set oracles on complexes and on a move's shared
+namespace, and seeded random context/complex generators."""
 
 from __future__ import annotations
 
@@ -182,18 +182,47 @@ def link_oracle_check(d: SubwordDescriptor, face) -> bool:
     return link(x, face) == build(shortened)
 
 
+# -- the shared namespace of a move, on labels ----------------------------------
+
+
+def f_label(l: int) -> str:
+    return f"f{l}"
+
+
+def g_label(l: int, m: int) -> str:
+    """Side-2 window labels with the crosswise endpoint identification."""
+    if l == 1:
+        return f_label(m)
+    if l == m:
+        return f_label(1)
+    return f"g{l}"
+
+
+def word_labels(ctx: BraidContext, window) -> tuple[str, ...]:
+    """Labels of the positions of Q, then ``window``, then Q'."""
+    return (tuple(f"Q{p}" for p in range(1, len(ctx.Q) + 1)) + tuple(window)
+            + tuple(f"Q'{p}" for p in range(1, len(ctx.Qp) + 1)))
+
+
+def side_descriptor(ctx: BraidContext, side: int) -> SubwordDescriptor:
+    """Full-window descriptor of one side with the shared vertex namespace."""
+    m = ctx.m
+    lab = f_label if side == 1 else (lambda l: g_label(l, m))
+    return SubwordDescriptor(ctx.system, ctx.side_word(side), ctx.pi,
+                             labels=word_labels(ctx, (lab(l) for l in range(1, m + 1))))
+
+
 def check_A3B3_edges(f: MoveFacts) -> bool:
     """No window edge skips a slot when both length-3 window conditions
     hold and m > 3: {f_k, f_l} with f_k internal requires |k - l| = 1."""
-    m, q = f.m, f.q
+    m = f.m
     if m <= 3:
         raise ValueError("needs m > 3")
     if not f.supported:  # for m > 3: both length-3 window conditions
         raise ValueError("needs both length-3 window conditions")
-    # the universe bits of window slots 1..m on each side (slot[0] unused)
-    slots1 = [0] + [1 << (q + l - 1) for l in range(1, m + 1)]
-    slots2 = [0, slots1[m]] + [1 << (f.L + l - 2) for l in range(2, m)] + [slots1[1]]
-    for faces, slot in ((f.faces[0], slots1), (f.faces[1], slots2)):
+    for faces, lab in zip(f.faces, (f_label, lambda l: g_label(l, m))):
+        # the universe bits of window slots 1..m on this side (slot[0] unused)
+        slot = [0] + [1 << f.universe.index(lab(l)) for l in range(1, m + 1)]
         if any(slot[k] | slot[l] in faces
                for k in range(2, m) for l in range(1, m + 1) if abs(k - l) > 1):
             return False

@@ -12,11 +12,11 @@ import time
 
 import pytest
 
-from conftest import (brute_facets, face_label_sets, has_face, link, link_oracle_check,
-                      random_context, random_descriptor, spherical_complex, system)
+from conftest import (brute_facets, f_label, face_label_sets, has_face, link,
+                      link_oracle_check, random_context, random_descriptor, side_descriptor,
+                      spherical_complex, system)
 from coxsub.braid import (BraidContext, MoveFacts, apply_sequence, classify,
-                          condition, f_label, subfamilies, tilde,
-                          verify_decomposition)
+                          condition, subfamilies, tilde, verify_decomposition)
 from coxsub.rhoposet import build_rho, poset_json
 from coxsub.subword import SubwordDescriptor, build, complex_json
 
@@ -57,8 +57,8 @@ def test_criterion_01_dihedral_family():
         g1 = rep.delta1.gamma().coeffs[1]
         g2 = rep.delta2.gamma().coeffs[1]
         assert g1 - g2 == m - 2
-        _note(ctx.side_descriptor(1))
-        _note(ctx.side_descriptor(2))
+        _note(side_descriptor(ctx, 1))
+        _note(side_descriptor(ctx, 2))
     dt = time.perf_counter() - t0
     _line(1, dt < 1.0, f"I2(3..7) case 2, exact witnesses, {dt:.2f}s")
 
@@ -115,8 +115,8 @@ def test_criterion_05_polynomial_identity_batch():
         rep = classify(ctx)
         assert rep.poly is not None and rep.poly.h_ok, (ctx.Q, ctx.Qp, ctx.i, ctx.j)
         assert rep.poly.gamma_ok is not False
-        _note(ctx.side_descriptor(1))
-        _note(ctx.side_descriptor(2))
+        _note(side_descriptor(ctx, 1))
+        _note(side_descriptor(ctx, 2))
         checked += 1
     dt = time.perf_counter() - t0
     _line(5, dt < 60.0, f"200 contexts, h and gamma identities exact, {dt:.1f}s")
@@ -149,8 +149,8 @@ def test_criterion_06_structural_suite():
             vals = [condition(ctx, which, k) for k in range(m + 1)]
             assert all(b or not a for a, b in zip(vals, vals[1:]))
         unsupported += not classify(ctx).supported
-        _note(ctx.side_descriptor(1))
-        _note(ctx.side_descriptor(2))
+        _note(side_descriptor(ctx, 1))
+        _note(side_descriptor(ctx, 2))
     ok = unsupported > 0 and chained > 0
     _line(6, ok, f"200 contexts ({unsupported} unsupported), face-set "
                  f"identities hold; chain verified on {chained}")

@@ -2,12 +2,12 @@ import random
 
 import pytest
 
-from conftest import (check_A3B3_edges, face_label_sets, has_face, k_subdivide,
-                      random_context, system)
+from conftest import (check_A3B3_edges, f_label, face_label_sets, g_label, has_face,
+                      k_subdivide, random_context, side_descriptor, system, word_labels)
 from coxsub import braid
 from coxsub.braid import (BraidContext, MoveFacts, apply_sequence, classify, condition,
-                          f_label, find_move_path, g_label, move_context,
-                          polynomial_delta, subfamilies, tilde, verify_decomposition)
+                          find_move_path, move_context, polynomial_delta, subfamilies,
+                          tilde, verify_decomposition)
 from coxsub.simplicial import LabeledComplex, face_set, subdivide
 from coxsub.subword import SubwordDescriptor, build
 
@@ -71,15 +71,44 @@ def test_shared_namespace_crossing():
     assert g_label(m, m) == f_label(1)
     assert g_label(2, m) == "g2"
     ctx = i2_context(m)
-    d1 = ctx.side_descriptor(1)
-    d2 = ctx.side_descriptor(2)
-    assert d1.labels == ("Q1", "Q2", "f1", "f2", "f3", "f4", "f5")
-    assert d2.labels == ("Q1", "Q2", "f5", "g2", "g3", "g4", "f1")
-    f = MoveFacts(ctx)
-    assert f.universe == d1.labels + ("g2", "g3", "g4")
-    # side 2 reaches the universe by one fixed bit permutation
-    for p, label in enumerate(d2.labels):
-        assert f.from_side2([1 << p]) == {_mask(f, [label])} == {1 << f.side2_bits[p]}
+    assert side_descriptor(ctx, 1).labels == ("Q1", "Q2", "f1", "f2", "f3", "f4", "f5")
+    assert side_descriptor(ctx, 2).labels == ("Q1", "Q2", "f5", "g2", "g3", "g4", "f1")
+    # the position tables against the label oracle, on moves with m = 2..5
+    # and Q, Q' both non-empty
+    rng = random.Random(27)
+    contexts, seen_m = [], set()
+    while len(contexts) < 60:
+        ctx = random_context(rng)
+        if ctx.Q and ctx.Qp:
+            contexts.append(ctx)
+            seen_m.add(ctx.m)
+    assert seen_m == {2, 3, 4, 5}
+    for ctx in contexts:
+        f, m = MoveFacts(ctx), ctx.m
+        d1, d2 = side_descriptor(ctx, 1), side_descriptor(ctx, 2)
+        assert f.universe == d1.labels + tuple(f"g{l}" for l in range(2, m))
+        assert f.names(f.bits[0]) == d1.labels and f.names(f.bits[1]) == d2.labels
+        assert f.sides == (build(d1), build(d2))
+        assert f.internal == (_mask(f, [f_label(l) for l in range(2, m)]),
+                              _mask(f, [g_label(l, m) for l in range(2, m)]))
+        # side 2 reaches the universe by one fixed bit permutation
+        for p, label in enumerate(d2.labels):
+            assert f.from_side2([1 << p]) == {1 << f.bits[1][p]} == {_mask(f, [label])}
+        # the witnesses' names: each side walks its endpoint edge onto the
+        # other side's internal slots, from slot m - 1 down
+        slots = range(m - 1, 1, -1)
+        _, edge1, fresh1 = braid._refine(f, 0)
+        _, edge2, fresh2 = braid._refine(f, 1)
+        assert edge1 == (f_label(1), f_label(m)) and edge2 == (f_label(m), f_label(1))
+        assert fresh1 == tuple(g_label(l, m) for l in slots)
+        assert fresh2 == tuple(f_label(l) for l in slots)
+        w = classify(ctx).witness
+        if w and w["kind"] == "subdivision":
+            assert (w["edge"], w["fresh"]) == ((edge1, fresh1) if w["of_side"] == 1
+                                               else (edge2, fresh2))
+        elif w and w["kind"] == "common refinement":
+            assert (w["edge"], w["fresh_from_side_1"], w["fresh_from_side_2"]) == \
+                (edge1, fresh1, fresh2)
 
 
 def test_i2_family():
@@ -211,7 +240,7 @@ def _label_reference(f: MoveFacts):
     through the shift tables of the link isomorphisms."""
     ctx, m = f.ctx, f.m
     # the shortened windows, with neutral labels "w1".."w{m-2}"
-    inner = ctx._labels(f"w{t}" for t in range(1, m - 1))
+    inner = word_labels(ctx, (f"w{t}" for t in range(1, m - 1)))
     k1, k2 = (build(SubwordDescriptor(ctx.system, ctx.side_word(side, 2), ctx.pi, inner))
               for side in (1, 2))
     faces1, faces2 = face_label_sets(k1), face_label_sets(k2)
@@ -396,6 +425,9 @@ def test_a3_chain_frozen():
         {1, 2, 3, 4, 5, 8, 9}, {1, 2, 3, 4, 6, 8, 9}, {1, 2, 3, 4, 6, 7, 8, 9},
         set(range(1, 10)), set(range(1, 10))]
     assert rep.words[-1] == (1, 2, 3, 1, 2, 3, 1, 2, 1)
+    # each next word is the classified move's side 2, the window rewritten
+    assert all(A3.apply_braid_move(a, pos) == b
+               for a, b, pos in zip(rep.words, rep.words[1:], moves))
     assert all(r["spherical"] for r in rep.rows)
 
 

@@ -275,6 +275,17 @@ PINNED = [
     (("poset", "--group", "A3", "--Q", "1,2,3", "--Qprime", "3,3,2", "--pi", "w0",
       "--dot", "-"),
      "f07f40697eb257dfbc016a83b5b557fa65232f455a64d3fe5af5661505fd8ec5"),
+    # moves with Q and Q' both non-empty: m = 4 in case 2, m = 5 in case 3
+    # (side 2 named f5 g2 g3 g4 f1) and m = 5 unsupported
+    (("classify", "--group", "B3", "--word", "1,1,3,2,3,2,3,2", "--pos", "3",
+      "--pi", "3,1,2,3,2", "--json"),
+     "63bbc3a0fbe3fa4c84743d1b750950e5e458432715ba41c07e294f5f11481596"),
+    (("classify", "--group", "H3", "--word", "1,2,2,1,2,1,2,2", "--pos", "3",
+      "--pi", "1,2,1,2,1", "--json"),
+     "22232913b122789b349a3a905b936328b492844c59d5890efde266fca57cb130"),
+    (("classify", "--group", "H3", "--word", "2,3,2,2,1,2,1,2,1,2", "--pos", "4",
+      "--pi", "3,1,2,1,2,1", "--json"),
+     "f706c56eb1a8734aced6141cc7abdd8743d28426731d713d27cbeab4519b8848"),
     (("complex", "--group", "A2", "--word", "1,2,1,2,1", "--pi", "w0", "--json"),
      "172869ea79525533e0f5c0e18e17f2e5c6ff287c25730d3b81a37d4e2855758b"),
 ]
@@ -282,7 +293,8 @@ PINNED = [
 
 @pytest.mark.parametrize("argv,digest", PINNED,
                          ids=["demo", "chain", "poset", "case2", "case3", "case4",
-                              "gap_json", "gap_dot", "complex"])
+                              "gap_json", "gap_dot", "m4_case2", "m5_case3",
+                              "m5_unsupported", "complex"])
 def test_worked_examples_pinned(capsys, argv, digest):
     code, out, _ = run(capsys, *argv)
     assert code == 0

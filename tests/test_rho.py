@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -22,7 +23,7 @@ def test_identity_poset():
     p = build_rho(A3, (), (), A3.identity)
     assert p.words == ((),)
     assert p.classes == (((),),)
-    assert p.leq == ((True,),)
+    assert p.leq == (1,)
     assert p.antisymmetric
     assert p.semilattice.applicable and p.semilattice.meet and p.semilattice.join
     assert p.gap.checked and p.gap.clean
@@ -102,7 +103,7 @@ def test_reduction_closure_roundtrip():
                     reach[src].add(b)
                     changed = True
     for a in range(n):
-        assert {b for b in range(n) if p.leq[a][b]} == reach[a]
+        assert {b for b in range(n) if p.leq[a] >> b & 1} == reach[a]
 
 
 def test_mirror_orientation():
@@ -154,19 +155,23 @@ def test_poset_json_shape():
         assert (a, b) in pairs
 
 
-def test_semilattice_on_synthetic_orders():
-    def make(leq, words):
-        classes = tuple((w,) for w in words)
-        return RhoPoset(None, (), (), None, tuple(words), (), classes,
-                        {w: k for k, w in enumerate(words)}, leq, True, (),
-                        SemilatticeResult(applicable=False), GapReport(False))
+def _synthetic(matrix, words, antisymmetric=True) -> RhoPoset:
+    """An order on one word per class, its relation given as a bool matrix."""
+    classes = tuple((w,) for w in words)
+    leq = tuple(sum(1 << b for b, x in enumerate(row) if x) for row in matrix)
+    return RhoPoset(None, (), (), None, tuple(words), (), classes,
+                    {w: k for k, w in enumerate(words)}, leq, antisymmetric,
+                    () if antisymmetric else ((words[0], words[0]),),
+                    SemilatticeResult(applicable=False), GapReport(False))
 
-    chain = make(((True, True, True), (False, True, True), (False, False, True)),
-                 [(1,), (2,), (3,)])
+
+def test_semilattice_on_synthetic_orders():
+    chain = _synthetic(((True, True, True), (False, True, True), (False, False, True)),
+                       [(1,), (2,), (3,)])
     res = semilattice_check(chain)
     assert res.meet and res.join
 
-    antichain = make(((True, False), (False, True)), [(1,), (2,)])
+    antichain = _synthetic(((True, False), (False, True)), [(1,), (2,)])
     res = semilattice_check(antichain)
     assert not res.meet and not res.join
     assert res.meet_certificate == ((1,), (2,), ())
@@ -180,7 +185,7 @@ def test_semilattice_on_synthetic_orders():
         (True, True, True, False),     # c <= a, b
         (True, True, False, True),     # d <= a, b
     )
-    bowtie = make(leq, [("a",), ("b",), ("c",), ("d",)])
+    bowtie = _synthetic(leq, [("a",), ("b",), ("c",), ("d",)])
     res = semilattice_check(bowtie)
     assert not res.meet
     assert res.meet_certificate == (("a",), ("b",), (("c",), ("d",)))
@@ -190,11 +195,84 @@ def test_semilattice_on_synthetic_orders():
 
 
 def test_semilattice_requires_antisymmetry():
-    p = RhoPoset(None, (), (), None, ((1,),), (), (((1,),),), {(1,): 0},
-                 ((True,),), False, (((1,), (1,)),),
-                 SemilatticeResult(applicable=False), GapReport(False))
+    p = _synthetic(((True,),), [(1,)], antisymmetric=False)
     with pytest.raises(ValueError):
         semilattice_check(p)
+
+
+# -- the order on bool matrices, the reference for the reach rows ------------
+
+
+def _matrix_closure(n: int, covers) -> list[list[bool]]:
+    """Reflexive transitive closure by repeated relaxation to a fixed point."""
+    leq = [[a == b for b in range(n)] for a in range(n)]
+    for a, b in covers:
+        leq[a][b] = True
+    changed = True
+    while changed:
+        changed = False
+        for a in range(n):
+            for c in range(n):
+                for b in range(n):
+                    if leq[a][c] and leq[c][b] and not leq[a][b]:
+                        leq[a][b] = changed = True
+    return leq
+
+
+def _matrix_reduction(leq) -> tuple:
+    """Cover pairs: a < b with no c outside {a, b} between them."""
+    n = len(leq)
+    return tuple((a, b) for a in range(n) for b in range(n)
+                 if a != b and leq[a][b]
+                 and not any(c != a and c != b and leq[a][c] and leq[c][b] for c in range(n)))
+
+
+def _matrix_semilattice(p: RhoPoset, leq) -> SemilatticeResult:
+    """Meet and join by scanning every pair's bound list for its extremal
+    members, with the same certificates as ``semilattice_check``."""
+    n = len(leq)
+
+    def verdict(is_bound, beats):
+        for a in range(n):
+            for b in range(a + 1, n):
+                bounds = [c for c in range(n) if is_bound(c, a) and is_bound(c, b)]
+                extremal = [c for c in bounds
+                            if not any(d != c and beats(c, d) for d in bounds)]
+                if len(extremal) != 1:
+                    reps = tuple(p.class_rep(c) for c in extremal)
+                    return False, (p.class_rep(a), p.class_rep(b), reps)
+        return True, None
+
+    meet, meet_cert = verdict(lambda c, a: leq[c][a], lambda c, d: leq[c][d])
+    join, join_cert = verdict(lambda c, a: leq[a][c], lambda c, d: leq[d][c])
+    return SemilatticeResult(True, meet, join, meet_cert, join_cert)
+
+
+def test_reach_rows_match_bool_matrix():
+    rng = random.Random(31)
+    verdicts = set()
+    for trial in range(300):
+        n = rng.randrange(1, 9)
+        # covers along a random order of the classes; every third trial
+        # also adds backward covers, so the closure may hold cycles
+        rank = rng.sample(range(n), n)
+        covers = sorted({(a, b) for a in range(n) for b in range(n)
+                         if a != b and rng.random() < 0.3
+                         and (rank[a] < rank[b] or trial % 3 == 0 and rng.random() < 0.2)})
+        matrix = _matrix_closure(n, covers)
+        rows = rhoposet._closure(n, covers)
+        assert rows == tuple(sum(1 << b for b in range(n) if matrix[a][b]) for a in range(n))
+        antisymmetric = not any(matrix[a][b] and matrix[b][a]
+                                for a in range(n) for b in range(a + 1, n))
+        p = _synthetic(matrix, [(k,) for k in range(n)], antisymmetric)
+        assert transitive_reduction(p) == _matrix_reduction(matrix)
+        if antisymmetric:
+            got, want = semilattice_check(p), _matrix_semilattice(p, matrix)
+            assert (got.meet, got.join, got.meet_certificate, got.join_certificate) == \
+                (want.meet, want.join, want.meet_certificate, want.join_certificate)
+            verdicts.add((got.meet, got.join))
+    # lattices, one-sided semilattices and orders with both certificates
+    assert verdicts == {(True, True), (True, False), (False, True), (False, False)}
 
 
 def test_cap_respected():
@@ -276,7 +354,7 @@ def _oracle_gap(p: RhoPoset) -> GapReport:
     subdivision_pairs = []
     for a in range(n):
         targets = [b for b in range(n)
-                   if b != a and not p.leq[a][b] and f0[b] > f0[a]]
+                   if b != a and not p.leq[a] >> b & 1 and f0[b] > f0[a]]
         if not targets or reps[a].is_void:
             continue
         frontiers = frontiers_of(reps[a], max(f0[b] - f0[a] for b in targets))
