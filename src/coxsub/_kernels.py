@@ -53,13 +53,12 @@ def reduced_subword_masks(right, desc, word, layers):
                         lambda rest, link, p: [x | 1 << p for x in rest] + (link or [])) or []
 
 
-def subword_faces(right, desc, word, layers, bits):
-    """Every face once, position p written at bit bits[p].  At a descent a
-    face without p lies in the deletion or in the link, which the subword
-    property puts inside the deletion; a face with p is a link face plus p."""
+def subword_faces(right, desc, word, layers):
+    """Every face once, bit p for position p.  At a descent a face without
+    p lies in the deletion or in the link, which the subword property puts
+    inside the deletion; a face with p is a link face plus p."""
     def cone(link, p, rest=None):
-        b = 1 << bits[p]
-        return (link if rest is None else rest) + [x | b for x in link]
+        return (link if rest is None else rest) + [x | 1 << p for x in link]
 
     return subword_pass(right, desc, word, layers, [0], cone,
                         lambda rest, link, p: rest if link is None else cone(link, p, rest))

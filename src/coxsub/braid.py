@@ -18,10 +18,12 @@ window slots f1..fm, Q'), bits L..L+m-3 the internal side-2 window slots
 g2..g(m-1).  ``MoveFacts.bits`` holds one table per side, the universe bit
 of each word position.  Side 1's is the identity.  Side 2's crosses the
 window endpoints (first slot to fm, last to f1) and lifts the internal
-slots as one block to the top; ``from_side2`` is its mask form.  The
-vertex names, the internal masks and the witnesses' fresh vertices all
-read these tables.  The endpoint edge {f1, fm} is then F on side 1 and G
-on side 2.  The universe can exceed 62 bits, so its masks are Python ints.
+slots as one block to the top.  The vertex names, the internal masks and
+the witnesses' fresh vertices read these tables.  Side 2's facets, faces
+and interface families are made over its word positions, the first two
+read from its memo entry, and cross by ``from_side2``, the mask form of
+its table.  The endpoint edge {f1, fm} is then F on side 1 and G on side
+2.  The universe can exceed 62 bits, so its masks are Python ints.
 
 Link insertion.  The interface families come from the complexes of the
 words with the window shortened by two, the links of window edges
@@ -163,10 +165,11 @@ class MoveFacts:
 
     @cached_property
     def faces(self) -> tuple[frozenset, frozenset]:
-        """The faces of both sides as universe masks: side 1 over its word
-        positions as they are, side 2 written at ``bits[1]``."""
+        """The faces of both sides as universe masks, from their memo
+        entries: side 1's word positions as they are, side 2's crossed by
+        ``from_side2``."""
         side1, side2 = self._entries[:2]
-        return frozenset(side1.word_faces), frozenset(side2.faces(self.bits[1]))
+        return frozenset(side1.word_faces), self.from_side2(side2.word_faces)
 
     @cached_property
     def families(self) -> "Subfamilies":

@@ -41,8 +41,6 @@ from math import cos, pi as PI, sqrt
 from operator import index as _int
 from typing import Iterable, Sequence
 
-from .backend import active as _K
-
 Word = tuple[int, ...]
 
 # An input bound: the facets the kernel enumerates can grow exponentially
@@ -436,17 +434,6 @@ class CoxeterSystem:
             if w[p:p + order] == ((i, j) * order)[:order]:
                 yield p + 1, i, j, order, w[:p] + ((j, i) * order)[:order] + w[p + order:]
 
-    def apply_braid_move(self, word: Iterable[int], pos: int) -> Word:
-        """Replace the alternating window of length m(i,j) starting at pos.
-
-        pos is 1-based; the window letters are read off the word itself.
-        """
-        w = self._word(word)
-        for move in self._braid_moves(w):
-            if move[0] == pos:
-                return move[4]
-        raise ValueError(f"no braid move applies at position {pos} of {w}")
-
     def _braid_search(self, start: Word, cap: int, goal: Word | None = None) -> dict:
         """Breadth-first search over braid moves from ``start``.
 
@@ -487,13 +474,6 @@ class CoxeterSystem:
         return self._elements[g]
 
     # -- reduced subwords ---------------------------------------------------
-
-    def reduced_subword_masks(self, word: Iterable[int], pi: GroupElement) -> list[int]:
-        """Sorted bitmasks (bit p for position p) of the position sets of
-        word that carry a reduced word of pi."""
-        letters = self._letters(word)
-        layers = self._subword_layers(letters, self._id(self.inverse(pi)))
-        return sorted(_K.reduced_subword_masks(self._right, self._desc, letters, layers))
 
     def _subword_layers(self, letters: Word, start: int) -> list[set[int]]:
         """Forward pass of the subword DP (see ``_kernels``) from the id ``start``

@@ -105,8 +105,8 @@ class LabeledComplex:
         object.__setattr__(self, "vertices", vertices)
         object.__setattr__(self, "facets", tuple(masks))
         # the facts that do not depend on labels, filled on first use and
-        # shared with every relabel: "faces", "f", "h", "gamma", "sig" and the
-        # isomorphism search "plan"
+        # shared with every relabel: "faces", "f", "h", "gamma", "sig" (counted
+        # from the facets by ``_signatures``) and the isomorphism search "plan"
         object.__setattr__(self, "_cache", {})
 
     def __setattr__(self, *a):  # immutability by convention
@@ -215,26 +215,11 @@ class LabeledComplex:
             raise ValueError(f"fresh label {fresh!r} is already a vertex")
         out = None
         if s in verts and t in verts:
-            sbit, tbit = 1 << verts.index(s), 1 << verts.index(t)
-            out = subdivide(self.facets, sbit, tbit, (1 << len(verts),))
+            out = subdivide(self.facets, 1 << verts.index(s), 1 << verts.index(t),
+                            (1 << len(verts),))
         if out is None:
             raise ValueError(f"{{{s!r}, {t!r}}} is not an edge of the complex")
-        child = LabeledComplex(verts + (fresh,), out)
-        sig = self._cache.get("sig")
-        if sig is not None:  # only the vertices of the split facets gain sizes
-            r = len(verts)
-            gain: dict[int, tuple[int, ...]] = {r: ()}
-            ebits = sbit | tbit
-            for f in (f for f in self.facets if f & ebits == ebits):
-                k = (f.bit_count(),)
-                for u in _bits(f & ~ebits):
-                    gain[u] = gain.get(u, ()) + k
-                gain[r] += k + k
-            sig = sig + [()]
-            for u, more in gain.items():
-                sig[u] = tuple(sorted(sig[u] + more))
-            child._cache["sig"] = sig
-        return child
+        return LabeledComplex(verts + (fresh,), out)
 
     # -- enumerative invariants ---------------------------------------------
 

@@ -8,8 +8,9 @@ same letter.  A position that lies in no facet is not a vertex of the
 complex and is dropped from its vertex set.
 
 The vertex decomposition gives the h-vector (and f and gamma), the facets
-and, on demand, the faces: one forward pass over its states, one backward
-pass for each (see ``_kernels``).  Void complexes are told by Bruhat order.
+and, on demand, the faces, each by a backward pass over the states that a
+forward pass lists (see ``_kernels``); the faces, asked for later, make a
+forward pass of their own.  Void complexes are told by Bruhat order.
 """
 
 from __future__ import annotations
@@ -87,21 +88,17 @@ class PositionComplex:
         self.complex = LabeledComplex([p for p in range(len(word)) if used >> p & 1], packed)
         self.complex._know_h(h)
 
-    def faces(self, bits) -> list[int]:
-        """Every face once, word position p at bit ``bits[p]``, from a fresh
-        forward pass; refused where ``simplicial.face_set`` would be."""
-        if sum(1 << f.bit_count() for f in self.word_facets) > MAX_FACES:
-            raise ValueError(FACE_LIMIT_ERROR)
-        if self.complex.is_void:
-            return []
-        s, w = self.system, self.letters
-        return _kernels.subword_faces(s._right, s._desc, w, s._subword_layers(w, self.start), bits)
-
     @property
     def word_faces(self) -> tuple[int, ...]:
-        """Every face as a mask over word positions, bit p for position p."""
+        """Every face once as a mask over word positions, bit p for position
+        p, made on first use from a forward pass of its own; refused where
+        ``simplicial.face_set`` would be."""
         if self._faces is None:
-            self._faces = tuple(self.faces(range(len(self.letters))))
+            if sum(1 << f.bit_count() for f in self.word_facets) > MAX_FACES:
+                raise ValueError(FACE_LIMIT_ERROR)
+            s, w = self.system, self.letters
+            self._faces = () if self.complex.is_void else tuple(_kernels.subword_faces(
+                s._right, s._desc, w, s._subword_layers(w, self.start)))
         return self._faces
 
     def relabel(self, labels) -> LabeledComplex:

@@ -7,6 +7,7 @@ from __future__ import annotations
 import itertools
 import random
 
+from coxsub import _kernels, backend
 from coxsub.braid import BraidContext, MoveFacts
 from coxsub.coxeter import CoxeterMatrix, CoxeterSystem
 from coxsub.simplicial import LabeledComplex
@@ -19,6 +20,35 @@ def system(name: str) -> CoxeterSystem:
     if name not in _SYSTEMS:
         _SYSTEMS[name] = CoxeterSystem(CoxeterMatrix.named(name))
     return _SYSTEMS[name]
+
+
+def braid_step(sys_, word, pos: int):
+    """The word after the braid move at 1-based ``pos``, read off
+    ``_braid_moves``; raises unless exactly one move starts there."""
+    (nxt,) = [move[4] for move in sys_._braid_moves(tuple(word)) if move[0] == pos]
+    return nxt
+
+
+def run_masks(sys_, word, pi):
+    """The facet kernel called directly, on the tables and forward layers
+    of sys_: the complement masks of the reduced words of pi in word."""
+    letters = tuple(a - 1 for a in word)
+    layers = sys_._subword_layers(letters, sys_._id(sys_.inverse(pi)))
+    return backend.active.reduced_subword_masks(sys_._right, sys_._desc, letters, layers)
+
+
+def face_passes(monkeypatch) -> list:
+    """Record the (letters, start) of every face pass from now on."""
+    seen = []
+    kernel = _kernels.subword_faces
+
+    def counted(right, desc, word, layers):
+        (start,) = layers[0]
+        seen.append((word, start))
+        return kernel(right, desc, word, layers)
+
+    monkeypatch.setattr(_kernels, "subword_faces", counted)
+    return seen
 
 
 def brute_facets(sys_, word, pi):

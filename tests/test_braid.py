@@ -2,8 +2,9 @@ import random
 
 import pytest
 
-from conftest import (check_A3B3_edges, f_label, face_label_sets, g_label, has_face,
-                      k_subdivide, random_context, side_descriptor, system, word_labels)
+from conftest import (braid_step, check_A3B3_edges, f_label, face_label_sets, face_passes,
+                      g_label, has_face, k_subdivide, random_context, side_descriptor,
+                      system, word_labels)
 from coxsub import braid
 from coxsub.braid import (BraidContext, MoveFacts, apply_sequence, classify, condition,
                           find_move_path, move_context, polynomial_delta, subfamilies,
@@ -91,9 +92,11 @@ def test_shared_namespace_crossing():
         assert f.sides == (build(d1), build(d2))
         assert f.internal == (_mask(f, [f_label(l) for l in range(2, m)]),
                               _mask(f, [g_label(l, m) for l in range(2, m)]))
-        # side 2 reaches the universe by one fixed bit permutation
+        # side 2 reaches the universe by one fixed bit permutation, which
+        # carries its faces as it carries its facets
         for p, label in enumerate(d2.labels):
             assert f.from_side2([1 << p]) == {1 << f.bits[1][p]} == {_mask(f, [label])}
+        assert f.faces[1] == face_set(f.facets[1])
         # the witnesses' names: each side walks its endpoint edge onto the
         # other side's internal slots, from slot m - 1 down
         slots = range(m - 1, 1, -1)
@@ -109,6 +112,22 @@ def test_shared_namespace_crossing():
         elif w and w["kind"] == "common refinement":
             assert (w["edge"], w["fresh_from_side_1"], w["fresh_from_side_2"]) == \
                 (edge1, fresh1, fresh2)
+
+
+def test_classify_again_makes_no_faces(monkeypatch):
+    # the faces of both sides and of the shortened windows are kept with
+    # their memo entries: classifying a move again only reads them
+    rng = random.Random(41)
+    seen = face_passes(monkeypatch)
+    for _ in range(40):
+        ctx, memo = random_context(rng), {}
+        first = classify(ctx, memo)
+        made = len(seen)
+        again = classify(ctx, memo)
+        assert len(seen) == made
+        assert (again.case, again.witness, again.decomposition.checks) == \
+            (first.case, first.witness, first.decomposition.checks)
+    assert seen
 
 
 def test_i2_family():
@@ -426,7 +445,7 @@ def test_a3_chain_frozen():
         set(range(1, 10)), set(range(1, 10))]
     assert rep.words[-1] == (1, 2, 3, 1, 2, 3, 1, 2, 1)
     # each next word is the classified move's side 2, the window rewritten
-    assert all(A3.apply_braid_move(a, pos) == b
+    assert all(braid_step(A3, a, pos) == b
                for a, b, pos in zip(rep.words, rep.words[1:], moves))
     assert all(r["spherical"] for r in rep.rows)
 
@@ -546,7 +565,7 @@ def test_find_move_path():
         path = find_move_path(A3, a, b)
         cur = a
         for pos in path:
-            cur = A3.apply_braid_move(cur, pos)
+            cur = braid_step(A3, cur, pos)
         assert cur == b
     with pytest.raises(ValueError):
         find_move_path(A3, (1, 2, 1), (2, 3, 2))  # different elements
@@ -562,7 +581,7 @@ def test_find_move_path_cap():
     for cap in (len(words), len(words) - 1):
         cur = start
         for pos in find_move_path(A3, start, far, cap=cap):
-            cur = A3.apply_braid_move(cur, pos)
+            cur = braid_step(A3, cur, pos)
         assert cur == far
     with pytest.raises(ValueError, match=f"more than {len(words) - 2}"):
         find_move_path(A3, start, far, cap=len(words) - 2)

@@ -1,21 +1,17 @@
 import random
 
-from conftest import brute_facets, random_pi, system
+from conftest import brute_facets, random_pi, run_masks, system
 from coxsub import backend
-
-
-def run_masks(sys_, word, pi):
-    """The kernel called directly, on the tables and forward layers of sys_."""
-    letters = tuple(a - 1 for a in word)
-    layers = sys_._subword_layers(letters, sys_._id(sys_.inverse(pi)))
-    return backend.active.reduced_subword_masks(sys_._right, sys_._desc, letters, layers)
+from coxsub.subword import position_complex
 
 
 def test_python_masks_match_library():
     A2 = system("A2")
     w0 = A2.longest_element()
     got = sorted(run_masks(A2, (1, 2, 1, 2, 1), w0))
-    assert got == A2.reduced_subword_masks((1, 2, 1, 2, 1), w0)
+    # the library's facets are the complements of the kernel's masks
+    entry = position_complex(A2, (1, 2, 1, 2, 1), w0, {})
+    assert got == sorted(0b11111 ^ f for f in entry.word_facets)
     assert len(got) == 5
     # a void instance finds nothing
     assert run_masks(A2, (1, 2), w0) == []

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from conftest import system
+from conftest import braid_step, face_passes, system
 from coxsub import backend, cli, rhoposet, subword
 from coxsub.braid import apply_sequence, classify, move_context
 from coxsub.rhoposet import (GapReport, RhoPoset, SemilatticeResult, build_rho,
@@ -117,7 +117,7 @@ def test_mirror_orientation():
         rep_b = classify(ctx_b)
         assert rep_b.case == {2: 3, 3: 2}[e.case]
         assert rep_b.witness_ok
-        assert sys_.apply_braid_move(e.word_b, e.pos) == e.word_a
+        assert braid_step(sys_, e.word_b, e.pos) == e.word_a
 
 
 def test_dot_export_structure():
@@ -471,6 +471,18 @@ def _position_complexes(monkeypatch) -> list:
 
     monkeypatch.setattr(subword, "PositionComplex", counted)
     return made
+
+
+@pytest.mark.parametrize("name, Q, Qp, passes", [("A4", (1, 2, 3, 4), (), 432),
+                                                 ("H3", (1, 2, 3), (), 184),
+                                                 ("A3", (1, 1), (1, 3), 15)])
+def test_faces_made_once_per_complex(monkeypatch, name, Q, Qp, passes):
+    # the moves read the faces of each (word, pi) from its memo entry, so
+    # a side-2 word shared by several moves has its faces made once
+    W = system(name)
+    seen = face_passes(monkeypatch)
+    build_rho(W, Q, Qp, W.longest_element())
+    assert len(seen) == len(set(seen)) == passes
 
 
 def test_each_complex_built_once(monkeypatch):

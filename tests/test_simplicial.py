@@ -5,8 +5,7 @@ import pytest
 
 from conftest import (face_label_sets, has_face, k_subdivide, link, random_descriptor,
                       spherical_complex)
-from coxsub.simplicial import (LabeledComplex, _signatures, is_isomorphic_constrained,
-                               iso_invariant)
+from coxsub.simplicial import LabeledComplex, is_isomorphic_constrained, iso_invariant
 from coxsub.subword import build
 
 
@@ -116,27 +115,6 @@ def test_edge_subdivide_h_identity():
         for k in range(len(h0)):
             add = link_h[k - 1] if 1 <= k <= len(link_h) else 0
             assert h1[k] == h0[k] + add
-
-
-def test_edge_subdivide_derives_signatures():
-    # a subdivision derives its vertex signatures from its parent's; they
-    # must equal a fresh count over its facets, pure complexes or not
-    rng = random.Random(17)
-    starts = [spherical_complex(rng)[1] for _ in range(15)]
-    starts += [LabeledComplex.from_facets(
-        [rng.sample(range(6), rng.randrange(2, 5)) for _ in range(rng.randrange(2, 7))])
-        for _ in range(15)]
-    for x in starts:
-        _signatures(x)
-        for step in range(5):
-            edges = x.edge_masks()
-            if not edges:
-                break
-            e = rng.choice(edges)
-            ends = (x.vertices[(e & -e).bit_length() - 1], x.vertices[e.bit_length() - 1])
-            x = x.edge_subdivide(ends, f"r{step}")
-            derived = x._cache["sig"]
-            assert derived == _signatures(LabeledComplex(x.vertices, x.facets))
 
 
 def test_k_subdivide():

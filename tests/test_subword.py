@@ -244,11 +244,6 @@ def test_h_recursion_matches_faces():
     assert min(seen.values()) >= 3, seen
 
 
-
-def _moved(mask: int, bits) -> int:
-    return sum(1 << bits[p] for p in range(len(bits)) if mask >> p & 1)
-
-
 def test_subword_dp_matches_oracles():
     # h, facets and faces of the one forward pass and its backward passes,
     # against the set-based h recursion, the 2^L facet scan and the
@@ -274,7 +269,7 @@ def test_subword_dp_matches_oracles():
         x = entry.complex
         if x.is_void:
             seen["void"] += 1
-            assert want_h is None and entry.word_facets == [] and entry.faces(range(9)) == []
+            assert want_h is None and entry.word_facets == [] and entry.word_faces == ()
             assert brute_facets(sys_, word, pi) == set()
             continue
         seen["empty face"] += x.facets == (0,)
@@ -282,17 +277,12 @@ def test_subword_dp_matches_oracles():
         assert x.h_vector() == want_h
         assert {frozenset(p + 1 for p in range(len(word)) if f >> p & 1)
                 for f in entry.word_facets} == brute_facets(sys_, word, pi)
-        faces = entry.faces(range(len(word)))
+        faces = entry.word_faces
         assert len(faces) == len(set(faces))
-        assert set(faces) == face_set(entry.word_facets) == set(entry.word_faces)
-        # any injective bit table: the faces written there are the moved faces
-        bits = rng.sample(range(len(word) + 4), len(word))
-        moved = entry.faces(bits)
-        assert len(moved) == len(faces)
-        assert set(moved) == {_moved(f, bits) for f in faces}
+        assert set(faces) == face_set(entry.word_facets)
     assert min(seen.values()) >= 5, seen
     # the faces refuse where face_set refuses the facets: 40 x 2^39 submasks
     A1 = system("A1")
     entry = position_complex(A1, (1,) * 40, A1.generator(1), {})
     with pytest.raises(ValueError, match="face enumeration too large"):
-        entry.faces(range(40))
+        entry.word_faces
