@@ -11,65 +11,64 @@ Conventions:
 The subword DP walks the vertex decomposition of Delta(word; pi)
 (Knutson-Miller 2004) on states (p, w) standing for Delta(word[p:]; w^-1),
 w = pi^-1 u for the product u of the letters taken before position p.  A
-forward pass (``CoxeterSystem._subword_layers``) lists the live states
-before each position; each pass below folds those layers back.
+forward pass (``CoxeterSystem._subword_layers``) lists the live states,
+of non-void complexes, before each position; each pass below folds them back.
 """
 
 from __future__ import annotations
 
 
 def subword_pass(right, desc, word, layers, leaf, cone, split):
-    """The value of the start state, None when void; the identity after
+    """The value of the start state, which must be live; the identity after
     the last position, the complex {()}, has the value ``leaf``.  With
     s = word[p], a state w without the right descent s is a cone over its
-    link (p + 1, w), of value cone(link, p); else it has split(rest, link,
-    p), rest the value of the deletion (p + 1, w s), link None when void.
-    The link lies inside the deletion, so a void deletion voids the state."""
+    link (p + 1, w), of value cone(link, p); else it has split(rest, link, p),
+    rest the value of the deletion (p + 1, w s), or rest itself when the link
+    is void: the deletion and a cone link of a live state are never void."""
     vals = {0: leaf}
     for p in range(len(word) - 1, -1, -1):
         s, below, vals = word[p], vals, {}
         for w in layers[p]:
-            link = below.get(w)
             if not desc[w] >> s & 1:
-                if link is not None:
-                    vals[w] = cone(link, p)
-            elif (rest := below.get(right[w][s])) is not None:
-                vals[w] = split(rest, link, p)
+                vals[w] = cone(below[w], p)
+            else:
+                rest = below[right[w][s]]
+                vals[w] = split(rest, below[w], p) if w in below else rest
     (start,) = layers[0]
-    return vals.get(start)
+    return vals[start]
 
 
 def subword_h(right, desc, word, layers):
     """h-vector: h(deletion) + t h(link) at a descent, else h(link), 0."""
     return subword_pass(right, desc, word, layers, (1,), lambda link, p: link + (0,),
-                        lambda rest, link, p: rest if link is None
-                        else tuple(map(sum, zip(rest, (0,) + link))))
+                        lambda rest, link, p: tuple(map(sum, zip(rest, (0,) + link))))
+
+
+def _with_p(rest, link, p):
+    """Facets or faces at a descent: the deletion's, then the link's plus p."""
+    return rest + [x | 1 << p for x in link]
 
 
 def reduced_subword_masks(right, desc, word, layers):
-    """Masks of the subwords of ``word`` that are reduced words of pi, or
-    []: the facet pass takes p exactly where its letter descends the state."""
-    return subword_pass(right, desc, word, layers, [0], lambda link, p: link,
-                        lambda rest, link, p: [x | 1 << p for x in rest] + (link or [])) or []
+    """Masks of the subwords of ``word`` that are reduced words of pi, the
+    complements of the facets; at a cone point every facet takes p."""
+    full = (1 << len(word)) - 1
+    return [full ^ f for f in subword_pass(right, desc, word, layers, [0],
+                                           lambda link, p: [x | 1 << p for x in link], _with_p)]
 
 
 def subword_faces(right, desc, word, layers):
-    """Every face once, bit p for position p.  At a descent a face without
-    p lies in the deletion or in the link, which the subword property puts
-    inside the deletion; a face with p is a link face plus p."""
-    def cone(link, p, rest=None):
-        return (link if rest is None else rest) + [x | 1 << p for x in link]
-
-    return subword_pass(right, desc, word, layers, [0], cone,
-                        lambda rest, link, p: rest if link is None else cone(link, p, rest))
+    """Every face once, bit p for position p.  At a cone point a face is a link
+    face with or without p; at a descent the link's faces lie in the deletion."""
+    return subword_pass(right, desc, word, layers, [0],
+                        lambda link, p: link + [x | 1 << p for x in link], _with_p)
 
 
 def fill_submasks(facets, out: list) -> int:
     """Append every submask of every facet mask to the list out; returns
     how many were appended, sum(2**popcount(f)).
 
-    Duplicates across facets are kept; the caller deduplicates.  Each
-    facet's submasks start as [0] and double once per facet bit.
+    Duplicates across facets are kept; the caller deduplicates.
     """
     start = len(out)
     for f in facets:

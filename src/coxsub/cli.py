@@ -18,7 +18,7 @@ import sys
 
 from .braid import apply_sequence, classify, find_move_path, move_context
 from .coxeter import MAX_REDUCED_WORDS, CoxeterMatrix, CoxeterSystem
-from .rhoposet import GAP_SCAN_WORDS, _word_text, build_rho, export_dot, poset_json
+from .rhoposet import GAP_SCAN_WORDS, _cert_json, _word_text, build_rho, export_dot, poset_json
 from .subword import SubwordDescriptor, complex_json, complex_summary
 
 
@@ -198,8 +198,6 @@ def cmd_poset(args) -> int:
     Qp = parse_word(args.Qprime)
     pi = resolve_pi(system, args.pi)
     p = build_rho(system, Q, Qp, pi, cap=args.cap)
-    out = poset_json(p)
-    wrote = False
     if args.dot:
         text = export_dot(p)
         if args.dot == "-":
@@ -207,27 +205,25 @@ def cmd_poset(args) -> int:
         else:
             with open(args.dot, "w") as fh:
                 fh.write(text)
-        wrote = True
     if args.json:
         if args.json == "-":
-            _emit(out)
+            _emit(poset_json(p))
         else:
             with open(args.json, "w") as fh:
-                json.dump(out, fh, indent=2, sort_keys=True)
+                json.dump(poset_json(p), fh, indent=2, sort_keys=True)
                 fh.write("\n")
-        wrote = True
-    if not wrote:
-        sl = out["semilattice"]
+    if not (args.dot or args.json):
+        sl = p.semilattice
         print(f"{len(p.words)} reduced words, {len(p.classes)} classes,"
-              f" {len(out['cover_edges'])} cover moves,"
-              f" {len(out['iso_edges'])} isomorphism moves")
+              f" {sum(e.lower is not None for e in p.edges)} cover moves,"
+              f" {sum(e.case == 1 and e.verified for e in p.edges)} isomorphism moves")
         print(f"antisymmetric: {p.antisymmetric}")
         if p.violations:
             print(f"violations: {p.violations}")
-        if sl["applicable"]:
-            print(f"meet-semilattice: {sl['meet']}   join-semilattice: {sl['join']}")
+        if sl.applicable:
+            print(f"meet-semilattice: {sl.meet}   join-semilattice: {sl.join}")
             for kind in ("meet", "join"):
-                cert = sl[f"{kind}_certificate"]
+                cert = _cert_json(getattr(sl, f"{kind}_certificate"))
                 if cert:
                     print(f"  {kind} fails at pair {cert['pair']},"
                           f" extremal bounds {cert['bounds']}")

@@ -37,6 +37,7 @@ import json
 import re
 from collections import deque
 from dataclasses import dataclass
+from functools import cache
 from math import cos, pi as PI, sqrt
 from operator import index as _int
 from typing import Iterable, Sequence
@@ -44,7 +45,7 @@ from typing import Iterable, Sequence
 Word = tuple[int, ...]
 
 # An input bound: the facets the kernel enumerates can grow exponentially
-# with the letters.  simplicial.MAX_VERTICES matches it.
+# with the letters.  It also bounds the vertices of a complex.
 MAX_WORD_LETTERS = 62
 MAX_ROOTS = 1000  # the reflection table holds |Phi|^2 root indices
 MAX_REDUCED_WORDS = 100_000  # default cap of every reduced-word search and of --cap
@@ -289,6 +290,7 @@ class CoxeterSystem:
         self._right = [[-1] * n]  # _right[g][s]: id of g * s_(s+1), -1 until known
         self._desc = [0]  # right descents of each id as a bitmask, bit s for s_(s+1)
         self._len = [0]
+        self._le = cache(self._le)  # every pass asks the same few Bruhat pairs again
 
     # -- element plumbing ------------------------------------------------
 
@@ -372,7 +374,6 @@ class CoxeterSystem:
         return self._len[self._id(g)]
 
     def is_reduced(self, word: Iterable[int]) -> bool:
-        """True iff every prefix extension of the word is a length ascent."""
         g = 0
         for s in self._word(word):
             if self._desc[g] >> (s - 1) & 1:
@@ -381,33 +382,35 @@ class CoxeterSystem:
         return True
 
     def bruhat_le(self, u: GroupElement, w: GroupElement) -> bool:
-        """Bruhat order u <= w, by Deodhar's Z-property: for a right descent
-        s of w, u <= w iff min(u, us) <= ws.  Takes at most l(w) steps."""
-        u, w = self._id(u), self._id(w)
+        """Bruhat order u <= w (see ``_le``)."""
+        return self._le(self._id(u), self._id(w))
+
+    def _le(self, u: int, w: int) -> bool:
+        """Bruhat order on ids, by Deodhar's Z-property: for a right descent
+        s of w, u <= w iff min(u, us) <= ws, and elements of one length
+        compare iff equal.  At most l(w) steps, once per pair (``__init__``)."""
         desc, length = self._desc, self._len
-        while length[u] <= length[w]:
-            if u == w:
-                return True
+        while length[u] < length[w]:
             d = desc[w]
             s = (d & -d).bit_length() - 1
             if desc[u] >> s & 1:
                 u = self._times(u, s)
             w = self._times(w, s)
-        return False
+        return u == w
 
     # -- word operations ---------------------------------------------------
 
-    def _demazure(self, letters: Iterable[int]) -> int:
-        """Id of the Demazure product of 0-based letters."""
-        g = 0
+    def _demazures(self, letters: Iterable[int]) -> list[int]:
+        """Ids of the Demazure products of the prefixes of 0-based letters, () first."""
+        desc, times, out = self._desc, self._times, [0]
         for s in letters:
-            if not self._desc[g] >> s & 1:
-                g = self._times(g, s)
-        return g
+            g = out[-1]
+            out.append(g if desc[g] >> s & 1 else times(g, s))
+        return out
 
     def demazure_product(self, word: Iterable[int]) -> GroupElement:
         """Greedy fold keeping only the length-increasing letters."""
-        return self._elements[self._demazure(s - 1 for s in self._word(word))]
+        return self._elements[self._demazures(s - 1 for s in self._word(word))[-1]]
 
     def word_of(self, g: GroupElement) -> Word:
         """A reduced word for g, deterministic (smallest descent stripped last)."""
@@ -465,7 +468,6 @@ class CoxeterSystem:
         return tuple(sorted(self._braid_search(self.word_of(g), cap)))
 
     def longest_element(self) -> GroupElement:
-        """Climb by the smallest ascent until every generator is a descent."""
         full = (1 << self.rank) - 1
         g = 0
         while self._desc[g] != full:
@@ -476,14 +478,16 @@ class CoxeterSystem:
     # -- reduced subwords ---------------------------------------------------
 
     def _subword_layers(self, letters: Word, start: int) -> list[set[int]]:
-        """Forward pass of the subword DP (see ``_kernels``) from the id ``start``
-        of pi^-1: the states before each position; one not moved must fit the rest."""
-        desc, length, times, n = self._desc, self._len, self._times, len(letters)
+        """Forward pass of the subword DP (see ``_kernels``) from the live id ``start``
+        of pi^-1: the live states w <= Dem(letters[p:])^-1 before each position p;
+        a deletion or a cone link of one lives, so only a link at a descent is tested."""
+        desc, times, le = self._desc, self._times, self._le
+        tops = self._demazures(reversed(letters))  # Dem(letters[p:])^-1, the last p first
         layers = [{start}]
-        for p, s in enumerate(letters, 1):
+        for s, top in zip(letters, reversed(tops[:-1])):
             here = layers[-1]
-            layers.append({times(w, s) for w in here if desc[w] >> s & 1})
-            layers[-1].update([w for w in here if length[w] <= n - p])
+            layers.append({times(w, s) if desc[w] >> s & 1 else w for w in here})
+            layers[-1].update([w for w in here if desc[w] >> s & 1 and le(w, top)])
         return layers
 
     def contains_reduced(self, word: Iterable[int], pi: GroupElement) -> bool:
@@ -493,5 +497,4 @@ class CoxeterSystem:
         Subword complexes in Coxeter groups, 2004, section 3), so no
         subword is searched.
         """
-        dem = self._elements[self._demazure(self._letters(word))]
-        return self.bruhat_le(pi, dem)
+        return self._le(self._id(pi), self._demazures(self._letters(word))[-1])

@@ -26,10 +26,10 @@ from operator import index as _int
 from typing import Collection, Hashable, Iterable, Sequence
 
 from .backend import active as _K
+from .coxeter import MAX_WORD_LETTERS as MAX_VERTICES
 
 Label = Hashable
 
-MAX_VERTICES = 62  # as many as a word has letters (coxeter.MAX_WORD_LETTERS)
 # Faces are Python ints, some 36 bytes each in a list.  Past this many
 # submasks of the facets, sum 2^|F| counted with repeats even by the face
 # pass that makes each face once (about 150 MB), an enumeration or is_flag's
@@ -59,12 +59,15 @@ def _bits(mask: int):
         mask ^= low
 
 
-def face_set(facets: Iterable[int]) -> set[int]:
-    """Every submask of the facet masks, the empty one included; raises
-    past MAX_FACES submasks."""
-    facets = list(facets)
+def check_face_count(facets: Collection[int]) -> None:
+    """Raise past MAX_FACES submasks of the facet masks, counted with repeats."""
     if sum(1 << f.bit_count() for f in facets) > MAX_FACES:
         raise ValueError(FACE_LIMIT_ERROR)
+
+
+def face_set(facets: Iterable[int]) -> set[int]:
+    """Every submask of the facet masks, the empty one included; raises past MAX_FACES."""
+    check_face_count(facets := list(facets))
     buf: list[int] = []
     _K.fill_submasks(facets, buf)
     return set(buf)

@@ -8,9 +8,9 @@ same letter.  A position that lies in no facet is not a vertex of the
 complex and is dropped from its vertex set.
 
 The vertex decomposition gives the h-vector (and f and gamma), the facets
-and, on demand, the faces, each by a backward pass over the states that a
-forward pass lists (see ``_kernels``); the faces, asked for later, make a
-forward pass of their own.  Void complexes are told by Bruhat order.
+and, on demand, the faces, each by a backward pass over the live states
+that a forward pass lists (see ``_kernels``); the faces, asked for later,
+make a forward pass of their own.  Void complexes are told by Bruhat order.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from operator import or_
 from . import _kernels
 from .backend import active as _K
 from .coxeter import CoxeterSystem, GroupElement, Word
-from .simplicial import FACE_LIMIT_ERROR, MAX_FACES, LabeledComplex
+from .simplicial import FACE_LIMIT_ERROR, MAX_FACES, LabeledComplex, check_face_count
 
 
 @dataclass(frozen=True)
@@ -63,11 +63,11 @@ class PositionComplex:
     def __init__(self, system: CoxeterSystem, word: Word, pi: GroupElement):
         self.system, self._faces = system, None
         self.letters = letters = tuple(s - 1 for s in word)
-        dem = system._demazure(letters)
+        dem, target = system._demazures(letters)[-1], system._id(pi)
         # Demazure criterion: the complex is a sphere iff Dem(word) = pi,
         # and void iff pi is not below Dem(word) (Knutson-Miller, section 3)
-        self.spherical = dem == system._id(pi)
-        if not (self.spherical or system.bruhat_le(pi, system._elements[dem])):
+        self.spherical = dem == target
+        if not system._le(target, dem):
             self.word_facets, self.complex = [], LabeledComplex.void()
             return
         self.start = system._id(system.inverse(pi))
@@ -94,8 +94,7 @@ class PositionComplex:
         p, made on first use from a forward pass of its own; refused where
         ``simplicial.face_set`` would be."""
         if self._faces is None:
-            if sum(1 << f.bit_count() for f in self.word_facets) > MAX_FACES:
-                raise ValueError(FACE_LIMIT_ERROR)
+            check_face_count(self.word_facets)
             s, w = self.system, self.letters
             self._faces = () if self.complex.is_void else tuple(_kernels.subword_faces(
                 s._right, s._desc, w, s._subword_layers(w, self.start)))

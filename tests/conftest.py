@@ -31,7 +31,10 @@ def braid_step(sys_, word, pos: int):
 
 def run_masks(sys_, word, pi):
     """The facet kernel called directly, on the tables and forward layers
-    of sys_: the complement masks of the reduced words of pi in word."""
+    of sys_: the complement masks of the reduced words of pi in word, []
+    for a void pair, whose start state the kernel does not take."""
+    if not sys_.contains_reduced(word, pi):
+        return []
     letters = tuple(a - 1 for a in word)
     layers = sys_._subword_layers(letters, sys_._id(sys_.inverse(pi)))
     return backend.active.reduced_subword_masks(sys_._right, sys_._desc, letters, layers)
@@ -105,6 +108,20 @@ def random_pi(sys_, rng: random.Random, word):
     """Element of a random subword: keeps instances away from the void case."""
     kept = [a for a in word if rng.random() < 0.6]
     return sys_.demazure_product(kept)
+
+
+def oracle_case(sys_, rng: random.Random, word, kind: int):
+    """(word, pi) of kind 0: pi = w0, mostly void; 1: a reduced subword's
+    element, the subword kept whole, the complex {()}; 2: pi = Dem(word),
+    a sphere; 3 and 4: the element of a random subword."""
+    if kind == 0:
+        return word, sys_.longest_element()
+    if kind == 1:
+        word = sys_.word_of(sys_.element_of(a for a in word if rng.random() < 0.5))
+        return word, sys_.element_of(word)
+    if kind == 2:
+        return word, sys_.demazure_product(word)
+    return word, random_pi(sys_, rng, word)
 
 
 def random_descriptor(rng: random.Random, names=("A2", "A3", "B3"),

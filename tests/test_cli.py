@@ -154,6 +154,16 @@ def test_poset_summary_and_artifacts(capsys, tmp_path):
     assert "meet-semilattice: True   join-semilattice: True" in out
 
 
+def test_poset_json_only_for_json(capsys, monkeypatch):
+    # the text summary and the DOT read the order itself; the PINNED text
+    # cases hold their bytes
+    monkeypatch.setattr(cli, "poset_json", None)
+    for extra in ((), ("--dot", "-")):
+        code, out, _ = run(capsys, "poset", "--group", "A3", "--Q", "1,3", "--Qprime", "1,2",
+                           "--pi", "w0", *extra)
+        assert code == 0 and out
+
+
 def test_poset_stdout_deterministic(capsys):
     argv = ("poset", "--group", "A3", "--Q", "1,2,3", "--pi", "w0", "--json", "-")
     code1, out1, _ = run(capsys, *argv)
@@ -286,6 +296,13 @@ PINNED = [
     (("classify", "--group", "H3", "--word", "2,3,2,2,1,2,1,2,1,2", "--pos", "4",
       "--pi", "3,1,2,1,2,1", "--json"),
      "f706c56eb1a8734aced6141cc7abdd8743d28426731d713d27cbeab4519b8848"),
+    # the text mode of poset: both certificate lines with and without
+    # extremal bounds, and the gap line checked and not checked
+    (("poset", "--group", "A3", "--Q", "1,3", "--Qprime", "1,2", "--pi", "w0"),
+     "c57992608be226be22d90a28db501d1236a6a0e372a9400cbab81883284d3e5f"),
+    (("poset", "--group", "H3", "--Q", "1,2,3", "--pi", "w0"),
+     "2de5c2c94c5884410f6b0e9a2b4d3f1045d74ac17fb5b68db37e90f563244328"),
+    # last: test_complex_json_enumerates_no_faces reads it
     (("complex", "--group", "A2", "--word", "1,2,1,2,1", "--pi", "w0", "--json"),
      "172869ea79525533e0f5c0e18e17f2e5c6ff287c25730d3b81a37d4e2855758b"),
 ]
@@ -294,7 +311,7 @@ PINNED = [
 @pytest.mark.parametrize("argv,digest", PINNED,
                          ids=["demo", "chain", "poset", "case2", "case3", "case4",
                               "gap_json", "gap_dot", "m4_case2", "m5_case3",
-                              "m5_unsupported", "complex"])
+                              "m5_unsupported", "text_a3", "text_h3", "complex"])
 def test_worked_examples_pinned(capsys, argv, digest):
     code, out, _ = run(capsys, *argv)
     assert code == 0

@@ -1,7 +1,7 @@
 import random
 
-from conftest import brute_facets, random_pi, run_masks, system
-from coxsub import backend
+from conftest import brute_facets, oracle_case, random_pi, run_masks, system
+from coxsub import _kernels, backend
 from coxsub.subword import position_complex
 
 
@@ -29,6 +29,60 @@ def test_kernel_masks_match_brute():
         facets = {frozenset(p + 1 for p in range(len(word)) if (full ^ m) >> p & 1)
                   for m in got}
         assert facets == brute_facets(sys_, word, pi)
+
+
+def test_forward_pass_lists_exactly_the_live_states():
+    # (p, w) is live when Delta(word[p:]; w^-1) is not void by the 2^L scan;
+    # the forward pass lists every live state reachable from the start and
+    # no other, and each fold visits exactly those
+    visited = set()
+
+    class Layer(set):
+        """A layer that records the (position, state) pairs iterated."""
+        def __init__(self, p, states):
+            super().__init__(states)
+            self.p = p
+
+        def __iter__(self):
+            for w in set.__iter__(self):
+                visited.add((self.p, w))
+                yield w
+
+    rng = random.Random(16)
+    seen = {"void": 0, "live": 0, "dead reached": 0}
+    for k in range(60):
+        sys_ = system(("A3", "B3", "H3", "A4")[k % 4])
+        word = tuple(rng.randrange(1, sys_.rank + 1) for _ in range(rng.randrange(0, 11)))
+        word, pi = oracle_case(sys_, rng, word, k // 4 % 5)
+        if not sys_.contains_reduced(word, pi):
+            seen["void"] += 1
+            continue
+        letters, desc = tuple(a - 1 for a in word), sys_._desc
+        start = sys_._id(sys_.inverse(pi))
+        layers = sys_._subword_layers(letters, start)
+        reached = [{start}]  # a deletion at a descent, a link at every position
+        for s in letters:
+            reached.append({sys_._times(w, s) for w in reached[-1] if desc[w] >> s & 1}
+                           | reached[-1])
+        live = [{w for w in states
+                 if brute_facets(sys_, word[p:], sys_.inverse(sys_._elements[w]))}
+                for p, states in enumerate(reached)]
+        assert len(layers) == len(live)
+        for p, states in enumerate(layers):
+            assert states <= live[p], ("a dead state is listed", word, p)
+            assert live[p] <= states, ("a live state is missing", word, p)
+        counted = [Layer(p, states) for p, states in enumerate(layers)]
+        # the live states before the last position, and the start, read also
+        # when the word is empty
+        want = {(p, w) for p, states in enumerate(live[:-1]) for w in states} | {(0, start)}
+        for kernel in (_kernels.subword_h, _kernels.reduced_subword_masks,
+                       _kernels.subword_faces):
+            visited.clear()
+            kernel(sys_._right, desc, letters, counted)
+            assert visited == want
+        seen["live"] += 1
+        seen["dead reached"] += live != reached
+    assert min(seen.values()) >= 5, seen
 
 
 def test_popcounts():

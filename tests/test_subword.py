@@ -3,8 +3,8 @@ import random
 import pytest
 
 from conftest import (brute_facets, brute_is_face, face_label_sets, has_face, k_subdivide,
-                      link_oracle_check, random_descriptor, random_pi, spherical_complex,
-                      subword_h_oracle, system)
+                      link_oracle_check, oracle_case, random_descriptor, random_pi,
+                      spherical_complex, subword_h_oracle, system)
 from coxsub.simplicial import LabeledComplex, face_set, iso_invariant
 from coxsub.subword import (SubwordDescriptor, build, complex_json, complex_summary,
                             position_complex)
@@ -253,17 +253,7 @@ def test_subword_dp_matches_oracles():
     for k in range(90):
         sys_ = system(("A2", "A3", "B3", "H3", "A4", "D4")[k % 6])
         word = tuple(rng.randrange(1, sys_.rank + 1) for _ in range(rng.randrange(0, 13)))
-        kind = k // 6 % 5
-        if kind == 0:
-            pi = sys_.longest_element()  # mostly void
-        elif kind == 1:  # a reduced subword's element, kept whole: {()}
-            word = tuple(a for a in word if rng.random() < 0.5)
-            word = sys_.word_of(sys_.element_of(word))
-            pi = sys_.element_of(word)
-        elif kind == 2:
-            pi = sys_.demazure_product(word)
-        else:
-            pi = random_pi(sys_, rng, word)
+        word, pi = oracle_case(sys_, rng, word, k // 6 % 5)
         entry = position_complex(sys_, word, pi, {})
         want_h = subword_h_oracle(sys_, word, pi)
         x = entry.complex
