@@ -342,7 +342,7 @@ def polynomial_delta(f: MoveFacts) -> PolyDeltaReport:
     delta_gamma = rhs_gamma = gamma_ok = None
     if sph[0] and sph[1]:
         try:
-            g1, g2, gk1, gk2 = (x.gamma().coeffs for x in (d1x, d2x, k1x, k2x))
+            g1, g2, gk1, gk2 = (x.gamma() for x in (d1x, d2x, k1x, k2x))
         except ValueError:  # an inner h-vector is not palindromic
             gamma_ok = False
         else:
@@ -475,7 +475,7 @@ class SequenceReport:
 def _row_summary(system: CoxeterSystem, word: Word, pi: GroupElement, memo: dict) -> dict:
     d = SubwordDescriptor(system, word, pi)
     x, spherical = build(d, memo), position_complex(system, d.word, pi, memo).spherical
-    gamma = x.gamma().coeffs if spherical and not x.is_void else None
+    gamma = x.gamma() if spherical and not x.is_void else None
     gamma1 = gamma[1] if gamma is not None and len(gamma) > 1 else 0
     return {
         "word": word,

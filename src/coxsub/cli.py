@@ -5,7 +5,8 @@ single braid move, ``chain`` replays a move sequence, ``poset`` builds the
 reduced-word order, ``demo`` reruns the worked dihedral and rank-3 chain
 examples with their frozen expectations.
 
-Exit codes: 0 success, 2 unusable input, 3 a verification check failed.
+Exit codes: 0 success, 1 standard output closed before all was written,
+2 unusable input, 3 a verification check failed.
 All output is deterministic for a fixed invocation.
 """
 
@@ -262,8 +263,7 @@ def demo_i2(args) -> int:
     word = (1, 2) + tuple(1 if t % 2 == 0 else 2 for t in range(m))
     rep = classify(move_context(system, word, 3, w0))
     f1, f2 = rep.delta1.f_vector(), rep.delta2.f_vector()
-    g1 = rep.delta1.gamma().coeffs
-    g2 = rep.delta2.gamma().coeffs
+    g1, g2 = rep.delta1.gamma(), rep.delta2.gamma()
     diff = g1[1] - g2[1]
     print(f"I2({m}): word {_word_text(word)}, window at 3, pi the longest element")
     print(f"case {rep.case} ({rep.case_name}), witness verified {rep.witness_ok}")
@@ -375,7 +375,13 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "cap", 1) < 1:
             raise ValueError("--cap must be at least 1")
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader left: drop what is still buffered, as ``signal``'s docs do
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -20,7 +20,6 @@ H = sum_k gamma_k (at)^k (a+t)^{n-2k}, the gamma vector.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 from operator import index as _int
 from typing import Collection, Hashable, Iterable, Sequence
@@ -71,16 +70,6 @@ def face_set(facets: Iterable[int]) -> set[int]:
     buf: list[int] = []
     _K.fill_submasks(facets, buf)
     return set(buf)
-
-
-@dataclass(frozen=True)
-class GammaPoly:
-    """Gamma vector gamma_0..gamma_{floor(n/2)}; () is the zero polynomial."""
-
-    coeffs: tuple[int, ...]
-
-    def __bool__(self) -> bool:
-        return any(self.coeffs)
 
 
 class LabeledComplex:
@@ -227,23 +216,27 @@ class LabeledComplex:
     # -- enumerative invariants ---------------------------------------------
 
     def f_vector(self) -> tuple[int, ...]:
-        """(f_0, .., f_{dim}); empty for the void complex and for {()}."""
+        """(f_0, .., f_{dim}); empty for the void complex and for {()}.  Made
+        on first use, from the h-vector when it is known, else from the faces."""
         f = self._cache.get("f")
         if f is None:
-            faces = self.faces_masks()
-            counts = [0] * (self.dim + 2 if faces else 1)
-            for k in _K.popcounts(faces, [0] * len(faces)):
-                counts[k] += 1
-            f = self._cache["f"] = tuple(counts[1:])
+            h = self._cache.get("h")
+            if h is None:
+                faces = self.faces_masks()
+                counts = [0] * (self.dim + 2 if faces else 1)
+                for k in _K.popcounts(faces, [0] * len(faces)):
+                    counts[k] += 1
+                f = tuple(counts[1:])
+            else:  # f_{i-1} = sum_k C(n-k, i-k) h_k
+                n = len(h) - 1
+                f = tuple(sum(comb(n - k, i - k) * h[k] for k in range(i + 1))
+                          for i in range(1, n + 1))
+            self._cache["f"] = f
         return f
 
     def _know_h(self, h: tuple[int, ...]) -> None:
-        """Record the h-vector, found without faces, and the f-vector of it:
-        f_{i-1} = sum_k C(n-k, i-k) h_k."""
-        n = len(h) - 1
+        """Record the h-vector, found without faces; ``f_vector`` reads it."""
         self._cache["h"] = h
-        self._cache["f"] = tuple(sum(comb(n - k, i - k) * h[k] for k in range(i + 1))
-                                 for i in range(1, n + 1))
 
     def h_vector(self) -> tuple[int, ...]:
         h = self._cache.get("h")
@@ -259,10 +252,10 @@ class LabeledComplex:
                 for k in range(n + 1))
         return h
 
-    def gamma(self) -> GammaPoly:
-        """Gamma vector of a palindromic h-vector; zero for the void complex."""
+    def gamma(self) -> tuple[int, ...]:
+        """Gamma vector of a palindromic h-vector; () for the void complex."""
         if self.is_void:
-            return GammaPoly(())
+            return ()
         g = self._cache.get("gamma")
         if g is None:
             h = list(self.h_vector())
@@ -276,7 +269,7 @@ class LabeledComplex:
                 for i in range(k, n - k + 1):
                     h[i] -= c * comb(n - 2 * k, i - k)
             assert not any(h), "palindromic peel left a remainder"
-            g = self._cache["gamma"] = GammaPoly(tuple(out))
+            g = self._cache["gamma"] = tuple(out)
         return g
 
     def is_flag(self) -> bool:

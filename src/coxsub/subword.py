@@ -9,8 +9,8 @@ complex and is dropped from its vertex set.
 
 The vertex decomposition gives the h-vector (and f and gamma), the facets
 and, on demand, the faces, each by a backward pass over the live states
-that a forward pass lists (see ``_kernels``); the faces, asked for later,
-make a forward pass of their own.  Void complexes are told by Bruhat order.
+that one forward pass lists (see ``_kernels``); the states are kept until
+the faces are made, then dropped.  Void complexes are told by Bruhat order.
 """
 
 from __future__ import annotations
@@ -52,26 +52,27 @@ class SubwordDescriptor:
 class PositionComplex:
     """Delta(word; pi) with the used 0-based word positions as vertices.
 
-    It is made once per (word, pi) and memo, with its facets, h- and
-    f-vector and sphericity, from one forward pass that it does not keep.
-    Every labeled complex of the pair is a relabel of it, sharing these
-    and the faces and gamma computed later.
+    It is made once per (word, pi) and memo from one forward pass: its
+    facets, h-vector and sphericity at once, its faces on first use from
+    the kept layers of that pass, which are then dropped.  Every labeled
+    complex of the pair is a relabel of it, sharing these and the f-vector
+    and gamma computed later.
     """
 
-    __slots__ = ("system", "letters", "start", "complex", "spherical", "word_facets", "_faces")
+    __slots__ = ("complex", "spherical", "word_facets", "_tables", "_faces")
 
     def __init__(self, system: CoxeterSystem, word: Word, pi: GroupElement):
-        self.system, self._faces = system, None
-        self.letters = letters = tuple(s - 1 for s in word)
+        letters = tuple(s - 1 for s in word)
         dem, target = system._demazures(letters)[-1], system._id(pi)
         # Demazure criterion: the complex is a sphere iff Dem(word) = pi,
         # and void iff pi is not below Dem(word) (Knutson-Miller, section 3)
         self.spherical = dem == target
         if not system._le(target, dem):
-            self.word_facets, self.complex = [], LabeledComplex.void()
+            self.word_facets, self.complex, self._faces = [], LabeledComplex.void(), ()
             return
-        self.start = system._id(system.inverse(pi))
-        tables = system._right, system._desc, letters, system._subword_layers(letters, self.start)
+        layers = system._subword_layers(letters, system._id(system.inverse(pi)))
+        self._tables = tables = system._right, system._desc, letters, layers
+        self._faces = None
         # h first: it sums to the facet count, which bounds the facet pass
         h = _kernels.subword_h(*tables)
         if sum(h) > MAX_FACES:
@@ -91,13 +92,11 @@ class PositionComplex:
     @property
     def word_faces(self) -> tuple[int, ...]:
         """Every face once as a mask over word positions, bit p for position
-        p, made on first use from a forward pass of its own; refused where
-        ``simplicial.face_set`` would be."""
+        p, folded on first use from the layers of the entry's forward pass,
+        which it then drops; refused where ``simplicial.face_set`` would be."""
         if self._faces is None:
             check_face_count(self.word_facets)
-            s, w = self.system, self.letters
-            self._faces = () if self.complex.is_void else tuple(_kernels.subword_faces(
-                s._right, s._desc, w, s._subword_layers(w, self.start)))
+            self._faces, self._tables = tuple(_kernels.subword_faces(*self._tables)), None
         return self._faces
 
     def relabel(self, labels) -> LabeledComplex:
@@ -146,6 +145,6 @@ def complex_json(d: SubwordDescriptor) -> dict:
     """JSON-ready summary of the complex of ``d`` (see ``complex_summary``)."""
     memo: dict = {}
     x, spherical = build(d, memo), position_complex(d.system, d.word, d.pi, memo).spherical
-    gamma = list(x.gamma().coeffs) if spherical and not x.is_void else None
+    gamma = list(x.gamma()) if spherical and not x.is_void else None
     return dict(complex_summary(x), word=list(d.word), spherical=spherical,
                 flag=x.is_flag(), gamma=gamma)

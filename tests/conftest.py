@@ -54,6 +54,20 @@ def face_passes(monkeypatch) -> list:
     return seen
 
 
+def forward_passes(monkeypatch) -> list:
+    """Record the (letters, start) of every forward pass of the subword DP
+    from now on."""
+    seen = []
+    layers = CoxeterSystem._subword_layers
+
+    def counted(self, letters, start):
+        seen.append((letters, start))
+        return layers(self, letters, start)
+
+    monkeypatch.setattr(CoxeterSystem, "_subword_layers", counted)
+    return seen
+
+
 def brute_facets(sys_, word, pi):
     """Facet label sets by scanning all 2^len(word) complements."""
     word = tuple(word)

@@ -54,8 +54,8 @@ def test_criterion_01_dihedral_family():
         assert rep.delta2.f_vector() == (4, 4)
         assert rep.delta1.f_vector() == (m + 2, m + 2)
         assert rep.witness_ok, f"m={m} subdivision witness"
-        g1 = rep.delta1.gamma().coeffs[1]
-        g2 = rep.delta2.gamma().coeffs[1]
+        g1 = rep.delta1.gamma()[1]
+        g2 = rep.delta2.gamma()[1]
         assert g1 - g2 == m - 2
         _note(side_descriptor(ctx, 1))
         _note(side_descriptor(ctx, 2))

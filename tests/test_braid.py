@@ -130,6 +130,24 @@ def test_classify_again_makes_no_faces(monkeypatch):
     assert seen
 
 
+def test_classify_makes_no_inner_f_vector():
+    # the identities read the inner complexes' h and gamma and nothing
+    # prints their f, so it is made only when f_vector is asked for
+    rng = random.Random(43)
+    read = 0
+    for _ in range(40):
+        ctx, memo = random_context(rng), {}
+        classify(ctx, memo)
+        inner = [memo[ctx.side_word(side, 2), ctx.pi].complex for side in (1, 2)]
+        assert not any("f" in x._cache for x in inner)
+        for x in inner:
+            if not x.is_void:
+                read += 1
+                assert x.f_vector() == LabeledComplex(x.vertices, x.facets).f_vector()
+                assert "f" in x._cache
+    assert read >= 10
+
+
 def test_i2_family():
     for m in range(3, 8):
         ctx = i2_context(m)
@@ -138,8 +156,8 @@ def test_i2_family():
         assert rep.witness_ok
         assert rep.delta1.f_vector() == (m + 2, m + 2)
         assert rep.delta2.f_vector() == (4, 4)
-        assert rep.delta1.gamma().coeffs == (1, m - 2)
-        assert rep.delta2.gamma().coeffs == (1, 0)
+        assert rep.delta1.gamma() == (1, m - 2)
+        assert rep.delta2.gamma() == (1, 0)
         assert rep.decomposition.ok
         assert rep.poly.h_ok and rep.poly.gamma_ok
         # shortened windows: side 1 stays reduced, side 2 gets a double letter

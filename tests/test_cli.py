@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import pytest
@@ -249,6 +252,21 @@ def test_bad_input_exit_codes(capsys):
     assert code == 2 and "order m" in err
 
 
+def test_closed_stdout_exits_1():
+    # a reader that leaves after one byte is not bad input: exit 1, no
+    # message; the A4 order is far larger than a pipe's buffer
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.Popen([sys.executable, "-m", "coxsub.cli", "poset", "--group", "A4",
+                             "--Q", "1,2,3,4", "--pi", "w0", "--json", "-"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.read(1) == b"{"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 1 and err == b""
+
+
 def test_group_spec_file(capsys, tmp_path):
     spec = tmp_path / "group.json"
     spec.write_text('{"matrix": [[1, 5], [5, 1]]}')
@@ -302,6 +320,18 @@ PINNED = [
      "c57992608be226be22d90a28db501d1236a6a0e372a9400cbab81883284d3e5f"),
     (("poset", "--group", "H3", "--Q", "1,2,3", "--pi", "w0"),
      "2de5c2c94c5884410f6b0e9a2b4d3f1045d74ac17fb5b68db37e90f563244328"),
+    # the text modes of demo i2, complex, classify and chain
+    (("demo", "i2"),
+     "21c8599f7aa7500f448308acf341d4bdb6e54361fa7b04dd73760486c72d9671"),
+    (("demo", "i2", "--m", "7"),
+     "96f71e83d79864298fb090a393e3d897acb0f1c7bb024cb15697d5c8e76ed46e"),
+    (("complex", "--group", "A2", "--word", "1,2,1,2,1", "--pi", "w0"),
+     "6fd26caae18b8ad3038e22613f513cd8b8b6d0d3edb82878f79fd82c899a63eb"),
+    (("classify", "--group", "I2:5", "--word", "1,2,1,2,1,2,1", "--pos", "3", "--pi", "w0"),
+     "5633d041d39cd1a7bc3ad424cd43048665ce4d9ce8a0e1e666ff2670bcbf085d"),
+    (("chain", "--group", "A3", "--word", "1,2,3,3,2,1,3,2,3", "--pi", "w0",
+      "--moves", "6,4,6,5,8,6,4,6"),
+     "c47aea9209f750f6e996ce515b6bff22e95ab4d76e1fd257d4ab8fec76a06007"),
     # last: test_complex_json_enumerates_no_faces reads it
     (("complex", "--group", "A2", "--word", "1,2,1,2,1", "--pi", "w0", "--json"),
      "172869ea79525533e0f5c0e18e17f2e5c6ff287c25730d3b81a37d4e2855758b"),
@@ -311,7 +341,9 @@ PINNED = [
 @pytest.mark.parametrize("argv,digest", PINNED,
                          ids=["demo", "chain", "poset", "case2", "case3", "case4",
                               "gap_json", "gap_dot", "m4_case2", "m5_case3",
-                              "m5_unsupported", "text_a3", "text_h3", "complex"])
+                              "m5_unsupported", "text_a3", "text_h3", "text_demo_i2",
+                              "text_demo_i2_m7", "text_complex", "text_classify",
+                              "text_chain", "complex"])
 def test_worked_examples_pinned(capsys, argv, digest):
     code, out, _ = run(capsys, *argv)
     assert code == 0

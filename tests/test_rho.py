@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from conftest import braid_step, face_passes, system
+from conftest import braid_step, face_passes, forward_passes, system
 from coxsub import backend, cli, rhoposet, subword
 from coxsub.braid import apply_sequence, classify, move_context
 from coxsub.rhoposet import (GapReport, RhoPoset, SemilatticeResult, build_rho,
@@ -478,11 +478,15 @@ def _position_complexes(monkeypatch) -> list:
                                                  ("A3", (1, 1), (1, 3), 15)])
 def test_faces_made_once_per_complex(monkeypatch, name, Q, Qp, passes):
     # the moves read the faces of each (word, pi) from its memo entry, so
-    # a side-2 word shared by several moves has its faces made once
+    # a side-2 word shared by several moves has its faces made once; they
+    # fold the layers of the entry's one forward pass
     W = system(name)
-    seen = face_passes(monkeypatch)
+    made = _position_complexes(monkeypatch)
+    seen, forward = face_passes(monkeypatch), forward_passes(monkeypatch)
     build_rho(W, Q, Qp, W.longest_element())
     assert len(seen) == len(set(seen)) == passes
+    assert len(forward) == len(set(forward)) == passes
+    assert sum(not e.complex.is_void for _, e in made) == passes
 
 
 def test_each_complex_built_once(monkeypatch):

@@ -34,7 +34,7 @@ def test_pentagon():
     x = build(d)
     assert x.f_vector() == (5, 5)
     assert x.h_vector() == (1, 3, 1)
-    assert x.gamma().coeffs == (1, 1)
+    assert x.gamma() == (1, 1)
     assert x.is_flag()
     assert spherical(d)
     assert set(x.facet_label_sets()) == {
@@ -60,7 +60,7 @@ def test_single_empty_face():
     d = SubwordDescriptor(A2, (1, 2, 1), w0)
     x = build(d)
     assert x == LabeledComplex.empty_face_only()
-    assert x.h_vector() == (1,) and x.gamma().coeffs == (1,)
+    assert x.h_vector() == (1,) and x.gamma() == (1,)
 
 
 def test_void():
