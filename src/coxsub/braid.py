@@ -249,9 +249,6 @@ class DecompositionReport:
     mismatches: dict
     chain_checked: bool = True
 
-    def __bool__(self) -> bool:
-        return self.ok
-
 
 def verify_decomposition(facts: MoveFacts) -> DecompositionReport:
     faces1, faces2 = facts.faces
@@ -475,7 +472,7 @@ class SequenceReport:
 def _row_summary(system: CoxeterSystem, word: Word, pi: GroupElement, memo: dict) -> dict:
     d = SubwordDescriptor(system, word, pi)
     x, spherical = build(d, memo), position_complex(system, d.word, pi, memo).spherical
-    gamma = x.gamma() if spherical and not x.is_void else None
+    gamma = x.gamma() if spherical else None
     gamma1 = gamma[1] if gamma is not None and len(gamma) > 1 else 0
     return {
         "word": word,

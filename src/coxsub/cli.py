@@ -16,6 +16,8 @@ import argparse
 import json
 import os
 import sys
+from contextlib import nullcontext
+from itertools import islice
 
 from .braid import apply_sequence, classify, find_move_path, move_context
 from .coxeter import MAX_REDUCED_WORDS, CoxeterMatrix, CoxeterSystem
@@ -93,8 +95,17 @@ def case_report_json(rep) -> dict:
     }
 
 
-def _emit(obj) -> None:
-    print(json.dumps(obj, indent=2, sort_keys=True))
+def _write(dest: str, out) -> None:
+    """Write ``out`` to the path ``dest`` ("-" is stdout): text as it is, else sorted
+    indented JSON and a newline, its chunks joined so an unbuffered stdout writes blocks."""
+    with nullcontext(sys.stdout) if dest == "-" else open(dest, "w") as fh:
+        if isinstance(out, str):
+            fh.write(out)
+            return
+        chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(out)
+        while block := "".join(islice(chunks, 4096)):
+            fh.write(block)
+        fh.write("\n")
 
 
 # -- subcommands --------------------------------------------------------------
@@ -107,7 +118,7 @@ def cmd_complex(args) -> int:
     d = SubwordDescriptor(system, word, pi)
     out = complex_json(d)
     if args.json:
-        _emit(out)
+        _write("-", out)
         return 0
     print(f"word {_word_text(word)}  (rank {system.rank})")
     print(f"f-vector {tuple(out['f_vector'])}  spherical {out['spherical']}"
@@ -132,7 +143,7 @@ def cmd_classify(args) -> int:
     ctx = move_context(system, word, args.pos, pi)
     rep = classify(ctx)
     if args.json:
-        _emit(case_report_json(rep))
+        _write("-", case_report_json(rep))
     else:
         print(f"window ({ctx.i},{ctx.j}) of order {rep.m} at position {args.pos}")
         conds = f"A2={rep.A2} B2={rep.B2}"
@@ -167,7 +178,7 @@ def cmd_chain(args) -> int:
     rep = apply_sequence(system, word, pi, positions)
     ok = all(report_ok(s.report) for s in rep.steps)
     if args.json:
-        _emit({
+        _write("-", {
             "words": [list(w) for w in rep.words],
             "moves": positions,
             "rows": [dict(r, vertices=[str(v) for v in r["vertices"]]) for r in rep.rows],
@@ -200,19 +211,9 @@ def cmd_poset(args) -> int:
     pi = resolve_pi(system, args.pi)
     p = build_rho(system, Q, Qp, pi, cap=args.cap)
     if args.dot:
-        text = export_dot(p)
-        if args.dot == "-":
-            sys.stdout.write(text)
-        else:
-            with open(args.dot, "w") as fh:
-                fh.write(text)
+        _write(args.dot, export_dot(p))
     if args.json:
-        if args.json == "-":
-            _emit(poset_json(p))
-        else:
-            with open(args.json, "w") as fh:
-                json.dump(poset_json(p), fh, indent=2, sort_keys=True)
-                fh.write("\n")
+        _write(args.json, poset_json(p))
     if not (args.dot or args.json):
         sl = p.semilattice
         print(f"{len(p.words)} reduced words, {len(p.classes)} classes,"

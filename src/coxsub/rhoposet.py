@@ -357,25 +357,27 @@ def export_dot(p: RhoPoset) -> str:
 
 
 def poset_json(p: RhoPoset) -> dict:
-    """JSON-ready summary of the order and its verification status."""
+    """JSON-ready summary of the order and its verification status; all mentions
+    of a reduced word share one list, so the result is read-only."""
     sl = p.semilattice
+    word = {w: list(w) for w in p.words}
     return {
         "Q": list(p.Q),
         "Qprime": list(p.Qp),
         "word_count": len(p.words),
-        "words": [list(w) for w in p.words],
-        "classes": [[list(w) for w in grp] for grp in p.classes],
+        "words": [word[w] for w in p.words],
+        "classes": [[word[w] for w in grp] for grp in p.classes],
         "cover_edges": [
-            {"lower": list(e.lower), "upper": list(e.upper),
+            {"lower": word[e.lower], "upper": word[e.upper],
              "case": e.case, "pos": e.pos}
             for e in p.edges if e.lower is not None
         ],
         "iso_edges": [
-            {"a": list(e.word_a), "b": list(e.word_b), "pos": e.pos}
+            {"a": word[e.word_a], "b": word[e.word_b], "pos": e.pos}
             for e in p.edges if e.case == 1 and e.verified
         ],
         "unsupported_pairs": [
-            {"a": list(e.word_a), "b": list(e.word_b), "pos": e.pos}
+            {"a": word[e.word_a], "b": word[e.word_b], "pos": e.pos}
             for e in p.edges if e.case is None
         ],
         "relation": [[a, b] for a, row in enumerate(p.leq) for b in _bits(row & ~(1 << a))],

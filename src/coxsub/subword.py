@@ -145,6 +145,6 @@ def complex_json(d: SubwordDescriptor) -> dict:
     """JSON-ready summary of the complex of ``d`` (see ``complex_summary``)."""
     memo: dict = {}
     x, spherical = build(d, memo), position_complex(d.system, d.word, d.pi, memo).spherical
-    gamma = list(x.gamma()) if spherical and not x.is_void else None
+    gamma = list(x.gamma()) if spherical else None
     return dict(complex_summary(x), word=list(d.word), spherical=spherical,
                 flag=x.is_flag(), gamma=gamma)

@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -165,6 +166,24 @@ def test_poset_json_only_for_json(capsys, monkeypatch):
         code, out, _ = run(capsys, "poset", "--group", "A3", "--Q", "1,3", "--Qprime", "1,2",
                            "--pi", "w0", *extra)
         assert code == 0 and out
+
+
+def test_poset_json_streams(monkeypatch):
+    # the order leaves in blocks as it is encoded, never as one whole string
+    sizes = []
+
+    class Recorder(io.StringIO):
+        def write(self, s):
+            sizes.append(len(s))
+            return super().write(s)
+
+    monkeypatch.setattr(sys, "stdout", Recorder())
+    code = cli.main(["poset", "--group", "A4", "--Q", "1,2,3,4", "--pi", "w0", "--json", "-"])
+    text = sys.stdout.getvalue()
+    assert code == 0
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "72b6dd8d395a53a5e7f3f7983c62e93b62027e86be87d9a367b6014b0ba2ba4b")
+    assert max(sizes) < len(text) / 8
 
 
 def test_poset_stdout_deterministic(capsys):
@@ -344,7 +363,13 @@ PINNED = [
                               "m5_unsupported", "text_a3", "text_h3", "text_demo_i2",
                               "text_demo_i2_m7", "text_complex", "text_classify",
                               "text_chain", "complex"])
-def test_worked_examples_pinned(capsys, argv, digest):
+def test_worked_examples_pinned(capsys, tmp_path, argv, digest):
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+    if "-" in argv:
+        # the same bytes written to a file in place of standard output
+        path = tmp_path / "out"
+        code, out, _ = run(capsys, *(str(path) if a == "-" else a for a in argv))
+        assert code == 0 and out == ""
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
