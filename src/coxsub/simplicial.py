@@ -31,8 +31,9 @@ Label = Hashable
 
 # Faces are Python ints, some 36 bytes each in a list.  Past this many
 # submasks of the facets, sum 2^|F| counted with repeats even by the face
-# pass that makes each face once (about 150 MB), an enumeration or is_flag's
-# search stops; past this many facets a subword complex is not built.
+# pass that makes each face once (about 150 MB), an enumeration stops; past
+# this many facets a subword complex is not built.  is_flag lists maximal
+# cliques, not faces, and stops past this many nodes of its search.
 MAX_FACES = 1 << 22
 FACE_LIMIT_ERROR = f"face enumeration too large (limit {MAX_FACES} faces)"
 
@@ -273,33 +274,56 @@ class LabeledComplex:
         return g
 
     def is_flag(self) -> bool:
-        """True iff every clique of the 1-skeleton is a face.  A clique is
-        a face iff some facet holds it, so the search carries the facets
-        through its clique, bit k for facet k; it grows each clique by its
-        smallest candidate first, and every clique it visits is a face."""
-        n = len(self.vertices)
-        through = [0] * n  # facets through each vertex
-        adj = [0] * n
-        for k, f in enumerate(self.facets):
-            for v in _bits(f):
-                through[v] |= 1 << k
-                adj[v] |= f
-        # (facets through the clique, its common neighbours above its top)
-        stack = [(through[v], adj[v] >> v + 1 << v + 1) for v in reversed(range(n))]
-        visited = 0
+        """True iff every clique of the 1-skeleton is a face, that is iff
+        every maximal clique is a facet.  A pivoted Bron-Kerbosch search
+        (Tomita, Tanaka and Takahashi 2006) lists the maximal cliques and
+        stops at the first that is no facet; past MAX_FACES search nodes it
+        raises.  Vertices on no facet are ignored; void and {()} are flag."""
+        if not self.facets:
+            return True
+        used = 0
+        for f in self.facets:
+            used |= f
+        adj = []  # the neighbours of each vertex: the union of its facets
+        for v in range(used.bit_length()):
+            bit, nbrs = 1 << v, 0
+            for f in self.facets:
+                if f & bit:
+                    nbrs |= f
+                    if nbrs == used:  # joined to every vertex already
+                        break
+            adj.append(nbrs & ~bit)
+        facets = set(self.facets)
+        # (clique, candidates, excluded): the candidates extend the clique,
+        # and a clique with an excluded extension was listed before
+        stack, nodes = [(0, used, 0)], 0
         while stack:
-            held, cand = stack.pop()
-            grown = []
-            while cand:
-                v = (cand & -cand).bit_length() - 1
-                cand &= cand - 1
-                if not held & through[v]:
+            clique, cand, done = stack.pop()
+            if not cand:
+                if not done and clique not in facets:
                     return False
-                grown.append((held & through[v], cand & adj[v]))
-            visited += len(grown)
-            if visited > MAX_FACES:
+                continue
+            nodes += 1
+            if nodes > MAX_FACES:
                 raise ValueError(FACE_LIMIT_ERROR)
-            stack += reversed(grown)
+            # the pivot keeps most candidates: only its non-neighbours branch;
+            # one that keeps all other candidates leaves at most one, and ends the scan
+            best, rest, pool, most = -1, cand, cand | done, cand.bit_count() - 1
+            while pool:
+                low = pool & -pool
+                pool ^= low
+                nbrs = adj[low.bit_length() - 1]
+                if (keep := (cand & nbrs).bit_count()) > best:
+                    best, rest = keep, cand & ~nbrs
+                    if keep >= most:
+                        break
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                nbrs = adj[low.bit_length() - 1]
+                stack.append((clique | low, cand & nbrs, done & nbrs))
+                cand ^= low
+                done |= low
         return True
 
 

@@ -22,7 +22,8 @@ from operator import or_
 from . import _kernels
 from .backend import active as _K
 from .coxeter import CoxeterSystem, GroupElement, Word
-from .simplicial import FACE_LIMIT_ERROR, MAX_FACES, LabeledComplex, check_face_count
+from .simplicial import (FACE_LIMIT_ERROR, MAX_FACES, MAX_VERTICES, LabeledComplex,
+                         check_face_count)
 
 
 @dataclass(frozen=True)
@@ -130,12 +131,37 @@ def build(d: SubwordDescriptor, memo: dict | None = None) -> LabeledComplex:
     return entry.relabel(d.labels)
 
 
+def _byte_rows() -> list[list[tuple[int, ...]]]:
+    """Per byte offset o, the indices of the set bits of each byte value
+    b placed at bits 8o..8o+7, ascending: row b is row b - 2^k plus 8o + k
+    for the top bit k of b."""
+    tables = []
+    for o in range(0, MAX_VERTICES, 8):
+        rows = [()]
+        for k in range(o, o + 8):
+            rows += [r + (k,) for r in rows]
+        tables.append(rows)
+    return tables
+
+
+_BYTE_ROWS = _byte_rows()
+
+
 def complex_summary(x: LabeledComplex) -> dict:
-    """JSON-ready vertices, facets (indices into the vertices), f and h."""
-    n = len(x.vertices)
+    """JSON-ready vertices, facets (indices into the vertices), f and h;
+    each facet's indices are read a byte at a time from ``_BYTE_ROWS``."""
+    facets = []
+    for f in x.facets:
+        row, o = [], 0
+        while f:
+            row += _BYTE_ROWS[o][f & 255]
+            f >>= 8
+            o += 1
+        facets.append(row)
+    facets.sort()
     return {
         "vertices": [str(v) for v in x.vertices],
-        "facets": sorted([k for k in range(n) if f >> k & 1] for f in x.facets),
+        "facets": facets,
         "f_vector": list(x.f_vector()),
         "h_vector": None if x.is_void else list(x.h_vector()),
     }

@@ -139,9 +139,9 @@ def oracle_case(sys_, rng: random.Random, word, kind: int):
 
 
 def random_descriptor(rng: random.Random, names=("A2", "A3", "B3"),
-                      max_len: int = 9) -> SubwordDescriptor:
+                      max_len: int = 9, min_len: int = 1) -> SubwordDescriptor:
     sys_ = system(rng.choice(names))
-    n = rng.randrange(1, max_len + 1)
+    n = rng.randrange(min_len, max_len + 1)
     word = tuple(rng.randrange(1, sys_.rank + 1) for _ in range(n))
     return SubwordDescriptor(sys_, word, random_pi(sys_, rng, word))
 

@@ -54,6 +54,16 @@ def test_complex_past_the_face_limit(capsys):
     assert doc["gamma"][0] == 1
 
 
+def test_complex_flag_past_the_face_limit(capsys):
+    # the boundary of the 14-dimensional cross-polytope has 3^14 faces, more
+    # than MAX_FACES, but only its 2^14 maximal cliques are searched
+    code, out, err = run(capsys, "complex", *_cross_polytope(14), "--json")
+    assert code == 0, err
+    doc = json.loads(out)
+    assert doc["flag"] is True and len(doc["facets"]) == 1 << 14
+    assert doc["f_vector"][0] == 28 and doc["gamma"] == [1] + [0] * 7
+
+
 def test_complex_facet_count_past_the_limit(capsys, monkeypatch):
     # (1,2,3,4)^15 in B4 has 6,892,441,920 facets: refused from h, before
     # the kernel runs
@@ -295,6 +305,15 @@ def test_group_spec_file(capsys, tmp_path):
     assert "f-vector (7, 7)" in out
 
 
+def _cross_polytope(n):
+    """--group, --word and --pi of A1^n with word 1,1,2,2,..,n,n and pi = 1..n:
+    the boundary of the n-dimensional cross-polytope, 2^n facets, 3^n faces."""
+    matrix = [[1 if i == j else 2 for j in range(n)] for i in range(n)]
+    return ("--group", json.dumps({"matrix": matrix}),
+            "--word", ",".join(str(k) for k in range(1, n + 1) for _ in "ab"),
+            "--pi", ",".join(str(k) for k in range(1, n + 1)))
+
+
 # SHA-256 of the standard output of the worked examples; a change to any
 # printed byte, ordering or float formatting fails here
 PINNED = [
@@ -351,6 +370,14 @@ PINNED = [
     (("chain", "--group", "A3", "--word", "1,2,3,3,2,1,3,2,3", "--pi", "w0",
       "--moves", "6,4,6,5,8,6,4,6"),
      "c47aea9209f750f6e996ce515b6bff22e95ab4d76e1fd257d4ab8fec76a06007"),
+    # flag and not: A1^9 (the boundary of the 9-dimensional cross-polytope),
+    # 1^20 in A1 (the boundary of a simplex) and (1,3)^6 in A3
+    (("complex", *_cross_polytope(9), "--json"),
+     "37fae2daaf8b1262bca5ab25b4e8ce1ad25b85d0a610d44ec9b390798ebc0fb3"),
+    (("complex", "--group", "A1", "--word", ",".join("1" * 20), "--pi", "1", "--json"),
+     "5911e0c61662cdab75b06ea05570516bd569c71e9a04208154309e499fbad491"),
+    (("complex", "--group", "A3", "--word", ",".join(["1,3"] * 6), "--pi", "1,3", "--json"),
+     "8bf38546d0617e572ff8d8a318cfadce07bd57e8da15d237c501a0bb4a16bff6"),
     # last: test_complex_json_enumerates_no_faces reads it
     (("complex", "--group", "A2", "--word", "1,2,1,2,1", "--pi", "w0", "--json"),
      "172869ea79525533e0f5c0e18e17f2e5c6ff287c25730d3b81a37d4e2855758b"),
@@ -362,7 +389,8 @@ PINNED = [
                               "gap_json", "gap_dot", "m4_case2", "m5_case3",
                               "m5_unsupported", "text_a3", "text_h3", "text_demo_i2",
                               "text_demo_i2_m7", "text_complex", "text_classify",
-                              "text_chain", "complex"])
+                              "text_chain", "flag_a1_9", "simplex_a1_20", "a3_13_6",
+                              "complex"])
 def test_worked_examples_pinned(capsys, tmp_path, argv, digest):
     code, out, _ = run(capsys, *argv)
     assert code == 0

@@ -1,12 +1,15 @@
 import itertools
 import random
+import re
 
 import pytest
 
 from conftest import (face_label_sets, has_face, k_subdivide, link, random_descriptor,
                       spherical_complex)
-from coxsub.simplicial import LabeledComplex, is_isomorphic_constrained, iso_invariant
-from coxsub.subword import build
+from coxsub import simplicial
+from coxsub.simplicial import (FACE_LIMIT_ERROR, LabeledComplex, is_isomorphic_constrained,
+                               iso_invariant)
+from coxsub.subword import SubwordDescriptor, build
 
 
 def cycle(n, labels=None):
@@ -276,8 +279,29 @@ def test_is_flag_matches_clique_definition():
         edges = sorted(tuple(sorted(f, key=str)) for f in face_label_sets(x) if len(f) == 2)
         if edges:  # an edge subdivision is no word complex in general
             cases.append(x.edge_subdivide(edges[rng.randrange(len(edges))], "new"))
+    # the complex workload's sizes: 10 to 15 letters over A4, D4 and B4,
+    # every other one a sphere (pi the Demazure product of the word)
+    sized = []
+    for k in range(40):
+        d = random_descriptor(rng, names=("A4", "D4", "B4"), max_len=15, min_len=10)
+        if k % 2:
+            d = SubwordDescriptor(d.system, d.word, d.system.demazure_product(d.word))
+        sized.append(build(d))
+    assert max(len(x.vertices) for x in sized) >= 12
+    cases += sized
     flags = [x.is_flag() for x in cases]
     assert flags == [_flag_by_cliques(x) for x in cases]
     assert flags[0] is False and all(flags[1:5])  # the triangle boundary only
     assert True in flags[9:] and False in flags[9:]
+    assert True in flags[-40:] and False in flags[-40:]
+
+
+def test_is_flag_search_is_bounded(monkeypatch):
+    # the boundary of the 4-dimensional cross-polytope is flag, with 16
+    # maximal cliques: a budget of 8 search nodes stops the search
+    cross = LabeledComplex.from_facets(itertools.product(*((k, -k) for k in range(1, 5))))
+    assert cross.is_flag()
+    monkeypatch.setattr(simplicial, "MAX_FACES", 8)
+    with pytest.raises(ValueError, match=re.escape(FACE_LIMIT_ERROR)):
+        cross.is_flag()
 

@@ -5,7 +5,7 @@ import pytest
 from conftest import (brute_facets, brute_is_face, face_label_sets, has_face, k_subdivide,
                       link_oracle_check, oracle_case, random_descriptor, random_pi,
                       spherical_complex, subword_h_oracle, system)
-from coxsub.simplicial import LabeledComplex, face_set, iso_invariant
+from coxsub.simplicial import MAX_VERTICES, LabeledComplex, face_set, iso_invariant
 from coxsub.subword import (SubwordDescriptor, build, complex_json, complex_summary,
                             position_complex)
 
@@ -174,6 +174,28 @@ def test_complex_summary_facets_match_label_reference():
     assert len(cases) > 60  # most complexes had an edge to subdivide
     for x in cases:
         assert complex_summary(x)["facets"] == _facets_by_labels(x)
+
+
+def test_complex_summary_facets_match_bit_definition():
+    # rows read a byte at a time, across one, two and up to eight bytes;
+    # the facets are sparse and of one size, so f and h stay cheap
+    rng = random.Random(20)
+    cases = []
+    for lo, hi in ((1, 8), (9, 16), (17, MAX_VERTICES)):
+        for _ in range(40):
+            n = rng.randint(lo, hi)
+            k = rng.randint(1, min(n, 6))
+            facets = {sum(1 << v for v in rng.sample(range(n), k))
+                      for _ in range(rng.randint(1, 12))}
+            facets.add(sum(1 << v for v in rng.sample(range(n - 1), k - 1)) | 1 << n - 1)
+            cases.append(LabeledComplex(range(n), facets))
+    A1 = system("A1")
+    cases.append(build(SubwordDescriptor(A1, (1,) * 40, A1.element_of((1,)))))
+    assert len(cases[-1].vertices) == 40 and cases[-1].facets[0].bit_count() == 39
+    for x in cases:
+        n = len(x.vertices)
+        assert complex_summary(x)["facets"] == sorted(
+            [k for k in range(n) if f >> k & 1] for f in x.facets)
 
 
 def _snapshot(x: LabeledComplex) -> tuple:
