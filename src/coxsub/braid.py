@@ -19,19 +19,20 @@ g2..g(m-1).  ``MoveFacts.bits`` holds one table per side, the universe bit
 of each word position.  Side 1's is the identity.  Side 2's crosses the
 window endpoints (first slot to fm, last to f1) and lifts the internal
 slots as one block to the top.  The vertex names, the internal masks and
-the witnesses' fresh vertices read these tables.  Side 2's facets, faces
-and interface families are made over its word positions, the first two
-read from its memo entry, and cross by ``from_side2``, the mask form of
-its table.  The endpoint edge {f1, fm} is then F on side 1 and G on side
-2.  The universe can exceed 62 bits, so its masks are Python ints.
+the witnesses' fresh vertices read these tables.  Each side's complex is
+its memo entry's, over its own word positions; side 2's facets, faces and
+interface families are made over them and cross by ``from_side2``, the
+mask form of its table.  The endpoint edge {f1, fm} is then F on side 1
+and G on side 2.  The universe can exceed 62 bits, so its masks are
+Python ints.
 
 Link insertion.  The interface families come from the complexes of the
 words with the window shortened by two, the links of window edges
 (Knutson-Miller 2004).  An inner face becomes a side face by opening two
 empty bit slots in its position mask: at window slots l and l+1 for the
 link of the edge there, or at both window endpoints for F and G.  All
-face algebra runs on these masks; labels ("Q1", "f1", "g2", "Q'1", ...)
-appear only in the reported complexes, the witnesses and the mismatches.
+face algebra runs on these masks; names ("Q1", "f1", "g2", "Q'1", ...)
+appear only in the report's ``names``, the witnesses and the mismatches.
 
 Witnesses.  Each verdict is replayed on the universe masks of the sides'
 facets: equal facet sets are equal complexes, and an iterated edge
@@ -108,10 +109,8 @@ class MoveFacts:
         self.endpoint = 1 << q | 1 << (q + m - 1)
         self.internal = tuple(sum(1 << b[p] for p in range(q + 1, q + m - 1)) for b in self.bits)
         memo = {} if memo is None else memo
-        self.sides = tuple(
-            build(SubwordDescriptor(ctx.system, ctx.side_word(side), ctx.pi,
-                                    labels=self.names(b)), memo)
-            for side, b in zip((1, 2), self.bits))
+        self.sides = tuple(build(SubwordDescriptor(ctx.system, ctx.side_word(side), ctx.pi), memo)
+                           for side in (1, 2))
         # the memo entries of the sides and of the shortened windows, for
         # faces over word positions; no output names an inner vertex
         self._entries = tuple(position_complex(ctx.system, ctx.side_word(side, k), ctx.pi, memo)
@@ -383,6 +382,7 @@ class CaseReport:
     supported: bool
     delta1: LabeledComplex
     delta2: LabeledComplex
+    names: tuple  # per side, the vertex name of each word position
     witness: dict | None
     witness_ok: bool | None
     decomposition: DecompositionReport
@@ -417,6 +417,7 @@ def classify(ctx: BraidContext, memo: dict | None = None) -> CaseReport:
     classifies several moves over the same words (see ``subword.build``)."""
     f = MoveFacts(ctx, memo)
     m, c = f.m, f.conditions
+    names = tuple(f.names(b) for b in f.bits)
     d1x, d2x = f.sides
     dec = verify_decomposition(f)
     poly = polynomial_delta(f) if f.supported else None
@@ -432,7 +433,7 @@ def classify(ctx: BraidContext, memo: dict | None = None) -> CaseReport:
 
     if case == 1:
         witness_ok = f.facets[0] == f.facets[1]
-        witness = {"kind": "equality", "map": {v: v for v in d1x.vertices}}
+        witness = {"kind": "equality", "map": {names[0][p]: names[0][p] for p in d1x.vertices}}
     elif case:
         refined = _refine(f, 0), _refine(f, 1)
         if case in (2, 3):
@@ -450,7 +451,7 @@ def classify(ctx: BraidContext, memo: dict | None = None) -> CaseReport:
                 witness["interface_expression_matches"] = witness_ok
 
     return CaseReport(ctx, m, case, c["A2"], c["B2"], c["A3"], c["B3"], f.supported,
-                      d1x, d2x, witness, witness_ok, dec, poly)
+                      d1x, d2x, names, witness, witness_ok, dec, poly)
 
 
 # -- sequences of moves -------------------------------------------------------
@@ -477,7 +478,7 @@ def _row_summary(system: CoxeterSystem, word: Word, pi: GroupElement, memo: dict
     return {
         "word": word,
         "f_vector": x.f_vector(),
-        "vertices": x.vertices,
+        "vertices": tuple(p + 1 for p in x.vertices),
         "h_vector": None if x.is_void else x.h_vector(),
         "spherical": spherical,
         "gamma": gamma,

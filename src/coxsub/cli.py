@@ -81,8 +81,8 @@ def case_report_json(rep) -> dict:
         "case_name": rep.case_name,
         "supported": rep.supported,
         "conditions": {"A2": rep.A2, "B2": rep.B2, "A3": rep.A3, "B3": rep.B3},
-        "delta1": complex_summary(rep.delta1),
-        "delta2": complex_summary(rep.delta2),
+        "delta1": complex_summary(rep.delta1, rep.names[0]),
+        "delta2": complex_summary(rep.delta2, rep.names[1]),
         "witness": rep.witness,
         "witness_ok": rep.witness_ok,
         "decomposition": {
@@ -130,9 +130,9 @@ def cmd_complex(args) -> int:
     if not out["facets"]:
         print("facets   none (void complex)")
     else:
-        labels = out["vertices"]
-        facets = sorted(sorted(labels[k] for k in f) for f in out["facets"])
-        print("facets   " + " ".join("{" + ",".join(f) + "}" for f in facets))
+        names = out["vertices"]
+        print("facets   " + " ".join("{" + ",".join(names[k] for k in f) + "}"
+                                     for f in out["facets"]))
     return 0
 
 

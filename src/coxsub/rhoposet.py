@@ -19,7 +19,8 @@ from dataclasses import dataclass, replace
 
 from .braid import BraidContext, classify
 from .coxeter import MAX_REDUCED_WORDS, CoxeterSystem, GroupElement, Word
-from .simplicial import LabeledComplex, _bits, is_isomorphic_constrained, iso_invariant
+from .simplicial import (LabeledComplex, _bits, is_isomorphic_constrained, iso_invariant,
+                         subdivide)
 from .subword import SubwordDescriptor, build
 
 FRONTIER_CAP = 512  # subdivision classes per depth before the gap scan stops
@@ -102,10 +103,10 @@ def _closure(n: int, covers) -> tuple[int, ...]:
 
 
 class _ClassTable:
-    """The isomorphism classes met in one gap scan.  Each class keeps one
-    representative on the vertices 0..n-1, the classes are bucketed by
-    ``iso_invariant``, and a class's single edge subdivisions are found,
-    as class ids, when first asked for."""
+    """The isomorphism classes met in one gap scan.  Each class keeps the
+    first complex met as its representative, the classes are bucketed by
+    ``iso_invariant``, and a class's single edge subdivisions, each on the
+    vertices 0..n, are found, as class ids, when first asked for."""
 
     def __init__(self):
         self.reps: list[LabeledComplex] = []
@@ -125,10 +126,10 @@ class _ClassTable:
         kids = self.children.get(c)
         if kids is None:
             z = self.reps[c]
-            fresh = len(z.vertices)  # the next integer vertex
+            n = len(z.vertices)  # the fresh vertex is bit n
             kids = self.children[c] = dict.fromkeys(
-                self.intern(z.edge_subdivide(
-                    ((e & -e).bit_length() - 1, e.bit_length() - 1), fresh))
+                self.intern(LabeledComplex(range(n + 1),
+                                           subdivide(z.facets, e & -e, e & (e - 1), (1 << n,))))
                 for e in z.edge_masks())
         return kids
 
@@ -157,7 +158,7 @@ def _subdivision_frontiers(table: _ClassTable, c: int, depth: int):
 def build_rho(system: CoxeterSystem, Q, Qp, pi: GroupElement,
               cap: int = MAX_REDUCED_WORDS) -> RhoPoset:
     """Build the order; see the module docstring for the construction.
-    Each (word, pi) is built once, the moves reading relabels of it.
+    Each (word, pi) is built once, every move reading its memo entry.
 
     One move is classified per commutation orbit: moves whose side-1 words,
     with the window taken as one piece, differ only by commuting letters
@@ -279,10 +280,8 @@ def _gap_scan(p: RhoPoset, memo: dict) -> GapReport:
     subdivided once however many frontiers reach it.  The class
     representatives are built through ``memo`` (see ``subword.build``)."""
     n = len(p.classes)
-    reps = []
-    for c in range(n):
-        x = build(SubwordDescriptor(p.system, p.Q + p.class_rep(c) + p.Qp, p.pi), memo)
-        reps.append(x.relabel(range(len(x.vertices))))  # on 0..n-1
+    reps = [build(SubwordDescriptor(p.system, p.Q + p.class_rep(c) + p.Qp, p.pi), memo)
+            for c in range(n)]
     table = _ClassTable()
     ids = [table.intern(x) for x in reps]
     f0 = [0 if x.is_void else len(x.vertices) for x in reps]

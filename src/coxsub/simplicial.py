@@ -1,10 +1,12 @@
 """Labeled simplicial complexes with bitset faces.
 
-A complex carries an ordered tuple of vertex labels (any hashable) and
-its facets as bitmasks over that order, bit k for vertex k, held in
-Python ints.  Its faces, when enumerated, are the sorted tuple of the
-submasks of its facets.  Two degenerate complexes are distinguished on
-purpose:
+A complex carries an ordered tuple of distinct vertex labels and its
+facets as bitmasks over that order, bit k for vertex k, held in Python
+ints.  Inside the library the labels are integers, the word positions of
+a subword complex or 0..n-1; names for a reader are applied only where a
+summary is written.  Its faces, when enumerated, are the sorted tuple of
+the submasks of its facets.  Two degenerate complexes are distinguished
+on purpose:
 
   * the void complex has no faces at all: no facets, no empty face;
   * the complex {()} has the single facet (), i.e. only the empty face.
@@ -78,7 +80,7 @@ class LabeledComplex:
 
     Invariant: the facets form an antichain (no facet inside another).
     ``from_facets`` prunes to the maximal sets; ``subword.PositionComplex``
-    (facets of one size), ``relabel`` and ``edge_subdivide`` preserve it.
+    (facets of one size) and ``subdivide`` preserve it.
     Equality and hashing read the facets alone because of it.
     """
 
@@ -86,8 +88,6 @@ class LabeledComplex:
 
     def __init__(self, vertices: Sequence[Label], facet_masks: Iterable[int]):
         vertices = tuple(vertices)
-        if len(set(vertices)) != len(vertices):
-            raise ValueError("vertex labels must be distinct")
         if len(vertices) > MAX_VERTICES:
             raise ValueError(f"complexes are limited to {MAX_VERTICES} vertices")
         masks = sorted(set(map(_int, facet_masks)))
@@ -97,9 +97,9 @@ class LabeledComplex:
                 raise ValueError("facet mask uses unknown vertices")
         object.__setattr__(self, "vertices", vertices)
         object.__setattr__(self, "facets", tuple(masks))
-        # the facts that do not depend on labels, filled on first use and
-        # shared with every relabel: "faces", "f", "h", "gamma", "sig" (counted
-        # from the facets by ``_signatures``) and the isomorphism search "plan"
+        # the facts read from the facets alone, filled on first use: "faces",
+        # "f", "h", "gamma", "sig" (counted by ``_signatures``) and the
+        # isomorphism search "plan"
         object.__setattr__(self, "_cache", {})
 
     def __setattr__(self, *a):  # immutability by convention
@@ -130,10 +130,6 @@ class LabeledComplex:
     @staticmethod
     def void() -> "LabeledComplex":
         return LabeledComplex((), ())
-
-    @staticmethod
-    def empty_face_only() -> "LabeledComplex":
-        return LabeledComplex((), (0,))
 
     # -- basic queries -----------------------------------------------------
 
@@ -180,39 +176,6 @@ class LabeledComplex:
         if self.is_void:
             return "LabeledComplex(void)"
         return f"LabeledComplex({len(self.vertices)} vertices, {len(self.facets)} facets)"
-
-    # -- derived complexes ---------------------------------------------------
-
-    def relabel(self, labels: Sequence[Label]) -> "LabeledComplex":
-        """The same facets over new vertex labels, ``labels[k]`` naming
-        vertex k.  The face masks, f-, h- and gamma vector and vertex
-        signatures do not depend on labels: the two complexes share them,
-        and whichever asks first computes them."""
-        labels = tuple(labels)
-        if len(labels) != len(self.vertices):
-            raise ValueError("need exactly one label per vertex")
-        if len(set(labels)) != len(labels):
-            raise ValueError("vertex labels must be distinct")
-        out = object.__new__(LabeledComplex)
-        object.__setattr__(out, "vertices", labels)
-        object.__setattr__(out, "facets", self.facets)
-        object.__setattr__(out, "_cache", self._cache)
-        return out
-
-    def edge_subdivide(self, edge: Iterable[Label], fresh: Label) -> "LabeledComplex":
-        """Subdivide along an edge: facets containing it split at a new
-        vertex, appended as the last one (``subdivide`` with one step)."""
-        s, t = tuple(edge)
-        verts = self.vertices
-        if fresh in verts:
-            raise ValueError(f"fresh label {fresh!r} is already a vertex")
-        out = None
-        if s in verts and t in verts:
-            out = subdivide(self.facets, 1 << verts.index(s), 1 << verts.index(t),
-                            (1 << len(verts),))
-        if out is None:
-            raise ValueError(f"{{{s!r}, {t!r}}} is not an edge of the complex")
-        return LabeledComplex(verts + (fresh,), out)
 
     # -- enumerative invariants ---------------------------------------------
 
@@ -372,7 +335,7 @@ def is_isomorphic_constrained(x: LabeledComplex, y: LabeledComplex) -> dict | No
     x is checked as soon as its last vertex in search order is assigned.
     That plan depends on x alone and is cached with it, so a caller testing
     many complexes against one passes that one as x.  Returns the mapping
-    of labels or None.
+    of x's vertex labels to y's, or None.
     """
     if x.is_void or y.is_void:
         return {} if (x.is_void and y.is_void) else None
@@ -384,7 +347,7 @@ def is_isomorphic_constrained(x: LabeledComplex, y: LabeledComplex) -> dict | No
     for w, s in enumerate(sig_y):
         by_sig.setdefault(s, []).append(1 << w)
     pools = [by_sig[s] for s in sig_x]
-    plan = x._cache.get("plan")  # x's signatures fix it, so relabels share it
+    plan = x._cache.get("plan")  # x's signatures fix it
     if plan is None:
         # rarest signature first; each facet of x, as vertex indices, is
         # due at the search step that assigns its last vertex

@@ -2,10 +2,10 @@
 
 The faces of Delta(Q; pi) are the position sets T such that the complement
 of T in Q still contains a reduced expression of pi; the facets are exactly
-the complements of reduced expressions.  Positions are the vertex
-candidates: two positions are distinct vertices even when they carry the
-same letter.  A position that lies in no facet is not a vertex of the
-complex and is dropped from its vertex set.
+the complements of reduced expressions.  The 0-based word positions are
+the vertex candidates: two positions are distinct vertices even when they
+carry the same letter.  A position in no facet is not a vertex and is
+dropped; only a summary names the others (``complex_summary``).
 
 The vertex decomposition gives the h-vector (and f and gamma), the facets
 and, on demand, the faces, each by a backward pass over the live states
@@ -28,26 +28,14 @@ from .simplicial import (FACE_LIMIT_ERROR, MAX_FACES, MAX_VERTICES, LabeledCompl
 
 @dataclass(frozen=True)
 class SubwordDescriptor:
-    """A word in the generators together with a target group element.
-
-    ``labels`` names the positions of ``word``; the default is 1-based
-    position numbers.  Labels must be pairwise distinct and hashable.
-    """
+    """A word in the generators together with a target group element."""
 
     system: CoxeterSystem
     word: Word
     pi: GroupElement
-    labels: tuple = ()
 
     def __post_init__(self):
-        word = self.system.check_word(self.word)
-        object.__setattr__(self, "word", word)
-        labels = tuple(self.labels) if self.labels else tuple(range(1, len(word) + 1))
-        if len(labels) != len(word):
-            raise ValueError("need exactly one label per position")
-        if len(set(labels)) != len(labels):
-            raise ValueError("position labels must be pairwise distinct")
-        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "word", self.system.check_word(self.word))
 
 
 class PositionComplex:
@@ -55,9 +43,8 @@ class PositionComplex:
 
     It is made once per (word, pi) and memo from one forward pass: its
     facets, h-vector and sphericity at once, its faces on first use from
-    the kept layers of that pass, which are then dropped.  Every labeled
-    complex of the pair is a relabel of it, sharing these and the f-vector
-    and gamma computed later.
+    the kept layers of that pass, which are then dropped.  ``complex`` is
+    the one complex of the pair that every caller reads.
     """
 
     __slots__ = ("complex", "spherical", "word_facets", "_tables", "_faces")
@@ -100,10 +87,6 @@ class PositionComplex:
             self._faces, self._tables = tuple(_kernels.subword_faces(*self._tables)), None
         return self._faces
 
-    def relabel(self, labels) -> LabeledComplex:
-        """The complex with word position p named ``labels[p]``."""
-        return self.complex.relabel([labels[p] for p in self.complex.vertices])
-
 
 def position_complex(system: CoxeterSystem, word: Word, pi: GroupElement,
                      memo: dict) -> PositionComplex:
@@ -122,13 +105,10 @@ def position_complex(system: CoxeterSystem, word: Word, pi: GroupElement,
 
 
 def build(d: SubwordDescriptor, memo: dict | None = None) -> LabeledComplex:
-    """The subword complex of ``d``, VOID when no reduced expression fits.
-
-    Without a memo the complex is made afresh; with one it is a relabel of
-    the memo's position complex (see ``position_complex``).
-    """
-    entry = position_complex(d.system, d.word, d.pi, {} if memo is None else memo)
-    return entry.relabel(d.labels)
+    """The subword complex of ``d`` over its used 0-based word positions,
+    VOID when no reduced expression fits: the complex of the entry of
+    ``memo`` (see ``position_complex``), of a fresh one without a memo."""
+    return position_complex(d.system, d.word, d.pi, {} if memo is None else memo).complex
 
 
 def _byte_rows() -> list[list[tuple[int, ...]]]:
@@ -147,9 +127,10 @@ def _byte_rows() -> list[list[tuple[int, ...]]]:
 _BYTE_ROWS = _byte_rows()
 
 
-def complex_summary(x: LabeledComplex) -> dict:
-    """JSON-ready vertices, facets (indices into the vertices), f and h;
-    each facet's indices are read a byte at a time from ``_BYTE_ROWS``."""
+def complex_summary(x: LabeledComplex, names) -> dict:
+    """JSON-ready vertices, named ``names[v]`` for vertex v, facets (indices
+    into the vertices), f and h; each facet's indices are read a byte at a
+    time from ``_BYTE_ROWS``."""
     facets = []
     for f in x.facets:
         row, o = [], 0
@@ -160,7 +141,7 @@ def complex_summary(x: LabeledComplex) -> dict:
         facets.append(row)
     facets.sort()
     return {
-        "vertices": [str(v) for v in x.vertices],
+        "vertices": [str(names[v]) for v in x.vertices],
         "facets": facets,
         "f_vector": list(x.f_vector()),
         "h_vector": None if x.is_void else list(x.h_vector()),
@@ -168,9 +149,10 @@ def complex_summary(x: LabeledComplex) -> dict:
 
 
 def complex_json(d: SubwordDescriptor) -> dict:
-    """JSON-ready summary of the complex of ``d`` (see ``complex_summary``)."""
+    """JSON-ready summary of the complex of ``d``, position p named p + 1
+    (see ``complex_summary``)."""
     memo: dict = {}
     x, spherical = build(d, memo), position_complex(d.system, d.word, d.pi, memo).spherical
     gamma = list(x.gamma()) if spherical else None
-    return dict(complex_summary(x), word=list(d.word), spherical=spherical,
-                flag=x.is_flag(), gamma=gamma)
+    return dict(complex_summary(x, range(1, len(d.word) + 1)), word=list(d.word),
+                spherical=spherical, flag=x.is_flag(), gamma=gamma)

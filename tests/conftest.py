@@ -1,6 +1,8 @@
 """Shared builders for the test suite: cached small systems, brute-force
 subword oracles, label-set oracles on complexes and on a move's shared
-namespace, and seeded random context/complex generators."""
+namespace, and seeded random context/complex generators.  The library's
+complexes have word positions as vertices; ``named`` gives a label-level
+copy for the oracles to compare."""
 
 from __future__ import annotations
 
@@ -190,6 +192,12 @@ def spherical_complex(rng: random.Random, names=("A2", "A3", "B3"),
 # -- label-set oracles on complexes ---------------------------------------------
 
 
+def named(x: LabeledComplex, names) -> LabeledComplex:
+    """The complex x with vertex v named ``names[v]``, built afresh from label sets."""
+    return LabeledComplex.from_facets([{names[v] for v in f} for f in x.facet_label_sets()],
+                                      vertex_order=[names[v] for v in x.vertices])
+
+
 def face_label_sets(x: LabeledComplex) -> frozenset[frozenset]:
     """Every face of x as a set of vertex labels."""
     return frozenset(frozenset(x.vertices[i] for i in range(len(x.vertices)) if m >> i & 1)
@@ -231,16 +239,14 @@ def k_subdivide(x: LabeledComplex, edge, k: int, fresh) -> LabeledComplex:
 
 
 def link_oracle_check(d: SubwordDescriptor, face) -> bool:
-    """Compare Lk(face) against the complex of the word with ``face``
-    deleted (Knutson-Miller 2004).  The two complexes share their labels,
-    so the comparison is literal face-set equality.  Raises when ``face``
-    is not a face."""
-    x = build(d)
-    drop = {d.labels.index(lab) for lab in face}
-    keep = [p for p in range(len(d.word)) if p not in drop]
-    shortened = SubwordDescriptor(d.system, tuple(d.word[p] for p in keep), d.pi,
-                                  labels=tuple(d.labels[p] for p in keep))
-    return link(x, face) == build(shortened)
+    """Compare Lk(face) against the complex of the word with ``face``, a
+    set of word positions, deleted (Knutson-Miller 2004).  The shortened
+    word's complex is named back to the positions it keeps, so the
+    comparison is literal face-set equality.  Raises when ``face`` is not
+    a face."""
+    keep = [p for p in range(len(d.word)) if p not in set(face)]
+    shortened = SubwordDescriptor(d.system, tuple(d.word[p] for p in keep), d.pi)
+    return link(build(d), face) == named(build(shortened), keep)
 
 
 # -- the shared namespace of a move, on labels ----------------------------------
@@ -265,12 +271,13 @@ def word_labels(ctx: BraidContext, window) -> tuple[str, ...]:
             + tuple(f"Q'{p}" for p in range(1, len(ctx.Qp) + 1)))
 
 
-def side_descriptor(ctx: BraidContext, side: int) -> SubwordDescriptor:
-    """Full-window descriptor of one side with the shared vertex namespace."""
+def side_descriptor(ctx: BraidContext, side: int) -> tuple[SubwordDescriptor, tuple]:
+    """Full-window descriptor of one side and the names of its word
+    positions in the shared vertex namespace."""
     m = ctx.m
     lab = f_label if side == 1 else (lambda l: g_label(l, m))
-    return SubwordDescriptor(ctx.system, ctx.side_word(side), ctx.pi,
-                             labels=word_labels(ctx, (lab(l) for l in range(1, m + 1))))
+    return (SubwordDescriptor(ctx.system, ctx.side_word(side), ctx.pi),
+            word_labels(ctx, (lab(l) for l in range(1, m + 1))))
 
 
 def check_A3B3_edges(f: MoveFacts) -> bool:

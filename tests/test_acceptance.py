@@ -13,11 +13,12 @@ import time
 import pytest
 
 from conftest import (brute_facets, f_label, face_label_sets, has_face, link,
-                      link_oracle_check, random_context, random_descriptor, side_descriptor,
-                      spherical_complex, system)
+                      link_oracle_check, named, random_context, random_descriptor,
+                      side_descriptor, spherical_complex, system)
 from coxsub.braid import (BraidContext, MoveFacts, apply_sequence, classify,
                           condition, subfamilies, tilde, verify_decomposition)
 from coxsub.rhoposet import build_rho, poset_json
+from coxsub.simplicial import LabeledComplex, subdivide
 from coxsub.subword import SubwordDescriptor, build, complex_json
 
 # descriptors and complexes built while running criteria 1-8; criterion 9
@@ -57,8 +58,8 @@ def test_criterion_01_dihedral_family():
         g1 = rep.delta1.gamma()[1]
         g2 = rep.delta2.gamma()[1]
         assert g1 - g2 == m - 2
-        _note(side_descriptor(ctx, 1))
-        _note(side_descriptor(ctx, 2))
+        _note(side_descriptor(ctx, 1)[0])
+        _note(side_descriptor(ctx, 2)[0])
     dt = time.perf_counter() - t0
     _line(1, dt < 1.0, f"I2(3..7) case 2, exact witnesses, {dt:.2f}s")
 
@@ -97,7 +98,7 @@ def test_criterion_03_cluster_pentagon():
 def test_criterion_04_duplicated_letters_square():
     A2 = system("A2")
     d = _note(SubwordDescriptor(A2, (1, 1, 2, 2, 1), A2.longest_element()))
-    x = build(d)
+    x = named(build(d), range(1, 6))  # position p named p + 1
     ok = (x.f_vector() == (4, 4)
           and not has_face(x, (1, 2)) and not has_face(x, (3, 4))
           and 5 not in x.vertices)
@@ -115,8 +116,8 @@ def test_criterion_05_polynomial_identity_batch():
         rep = classify(ctx)
         assert rep.poly is not None and rep.poly.h_ok, (ctx.Q, ctx.Qp, ctx.i, ctx.j)
         assert rep.poly.gamma_ok is not False
-        _note(side_descriptor(ctx, 1))
-        _note(side_descriptor(ctx, 2))
+        _note(side_descriptor(ctx, 1)[0])
+        _note(side_descriptor(ctx, 2)[0])
         checked += 1
     dt = time.perf_counter() - t0
     _line(5, dt < 60.0, f"200 contexts, h and gamma identities exact, {dt:.1f}s")
@@ -129,7 +130,7 @@ def test_criterion_06_structural_suite():
     for _ in range(200):
         ctx = random_context(rng, names=("A3", "B3", "H3"), max_side=6)
         m, f = ctx.m, MoveFacts(ctx)
-        d1x, d2x = f.sides
+        d1x, d2x = (named(x, f.names(b)) for x, b in zip(f.sides, f.bits))
         # reduced complexes coincide literally in the shared universe
         assert tilde(f, 1) == tilde(f, 2)
         # side 2 splits into the reduced part and the interface families
@@ -149,8 +150,8 @@ def test_criterion_06_structural_suite():
             vals = [condition(ctx, which, k) for k in range(m + 1)]
             assert all(b or not a for a, b in zip(vals, vals[1:]))
         unsupported += not classify(ctx).supported
-        _note(side_descriptor(ctx, 1))
-        _note(side_descriptor(ctx, 2))
+        _note(side_descriptor(ctx, 1)[0])
+        _note(side_descriptor(ctx, 2)[0])
     ok = unsupported > 0 and chained > 0
     _line(6, ok, f"200 contexts ({unsupported} unsupported), face-set "
                  f"identities hold; chain verified on {chained}")
@@ -162,7 +163,7 @@ def test_criterion_07_oracle_equivalence():
         d = _note(random_descriptor(rng, max_len=10))
         x = build(d)
         want = brute_facets(d.system, d.word, d.pi)
-        got = set(x.facet_label_sets()) if not x.is_void else set()
+        got = set(named(x, range(1, len(d.word) + 1)).facet_label_sets())
         assert got == want
         # containment against the exhaustive fixed-length scan
         target = d.system.length(d.pi)
@@ -198,7 +199,9 @@ def test_criterion_08_subdivision_h_and_flagness():
             continue
         _note(d)
         edge = edges[rng.randrange(len(edges))]
-        sub = x.edge_subdivide(edge, "star")
+        s, t = (1 << x.vertices.index(v) for v in edge)
+        n = len(x.vertices)  # the fresh vertex is bit n, as in the gap scan
+        sub = LabeledComplex(range(n + 1), subdivide(x.facets, s, t, (1 << n,)))
         h0, h1 = x.h_vector(), sub.h_vector()
         link_h = link(x, edge).h_vector()
         for k in range(len(h0)):

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from conftest import (braid_step, check_A3B3_edges, f_label, face_label_sets, face_passes,
-                      g_label, has_face, k_subdivide, random_context, side_descriptor,
+                      g_label, has_face, k_subdivide, named, random_context, side_descriptor,
                       system, word_labels)
 from coxsub import braid
 from coxsub.braid import (BraidContext, MoveFacts, apply_sequence, classify, condition,
@@ -27,6 +27,11 @@ def _label_sets(f: MoveFacts, masks) -> set:
     """Universe masks turned back into label sets."""
     uni = f.universe
     return {frozenset(uni[b] for b in range(len(uni)) if x >> b & 1) for x in masks}
+
+
+def _named_sides(f: MoveFacts) -> tuple:
+    """Both side complexes with the move's vertex names."""
+    return tuple(named(x, f.names(b)) for x, b in zip(f.sides, f.bits))
 
 
 def test_window_word_identities():
@@ -60,7 +65,7 @@ def test_endpoint_edge_pairing():
     rng = random.Random(11)
     for _ in range(60):
         ctx = random_context(rng)
-        d1x, d2x = MoveFacts(ctx).sides
+        d1x, d2x = _named_sides(MoveFacts(ctx))
         edge = (f_label(1), f_label(ctx.m))
         assert condition(ctx, "B", 2) == (not has_face(d1x, edge))
         assert condition(ctx, "A", 2) == (not has_face(d2x, edge))
@@ -72,8 +77,8 @@ def test_shared_namespace_crossing():
     assert g_label(m, m) == f_label(1)
     assert g_label(2, m) == "g2"
     ctx = i2_context(m)
-    assert side_descriptor(ctx, 1).labels == ("Q1", "Q2", "f1", "f2", "f3", "f4", "f5")
-    assert side_descriptor(ctx, 2).labels == ("Q1", "Q2", "f5", "g2", "g3", "g4", "f1")
+    assert side_descriptor(ctx, 1)[1] == ("Q1", "Q2", "f1", "f2", "f3", "f4", "f5")
+    assert side_descriptor(ctx, 2)[1] == ("Q1", "Q2", "f5", "g2", "g3", "g4", "f1")
     # the position tables against the label oracle, on moves with m = 2..5
     # and Q, Q' both non-empty
     rng = random.Random(27)
@@ -86,15 +91,19 @@ def test_shared_namespace_crossing():
     assert seen_m == {2, 3, 4, 5}
     for ctx in contexts:
         f, m = MoveFacts(ctx), ctx.m
-        d1, d2 = side_descriptor(ctx, 1), side_descriptor(ctx, 2)
-        assert f.universe == d1.labels + tuple(f"g{l}" for l in range(2, m))
-        assert f.names(f.bits[0]) == d1.labels and f.names(f.bits[1]) == d2.labels
+        (d1, names1), (d2, names2) = side_descriptor(ctx, 1), side_descriptor(ctx, 2)
+        assert f.universe == names1 + tuple(f"g{l}" for l in range(2, m))
+        assert f.names(f.bits[0]) == names1 and f.names(f.bits[1]) == names2
+        assert classify(ctx).names == (names1, names2)
         assert f.sides == (build(d1), build(d2))
+        # named, each side's facets are its universe facets
+        for x, names, facets in zip(f.sides, (names1, names2), f.facets):
+            assert set(named(x, names).facet_label_sets()) == _label_sets(f, facets)
         assert f.internal == (_mask(f, [f_label(l) for l in range(2, m)]),
                               _mask(f, [g_label(l, m) for l in range(2, m)]))
         # side 2 reaches the universe by one fixed bit permutation, which
         # carries its faces as it carries its facets
-        for p, label in enumerate(d2.labels):
+        for p, label in enumerate(names2):
             assert f.from_side2([1 << p]) == {1 << f.bits[1][p]} == {_mask(f, [label])}
         assert f.faces[1] == face_set(f.facets[1])
         # the witnesses' names: each side walks its endpoint edge onto the
@@ -148,6 +157,18 @@ def test_classify_makes_no_inner_f_vector():
     assert read >= 10
 
 
+def test_classify_reports_the_memo_complexes():
+    # the report's complexes are the memo entries of the side words; the
+    # move's names for their positions travel beside them
+    rng = random.Random(44)
+    for _ in range(30):
+        ctx, memo = random_context(rng), {}
+        rep = classify(ctx, memo)
+        assert rep.delta1 is memo[ctx.side_word(1), ctx.pi].complex
+        assert rep.delta2 is memo[ctx.side_word(2), ctx.pi].complex
+        assert [len(n) for n in rep.names] == [len(ctx.side_word(1))] * 2
+
+
 def test_i2_family():
     for m in range(3, 8):
         ctx = i2_context(m)
@@ -162,7 +183,7 @@ def test_i2_family():
         assert rep.poly.h_ok and rep.poly.gamma_ok
         # shortened windows: side 1 stays reduced, side 2 gets a double letter
         k1, k2 = MoveFacts(ctx).inner
-        assert k1 == LabeledComplex.empty_face_only()
+        assert k1 == LabeledComplex((), (0,))
         assert k2.is_void
     rep5 = classify(i2_context(5))
     assert rep5.poly.delta_h == {(1, 1): -3}
@@ -179,12 +200,12 @@ def test_i2_witness_is_stepwise_subdivision():
     assert w["kind"] == "subdivision" and w["of_side"] == 2
     assert w["edge"] == (f_label(m), f_label(1))
     assert w["fresh"] == tuple(f_label(l) for l in range(m - 1, 1, -1))
-    step = rep.delta2
+    step = named(rep.delta2, rep.names[1])
     r = f_label(m)
     for fresh in w["fresh"]:
-        step = step.edge_subdivide((r, f_label(1)), fresh)
+        step = k_subdivide(step, (r, f_label(1)), 1, [fresh])
         r = fresh
-    assert step == rep.delta1
+    assert step == named(rep.delta1, rep.names[0])
 
 
 def test_commutation_is_case_1():
@@ -197,7 +218,7 @@ def test_commutation_is_case_1():
         rep = classify(ctx)
         assert rep.case == 1 and rep.supported
         assert rep.witness_ok
-        assert rep.delta1 == rep.delta2
+        assert named(rep.delta1, rep.names[0]) == named(rep.delta2, rep.names[1])
         if rep.poly is not None:
             assert rep.poly.delta_h == {} and rep.poly.rhs_h == {}
         seen += 1
@@ -278,7 +299,7 @@ def _label_reference(f: MoveFacts):
     ctx, m = f.ctx, f.m
     # the shortened windows, with neutral labels "w1".."w{m-2}"
     inner = word_labels(ctx, (f"w{t}" for t in range(1, m - 1)))
-    k1, k2 = (build(SubwordDescriptor(ctx.system, ctx.side_word(side, 2), ctx.pi, inner))
+    k1, k2 = (named(build(SubwordDescriptor(ctx.system, ctx.side_word(side, 2), ctx.pi)), inner)
               for side in (1, 2))
     faces1, faces2 = face_label_sets(k1), face_label_sets(k2)
     endpoint = frozenset({f_label(1), f_label(m)})
@@ -309,7 +330,7 @@ def _label_reference(f: MoveFacts):
     d1_F = {_remap(rho, psi_F) | endpoint for rho in faces2}
     d2_G = {_remap(sig, phi_G) | endpoint for sig in faces1}
     reduced = []
-    for side, x in zip((1, 2), f.sides):
+    for side, x in zip((1, 2), _named_sides(f)):
         internal = {(f_label(l) if side == 1 else g_label(l, m)) for l in range(2, m)}
         reduced.append({fs for fs in face_label_sets(x)
                         if not fs & internal and not endpoint <= fs})
@@ -327,7 +348,7 @@ def test_mask_families_match_label_reference():
         got = (fams.d1_int, fams.d1_F, fams.d2_int, fams.d2_G)
         for mask_family, label_family in zip(got, want_fams):
             assert _label_sets(f, mask_family) == label_family
-        for side, x in zip((1, 2), f.sides):
+        for side, x in zip((1, 2), _named_sides(f)):
             assert _label_sets(f, f.faces[side - 1]) == set(face_label_sets(x))
             assert _label_sets(f, tilde(f, side)) == want_reduced[side - 1]
     assert seen_m >= {2, 3, 4, 5}
@@ -474,7 +495,7 @@ def test_case1_witness_matches_label_equality():
     for _ in range(300):
         ctx = random_context(rng)
         rep = classify(ctx)
-        equal = rep.delta1 == rep.delta2  # the reference
+        equal = named(rep.delta1, rep.names[0]) == named(rep.delta2, rep.names[1])  # the reference
         f = MoveFacts(ctx)
         assert (f.faces[0] == f.faces[1]) == equal
         assert (f.facets[0] == f.facets[1]) == equal
@@ -501,8 +522,9 @@ def test_subdivision_witnesses_match_label_reference():
         fresh_g = [g_label(l, m) for l in range(m - 1, 1, -1)]
         # the reference: labelled subdivisions, None where the edge is missing
         refs, masks = [], []
-        for x, facets, edge, fresh in ((rep.delta1, f.facets[0], ends, fresh_g),
-                                       (rep.delta2, f.facets[1], ends[::-1], fresh_f)):
+        x1, x2 = named(rep.delta1, rep.names[0]), named(rep.delta2, rep.names[1])
+        for x, facets, edge, fresh in ((x1, f.facets[0], ends, fresh_g),
+                                       (x2, f.facets[1], ends[::-1], fresh_f)):
             refs.append(k_subdivide(x, edge, m - 2, fresh) if has_face(x, edge) else None)
             bits = [_mask(f, [v]) for v in edge + tuple(fresh)]
             masks.append(subdivide(facets, bits[0], bits[1], bits[2:]))
@@ -512,9 +534,9 @@ def test_subdivision_witnesses_match_label_reference():
                 assert _label_sets(f, mask) == set(ref.facet_label_sets())
         sub1, sub2 = refs
         if rep.case == 2:
-            assert rep.witness_ok == (sub2 == rep.delta1)
+            assert rep.witness_ok == (sub2 == x1)
         elif rep.case == 3:
-            assert rep.witness_ok == (sub1 == rep.delta2)
+            assert rep.witness_ok == (sub1 == x2)
         else:
             assert rep.witness["agree"] == (sub1 is not None and sub1 == sub2)
             assert rep.witness_ok == (rep.witness["agree"] and
@@ -533,7 +555,7 @@ def test_mask_subdivision_matches_k_subdivide():
         verts = x.vertices
         s, t = rng.sample(range(len(verts)), 2)
         k = rng.randrange(0, 4)
-        # fresh vertex r_i lands at index len(verts) + i - 1, as edge_subdivide appends it
+        # fresh vertex r_i lands at index len(verts) + i - 1, as k_subdivide appends it
         fresh_bits = [1 << (len(verts) + r) for r in range(k)]
         got = subdivide(x.facets, 1 << s, 1 << t, fresh_bits)
         edge = (verts[s], verts[t])
@@ -623,9 +645,9 @@ def test_case4_common_refinement():
         w = rep.witness
         assert w["kind"] == "common refinement" and w["agree"]
         m = ctx.m
-        sub1 = k_subdivide(rep.delta1, (f_label(1), f_label(m)), m - 2,
+        sub1 = k_subdivide(named(rep.delta1, rep.names[0]), (f_label(1), f_label(m)), m - 2,
                            w["fresh_from_side_1"])
-        sub2 = k_subdivide(rep.delta2, (f_label(m), f_label(1)), m - 2,
+        sub2 = k_subdivide(named(rep.delta2, rep.names[1]), (f_label(m), f_label(1)), m - 2,
                            w["fresh_from_side_2"])
         assert sub1 == sub2
         found += 1

@@ -108,6 +108,16 @@ def test_complex_json_enumerates_no_faces(capsys, monkeypatch):
     assert doc["f_vector"][-1] == 40 and doc["spherical"] is True and doc["flag"] is False
 
 
+def test_complex_text_facets_in_position_order(capsys):
+    # past nine letters the names sort as numbers, not as strings
+    code, out, _ = run(capsys, "complex", "--group", "A1", "--word", ",".join("1" * 12),
+                       "--pi", "1")
+    assert code == 0
+    (line,) = [row for row in out.splitlines() if row.startswith("facets")]
+    want = [",".join(str(q) for q in range(1, 13) if q != p) for p in range(12, 0, -1)]
+    assert line.split() == ["facets"] + ["{" + f + "}" for f in want]
+
+
 def test_complex_void(capsys):
     code, out, _ = run(capsys, "complex", "--group", "A2",
                        "--word", "1,2", "--pi", "w0")

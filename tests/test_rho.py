@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from conftest import braid_step, face_passes, forward_passes, system
+from conftest import braid_step, face_passes, forward_passes, k_subdivide, system
 from coxsub import backend, cli, rhoposet, subword
 from coxsub.braid import apply_sequence, classify, move_context
 from coxsub.rhoposet import (GapReport, RhoPoset, SemilatticeResult, build_rho,
@@ -320,9 +320,8 @@ def _oracle_gap(p: RhoPoset) -> GapReport:
     searched directly, and each class's subdivision frontiers rebuilt
     from its own representative."""
     n = len(p.classes)
-    reps = [x.relabel(range(len(x.vertices)))
-            for x in (build(SubwordDescriptor(p.system, p.Q + p.class_rep(c) + p.Qp, p.pi))
-                      for c in range(n))]
+    reps = [build(SubwordDescriptor(p.system, p.Q + p.class_rep(c) + p.Qp, p.pi))
+            for c in range(n)]
     inv = [iso_invariant(x) for x in reps]
     f0 = [0 if x.is_void else len(x.vertices) for x in reps]
 
@@ -334,9 +333,10 @@ def _oracle_gap(p: RhoPoset) -> GapReport:
         for _ in range(depth):
             nxt, count = {}, 0
             for z in cur:
-                fresh = len(z.vertices)
+                fresh = max(z.vertices) + 1  # the vertices are integers
                 for e in z.edge_masks():
-                    w = z.edge_subdivide(((e & -e).bit_length() - 1, e.bit_length() - 1), fresh)
+                    edge = tuple(z.vertices[i] for i in range(e.bit_length()) if e >> i & 1)
+                    w = k_subdivide(z, edge, 1, [fresh])
                     bucket = nxt.setdefault(iso_invariant(w), [])
                     if not any(iso(w, seen) for seen in bucket):
                         bucket.append(w)
@@ -510,3 +510,20 @@ def test_each_complex_built_once(monkeypatch):
     assert len(keys) == len(set(keys)) == 21
     assert len(seen) == len(set(seen)) == sum(not e.complex.is_void for _, e in made) == 14
     assert {(w, w0) for w in rep.words} <= set(keys)
+
+
+def test_gap_scan_reads_the_memo_entries(monkeypatch):
+    # each class's first table entry is its representative's memo complex
+    # itself, with no copy on other vertices between them
+    A3 = system("A3")
+    p = build_rho(A3, (1, 2, 3), (3, 3, 2), A3.longest_element())
+    interned = []
+    intern = rhoposet._ClassTable.intern
+    monkeypatch.setattr(rhoposet._ClassTable, "intern",
+                        lambda table, x: interned.append(x) or intern(table, x))
+    memo: dict = {}
+    gap = rhoposet._gap_scan(p, memo)
+    assert (gap.iso_pairs, gap.subdivision_pairs) == (p.gap.iso_pairs, p.gap.subdivision_pairs)
+    want = [memo[p.Q + p.class_rep(c) + p.Qp, p.pi].complex for c in range(len(p.classes))]
+    assert len(interned) > len(want)
+    assert all(x is y for x, y in zip(interned, want))

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from conftest import (brute_facets, brute_is_face, face_label_sets, has_face, k_subdivide,
-                      link_oracle_check, oracle_case, random_descriptor, random_pi,
+                      link_oracle_check, named, oracle_case, random_descriptor, random_pi,
                       spherical_complex, subword_h_oracle, system)
 from coxsub.simplicial import MAX_VERTICES, LabeledComplex, face_set, iso_invariant
 from coxsub.subword import (SubwordDescriptor, build, complex_json, complex_summary,
@@ -19,12 +19,6 @@ def test_descriptor_validation():
     w0 = A2.longest_element()
     with pytest.raises(ValueError):
         SubwordDescriptor(A2, (1, 3), w0)  # letter out of range
-    with pytest.raises(ValueError):
-        SubwordDescriptor(A2, (1, 2), w0, labels=("a",))  # wrong label count
-    with pytest.raises(ValueError):
-        SubwordDescriptor(A2, (1, 2), w0, labels=("a", "a"))
-    # default labels are the 1-based positions
-    assert SubwordDescriptor(A2, (1, 2), w0).labels == (1, 2)
 
 
 def test_pentagon():
@@ -37,7 +31,7 @@ def test_pentagon():
     assert x.gamma() == (1, 1)
     assert x.is_flag()
     assert spherical(d)
-    assert set(x.facet_label_sets()) == {
+    assert set(named(x, range(1, 6)).facet_label_sets()) == {  # position p named p + 1
         frozenset(f) for f in ((1, 2), (2, 3), (3, 4), (4, 5), (1, 5))}
 
 
@@ -46,7 +40,7 @@ def test_duplicated_word_square():
     A2 = system("A2")
     w0 = A2.longest_element()
     d = SubwordDescriptor(A2, (1, 1, 2, 2, 1), w0)
-    x = build(d)
+    x = named(build(d), range(1, 6))  # position p named p + 1
     assert x.f_vector() == (4, 4)
     assert set(x.vertices) == {1, 2, 3, 4}  # position 5 is in every facet complement
     assert not has_face(x, (1, 2)) and not has_face(x, (3, 4))
@@ -59,7 +53,7 @@ def test_single_empty_face():
     w0 = A2.longest_element()
     d = SubwordDescriptor(A2, (1, 2, 1), w0)
     x = build(d)
-    assert x == LabeledComplex.empty_face_only()
+    assert x == LabeledComplex((), (0,))
     assert x.h_vector() == (1,) and x.gamma() == (1,)
 
 
@@ -88,7 +82,7 @@ def test_is_face_matches_brute():
     rng = random.Random(7)
     for _ in range(40):
         d = random_descriptor(rng, max_len=8)
-        x = build(d)
+        x = named(build(d), range(1, len(d.word) + 1))
         for _ in range(6):
             k = rng.randrange(0, len(d.word) + 1)
             probe = tuple(sorted(rng.sample(range(1, len(d.word) + 1), k)))
@@ -100,7 +94,7 @@ def test_facets_match_brute():
     rng = random.Random(8)
     for _ in range(40):
         d = random_descriptor(rng, max_len=8)
-        x = build(d)
+        x = named(build(d), range(1, len(d.word) + 1))
         want = brute_facets(d.system, d.word, d.pi)
         if x.is_void:
             assert want == set()
@@ -108,17 +102,6 @@ def test_facets_match_brute():
             got = set(x.facet_label_sets())
             # brute facets include non-vertex positions explicitly
             assert got == want
-
-
-def test_custom_labels_flow_through():
-    A2 = system("A2")
-    w0 = A2.longest_element()
-    d = SubwordDescriptor(A2, (1, 2, 1, 2, 1), w0,
-                          labels=("a", "b", "c", "d", "e"))
-    x = build(d)
-    assert set(x.vertices) == {"a", "b", "c", "d", "e"}
-    assert has_face(x, ("a", "b"))
-    assert has_face(x, ("a", "e"))
 
 
 def test_link_oracle():
@@ -159,21 +142,23 @@ def _facets_by_labels(x: LabeledComplex) -> list:
 
 def test_complex_summary_facets_match_label_reference():
     rng = random.Random(31)
-    cases = [LabeledComplex.void(), LabeledComplex.empty_face_only(),
+    cases = [LabeledComplex.void(), LabeledComplex((), (0,)),
              LabeledComplex.from_facets([("b", "a"), ("c", "b")], vertex_order="cba")]
     for _ in range(20):
         _, x = spherical_complex(rng)
         labels = [("v", k) if k % 2 else f"x{k}" for k in range(len(x.vertices))]
         rng.shuffle(labels)
-        y = x.relabel(labels)
+        y = named(x, dict(zip(x.vertices, labels)))
         cases += [x, y]
         for e in y.edge_masks()[:1]:
             s, t = (y.vertices[k] for k in range(len(labels)) if e >> k & 1)
-            cases += [y.edge_subdivide((s, t), "fresh"),
+            cases += [k_subdivide(y, (s, t), 1, ("fresh",)),
                       k_subdivide(y, (t, s), 2, ("r1", "r2"))]
     assert len(cases) > 60  # most complexes had an edge to subdivide
     for x in cases:
-        assert complex_summary(x)["facets"] == _facets_by_labels(x)
+        out = complex_summary(x, {v: f"<{v}>" for v in x.vertices})
+        assert out["facets"] == _facets_by_labels(x)
+        assert out["vertices"] == [f"<{v}>" for v in x.vertices]
 
 
 def test_complex_summary_facets_match_bit_definition():
@@ -194,7 +179,7 @@ def test_complex_summary_facets_match_bit_definition():
     assert len(cases[-1].vertices) == 40 and cases[-1].facets[0].bit_count() == 39
     for x in cases:
         n = len(x.vertices)
-        assert complex_summary(x)["facets"] == sorted(
+        assert complex_summary(x, range(n))["facets"] == sorted(
             [k for k in range(n) if f >> k & 1] for f in x.facets)
 
 
@@ -204,19 +189,18 @@ def _snapshot(x: LabeledComplex) -> tuple:
 
 
 def test_memo_relabel_matches_fresh_build():
+    # what a memo serves is its entry's complex itself, in every fact equal
+    # to a fresh build; no relabelled copy stands between them
     rng = random.Random(12)
     voids = 0
     for k in range(40):
         sys_ = system(rng.choice(("A3", "B3", "H3")))
         word = tuple(rng.randrange(1, sys_.rank + 1) for _ in range(rng.randrange(1, 10)))
         pi = sys_.longest_element() if k % 4 == 0 else random_pi(sys_, rng, word)
-        labels = tuple(f"v{t}" if t % 2 else t for t in rng.sample(range(100), len(word)))
         memo: dict = {}
-        build(SubwordDescriptor(sys_, word, pi), memo)  # the memo's first request
-        d = SubwordDescriptor(sys_, word, pi, labels=labels)
-        source = position_complex(d.system, d.word, d.pi, memo).complex
-        before = (source.vertices, source.facets)
+        d = SubwordDescriptor(sys_, word, pi)
         served, fresh = build(d, memo), build(d)
+        assert build(d, memo) is served
         assert len(memo) == 1
         assert _snapshot(served) == _snapshot(fresh)
         assert served == fresh
@@ -227,15 +211,22 @@ def test_memo_relabel_matches_fresh_build():
         else:
             assert served.h_vector() == fresh.h_vector()
             assert served.is_flag() == fresh.is_flag()
-            # the face tuple the relabels share is immutable
+            # the face tuple every reader shares is immutable
             with pytest.raises(TypeError):
                 served.faces_masks()[0] = 1
-        # the relabel left the labels and facets of its source as they were,
-        # and the facts it computed hold for the source too
-        assert (source.vertices, source.facets) == before
-        assert source.vertices == tuple(labels.index(v) for v in served.vertices)
-        assert _snapshot(source)[1:] == _snapshot(fresh)[1:]
     assert voids >= 3
+
+
+def test_build_is_the_memo_entry_complex():
+    rng = random.Random(13)
+    for _ in range(30):
+        d = random_descriptor(rng)
+        memo: dict = {}
+        x = build(d, memo)
+        assert x is position_complex(d.system, d.word, d.pi, memo).complex
+        # its vertices are the 0-based positions of the facets' positions
+        assert set(x.vertices) == {p - 1 for f in brute_facets(d.system, d.word, d.pi)
+                                   for p in f}
 
 
 def test_h_recursion_matches_faces():
