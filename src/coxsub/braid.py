@@ -471,8 +471,8 @@ class SequenceReport:
 
 
 def _row_summary(system: CoxeterSystem, word: Word, pi: GroupElement, memo: dict) -> dict:
-    d = SubwordDescriptor(system, word, pi)
-    x, spherical = build(d, memo), position_complex(system, d.word, pi, memo).spherical
+    entry = position_complex(system, system.check_word(word), pi, memo)
+    x, spherical = entry.complex, entry.spherical
     gamma = x.gamma() if spherical else None
     gamma1 = gamma[1] if gamma is not None and len(gamma) > 1 else 0
     return {

@@ -2,14 +2,11 @@
 
 A Coxeter system is encoded by its Coxeter matrix m, with m[i][i] = 1 and
 m[i][j] = m[j][i] >= 2 the order of s_i s_j.  In the geometric
-representation, where B(a_i, a_j) = -cos(pi/m[i][j]) on the span of the
-simple roots, the roots Phi are the orbit of the simple roots and every
-generator permutes them (Bjorner-Brenti, Combinatorics of Coxeter Groups,
-ch. 4).  Phi is computed once per system, from one floating-point orbit
-whose result is validated before use: each s_i must permute Phi and send
-exactly one positive root, alpha_i, to a negative one, and a named type
-must have rank * h roots, h its Coxeter number.  From then on every
-operation is on root indices and is exact.
+representation each s_i permutes the positive roots other than a_i
+(Bjorner-Brenti, Combinatorics of Coxeter Groups, ch. 4), so their orbit
+from the simple roots lists them all.  The matrix computes it once, in
+exact cyclotomic integers (``_root_system``); every operation after it is
+on root indices.
 
 A group element g is the tuple of the roots g(alpha_1), .., g(alpha_n);
 it determines g, so equality and hashing are exact.  Elements are interned
@@ -24,11 +21,8 @@ Conventions used throughout the package:
     s_j, acting on the right,
   * s is a right descent of g iff g sends alpha_s to a negative root.
 
-Only finite groups are supported.  Construction rejects any Coxeter
-matrix whose bilinear form is not positive definite (decided by a
-Cholesky factorization); positive definiteness is the classical
-finiteness criterion and carves out exactly the A/B/D/E6/E7/E8/F4/H3/H4/
-I2(m) catalog.
+Only finite groups are supported: W is finite iff Phi is, so a matrix
+whose orbit passes MAX_ROOTS / 2 positive roots is rejected.
 """
 
 from __future__ import annotations
@@ -38,7 +32,7 @@ import re
 from collections import deque
 from dataclasses import dataclass
 from functools import cache
-from math import cos, pi as PI, sqrt
+from math import gcd, lcm
 from operator import index as _int
 from typing import Iterable, Sequence
 
@@ -49,6 +43,7 @@ Word = tuple[int, ...]
 MAX_WORD_LETTERS = 62
 MAX_ROOTS = 1000  # the reflection table holds |Phi|^2 root indices
 MAX_REDUCED_WORDS = 100_000  # default cap of every reduced-word search and of --cap
+_INFINITE = f"Coxeter matrix does not define a finite group with at most {MAX_ROOTS} roots"
 
 
 def _as_word(letters: Iterable[int]) -> Word:
@@ -59,39 +54,37 @@ def _as_word(letters: Iterable[int]) -> Word:
         raise ValueError(f"letters must be integers, got {letters!r}") from None
 
 
-def _gram(m: dict, n: int) -> list[list[float]]:
-    """B(a_i, a_j) = -cos(pi / m_ij), the form of the geometric representation."""
-    return [[-cos(PI / m[i, j]) for j in range(n)] for i in range(n)]
-
-
-def _positive_definite(a: list[list[float]]) -> bool:
-    """Whether the symmetric matrix has a Cholesky factorization with
-    every pivot above 1e-8."""
-    low: list[list[float]] = []
-    for i, row in enumerate(a):
-        low.append([])
-        for j in range(i + 1):
-            x = row[j] - sum(p * q for p, q in zip(low[i], low[j]))
-            if j < i:
-                low[i].append(x / low[j][j])
-            elif x <= 1e-8:
-                return False
-            else:
-                low[i].append(sqrt(x))
-    return True
+def _cyclotomic(n: int) -> tuple[int, ...]:
+    """The n-th cyclotomic polynomial, constant term first: Phi_pr(x) =
+    Phi_r(x^p) / Phi_r(x) for a prime p not dividing r, and Phi_n(x) =
+    Phi_r(x^(n / r)) for r the product of the primes of n."""
+    phi, r = [-1, 1], 1
+    for p in range(2, n + 1):
+        if n % p == 0 and gcd(p, r) == 1:  # the next prime of n
+            num = [0] * (p * len(phi) - p + 1)
+            num[::p] = phi
+            quo = [0] * (len(num) - len(phi) + 1)
+            for i in reversed(range(len(quo))):  # long division by the monic phi
+                quo[i] = c = num[i + len(phi) - 1]
+                for j, b in enumerate(phi):
+                    num[i + j] -= c * b
+            phi, r = quo, r * p
+    out = [0] * (n // r * (len(phi) - 1) + 1)
+    out[::n // r] = phi
+    return tuple(out)
 
 
 class CoxeterMatrix:
     """Validated symmetric Coxeter matrix of a finite group.
 
     ``rows`` holds the matrix as a tuple of rows; ``m[i, j]`` reads the
-    entry of the 0-based generators i and j.
+    entry of the 0-based generators i and j.  ``roots`` and ``reflect``
+    are its root system (see ``_root_system``).
     """
 
-    __slots__ = ("rows", "m", "rank", "name", "coxeter_number")
+    __slots__ = ("rows", "m", "rank", "name", "roots", "reflect")
 
-    def __init__(self, rows: Sequence[Sequence[int]], name: str | None = None,
-                 coxeter_number: int | None = None):
+    def __init__(self, rows: Sequence[Sequence[int]], name: str | None = None):
         try:
             rows = tuple(tuple(map(_int, r)) for r in rows)
         except (TypeError, ValueError, OverflowError):
@@ -112,16 +105,11 @@ class CoxeterMatrix:
                     raise ValueError("off-diagonal entries must be >= 2")
                 if m[i, j] > MAX_ROOTS // 2:  # <s_i, s_j> alone has 2 m_ij roots
                     raise ValueError(f"root systems are limited to {MAX_ROOTS} roots")
-        if not _positive_definite(_gram(m, n)):
-            raise ValueError(
-                "Coxeter matrix does not define a finite group "
-                "(bilinear form is not positive definite)"
-            )
         self.rows = rows
         self.m = m
         self.rank = n
         self.name = name
-        self.coxeter_number = coxeter_number  # known for named types only
+        self.roots, self.reflect = _root_system(m, n)
 
     def __repr__(self) -> str:
         return f"CoxeterMatrix({self.name or [list(r) for r in self.rows]})"
@@ -130,13 +118,12 @@ class CoxeterMatrix:
     def named(name: str) -> "CoxeterMatrix":
         """Build a matrix from a type name: A3, B4, D5, E6..E8, F4, H3, H4, I2:m."""
         name = name.strip()
-        im = re.fullmatch(r"[Ii]2[:(]?(\d+)\)?", name)
+        im = re.fullmatch(r"[Ii]2(?::(\d+)|\((\d+)\))", name)
         if im:
-            order = int(im.group(1))
+            order = int(im[1] or im[2])
             if order < 2:
                 raise ValueError("I2(m) needs m >= 2")
-            return CoxeterMatrix([[1, order], [order, 1]], name=f"I2:{order}",
-                                 coxeter_number=order)
+            return CoxeterMatrix([[1, order], [order, 1]], name=f"I2:{order}")
         tm = re.fullmatch(r"([ABDEFHabdefh])(\d+)", name)
         if not tm:
             raise ValueError(f"unrecognized group name {name!r}")
@@ -146,42 +133,36 @@ class CoxeterMatrix:
             if rank < 1:
                 raise ValueError("A_n needs n >= 1")
             edges = {(i, i + 1): 3 for i in range(1, rank)}
-            h = rank + 1
         elif family == "B":
             if rank < 2:
                 raise ValueError("B_n needs n >= 2")
             edges = {(i, i + 1): 3 for i in range(1, rank - 1)}
             edges[(rank - 1, rank)] = 4
-            h = 2 * rank
         elif family == "D":
             if rank < 4:
                 raise ValueError("D_n needs n >= 4")
             edges = {(i, i + 1): 3 for i in range(1, rank - 1)}
             edges[(rank - 2, rank)] = 3
-            h = 2 * rank - 2
         elif family == "E":
             if rank not in (6, 7, 8):
                 raise ValueError("E_n needs n in {6, 7, 8}")
             chain = [1, 3, 4, 5, 6, 7, 8][: rank - 1]
             edges = {(a, b): 3 for a, b in zip(chain, chain[1:])}
             edges[(2, 4)] = 3
-            h = {6: 12, 7: 18, 8: 30}[rank]
         elif family == "F":
             if rank != 4:
                 raise ValueError("only F4 exists")
             edges = {(1, 2): 3, (2, 3): 4, (3, 4): 3}
-            h = 12
         else:  # H
             if rank not in (3, 4):
                 raise ValueError("H_n needs n in {3, 4}")
             edges = {(1, 2): 5}
             edges.update({(i, i + 1): 3 for i in range(2, rank)})
-            h = {3: 10, 4: 30}[rank]
         rows = [[1 if i == j else 2 for j in range(rank)] for i in range(rank)]
         for (a, b), order in edges.items():
             rows[a - 1][b - 1] = order
             rows[b - 1][a - 1] = order
-        return CoxeterMatrix(rows, name=family + str(rank), coxeter_number=h)
+        return CoxeterMatrix(rows, name=family + str(rank))
 
     @staticmethod
     def from_spec(spec) -> "CoxeterMatrix":
@@ -198,7 +179,7 @@ class CoxeterMatrix:
                 return CoxeterMatrix(spec["matrix"])
             if "type" in spec:
                 family = str(spec["type"])
-                if family.upper().startswith("I2"):
+                if family.upper() == "I2":
                     if "m" not in spec:
                         raise ValueError("type I2 needs its order m")
                     return CoxeterMatrix.named(f"I2:{spec['m']}")
@@ -212,50 +193,71 @@ class CoxeterMatrix:
         raise ValueError(f"cannot interpret group spec {spec!r}")
 
 
-def _root_system(gram: list[list[float]]) -> tuple[tuple, list[bool], list[list[int]]]:
-    """The roots of a finite system and the reflections' action on them.
-
-    Returns (roots, negative, reflect): roots is a tuple of |Phi| tuples
-    of simple-root coordinates with the simple roots first, negative[r]
-    says whether root r is negative, and reflect[b][c] is the index of
-    s_beta(gamma) for beta = roots[b] and gamma = roots[c].  Raises when
-    the orbit fails validation.
+def _root_system(m: dict, n: int) -> tuple[tuple, list[list[int]]]:
+    """(roots, reflect): the N positive roots, simple roots first, then
+    root r + N = -root r; reflect[b][c] indexes s_beta(gamma) for beta =
+    roots[b], gamma = roots[c].  Coordinate i of a root lies in Z[zeta],
+    zeta = e^(i pi / M), M the lcm of the labels of the piece of the
+    Coxeter graph holding i, as its residue modulo the 2M-th cyclotomic
+    polynomial, constant term first; 2B(a_i, a_j) = -(zeta^(M/m_ij) +
+    zeta^(-M/m_ij)).
     """
-    n = len(gram)
-    coords = [tuple(float(i == j) for j in range(n)) for i in range(n)]
-    # orbit points are looked up by their coordinates rounded to 6 decimals;
-    # the validation below catches any mismatch
-    seen = {v: k for k, v in enumerate(coords)}
+    pieces: list[set[int]] = []
+    for i in range(n):
+        joined = {i}.union(*[p for p in pieces if any(m[i, j] > 2 for j in p)])
+        pieces = [p for p in pieces if not p <= joined] + [joined]
+    phi, links = [()] * n, [[]] * n
+    for p in pieces:
+        labels = [m[i, j] for i in p for j in p if m[i, j] > 2]
+        # 1/6 + 1/3 + 1/2 = 1: a connected rank-3 parabolic subgroup that
+        # holds a label >= 6 is infinite, so a larger piece is too
+        if len(p) > 2 and max(labels) > 5:
+            raise ValueError(_INFINITE)
+        big = lcm(*labels)
+        f = _cyclotomic(2 * big)
+        for i in p:
+            phi[i] = f
+            links[i] = [(j, big // m[i, j]) for j in p if m[i, j] > 2]
+    zero = [(0,) * (len(f) - 1) for f in phi]
+    roots = [tuple((1,) + zero[i][1:] if i == j else zero[i] for i in range(n))
+             for j in range(n)]
+    index = {v: k for k, v in enumerate(roots)}
     perm: list[list[int]] = [[] for _ in range(n)]  # perm[s][r]: index of s(root r)
     parent: list[tuple[int, int]] = []  # root n + k is s(root r) for parent[k] = (r, s)
-    r = 0
-    while r < len(coords):
-        beta = coords[r]
-        for s in range(n):
-            image = list(beta)
-            image[s] -= 2.0 * sum(g * b for g, b in zip(gram[s], beta))
-            k = seen.setdefault(tuple(round(x, 6) for x in image), len(coords))
-            if k == len(coords):
-                if k == MAX_ROOTS:
-                    raise ValueError(f"root systems are limited to {MAX_ROOTS} roots")
-                coords.append(tuple(image))
+    for r, beta in enumerate(roots):
+        if len(roots) > MAX_ROOTS // 2:
+            raise ValueError(_INFINITE)
+        for s, f in enumerate(phi):
+            if r == s:
+                perm[s].append(-1)  # -alpha_s, numbered below
+                continue
+            # s(beta) differs from beta in coordinate s alone, which becomes
+            # -beta_s + (zeta^a + zeta^-a) beta_j summed over the links (j, a)
+            c = [-x for x in beta[s]]
+            for j, a in links[s]:
+                up = down = beta[j]
+                for _ in range(a):  # times zeta, divided by zeta
+                    up = [x - up[-1] * y for x, y in zip((0, *up[:-1]), f)]
+                    down = [x - down[0] * y for x, y in zip((*down[1:], 0), f[1:])]
+                c = [x + y + z for x, y, z in zip(c, up, down)]
+            c = tuple(c)
+            image = beta if c == beta[s] else beta[:s] + (c,) + beta[s + 1:]
+            k = index.setdefault(image, len(roots))
+            if k == len(roots):
+                roots.append(image)
                 parent.append((r, s))
             perm[s].append(k)
-        r += 1
-    size = len(coords)
-    negative = [sum(v) < 0 for v in coords]
-    for s, flips in enumerate(perm):
-        if sorted(flips) != list(range(size)):
-            raise ValueError(f"s_{s + 1} does not permute the computed roots")
-        if [c for c in range(size) if negative[flips[c]] and not negative[c]] != [s]:
-            raise ValueError(f"s_{s + 1} must send alpha_{s + 1}, and no other "
-                             "positive root, to a negative root")
-    # s_beta for beta = s(gamma) is s s_gamma s, so each row is exact
+    size = len(roots)
+    for s, row in enumerate(perm):
+        row[s] = s + size
+        row += [(k + size) % (2 * size) for k in row]
+    roots += [tuple(tuple(-x for x in c) for c in v) for v in roots]
+    # s_beta for beta = s(gamma) is s s_gamma s, and s_-beta is s_beta
     reflect = perm[:]
     for r, s in parent:
         flips, row = perm[s], reflect[r]
-        reflect.append([flips[row[flips[c]]] for c in range(size)])
-    return tuple(coords), negative, reflect
+        reflect.append([flips[row[flips[c]]] for c in range(2 * size)])
+    return tuple(roots), reflect + reflect
 
 
 @dataclass(frozen=True, slots=True)
@@ -278,10 +280,7 @@ class CoxeterSystem:
         self.m = cm.m
         self.rank = n = cm.rank
         self.name = cm.name
-        self.roots, self._negative, self._reflect = _root_system(_gram(self.m, n))
-        h = cm.coxeter_number
-        if h is not None and len(self.roots) != n * h:
-            raise ValueError(f"{cm.name} needs {n * h} roots, found {len(self.roots)}")
+        self.roots, self._reflect = cm.roots, cm.reflect
         # interned elements; id 0 is the identity, which fixes every simple root
         start = tuple(range(n))
         self.identity = GroupElement(start)
@@ -311,8 +310,8 @@ class CoxeterSystem:
             self._ids[roots] = h
             self._elements.append(GroupElement(roots))
             self._right.append([-1] * self.rank)
-            neg = self._negative
-            self._desc.append(sum(1 << j for j, c in enumerate(roots) if neg[c]))
+            half = len(self.roots) // 2  # roots from half on are negative
+            self._desc.append(sum(1 << j for j, c in enumerate(roots) if c >= half))
             self._len.append(self._len[g] + (-1 if self._desc[g] >> s & 1 else 1))
         self._right[g][s] = h
         self._right[h][s] = g

@@ -151,8 +151,8 @@ def complex_summary(x: LabeledComplex, names) -> dict:
 def complex_json(d: SubwordDescriptor) -> dict:
     """JSON-ready summary of the complex of ``d``, position p named p + 1
     (see ``complex_summary``)."""
-    memo: dict = {}
-    x, spherical = build(d, memo), position_complex(d.system, d.word, d.pi, memo).spherical
+    entry = position_complex(d.system, d.word, d.pi, {})
+    x, spherical = entry.complex, entry.spherical
     gamma = list(x.gamma()) if spherical else None
     return dict(complex_summary(x, range(1, len(d.word) + 1)), word=list(d.word),
                 spherical=spherical, flag=x.is_flag(), gamma=gamma)

@@ -2,12 +2,14 @@
 subword oracles, label-set oracles on complexes and on a move's shared
 namespace, and seeded random context/complex generators.  The library's
 complexes have word positions as vertices; ``named`` gives a label-level
-copy for the oracles to compare."""
+copy for the oracles to compare.  ``float_root_system`` is the floating-
+point root orbit against which the exact root system is checked."""
 
 from __future__ import annotations
 
 import itertools
 import random
+from math import cos, pi as PI
 
 from coxsub import _kernels, backend
 from coxsub.braid import BraidContext, MoveFacts
@@ -22,6 +24,62 @@ def system(name: str) -> CoxeterSystem:
     if name not in _SYSTEMS:
         _SYSTEMS[name] = CoxeterSystem(CoxeterMatrix.named(name))
     return _SYSTEMS[name]
+
+
+def float_root_system(m: dict, n: int) -> tuple[list[bool], list[list[int]]]:
+    """(negative, reflect) of the finite system with Coxeter matrix m, from
+    the float orbit of the simple roots under B(a_i, a_j) = -cos(pi/m_ij),
+    orbit points looked up by their coordinates rounded to 6 decimals, the
+    simple roots first; reflect[b][c] indexes s_beta(gamma).  Each s must
+    permute the roots and send alpha_s alone of the positive roots to a
+    negative one."""
+    gram = [[-cos(PI / m[i, j]) for j in range(n)] for i in range(n)]
+    coords = [tuple(float(i == j) for j in range(n)) for i in range(n)]
+    seen = {v: k for k, v in enumerate(coords)}
+    perm: list[list[int]] = [[] for _ in range(n)]  # perm[s][r]: index of s(root r)
+    parent: list[tuple[int, int]] = []  # root n + k is s(root r) for parent[k] = (r, s)
+    for r, beta in enumerate(coords):
+        for s in range(n):
+            image = list(beta)
+            image[s] -= 2.0 * sum(g * b for g, b in zip(gram[s], beta))
+            k = seen.setdefault(tuple(round(x, 6) for x in image), len(coords))
+            if k == len(coords):
+                coords.append(tuple(image))
+                parent.append((r, s))
+            perm[s].append(k)
+    size = len(coords)
+    negative = [sum(v) < 0 for v in coords]
+    for s, flips in enumerate(perm):
+        assert sorted(flips) == list(range(size))
+        assert [c for c in range(size) if negative[flips[c]] and not negative[c]] == [s]
+    reflect = perm[:]  # s_beta for beta = s(gamma) is s s_gamma s
+    for r, s in parent:
+        flips, row = perm[s], reflect[r]
+        reflect.append([flips[row[flips[c]]] for c in range(size)])
+    return negative, reflect
+
+
+def roots_match_float_orbit(cm: CoxeterMatrix) -> bool:
+    """Whether the exact root system of cm is the float orbit's up to the
+    order of the roots: the relabelling is forced, simple root to simple
+    root and s(beta) to s of the image of beta, and must carry every
+    reflection, and negative roots, onto the exact ones."""
+    negative, reflect = float_root_system(cm.m, cm.rank)
+    if len(reflect) != len(cm.reflect):
+        return False
+    to, queue = {s: s for s in range(cm.rank)}, list(range(cm.rank))
+    for r in queue:
+        for s in range(cm.rank):
+            a, b = reflect[s][r], cm.reflect[s][to[r]]
+            if a not in to:
+                to[a] = b
+                queue.append(a)
+            elif to[a] != b:
+                return False
+    half = len(cm.reflect) // 2
+    return (sorted(to.values()) == list(range(len(reflect)))
+            and all(negative[b] == (to[b] >= half) for b in to)
+            and all(cm.reflect[to[b]][to[c]] == to[reflect[b][c]] for b in to for c in to))
 
 
 def braid_step(sys_, word, pos: int):

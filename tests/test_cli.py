@@ -282,6 +282,16 @@ def test_bad_input_exit_codes(capsys):
     code, _, err = run(capsys, "complex", "--group", "I2:40000",
                        "--word", "1,2", "--pi", "1")
     assert code == 2 and "limited to 1000 roots" in err
+    # I2 is named I2:m or I2(m) and nothing else
+    for name in ("I2(7", "I27)", "I2:5)", "I25"):
+        code, _, err = run(capsys, "complex", "--group", name, "--word", "1,2", "--pi", "1")
+        assert code == 2 and "unrecognized group name" in err, name
+    # affine A2 and the hyperbolic 3-5-3 chain
+    for rows in ([[1, 3, 3], [3, 1, 3], [3, 3, 1]],
+                 [[1, 3, 2, 2], [3, 1, 5, 2], [2, 5, 1, 3], [2, 2, 3, 1]]):
+        code, _, err = run(capsys, "complex", "--group", json.dumps({"matrix": rows}),
+                           "--word", "1,2", "--pi", "1")
+        assert code == 2 and "does not define a finite group" in err
     # a non-integral entry is refused, not truncated to A2
     code, _, err = run(capsys, "complex", "--group", '{"matrix": [[1, 3.9], [3.9, 1]]}',
                        "--word", "1,2,1", "--pi", "w0")
@@ -344,13 +354,17 @@ PINNED = [
     (("classify", "--group", "A3", "--word", "1,1,2,1", "--pos", "2", "--pi", "1",
       "--json"),
      "2c093fc14c021f5fc0bc971457f8536c34d888cb4dc7735f816b4de5051b25d5"),
-    # an order whose gap scan finds subdivision pairs, as JSON and as DOT
+    # an order with Q and Q' both non-empty and a clean gap, as JSON and as DOT
     (("poset", "--group", "A3", "--Q", "1,2,3", "--Qprime", "3,3,2", "--pi", "w0",
       "--json", "-"),
      "a56083efbefe48259c771bedbb59dfa0c93e06a58edca45e750407a0aaec69d0"),
     (("poset", "--group", "A3", "--Q", "1,2,3", "--Qprime", "3,3,2", "--pi", "w0",
       "--dot", "-"),
      "f07f40697eb257dfbc016a83b5b557fa65232f455a64d3fe5af5661505fd8ec5"),
+    # an order whose gap scan finds 2 isomorphism and 9 subdivision pairs
+    (("poset", "--group", "A3", "--Q", "1,3", "--Qprime", "1,2", "--pi", "w0",
+      "--json", "-"),
+     "2f3730d68f4e75709bbd3bc9d631f92abf1175fff5525919a417e311fc3c4cad"),
     # moves with Q and Q' both non-empty: m = 4 in case 2, m = 5 in case 3
     # (side 2 named f5 g2 g3 g4 f1) and m = 5 unsupported
     (("classify", "--group", "B3", "--word", "1,1,3,2,3,2,3,2", "--pos", "3",
@@ -396,7 +410,7 @@ PINNED = [
 
 @pytest.mark.parametrize("argv,digest", PINNED,
                          ids=["demo", "chain", "poset", "case2", "case3", "case4",
-                              "gap_json", "gap_dot", "m4_case2", "m5_case3",
+                              "gap_json", "gap_dot", "gap_pairs_json", "m4_case2", "m5_case3",
                               "m5_unsupported", "text_a3", "text_h3", "text_demo_i2",
                               "text_demo_i2_m7", "text_complex", "text_classify",
                               "text_chain", "flag_a1_9", "simplex_a1_20", "a3_13_6",

@@ -2,7 +2,9 @@ import random
 
 import pytest
 
-from conftest import braid_step, random_pi, run_masks, subword_h_oracle, system
+from conftest import (braid_step, random_pi, roots_match_float_orbit, run_masks,
+                      subword_h_oracle, system)
+from coxsub import coxeter
 from coxsub.braid import BraidContext
 from coxsub.coxeter import MAX_ROOTS, MAX_WORD_LETTERS, CoxeterMatrix, CoxeterSystem
 from coxsub.subword import SubwordDescriptor
@@ -34,6 +36,12 @@ def test_named_matrices():
         CoxeterMatrix.named("Z5")
     with pytest.raises(ValueError):
         CoxeterMatrix.named("E9")
+    # I2 is named I2:m or I2(m) and nothing else
+    for name in ("I2(7)", "i2:7", " I2(7) "):
+        assert CoxeterMatrix.named(name).rows == ((1, 7), (7, 1)), name
+    for name in ("I2(7", "I27)", "I2:5)", "I25", "I2:(5)", "I2", "I2:"):
+        with pytest.raises(ValueError, match="unrecognized group name"):
+            CoxeterMatrix.named(name)
 
 
 def test_from_spec_forms():
@@ -41,13 +49,27 @@ def test_from_spec_forms():
     b = CoxeterMatrix.from_spec({"matrix": [[1, 3], [3, 1]]})
     c = CoxeterMatrix.from_spec('{"type": "A", "rank": 2}')
     assert a.rows == b.rows == c.rows
+    assert CoxeterMatrix.from_spec({"type": "I2", "m": 5}).rows == ((1, 5), (5, 1))
+    with pytest.raises(ValueError, match="unrecognized group name"):
+        CoxeterMatrix.from_spec({"type": "I2xyz", "m": 5})
 
 
-def test_infinite_group_rejected():
-    # affine triangle and affine C2: not positive definite
-    for rows in ([[1, 3, 3], [3, 1, 3], [3, 3, 1]], [[1, 4, 2], [4, 1, 4], [2, 4, 1]]):
-        with pytest.raises(ValueError):
+def test_infinite_group_rejected(monkeypatch):
+    # affine and hyperbolic: their root orbits never close, or hold a
+    # label >= 6 in a piece of rank >= 3
+    for rows in ([[1, 3, 3], [3, 1, 3], [3, 3, 1]],  # affine A2
+                 [[1, 4, 2], [4, 1, 4], [2, 4, 1]],  # affine C2
+                 [[1, 6, 3], [6, 1, 2], [3, 2, 1]],  # affine G2
+                 [[1, 3, 2, 2], [3, 1, 5, 2], [2, 5, 1, 3], [2, 2, 3, 1]],  # 3-5-3 chain
+                 [[1, 7, 11], [7, 1, 13], [11, 13, 1]]):  # triangle (7, 11, 13)
+        with pytest.raises(ValueError, match="does not define a finite group"):
             CoxeterSystem(CoxeterMatrix(rows))
+    # a label >= 6 in a piece of rank >= 3 is refused before any root is made
+    monkeypatch.setattr(coxeter, "_cyclotomic", None)
+    for rows in ([[1, 6, 3], [6, 1, 2], [3, 2, 1]], [[1, 7, 11], [7, 1, 13], [11, 13, 1]],
+                 [[1, 3, 2, 2], [3, 1, 499, 2], [2, 499, 1, 3], [2, 2, 3, 1]]):
+        with pytest.raises(ValueError, match="does not define a finite group"):
+            CoxeterMatrix(rows)
 
 
 def test_group_orders_and_longest():
@@ -209,8 +231,8 @@ def test_root_count_limit():
 
 
 def test_large_dihedral_order_hits_the_root_limit():
-    # I2(m) is finite for every m, but from m = 31,416 on the Cholesky
-    # pivot sin^2(pi/m) falls under the positive-definiteness tolerance
+    # I2(m) is finite for every m, but its 2m roots pass MAX_ROOTS from
+    # m = 501 on; the matrix is refused before any root is made
     for spec in ("I2:40000", '{"matrix": [[1, 40000], [40000, 1]]}',
                  {"matrix": [[1, 2, 2], [2, 1, 40000], [2, 40000, 1]]}):
         with pytest.raises(ValueError, match=f"limited to {MAX_ROOTS} roots"):
@@ -236,3 +258,41 @@ def test_contains_reduced_is_bruhat_below_demazure():
         assert sys_.contains_reduced(word, pi) == found, (sys_.name, word, pi)
         assert (len(run_masks(sys_, word, pi)) > 0) == found
         assert sys_.bruhat_le(pi, sys_.demazure_product(word)) == found
+
+
+def test_exact_roots_match_float_orbit_on_named_types():
+    names = [f"A{n}" for n in range(1, 9)] + [f"B{n}" for n in range(2, 9)]
+    names += [f"D{n}" for n in range(4, 9)] + ["E6", "E7", "E8", "F4", "H3", "H4"]
+    for name in names:
+        assert roots_match_float_orbit(CoxeterMatrix.named(name)), name
+
+
+def test_exact_roots_match_float_orbit_on_dihedral_groups():
+    for m in [*range(2, 41), 97, 250, 499, 500]:
+        cm = CoxeterMatrix.named(f"I2:{m}")
+        assert len(cm.roots) == 2 * m and roots_match_float_orbit(cm), m
+
+
+def _product(blocks, order) -> CoxeterMatrix:
+    """The direct product of the named blocks, generator k of the product
+    being generator order[k] of the blocks laid end to end."""
+    rows = []
+    for name in blocks:
+        block = CoxeterMatrix.named(name).rows
+        rows = [r + (2,) * len(block) for r in rows] + [(2,) * len(rows) + r for r in block]
+    return CoxeterMatrix([[rows[i][j] for j in order] for i in order])
+
+
+def test_exact_roots_match_float_orbit_on_random_products():
+    rng = random.Random(23)
+    names = ("A1", "A2", "A3", "A4", "B2", "B3", "D4", "F4", "H3", "I2:5", "I2:8", "I2:12")
+    for _ in range(32):
+        blocks = [rng.choice(names) for _ in range(rng.randrange(2, 5))]
+        rank = sum(CoxeterMatrix.named(b).rank for b in blocks)
+        order = rng.sample(range(rank), rank)
+        assert roots_match_float_orbit(_product(blocks, order)), (blocks, order)
+    # one lcm for the whole graph would hold each coordinate in 11,520
+    # integers; a lcm per piece holds it in 6 to 16
+    cm = _product(["I2:7", "I2:11", "I2:13", "I2:17"], [0, 2, 4, 6, 1, 3, 5, 7])
+    assert len(cm.roots) == 96 and roots_match_float_orbit(cm)
+    assert max(len(c) for r in cm.roots for c in r) == 16

@@ -5,6 +5,7 @@ import pytest
 from conftest import (brute_facets, brute_is_face, face_label_sets, has_face, k_subdivide,
                       link_oracle_check, named, oracle_case, random_descriptor, random_pi,
                       spherical_complex, subword_h_oracle, system)
+from coxsub import braid, subword
 from coxsub.simplicial import MAX_VERTICES, LabeledComplex, face_set, iso_invariant
 from coxsub.subword import (SubwordDescriptor, build, complex_json, complex_summary,
                             position_complex)
@@ -227,6 +228,24 @@ def test_build_is_the_memo_entry_complex():
         # its vertices are the 0-based positions of the facets' positions
         assert set(x.vertices) == {p - 1 for f in brute_facets(d.system, d.word, d.pi)
                                    for p in f}
+
+
+def test_summaries_read_their_memo_entry_once(monkeypatch):
+    seen = []
+    entry = position_complex
+
+    def counted(*args):
+        seen.append(args[1])
+        return entry(*args)
+
+    for module in (subword, braid):
+        monkeypatch.setattr(module, "position_complex", counted)
+    A2 = system("A2")
+    w0 = A2.longest_element()
+    complex_json(SubwordDescriptor(A2, (1, 2, 1, 2, 1), w0))
+    assert seen == [(1, 2, 1, 2, 1)]
+    row = braid._row_summary(A2, (1, 2, 1, 2), w0, {})
+    assert seen == [(1, 2, 1, 2, 1), (1, 2, 1, 2)] and row["spherical"]
 
 
 def test_h_recursion_matches_faces():
