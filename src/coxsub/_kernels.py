@@ -2,17 +2,17 @@
 
 Conventions:
   * generator indices are 0-based here (the public API is 1-based),
-  * a word position set, a facet and a face are each one bitmask in a
-    Python int, bit p for position or vertex p,
+  * a word position set and a facet are each one bitmask in a Python int,
+    bit p for position p; the face fold sets bits[p] and splits at a window,
   * group elements are the integer ids a CoxeterSystem interns them under,
-    id 0 being the identity; right[g][s] is the id of g*s and desc[g] the
-    bitmask of right descents of g, tables the system owns.
+    id 0 the identity; right[g][s] is the id of g*s, desc[g] the bitmask of
+    right descents of g.
 
 The subword DP walks the vertex decomposition of Delta(word; pi)
 (Knutson-Miller 2004) on states (p, w) standing for Delta(word[p:]; w^-1),
 w = pi^-1 u for the product u of the letters taken before position p.  A
-forward pass (``CoxeterSystem._subword_layers``) lists the live states,
-of non-void complexes, before each position; each pass below folds them back.
+forward pass (``CoxeterSystem._subword_layers``) lists the live states, of
+non-void complexes, before each position; the passes fold them back.
 """
 
 from __future__ import annotations
@@ -57,11 +57,26 @@ def reduced_subword_masks(right, desc, word, layers):
                                            lambda link, p: [x | 1 << p for x in link], _with_p)]
 
 
-def subword_faces(right, desc, word, layers):
-    """Every face once, bit p for position p.  At a cone point a face is a link
-    face with or without p; at a descent the link's faces lie in the deletion."""
-    return subword_pass(right, desc, word, layers, [0],
-                        lambda link, p: link + [x | 1 << p for x in link], _with_p)
+def subword_split_faces(right, desc, word, layers, bits, lo, hi):
+    """Every face once, position p as bit bits[p], as {window part: frozenset
+    of outer parts} for the window lo..hi-1: a window step adds p to keys,
+    which share their outer lists, an outer step to outer parts.  A cone
+    point acts as a descent whose deletion is its link."""
+
+    def split(rest, link, p):
+        b, out = 1 << bits[p], rest.copy()
+        if lo <= p < hi:
+            for k, v in link.items():
+                out[k | b] = v
+        else:
+            for k, v in link.items():
+                out[k] = rest[k] + [x | b for x in v]
+        return out
+
+    vals = subword_pass(right, desc, word, layers, {0: [0]},
+                        lambda link, p: split(link, link, p), split)
+    made: dict = {}  # one frozenset per list that keys share
+    return {k: made.get(id(v)) or made.setdefault(id(v), frozenset(v)) for k, v in vals.items()}
 
 
 def fill_submasks(facets, out: list) -> int:

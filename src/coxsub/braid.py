@@ -20,19 +20,25 @@ of each word position.  Side 1's is the identity.  Side 2's crosses the
 window endpoints (first slot to fm, last to f1) and lifts the internal
 slots as one block to the top.  The vertex names, the internal masks and
 the witnesses' fresh vertices read these tables.  Each side's complex is
-its memo entry's, over its own word positions; side 2's facets, faces and
-interface families are made over them and cross by ``from_side2``, the
-mask form of its table.  The endpoint edge {f1, fm} is then F on side 1
-and G on side 2.  The universe can exceed 62 bits, so its masks are
-Python ints.
+its memo entry's, over its own word positions; side 2's facets cross by
+``from_side2``, the mask form of its table.  The endpoint edge {f1, fm} is
+then F on side 1 and G on side 2.  The universe can exceed 62 bits, so its
+masks are Python ints.
+
+Split families.  The two sides' faces differ in their window parts only,
+so a face family is a dict {window part: frozenset of outer parts}, the
+outer part being the Q and Q' bits.  Each complex is folded once per move
+into universe bits (``PositionComplex.split_faces``), so no face crosses;
+checks select, relabel and join keys, flattening only to name mismatches.
 
 Link insertion.  The interface families come from the complexes of the
 words with the window shortened by two, the links of window edges
-(Knutson-Miller 2004).  An inner face becomes a side face by opening two
-empty bit slots in its position mask: at window slots l and l+1 for the
-link of the edge there, or at both window endpoints for F and G.  All
-face algebra runs on these masks; names ("Q1", "f1", "g2", "Q'1", ...)
-appear only in the report's ``names``, the witnesses and the mismatches.
+(Knutson-Miller 2004), folded with Q' moved up by two.  An inner face
+becomes a side face by opening two empty slots in its window part: at
+window slots l and l+1 for the link of the edge there, or at both window
+endpoints for F and G; side 2's window parts then cross by ``from_side2``.
+Names ("Q1", "f1", "g2", "Q'1", ...) appear only in the report's
+``names``, the witnesses and the mismatches.
 
 Witnesses.  Each verdict is replayed on the universe masks of the sides'
 facets: equal facet sets are equal complexes, and an iterated edge
@@ -91,8 +97,9 @@ class MoveFacts:
     """The derived facts of one braid move.  Made at once: the bit universe
     (see the module docstring), the complexes of both sides and of the
     shortened windows, read from a build memo (see ``subword.build``),
-    and whether each side is a sphere.  Made on first use: their facets
-    and faces as masks, the interface families and the window conditions."""
+    and whether each side is a sphere.  Made on first use: the sides'
+    facets as masks, their faces and the interface families as split
+    families, each complex folded once, and the window conditions."""
 
     def __init__(self, ctx: BraidContext, memo: dict | None = None):
         self.ctx = ctx
@@ -109,12 +116,13 @@ class MoveFacts:
         self.endpoint = 1 << q | 1 << (q + m - 1)
         self.internal = tuple(sum(1 << b[p] for p in range(q + 1, q + m - 1)) for b in self.bits)
         memo = {} if memo is None else memo
-        self.sides = tuple(build(SubwordDescriptor(ctx.system, ctx.side_word(side), ctx.pi), memo)
-                           for side in (1, 2))
-        # the memo entries of the sides and of the shortened windows, for
-        # faces over word positions; no output names an inner vertex
-        self._entries = tuple(position_complex(ctx.system, ctx.side_word(side, k), ctx.pi, memo)
-                              for k in (0, 2) for side in (1, 2))
+        # the side words, then the words with the window shortened by two
+        alt = (ctx.i, ctx.j) * m, (ctx.j, ctx.i) * m
+        words = [ctx.Q + a[:m - k] + ctx.Qp for k in (0, 2) for a in alt]
+        self.sides = tuple(build(SubwordDescriptor(ctx.system, w, ctx.pi), memo)
+                           for w in words[:2])
+        # their memo entries, for faces; no output names an inner vertex
+        self._entries = tuple(position_complex(ctx.system, w, ctx.pi, memo) for w in words)
         self.inner = self._entries[2].complex, self._entries[3].complex
         self.spherical = self._entries[0].spherical, self._entries[1].spherical
 
@@ -122,15 +130,15 @@ class MoveFacts:
         """The vertex names of universe bits."""
         return tuple(self.universe[b] for b in bits)
 
-    def from_side2(self, masks) -> frozenset:
-        """Universe masks of masks over the positions of side_word(2), as
-        ``bits[1]`` maps them: the endpoints cross and the internal slots
-        are lifted as one block."""
+    def from_side2(self, masks) -> list:
+        """Universe masks, in order, of side-2 facets or window parts over
+        the positions of side_word(2), as ``bits[1]`` maps them: the
+        endpoints cross and the internal slots are lifted as one block."""
         q, last = self.q, self.q + self.m - 1
         outer = ~(((1 << self.m) - 1) << q)
         inside, lift = self.internal[0], self.L - q - 1
-        return frozenset(x & outer | (x >> q & 1) << last | (x >> last & 1) << q
-                         | (x & inside) << lift for x in masks)
+        return [x & outer | (x >> q & 1) << last | (x >> last & 1) << q
+                | (x & inside) << lift for x in masks]
 
     def face_labels(self, masks) -> tuple[tuple[str, ...], ...]:
         """Up to five faces as sorted label tuples, in sorted order."""
@@ -158,17 +166,16 @@ class MoveFacts:
 
     @cached_property
     def facets(self) -> tuple[frozenset, frozenset]:
-        """The facets of both sides as universe masks, as ``faces``."""
+        """The facets of both sides as universe masks: side 1's word
+        positions as they are, side 2's crossed by ``from_side2``."""
         side1, side2 = self._entries[:2]
-        return frozenset(side1.word_facets), self.from_side2(side2.word_facets)
+        return frozenset(side1.word_facets), frozenset(self.from_side2(side2.word_facets))
 
     @cached_property
-    def faces(self) -> tuple[frozenset, frozenset]:
-        """The faces of both sides as universe masks, from their memo
-        entries: side 1's word positions as they are, side 2's crossed by
-        ``from_side2``."""
-        side1, side2 = self._entries[:2]
-        return frozenset(side1.word_faces), self.from_side2(side2.word_faces)
+    def faces(self) -> tuple[dict, dict]:
+        """The faces of both sides as split families, folded through ``bits``."""
+        window = self.q, self.q + self.m
+        return tuple(e.split_faces(b, *window) for e, b in zip(self._entries, self.bits))
 
     @cached_property
     def families(self) -> "Subfamilies":
@@ -184,51 +191,74 @@ def condition(ctx: BraidContext, which: str, k: int) -> bool:
 
 @dataclass(frozen=True, eq=False)
 class Subfamilies:
-    """The four interface face families (not downward closed) as sets of
-    universe masks: d1_int / d2_int hold the faces meeting an internal
-    window vertex, d1_F / d2_G those containing the endpoint edge, each
-    built through the link isomorphisms of the shortened-window complexes.
-    """
+    """The four interface face families (not downward closed) as split
+    families: d1_int / d2_int hold the faces meeting an internal window
+    vertex, d1_F / d2_G those containing the endpoint edge, each built
+    through the link isomorphisms of the shortened-window complexes."""
 
-    d1_int: frozenset
-    d1_F: frozenset
-    d2_int: frozenset
-    d2_G: frozenset
+    d1_int: dict
+    d1_F: dict
+    d2_int: dict
+    d2_G: dict
 
 
-def _link_families(faces, q: int, m: int) -> tuple[set, set]:
-    """Images of the inner faces of one side, over side-word positions: the
-    internal family of that side and the endpoint family of the other."""
-    internal: set = set()
+def _link_families(faces: dict, q: int, m: int) -> tuple[dict, dict]:
+    """Images of the inner split faces of one side, window parts over
+    side-word positions: the internal family of that side and the endpoint
+    family of the other; outer parts of keys that meet are joined."""
+    parts: dict = {}
     for l in range(2, m):
         p = q + l - 1  # bit of window slot l
         low = (1 << p) - 1
         here, prev, nxt = 1 << p, 1 << (p - 1), 1 << (p + 1)
         # star of slot l split along its link: faces reaching the next
         # slot, faces reaching the previous slot, and the bare ones
-        a = [x & low | x >> p << (p + 2) | here for x in faces]  # slots l, l+1 opened
-        b = [x & low >> 1 | x >> (p - 1) << (p + 1) | here for x in faces]  # l-1, l opened
-        internal.update(a, b, [x | nxt for x in a], [x | prev for x in b])
-    last = q + m - 1
+        for x, outer in faces.items():
+            a = x & low | x >> p << (p + 2) | here  # slots l, l+1 opened
+            b = x & low >> 1 | x >> (p - 1) << (p + 1) | here  # l-1, l opened
+            for key in (a, b, a | nxt, b | prev):
+                parts.setdefault(key, []).append(outer)
+    internal = {key: frozenset().union(*sets) for key, sets in parts.items()}
     # slots 1 and m opened: inner slot t lands on slot t + 1
-    endpoint = {x & ((1 << q) - 1) | (x >> q & ((1 << (m - 2)) - 1)) << (q + 1)
-                | x >> (last - 1) << (last + 1) | 1 << q | 1 << last for x in faces}
-    return internal, endpoint
+    return internal, {x << 1 | 1 << q | 1 << (q + m - 1): outer for x, outer in faces.items()}
 
 
 def subfamilies(f: MoveFacts) -> Subfamilies:
-    k1, k2 = (e.word_faces for e in f._entries[2:])  # over inner word positions
-    d1_int, d2_G = _link_families(k1, f.q, f.m)
-    d2_int, d1_F = _link_families(k2, f.q, f.m)
-    return Subfamilies(frozenset(d1_int), frozenset(d1_F),
-                       f.from_side2(d2_int), f.from_side2(d2_G))
+    q, m = f.q, f.m
+    bits = (*range(q + m - 2), *range(q + m, f.L))  # inner positions, Q' moved up by two
+    e1, e2 = f._entries[2:]  # one entry at m = 2, folded once
+    k1 = e1.split_faces(bits, q, q + m - 2)
+    k2 = k1 if e2 is e1 else e2.split_faces(bits, q, q + m - 2)
+    d1_int, d2_G = _link_families(k1, q, m)
+    d2_int, d1_F = _link_families(k2, q, m)
+    return Subfamilies(d1_int, d1_F, *(dict(zip(f.from_side2(d), d.values()))
+                                       for d in (d2_int, d2_G)))
 
 
-def tilde(f: MoveFacts, side: int) -> frozenset:
+def tilde(f: MoveFacts, side: int) -> dict:
     """Largest subcomplex avoiding the endpoint edge and the internal
-    window vertices of the given side, as a set of universe masks."""
+    window vertices of the given side, as a split family."""
     inside, ends = f.internal[side - 1], f.endpoint
-    return frozenset(x for x in f.faces[side - 1] if not x & inside and x & ends != ends)
+    return {k: v for k, v in f.faces[side - 1].items() if not k & inside and k & ends != ends}
+
+
+def _join(*fams) -> dict:
+    """The union of split families, key by key."""
+    out: dict = {}
+    for fam in fams:
+        for k, v in fam.items():
+            out[k] = out[k] | v if k in out else v
+    return out
+
+
+def _minus(a: dict, b: dict) -> dict:
+    """The split family a - b, no key left empty."""
+    return {k: rest for k, v in a.items() if (rest := v - b[k] if k in b else v)}
+
+
+def _flat(fam: dict) -> set:
+    """The faces of a split family as universe masks."""
+    return {k | x for k, v in fam.items() for x in v}
 
 
 @dataclass(frozen=True, eq=False)
@@ -258,36 +288,40 @@ def verify_decomposition(facts: MoveFacts) -> DecompositionReport:
     checks: list[tuple[str, bool]] = []
     mismatches: dict = {}
 
-    def record(name: str, got, want) -> None:
+    def record(name: str, got: dict, want: dict) -> None:
         ok = got == want
         checks.append((name, ok))
         if not ok:
-            mismatches[name] = facts.face_labels(got ^ want)
+            mismatches[name] = facts.face_labels(_flat(got) ^ _flat(want))
 
     # families against their direct membership descriptions
-    record("internal family, side 1", fams.d1_int, {f for f in faces1 if f & int1})
-    record("endpoint family, side 1", fams.d1_F, {f for f in faces1 if f & ends == ends})
-    record("internal family, side 2", fams.d2_int, {f for f in faces2 if f & int2})
-    record("endpoint family, side 2", fams.d2_G, {f for f in faces2 if f & ends == ends})
+    record("internal family, side 1", fams.d1_int, {k: v for k, v in faces1.items() if k & int1})
+    record("endpoint family, side 1", fams.d1_F,
+           {k: v for k, v in faces1.items() if k & ends == ends})
+    record("internal family, side 2", fams.d2_int, {k: v for k, v in faces2.items() if k & int2})
+    record("endpoint family, side 2", fams.d2_G,
+           {k: v for k, v in faces2.items() if k & ends == ends})
 
     # the reduced complexes coincide
     record("reduced complexes equal", t1, t2)
 
     # side 2 decomposes into the common part and its interface families
-    patch2 = fams.d2_int | fams.d2_G
-    record("side 2 partition", faces2, t1 | patch2)
-    record("side 2 partition disjoint", t1 & patch2, frozenset())
+    patch2 = _join(fams.d2_int, fams.d2_G)
+    record("side 2 partition", faces2, _join(t1, patch2))
+    record("side 2 partition disjoint", _minus(t1, patch2), t1)
 
     # both sides patched with the other side's families agree
-    record("patched union identity", faces1 | patch2, faces2 | fams.d1_int | fams.d1_F)
+    record("patched union identity", _join(faces1, patch2),
+           _join(faces2, fams.d1_int, fams.d1_F))
 
     # four expressions for the common refinement; these need that no face
     # holds the endpoint edge and an internal vertex at once
     if facts.chain_checked:
-        both = fams.d1_int | fams.d2_int
-        record("refinement chain 1=2", (faces1 - fams.d1_F) | fams.d2_int, t1 | both)
-        record("refinement chain 2=3", t1 | both, t2 | both)
-        record("refinement chain 3=4", t2 | both, (faces2 - fams.d2_G) | fams.d1_int)
+        both = _join(fams.d1_int, fams.d2_int)
+        t1b, t2b = _join(t1, both), _join(t2, both)
+        record("refinement chain 1=2", _join(_minus(faces1, fams.d1_F), fams.d2_int), t1b)
+        record("refinement chain 2=3", t1b, t2b)
+        record("refinement chain 3=4", t2b, _join(_minus(faces2, fams.d2_G), fams.d1_int))
 
     ok = all(flag for _, flag in checks)
     return DecompositionReport(ok, tuple(checks), mismatches, facts.chain_checked)
@@ -397,7 +431,8 @@ def _interface_expression_ok(f: MoveFacts, facets) -> bool:
     """Whether the complex with these universe facets has the faces
     (side 1 - d1_F) | d2_int, the common refinement's expression through
     the interface families under the window hypothesis."""
-    return (f.faces[0] - f.families.d1_F) | f.families.d2_int == face_set(facets)
+    fams = f.families
+    return _flat(_join(_minus(f.faces[0], fams.d1_F), fams.d2_int)) == face_set(facets)
 
 
 def _refine(f: MoveFacts, side: int) -> tuple[frozenset | None, tuple, tuple]:

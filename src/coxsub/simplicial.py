@@ -61,15 +61,12 @@ def _bits(mask: int):
         mask ^= low
 
 
-def check_face_count(facets: Collection[int]) -> None:
-    """Raise past MAX_FACES submasks of the facet masks, counted with repeats."""
+def face_set(facets: Iterable[int]) -> set[int]:
+    """Every submask of the facet masks, the empty one included; raises past
+    MAX_FACES submasks, counted with repeats."""
+    facets = list(facets)
     if sum(1 << f.bit_count() for f in facets) > MAX_FACES:
         raise ValueError(FACE_LIMIT_ERROR)
-
-
-def face_set(facets: Iterable[int]) -> set[int]:
-    """Every submask of the facet masks, the empty one included; raises past MAX_FACES."""
-    check_face_count(facets := list(facets))
     buf: list[int] = []
     _K.fill_submasks(facets, buf)
     return set(buf)

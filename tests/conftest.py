@@ -3,7 +3,8 @@ subword oracles, label-set oracles on complexes and on a move's shared
 namespace, and seeded random context/complex generators.  The library's
 complexes have word positions as vertices; ``named`` gives a label-level
 copy for the oracles to compare.  ``float_root_system`` is the floating-
-point root orbit against which the exact root system is checked."""
+point root orbit against which the exact root system is checked, and
+``flat_move`` the face-by-face move algebra against which the split one is."""
 
 from __future__ import annotations
 
@@ -11,10 +12,10 @@ import itertools
 import random
 from math import cos, pi as PI
 
-from coxsub import _kernels, backend
+from coxsub import _kernels, backend, braid
 from coxsub.braid import BraidContext, MoveFacts
 from coxsub.coxeter import CoxeterMatrix, CoxeterSystem
-from coxsub.simplicial import LabeledComplex
+from coxsub.simplicial import LabeledComplex, face_set
 from coxsub.subword import SubwordDescriptor, build
 
 _SYSTEMS: dict = {}
@@ -101,17 +102,25 @@ def run_masks(sys_, word, pi):
 
 
 def face_passes(monkeypatch) -> list:
-    """Record the (letters, start) of every face pass from now on."""
-    seen = []
-    kernel = _kernels.subword_faces
+    """Record every face fold from now on, one list per ``MoveFacts`` made
+    (by name through ``braid``): the (letters, start) of each complex that
+    the move folds."""
+    moves: list = []
+    kernel, facts = _kernels.subword_split_faces, braid.MoveFacts
 
-    def counted(right, desc, word, layers):
+    def counted(right, desc, word, layers, bits, lo, hi):
         (start,) = layers[0]
-        seen.append((word, start))
-        return kernel(right, desc, word, layers)
+        moves[-1].append((word, start))
+        return kernel(right, desc, word, layers, bits, lo, hi)
 
-    monkeypatch.setattr(_kernels, "subword_faces", counted)
-    return seen
+    class Counted(facts):
+        def __init__(self, *args):
+            moves.append([])
+            super().__init__(*args)
+
+    monkeypatch.setattr(_kernels, "subword_split_faces", counted)
+    monkeypatch.setattr(braid, "MoveFacts", Counted)
+    return moves
 
 
 def forward_passes(monkeypatch) -> list:
@@ -346,10 +355,93 @@ def check_A3B3_edges(f: MoveFacts) -> bool:
         raise ValueError("needs m > 3")
     if not f.supported:  # for m > 3: both length-3 window conditions
         raise ValueError("needs both length-3 window conditions")
-    for faces, lab in zip(f.faces, (f_label, lambda l: g_label(l, m))):
+    for faces, lab in zip(map(flat_faces, f.faces), (f_label, lambda l: g_label(l, m))):
         # the universe bits of window slots 1..m on this side (slot[0] unused)
         slot = [0] + [1 << f.universe.index(lab(l)) for l in range(1, m + 1)]
         if any(slot[k] | slot[l] in faces
                for k in range(2, m) for l in range(1, m + 1) if abs(k - l) > 1):
             return False
     return True
+
+
+# -- the flat move algebra, face by face -----------------------------------------
+
+
+def flat_faces(family: dict) -> frozenset:
+    """The faces of a split family as universe masks: each window part
+    joined with each of its outer parts."""
+    return frozenset(k | x for k, outer in family.items() for x in outer)
+
+
+def flat_from_side2(f: MoveFacts, masks) -> frozenset:
+    """Universe masks of masks over the positions of side_word(2), each
+    crossed on its own: the endpoints swap and the internal slots lift."""
+    q, last = f.q, f.q + f.m - 1
+    outer = ~(((1 << f.m) - 1) << q)
+    inside, lift = f.internal[0], f.L - q - 1
+    return frozenset(x & outer | (x >> q & 1) << last | (x >> last & 1) << q
+                     | (x & inside) << lift for x in masks)
+
+
+def flat_link_families(faces, q: int, m: int) -> tuple[set, set]:
+    """Images of the inner faces of one side, over side-word positions: the
+    internal family of that side and the endpoint family of the other."""
+    internal: set = set()
+    for l in range(2, m):
+        p = q + l - 1  # bit of window slot l
+        low = (1 << p) - 1
+        here, prev, nxt = 1 << p, 1 << (p - 1), 1 << (p + 1)
+        a = [x & low | x >> p << (p + 2) | here for x in faces]  # slots l, l+1 opened
+        b = [x & low >> 1 | x >> (p - 1) << (p + 1) | here for x in faces]  # l-1, l opened
+        internal.update(a, b, [x | nxt for x in a], [x | prev for x in b])
+    last = q + m - 1
+    # slots 1 and m opened: inner slot t lands on slot t + 1
+    endpoint = {x & ((1 << q) - 1) | (x >> q & ((1 << (m - 2)) - 1)) << (q + 1)
+                | x >> (last - 1) << (last + 1) | 1 << q | 1 << last for x in faces}
+    return internal, endpoint
+
+
+def flat_move(f: MoveFacts) -> tuple[tuple, tuple, tuple]:
+    """(faces of both sides, (d1_int, d1_F, d2_int, d2_G), tilde of both
+    sides) as sets of universe masks, face by face: each complex's faces
+    are the submasks of its facets over its word positions, and side 2's
+    faces and families cross mask by mask."""
+    side1, side2, k1, k2 = (face_set(e.word_facets) for e in f._entries)
+    faces = frozenset(side1), flat_from_side2(f, side2)
+    d1_int, d2_G = flat_link_families(k1, f.q, f.m)
+    d2_int, d1_F = flat_link_families(k2, f.q, f.m)
+    fams = frozenset(d1_int), frozenset(d1_F), flat_from_side2(f, d2_int), flat_from_side2(f, d2_G)
+    ends = f.endpoint
+    tildes = tuple(frozenset(x for x in faces[s] if not x & f.internal[s] and x & ends != ends)
+                   for s in (0, 1))
+    return faces, fams, tildes
+
+
+def flat_decomposition(f: MoveFacts, faces, fams, tildes) -> tuple[tuple, dict]:
+    """The checks and the mismatches of ``braid.verify_decomposition`` on
+    flat face sets, as ``flat_move`` gives them."""
+    (faces1, faces2), (d1_int, d1_F, d2_int, d2_G), (t1, t2) = faces, fams, tildes
+    (int1, int2), ends = f.internal, f.endpoint
+    checks: list = []
+    mismatches: dict = {}
+
+    def record(name: str, got, want) -> None:
+        checks.append((name, got == want))
+        if got != want:
+            mismatches[name] = f.face_labels(got ^ want)
+
+    record("internal family, side 1", d1_int, {x for x in faces1 if x & int1})
+    record("endpoint family, side 1", d1_F, {x for x in faces1 if x & ends == ends})
+    record("internal family, side 2", d2_int, {x for x in faces2 if x & int2})
+    record("endpoint family, side 2", d2_G, {x for x in faces2 if x & ends == ends})
+    record("reduced complexes equal", t1, t2)
+    patch2 = d2_int | d2_G
+    record("side 2 partition", faces2, t1 | patch2)
+    record("side 2 partition disjoint", t1 & patch2, frozenset())
+    record("patched union identity", faces1 | patch2, faces2 | d1_int | d1_F)
+    if f.chain_checked:
+        both = d1_int | d2_int
+        record("refinement chain 1=2", (faces1 - d1_F) | d2_int, t1 | both)
+        record("refinement chain 2=3", t1 | both, t2 | both)
+        record("refinement chain 3=4", t2 | both, (faces2 - d2_G) | d1_int)
+    return tuple(checks), mismatches

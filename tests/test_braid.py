@@ -1,10 +1,12 @@
 import random
+from dataclasses import replace
 
 import pytest
 
 from conftest import (braid_step, check_A3B3_edges, f_label, face_label_sets, face_passes,
-                      g_label, has_face, k_subdivide, named, random_context, side_descriptor,
-                      system, word_labels)
+                      flat_decomposition, flat_faces, flat_move, forward_passes, g_label,
+                      has_face, k_subdivide, named, random_context, side_descriptor, system,
+                      word_labels)
 from coxsub import braid
 from coxsub.braid import (BraidContext, MoveFacts, apply_sequence, classify, condition,
                           find_move_path, move_context, polynomial_delta, subfamilies,
@@ -104,8 +106,8 @@ def test_shared_namespace_crossing():
         # side 2 reaches the universe by one fixed bit permutation, which
         # carries its faces as it carries its facets
         for p, label in enumerate(names2):
-            assert f.from_side2([1 << p]) == {1 << f.bits[1][p]} == {_mask(f, [label])}
-        assert f.faces[1] == face_set(f.facets[1])
+            assert f.from_side2([1 << p]) == [1 << f.bits[1][p]] == [_mask(f, [label])]
+        assert flat_faces(f.faces[1]) == face_set(f.facets[1])
         # the witnesses' names: each side walks its endpoint edge onto the
         # other side's internal slots, from slot m - 1 down
         slots = range(m - 1, 1, -1)
@@ -123,20 +125,22 @@ def test_shared_namespace_crossing():
                 (edge1, fresh1, fresh2)
 
 
-def test_classify_again_makes_no_faces(monkeypatch):
-    # the faces of both sides and of the shortened windows are kept with
-    # their memo entries: classifying a move again only reads them
+def test_classify_again_runs_no_forward_pass(monkeypatch):
+    # the forward layers of both sides and of the shortened windows are
+    # kept with their memo entries: classifying a move again only folds
+    # them, each complex at most once per move, the same folds as the first
     rng = random.Random(41)
-    seen = face_passes(monkeypatch)
+    moves, forward = face_passes(monkeypatch), forward_passes(monkeypatch)
     for _ in range(40):
         ctx, memo = random_context(rng), {}
         first = classify(ctx, memo)
-        made = len(seen)
+        made = len(forward)
         again = classify(ctx, memo)
-        assert len(seen) == made
+        assert len(forward) == made
+        assert moves[-1] == moves[-2] and len(moves[-1]) == len(set(moves[-1])) <= 4
         assert (again.case, again.witness, again.decomposition.checks) == \
             (first.case, first.witness, first.decomposition.checks)
-    assert seen
+    assert forward and any(moves)
 
 
 def test_classify_makes_no_inner_f_vector():
@@ -264,29 +268,31 @@ def test_subfamily_membership():
     for _ in range(40):
         ctx = random_context(rng)
         m, f = ctx.m, MoveFacts(ctx)
-        faces1, faces2 = f.faces
+        faces1, faces2 = map(flat_faces, f.faces)
         fams = subfamilies(f)
+        d1_int, d1_F, d2_int, d2_G = map(flat_faces, (fams.d1_int, fams.d1_F, fams.d2_int,
+                                                      fams.d2_G))
         internal_f = _mask(f, [f_label(l) for l in range(2, m)])
         internal_g = _mask(f, [g_label(l, m) for l in range(2, m)])
         endpoint = _mask(f, [f_label(1), f_label(m)])
-        assert fams.d1_int == {s for s in faces1 if s & internal_f}
-        assert fams.d1_F == {s for s in faces1 if s & endpoint == endpoint}
-        assert fams.d2_int == {s for s in faces2 if s & internal_g}
-        assert fams.d2_G == {s for s in faces2 if s & endpoint == endpoint}
+        assert d1_int == {s for s in faces1 if s & internal_f}
+        assert d1_F == {s for s in faces1 if s & endpoint == endpoint}
+        assert d2_int == {s for s in faces2 if s & internal_g}
+        assert d2_G == {s for s in faces2 if s & endpoint == endpoint}
 
 
 def test_tilde_isomorphism_and_partition():
     rng = random.Random(16)
     for _ in range(40):
         f = MoveFacts(random_context(rng))
-        t1 = tilde(f, 1)
-        t2 = tilde(f, 2)
+        t1 = flat_faces(tilde(f, 1))
+        t2 = flat_faces(tilde(f, 2))
         assert t1 == t2  # the shared universe makes the reduced sides literal
         assert all(x & ~(1 << b) in t2 for x in t2 for b in range(x.bit_length()))
         fams = subfamilies(f)
-        rest = fams.d2_int | fams.d2_G
+        rest = flat_faces(fams.d2_int) | flat_faces(fams.d2_G)
         assert t2 & rest == set()
-        assert t2 | rest == f.faces[1]
+        assert t2 | rest == flat_faces(f.faces[1])
 
 
 def _remap(face: frozenset, table: dict) -> frozenset:
@@ -347,10 +353,10 @@ def test_mask_families_match_label_reference():
         want_fams, want_reduced = _label_reference(f)
         got = (fams.d1_int, fams.d1_F, fams.d2_int, fams.d2_G)
         for mask_family, label_family in zip(got, want_fams):
-            assert _label_sets(f, mask_family) == label_family
+            assert _label_sets(f, flat_faces(mask_family)) == label_family
         for side, x in zip((1, 2), _named_sides(f)):
-            assert _label_sets(f, f.faces[side - 1]) == set(face_label_sets(x))
-            assert _label_sets(f, tilde(f, side)) == want_reduced[side - 1]
+            assert _label_sets(f, flat_faces(f.faces[side - 1])) == set(face_label_sets(x))
+            assert _label_sets(f, flat_faces(tilde(f, side))) == want_reduced[side - 1]
     assert seen_m >= {2, 3, 4, 5}
 
 
@@ -371,6 +377,57 @@ def test_decomposition_report():
             assert not chain_names
 
 
+def _oracle_contexts() -> list:
+    """Seeded moves over five groups, the dihedral moves I2(m) for m = 3..12
+    and a move whose refinement chain is not checked."""
+    rng = random.Random(61)
+    contexts = [random_context(rng, names=("A3", "B3", "H3", "A4", "D4")) for _ in range(300)]
+    contexts += [i2_context(m) for m in range(3, 13)]
+    B3 = system("B3")
+    return contexts + [BraidContext(B3, (1, 3, 2), (3,), 3, 2, B3.element_of((1, 2)))]
+
+
+def test_split_algebra_matches_flat_oracle():
+    # the split families, flattened, and every check against the algebra
+    # that crosses and tests each face on its own
+    seen = set()
+    for ctx in _oracle_contexts():
+        f = MoveFacts(ctx)
+        faces, fams, tildes = flat_move(f)
+        got = f.families
+        assert tuple(map(flat_faces, f.faces)) == faces
+        assert tuple(map(flat_faces, (got.d1_int, got.d1_F, got.d2_int, got.d2_G))) == fams
+        assert (flat_faces(tilde(f, 1)), flat_faces(tilde(f, 2))) == tildes
+        # no split family holds an empty outer set
+        assert all(all(fam.values()) for fam in (*f.faces, got.d1_int, got.d1_F, got.d2_int,
+                                                 got.d2_G, tilde(f, 1), tilde(f, 2)))
+        dec = verify_decomposition(f)
+        checks, mismatches = flat_decomposition(f, faces, fams, tildes)
+        assert dec.checks == checks and dec.mismatches == mismatches == {}
+        seen.add((min(f.m, 5), dec.chain_checked))
+    assert seen >= {(2, True), (3, True), (3, False), (4, True), (4, False), (5, True)}
+
+
+def test_mismatches_name_the_faces_a_family_lost(monkeypatch):
+    # a face taken from one family fails the checks that read it, and each
+    # failed check names the faces the flat algebra finds in its symmetric
+    # difference
+    f = MoveFacts(i2_context(4))
+    assert f.chain_checked
+    faces, fams, tildes = flat_move(f)
+    lost = min(fams[0], key=lambda x: (x.bit_count(), x))
+    d1_int = {k: rest for k, outer in f.families.d1_int.items()
+              if (rest := frozenset(x for x in outer if k | x != lost))}
+    monkeypatch.setattr(f, "families", replace(f.families, d1_int=d1_int))
+    dec = verify_decomposition(f)
+    checks, mismatches = flat_decomposition(f, faces, (fams[0] - {lost}, *fams[1:]), tildes)
+    assert not dec.ok and dec.checks == checks
+    assert dec.mismatches == mismatches
+    assert mismatches["internal family, side 1"] == f.face_labels([lost])
+    assert set(mismatches) == {"internal family, side 1", "patched union identity",
+                               "refinement chain 1=2"}
+
+
 def test_chain_identity_needs_window_conditions():
     # a face may contain the endpoint edge and an internal vertex at once;
     # the refinement chain is then skipped, all unconditional checks hold
@@ -385,7 +442,7 @@ def test_chain_identity_needs_window_conditions():
     fams = subfamilies(f)
     endpoint = _mask(f, [f_label(1), f_label(4)])
     internal = _mask(f, [f_label(2), f_label(3)])
-    bad = [s for s in fams.d1_int if s & endpoint == endpoint and s & internal]
+    bad = [s for s in flat_faces(fams.d1_int) if s & endpoint == endpoint and s & internal]
     assert bad  # the gated faces that break the literal chain equality
 
 

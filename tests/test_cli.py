@@ -402,6 +402,10 @@ PINNED = [
      "5911e0c61662cdab75b06ea05570516bd569c71e9a04208154309e499fbad491"),
     (("complex", "--group", "A3", "--word", ",".join(["1,3"] * 6), "--pi", "1,3", "--json"),
      "8bf38546d0617e572ff8d8a318cfadce07bd57e8da15d237c501a0bb4a16bff6"),
+    # the heaviest move of the seed-0 classify stream: 14,224 faces on its sides
+    (("classify", "--group", "H3", "--word", "1,1,1,1,2,1,2,1,2,2,1,1,1", "--pos", "4",
+      "--pi", "1,2,1", "--json"),
+     "2b090ff88ee1c1903107635f3ab062b311efa36e573697ba686066d6c70ddfb8"),
     # last: test_complex_json_enumerates_no_faces reads it
     (("complex", "--group", "A2", "--word", "1,2,1,2,1", "--pi", "w0", "--json"),
      "172869ea79525533e0f5c0e18e17f2e5c6ff287c25730d3b81a37d4e2855758b"),
@@ -414,7 +418,7 @@ PINNED = [
                               "m5_unsupported", "text_a3", "text_h3", "text_demo_i2",
                               "text_demo_i2_m7", "text_complex", "text_classify",
                               "text_chain", "flag_a1_9", "simplex_a1_20", "a3_13_6",
-                              "complex"])
+                              "heavy_h3", "complex"])
 def test_worked_examples_pinned(capsys, tmp_path, argv, digest):
     code, out, _ = run(capsys, *argv)
     assert code == 0

@@ -75,8 +75,11 @@ def test_forward_pass_lists_exactly_the_live_states():
         # the live states before the last position, and the start, read also
         # when the word is empty
         want = {(p, w) for p, states in enumerate(live[:-1]) for w in states} | {(0, start)}
-        for kernel in (_kernels.subword_h, _kernels.reduced_subword_masks,
-                       _kernels.subword_faces):
+        # the face fold with a window over the middle third of the word
+        third = len(letters) // 3
+        faces = lambda right, desc, letters, layers: _kernels.subword_split_faces(
+            right, desc, letters, layers, range(len(letters)), third, len(letters) - third)
+        for kernel in (_kernels.subword_h, _kernels.reduced_subword_masks, faces):
             visited.clear()
             kernel(sys_._right, desc, letters, counted)
             assert visited == want

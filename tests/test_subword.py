@@ -279,8 +279,9 @@ def test_h_recursion_matches_faces():
 def test_subword_dp_matches_oracles():
     # h, facets and faces of the one forward pass and its backward passes,
     # against the set-based h recursion, the 2^L facet scan and the
-    # submasks of the facets
-    rng = random.Random(31)
+    # submasks of the facets; the faces are split at a random window, with
+    # the positions on randomly permuted bits
+    rng, split_rng = random.Random(31), random.Random(32)
     seen = {"void": 0, "empty face": 0, "spherical": 0, "general": 0}
     for k in range(90):
         sys_ = system(("A2", "A3", "B3", "H3", "A4", "D4")[k % 6])
@@ -289,9 +290,13 @@ def test_subword_dp_matches_oracles():
         entry = position_complex(sys_, word, pi, {})
         want_h = subword_h_oracle(sys_, word, pi)
         x = entry.complex
+        bits = split_rng.sample(range(len(word)), len(word))
+        lo = split_rng.randrange(len(word) + 1)
+        hi = split_rng.randrange(lo, len(word) + 1)
+        split = entry.split_faces(bits, lo, hi)
         if x.is_void:
             seen["void"] += 1
-            assert want_h is None and entry.word_facets == [] and entry.word_faces == ()
+            assert want_h is None and entry.word_facets == [] and split == {}
             assert brute_facets(sys_, word, pi) == set()
             continue
         seen["empty face"] += x.facets == (0,)
@@ -299,12 +304,17 @@ def test_subword_dp_matches_oracles():
         assert x.h_vector() == want_h
         assert {frozenset(p + 1 for p in range(len(word)) if f >> p & 1)
                 for f in entry.word_facets} == brute_facets(sys_, word, pi)
-        faces = entry.word_faces
+        window = sum(1 << bits[p] for p in range(lo, hi))
+        assert all(k | window == window for k in split)
+        assert all(outer and all(not o & window for o in outer) for outer in split.values())
+        faces = [k | o for k, outer in split.items() for o in outer]
         assert len(faces) == len(set(faces))
-        assert set(faces) == face_set(entry.word_facets)
+        assert set(faces) == {sum(1 << bits[p] for p in range(len(word)) if f >> p & 1)
+                              for f in face_set(entry.word_facets)}
     assert min(seen.values()) >= 5, seen
-    # the faces refuse where face_set refuses the facets: 40 x 2^39 submasks
+    # the faces refuse past MAX_FACES, as face_set refuses the facets:
+    # 1^40 in A1 with pi = s1 has 2^40 - 1 faces
     A1 = system("A1")
     entry = position_complex(A1, (1,) * 40, A1.generator(1), {})
     with pytest.raises(ValueError, match="face enumeration too large"):
-        entry.word_faces
+        entry.split_faces(range(40), 0, 40)
