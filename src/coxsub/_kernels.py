@@ -3,7 +3,7 @@
 Conventions:
   * generator indices are 0-based here (the public API is 1-based),
   * a word position set and a facet are each one bitmask in a Python int,
-    bit p for position p; the face fold sets bits[p] and splits at a window,
+    bit p for position p,
   * group elements are the integer ids a CoxeterSystem interns them under,
     id 0 the identity; right[g][s] is the id of g*s, desc[g] the bitmask of
     right descents of g.
@@ -44,39 +44,14 @@ def subword_h(right, desc, word, layers):
                         lambda rest, link, p: tuple(map(sum, zip(rest, (0,) + link))))
 
 
-def _with_p(rest, link, p):
-    """Facets or faces at a descent: the deletion's, then the link's plus p."""
-    return rest + [x | 1 << p for x in link]
-
-
 def reduced_subword_masks(right, desc, word, layers):
     """Masks of the subwords of ``word`` that are reduced words of pi, the
-    complements of the facets; at a cone point every facet takes p."""
+    complements of the facets: at a descent the deletion's facets, then the
+    link's plus p; at a cone point every facet takes p."""
     full = (1 << len(word)) - 1
-    return [full ^ f for f in subword_pass(right, desc, word, layers, [0],
-                                           lambda link, p: [x | 1 << p for x in link], _with_p)]
-
-
-def subword_split_faces(right, desc, word, layers, bits, lo, hi):
-    """Every face once, position p as bit bits[p], as {window part: frozenset
-    of outer parts} for the window lo..hi-1: a window step adds p to keys,
-    which share their outer lists, an outer step to outer parts.  A cone
-    point acts as a descent whose deletion is its link."""
-
-    def split(rest, link, p):
-        b, out = 1 << bits[p], rest.copy()
-        if lo <= p < hi:
-            for k, v in link.items():
-                out[k | b] = v
-        else:
-            for k, v in link.items():
-                out[k] = rest[k] + [x | b for x in v]
-        return out
-
-    vals = subword_pass(right, desc, word, layers, {0: [0]},
-                        lambda link, p: split(link, link, p), split)
-    made: dict = {}  # one frozenset per list that keys share
-    return {k: made.get(id(v)) or made.setdefault(id(v), frozenset(v)) for k, v in vals.items()}
+    return [full ^ f for f in subword_pass(
+        right, desc, word, layers, [0], lambda link, p: [x | 1 << p for x in link],
+        lambda rest, link, p: rest + [x | 1 << p for x in link])]
 
 
 def fill_submasks(facets, out: list) -> int:

@@ -25,20 +25,19 @@ its memo entry's, over its own word positions; side 2's facets cross by
 then F on side 1 and G on side 2.  The universe can exceed 62 bits, so its
 masks are Python ints.
 
-Split families.  The two sides' faces differ in their window parts only,
-so a face family is a dict {window part: frozenset of outer parts}, the
-outer part being the Q and Q' bits.  Each complex is folded once per move
-into universe bits (``PositionComplex.split_faces``), so no face crosses;
-checks select, relabel and join keys, flattening only to name mismatches.
-
-Link insertion.  The interface families come from the complexes of the
-words with the window shortened by two, the links of window edges
-(Knutson-Miller 2004), folded with Q' moved up by two.  An inner face
-becomes a side face by opening two empty slots in its window part: at
-window slots l and l+1 for the link of the edge there, or at both window
-endpoints for F and G; side 2's window parts then cross by ``from_side2``.
-Names ("Q1", "f1", "g2", "Q'1", ...) appear only in the report's
-``names``, the witnesses and the mismatches.
+Outer table.  By the Demazure criterion (Knutson-Miller 2004, section 3)
+A | t | B, with A in Q, t in the window W and B in Q', is a face iff
+pi <= Dem(Q - A) * Dem(W - t) * Dem(Q' - B): its outer part (A, B) lies in
+O(d) for d = Dem(W - t) in the dihedral group W_ij, in all four complexes
+of a move, both sides and the words with the window shortened by two.  One
+``OuterTable`` per move reads d -> O(d) from side 1's facets; a face
+family is a ``Family`` {window part: label of its O}, and no face is
+listed.  The interface families relabel the shortened windows' parts as
+the links of window edges do: an inner part opens two empty slots, at
+slots l and l+1 for the edge there, or at both endpoints for F and G.
+Checks join and compare parts and labels, and flatten only on a failure,
+to name its mismatches.  Names ("Q1", "f1", "g2", "Q'1", ...) appear only
+in the report's ``names``, the witnesses and the mismatches.
 
 Witnesses.  Each verdict is replayed on the universe masks of the sides'
 facets: equal facet sets are equal complexes, and an iterated edge
@@ -50,11 +49,12 @@ once, as a ``MoveFacts``, and hands them to every check it runs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import zip_longest
 
 from .coxeter import MAX_REDUCED_WORDS, CoxeterSystem, GroupElement, Word
-from .simplicial import LabeledComplex, _bits, face_set, subdivide
+from .simplicial import (MAX_WINDOW_PARTS, WINDOW_LIMIT_ERROR, LabeledComplex, _bits,
+                         face_set, subdivide)
 from .subword import SubwordDescriptor, build, position_complex
 
 
@@ -98,8 +98,8 @@ class MoveFacts:
     (see the module docstring), the complexes of both sides and of the
     shortened windows, read from a build memo (see ``subword.build``),
     and whether each side is a sphere.  Made on first use: the sides'
-    facets as masks, their faces and the interface families as split
-    families, each complex folded once, and the window conditions."""
+    facets as masks, the outer table, the faces of both sides and the
+    interface families as families over it, and the window conditions."""
 
     def __init__(self, ctx: BraidContext, memo: dict | None = None):
         self.ctx = ctx
@@ -118,10 +118,11 @@ class MoveFacts:
         memo = {} if memo is None else memo
         # the side words, then the words with the window shortened by two
         alt = (ctx.i, ctx.j) * m, (ctx.j, ctx.i) * m
-        words = [ctx.Q + a[:m - k] + ctx.Qp for k in (0, 2) for a in alt]
+        self.words = words = [ctx.Q + a[:m - k] + ctx.Qp for k in (0, 2) for a in alt]
+        self.windows = tuple(tuple(s - 1 for s in a[:m]) for a in alt)  # 0-based letters
         self.sides = tuple(build(SubwordDescriptor(ctx.system, w, ctx.pi), memo)
                            for w in words[:2])
-        # their memo entries, for faces; no output names an inner vertex
+        # their memo entries; no output names an inner vertex
         self._entries = tuple(position_complex(ctx.system, w, ctx.pi, memo) for w in words)
         self.inner = self._entries[2].complex, self._entries[3].complex
         self.spherical = self._entries[0].spherical, self._entries[1].spherical
@@ -172,10 +173,20 @@ class MoveFacts:
         return frozenset(side1.word_facets), frozenset(self.from_side2(side2.word_facets))
 
     @cached_property
-    def faces(self) -> tuple[dict, dict]:
-        """The faces of both sides as split families, folded through ``bits``."""
-        window = self.q, self.q + self.m
-        return tuple(e.split_faces(b, *window) for e, b in zip(self._entries, self.bits))
+    def table(self) -> OuterTable:
+        return OuterTable(self)
+
+    @cached_property
+    def walks(self) -> tuple[tuple[Family, Family], ...]:
+        """Per side, the families of its window and of its window shortened
+        by two, window slot l at the side word's position q + l - 1."""
+        return tuple(self.table.walk(w, self.q) for w in self.windows)
+
+    @cached_property
+    def faces(self) -> tuple[Family, Family]:
+        """The faces of both sides as families, side 2's crossed by ``from_side2``."""
+        (faces1, _), (faces2, _) = self.walks
+        return faces1, Family(zip(self.from_side2(faces2), faces2.values()))
 
     @cached_property
     def families(self) -> "Subfamilies":
@@ -189,76 +200,152 @@ def condition(ctx: BraidContext, which: str, k: int) -> bool:
     return not ctx.system.contains_reduced(ctx.side_word(side, k), ctx.pi)
 
 
+class OuterTable:
+    """d -> O(d) for d in W_ij, from side 1's facets.  A facet's outer part
+    (A, B) is in O(d) iff Dem(Q - A) * d >= u, u the least z with pi <= z *
+    Dem(Q' - B): pi taken down by the letters of Q' - B, the last first
+    (Deodhar's Z-property).  Each pair (Dem(Q - A), u) met is a bit of
+    ``labels[d]``, set when in O(d).  The facets' outer parts hold every
+    generator of O(d), so labels compare, include and join as O does."""
+
+    __slots__ = ("system", "labels", "parts")
+
+    def __init__(self, f: MoveFacts):
+        ctx, q, end = f.ctx, f.q, f.q + f.m
+        self.system = sys_ = ctx.system
+        desc, times, le = sys_._desc, sys_._times, sys_._le
+        letters = [s - 1 for s in f.words[0]]
+        window, pi = ((1 << f.m) - 1) << q, sys_._id(ctx.pi)
+        pairs: dict = {}
+        self.parts = parts = {}  # each facet's outer part: its pair's bit
+        for x in f._entries[0].word_facets:
+            if (outer := x & ~window) not in parts:
+                a, u = 0, pi
+                for p in range(q):
+                    if not x >> p & 1 and not desc[a] >> letters[p] & 1:
+                        a = times(a, letters[p])
+                for p in range(len(letters) - 1, end - 1, -1):
+                    if not x >> p & 1 and desc[u] >> letters[p] & 1:
+                        u = times(u, letters[p])
+                parts[outer] = pairs.setdefault((a, u), len(pairs))
+        # W_ij is the prefixes of the two windows; along each, a * d rises,
+        # so a pair's bit is set from the first d with a * d above u on
+        chains = [sys_._demazures(w) for w in f.windows]
+        self.labels = labels = dict.fromkeys(chains[0] + chains[1], 0)
+        for (a, u), n in pairs.items():
+            for w, chain in zip(f.windows, chains):
+                z = a
+                for l, d in enumerate(chain):
+                    if l:
+                        z = z if desc[z] >> w[l - 1] & 1 else times(z, w[l - 1])
+                    if le(u, z):
+                        for e in chain[l:]:
+                            labels[e] |= 1 << n
+                        break
+
+    def walk(self, letters, lo: int) -> tuple[Family, Family]:
+        """The labelled window parts with a non-empty O of a window of two or
+        more 0-based letters, slot p at universe bit lo + p, and of that
+        window without its last two letters.  A walk over the slots keeps per part
+        Dem of the letters left out of it, in W_ij.  Past 2^10 parts it drops
+        those from which keeping all later letters reaches no label, and past
+        MAX_WINDOW_PARTS it refuses."""
+        labels, desc, times = self.labels, self.system._desc, self.system._times
+
+        def dem(d: int, s: int) -> int:  # the Demazure product d * s
+            return d if desc[d] >> s & 1 else times(d, s)
+
+        parts = {0: 0}
+        for p, s in enumerate(letters):
+            if p == len(letters) - 2:
+                short = Family({k: labels[d] for k, d in parts.items() if labels[d]})
+            nxt, b = {}, 1 << (lo + p)
+            for k, d in parts.items():
+                nxt[k], nxt[k | b] = dem(d, s), d
+            if len(nxt) > 1 << 10:  # drop the parts no later letters lift to a label
+                rest = letters[p + 1:]
+                nxt = {k: d for k, d in nxt.items() if labels[reduce(dem, rest, d)]}
+            if len(nxt) > MAX_WINDOW_PARTS:
+                raise ValueError(WINDOW_LIMIT_ERROR)
+            parts = nxt
+        return Family({k: labels[d] for k, d in parts.items() if labels[d]}), short
+
+    def generators(self, label: int) -> list[int]:
+        """The facets' outer parts in the O of a label, which generate it."""
+        return [x for x, n in self.parts.items() if label >> n & 1]
+
+    def flat(self, family: Family) -> frozenset:
+        """The faces of a family as universe masks, every one listed."""
+        return frozenset(k | x for k, label in family.items()
+                         for x in face_set(self.generators(label)))
+
+
+class Family(dict):
+    """A face family {window part: label}, the faces k | x over the outer
+    parts x of the label's O, no label 0.  A difference removes whole
+    parts, exact once the membership checks of the decomposition hold."""
+
+    __slots__ = ()
+
+    def __or__(self, other: Family) -> Family:
+        out = Family(self)
+        for k, label in other.items():
+            out[k] = out.get(k, 0) | label
+        return out
+
+    def __sub__(self, other: Family) -> Family:
+        return Family({k: label for k, label in self.items() if k not in other})
+
+
 @dataclass(frozen=True, eq=False)
 class Subfamilies:
-    """The four interface face families (not downward closed) as split
-    families: d1_int / d2_int hold the faces meeting an internal window
-    vertex, d1_F / d2_G those containing the endpoint edge, each built
-    through the link isomorphisms of the shortened-window complexes."""
+    """The four interface face families (not downward closed): d1_int /
+    d2_int hold the faces meeting an internal window vertex, d1_F / d2_G
+    those containing the endpoint edge, each built through the link
+    isomorphisms of the shortened-window complexes."""
 
-    d1_int: dict
-    d1_F: dict
-    d2_int: dict
-    d2_G: dict
+    d1_int: Family
+    d1_F: Family
+    d2_int: Family
+    d2_G: Family
 
 
-def _link_families(faces: dict, q: int, m: int) -> tuple[dict, dict]:
-    """Images of the inner split faces of one side, window parts over
-    side-word positions: the internal family of that side and the endpoint
-    family of the other; outer parts of keys that meet are joined."""
-    parts: dict = {}
+def _link_families(faces: Family, q: int, m: int) -> tuple[Family, Family]:
+    """Images of the inner faces of one side, window parts over side-word
+    positions: the internal family of that side and the endpoint family of
+    the other; the labels of parts that meet are joined."""
+    internal = Family()
     for l in range(2, m):
         p = q + l - 1  # bit of window slot l
         low = (1 << p) - 1
         here, prev, nxt = 1 << p, 1 << (p - 1), 1 << (p + 1)
         # star of slot l split along its link: faces reaching the next
         # slot, faces reaching the previous slot, and the bare ones
-        for x, outer in faces.items():
+        for x, label in faces.items():
             a = x & low | x >> p << (p + 2) | here  # slots l, l+1 opened
             b = x & low >> 1 | x >> (p - 1) << (p + 1) | here  # l-1, l opened
             for key in (a, b, a | nxt, b | prev):
-                parts.setdefault(key, []).append(outer)
-    internal = {key: frozenset().union(*sets) for key, sets in parts.items()}
+                internal[key] = internal.get(key, 0) | label
     # slots 1 and m opened: inner slot t lands on slot t + 1
-    return internal, {x << 1 | 1 << q | 1 << (q + m - 1): outer for x, outer in faces.items()}
+    return internal, Family({x << 1 | 1 << q | 1 << (q + m - 1): label
+                             for x, label in faces.items()})
 
 
 def subfamilies(f: MoveFacts) -> Subfamilies:
     q, m = f.q, f.m
-    bits = (*range(q + m - 2), *range(q + m, f.L))  # inner positions, Q' moved up by two
-    e1, e2 = f._entries[2:]  # one entry at m = 2, folded once
-    k1 = e1.split_faces(bits, q, q + m - 2)
-    k2 = k1 if e2 is e1 else e2.split_faces(bits, q, q + m - 2)
+    (_, k1), (_, k2) = f.walks  # the shortened windows
     d1_int, d2_G = _link_families(k1, q, m)
     d2_int, d1_F = _link_families(k2, q, m)
-    return Subfamilies(d1_int, d1_F, *(dict(zip(f.from_side2(d), d.values()))
+    return Subfamilies(d1_int, d1_F, *(Family(zip(f.from_side2(d), d.values()))
                                        for d in (d2_int, d2_G)))
 
 
-def tilde(f: MoveFacts, side: int) -> dict:
+def tilde(f: MoveFacts, side: int) -> Family:
     """Largest subcomplex avoiding the endpoint edge and the internal
-    window vertices of the given side, as a split family."""
+    window vertices of the given side, as a family."""
     inside, ends = f.internal[side - 1], f.endpoint
-    return {k: v for k, v in f.faces[side - 1].items() if not k & inside and k & ends != ends}
-
-
-def _join(*fams) -> dict:
-    """The union of split families, key by key."""
-    out: dict = {}
-    for fam in fams:
-        for k, v in fam.items():
-            out[k] = out[k] | v if k in out else v
-    return out
-
-
-def _minus(a: dict, b: dict) -> dict:
-    """The split family a - b, no key left empty."""
-    return {k: rest for k, v in a.items() if (rest := v - b[k] if k in b else v)}
-
-
-def _flat(fam: dict) -> set:
-    """The faces of a split family as universe masks."""
-    return {k | x for k, v in fam.items() for x in v}
+    return Family({k: v for k, v in f.faces[side - 1].items()
+                   if not k & inside and k & ends != ends})
 
 
 @dataclass(frozen=True, eq=False)
@@ -279,52 +366,51 @@ class DecompositionReport:
     chain_checked: bool = True
 
 
-def verify_decomposition(facts: MoveFacts) -> DecompositionReport:
-    faces1, faces2 = facts.faces
-    fams = facts.families
-    t1, t2 = tilde(facts, 1), tilde(facts, 2)
-    (int1, int2), ends = facts.internal, facts.endpoint
-
-    checks: list[tuple[str, bool]] = []
-    mismatches: dict = {}
-
-    def record(name: str, got: dict, want: dict) -> None:
-        ok = got == want
-        checks.append((name, ok))
-        if not ok:
-            mismatches[name] = facts.face_labels(_flat(got) ^ _flat(want))
-
+def _identities(chain: bool, fams: tuple):
+    """(name, got, want) of each identity, over families or over face sets."""
+    faces1, faces2, d1_int, d1_F, d2_int, d2_G, t1, t2, *members = fams
     # families against their direct membership descriptions
-    record("internal family, side 1", fams.d1_int, {k: v for k, v in faces1.items() if k & int1})
-    record("endpoint family, side 1", fams.d1_F,
-           {k: v for k, v in faces1.items() if k & ends == ends})
-    record("internal family, side 2", fams.d2_int, {k: v for k, v in faces2.items() if k & int2})
-    record("endpoint family, side 2", fams.d2_G,
-           {k: v for k, v in faces2.items() if k & ends == ends})
-
+    yield from zip(("internal family, side 1", "endpoint family, side 1",
+                    "internal family, side 2", "endpoint family, side 2"),
+                   (d1_int, d1_F, d2_int, d2_G), members)
     # the reduced complexes coincide
-    record("reduced complexes equal", t1, t2)
-
+    yield "reduced complexes equal", t1, t2
     # side 2 decomposes into the common part and its interface families
-    patch2 = _join(fams.d2_int, fams.d2_G)
-    record("side 2 partition", faces2, _join(t1, patch2))
-    record("side 2 partition disjoint", _minus(t1, patch2), t1)
-
+    patch2 = d2_int | d2_G
+    yield "side 2 partition", faces2, t1 | patch2
+    yield "side 2 partition disjoint", t1 - patch2, t1
     # both sides patched with the other side's families agree
-    record("patched union identity", _join(faces1, patch2),
-           _join(faces2, fams.d1_int, fams.d1_F))
-
+    yield "patched union identity", faces1 | patch2, faces2 | d1_int | d1_F
     # four expressions for the common refinement; these need that no face
     # holds the endpoint edge and an internal vertex at once
-    if facts.chain_checked:
-        both = _join(fams.d1_int, fams.d2_int)
-        t1b, t2b = _join(t1, both), _join(t2, both)
-        record("refinement chain 1=2", _join(_minus(faces1, fams.d1_F), fams.d2_int), t1b)
-        record("refinement chain 2=3", t1b, t2b)
-        record("refinement chain 3=4", t2b, _join(_minus(faces2, fams.d2_G), fams.d1_int))
+    if chain:
+        both = d1_int | d2_int
+        t1b, t2b = t1 | both, t2 | both
+        yield "refinement chain 1=2", faces1 - d1_F | d2_int, t1b
+        yield "refinement chain 2=3", t1b, t2b
+        yield "refinement chain 3=4", t2b, faces2 - d2_G | d1_int
 
-    ok = all(flag for _, flag in checks)
-    return DecompositionReport(ok, tuple(checks), mismatches, facts.chain_checked)
+
+def verify_decomposition(facts: MoveFacts) -> DecompositionReport:
+    (faces1, faces2), fams = facts.faces, facts.families
+    (int1, int2), ends = facts.internal, facts.endpoint
+    base = (faces1, faces2, fams.d1_int, fams.d1_F, fams.d2_int, fams.d2_G,
+            tilde(facts, 1), tilde(facts, 2),
+            Family({k: v for k, v in faces1.items() if k & int1}),
+            Family({k: v for k, v in faces1.items() if k & ends == ends}),
+            Family({k: v for k, v in faces2.items() if k & int2}),
+            Family({k: v for k, v in faces2.items() if k & ends == ends}))
+    chain = facts.chain_checked
+    checks = tuple((name, got == want) for name, got, want in _identities(chain, base))
+    mismatches: dict = {}
+    if not all(ok for _, ok in checks):
+        # a difference of families is exact once the membership checks
+        # hold: on a failure the faces decide and name the mismatches
+        rows = list(_identities(chain, tuple(map(facts.table.flat, base))))
+        checks = tuple((name, got == want) for name, got, want in rows)
+        mismatches = {name: facts.face_labels(got ^ want) for name, got, want in rows
+                      if got != want}
+    return DecompositionReport(not mismatches, checks, mismatches, chain)
 
 
 # -- polynomial bookkeeping -------------------------------------------------
@@ -429,10 +515,17 @@ class CaseReport:
 
 def _interface_expression_ok(f: MoveFacts, facets) -> bool:
     """Whether the complex with these universe facets has the faces
-    (side 1 - d1_F) | d2_int, the common refinement's expression through
-    the interface families under the window hypothesis."""
-    fams = f.families
-    return _flat(_join(_minus(f.faces[0], fams.d1_F), fams.d2_int)) == face_set(facets)
+    (side 1 - d1_F) | d2_int, the common refinement's expression under the
+    window hypothesis: it is down-closed, holds each facet, lies under them.
+    Exact when d1_F passes its membership check (see ``Family``)."""
+    fams, table = f.families, f.table
+    want = f.faces[0] - fams.d1_F | fams.d2_int
+    window = ((1 << f.m) - 1) << f.q | ((1 << (f.m - 2)) - 1) << f.L
+    gens = {k: table.generators(label) for k, label in want.items()}
+    return (all(k ^ 1 << b in want and not label & ~want[k ^ 1 << b]
+                for k, label in want.items() for b in _bits(k))
+            and all(any(not x & ~window & ~g for g in gens.get(x & window, ())) for x in facets)
+            and all(any(not (k | g) & ~x for x in facets) for k, gs in gens.items() for g in gs))
 
 
 def _refine(f: MoveFacts, side: int) -> tuple[frozenset | None, tuple, tuple]:

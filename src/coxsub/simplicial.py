@@ -31,13 +31,16 @@ from .coxeter import MAX_WORD_LETTERS as MAX_VERTICES
 
 Label = Hashable
 
-# Faces are Python ints, some 36 bytes each in a list.  Past this many
-# submasks of the facets, sum 2^|F| counted with repeats even by the face
-# pass that makes each face once (about 150 MB), an enumeration stops; past
-# this many facets a subword complex is not built.  is_flag lists maximal
-# cliques, not faces, and stops past this many nodes of its search.
+# Past this many facets a subword complex is not built, and past this many
+# nodes is_flag's clique search stops.  ``face_set``, the one listing of
+# faces, stops past this many submasks of the facets, counted with repeats
+# (Python ints, about 150 MB).  A move lists window parts, not faces, at
+# most 2^m per complex for a window of m letters, and refuses past
+# MAX_WINDOW_PARTS of them.
 MAX_FACES = 1 << 22
 FACE_LIMIT_ERROR = f"face enumeration too large (limit {MAX_FACES} faces)"
+MAX_WINDOW_PARTS = 1 << 16
+WINDOW_LIMIT_ERROR = f"window enumeration too large (limit {MAX_WINDOW_PARTS} window parts)"
 
 
 def _label_key(v):

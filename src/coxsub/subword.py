@@ -7,11 +7,11 @@ the vertex candidates: two positions are distinct vertices even when they
 carry the same letter.  A position in no facet is not a vertex and is
 dropped; only a summary names the others (``complex_summary``).
 
-The vertex decomposition gives the h-vector (and f and gamma), the facets
-and, on request, the faces, each by a backward pass over the live states
-that one forward pass lists (see ``_kernels``).  The states are kept with
-the complex; the faces are folded afresh for each request, split at a
-window of positions.  Void complexes are told by Bruhat order.
+The vertex decomposition gives the h-vector (and f and gamma) and the
+facets, each by a backward pass over the live states that one forward
+pass lists (see ``_kernels``).  No face is listed: a braid move reads the
+faces of its complexes off the Demazure criterion (``braid.OuterTable``).
+Void complexes are told by Bruhat order.
 """
 
 from __future__ import annotations
@@ -42,13 +42,12 @@ class PositionComplex:
     """Delta(word; pi) with the used 0-based word positions as vertices.
 
     It is made once per (word, pi) and memo from one forward pass: its
-    facets, h-vector and sphericity at once.  The layers of that pass are
-    kept, and ``split_faces`` folds them into the faces on each request,
-    split at the window its caller names.  ``complex`` is the one complex
-    of the pair that every caller reads.
+    facets, h-vector and sphericity at once; the layers of that pass are
+    dropped.  ``complex`` is the one complex of the pair that every caller
+    reads.
     """
 
-    __slots__ = ("complex", "spherical", "word_facets", "_tables")
+    __slots__ = ("complex", "spherical", "word_facets")
 
     def __init__(self, system: CoxeterSystem, word: Word, pi: GroupElement):
         letters = tuple(s - 1 for s in word)
@@ -57,12 +56,10 @@ class PositionComplex:
         # and void iff pi is not below Dem(word) (Knutson-Miller, section 3)
         self.spherical = dem == target
         if not system._le(target, dem):
-            self.word_facets, self.complex, self._tables = [], LabeledComplex.void(), None
+            self.word_facets, self.complex = [], LabeledComplex.void()
             return
-        # kept as tuples: a third of the size of sets, and untracked by the collector
         layers = system._subword_layers(letters, system._id(system.inverse(pi)))
-        layers = [tuple(states) for states in layers]
-        self._tables = tables = system._right, system._desc, letters, layers
+        tables = system._right, system._desc, letters, layers
         # h first: it sums to the facet count, which bounds the facet pass
         h = _kernels.subword_h(*tables)
         if sum(h) > MAX_FACES:
@@ -78,16 +75,6 @@ class PositionComplex:
                 packed = [f & ((1 << p) - 1) | f >> (p + 1) << p for f in packed]
         self.complex = LabeledComplex([p for p in range(len(word)) if used >> p & 1], packed)
         self.complex._know_h(h)
-
-    def split_faces(self, bits, lo: int, hi: int) -> dict:
-        """``_kernels.subword_split_faces`` of the kept layers, {} when void;
-        refused past MAX_FACES faces, the sum of h_k 2^(d-k) over h_0..h_d."""
-        if self._tables is None:
-            return {}
-        h = self.complex.h_vector()
-        if sum(c << (len(h) - 1 - k) for k, c in enumerate(h)) > MAX_FACES:
-            raise ValueError(FACE_LIMIT_ERROR)
-        return _kernels.subword_split_faces(*self._tables, bits, lo, hi)
 
 
 def position_complex(system: CoxeterSystem, word: Word, pi: GroupElement,

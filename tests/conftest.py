@@ -3,8 +3,9 @@ subword oracles, label-set oracles on complexes and on a move's shared
 namespace, and seeded random context/complex generators.  The library's
 complexes have word positions as vertices; ``named`` gives a label-level
 copy for the oracles to compare.  ``float_root_system`` is the floating-
-point root orbit against which the exact root system is checked, and
-``flat_move`` the face-by-face move algebra against which the split one is."""
+point root orbit against which the exact root system is checked,
+``flat_move`` the face-by-face move algebra and ``split_faces`` the face
+fold split at a window, against which the move's outer table is."""
 
 from __future__ import annotations
 
@@ -12,7 +13,7 @@ import itertools
 import random
 from math import cos, pi as PI
 
-from coxsub import _kernels, backend, braid
+from coxsub import _kernels, backend, braid, simplicial
 from coxsub.braid import BraidContext, MoveFacts
 from coxsub.coxeter import CoxeterMatrix, CoxeterSystem
 from coxsub.simplicial import LabeledComplex, face_set
@@ -102,25 +103,44 @@ def run_masks(sys_, word, pi):
 
 
 def face_passes(monkeypatch) -> list:
-    """Record every face fold from now on, one list per ``MoveFacts`` made
-    (by name through ``braid``): the (letters, start) of each complex that
-    the move folds."""
+    """Record from now on, one list per ``MoveFacts`` made (by name through
+    ``braid``), "table" for each outer table it builds and "faces" for each
+    listing of faces, which every face listing of the package makes through
+    ``backend.active.fill_submasks``."""
     moves: list = []
-    kernel, facts = _kernels.subword_split_faces, braid.MoveFacts
-
-    def counted(right, desc, word, layers, bits, lo, hi):
-        (start,) = layers[0]
-        moves[-1].append((word, start))
-        return kernel(right, desc, word, layers, bits, lo, hi)
+    facts, table, fill = braid.MoveFacts, braid.OuterTable, backend.active.fill_submasks
 
     class Counted(facts):
         def __init__(self, *args):
             moves.append([])
             super().__init__(*args)
 
-    monkeypatch.setattr(_kernels, "subword_split_faces", counted)
+    class Table(table):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            moves[-1].append("table")
+            super().__init__(*args)
+
+    def counted(facets, out):
+        if moves:
+            moves[-1].append("faces")
+        return fill(facets, out)
+
     monkeypatch.setattr(braid, "MoveFacts", Counted)
+    monkeypatch.setattr(braid, "OuterTable", Table)
+    monkeypatch.setattr(backend.active, "fill_submasks", counted)
     return moves
+
+
+def no_face_listing(monkeypatch) -> None:
+    """Make every listing of faces raise from now on."""
+    def refuse(*args):
+        raise AssertionError("a face listing on a passing path")
+
+    monkeypatch.setattr(simplicial, "face_set", refuse)
+    monkeypatch.setattr(backend.active, "fill_submasks", refuse)
+    monkeypatch.setattr(simplicial.LabeledComplex, "faces_masks", refuse)
 
 
 def forward_passes(monkeypatch) -> list:
@@ -135,6 +155,38 @@ def forward_passes(monkeypatch) -> list:
 
     monkeypatch.setattr(CoxeterSystem, "_subword_layers", counted)
     return seen
+
+
+def subword_split_faces(right, desc, word, layers, bits, lo, hi):
+    """Every face of the subword DP's start state once, position p as bit
+    bits[p], as {window part: frozenset of outer parts} for the window
+    lo..hi-1: a window step adds p to keys, which share their outer lists,
+    an outer step to outer parts.  A cone point acts as a descent whose
+    deletion is its link."""
+
+    def split(rest, link, p):
+        b, out = 1 << bits[p], rest.copy()
+        if lo <= p < hi:
+            for k, v in link.items():
+                out[k | b] = v
+        else:
+            for k, v in link.items():
+                out[k] = rest[k] + [x | b for x in v]
+        return out
+
+    vals = _kernels.subword_pass(right, desc, word, layers, {0: [0]},
+                                 lambda link, p: split(link, link, p), split)
+    return {k: frozenset(v) for k, v in vals.items()}
+
+
+def split_faces(sys_, word, pi, bits, lo: int, hi: int) -> dict:
+    """``subword_split_faces`` of Delta(word; pi) over its own forward pass,
+    {} when void."""
+    if not sys_.contains_reduced(word, pi):
+        return {}
+    letters = tuple(a - 1 for a in word)
+    layers = sys_._subword_layers(letters, sys_._id(sys_.inverse(pi)))
+    return subword_split_faces(sys_._right, sys_._desc, letters, layers, bits, lo, hi)
 
 
 def brute_facets(sys_, word, pi):
@@ -355,7 +407,8 @@ def check_A3B3_edges(f: MoveFacts) -> bool:
         raise ValueError("needs m > 3")
     if not f.supported:  # for m > 3: both length-3 window conditions
         raise ValueError("needs both length-3 window conditions")
-    for faces, lab in zip(map(flat_faces, f.faces), (f_label, lambda l: g_label(l, m))):
+    for faces, lab in zip((flat_faces(f, x) for x in f.faces),
+                          (f_label, lambda l: g_label(l, m))):
         # the universe bits of window slots 1..m on this side (slot[0] unused)
         slot = [0] + [1 << f.universe.index(lab(l)) for l in range(1, m + 1)]
         if any(slot[k] | slot[l] in faces
@@ -367,10 +420,15 @@ def check_A3B3_edges(f: MoveFacts) -> bool:
 # -- the flat move algebra, face by face -----------------------------------------
 
 
-def flat_faces(family: dict) -> frozenset:
-    """The faces of a split family as universe masks: each window part
-    joined with each of its outer parts."""
-    return frozenset(k | x for k, outer in family.items() for x in outer)
+def outer_parts(f: MoveFacts, label: int) -> frozenset:
+    """The outer parts of a label's O: every submask of its generators."""
+    return frozenset(face_set(f.table.generators(label)))
+
+
+def flat_faces(f: MoveFacts, family: dict) -> frozenset:
+    """The faces of a family of the move f as universe masks: each window
+    part joined with each outer part of its label's O."""
+    return frozenset(k | x for k, label in family.items() for x in outer_parts(f, label))
 
 
 def flat_from_side2(f: MoveFacts, masks) -> frozenset:

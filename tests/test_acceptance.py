@@ -132,11 +132,11 @@ def test_criterion_06_structural_suite():
         m, f = ctx.m, MoveFacts(ctx)
         d1x, d2x = (named(x, f.names(b)) for x, b in zip(f.sides, f.bits))
         # reduced complexes coincide literally in the shared universe
-        assert flat_faces(tilde(f, 1)) == flat_faces(tilde(f, 2))
+        assert flat_faces(f, tilde(f, 1)) == flat_faces(f, tilde(f, 2))
         # side 2 splits into the reduced part and the interface families
         fams = subfamilies(f)
-        kept, d2_int, d2_G = map(flat_faces, (tilde(f, 2), fams.d2_int, fams.d2_G))
-        assert kept | d2_int | d2_G == flat_faces(f.faces[1])
+        kept, d2_int, d2_G = (flat_faces(f, x) for x in (tilde(f, 2), fams.d2_int, fams.d2_G))
+        assert kept | d2_int | d2_G == flat_faces(f, f.faces[1])
         assert kept & (d2_int | d2_G) == set()
         # full decomposition report (chain identities on the hypothesis subset)
         dec = verify_decomposition(f)

@@ -5,10 +5,10 @@ import pytest
 
 from conftest import (braid_step, check_A3B3_edges, f_label, face_label_sets, face_passes,
                       flat_decomposition, flat_faces, flat_move, forward_passes, g_label,
-                      has_face, k_subdivide, named, random_context, side_descriptor, system,
-                      word_labels)
+                      has_face, k_subdivide, named, outer_parts, random_context,
+                      side_descriptor, split_faces, system, word_labels)
 from coxsub import braid
-from coxsub.braid import (BraidContext, MoveFacts, apply_sequence, classify, condition,
+from coxsub.braid import (BraidContext, Family, MoveFacts, apply_sequence, classify, condition,
                           find_move_path, move_context, polynomial_delta, subfamilies,
                           tilde, verify_decomposition)
 from coxsub.simplicial import LabeledComplex, face_set, subdivide
@@ -107,7 +107,7 @@ def test_shared_namespace_crossing():
         # carries its faces as it carries its facets
         for p, label in enumerate(names2):
             assert f.from_side2([1 << p]) == [1 << f.bits[1][p]] == [_mask(f, [label])]
-        assert flat_faces(f.faces[1]) == face_set(f.facets[1])
+        assert flat_faces(f, f.faces[1]) == face_set(f.facets[1])
         # the witnesses' names: each side walks its endpoint edge onto the
         # other side's internal slots, from slot m - 1 down
         slots = range(m - 1, 1, -1)
@@ -126,9 +126,9 @@ def test_shared_namespace_crossing():
 
 
 def test_classify_again_runs_no_forward_pass(monkeypatch):
-    # the forward layers of both sides and of the shortened windows are
-    # kept with their memo entries: classifying a move again only folds
-    # them, each complex at most once per move, the same folds as the first
+    # the memo entries of both sides and of the shortened windows hold all
+    # that a move reads of them: classifying a move again runs no forward
+    # pass, and each classification builds one outer table and lists no face
     rng = random.Random(41)
     moves, forward = face_passes(monkeypatch), forward_passes(monkeypatch)
     for _ in range(40):
@@ -137,10 +137,10 @@ def test_classify_again_runs_no_forward_pass(monkeypatch):
         made = len(forward)
         again = classify(ctx, memo)
         assert len(forward) == made
-        assert moves[-1] == moves[-2] and len(moves[-1]) == len(set(moves[-1])) <= 4
+        assert moves[-1] == moves[-2] == ["table"]
         assert (again.case, again.witness, again.decomposition.checks) == \
             (first.case, first.witness, first.decomposition.checks)
-    assert forward and any(moves)
+    assert forward and len(moves) == 80
 
 
 def test_classify_makes_no_inner_f_vector():
@@ -268,10 +268,10 @@ def test_subfamily_membership():
     for _ in range(40):
         ctx = random_context(rng)
         m, f = ctx.m, MoveFacts(ctx)
-        faces1, faces2 = map(flat_faces, f.faces)
+        faces1, faces2 = (flat_faces(f, x) for x in f.faces)
         fams = subfamilies(f)
-        d1_int, d1_F, d2_int, d2_G = map(flat_faces, (fams.d1_int, fams.d1_F, fams.d2_int,
-                                                      fams.d2_G))
+        d1_int, d1_F, d2_int, d2_G = (flat_faces(f, x) for x in (fams.d1_int, fams.d1_F,
+                                                                fams.d2_int, fams.d2_G))
         internal_f = _mask(f, [f_label(l) for l in range(2, m)])
         internal_g = _mask(f, [g_label(l, m) for l in range(2, m)])
         endpoint = _mask(f, [f_label(1), f_label(m)])
@@ -285,14 +285,14 @@ def test_tilde_isomorphism_and_partition():
     rng = random.Random(16)
     for _ in range(40):
         f = MoveFacts(random_context(rng))
-        t1 = flat_faces(tilde(f, 1))
-        t2 = flat_faces(tilde(f, 2))
+        t1 = flat_faces(f, tilde(f, 1))
+        t2 = flat_faces(f, tilde(f, 2))
         assert t1 == t2  # the shared universe makes the reduced sides literal
         assert all(x & ~(1 << b) in t2 for x in t2 for b in range(x.bit_length()))
         fams = subfamilies(f)
-        rest = flat_faces(fams.d2_int) | flat_faces(fams.d2_G)
+        rest = flat_faces(f, fams.d2_int) | flat_faces(f, fams.d2_G)
         assert t2 & rest == set()
-        assert t2 | rest == flat_faces(f.faces[1])
+        assert t2 | rest == flat_faces(f, f.faces[1])
 
 
 def _remap(face: frozenset, table: dict) -> frozenset:
@@ -353,10 +353,10 @@ def test_mask_families_match_label_reference():
         want_fams, want_reduced = _label_reference(f)
         got = (fams.d1_int, fams.d1_F, fams.d2_int, fams.d2_G)
         for mask_family, label_family in zip(got, want_fams):
-            assert _label_sets(f, flat_faces(mask_family)) == label_family
+            assert _label_sets(f, flat_faces(f, mask_family)) == label_family
         for side, x in zip((1, 2), _named_sides(f)):
-            assert _label_sets(f, flat_faces(f.faces[side - 1])) == set(face_label_sets(x))
-            assert _label_sets(f, flat_faces(tilde(f, side))) == want_reduced[side - 1]
+            assert _label_sets(f, flat_faces(f, f.faces[side - 1])) == set(face_label_sets(x))
+            assert _label_sets(f, flat_faces(f, tilde(f, side))) == want_reduced[side - 1]
     assert seen_m >= {2, 3, 4, 5}
 
 
@@ -388,19 +388,31 @@ def _oracle_contexts() -> list:
 
 
 def test_split_algebra_matches_flat_oracle():
-    # the split families, flattened, and every check against the algebra
-    # that crosses and tests each face on its own
+    # the families of the outer table, flattened, and every check against
+    # the algebra that crosses and tests each face on its own; each
+    # complex's family, window part by window part, against the face fold
+    # split at its window
     seen = set()
     for ctx in _oracle_contexts():
         f = MoveFacts(ctx)
+        q, m = f.q, f.m
         faces, fams, tildes = flat_move(f)
         got = f.families
-        assert tuple(map(flat_faces, f.faces)) == faces
-        assert tuple(map(flat_faces, (got.d1_int, got.d1_F, got.d2_int, got.d2_G))) == fams
-        assert (flat_faces(tilde(f, 1)), flat_faces(tilde(f, 2))) == tildes
-        # no split family holds an empty outer set
+        assert tuple(flat_faces(f, x) for x in f.faces) == faces
+        assert tuple(flat_faces(f, x) for x in (got.d1_int, got.d1_F, got.d2_int,
+                                                got.d2_G)) == fams
+        assert (flat_faces(f, tilde(f, 1)), flat_faces(f, tilde(f, 2))) == tildes
+        # no family holds the label 0 of an empty O
         assert all(all(fam.values()) for fam in (*f.faces, got.d1_int, got.d1_F, got.d2_int,
                                                  got.d2_G, tilde(f, 1), tilde(f, 2)))
+        inner = (*range(q + m - 2), *range(q + m, f.L))  # Q' moved up by two
+        for side in (1, 2):
+            for word, bits, n, fam in (
+                    (ctx.side_word(side), f.bits[side - 1], m, f.faces[side - 1]),
+                    (ctx.side_word(side), range(f.L), m, f.walks[side - 1][0]),
+                    (ctx.side_word(side, 2), inner, m - 2, f.walks[side - 1][1])):
+                want = split_faces(ctx.system, word, ctx.pi, bits, q, q + n)
+                assert {k: outer_parts(f, label) for k, label in fam.items()} == want
         dec = verify_decomposition(f)
         checks, mismatches = flat_decomposition(f, faces, fams, tildes)
         assert dec.checks == checks and dec.mismatches == mismatches == {}
@@ -409,21 +421,21 @@ def test_split_algebra_matches_flat_oracle():
 
 
 def test_mismatches_name_the_faces_a_family_lost(monkeypatch):
-    # a face taken from one family fails the checks that read it, and each
-    # failed check names the faces the flat algebra finds in its symmetric
-    # difference
+    # the faces of one window part taken from one family fail the checks
+    # that read it, and each failed check names the faces the flat algebra
+    # finds in its symmetric difference
     f = MoveFacts(i2_context(4))
     assert f.chain_checked
     faces, fams, tildes = flat_move(f)
-    lost = min(fams[0], key=lambda x: (x.bit_count(), x))
-    d1_int = {k: rest for k, outer in f.families.d1_int.items()
-              if (rest := frozenset(x for x in outer if k | x != lost))}
+    key = min(fams[0], key=lambda x: (x.bit_count(), x)) & ((1 << f.m) - 1) << f.q
+    lost = frozenset(x for x in fams[0] if x & ((1 << f.m) - 1) << f.q == key)
+    d1_int = Family({k: label for k, label in f.families.d1_int.items() if k != key})
     monkeypatch.setattr(f, "families", replace(f.families, d1_int=d1_int))
     dec = verify_decomposition(f)
-    checks, mismatches = flat_decomposition(f, faces, (fams[0] - {lost}, *fams[1:]), tildes)
+    checks, mismatches = flat_decomposition(f, faces, (fams[0] - lost, *fams[1:]), tildes)
     assert not dec.ok and dec.checks == checks
     assert dec.mismatches == mismatches
-    assert mismatches["internal family, side 1"] == f.face_labels([lost])
+    assert mismatches["internal family, side 1"] == f.face_labels(lost)
     assert set(mismatches) == {"internal family, side 1", "patched union identity",
                                "refinement chain 1=2"}
 
@@ -442,7 +454,7 @@ def test_chain_identity_needs_window_conditions():
     fams = subfamilies(f)
     endpoint = _mask(f, [f_label(1), f_label(4)])
     internal = _mask(f, [f_label(2), f_label(3)])
-    bad = [s for s in flat_faces(fams.d1_int) if s & endpoint == endpoint and s & internal]
+    bad = [s for s in flat_faces(f, fams.d1_int) if s & endpoint == endpoint and s & internal]
     assert bad  # the gated faces that break the literal chain equality
 
 
@@ -554,7 +566,7 @@ def test_case1_witness_matches_label_equality():
         rep = classify(ctx)
         equal = named(rep.delta1, rep.names[0]) == named(rep.delta2, rep.names[1])  # the reference
         f = MoveFacts(ctx)
-        assert (f.faces[0] == f.faces[1]) == equal
+        assert (flat_faces(f, f.faces[0]) == flat_faces(f, f.faces[1])) == equal
         assert (f.facets[0] == f.facets[1]) == equal
         if rep.case == 1:
             assert rep.witness_ok == equal

@@ -8,6 +8,7 @@ from dataclasses import replace
 
 import pytest
 
+from conftest import no_face_listing
 from coxsub import cli, rhoposet
 
 
@@ -334,6 +335,18 @@ def _cross_polytope(n):
             "--pi", ",".join(str(k) for k in range(1, n + 1)))
 
 
+def _a1_13_a2():
+    """--group, --word, --pos and --pi of the A2 move 1,2,1 at pi = s1 joined
+    with A1^13: word 1,1,2,2,..,13,13,14,15,14 with the window at 27 and
+    pi = 1..14, 16,384 and 8,192 facets on the sides and 3^13 times more
+    faces."""
+    matrix = [[1 if i == j else 2 for j in range(15)] for i in range(15)]
+    matrix[13][14] = matrix[14][13] = 3
+    return ("--group", json.dumps({"matrix": matrix}),
+            "--word", ",".join([str(k) for k in range(1, 14) for _ in "ab"] + ["14,15,14"]),
+            "--pos", "27", "--pi", ",".join(str(k) for k in range(1, 15)))
+
+
 # SHA-256 of the standard output of the worked examples; a change to any
 # printed byte, ordering or float formatting fails here
 PINNED = [
@@ -406,6 +419,9 @@ PINNED = [
     (("classify", "--group", "H3", "--word", "1,1,1,1,2,1,2,1,2,2,1,1,1", "--pos", "4",
       "--pi", "1,2,1", "--json"),
      "2b090ff88ee1c1903107635f3ab062b311efa36e573697ba686066d6c70ddfb8"),
+    # a move whose sides have more faces than MAX_FACES, none of them listed
+    (("classify", *_a1_13_a2(), "--json"),
+     "64a66df3f7b5ae04fee4aed004889493eda832dad28284bd77027bfeae9fc1a1"),
     # last: test_complex_json_enumerates_no_faces reads it
     (("complex", "--group", "A2", "--word", "1,2,1,2,1", "--pi", "w0", "--json"),
      "172869ea79525533e0f5c0e18e17f2e5c6ff287c25730d3b81a37d4e2855758b"),
@@ -418,7 +434,7 @@ PINNED = [
                               "m5_unsupported", "text_a3", "text_h3", "text_demo_i2",
                               "text_demo_i2_m7", "text_complex", "text_classify",
                               "text_chain", "flag_a1_9", "simplex_a1_20", "a3_13_6",
-                              "heavy_h3", "complex"])
+                              "heavy_h3", "a1_13_a2", "complex"])
 def test_worked_examples_pinned(capsys, tmp_path, argv, digest):
     code, out, _ = run(capsys, *argv)
     assert code == 0
@@ -429,3 +445,41 @@ def test_worked_examples_pinned(capsys, tmp_path, argv, digest):
         code, out, _ = run(capsys, *(str(path) if a == "-" else a for a in argv))
         assert code == 0 and out == ""
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+def test_classify_past_the_face_limit(capsys):
+    # the A2 move 1,2,1 at pi = s1, case 2, joined with A1^13: the same case
+    # and conditions, read from the outer table with no face listed
+    code, out, err = run(capsys, "classify", *_a1_13_a2(), "--json")
+    assert code == 0, err
+    doc = json.loads(out)
+    assert doc["ok"] is True and doc["case"] == 2
+    assert doc["conditions"] == {"A2": False, "B2": True, "A3": True, "B3": True}
+    assert (len(doc["delta1"]["facets"]), len(doc["delta2"]["facets"])) == (16384, 8192)
+
+
+def test_classify_long_window_past_the_part_limit(capsys):
+    # a window of 40 letters at pi = s1 has about 2^40 window parts: refused
+    # at the limit, which the message names, before any check runs
+    from coxsub.simplicial import MAX_WINDOW_PARTS
+
+    code, out, err = run(capsys, "classify", "--group", "I2:40", "--word",
+                         ",".join(["1,2"] * 20), "--pos", "1", "--pi", "1", "--json")
+    assert code == 2 and out == ""
+    assert f"limit {MAX_WINDOW_PARTS} window parts" in err
+
+
+def test_no_face_listed_on_a_passing_path(capsys, monkeypatch):
+    # every listing of faces raises: the oracle moves classify and every
+    # worked example prints its pinned bytes all the same
+    from test_braid import _oracle_contexts
+
+    from coxsub.braid import classify
+
+    no_face_listing(monkeypatch)
+    for ctx in _oracle_contexts():
+        rep = classify(ctx)
+        assert rep.decomposition.ok and rep.witness_ok is not False
+    for argv, digest in PINNED:
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest

@@ -1,6 +1,7 @@
 import random
 
-from conftest import brute_facets, oracle_case, random_pi, run_masks, system
+from conftest import (brute_facets, oracle_case, random_pi, run_masks, subword_split_faces,
+                      system)
 from coxsub import _kernels, backend
 from coxsub.subword import position_complex
 
@@ -75,9 +76,9 @@ def test_forward_pass_lists_exactly_the_live_states():
         # the live states before the last position, and the start, read also
         # when the word is empty
         want = {(p, w) for p, states in enumerate(live[:-1]) for w in states} | {(0, start)}
-        # the face fold with a window over the middle third of the word
+        # the oracle's face fold, with a window over the middle third of the word
         third = len(letters) // 3
-        faces = lambda right, desc, letters, layers: _kernels.subword_split_faces(
+        faces = lambda right, desc, letters, layers: subword_split_faces(
             right, desc, letters, layers, range(len(letters)), third, len(letters) - third)
         for kernel in (_kernels.subword_h, _kernels.reduced_subword_masks, faces):
             visited.clear()

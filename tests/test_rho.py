@@ -477,16 +477,15 @@ def _position_complexes(monkeypatch) -> list:
                                                  ("H3", (1, 2, 3), (), 184),
                                                  ("A3", (1, 1), (1, 3), 15)])
 def test_faces_made_once_per_complex(monkeypatch, name, Q, Qp, passes):
-    # each (word, pi) has one forward pass, made with its memo entry and
-    # kept there; every move folds the faces of each of its complexes at
-    # most once from those layers, split at its own window
-    folds = {"A4": 805, "H3": 354, "A3": 30}[name]
+    # each (word, pi) has one forward pass, made with its memo entry; no
+    # face of any complex is made: every classified move, one per
+    # commutation orbit, reads its faces off one outer table
+    classified = {"A4": 326, "H3": 152, "A3": 14}[name]
     W = system(name)
     made = _position_complexes(monkeypatch)
     moves, forward = face_passes(monkeypatch), forward_passes(monkeypatch)
     build_rho(W, Q, Qp, W.longest_element())
-    assert all(len(seen) == len(set(seen)) <= 4 for seen in moves)
-    assert sum(map(len, moves)) == folds
+    assert len(moves) == classified and all(seen == ["table"] for seen in moves)
     assert len(forward) == len(set(forward)) == passes
     assert sum(not e.complex.is_void for _, e in made) == passes
 

@@ -4,7 +4,7 @@ import pytest
 
 from conftest import (brute_facets, brute_is_face, face_label_sets, has_face, k_subdivide,
                       link_oracle_check, named, oracle_case, random_descriptor, random_pi,
-                      spherical_complex, subword_h_oracle, system)
+                      spherical_complex, split_faces, subword_h_oracle, system)
 from coxsub import braid, subword
 from coxsub.simplicial import MAX_VERTICES, LabeledComplex, face_set, iso_invariant
 from coxsub.subword import (SubwordDescriptor, build, complex_json, complex_summary,
@@ -293,7 +293,7 @@ def test_subword_dp_matches_oracles():
         bits = split_rng.sample(range(len(word)), len(word))
         lo = split_rng.randrange(len(word) + 1)
         hi = split_rng.randrange(lo, len(word) + 1)
-        split = entry.split_faces(bits, lo, hi)
+        split = split_faces(sys_, word, pi, bits, lo, hi)
         if x.is_void:
             seen["void"] += 1
             assert want_h is None and entry.word_facets == [] and split == {}
@@ -312,9 +312,10 @@ def test_subword_dp_matches_oracles():
         assert set(faces) == {sum(1 << bits[p] for p in range(len(word)) if f >> p & 1)
                               for f in face_set(entry.word_facets)}
     assert min(seen.values()) >= 5, seen
-    # the faces refuse past MAX_FACES, as face_set refuses the facets:
-    # 1^40 in A1 with pi = s1 has 2^40 - 1 faces
+    # a listing of faces refuses past MAX_FACES, though the complex builds:
+    # 1^40 in A1 with pi = s1 has 40 facets and 2^40 - 1 faces
     A1 = system("A1")
     entry = position_complex(A1, (1,) * 40, A1.generator(1), {})
+    assert len(entry.word_facets) == 40
     with pytest.raises(ValueError, match="face enumeration too large"):
-        entry.split_faces(range(40), 0, 40)
+        face_set(entry.word_facets)
