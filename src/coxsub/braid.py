@@ -234,22 +234,22 @@ class OuterTable:
         self.labels = labels = dict.fromkeys(chains[0] + chains[1], 0)
         for (a, u), n in pairs.items():
             for w, chain in zip(f.windows, chains):
-                z = a
-                for l, d in enumerate(chain):
+                z = a  # a * chain[l]
+                for l in range(len(chain)):
                     if l:
                         z = z if desc[z] >> w[l - 1] & 1 else times(z, w[l - 1])
                     if le(u, z):
-                        for e in chain[l:]:
-                            labels[e] |= 1 << n
+                        for d in chain[l:]:
+                            labels[d] |= 1 << n
                         break
 
     def walk(self, letters, lo: int) -> tuple[Family, Family]:
         """The labelled window parts with a non-empty O of a window of two or
         more 0-based letters, slot p at universe bit lo + p, and of that
-        window without its last two letters.  A walk over the slots keeps per part
-        Dem of the letters left out of it, in W_ij.  Past 2^10 parts it drops
-        those from which keeping all later letters reaches no label, and past
-        MAX_WINDOW_PARTS it refuses."""
+        window without its last two letters.  A walk over the slots keeps
+        per part Dem of the letters left out of it, in W_ij.  Past 2^10
+        parts it drops those from which keeping all later letters reaches
+        no label, and past MAX_WINDOW_PARTS it refuses."""
         labels, desc, times = self.labels, self.system._desc, self.system._times
 
         def dem(d: int, s: int) -> int:  # the Demazure product d * s
