@@ -292,6 +292,22 @@ def random_context(rng: random.Random, names=("A3", "B3", "H3"),
         return BraidContext(sys_, Q, Qp, i, j, pi)
 
 
+def i2_context(m: int) -> BraidContext:
+    """The move at position 3 of 1,2 followed by the window of I2(m), pi = w0."""
+    sys_ = system(f"I2:{m}")
+    return BraidContext(sys_, (1, 2), (), 1, 2, sys_.longest_element())
+
+
+def oracle_contexts() -> list:
+    """Seeded moves over five groups, the dihedral moves I2(m) for m = 3..12
+    and a move whose refinement chain is not checked."""
+    rng = random.Random(61)
+    contexts = [random_context(rng, names=("A3", "B3", "H3", "A4", "D4")) for _ in range(300)]
+    contexts += [i2_context(m) for m in range(3, 13)]
+    B3 = system("B3")
+    return contexts + [BraidContext(B3, (1, 3, 2), (3,), 3, 2, B3.element_of((1, 2)))]
+
+
 def spherical_complex(rng: random.Random, names=("A2", "A3", "B3"),
                       max_len: int = 9):
     """Random non-void spherical subword complex and its descriptor."""

@@ -5,19 +5,14 @@ import pytest
 
 from conftest import (braid_step, check_A3B3_edges, f_label, face_label_sets, face_passes,
                       flat_decomposition, flat_faces, flat_move, forward_passes, g_label,
-                      has_face, k_subdivide, named, outer_parts, random_context,
-                      side_descriptor, split_faces, system, word_labels)
+                      has_face, i2_context, k_subdivide, named, oracle_contexts, outer_parts,
+                      random_context, side_descriptor, split_faces, system, word_labels)
 from coxsub import braid
 from coxsub.braid import (BraidContext, Family, MoveFacts, apply_sequence, classify, condition,
                           find_move_path, move_context, polynomial_delta, subfamilies,
                           tilde, verify_decomposition)
 from coxsub.simplicial import LabeledComplex, face_set, subdivide
 from coxsub.subword import SubwordDescriptor, build
-
-
-def i2_context(m: int) -> BraidContext:
-    sys_ = system(f"I2:{m}")
-    return BraidContext(sys_, (1, 2), (), 1, 2, sys_.longest_element())
 
 
 def _mask(f: MoveFacts, labels) -> int:
@@ -377,23 +372,13 @@ def test_decomposition_report():
             assert not chain_names
 
 
-def _oracle_contexts() -> list:
-    """Seeded moves over five groups, the dihedral moves I2(m) for m = 3..12
-    and a move whose refinement chain is not checked."""
-    rng = random.Random(61)
-    contexts = [random_context(rng, names=("A3", "B3", "H3", "A4", "D4")) for _ in range(300)]
-    contexts += [i2_context(m) for m in range(3, 13)]
-    B3 = system("B3")
-    return contexts + [BraidContext(B3, (1, 3, 2), (3,), 3, 2, B3.element_of((1, 2)))]
-
-
 def test_split_algebra_matches_flat_oracle():
     # the families of the outer table, flattened, and every check against
     # the algebra that crosses and tests each face on its own; each
     # complex's family, window part by window part, against the face fold
     # split at its window
     seen = set()
-    for ctx in _oracle_contexts():
+    for ctx in oracle_contexts():
         f = MoveFacts(ctx)
         q, m = f.q, f.m
         faces, fams, tildes = flat_move(f)

@@ -8,7 +8,7 @@ from dataclasses import replace
 
 import pytest
 
-from conftest import no_face_listing
+from conftest import no_face_listing, oracle_contexts
 from coxsub import cli, rhoposet
 
 
@@ -472,12 +472,10 @@ def test_classify_long_window_past_the_part_limit(capsys):
 def test_no_face_listed_on_a_passing_path(capsys, monkeypatch):
     # every listing of faces raises: the oracle moves classify and every
     # worked example prints its pinned bytes all the same
-    from test_braid import _oracle_contexts
-
     from coxsub.braid import classify
 
     no_face_listing(monkeypatch)
-    for ctx in _oracle_contexts():
+    for ctx in oracle_contexts():
         rep = classify(ctx)
         assert rep.decomposition.ok and rep.witness_ok is not False
     for argv, digest in PINNED:
