@@ -148,11 +148,12 @@ class MoveFacts:
     @cached_property
     def conditions(self) -> dict:
         """A2, B2, A3 and B3 by name; the length-3 ones are None at m = 2.
-        A2 and B2 say that the inner complexes are void."""
-        long = self.m >= 3
-        return {"A2": self.inner[0].is_void, "B2": self.inner[1].is_void,
-                "A3": condition(self.ctx, "A", 3) if long else None,
-                "B3": condition(self.ctx, "B", 3) if long else None}
+        A2 and B2 say that the inner complexes are void; a window shortened
+        by three is void iff the outer table's label of Dem of its first
+        m - 3 letters is 0."""
+        a3, b3 = (not self.table.labels[self.ctx.system._demazures(w)[self.m - 3]]
+                  if self.m >= 3 else None for w in self.windows)
+        return {"A2": self.inner[0].is_void, "B2": self.inner[1].is_void, "A3": a3, "B3": b3}
 
     @property
     def supported(self) -> bool:
@@ -195,7 +196,8 @@ class MoveFacts:
 
 def condition(ctx: BraidContext, which: str, k: int) -> bool:
     """Window condition: the side word with window shortened by k letters
-    contains no reduced expression of pi ("A" = side 1, "B" = side 2)."""
+    contains no reduced expression of pi ("A" = side 1, "B" = side 2), by
+    a Demazure fold of that word; ``MoveFacts`` reads it off its outer table."""
     side = {"A": 1, "B": 2}[which]
     return not ctx.system.contains_reduced(ctx.side_word(side, k), ctx.pi)
 

@@ -19,8 +19,8 @@ from dataclasses import dataclass, replace
 
 from .braid import BraidContext, classify
 from .coxeter import MAX_REDUCED_WORDS, CoxeterSystem, GroupElement, Word
-from .simplicial import (LabeledComplex, _bits, is_isomorphic_constrained, iso_invariant,
-                         subdivide)
+from .simplicial import (LabeledComplex, _bits, _signatures, is_isomorphic_constrained,
+                         iso_invariant, subdivide)
 from .subword import SubwordDescriptor, build
 
 FRONTIER_CAP = 512  # subdivision classes per depth before the gap scan stops
@@ -106,12 +106,14 @@ class _ClassTable:
     """The isomorphism classes met in one gap scan.  Each class keeps the
     first complex met as its representative, the classes are bucketed by
     ``iso_invariant``, and a class's single edge subdivisions, each on the
-    vertices 0..n, are found, as class ids, when first asked for."""
+    vertices 0..n, are entered and found, as class ids, when first asked
+    for; ``aim`` only tells which of some classes hold one, entering none."""
 
     def __init__(self):
         self.reps: list[LabeledComplex] = []
         self.buckets: dict[tuple, list[int]] = {}
         self.children: dict[int, dict[int, None]] = {}
+        self.edges: dict[int, list[int]] = {}
 
     def intern(self, x: LabeledComplex) -> int:
         bucket = self.buckets.setdefault(iso_invariant(x), [])
@@ -122,29 +124,80 @@ class _ClassTable:
         self.reps.append(x)
         return bucket[-1]
 
+    def edge_masks(self, c: int) -> list[int]:
+        if c not in self.edges:
+            self.edges[c] = self.reps[c].edge_masks()
+        return self.edges[c]
+
+    def child(self, c: int, e: int) -> LabeledComplex:
+        """Class c's representative subdivided at the edge e, at vertex n."""
+        z = self.reps[c]
+        n = len(z.vertices)
+        return LabeledComplex(range(n + 1), subdivide(z.facets, e & -e, e & (e - 1), (1 << n,)))
+
     def subdivisions(self, c: int) -> dict[int, None]:
         kids = self.children.get(c)
         if kids is None:
-            z = self.reps[c]
-            n = len(z.vertices)  # the fresh vertex is bit n
             kids = self.children[c] = dict.fromkeys(
-                self.intern(LabeledComplex(range(n + 1),
-                                           subdivide(z.facets, e & -e, e & (e - 1), (1 << n,))))
-                for e in z.edge_masks())
+                self.intern(self.child(c, e)) for e in self.edge_masks(c))
         return kids
 
+    def aim(self, cur, targets: set) -> dict[int, None]:
+        """The classes of ``targets`` that hold a single edge subdivision of
+        a class of ``cur``, none entered: a child is built, and searched
+        against a target, only where its predicted invariant is the
+        target's, and children already entered are read as class ids."""
+        found: dict[int, None] = {}
+        for c in cur:
+            kids = self.children.get(c)
+            if kids is not None:
+                found.update((t, None) for t in targets if t in kids)
+                continue
+            for e in self.edge_masks(c):
+                if len(found) == len(targets):
+                    return found
+                hits = [t for t in self.buckets.get(_child_invariant(self.reps[c], e), ())
+                        if t in targets and t not in found]
+                x = self.child(c, e) if hits else None
+                for t in hits:
+                    if is_isomorphic_constrained(self.reps[t], x) is not None:
+                        found[t] = None
+                        break
+        return found
 
-def _subdivision_frontiers(table: _ClassTable, c: int, depth: int):
+
+def _child_invariant(z: LabeledComplex, e: int) -> tuple:
+    """``iso_invariant`` of z subdivided at the edge e = {s, t}, read from
+    z's signatures and the star of e, the facets through it: each star
+    facet x gives way to two of its size, so a vertex of x outside e gains
+    |x| once, s and t keep their signatures and the fresh vertex gets |x|
+    twice."""
+    sigs, fresh = list(_signatures(z)), []
+    for x in z.facets:
+        if x & e == e:
+            k = x.bit_count()
+            fresh += (k, k)
+            for v in _bits(x & ~e):
+                sigs[v] += (k,)
+    sigs.append(fresh)
+    return len(z.facets) + len(fresh) // 2, tuple(sorted(tuple(sorted(s)) for s in sigs))
+
+
+def _subdivision_frontiers(table: _ClassTable, c: int, depth: int, last: set):
     """The classes of the iterated single edge subdivisions of class c,
     one insertion-ordered set of class ids per depth 1..depth, and a
     truncation flag.  Once a depth holds more than FRONTIER_CAP classes it
     is cut off after the class whose children crossed the cap, and no
     deeper depth is listed: a class in the cut depth is still a true
     subdivision, but a class missing from it or from the deeper depths
-    proves nothing."""
+    proves nothing.  The last depth is read only for the classes ``last``:
+    when its children, one per edge of each class before it, are at most
+    FRONTIER_CAP, it lists just those of ``last`` it holds (``aim``)."""
     frontiers: list[dict[int, None]] = []
     cur: dict[int, None] = {c: None}
-    for _ in range(depth):
+    for k in range(depth):
+        if k == depth - 1 and sum(len(table.edge_masks(z)) for z in cur) <= FRONTIER_CAP:
+            return frontiers + [table.aim(cur, last)], False
         nxt: dict[int, None] = {}
         for z in cur:
             nxt.update(table.subdivisions(z))
@@ -276,9 +329,10 @@ def semilattice_check(p: RhoPoset) -> SemilatticeResult:
 
 def _gap_scan(p: RhoPoset, memo: dict) -> GapReport:
     """Compare the order with its definition through one class table:
-    isomorphic representatives share a class id, and each class met is
-    subdivided once however many frontiers reach it.  The class
-    representatives are built through ``memo`` (see ``subword.build``)."""
+    isomorphic representatives share a class id, and each class met before
+    a last depth is subdivided once however many frontiers reach it; a last
+    depth is searched for its targets alone.  The class representatives
+    are built through ``memo`` (see ``subword.build``)."""
     n = len(p.classes)
     reps = [build(SubwordDescriptor(p.system, p.Q + p.class_rep(c) + p.Qp, p.pi), memo)
             for c in range(n)]
@@ -296,7 +350,8 @@ def _gap_scan(p: RhoPoset, memo: dict) -> GapReport:
         if not targets or reps[a].is_void:
             continue
         depth = max(f0[b] - f0[a] for b in targets)
-        frontiers, trunc = _subdivision_frontiers(table, ids[a], depth)
+        last = {ids[b] for b in targets if f0[b] - f0[a] == depth}
+        frontiers, trunc = _subdivision_frontiers(table, ids[a], depth, last)
         truncated = truncated or trunc
         for b in targets:
             d = f0[b] - f0[a]

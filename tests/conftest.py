@@ -5,7 +5,9 @@ complexes have word positions as vertices; ``named`` gives a label-level
 copy for the oracles to compare.  ``float_root_system`` is the floating-
 point root orbit against which the exact root system is checked,
 ``flat_move`` the face-by-face move algebra and ``split_faces`` the face
-fold split at a window, against which the move's outer table is."""
+fold split at a window, against which the move's outer table is.
+``reference_gap`` is the gap scan that enters every subdivision of every
+depth in its class table, against which the aimed scan is checked."""
 
 from __future__ import annotations
 
@@ -13,10 +15,12 @@ import itertools
 import random
 from math import cos, pi as PI
 
-from coxsub import _kernels, backend, braid, simplicial
+from coxsub import _kernels, backend, braid, rhoposet, simplicial
 from coxsub.braid import BraidContext, MoveFacts
 from coxsub.coxeter import CoxeterMatrix, CoxeterSystem
-from coxsub.simplicial import LabeledComplex, face_set
+from coxsub.rhoposet import GapReport, RhoPoset
+from coxsub.simplicial import (LabeledComplex, face_set, is_isomorphic_constrained,
+                               iso_invariant, subdivide)
 from coxsub.subword import SubwordDescriptor, build
 
 _SYSTEMS: dict = {}
@@ -519,3 +523,78 @@ def flat_decomposition(f: MoveFacts, faces, fams, tildes) -> tuple[tuple, dict]:
         record("refinement chain 2=3", t1 | both, t2 | both)
         record("refinement chain 3=4", t2 | both, (faces2 - d2_G) | d1_int)
     return tuple(checks), mismatches
+
+
+class ReferenceClassTable:
+    """The gap scan's class table with every child entered: a class's
+    single edge subdivisions, each on the vertices 0..n, are found, as
+    class ids, when first asked for."""
+
+    def __init__(self):
+        self.reps: list[LabeledComplex] = []
+        self.buckets: dict[tuple, list[int]] = {}
+        self.children: dict[int, dict[int, None]] = {}
+
+    def intern(self, x: LabeledComplex) -> int:
+        bucket = self.buckets.setdefault(iso_invariant(x), [])
+        for c in bucket:
+            if is_isomorphic_constrained(self.reps[c], x) is not None:
+                return c
+        bucket.append(len(self.reps))
+        self.reps.append(x)
+        return bucket[-1]
+
+    def subdivisions(self, c: int) -> dict[int, None]:
+        kids = self.children.get(c)
+        if kids is None:
+            z = self.reps[c]
+            n = len(z.vertices)  # the fresh vertex is bit n
+            kids = self.children[c] = dict.fromkeys(
+                self.intern(LabeledComplex(range(n + 1),
+                                           subdivide(z.facets, e & -e, e & (e - 1), (1 << n,))))
+                for e in z.edge_masks())
+        return kids
+
+
+def reference_frontiers(table: ReferenceClassTable, c: int, depth: int):
+    """Every depth 1..depth of class c's iterated single edge subdivisions
+    as a set of class ids, cut at ``rhoposet.FRONTIER_CAP`` as the library
+    cuts it, and a truncation flag."""
+    frontiers: list[dict[int, None]] = []
+    cur: dict[int, None] = {c: None}
+    for _ in range(depth):
+        nxt: dict[int, None] = {}
+        for z in cur:
+            nxt.update(table.subdivisions(z))
+            if len(nxt) > rhoposet.FRONTIER_CAP:
+                return frontiers + [nxt], True
+        frontiers.append(nxt)
+        cur = nxt
+    return frontiers, False
+
+
+def reference_gap(p: RhoPoset) -> GapReport:
+    """The gap scan of an order with every frontier listed in full."""
+    if len(p.words) > rhoposet.GAP_SCAN_WORDS:
+        return GapReport(checked=False)
+    n = len(p.classes)
+    reps = [build(SubwordDescriptor(p.system, p.Q + p.class_rep(c) + p.Qp, p.pi))
+            for c in range(n)]
+    table = ReferenceClassTable()
+    ids = [table.intern(x) for x in reps]
+    f0 = [0 if x.is_void else len(x.vertices) for x in reps]
+    iso_pairs = tuple((p.class_rep(a), p.class_rep(b))
+                      for a in range(n) for b in range(a + 1, n) if ids[a] == ids[b])
+    subdivision_pairs, truncated = [], False
+    for a in range(n):
+        targets = [b for b in range(n) if not p.leq[a] >> b & 1 and f0[b] > f0[a]]
+        if not targets or reps[a].is_void:
+            continue
+        frontiers, trunc = reference_frontiers(table, ids[a],
+                                               max(f0[b] - f0[a] for b in targets))
+        truncated = truncated or trunc
+        for b in targets:
+            d = f0[b] - f0[a]
+            if d <= len(frontiers) and ids[b] in frontiers[d - 1]:
+                subdivision_pairs.append((p.class_rep(a), p.class_rep(b)))
+    return GapReport(True, truncated, iso_pairs, tuple(subdivision_pairs))

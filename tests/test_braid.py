@@ -721,3 +721,23 @@ def test_random_sweep():
             assert rep.poly.h_ok
             assert rep.poly.gamma_ok is not False
     assert counts[1] > 0 and counts[2] + counts[3] > 0  # the sweep saw variety
+
+
+def test_length3_conditions_read_off_the_outer_table(monkeypatch):
+    # a window shortened by three is void iff the label of Dem of its first
+    # m - 3 letters is 0: the oracle moves agree with the Demazure fold of
+    # ``condition``, and no classification folds a word of its own
+    from coxsub.coxeter import CoxeterSystem
+
+    contexts = oracle_contexts()
+    want = [(condition(ctx, "A", 3), condition(ctx, "B", 3)) if ctx.m >= 3 else (None, None)
+            for ctx in contexts]
+    calls = []
+    direct = CoxeterSystem.contains_reduced
+    monkeypatch.setattr(CoxeterSystem, "contains_reduced",
+                        lambda self, *a: calls.append(a) or direct(self, *a))
+    for ctx, pair in zip(contexts, want):
+        rep = classify(ctx)
+        assert (rep.A3, rep.B3) == pair, ctx
+    assert not calls
+    assert {a for pair in want for a in pair} == {None, True, False}

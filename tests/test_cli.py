@@ -422,6 +422,11 @@ PINNED = [
     # a move whose sides have more faces than MAX_FACES, none of them listed
     (("classify", *_a1_13_a2(), "--json"),
      "64a66df3f7b5ae04fee4aed004889493eda832dad28284bd77027bfeae9fc1a1"),
+    # the heaviest order of the seed-0 order stream: a depth-2 gap scan
+    # finding 2 isomorphism and 9 subdivision pairs
+    (("poset", "--group", "A3", "--Q", "2,1", "--Qprime", "1,3", "--pi", "w0",
+      "--json", "-"),
+     "32a66a652cef938fc67d88262ef94430c0306ea430838140677e2da2a1c3cbb7"),
     # last: test_complex_json_enumerates_no_faces reads it
     (("complex", "--group", "A2", "--word", "1,2,1,2,1", "--pi", "w0", "--json"),
      "172869ea79525533e0f5c0e18e17f2e5c6ff287c25730d3b81a37d4e2855758b"),
@@ -434,7 +439,7 @@ PINNED = [
                               "m5_unsupported", "text_a3", "text_h3", "text_demo_i2",
                               "text_demo_i2_m7", "text_complex", "text_classify",
                               "text_chain", "flag_a1_9", "simplex_a1_20", "a3_13_6",
-                              "heavy_h3", "a1_13_a2", "complex"])
+                              "heavy_h3", "a1_13_a2", "heavy_order", "complex"])
 def test_worked_examples_pinned(capsys, tmp_path, argv, digest):
     code, out, _ = run(capsys, *argv)
     assert code == 0

@@ -3,13 +3,15 @@ import random
 
 import pytest
 
-from conftest import braid_step, face_passes, forward_passes, k_subdivide, system
+from conftest import (braid_step, face_passes, forward_passes, k_subdivide, reference_gap,
+                      system)
 from coxsub import backend, cli, rhoposet, subword
 from coxsub.braid import apply_sequence, classify, move_context
 from coxsub.rhoposet import (GapReport, RhoPoset, SemilatticeResult, build_rho,
                              export_dot, poset_json, semilattice_check,
                              transitive_reduction)
-from coxsub.simplicial import is_isomorphic_constrained, iso_invariant
+from coxsub.simplicial import (LabeledComplex, is_isomorphic_constrained, iso_invariant,
+                               subdivide)
 from coxsub.subword import SubwordDescriptor, build
 
 
@@ -385,6 +387,77 @@ def test_gap_scan_matches_per_class_frontiers(name):
         assert got.checked and not got.truncated
         assert (got.iso_pairs, got.subdivision_pairs) == \
             (want.iso_pairs, want.subdivision_pairs), (Q, Qp)
+
+
+def _a3_pairs() -> list:
+    """The 81 orders of A3 w0 inside Q + w + Q' for two-letter Q and Q'."""
+    words = [(i, j) for i in range(1, 4) for j in range(1, 4)]
+    return [(Q, Qp) for Q in words for Qp in words]
+
+
+def _gap_fields(gap: GapReport) -> tuple:
+    return gap.checked, gap.truncated, gap.iso_pairs, gap.subdivision_pairs
+
+
+@pytest.mark.parametrize("cap", [4, 32, 512])
+def test_aimed_gap_scan_matches_reference_a3_pairs(monkeypatch, cap):
+    # the last depth searched only for its targets, or entered in full
+    # where its children could cross the cap: the same report either way
+    monkeypatch.setattr(rhoposet, "FRONTIER_CAP", cap)
+    A3 = system("A3")
+    gaps = []
+    for Q, Qp in _a3_pairs():
+        p = build_rho(A3, Q, Qp, A3.longest_element())
+        gaps.append(_gap_fields(p.gap))
+        assert gaps[-1] == _gap_fields(reference_gap(p)), (Q, Qp)
+    assert any(g[1] for g in gaps) == (cap < 512)
+    assert sum(len(g[3]) for g in gaps) > 0
+
+
+def _random_order(rng: random.Random) -> tuple:
+    """A seeded order over A2, B2, I2:5, A3 and B3, rank 3 drawn more often:
+    Q and Q' of up to four letters around w0, or, in B3, around the element
+    of a prefix of 6 to 8 letters of a reduced word of w0."""
+    name = rng.choice(("A2", "B2", "I2:5", "A3", "A3", "A3", "B3", "B3"))
+    W = system(name)
+    Q, Qp = (tuple(rng.randrange(1, W.rank + 1) for _ in range(rng.randrange(5)))
+             for _ in "QP")
+    pi = W.longest_element()
+    if name == "B3":  # w0 has 42 reduced words, past GAP_SCAN_WORDS
+        pi = W.element_of(rng.choice(W.reduced_words(pi))[:rng.randrange(6, 9)])
+    return W, Q, Qp, pi
+
+
+@pytest.mark.parametrize("cap", [4, 512])
+def test_aimed_gap_scan_matches_reference_random_orders(monkeypatch, cap):
+    monkeypatch.setattr(rhoposet, "FRONTIER_CAP", cap)
+    rng = random.Random(3)
+    orders = [_random_order(rng) for _ in range(30)]
+    gaps = []
+    for W, Q, Qp, pi in orders:
+        p = build_rho(W, Q, Qp, pi)
+        gaps.append(_gap_fields(p.gap))
+        assert gaps[-1] == _gap_fields(reference_gap(p)), (W.rank, Q, Qp)
+    assert all(g[0] for g in gaps)
+    assert sum(len(g[2]) > 0 for g in gaps) >= 3 and sum(len(g[3]) > 0 for g in gaps) >= 3
+    assert any(len(set(w)) < len(w) for _, Q, Qp, _ in orders for w in (Q, Qp))
+
+
+def test_child_invariant_predicts_the_subdivision():
+    # iso_invariant of the child, read from the parent and the edge's star
+    A3 = system("A3")
+    edges = 0
+    for Q, Qp in _a3_pairs():
+        p = build_rho(A3, Q, Qp, A3.longest_element())
+        for c in range(len(p.classes)):
+            z = build(SubwordDescriptor(A3, Q + p.class_rep(c) + Qp, p.pi))
+            n = len(z.vertices)
+            for e in z.edge_masks():
+                child = LabeledComplex(range(n + 1),
+                                       subdivide(z.facets, e & -e, e & (e - 1), (1 << n,)))
+                assert rhoposet._child_invariant(z, e) == iso_invariant(child)
+                edges += 1
+    assert edges > 1000
 
 
 def _classify_calls(monkeypatch) -> list:
