@@ -48,9 +48,9 @@ once, as a ``MoveFacts``, and hands them to every check it runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import zip_longest
+from typing import NamedTuple
 
 from .coxeter import MAX_REDUCED_WORDS, CoxeterSystem, GroupElement, Word
 from .simplicial import (MAX_WINDOW_PARTS, WINDOW_LIMIT_ERROR, LabeledComplex, _bits,
@@ -58,25 +58,29 @@ from .simplicial import (MAX_WINDOW_PARTS, WINDOW_LIMIT_ERROR, LabeledComplex, _
 from .subword import SubwordDescriptor, build, position_complex
 
 
-@dataclass(frozen=True)
-class BraidContext:
+def _record(cls):
+    """A NamedTuple class whose instances compare and hash by identity, as a
+    report is one result, not a value; a copy is made by ``_replace``."""
+    cls.__eq__, cls.__ne__, cls.__hash__ = object.__eq__, object.__ne__, object.__hash__
+    return cls
+
+
+class BraidContext(NamedTuple("BraidContext", [("system", CoxeterSystem), ("Q", Word),
+                                               ("Qp", Word), ("i", int), ("j", int),
+                                               ("pi", GroupElement)])):
     """One braid move: prefix Q, window letters i,j, suffix Q', target pi."""
 
-    system: CoxeterSystem
-    Q: Word
-    Qp: Word
-    i: int
-    j: int
-    pi: GroupElement
+    __slots__ = ()
 
-    def __post_init__(self):
-        check = self.system.check_word
-        object.__setattr__(self, "Q", check(self.Q))
-        object.__setattr__(self, "Qp", check(self.Qp))
-        check((self.i, self.j))
-        if self.i == self.j:
+    def __new__(cls, system: CoxeterSystem, Q: Word, Qp: Word, i: int, j: int,
+                pi: GroupElement):
+        check = system.check_word
+        self = super().__new__(cls, system, check(Q), check(Qp), i, j, pi)
+        check((i, j))
+        if i == j:
             raise ValueError("window letters must differ")
         check(self.side_word(1))
+        return self
 
     @property
     def m(self) -> int:
@@ -299,8 +303,8 @@ class Family(dict):
         return Family({k: label for k, label in self.items() if k not in other})
 
 
-@dataclass(frozen=True, eq=False)
-class Subfamilies:
+@_record
+class Subfamilies(NamedTuple):
     """The four interface face families (not downward closed): d1_int /
     d2_int hold the faces meeting an internal window vertex, d1_F / d2_G
     those containing the endpoint edge, each built through the link
@@ -350,8 +354,8 @@ def tilde(f: MoveFacts, side: int) -> Family:
                    if not k & inside and k & ends != ends})
 
 
-@dataclass(frozen=True, eq=False)
-class DecompositionReport:
+@_record
+class DecompositionReport(NamedTuple):
     """Face-set identities tying the two sides together over the shared
     universe; ``checks`` preserves evaluation order, ``mismatches`` holds
     up to five offending faces (as labels) per failed check.
@@ -426,8 +430,8 @@ def _coeff_sub(a, b) -> tuple[int, ...]:
     return tuple(d)
 
 
-@dataclass(frozen=True, eq=False)
-class PolyDeltaReport:
+@_record
+class PolyDeltaReport(NamedTuple):
     """Both sides of the subdivision bookkeeping identities.
 
     ``delta_h``/``rhs_h`` are monomial dicts {(deg_alpha, deg_t): coeff};
@@ -484,8 +488,8 @@ CASE_NAMES = {
 }
 
 
-@dataclass(frozen=True, eq=False)
-class CaseReport:
+@_record
+class CaseReport(NamedTuple):
     """Verdict for one braid move.
 
     ``case`` is 1..4 or None (window too long and the length-3 conditions
@@ -587,14 +591,14 @@ def classify(ctx: BraidContext, memo: dict | None = None) -> CaseReport:
 # -- sequences of moves -------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class SequenceStep:
+@_record
+class SequenceStep(NamedTuple):
     pos: int  # 1-based start of the replaced window
     report: CaseReport
 
 
-@dataclass(frozen=True, eq=False)
-class SequenceReport:
+@_record
+class SequenceReport(NamedTuple):
     words: tuple[Word, ...]
     steps: tuple[SequenceStep, ...]
     rows: tuple[dict, ...]  # summary per word, aligned with ``words``

@@ -12,7 +12,6 @@ All output is deterministic for a fixed invocation.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
@@ -318,6 +317,7 @@ def cmd_demo(args) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    import argparse  # here, so that importing the package does not load it
     top = argparse.ArgumentParser(
         prog="coxsub",
         description="subword complexes of Coxeter systems and their braid moves")

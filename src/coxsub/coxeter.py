@@ -30,11 +30,10 @@ from __future__ import annotations
 import json
 import re
 from collections import deque
-from dataclasses import dataclass
 from functools import cache
 from math import gcd, lcm
 from operator import index as _int
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 Word = tuple[int, ...]
 
@@ -194,9 +193,9 @@ class CoxeterMatrix:
 
 
 def _root_system(m: dict, n: int) -> tuple[tuple, list[list[int]]]:
-    """(roots, reflect): the N positive roots, simple roots first, then
-    root r + N = -root r; reflect[b][c] indexes s_beta(gamma) for beta =
-    roots[b], gamma = roots[c].  Coordinate i of a root lies in Z[zeta],
+    """(roots, reflect): the N positive roots, simple roots first; index
+    r + N stands for -root r, and reflect[b][c] indexes s_beta(gamma) for
+    beta = root b, gamma = root c.  Coordinate i of a root lies in Z[zeta],
     zeta = e^(i pi / M), M the lcm of the labels of the piece of the
     Coxeter graph holding i, as its residue modulo the 2M-th cyclotomic
     polynomial, constant term first; 2B(a_i, a_j) = -(zeta^(M/m_ij) +
@@ -251,7 +250,6 @@ def _root_system(m: dict, n: int) -> tuple[tuple, list[list[int]]]:
     for s, row in enumerate(perm):
         row[s] = s + size
         row += [(k + size) % (2 * size) for k in row]
-    roots += [tuple(tuple(-x for x in c) for c in v) for v in roots]
     # s_beta for beta = s(gamma) is s s_gamma s, and s_-beta is s_beta
     reflect = perm[:]
     for r, s in parent:
@@ -260,8 +258,7 @@ def _root_system(m: dict, n: int) -> tuple[tuple, list[list[int]]]:
     return tuple(roots), reflect + reflect
 
 
-@dataclass(frozen=True, slots=True)
-class GroupElement:
+class GroupElement(NamedTuple):
     """Group element as the indices of the roots it sends the simple roots to.
 
     The tuple determines the element, so equality and hashing are exact.
@@ -290,6 +287,7 @@ class CoxeterSystem:
         self._desc = [0]  # right descents of each id as a bitmask, bit s for s_(s+1)
         self._len = [0]
         self._le = cache(self._le)  # every pass asks the same few Bruhat pairs again
+        self._inv = cache(self._inv)  # every build of an entry asks for pi^-1
 
     # -- element plumbing ------------------------------------------------
 
@@ -310,8 +308,8 @@ class CoxeterSystem:
             self._ids[roots] = h
             self._elements.append(GroupElement(roots))
             self._right.append([-1] * self.rank)
-            half = len(self.roots) // 2  # roots from half on are negative
-            self._desc.append(sum(1 << j for j, c in enumerate(roots) if c >= half))
+            n = len(self.roots)  # index r + N is the negative root -r
+            self._desc.append(sum(1 << j for j, c in enumerate(roots) if c >= n))
             self._len.append(self._len[g] + (-1 if self._desc[g] >> s & 1 else 1))
         self._right[g][s] = h
         self._right[h][s] = g
@@ -358,7 +356,11 @@ class CoxeterSystem:
         return self._elements[self._fold(self._id(g), self.word_of(h))]
 
     def inverse(self, g: GroupElement) -> GroupElement:
-        return self._elements[self._fold(0, reversed(self.word_of(g)))]
+        return self._elements[self._inv(self._id(g))]
+
+    def _inv(self, g: int) -> int:
+        """Id of g^-1, a reduced word of g folded backwards; once per id (``__init__``)."""
+        return self._fold(0, reversed(self.word_of(self._elements[g])))
 
     def is_identity(self, g: GroupElement) -> bool:
         return g == self.identity

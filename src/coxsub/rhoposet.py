@@ -15,9 +15,9 @@ likewise checked rather than assumed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
-from .braid import BraidContext, classify
+from .braid import BraidContext, _record, classify
 from .coxeter import MAX_REDUCED_WORDS, CoxeterSystem, GroupElement, Word
 from .simplicial import (LabeledComplex, _bits, _signatures, is_isomorphic_constrained,
                          iso_invariant, subdivide)
@@ -27,8 +27,8 @@ FRONTIER_CAP = 512  # subdivision classes per depth before the gap scan stops
 GAP_SCAN_WORDS = 24  # the gap scan runs on orders of at most this many words
 
 
-@dataclass(frozen=True, eq=False)
-class MoveEdge:
+@_record
+class MoveEdge(NamedTuple):
     """One classified single-braid-move pair of reduced words."""
 
     word_a: Word
@@ -42,8 +42,8 @@ class MoveEdge:
     report: object = None
 
 
-@dataclass(frozen=True, eq=False)
-class SemilatticeResult:
+@_record
+class SemilatticeResult(NamedTuple):
     applicable: bool
     meet: bool | None = None
     join: bool | None = None
@@ -51,8 +51,8 @@ class SemilatticeResult:
     join_certificate: tuple | None = None
 
 
-@dataclass(frozen=True, eq=False)
-class GapReport:
+@_record
+class GapReport(NamedTuple):
     """Relations required by the definition but absent from the generated
     order: isomorphic representatives in distinct classes, and subdivision
     reachability between unrelated classes."""
@@ -68,8 +68,8 @@ class GapReport:
             and not self.iso_pairs and not self.subdivision_pairs
 
 
-@dataclass(frozen=True, eq=False)
-class RhoPoset:
+@_record
+class RhoPoset(NamedTuple):
     system: CoxeterSystem
     Q: Word
     Qp: Word
@@ -294,7 +294,7 @@ def build_rho(system: CoxeterSystem, Q, Qp, pi: GroupElement,
                      GapReport(checked=False))
     semilattice = semilattice_check(poset) if antisymmetric else poset.semilattice
     gap = _gap_scan(poset, memo) if len(words) <= GAP_SCAN_WORDS else poset.gap
-    return replace(poset, semilattice=semilattice, gap=gap)
+    return poset._replace(semilattice=semilattice, gap=gap)
 
 
 def semilattice_check(p: RhoPoset) -> SemilatticeResult:

@@ -16,9 +16,9 @@ Void complexes are told by Bruhat order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from operator import or_
+from typing import NamedTuple
 
 from . import _kernels
 from .backend import active as _K
@@ -26,16 +26,14 @@ from .coxeter import CoxeterSystem, GroupElement, Word
 from .simplicial import FACE_LIMIT_ERROR, MAX_FACES, MAX_VERTICES, LabeledComplex
 
 
-@dataclass(frozen=True)
-class SubwordDescriptor:
+class SubwordDescriptor(NamedTuple("SubwordDescriptor", [("system", CoxeterSystem),
+                                                         ("word", Word), ("pi", GroupElement)])):
     """A word in the generators together with a target group element."""
 
-    system: CoxeterSystem
-    word: Word
-    pi: GroupElement
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "word", self.system.check_word(self.word))
+    def __new__(cls, system: CoxeterSystem, word: Word, pi: GroupElement):
+        return super().__new__(cls, system, system.check_word(word), pi)
 
 
 class PositionComplex:
@@ -58,7 +56,7 @@ class PositionComplex:
         if not system._le(target, dem):
             self.word_facets, self.complex = [], LabeledComplex.void()
             return
-        layers = system._subword_layers(letters, system._id(system.inverse(pi)))
+        layers = system._subword_layers(letters, system._inv(target))
         tables = system._right, system._desc, letters, layers
         # h first: it sums to the facet count, which bounds the facet pass
         h = _kernels.subword_h(*tables)

@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -135,6 +134,10 @@ def test_classify_again_runs_no_forward_pass(monkeypatch):
         assert moves[-1] == moves[-2] == ["table"]
         assert (again.case, again.witness, again.decomposition.checks) == \
             (first.case, first.witness, first.decomposition.checks)
+        # a report is one result: its copy, every field the same, is another
+        copy = first._replace()
+        assert tuple(copy) == tuple(first) and copy != first and not copy == first
+        assert len({first, copy, first}) == 2
     assert forward and len(moves) == 80
 
 
@@ -415,7 +418,7 @@ def test_mismatches_name_the_faces_a_family_lost(monkeypatch):
     key = min(fams[0], key=lambda x: (x.bit_count(), x)) & ((1 << f.m) - 1) << f.q
     lost = frozenset(x for x in fams[0] if x & ((1 << f.m) - 1) << f.q == key)
     d1_int = Family({k: label for k, label in f.families.d1_int.items() if k != key})
-    monkeypatch.setattr(f, "families", replace(f.families, d1_int=d1_int))
+    monkeypatch.setattr(f, "families", f.families._replace(d1_int=d1_int))
     dec = verify_decomposition(f)
     checks, mismatches = flat_decomposition(f, faces, (fams[0] - lost, *fams[1:]), tildes)
     assert not dec.ok and dec.checks == checks

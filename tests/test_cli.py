@@ -4,7 +4,6 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import replace
 
 import pytest
 
@@ -227,9 +226,9 @@ def test_poset_gap_not_checked(capsys):
 
 
 @pytest.mark.parametrize("fail", [
-    lambda rep: replace(rep, witness_ok=False),
-    lambda rep: replace(rep, decomposition=replace(rep.decomposition, ok=False)),
-    lambda rep: replace(rep, poly=rep.poly and replace(rep.poly, h_ok=False)),
+    lambda rep: rep._replace(witness_ok=False),
+    lambda rep: rep._replace(decomposition=rep.decomposition._replace(ok=False)),
+    lambda rep: rep._replace(poly=rep.poly and rep.poly._replace(h_ok=False)),
 ], ids=["witness", "decomposition", "h_identity"])
 def test_poset_failed_check_exits_3(capsys, monkeypatch, fail):
     # a failed witness leaves the edge unoriented, and a failed identity
@@ -315,6 +314,19 @@ def test_closed_stdout_exits_1():
     err = proc.stderr.read()
     proc.stderr.close()
     assert proc.wait(timeout=120) == 1 and err == b""
+
+
+def test_cold_import_loads_neither_dataclasses_nor_argparse():
+    # every one-shot run pays for the modules the package loads: argparse
+    # waits for main, and no class is generated by dataclasses; -S keeps
+    # site's own imports out of the count
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+            "import coxsub.braid, coxsub.rhoposet, coxsub.subword, coxsub.cli; "
+            "print(sorted({'dataclasses', 'argparse', 'coxsub.cli'} & set(sys.modules)))")
+    done = subprocess.run([sys.executable, "-S", "-c", code, src], capture_output=True,
+                          text=True, timeout=60, check=True)
+    assert done.stdout == "['coxsub.cli']\n"  # the package loaded, and neither module
 
 
 def test_group_spec_file(capsys, tmp_path):

@@ -6,7 +6,8 @@ from conftest import (braid_step, random_pi, roots_match_float_orbit, run_masks,
                       subword_h_oracle, system)
 from coxsub import coxeter
 from coxsub.braid import BraidContext
-from coxsub.coxeter import MAX_ROOTS, MAX_WORD_LETTERS, CoxeterMatrix, CoxeterSystem
+from coxsub.coxeter import (MAX_ROOTS, MAX_WORD_LETTERS, CoxeterMatrix, CoxeterSystem,
+                            GroupElement)
 from coxsub.subword import SubwordDescriptor
 
 
@@ -78,11 +79,17 @@ def test_group_orders_and_longest():
     for name, (order, l0) in expected.items():
         sys_ = system(name)
         w0 = sys_.longest_element()
-        assert group_order(sys_) == order
+        assert group_order(sys_) == order == len(sys_._elements)
         assert sys_.length(w0) == l0
         assert sys_.multiply(w0, w0) == sys_.identity
         # w0 maps every generator to a descent
         assert sys_.right_descents(w0) == frozenset(range(1, sys_.rank + 1))
+        # the inverse kept per id is the fold of the reversed reduced word
+        for g in list(sys_._elements):
+            kept = sys_._inv(sys_._id(g))
+            assert kept == sys_._id(sys_.inverse(g)), (name, g)
+            assert sys_._elements[kept] == sys_.element_of(reversed(sys_.word_of(g)))
+            assert sys_.multiply(g, sys_._elements[kept]) == sys_.identity
 
 
 def test_element_basics():
@@ -94,6 +101,12 @@ def test_element_basics():
     assert A3.element_of((1, 2)) != A3.element_of((2, 1))
     assert A3.inverse(A3.element_of((1, 2))) == A3.element_of((2, 1))
     assert A3.is_identity(A3.element_of((1, 1, 2, 2)))
+    # an element is a value: equal and hashed by its roots, printed by them
+    g = A3.element_of((1, 2))
+    assert g == GroupElement(g.roots) and hash(g) == hash(GroupElement(g.roots))
+    assert repr(A3.identity) == "GroupElement(roots=(0, 1, 2))"
+    with pytest.raises(AttributeError):
+        g.roots = ()
 
 
 def test_length_descents_random():
@@ -202,6 +215,27 @@ def test_word_length_guard():
         A2.element_of((3,))
 
 
+def test_descriptor_and_context_are_values():
+    # both check and normalize their words, equal and hash by their fields,
+    # and take no assignment
+    A3 = system("A3")
+    w0 = A3.longest_element()
+    d = SubwordDescriptor(A3, [1, 2, 1], w0)
+    assert d.word == (1, 2, 1)
+    assert d == SubwordDescriptor(A3, (1, 2, 1), w0) and d != SubwordDescriptor(A3, (1,), w0)
+    assert hash(d) == hash(SubwordDescriptor(A3, (1, 2, 1), w0))
+    ctx = BraidContext(A3, [3], [3], 1, 2, w0)
+    assert (ctx.Q, ctx.Qp) == ((3,), (3,))
+    assert ctx == BraidContext(A3, (3,), (3,), 1, 2, w0) != BraidContext(A3, (3,), (3,), 2, 1, w0)
+    assert hash(ctx) == hash(BraidContext(A3, (3,), (3,), 1, 2, w0))
+    for value in (d, ctx):
+        for attr in ("pi", "extra"):
+            with pytest.raises(AttributeError):
+                setattr(value, attr, A3.identity)
+    with pytest.raises(ValueError, match="window letters must differ"):
+        BraidContext(A3, (), (), 2, 2, w0)
+
+
 def test_tolerance_grid_is_stable():
     # H3 roots involve the golden ratio; w0 reached by a word and by the
     # ascent climb must be the same exact element
@@ -220,12 +254,12 @@ def test_root_system_sizes():
     coxeter_number.update({f"I2:{m}": m for m in range(2, 13)})
     for name, h in coxeter_number.items():
         sys_ = CoxeterSystem(CoxeterMatrix.named(name))
-        assert len(sys_.roots) == sys_.rank * h, name
+        assert 2 * len(sys_.roots) == sys_.rank * h, name  # roots holds the positive half
         assert sys_.length(sys_.longest_element()) == sys_.rank * h // 2, name
 
 
 def test_root_count_limit():
-    assert len(CoxeterSystem(CoxeterMatrix.named(f"I2:{MAX_ROOTS // 2}")).roots) == MAX_ROOTS
+    assert 2 * len(CoxeterSystem(CoxeterMatrix.named(f"I2:{MAX_ROOTS // 2}")).roots) == MAX_ROOTS
     with pytest.raises(ValueError):
         CoxeterSystem(CoxeterMatrix.named(f"I2:{MAX_ROOTS // 2 + 1}"))
 
@@ -270,7 +304,7 @@ def test_exact_roots_match_float_orbit_on_named_types():
 def test_exact_roots_match_float_orbit_on_dihedral_groups():
     for m in [*range(2, 41), 97, 250, 499, 500]:
         cm = CoxeterMatrix.named(f"I2:{m}")
-        assert len(cm.roots) == 2 * m and roots_match_float_orbit(cm), m
+        assert 2 * len(cm.roots) == 2 * m and roots_match_float_orbit(cm), m
 
 
 def _product(blocks, order) -> CoxeterMatrix:
@@ -294,5 +328,5 @@ def test_exact_roots_match_float_orbit_on_random_products():
     # one lcm for the whole graph would hold each coordinate in 11,520
     # integers; a lcm per piece holds it in 6 to 16
     cm = _product(["I2:7", "I2:11", "I2:13", "I2:17"], [0, 2, 4, 6, 1, 3, 5, 7])
-    assert len(cm.roots) == 96 and roots_match_float_orbit(cm)
+    assert 2 * len(cm.roots) == 96 and roots_match_float_orbit(cm)
     assert max(len(c) for r in cm.roots for c in r) == 16
