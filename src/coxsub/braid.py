@@ -19,11 +19,13 @@ g2..g(m-1).  ``MoveFacts.bits`` holds one table per side, the universe bit
 of each word position.  Side 1's is the identity.  Side 2's crosses the
 window endpoints (first slot to fm, last to f1) and lifts the internal
 slots as one block to the top.  The vertex names, the internal masks and
-the witnesses' fresh vertices read these tables.  Each side's complex is
-its memo entry's, over its own word positions; side 2's facets cross by
-``from_side2``, the mask form of its table.  The endpoint edge {f1, fm} is
-then F on side 1 and G on side 2.  The universe can exceed 62 bits, so its
-masks are Python ints.
+the witnesses' fresh vertices read these tables, which are made once per
+shape (|Q|, m, |Q'|) and shared by its moves and reports (``_shape``).
+Each side's complex is its memo entry's, over its own word positions; the
+memo entries of the windows shortened by two hold h and voidness alone.
+Side 2's facets cross by ``from_side2``, the mask form of its table.  The
+endpoint edge {f1, fm} is then F on side 1 and G on side 2.  The universe
+can exceed 62 bits, so its masks are Python ints.
 
 Outer table.  By the Demazure criterion (Knutson-Miller 2004, section 3)
 A | t | B, with A in Q, t in the window W and B in Q', is a face iff
@@ -48,12 +50,12 @@ once, as a ``MoveFacts``, and hands them to every check it runs.
 
 from __future__ import annotations
 
-from functools import cached_property, reduce
+from functools import cache, cached_property, reduce
 from itertools import zip_longest
 from typing import NamedTuple
 
 from .coxeter import MAX_REDUCED_WORDS, CoxeterSystem, GroupElement, Word
-from .simplicial import (MAX_WINDOW_PARTS, WINDOW_LIMIT_ERROR, LabeledComplex, _bits,
+from .simplicial import (MAX_WINDOW_PARTS, WINDOW_LIMIT_ERROR, LabeledComplex, _bits, _gamma,
                          face_set, subdivide)
 from .subword import SubwordDescriptor, build, position_complex
 
@@ -97,10 +99,26 @@ class BraidContext(NamedTuple("BraidContext", [("system", CoxeterSystem), ("Q", 
         return self.Q + self.window_word(k, side) + self.Qp
 
 
+@cache
+def _shape(q: int, m: int, r: int) -> tuple:
+    """The universe's names of the moves with |Q| = q, a window of m letters
+    and |Q'| = r, shared by their facts and reports; per side, the universe
+    bit and the name of each word position, and the witness's endpoint edge
+    and fresh bits (the other side's internal slots, m - 1 first), named."""
+    L = q + m + r
+    universe = (*(f"Q{p}" for p in range(1, q + 1)), *(f"f{l}" for l in range(1, m + 1)),
+                *(f"Q'{p}" for p in range(1, r + 1)), *(f"g{l}" for l in range(2, m)))
+    bits = (tuple(range(L)), (*range(q), q + m - 1, *range(L, L + m - 2), q, *range(q + m, L)))
+    ends = [(b[q], b[q + m - 1]) for b in bits]
+    fresh = [tuple(b[p] for p in range(q + m - 2, q, -1)) for b in bits[::-1]]
+    named = [tuple(universe[b] for b in x) for x in (*bits, *ends, *fresh)]
+    return universe, bits, tuple(named[:2]), tuple(zip(ends, fresh, named[2:4], named[4:]))
+
+
 class MoveFacts:
     """The derived facts of one braid move.  Made at once: the bit universe
-    (see the module docstring), the complexes of both sides and of the
-    shortened windows, read from a build memo (see ``subword.build``),
+    and its names (see ``_shape``), the complexes of both sides and the h
+    of the shortened windows, read from a build memo (see ``subword.build``),
     and whether each side is a sphere.  Made on first use: the sides'
     facets as masks, the outer table, the faces of both sides and the
     interface families as families over it, and the window conditions."""
@@ -109,14 +127,9 @@ class MoveFacts:
         self.ctx = ctx
         self.m = m = ctx.m
         self.q = q = len(ctx.Q)
-        self.L = L = q + m + len(ctx.Qp)
-        self.universe = (*(f"Q{p}" for p in range(1, q + 1)),
-                         *(f"f{l}" for l in range(1, m + 1)),
-                         *(f"Q'{p}" for p in range(1, len(ctx.Qp) + 1)),
-                         *(f"g{l}" for l in range(2, m)))
-        # the universe bit of each word position, per side
-        self.bits = (tuple(range(L)),
-                     (*range(q), q + m - 1, *range(L, L + m - 2), q, *range(q + m, L)))
+        self.L = q + m + len(ctx.Qp)
+        # the universe bit and the name of each word position, per side
+        self.universe, self.bits, self.side_names, self.witness_bits = _shape(q, m, len(ctx.Qp))
         self.endpoint = 1 << q | 1 << (q + m - 1)
         self.internal = tuple(sum(1 << b[p] for p in range(q + 1, q + m - 1)) for b in self.bits)
         memo = {} if memo is None else memo
@@ -126,9 +139,10 @@ class MoveFacts:
         self.windows = tuple(tuple(s - 1 for s in a[:m]) for a in alt)  # 0-based letters
         self.sides = tuple(build(SubwordDescriptor(ctx.system, w, ctx.pi), memo)
                            for w in words[:2])
-        # their memo entries; no output names an inner vertex
-        self._entries = tuple(position_complex(ctx.system, w, ctx.pi, memo) for w in words)
-        self.inner = self._entries[2].complex, self._entries[3].complex
+        # their memo entries; a move reads only the h and voidness of the
+        # shortened windows', and no output names an inner vertex
+        self._entries = tuple(position_complex(ctx.system, w, ctx.pi, memo, k < 2)
+                              for k, w in enumerate(words))
         self.spherical = self._entries[0].spherical, self._entries[1].spherical
 
     def names(self, bits) -> tuple[str, ...]:
@@ -152,12 +166,12 @@ class MoveFacts:
     @cached_property
     def conditions(self) -> dict:
         """A2, B2, A3 and B3 by name; the length-3 ones are None at m = 2.
-        A2 and B2 say that the inner complexes are void; a window shortened
-        by three is void iff the outer table's label of Dem of its first
-        m - 3 letters is 0."""
+        A2 and B2 say that the inner complexes are void, of h (); a window
+        shortened by three is void iff the outer table's label of Dem of its
+        first m - 3 letters is 0."""
         a3, b3 = (not self.table.labels[self.ctx.system._demazures(w)[self.m - 3]]
                   if self.m >= 3 else None for w in self.windows)
-        return {"A2": self.inner[0].is_void, "B2": self.inner[1].is_void, "A3": a3, "B3": b3}
+        return {"A2": not self._entries[2].h, "B2": not self._entries[3].h, "A3": a3, "B3": b3}
 
     @property
     def supported(self) -> bool:
@@ -397,6 +411,9 @@ def _identities(chain: bool, fams: tuple):
         yield "refinement chain 3=4", t2b, faces2 - d2_G | d1_int
 
 
+_CHECKS: dict = {}  # the checks of each outcome, shared by its reports
+
+
 def verify_decomposition(facts: MoveFacts) -> DecompositionReport:
     (faces1, faces2), fams = facts.faces, facts.families
     (int1, int2), ends = facts.internal, facts.endpoint
@@ -416,7 +433,7 @@ def verify_decomposition(facts: MoveFacts) -> DecompositionReport:
         checks = tuple((name, got == want) for name, got, want in rows)
         mismatches = {name: facts.face_labels(got ^ want) for name, got, want in rows
                       if got != want}
-    return DecompositionReport(not mismatches, checks, mismatches, chain)
+    return DecompositionReport(not mismatches, _CHECKS.setdefault(checks, checks), mismatches, chain)
 
 
 # -- polynomial bookkeeping -------------------------------------------------
@@ -452,11 +469,9 @@ def polynomial_delta(f: MoveFacts) -> PolyDeltaReport:
     m = f.m
     if not f.supported:
         raise ValueError("needs m <= 3 or both length-3 window conditions")
-    d1x, d2x = f.sides
-    k1x, k2x = f.inner
     # the sides have h-degree n, the inner complexes n - 2
     n = f.L - f.ctx.system.length(f.ctx.pi)
-    h1, h2, hk1, hk2 = (() if x.is_void else x.h_vector() for x in (d1x, d2x, k1x, k2x))
+    h1, h2, hk1, hk2 = (e.h for e in f._entries)
     delta_h = {(k, n - k): c for k, c in enumerate(_coeff_sub(h2, h1)) if c}
     rhs_h = {(k + 1, n - 1 - k): (m - 2) * c
              for k, c in enumerate(_coeff_sub(hk2, hk1)) if m > 2 and c}
@@ -464,7 +479,7 @@ def polynomial_delta(f: MoveFacts) -> PolyDeltaReport:
     delta_gamma = rhs_gamma = gamma_ok = None
     if sph[0] and sph[1]:
         try:
-            g1, g2, gk1, gk2 = (x.gamma() for x in (d1x, d2x, k1x, k2x))
+            g1, g2, gk1, gk2 = map(_gamma, (h1, h2, hk1, hk2))
         except ValueError:  # an inner h-vector is not palindromic
             gamma_ok = False
         else:
@@ -538,20 +553,17 @@ def _refine(f: MoveFacts, side: int) -> tuple[frozenset | None, tuple, tuple]:
     """Side 1 or 2 (``side`` 0 or 1) subdivided along the endpoint edge from
     its first window slot at the other side's internal slots, slot m - 1
     first: the universe facets (None without the edge) and the names of
-    the edge and of the fresh vertices."""
-    own, other = f.bits[side], f.bits[1 - side]
-    ends = own[f.q], own[f.q + f.m - 1]
-    fresh = [other[p] for p in range(f.q + f.m - 2, f.q, -1)]
+    the edge and of the fresh vertices, shared per shape (``_shape``)."""
+    ends, fresh, edge_names, fresh_names = f.witness_bits[side]
     facets = subdivide(f.facets[side], 1 << ends[0], 1 << ends[1], [1 << b for b in fresh])
-    return facets, f.names(ends), f.names(fresh)
+    return facets, edge_names, fresh_names
 
 
 def classify(ctx: BraidContext, memo: dict | None = None) -> CaseReport:
     """The verdict on one move; ``memo`` is the build memo of a caller that
     classifies several moves over the same words (see ``subword.build``)."""
     f = MoveFacts(ctx, memo)
-    m, c = f.m, f.conditions
-    names = tuple(f.names(b) for b in f.bits)
+    m, c, names = f.m, f.conditions, f.side_names
     d1x, d2x = f.sides
     dec = verify_decomposition(f)
     poly = polynomial_delta(f) if f.supported else None

@@ -253,6 +253,7 @@ def build_rho(system: CoxeterSystem, Q, Qp, pi: GroupElement,
         for pos, i, j, m, w2 in system._braid_moves(w):
             if w2 < w:
                 continue  # the mirrored move on w2 reproduces this pair
+            w2 = words[index[w2]]  # the order's own copy, kept by the edge
             head, tail = Q + w[:pos - 1], w[pos - 1 + m:] + Qp
             piece = head + (0,) + tail
             key = (i, j) + tuple(tuple(c for c in piece if c == a or c == b)

@@ -75,6 +75,22 @@ def face_set(facets: Iterable[int]) -> set[int]:
     return set(buf)
 
 
+def _gamma(h: Sequence[int]) -> tuple[int, ...]:
+    """Gamma vector of a palindromic h-vector; () for the void complex's h ()."""
+    h = list(h)
+    if h != h[::-1]:
+        raise ValueError("h-vector is not palindromic; gamma is undefined")
+    n = len(h) - 1
+    out = []
+    for k in range(n // 2 + 1):
+        c = h[k]
+        out.append(c)
+        for i in range(k, n - k + 1):
+            h[i] -= c * comb(n - 2 * k, i - k)
+    assert not any(h), "palindromic peel left a remainder"
+    return tuple(out)
+
+
 class LabeledComplex:
     """Immutable simplicial complex over labeled vertices.
 
@@ -222,18 +238,7 @@ class LabeledComplex:
             return ()
         g = self._cache.get("gamma")
         if g is None:
-            h = list(self.h_vector())
-            if h != h[::-1]:
-                raise ValueError("h-vector is not palindromic; gamma is undefined")
-            n = len(h) - 1
-            out = []
-            for k in range(n // 2 + 1):
-                c = h[k]
-                out.append(c)
-                for i in range(k, n - k + 1):
-                    h[i] -= c * comb(n - 2 * k, i - k)
-            assert not any(h), "palindromic peel left a remainder"
-            g = self._cache["gamma"] = tuple(out)
+            g = self._cache["gamma"] = _gamma(self.h_vector())
         return g
 
     def is_flag(self) -> bool:

@@ -11,7 +11,9 @@ The vertex decomposition gives the h-vector (and f and gamma) and the
 facets, each by a backward pass over the live states that one forward
 pass lists (see ``_kernels``).  No face is listed: a braid move reads the
 faces of its complexes off the Demazure criterion (``braid.OuterTable``).
-Void complexes are told by Bruhat order.
+Void complexes are told by Bruhat order.  An entry made without facets
+runs the h pass alone and holds h, voidness and sphericity: a braid move
+reads no more of the words with its window shortened by two.
 """
 
 from __future__ import annotations
@@ -40,26 +42,31 @@ class PositionComplex:
     """Delta(word; pi) with the used 0-based word positions as vertices.
 
     It is made once per (word, pi) and memo from one forward pass: its
-    facets, h-vector and sphericity at once; the layers of that pass are
-    dropped.  ``complex`` is the one complex of the pair that every caller
-    reads.
+    h-vector (``()`` when void), sphericity and, with ``facets``, its
+    facets at once; the layers of that pass are dropped.  ``complex`` is
+    the one complex of the pair that every caller reads; it and
+    ``word_facets`` are None in an entry made without ``facets``.
     """
 
-    __slots__ = ("complex", "spherical", "word_facets")
+    __slots__ = ("complex", "spherical", "word_facets", "h")
 
-    def __init__(self, system: CoxeterSystem, word: Word, pi: GroupElement):
+    def __init__(self, system: CoxeterSystem, word: Word, pi: GroupElement, facets: bool = True):
         letters = tuple(s - 1 for s in word)
         dem, target = system._demazures(letters)[-1], system._id(pi)
         # Demazure criterion: the complex is a sphere iff Dem(word) = pi,
         # and void iff pi is not below Dem(word) (Knutson-Miller, section 3)
         self.spherical = dem == target
+        self.h, self.word_facets, self.complex = (), None, None
         if not system._le(target, dem):
-            self.word_facets, self.complex = [], LabeledComplex.void()
+            if facets:
+                self.word_facets, self.complex = [], LabeledComplex.void()
             return
         layers = system._subword_layers(letters, system._inv(target))
         tables = system._right, system._desc, letters, layers
         # h first: it sums to the facet count, which bounds the facet pass
-        h = _kernels.subword_h(*tables)
+        self.h = h = _kernels.subword_h(*tables)
+        if not facets:
+            return
         if sum(h) > MAX_FACES:
             raise ValueError(FACE_LIMIT_ERROR)
         full = (1 << len(word)) - 1
@@ -76,9 +83,10 @@ class PositionComplex:
 
 
 def position_complex(system: CoxeterSystem, word: Word, pi: GroupElement,
-                     memo: dict) -> PositionComplex:
-    """The entry of ``memo`` for (word, pi), made on first request; the
-    word must be checked (``CoxeterSystem.check_word``).
+                     memo: dict, facets: bool = True) -> PositionComplex:
+    """The entry of ``memo`` for (word, pi), made on first request, and made
+    again with facets when they are asked for and it has none; the word
+    must be checked (``CoxeterSystem.check_word``).
 
     A memo is a plain dict over one system that a computation which
     builds the same words again (an order, a chain of moves) creates and
@@ -86,8 +94,8 @@ def position_complex(system: CoxeterSystem, word: Word, pi: GroupElement,
     """
     key = (word, pi)
     entry = memo.get(key)
-    if entry is None:
-        entry = memo[key] = PositionComplex(system, word, pi)
+    if entry is None or facets and entry.complex is None:
+        entry = memo[key] = PositionComplex(system, word, pi, facets)
     return entry
 
 

@@ -21,7 +21,7 @@ from coxsub.coxeter import CoxeterMatrix, CoxeterSystem
 from coxsub.rhoposet import GapReport, RhoPoset
 from coxsub.simplicial import (LabeledComplex, face_set, is_isomorphic_constrained,
                                iso_invariant, subdivide)
-from coxsub.subword import SubwordDescriptor, build
+from coxsub.subword import PositionComplex, SubwordDescriptor, build
 
 _SYSTEMS: dict = {}
 
@@ -483,8 +483,10 @@ def flat_move(f: MoveFacts) -> tuple[tuple, tuple, tuple]:
     """(faces of both sides, (d1_int, d1_F, d2_int, d2_G), tilde of both
     sides) as sets of universe masks, face by face: each complex's faces
     are the submasks of its facets over its word positions, and side 2's
-    faces and families cross mask by mask."""
-    side1, side2, k1, k2 = (face_set(e.word_facets) for e in f._entries)
+    faces and families cross mask by mask.  The shortened windows' memo
+    entries hold no facets, so their facets are made here."""
+    inner = (PositionComplex(f.ctx.system, w, f.ctx.pi) for w in f.words[2:])
+    side1, side2, k1, k2 = (face_set(e.word_facets) for e in (*f._entries[:2], *inner))
     faces = frozenset(side1), flat_from_side2(f, side2)
     d1_int, d2_G = flat_link_families(k1, f.q, f.m)
     d2_int, d1_F = flat_link_families(k2, f.q, f.m)

@@ -142,33 +142,46 @@ def test_classify_again_runs_no_forward_pass(monkeypatch):
 
 
 def test_classify_makes_no_inner_f_vector():
-    # the identities read the inner complexes' h and gamma and nothing
-    # prints their f, so it is made only when f_vector is asked for
+    # the identities read the inner complexes' h, gamma and voidness and
+    # nothing prints their f or facets, so their memo entries hold h alone,
+    # the h of the complex; a later build of such a word makes its facets
     rng = random.Random(43)
     read = 0
     for _ in range(40):
         ctx, memo = random_context(rng), {}
         classify(ctx, memo)
-        inner = [memo[ctx.side_word(side, 2), ctx.pi].complex for side in (1, 2)]
-        assert not any("f" in x._cache for x in inner)
-        for x in inner:
+        inner = [SubwordDescriptor(ctx.system, ctx.side_word(side, 2), ctx.pi) for side in (1, 2)]
+        entries = [memo[d.word, d.pi] for d in inner]
+        for d, entry in zip(inner, entries):
+            assert entry.complex is None and entry.word_facets is None
+            x = build(d)
+            assert entry.h == (() if x.is_void else x.h_vector())
+            assert "f" not in x._cache
             if not x.is_void:
                 read += 1
                 assert x.f_vector() == LabeledComplex(x.vertices, x.facets).f_vector()
                 assert "f" in x._cache
+            assert build(d, memo) == x and memo[d.word, d.pi].word_facets is not None
     assert read >= 10
 
 
 def test_classify_reports_the_memo_complexes():
     # the report's complexes are the memo entries of the side words; the
-    # move's names for their positions travel beside them
+    # move's names for their positions travel beside them, one tuple per
+    # shape (|Q|, m, |Q'|), and the reports of one check outcome share
+    # one tuple of checks
     rng = random.Random(44)
+    names, checks = {}, {}
     for _ in range(30):
         ctx, memo = random_context(rng), {}
         rep = classify(ctx, memo)
         assert rep.delta1 is memo[ctx.side_word(1), ctx.pi].complex
         assert rep.delta2 is memo[ctx.side_word(2), ctx.pi].complex
         assert [len(n) for n in rep.names] == [len(ctx.side_word(1))] * 2
+        assert rep.names is names.setdefault((len(ctx.Q), rep.m, len(ctx.Qp)), rep.names)
+        got = rep.decomposition.checks
+        assert got is checks.setdefault(got, got)
+    assert len(names) < 30 and len(checks) < 30
 
 
 def test_i2_family():
@@ -184,9 +197,9 @@ def test_i2_family():
         assert rep.decomposition.ok
         assert rep.poly.h_ok and rep.poly.gamma_ok
         # shortened windows: side 1 stays reduced, side 2 gets a double letter
-        k1, k2 = MoveFacts(ctx).inner
-        assert k1 == LabeledComplex((), (0,))
-        assert k2.is_void
+        k1, k2 = MoveFacts(ctx)._entries[2:]
+        assert (k1.h, k1.spherical) == ((1,), True)  # the complex {()}
+        assert k2.h == ()
     rep5 = classify(i2_context(5))
     assert rep5.poly.delta_h == {(1, 1): -3}
     assert rep5.poly.rhs_h == {(1, 1): -3}
@@ -461,10 +474,7 @@ def test_check_A3B3_edges():
 
 def test_polynomial_identity_recomputed():
     # both sides rebuilt here from raw h-vectors, not the report's helpers
-    def monomials(x):
-        if x.is_void:
-            return {}
-        h = x.h_vector()
+    def monomials(h):
         n = len(h) - 1
         return {(k, n - k): c for k, c in enumerate(h) if c}
 
@@ -483,9 +493,9 @@ def test_polynomial_identity_recomputed():
                 polynomial_delta(f)
             continue
         rep = polynomial_delta(f)
-        d1x, d2x = f.sides
-        k1, k2 = f.inner
-        delta = subtract(monomials(d2x), monomials(d1x))
+        h1, h2 = (() if x.is_void else x.h_vector() for x in f.sides)
+        k1, k2 = (e.h for e in f._entries[2:])  # the inner entries hold h alone
+        delta = subtract(monomials(h2), monomials(h1))
         inner = subtract(monomials(k2), monomials(k1))
         rhs = {(a + 1, t + 1): (f.m - 2) * c for (a, t), c in inner.items()}
         assert rep.delta_h == delta

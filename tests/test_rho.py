@@ -5,7 +5,7 @@ import pytest
 
 from conftest import (braid_step, face_passes, forward_passes, k_subdivide, reference_gap,
                       system)
-from coxsub import backend, cli, rhoposet, subword
+from coxsub import _kernels, backend, cli, rhoposet, subword
 from coxsub.braid import apply_sequence, classify, move_context
 from coxsub.rhoposet import (GapReport, RhoPoset, SemilatticeResult, build_rho,
                              export_dot, poset_json, semilattice_check,
@@ -530,13 +530,28 @@ def _kernel_calls(monkeypatch) -> list:
     return seen
 
 
+def _h_passes(monkeypatch) -> list:
+    """Record the (letters, start) of every h pass."""
+    seen = []
+    h_pass = _kernels.subword_h
+
+    def counted(right, desc, word, layers):
+        (start,) = layers[0]
+        seen.append((word, start))
+        return h_pass(right, desc, word, layers)
+
+    monkeypatch.setattr(_kernels, "subword_h", counted)
+    return seen
+
+
 def _position_complexes(monkeypatch) -> list:
-    """Record the (word, pi) and the made entry of every position complex."""
+    """Record the (word, pi) and the made entry of every position complex,
+    with facets or without."""
     made = []
     cls = subword.PositionComplex
 
-    def counted(system, word, pi):
-        entry = cls(system, word, pi)
+    def counted(system, word, pi, facets=True):
+        entry = cls(system, word, pi, facets)
         made.append(((word, pi), entry))
         return entry
 
@@ -558,29 +573,38 @@ def test_faces_made_once_per_complex(monkeypatch, name, Q, Qp, passes):
     build_rho(W, Q, Qp, W.longest_element())
     assert len(moves) == classified and all(seen == ["table"] for seen in moves)
     assert len(forward) == len(set(forward)) == passes
-    assert sum(not e.complex.is_void for _, e in made) == passes
+    assert sum(bool(e.h) for _, e in made) == passes
 
 
 def test_each_complex_built_once(monkeypatch):
     A3 = system("A3")
     w0 = A3.longest_element()
     made = _position_complexes(monkeypatch)
-    seen = _kernel_calls(monkeypatch)
+    seen, h_passes = _kernel_calls(monkeypatch), _h_passes(monkeypatch)
     p = build_rho(A3, (1, 1), (1, 3), w0)
     # 14 of the 16 side words and 21 shortened-window words, each made
     # once: one move per commutation orbit is classified, so two words are
-    # read by no classified move; the kernel runs once for each complex
-    # that is not void
+    # read by no classified move; the facet kernel runs once for each side
+    # complex that is not void, and a shortened window that is not void
+    # runs the h pass alone
     keys = [key for key, _ in made]
     assert len(keys) == len(set(keys)) == 35
-    assert len(seen) == len(set(seen)) == sum(not e.complex.is_void for _, e in made) == 15
+    sides = [e for _, e in made if e.complex is not None]
+    # the entries without facets are the shortened windows, of 8 letters
+    assert len(sides) == 14 and {len(w) for (w, _), e in made if e.complex is None} == {8}
+    assert len(seen) == len(set(seen)) == sum(not e.complex.is_void for e in sides) == 14
+    assert len(h_passes) == len(set(h_passes)) == sum(bool(e.h) for _, e in made) == 15
     assert len(p.edges) == 18
     made.clear()
     seen.clear()
+    h_passes.clear()
     rep = apply_sequence(A3, cli.CHAIN_START, w0, cli.CHAIN_MOVES)
     keys = [key for key, _ in made]
     assert len(keys) == len(set(keys)) == 21
-    assert len(seen) == len(set(seen)) == sum(not e.complex.is_void for _, e in made) == 14
+    sides = [e for _, e in made if e.complex is not None]
+    assert len(sides) == 9
+    assert len(seen) == len(set(seen)) == sum(not e.complex.is_void for e in sides) == 9
+    assert len(h_passes) == len(set(h_passes)) == sum(bool(e.h) for _, e in made) == 14
     assert {(w, w0) for w in rep.words} <= set(keys)
 
 
@@ -589,6 +613,11 @@ def test_gap_scan_reads_the_memo_entries(monkeypatch):
     # itself, with no copy on other vertices between them
     A3 = system("A3")
     p = build_rho(A3, (1, 2, 3), (3, 3, 2), A3.longest_element())
+    # every edge keeps the order's own words, not copies of them
+    own = {w: w for w in p.words}
+    assert sum(e.lower is not None for e in p.edges) > 0
+    assert all(own[w] is w for e in p.edges for w in (e.word_a, e.word_b, e.lower, e.upper)
+               if w is not None)
     interned = []
     intern = rhoposet._ClassTable.intern
     monkeypatch.setattr(rhoposet._ClassTable, "intern",
