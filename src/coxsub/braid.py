@@ -128,8 +128,8 @@ class MoveFacts:
         self.m = m = ctx.m
         self.q = q = len(ctx.Q)
         self.L = q + m + len(ctx.Qp)
-        # the universe bit and the name of each word position, per side
-        self.universe, self.bits, self.side_names, self.witness_bits = _shape(q, m, len(ctx.Qp))
+        # the names and bit tables of this shape of move, made once (``_shape``)
+        self.universe, self.bits, self._side_names, self._witness = _shape(q, m, len(ctx.Qp))
         self.endpoint = 1 << q | 1 << (q + m - 1)
         self.internal = tuple(sum(1 << b[p] for p in range(q + 1, q + m - 1)) for b in self.bits)
         memo = {} if memo is None else memo
@@ -554,7 +554,7 @@ def _refine(f: MoveFacts, side: int) -> tuple[frozenset | None, tuple, tuple]:
     its first window slot at the other side's internal slots, slot m - 1
     first: the universe facets (None without the edge) and the names of
     the edge and of the fresh vertices, shared per shape (``_shape``)."""
-    ends, fresh, edge_names, fresh_names = f.witness_bits[side]
+    ends, fresh, edge_names, fresh_names = f._witness[side]
     facets = subdivide(f.facets[side], 1 << ends[0], 1 << ends[1], [1 << b for b in fresh])
     return facets, edge_names, fresh_names
 
@@ -563,7 +563,7 @@ def classify(ctx: BraidContext, memo: dict | None = None) -> CaseReport:
     """The verdict on one move; ``memo`` is the build memo of a caller that
     classifies several moves over the same words (see ``subword.build``)."""
     f = MoveFacts(ctx, memo)
-    m, c, names = f.m, f.conditions, f.side_names
+    m, c, names = f.m, f.conditions, f._side_names
     d1x, d2x = f.sides
     dec = verify_decomposition(f)
     poly = polynomial_delta(f) if f.supported else None
