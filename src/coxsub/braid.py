@@ -41,6 +41,20 @@ Checks join and compare parts and labels, and flatten only on a failure,
 to name its mismatches.  Names ("Q1", "f1", "g2", "Q'1", ...) appear only
 in the report's ``names``, the witnesses and the mismatches.
 
+Decided patterns.  Every family of the checklist is {window part: label
+of d} over the 2m elements d of W_ij, and the walks, link relabelings,
+crossings and selections act on window parts alone, the same for every
+|Q| and L up to the uniform shift of the parts by |Q| (and of the lifted
+slots by L).  So the checklist, its chain flag and the window conditions
+depend only on m and the labels, and ``classify`` looks its checks up in
+one process-wide table, ``_DECOMPOSED``, keyed on (m, the outer table's
+labels in chain order); it runs ``verify_decomposition`` only for a key
+it has not met.  Only passing checklists are stored, so a failing move is
+evaluated in full and names its own mismatches.  The table stays small:
+335 keys after the 2,700 moves of the bench's seed-0 classify stream, 258
+after the order of B4 w0 (Q = 1234).  Each move still builds its own
+complexes, outer table and witness.
+
 Witnesses.  Each verdict is replayed on the universe masks of the sides'
 facets: equal facet sets are equal complexes, and an iterated edge
 subdivision turns the facets through the endpoint edge into new facets
@@ -103,16 +117,19 @@ class BraidContext(NamedTuple("BraidContext", [("system", CoxeterSystem), ("Q", 
 def _shape(q: int, m: int, r: int) -> tuple:
     """The universe's names of the moves with |Q| = q, a window of m letters
     and |Q'| = r, shared by their facts and reports; per side, the universe
-    bit and the name of each word position, and the witness's endpoint edge
-    and fresh bits (the other side's internal slots, m - 1 first), named."""
+    bit of each word position, the mask of its internal window slots, the
+    name of each word position, and the witness's endpoint edge and fresh
+    bits (the other side's internal slots, m - 1 first), named."""
     L = q + m + r
     universe = (*(f"Q{p}" for p in range(1, q + 1)), *(f"f{l}" for l in range(1, m + 1)),
                 *(f"Q'{p}" for p in range(1, r + 1)), *(f"g{l}" for l in range(2, m)))
     bits = (tuple(range(L)), (*range(q), q + m - 1, *range(L, L + m - 2), q, *range(q + m, L)))
     ends = [(b[q], b[q + m - 1]) for b in bits]
     fresh = [tuple(b[p] for p in range(q + m - 2, q, -1)) for b in bits[::-1]]
+    internal = tuple(sum(1 << b[p] for p in range(q + 1, q + m - 1)) for b in bits)
     named = [tuple(universe[b] for b in x) for x in (*bits, *ends, *fresh)]
-    return universe, bits, tuple(named[:2]), tuple(zip(ends, fresh, named[2:4], named[4:]))
+    return (universe, bits, internal, tuple(named[:2]),
+            tuple(zip(ends, fresh, named[2:4], named[4:])))
 
 
 class MoveFacts:
@@ -129,9 +146,9 @@ class MoveFacts:
         self.q = q = len(ctx.Q)
         self.L = q + m + len(ctx.Qp)
         # the names and bit tables of this shape of move, made once (``_shape``)
-        self.universe, self.bits, self._side_names, self._witness = _shape(q, m, len(ctx.Qp))
+        (self.universe, self.bits, self.internal, self._side_names,
+         self._witness) = _shape(q, m, len(ctx.Qp))
         self.endpoint = 1 << q | 1 << (q + m - 1)
-        self.internal = tuple(sum(1 << b[p] for p in range(q + 1, q + m - 1)) for b in self.bits)
         memo = {} if memo is None else memo
         # the side words, then the words with the window shortened by two
         alt = (ctx.i, ctx.j) * m, (ctx.j, ctx.i) * m
@@ -168,9 +185,10 @@ class MoveFacts:
         """A2, B2, A3 and B3 by name; the length-3 ones are None at m = 2.
         A2 and B2 say that the inner complexes are void, of h (); a window
         shortened by three is void iff the outer table's label of Dem of its
-        first m - 3 letters is 0."""
-        a3, b3 = (not self.table.labels[self.ctx.system._demazures(w)[self.m - 3]]
-                  if self.m >= 3 else None for w in self.windows)
+        first m - 3 letters is 0, read along the table's chains."""
+        labels = self.table.labels
+        a3, b3 = (not labels[chain[self.m - 3]] if self.m >= 3 else None
+                  for chain in self.table.chains)
         return {"A2": not self._entries[2].h, "B2": not self._entries[3].h, "A3": a3, "B3": b3}
 
     @property
@@ -226,42 +244,58 @@ class OuterTable:
     Dem(Q' - B): pi taken down by the letters of Q' - B, the last first
     (Deodhar's Z-property).  Each pair (Dem(Q - A), u) met is a bit of
     ``labels[d]``, set when in O(d).  The facets' outer parts hold every
-    generator of O(d), so labels compare, include and join as O does."""
+    generator of O(d), so labels compare, include and join as O does.
+    ``labels`` lists W_ij in chain order: the Demazure products of the
+    prefixes of window 1 (``chains[0]``), then the new ones of window 2's."""
 
-    __slots__ = ("system", "labels", "parts")
+    __slots__ = ("system", "labels", "parts", "chains")
 
     def __init__(self, f: MoveFacts):
         ctx, q, end = f.ctx, f.q, f.q + f.m
         self.system = sys_ = ctx.system
         desc, times, le = sys_._desc, sys_._times, sys_._le
-        letters = [s - 1 for s in f.words[0]]
-        window, pi = ((1 << f.m) - 1) << q, sys_._id(ctx.pi)
+        Q, Qp = [s - 1 for s in ctx.Q], [s - 1 for s in ctx.Qp]
+        window, low, pi = ((1 << f.m) - 1) << q, (1 << q) - 1, sys_._id(ctx.pi)
+        facets = f._entries[0].word_facets
+        # each facet is A | t | B; Dem(Q - A) of each head A and u of each
+        # tail B (read from bit 0) are walked once, as facets share them
+        heads = dict.fromkeys({x & low for x in facets})
+        for head in heads:
+            a = 0
+            for p, s in enumerate(Q):
+                if not head >> p & 1 and not desc[a] >> s & 1:
+                    a = times(a, s)
+            heads[head] = a
+        tails = dict.fromkeys({x >> end for x in facets})
+        for tail in tails:
+            u = pi
+            for p in range(len(Qp) - 1, -1, -1):
+                if not tail >> p & 1 and desc[u] >> Qp[p] & 1:
+                    u = times(u, Qp[p])
+            tails[tail] = u
         pairs: dict = {}
-        self.parts = parts = {}  # each facet's outer part: its pair's bit
-        for x in f._entries[0].word_facets:
-            if (outer := x & ~window) not in parts:
-                a, u = 0, pi
-                for p in range(q):
-                    if not x >> p & 1 and not desc[a] >> letters[p] & 1:
-                        a = times(a, letters[p])
-                for p in range(len(letters) - 1, end - 1, -1):
-                    if not x >> p & 1 and desc[u] >> letters[p] & 1:
-                        u = times(u, letters[p])
-                parts[outer] = pairs.setdefault((a, u), len(pairs))
+        self.parts = parts = dict.fromkeys(x & ~window for x in facets)
+        for outer in parts:  # each facet's outer part: its pair's bit
+            parts[outer] = pairs.setdefault((heads[outer & low], tails[outer >> end]), len(pairs))
         # W_ij is the prefixes of the two windows; along each, a * d rises,
         # so a pair's bit is set from the first d with a * d above u on
-        chains = [sys_._demazures(w) for w in f.windows]
+        self.chains = chains = tuple(sys_._demazures(w) for w in f.windows)
         self.labels = labels = dict.fromkeys(chains[0] + chains[1], 0)
         for (a, u), n in pairs.items():
+            bit = 1 << n
+            if le(u, a):  # in O(e), so in every O(d)
+                for d in labels:
+                    labels[d] |= bit
+                continue
             for w, chain in zip(f.windows, chains):
-                z = a  # a * chain[l]
-                for l in range(len(chain)):
-                    if l:
-                        z = z if desc[z] >> w[l - 1] & 1 else times(z, w[l - 1])
-                    if le(u, z):
-                        for d in chain[l:]:
-                            labels[d] |= 1 << n
-                        break
+                z = a  # a * chain[l], tested where it rises
+                for l, s in enumerate(w, 1):
+                    if not desc[z] >> s & 1:
+                        z = times(z, s)
+                        if le(u, z):
+                            for d in chain[l:]:
+                                labels[d] |= bit
+                            break
 
     def walk(self, letters, lo: int) -> tuple[Family, Family]:
         """The labelled window parts with a non-empty O of a window of two or
@@ -412,6 +446,9 @@ def _identities(chain: bool, fams: tuple):
 
 
 _CHECKS: dict = {}  # the checks of each outcome, shared by its reports
+# (m, the outer table's labels in chain order) -> the checks of a passing
+# decomposition, which depend on these alone (see the module docstring)
+_DECOMPOSED: dict = {}
 
 
 def verify_decomposition(facts: MoveFacts) -> DecompositionReport:
@@ -465,6 +502,16 @@ class PolyDeltaReport(NamedTuple):
     gamma_ok: bool | None
 
 
+@cache
+def _gamma_of(h: tuple) -> tuple | None:
+    """The gamma vector of an h-vector, None if h is not palindromic; made
+    once per h, as moves share their complexes' h."""
+    try:
+        return _gamma(h)
+    except ValueError:
+        return None
+
+
 def polynomial_delta(f: MoveFacts) -> PolyDeltaReport:
     m = f.m
     if not f.supported:
@@ -478,9 +525,8 @@ def polynomial_delta(f: MoveFacts) -> PolyDeltaReport:
     sph = f.spherical
     delta_gamma = rhs_gamma = gamma_ok = None
     if sph[0] and sph[1]:
-        try:
-            g1, g2, gk1, gk2 = map(_gamma, (h1, h2, hk1, hk2))
-        except ValueError:  # an inner h-vector is not palindromic
+        g1, g2, gk1, gk2 = gammas = [_gamma_of(h) for h in (h1, h2, hk1, hk2)]
+        if None in gammas:  # an inner h-vector is not palindromic
             gamma_ok = False
         else:
             delta_gamma = _coeff_sub(g2, g1)
@@ -565,7 +611,12 @@ def classify(ctx: BraidContext, memo: dict | None = None) -> CaseReport:
     f = MoveFacts(ctx, memo)
     m, c, names = f.m, f.conditions, f._side_names
     d1x, d2x = f.sides
-    dec = verify_decomposition(f)
+    # a label pattern that passed before passes again with the same checks
+    key = (m, tuple(f.table.labels.values()))
+    if (checks := _DECOMPOSED.get(key)) is not None:
+        dec = DecompositionReport(True, checks, {}, f.chain_checked)
+    elif (dec := verify_decomposition(f)).ok:
+        _DECOMPOSED[key] = dec.checks
     poly = polynomial_delta(f) if f.supported else None
 
     case: int | None = None

@@ -754,3 +754,63 @@ def test_length3_conditions_read_off_the_outer_table(monkeypatch):
         assert (rep.A3, rep.B3) == pair, ctx
     assert not calls
     assert {a for pair in want for a in pair} == {None, True, False}
+
+
+def test_shortened_windows_voidness_read_off_the_outer_table():
+    # a window shortened by two is void iff the label of Dem of its first
+    # m - 2 letters is 0, so A2 and B2 are read off the outer table too
+    rng = random.Random(62)
+    seen = set()
+    for ctx in oracle_contexts() + [random_context(rng) for _ in range(200)]:
+        f = MoveFacts(ctx)
+        labels = f.table.labels
+        got = [not labels[chain[f.m - 2]] for chain in f.table.chains]
+        assert got == [f.conditions["A2"], f.conditions["B2"]], ctx
+        seen.update(got)
+    assert seen == {True, False}
+
+
+def test_equal_label_patterns_decide_equal_checklists():
+    # the key of ``classify``'s table: moves with the same m and the same
+    # outer labels in chain order get the same checklist, chain flag and
+    # window conditions, each evaluated afresh, across groups, |Q| and |Q'|
+    rng = random.Random(63)
+    contexts = oracle_contexts() + [random_context(rng, names=("A3", "B3", "H3", "A4"))
+                                    for _ in range(300)]
+    patterns: dict = {}
+    for ctx in contexts:
+        f = MoveFacts(ctx)
+        dec = verify_decomposition(f)
+        assert dec.ok
+        decided = dec.checks, dec.chain_checked, f.conditions
+        shape = ctx.system, len(ctx.Q), len(ctx.Qp)
+        patterns.setdefault((f.m, tuple(f.table.labels.values())), []).append((decided, shape))
+    varied = set()
+    for rows in patterns.values():
+        assert all(decided == rows[0][0] for decided, _ in rows)
+        for k in range(3):
+            varied.add((k, len({shape[k] for _, shape in rows}) > 1))
+    assert {(0, True), (1, True), (2, True)} <= varied
+
+
+def test_classify_keeps_passing_checklists_alone(monkeypatch):
+    # a label pattern is evaluated until it passes, then read from the
+    # table: a failing outcome is not stored, a passing one is, with its checks
+    monkeypatch.setattr(braid, "_DECOMPOSED", {})
+    ctx, calls = i2_context(5), []
+    real = braid.verify_decomposition
+
+    def failing(f):
+        calls.append(f)
+        return real(f)._replace(ok=False, mismatches={"side 2 partition": ()})
+
+    monkeypatch.setattr(braid, "verify_decomposition", failing)
+    assert not classify(ctx).decomposition.ok and not classify(ctx).decomposition.ok
+    assert len(calls) == 2 and not braid._DECOMPOSED
+    monkeypatch.setattr(braid, "verify_decomposition", lambda f: calls.append(f) or real(f))
+    first, again = classify(ctx).decomposition, classify(ctx).decomposition
+    assert len(calls) == 3 and first.ok and again.ok and first is not again
+    assert again.checks is first.checks and again.chain_checked == first.chain_checked
+    assert again.mismatches == {}
+    f = MoveFacts(ctx)
+    assert braid._DECOMPOSED == {(f.m, tuple(f.table.labels.values())): first.checks}
