@@ -1,4 +1,4 @@
-"""The hot loops: the backward passes of the subword DP and the submask fill.
+"""The hot loops: the forward and backward passes of the subword DP, the submask fill.
 
 Conventions:
   * generator indices are 0-based here (the public API is 1-based),
@@ -11,11 +11,23 @@ Conventions:
 The subword DP walks the vertex decomposition of Delta(word; pi)
 (Knutson-Miller 2004) on states (p, w) standing for Delta(word[p:]; w^-1),
 w = pi^-1 u for the product u of the letters taken before position p.  A
-forward pass (``CoxeterSystem._subword_layers``) lists the live states, of
-non-void complexes, before each position; the passes fold them back.
+forward pass (``subword_layers``) lists the live states, of non-void
+complexes, before each position; the backward passes fold them back.
 """
 
 from __future__ import annotations
+
+
+def subword_layers(times, desc, le, letters, start, tops):
+    """The live states w <= Dem(letters[p:])^-1 before each position p, from the
+    live id ``start`` of pi^-1; ``tops`` lists Dem(letters[p:])^-1, the last p first.
+    A deletion or a cone link of a live state lives: only a link at a descent is tested."""
+    layers = [{start}]
+    for s, top in zip(letters, reversed(tops[:-1])):
+        here = layers[-1]
+        layers.append({times(w, s) if desc[w] >> s & 1 else w for w in here})
+        layers[-1].update([w for w in here if desc[w] >> s & 1 and le(w, top)])
+    return layers
 
 
 def subword_pass(right, desc, word, layers, leaf, cone, split):
@@ -44,14 +56,13 @@ def subword_h(right, desc, word, layers):
                         lambda rest, link, p: tuple(map(sum, zip(rest, (0,) + link))))
 
 
-def reduced_subword_masks(right, desc, word, layers):
-    """Masks of the subwords of ``word`` that are reduced words of pi, the
-    complements of the facets: at a descent the deletion's facets, then the
-    link's plus p; at a cone point every facet takes p."""
-    full = (1 << len(word)) - 1
-    return [full ^ f for f in subword_pass(
-        right, desc, word, layers, [0], lambda link, p: [x | 1 << p for x in link],
-        lambda rest, link, p: rest + [x | 1 << p for x in link])]
+def subword_facets(right, desc, word, layers):
+    """The facets, masks over word positions, each the complement of a reduced
+    word of pi: at a descent the deletion's facets, then the link's plus p;
+    at a cone point every facet takes p."""
+    return subword_pass(right, desc, word, layers, [0],
+                        lambda link, p: [x | 1 << p for x in link],
+                        lambda rest, link, p: rest + [x | 1 << p for x in link])
 
 
 def fill_submasks(facets, out: list) -> int:

@@ -22,8 +22,8 @@ slots as one block to the top.  The vertex names, the internal masks and
 the witnesses' fresh vertices read these tables, which are made once per
 shape (|Q|, m, |Q'|) and shared by its moves and reports (``_shape``).
 Each side's complex is its memo entry's, over its own word positions; the
-memo entries of the windows shortened by two hold h and voidness alone.
-Side 2's facets cross by ``from_side2``, the mask form of its table.  The
+memo entries of the windows shortened by two hold h alone, for the
+polynomial bookkeeping.  Side 2's facets cross by ``from_side2``, the mask form of its table.  The
 endpoint edge {f1, fm} is then F on side 1 and G on side 2.  The universe
 can exceed 62 bits, so its masks are Python ints.
 
@@ -34,9 +34,12 @@ O(d) for d = Dem(W - t) in the dihedral group W_ij, in all four complexes
 of a move, both sides and the words with the window shortened by two.  One
 ``OuterTable`` per move reads d -> O(d) from side 1's facets; a face
 family is a ``Family`` {window part: label of its O}, and no face is
-listed.  The interface families relabel the shortened windows' parts as
-the links of window edges do: an inner part opens two empty slots, at
-slots l and l+1 for the edge there, or at both endpoints for F and G.
+listed.  The four window conditions follow one rule: the side word with
+its window shortened by k is void iff the label of Dem of its first m - k
+window letters is 0.  The interface families relabel the shortened
+windows' parts as the links of window edges do: an inner part opens two
+empty slots, at slots l and l+1 for the edge there, or at both endpoints
+for F and G.
 Checks join and compare parts and labels, and flatten only on a failure,
 to name its mismatches.  Names ("Q1", "f1", "g2", "Q'1", ...) appear only
 in the report's ``names``, the witnesses and the mismatches.
@@ -156,8 +159,8 @@ class MoveFacts:
         self.windows = tuple(tuple(s - 1 for s in a[:m]) for a in alt)  # 0-based letters
         self.sides = tuple(build(SubwordDescriptor(ctx.system, w, ctx.pi), memo)
                            for w in words[:2])
-        # their memo entries; a move reads only the h and voidness of the
-        # shortened windows', and no output names an inner vertex
+        # their memo entries; a move reads only the h of the shortened
+        # windows', and no output names an inner vertex
         self._entries = tuple(position_complex(ctx.system, w, ctx.pi, memo, k < 2)
                               for k, w in enumerate(words))
         self.spherical = self._entries[0].spherical, self._entries[1].spherical
@@ -183,13 +186,13 @@ class MoveFacts:
     @cached_property
     def conditions(self) -> dict:
         """A2, B2, A3 and B3 by name; the length-3 ones are None at m = 2.
-        A2 and B2 say that the inner complexes are void, of h (); a window
-        shortened by three is void iff the outer table's label of Dem of its
-        first m - 3 letters is 0, read along the table's chains."""
-        labels = self.table.labels
-        a3, b3 = (not labels[chain[self.m - 3]] if self.m >= 3 else None
-                  for chain in self.table.chains)
-        return {"A2": not self._entries[2].h, "B2": not self._entries[3].h, "A3": a3, "B3": b3}
+        The side word with its window shortened by k is void iff the outer
+        table's label of Dem of its first m - k window letters is 0, read
+        along the table's chains: window 1's for A, window 2's for B."""
+        labels, m = self.table.labels, self.m
+        a2, b2, a3, b3 = (not labels[chain[m - k]] if m >= k else None
+                          for k in (2, 3) for chain in self.table.chains)
+        return {"A2": a2, "B2": b2, "A3": a3, "B3": b3}
 
     @property
     def supported(self) -> bool:
@@ -228,14 +231,6 @@ class MoveFacts:
     @cached_property
     def families(self) -> "Subfamilies":
         return subfamilies(self)
-
-
-def condition(ctx: BraidContext, which: str, k: int) -> bool:
-    """Window condition: the side word with window shortened by k letters
-    contains no reduced expression of pi ("A" = side 1, "B" = side 2), by
-    a Demazure fold of that word; ``MoveFacts`` reads it off its outer table."""
-    side = {"A": 1, "B": 2}[which]
-    return not ctx.system.contains_reduced(ctx.side_word(side, k), ctx.pi)
 
 
 class OuterTable:

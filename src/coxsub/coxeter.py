@@ -478,19 +478,6 @@ class CoxeterSystem:
 
     # -- reduced subwords ---------------------------------------------------
 
-    def _subword_layers(self, letters: Word, start: int) -> list[set[int]]:
-        """Forward pass of the subword DP (see ``_kernels``) from the live id ``start``
-        of pi^-1: the live states w <= Dem(letters[p:])^-1 before each position p;
-        a deletion or a cone link of one lives, so only a link at a descent is tested."""
-        desc, times, le = self._desc, self._times, self._le
-        tops = self._demazures(reversed(letters))  # Dem(letters[p:])^-1, the last p first
-        layers = [{start}]
-        for s, top in zip(letters, reversed(tops[:-1])):
-            here = layers[-1]
-            layers.append({times(w, s) if desc[w] >> s & 1 else w for w in here})
-            layers[-1].update([w for w in here if desc[w] >> s & 1 and le(w, top)])
-        return layers
-
     def contains_reduced(self, word: Iterable[int], pi: GroupElement) -> bool:
         """True iff some subword of word is a reduced word of pi.
 

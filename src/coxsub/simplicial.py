@@ -38,7 +38,7 @@ Label = Hashable
 # most 2^m per complex for a window of m letters, and refuses past
 # MAX_WINDOW_PARTS of them.
 MAX_FACES = 1 << 22
-FACE_LIMIT_ERROR = f"face enumeration too large (limit {MAX_FACES} faces)"
+FACE_LIMIT_ERROR = f"too many facets, face submasks or flag-search nodes (limit {MAX_FACES})"
 MAX_WINDOW_PARTS = 1 << 16
 WINDOW_LIMIT_ERROR = f"window enumeration too large (limit {MAX_WINDOW_PARTS} window parts)"
 

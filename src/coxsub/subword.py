@@ -11,9 +11,9 @@ The vertex decomposition gives the h-vector (and f and gamma) and the
 facets, each by a backward pass over the live states that one forward
 pass lists (see ``_kernels``).  No face is listed: a braid move reads the
 faces of its complexes off the Demazure criterion (``braid.OuterTable``).
-Void complexes are told by Bruhat order.  An entry made without facets
-runs the h pass alone and holds h, voidness and sphericity: a braid move
-reads no more of the words with its window shortened by two.
+One Demazure fold bounds that pass and tells void complexes and spheres.
+An entry made without facets runs the h pass alone and holds h, voidness
+and sphericity: a move reads only the h of its windows shortened by two.
 """
 
 from __future__ import annotations
@@ -51,17 +51,19 @@ class PositionComplex:
     __slots__ = ("complex", "spherical", "word_facets", "h")
 
     def __init__(self, system: CoxeterSystem, word: Word, pi: GroupElement, facets: bool = True):
-        letters = tuple(s - 1 for s in word)
-        dem, target = system._demazures(letters)[-1], system._id(pi)
-        # Demazure criterion: the complex is a sphere iff Dem(word) = pi,
-        # and void iff pi is not below Dem(word) (Knutson-Miller, section 3)
-        self.spherical = dem == target
+        letters, le = tuple(s - 1 for s in word), system._le
+        # one Demazure fold, of the reversed word, lists Dem(word[p:])^-1 (the
+        # last p first) to bound the forward pass.  By the Demazure criterion
+        # the complex is a sphere iff Dem(word) = pi and void iff pi is not
+        # below Dem(word) (Knutson-Miller, section 3), both read inverted
+        tops, start = system._demazures(reversed(letters)), system._inv(system._id(pi))
+        self.spherical = tops[-1] == start
         self.h, self.word_facets, self.complex = (), None, None
-        if not system._le(target, dem):
+        if not le(start, tops[-1]):
             if facets:
                 self.word_facets, self.complex = [], LabeledComplex.void()
             return
-        layers = system._subword_layers(letters, system._inv(target))
+        layers = _kernels.subword_layers(system._times, system._desc, le, letters, start, tops)
         tables = system._right, system._desc, letters, layers
         # h first: it sums to the facet count, which bounds the facet pass
         self.h = h = _kernels.subword_h(*tables)
@@ -69,9 +71,8 @@ class PositionComplex:
             return
         if sum(h) > MAX_FACES:
             raise ValueError(FACE_LIMIT_ERROR)
-        full = (1 << len(word)) - 1
         # every facet as a mask over word positions, bit p for position p
-        self.word_facets = facets = [full ^ mk for mk in _K.reduced_subword_masks(*tables)]
+        self.word_facets = facets = _K.reduced_subword_masks(*tables)
         used, packed = reduce(or_, facets), facets
         # squeeze out the positions in no facet, the highest first; every
         # facet has |word| - l(pi) positions, so they form an antichain

@@ -7,7 +7,9 @@ point root orbit against which the exact root system is checked,
 ``flat_move`` the face-by-face move algebra and ``split_faces`` the face
 fold split at a window, against which the move's outer table is.
 ``reference_gap`` is the gap scan that enters every subdivision of every
-depth in its class table, against which the aimed scan is checked."""
+depth in its class table, against which the aimed scan is checked, and
+``condition`` a window condition by a Demazure fold of the shortened
+word, against which the outer table's rule is."""
 
 from __future__ import annotations
 
@@ -95,15 +97,30 @@ def braid_step(sys_, word, pos: int):
     return nxt
 
 
-def run_masks(sys_, word, pi):
+def forward_layers(sys_, letters, start: int) -> list:
+    """The forward pass of the subword DP (``_kernels.subword_layers``) over
+    the tables of sys_, from the live id ``start`` of pi^-1."""
+    return _kernels.subword_layers(sys_._times, sys_._desc, sys_._le, letters, start,
+                                   sys_._demazures(reversed(letters)))
+
+
+def run_facets(sys_, word, pi):
     """The facet kernel called directly, on the tables and forward layers
-    of sys_: the complement masks of the reduced words of pi in word, []
+    of sys_: the facets of Delta(word; pi) as masks over word positions, []
     for a void pair, whose start state the kernel does not take."""
     if not sys_.contains_reduced(word, pi):
         return []
     letters = tuple(a - 1 for a in word)
-    layers = sys_._subword_layers(letters, sys_._id(sys_.inverse(pi)))
+    layers = forward_layers(sys_, letters, sys_._id(sys_.inverse(pi)))
     return backend.active.reduced_subword_masks(sys_._right, sys_._desc, letters, layers)
+
+
+def condition(ctx: BraidContext, which: str, k: int) -> bool:
+    """Window condition: the side word with window shortened by k letters
+    contains no reduced expression of pi ("A" = side 1, "B" = side 2), by
+    a Demazure fold of that word; ``MoveFacts`` reads it off its outer table."""
+    side = {"A": 1, "B": 2}[which]
+    return not ctx.system.contains_reduced(ctx.side_word(side, k), ctx.pi)
 
 
 def face_passes(monkeypatch) -> list:
@@ -151,13 +168,13 @@ def forward_passes(monkeypatch) -> list:
     """Record the (letters, start) of every forward pass of the subword DP
     from now on."""
     seen = []
-    layers = CoxeterSystem._subword_layers
+    layers = _kernels.subword_layers
 
-    def counted(self, letters, start):
+    def counted(times, desc, le, letters, start, tops):
         seen.append((letters, start))
-        return layers(self, letters, start)
+        return layers(times, desc, le, letters, start, tops)
 
-    monkeypatch.setattr(CoxeterSystem, "_subword_layers", counted)
+    monkeypatch.setattr(_kernels, "subword_layers", counted)
     return seen
 
 
@@ -189,7 +206,7 @@ def split_faces(sys_, word, pi, bits, lo: int, hi: int) -> dict:
     if not sys_.contains_reduced(word, pi):
         return {}
     letters = tuple(a - 1 for a in word)
-    layers = sys_._subword_layers(letters, sys_._id(sys_.inverse(pi)))
+    layers = forward_layers(sys_, letters, sys_._id(sys_.inverse(pi)))
     return subword_split_faces(sys_._right, sys_._desc, letters, layers, bits, lo, hi)
 
 

@@ -12,11 +12,11 @@ import time
 
 import pytest
 
-from conftest import (brute_facets, f_label, face_label_sets, flat_faces, has_face, link,
-                      link_oracle_check, named, random_context, random_descriptor,
+from conftest import (brute_facets, condition, f_label, face_label_sets, flat_faces, has_face,
+                      link, link_oracle_check, named, random_context, random_descriptor,
                       side_descriptor, spherical_complex, system)
-from coxsub.braid import (BraidContext, MoveFacts, apply_sequence, classify,
-                          condition, subfamilies, tilde, verify_decomposition)
+from coxsub.braid import (BraidContext, MoveFacts, apply_sequence, classify, subfamilies,
+                          tilde, verify_decomposition)
 from coxsub.rhoposet import build_rho, poset_json
 from coxsub.simplicial import LabeledComplex, subdivide
 from coxsub.subword import SubwordDescriptor, build, complex_json

@@ -2,12 +2,13 @@ import random
 
 import pytest
 
-from conftest import (braid_step, check_A3B3_edges, f_label, face_label_sets, face_passes,
-                      flat_decomposition, flat_faces, flat_move, forward_passes, g_label,
-                      has_face, i2_context, k_subdivide, named, oracle_contexts, outer_parts,
-                      random_context, side_descriptor, split_faces, system, word_labels)
+from conftest import (braid_step, check_A3B3_edges, condition, f_label, face_label_sets,
+                      face_passes, flat_decomposition, flat_faces, flat_move, forward_passes,
+                      g_label, has_face, i2_context, k_subdivide, named, oracle_contexts,
+                      outer_parts, random_context, side_descriptor, split_faces, system,
+                      word_labels)
 from coxsub import braid
-from coxsub.braid import (BraidContext, Family, MoveFacts, apply_sequence, classify, condition,
+from coxsub.braid import (BraidContext, Family, MoveFacts, apply_sequence, classify,
                           find_move_path, move_context, polynomial_delta, subfamilies,
                           tilde, verify_decomposition)
 from coxsub.simplicial import LabeledComplex, face_set, subdivide
@@ -758,7 +759,8 @@ def test_length3_conditions_read_off_the_outer_table(monkeypatch):
 
 def test_shortened_windows_voidness_read_off_the_outer_table():
     # a window shortened by two is void iff the label of Dem of its first
-    # m - 2 letters is 0, so A2 and B2 are read off the outer table too
+    # m - 2 letters is 0, so A2 and B2 are read off the outer table too:
+    # they agree with the h of the shortened windows' memo entries
     rng = random.Random(62)
     seen = set()
     for ctx in oracle_contexts() + [random_context(rng) for _ in range(200)]:
@@ -766,6 +768,7 @@ def test_shortened_windows_voidness_read_off_the_outer_table():
         labels = f.table.labels
         got = [not labels[chain[f.m - 2]] for chain in f.table.chains]
         assert got == [f.conditions["A2"], f.conditions["B2"]], ctx
+        assert got == [not e.h for e in f._entries[2:]], ctx
         seen.update(got)
     assert seen == {True, False}
 

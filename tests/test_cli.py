@@ -40,7 +40,7 @@ def test_complex_json(capsys):
 
 def test_complex_past_the_face_limit(capsys):
     # a join of two boundaries of the 8-simplex: 81 facets of 16 vertices,
-    # more submasks than the face enumeration allows; h, f and gamma come
+    # more submasks than a listing of faces allows; h, f and gamma come
     # from the vertex decomposition and flagness from the facets
     word = ",".join(["1,3"] * 9)
     code, out, err = run(capsys, "complex", "--group", "A3", "--word", word,
@@ -73,7 +73,7 @@ def test_complex_facet_count_past_the_limit(capsys, monkeypatch):
     code, out, err = run(capsys, "complex", "--group", "B4",
                          "--word", ",".join(["1,2,3,4"] * 15), "--pi", "w0")
     assert code == 2 and out == ""
-    assert "face enumeration too large" in err
+    assert "too many facets, face submasks or flag-search nodes" in err
 
 
 def test_complex_builds_once(capsys, monkeypatch):

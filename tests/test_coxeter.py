@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from conftest import (braid_step, random_pi, roots_match_float_orbit, run_masks,
+from conftest import (braid_step, random_pi, roots_match_float_orbit, run_facets,
                       subword_h_oracle, system)
 from coxsub import coxeter
 from coxsub.braid import BraidContext
@@ -189,12 +189,12 @@ def test_braid_moves():
 def test_reduced_subword_masks():
     A2 = system("A2")
     w0 = A2.longest_element()
-    masks = run_masks(A2, (1, 2, 1, 2, 1), w0)
-    # the five facets of the pentagon, as complements
-    assert len(masks) == 5
-    assert sorted(masks) == sorted(set(int(m) for m in masks))
-    for m in masks:
-        kept = [(1, 2, 1, 2, 1)[p] for p in range(5) if int(m) >> p & 1]
+    facets = run_facets(A2, (1, 2, 1, 2, 1), w0)
+    # the five facets of the pentagon, whose complements are reduced words of w0
+    assert len(facets) == 5
+    assert sorted(facets) == sorted(set(int(f) for f in facets))
+    for f in facets:
+        kept = [(1, 2, 1, 2, 1)[p] for p in range(5) if not int(f) >> p & 1]
         assert A2.is_reduced(kept) and A2.element_of(kept) == w0
     assert A2.contains_reduced((1, 2, 1, 2, 1), w0)
     assert not A2.contains_reduced((1, 2), w0)
@@ -290,7 +290,7 @@ def test_contains_reduced_is_bruhat_below_demazure():
         # the length-pruned h recursion of the tests, not Bruhat order
         found = subword_h_oracle(sys_, word, pi) is not None
         assert sys_.contains_reduced(word, pi) == found, (sys_.name, word, pi)
-        assert (len(run_masks(sys_, word, pi)) > 0) == found
+        assert (len(run_facets(sys_, word, pi)) > 0) == found
         assert sys_.bruhat_le(pi, sys_.demazure_product(word)) == found
 
 

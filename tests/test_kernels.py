@@ -1,7 +1,7 @@
 import random
 
-from conftest import (brute_facets, oracle_case, random_pi, run_masks, subword_split_faces,
-                      system)
+from conftest import (brute_facets, forward_layers, oracle_case, random_pi, run_facets,
+                      subword_split_faces, system)
 from coxsub import _kernels, backend
 from coxsub.subword import position_complex
 
@@ -9,13 +9,20 @@ from coxsub.subword import position_complex
 def test_python_masks_match_library():
     A2 = system("A2")
     w0 = A2.longest_element()
-    got = sorted(run_masks(A2, (1, 2, 1, 2, 1), w0))
-    # the library's facets are the complements of the kernel's masks
+    got = run_facets(A2, (1, 2, 1, 2, 1), w0)
+    # the library's facets are the kernel's, in its order
     entry = position_complex(A2, (1, 2, 1, 2, 1), w0, {})
-    assert got == sorted(0b11111 ^ f for f in entry.word_facets)
+    assert got == entry.word_facets
     assert len(got) == 5
     # a void instance finds nothing
-    assert run_masks(A2, (1, 2), w0) == []
+    assert run_facets(A2, (1, 2), w0) == []
+    # and so over seeded words of four groups, void or not
+    rng = random.Random(33)
+    for k in range(40):
+        sys_ = system(("A2", "A3", "B3", "H3")[k % 4])
+        word = tuple(rng.randrange(1, sys_.rank + 1) for _ in range(rng.randrange(0, 10)))
+        pi = random_pi(sys_, rng, word)
+        assert run_facets(sys_, word, pi) == position_complex(sys_, word, pi, {}).word_facets
 
 
 def test_kernel_masks_match_brute():
@@ -24,11 +31,9 @@ def test_kernel_masks_match_brute():
         sys_ = system(rng.choice(("A2", "A3", "B3", "H3")))
         word = tuple(rng.randrange(1, sys_.rank + 1) for _ in range(rng.randrange(0, 11)))
         pi = random_pi(sys_, rng, word)
-        got = run_masks(sys_, word, pi)
+        got = run_facets(sys_, word, pi)
         assert len(got) == len(set(got))
-        full = (1 << len(word)) - 1
-        facets = {frozenset(p + 1 for p in range(len(word)) if (full ^ m) >> p & 1)
-                  for m in got}
+        facets = {frozenset(p + 1 for p in range(len(word)) if f >> p & 1) for f in got}
         assert facets == brute_facets(sys_, word, pi)
 
 
@@ -60,7 +65,7 @@ def test_forward_pass_lists_exactly_the_live_states():
             continue
         letters, desc = tuple(a - 1 for a in word), sys_._desc
         start = sys_._id(sys_.inverse(pi))
-        layers = sys_._subword_layers(letters, start)
+        layers = forward_layers(sys_, letters, start)
         reached = [{start}]  # a deletion at a descent, a link at every position
         for s in letters:
             reached.append({sys_._times(w, s) for w in reached[-1] if desc[w] >> s & 1}
@@ -80,7 +85,7 @@ def test_forward_pass_lists_exactly_the_live_states():
         third = len(letters) // 3
         faces = lambda right, desc, letters, layers: subword_split_faces(
             right, desc, letters, layers, range(len(letters)), third, len(letters) - third)
-        for kernel in (_kernels.subword_h, _kernels.reduced_subword_masks, faces):
+        for kernel in (_kernels.subword_h, _kernels.subword_facets, faces):
             visited.clear()
             kernel(sys_._right, desc, letters, counted)
             assert visited == want

@@ -218,6 +218,36 @@ def test_memo_relabel_matches_fresh_build():
     assert voids >= 3
 
 
+def test_one_demazure_fold_per_build(monkeypatch):
+    # a fresh entry folds one Demazure chain, the reversed word's, which
+    # bounds its forward pass and tells a void complex and a sphere
+    from coxsub.coxeter import CoxeterSystem
+
+    rng = random.Random(34)
+    cases = []
+    for k in range(50):
+        sys_ = system(("A3", "B3", "H3")[k % 3])
+        word = tuple(rng.randrange(1, sys_.rank + 1) for _ in range(rng.randrange(0, 10)))
+        word, pi = oracle_case(sys_, rng, word, k // 3 % 5)
+        dem = sys_.demazure_product(word)
+        cases.append((sys_, word, pi, dem == pi, not sys_.bruhat_le(pi, dem)))
+    folds = []
+    fold = CoxeterSystem._demazures
+    monkeypatch.setattr(CoxeterSystem, "_demazures",
+                        lambda self, letters: folds.append(1) or fold(self, letters))
+    seen = set()
+    for sys_, word, pi, sphere, void in cases:
+        for facets in (True, False):
+            folds.clear()
+            entry = subword.PositionComplex(sys_, word, pi, facets)
+            assert len(folds) == 1, (sys_.name, word, pi)
+            assert entry.spherical == sphere and (entry.h == ()) == void
+            if facets:
+                assert entry.complex.is_void == void
+        seen.add((sphere, void))
+    assert seen == {(True, False), (False, False), (False, True)}
+
+
 def test_build_is_the_memo_entry_complex():
     rng = random.Random(13)
     for _ in range(30):
@@ -317,5 +347,5 @@ def test_subword_dp_matches_oracles():
     A1 = system("A1")
     entry = position_complex(A1, (1,) * 40, A1.generator(1), {})
     assert len(entry.word_facets) == 40
-    with pytest.raises(ValueError, match="face enumeration too large"):
+    with pytest.raises(ValueError, match="too many facets, face submasks"):
         face_set(entry.word_facets)

@@ -1,6 +1,6 @@
 import pytest
 
-from conftest import system
+from conftest import flat_decomposition, flat_move, system
 from coxsub.braid import MoveFacts, verify_decomposition
 from sweep import sweep
 
@@ -17,12 +17,15 @@ HISTOGRAMS = {
 def test_every_move_of_the_short_words(name, length):
     # every move passes report_ok; a move's mirror swaps cases 2 and 3, so
     # they are equally common for each m; the checks of each report with
-    # m >= 3, read from classify's table or not, are those of a fresh evaluation
+    # m >= 3, read from classify's table or not, are those of a fresh
+    # evaluation and of the face-by-face move algebra
     def each(ctx, rep, memo):
         if rep.m >= 3:
-            fresh = verify_decomposition(MoveFacts(ctx, memo))
+            f = MoveFacts(ctx, memo)
+            fresh = verify_decomposition(f)
             assert fresh.ok and fresh.checks == rep.decomposition.checks
             assert fresh.chain_checked == rep.decomposition.chain_checked
+            assert flat_decomposition(f, *flat_move(f)) == (rep.decomposition.checks, {})
 
     hist, failed = sweep(system(name), length, each)
     assert not failed
