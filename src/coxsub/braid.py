@@ -497,16 +497,6 @@ class PolyDeltaReport(NamedTuple):
     gamma_ok: bool | None
 
 
-@cache
-def _gamma_of(h: tuple) -> tuple | None:
-    """The gamma vector of an h-vector, None if h is not palindromic; made
-    once per h, as moves share their complexes' h."""
-    try:
-        return _gamma(h)
-    except ValueError:
-        return None
-
-
 def polynomial_delta(f: MoveFacts) -> PolyDeltaReport:
     m = f.m
     if not f.supported:
@@ -520,7 +510,7 @@ def polynomial_delta(f: MoveFacts) -> PolyDeltaReport:
     sph = f.spherical
     delta_gamma = rhs_gamma = gamma_ok = None
     if sph[0] and sph[1]:
-        g1, g2, gk1, gk2 = gammas = [_gamma_of(h) for h in (h1, h2, hk1, hk2)]
+        g1, g2, gk1, gk2 = gammas = [_gamma(h) for h in (h1, h2, hk1, hk2)]
         if None in gammas:  # an inner h-vector is not palindromic
             gamma_ok = False
         else:
@@ -626,21 +616,19 @@ def classify(ctx: BraidContext, memo: dict | None = None) -> CaseReport:
     if case == 1:
         witness_ok = f.facets[0] == f.facets[1]
         witness = {"kind": "equality", "map": {names[0][p]: names[0][p] for p in d1x.vertices}}
+    elif case in (2, 3):
+        k = 3 - case  # the coarser side, whose refinement is the finer one
+        sub, edge, fresh = _refine(f, k)
+        witness_ok = sub == f.facets[1 - k]
+        witness = {"kind": "subdivision", "of_side": k + 1, "edge": edge, "fresh": fresh}
     elif case:
-        refined = _refine(f, 0), _refine(f, 1)
-        if case in (2, 3):
-            k = 3 - case  # the coarser side, whose refinement is the finer one
-            sub, edge, fresh = refined[k]
-            witness_ok = sub == f.facets[1 - k]
-            witness = {"kind": "subdivision", "of_side": k + 1, "edge": edge, "fresh": fresh}
-        else:
-            (sub1, edge, fresh1), (sub2, _, fresh2) = refined
-            witness_ok = agree = sub1 is not None and sub1 == sub2
-            witness = {"kind": "common refinement", "edge": edge, "fresh_from_side_1": fresh1,
-                       "fresh_from_side_2": fresh2, "agree": agree}
-            if agree and dec.chain_checked:
-                witness_ok = _interface_expression_ok(f, sub1)
-                witness["interface_expression_matches"] = witness_ok
+        (sub1, edge, fresh1), (sub2, _, fresh2) = _refine(f, 0), _refine(f, 1)
+        witness_ok = agree = sub1 is not None and sub1 == sub2
+        witness = {"kind": "common refinement", "edge": edge, "fresh_from_side_1": fresh1,
+                   "fresh_from_side_2": fresh2, "agree": agree}
+        if agree and dec.chain_checked:
+            witness_ok = _interface_expression_ok(f, sub1)
+            witness["interface_expression_matches"] = witness_ok
 
     return CaseReport(ctx, m, case, c["A2"], c["B2"], c["A3"], c["B3"], f.supported,
                       d1x, d2x, names, witness, witness_ok, dec, poly)

@@ -23,7 +23,7 @@ from .simplicial import (LabeledComplex, _bits, _signatures, is_isomorphic_const
                          iso_invariant, subdivide)
 from .subword import SubwordDescriptor, build
 
-FRONTIER_CAP = 512  # subdivision classes per depth before the gap scan stops
+FRONTIER_CAP = 512  # classes per entered depth before the gap scan stops
 GAP_SCAN_WORDS = 24  # the gap scan runs on orders of at most this many words
 
 
@@ -107,7 +107,8 @@ class _ClassTable:
     first complex met as its representative, the classes are bucketed by
     ``iso_invariant``, and a class's single edge subdivisions, each on the
     vertices 0..n, are entered and found, as class ids, when first asked
-    for; ``aim`` only tells which of some classes hold one, entering none."""
+    for; ``aim`` only tells which of some classes hold one, by prediction,
+    entering none."""
 
     def __init__(self):
         self.reps: list[LabeledComplex] = []
@@ -146,13 +147,9 @@ class _ClassTable:
         """The classes of ``targets`` that hold a single edge subdivision of
         a class of ``cur``, none entered: a child is built, and searched
         against a target, only where its predicted invariant is the
-        target's, and children already entered are read as class ids."""
+        target's."""
         found: dict[int, None] = {}
         for c in cur:
-            kids = self.children.get(c)
-            if kids is not None:
-                found.update((t, None) for t in targets if t in kids)
-                continue
             for e in self.edge_masks(c):
                 if len(found) == len(targets):
                     return found
@@ -186,18 +183,17 @@ def _child_invariant(z: LabeledComplex, e: int) -> tuple:
 def _subdivision_frontiers(table: _ClassTable, c: int, depth: int, last: set):
     """The classes of the iterated single edge subdivisions of class c,
     one insertion-ordered set of class ids per depth 1..depth, and a
-    truncation flag.  Once a depth holds more than FRONTIER_CAP classes it
-    is cut off after the class whose children crossed the cap, and no
-    deeper depth is listed: a class in the cut depth is still a true
-    subdivision, but a class missing from it or from the deeper depths
-    proves nothing.  The last depth is read only for the classes ``last``:
-    when its children, one per edge of each class before it, are at most
-    FRONTIER_CAP, it lists just those of ``last`` it holds (``aim``)."""
+    truncation flag.  The depths before the last are entered; once one
+    holds more than FRONTIER_CAP classes it is cut off after the class
+    whose children crossed the cap, and no deeper depth is listed: a class
+    in the cut depth is still a true subdivision, but a class missing from
+    it or from the deeper depths proves nothing.  The last depth is never
+    entered and never cut: it lists just the classes of ``last`` it holds
+    (``aim``), each child predicted from one of at most FRONTIER_CAP
+    classes before it."""
     frontiers: list[dict[int, None]] = []
     cur: dict[int, None] = {c: None}
-    for k in range(depth):
-        if k == depth - 1 and sum(len(table.edge_masks(z)) for z in cur) <= FRONTIER_CAP:
-            return frontiers + [table.aim(cur, last)], False
+    for _ in range(depth - 1):
         nxt: dict[int, None] = {}
         for z in cur:
             nxt.update(table.subdivisions(z))
@@ -205,7 +201,7 @@ def _subdivision_frontiers(table: _ClassTable, c: int, depth: int, last: set):
                 return frontiers + [nxt], True
         frontiers.append(nxt)
         cur = nxt
-    return frontiers, False
+    return frontiers + [table.aim(cur, last)], False
 
 
 def build_rho(system: CoxeterSystem, Q, Qp, pi: GroupElement,

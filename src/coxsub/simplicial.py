@@ -22,6 +22,7 @@ H = sum_k gamma_k (at)^k (a+t)^{n-2k}, the gamma vector.
 
 from __future__ import annotations
 
+from functools import cache
 from math import comb
 from operator import index as _int
 from typing import Collection, Hashable, Iterable, Sequence
@@ -75,11 +76,13 @@ def face_set(facets: Iterable[int]) -> set[int]:
     return set(buf)
 
 
-def _gamma(h: Sequence[int]) -> tuple[int, ...]:
-    """Gamma vector of a palindromic h-vector; () for the void complex's h ()."""
+@cache
+def _gamma(h: tuple[int, ...]) -> tuple[int, ...] | None:
+    """Gamma vector of an h-vector, None if h is not palindromic; () for the
+    void complex's h ().  Made once per h, as complexes share their h."""
     h = list(h)
     if h != h[::-1]:
-        raise ValueError("h-vector is not palindromic; gamma is undefined")
+        return None
     n = len(h) - 1
     out = []
     for k in range(n // 2 + 1):
@@ -114,8 +117,8 @@ class LabeledComplex:
         object.__setattr__(self, "vertices", vertices)
         object.__setattr__(self, "facets", tuple(masks))
         # the facts read from the facets alone, filled on first use: "faces",
-        # "f", "h", "gamma", "sig" (counted by ``_signatures``) and the
-        # isomorphism search "plan"
+        # "f", "h", "sig" (counted by ``_signatures``) and the isomorphism
+        # search "plan"
         object.__setattr__(self, "_cache", {})
 
     def __setattr__(self, *a):  # immutability by convention
@@ -236,9 +239,9 @@ class LabeledComplex:
         """Gamma vector of a palindromic h-vector; () for the void complex."""
         if self.is_void:
             return ()
-        g = self._cache.get("gamma")
+        g = _gamma(self.h_vector())
         if g is None:
-            g = self._cache["gamma"] = _gamma(self.h_vector())
+            raise ValueError("h-vector is not palindromic; gamma is undefined")
         return g
 
     def is_flag(self) -> bool:

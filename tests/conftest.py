@@ -577,15 +577,16 @@ class ReferenceClassTable:
 
 def reference_frontiers(table: ReferenceClassTable, c: int, depth: int):
     """Every depth 1..depth of class c's iterated single edge subdivisions
-    as a set of class ids, cut at ``rhoposet.FRONTIER_CAP`` as the library
-    cuts it, and a truncation flag."""
+    as a set of class ids, and a truncation flag.  A depth before the last
+    is cut at ``rhoposet.FRONTIER_CAP`` as the library cuts it; the last
+    depth, which the library aims at its targets, is listed in full."""
     frontiers: list[dict[int, None]] = []
     cur: dict[int, None] = {c: None}
-    for _ in range(depth):
+    for k in range(depth):
         nxt: dict[int, None] = {}
         for z in cur:
             nxt.update(table.subdivisions(z))
-            if len(nxt) > rhoposet.FRONTIER_CAP:
+            if k < depth - 1 and len(nxt) > rhoposet.FRONTIER_CAP:
                 return frontiers + [nxt], True
         frontiers.append(nxt)
         cur = nxt

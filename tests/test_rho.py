@@ -397,8 +397,8 @@ def _a3_pairs() -> list:
 
 @pytest.mark.parametrize("cap", [4, 32, 512])
 def test_aimed_gap_scan_matches_reference_a3_pairs(monkeypatch, cap):
-    # the last depth searched only for its targets, or entered in full
-    # where its children could cross the cap: the same report either way
+    # the last depth searched only for its targets, or entered in full:
+    # the same report either way; only a depth before the last is cut
     monkeypatch.setattr(rhoposet, "FRONTIER_CAP", cap)
     A3 = system("A3")
     gaps = []
@@ -408,8 +408,20 @@ def test_aimed_gap_scan_matches_reference_a3_pairs(monkeypatch, cap):
         gaps.append(tuple(p.gap))
         # a report compares by identity: equal fields, yet two reports
         assert gaps[-1] == tuple(ref) and p.gap != ref and p.gap == p.gap, (Q, Qp)
-    assert any(g[1] for g in gaps) == (cap < 512)
+    assert any(g[1] for g in gaps) == (cap == 4)
     assert sum(len(g[3]) for g in gaps) > 0
+
+
+@pytest.mark.parametrize("cap", [8, 32])
+def test_gap_scan_last_depth_is_never_cut(monkeypatch, cap):
+    # every two-letter A3 pair cuts no depth before its last at these caps,
+    # so a lowered cap leaves each report whole
+    A3 = system("A3")
+    full = [tuple(build_rho(A3, Q, Qp, A3.longest_element()).gap) for Q, Qp in _a3_pairs()]
+    monkeypatch.setattr(rhoposet, "FRONTIER_CAP", cap)
+    for (Q, Qp), want in zip(_a3_pairs(), full):
+        gap = build_rho(A3, Q, Qp, A3.longest_element()).gap
+        assert not gap.truncated and tuple(gap) == want, (Q, Qp)
 
 
 def _random_order(rng: random.Random) -> tuple:

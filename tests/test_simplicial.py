@@ -70,8 +70,10 @@ def test_h_vector_guards():
         mixed.h_vector()
     pure_nonpal = LabeledComplex.from_facets([(1, 2, 3), (3, 4, 5)])
     assert pure_nonpal.h_vector() == (1, 2, -1, 0)
-    with pytest.raises(ValueError):
-        pure_nonpal.gamma()
+    for _ in range(2):  # the per-h gamma cache keeps the refusal
+        with pytest.raises(ValueError):
+            pure_nonpal.gamma()
+    assert simplicial._gamma((1, 2, -1, 0)) is None  # read as gamma_ok False by a move
 
 
 def test_octahedron():
