@@ -212,15 +212,18 @@ def build_rho(system: CoxeterSystem, Q, Qp, pi: GroupElement,
     One move is classified per commutation orbit: moves whose side-1 words,
     with the window taken as one piece, differ only by commuting letters
     have the same complexes up to a permutation of positions, so they
-    share the first one's report and verdict.  Two such words are
-    equivalent exactly when their projections onto every pair of
-    non-commuting symbols agree (the projection lemma of trace monoids)."""
+    share the first one's report and verdict.  With Q and Q' fixed, two
+    pieces are equivalent iff their middle parts are (trace monoids are
+    cancellative); equal letters never commute, so the k-th occurrence of
+    a letter is one heap element across a commutation class (Cartier-Foata;
+    Viennot).  A move is keyed by its word's class, i, j and the counts of
+    i and of j before the window."""
     Q, Qp = tuple(Q), tuple(Qp)
     words = system.reduced_words(pi, cap=cap)
     index = {w: k for k, w in enumerate(words)}
     memo: dict = {}
 
-    parent = list(range(len(words)))
+    parent = list(range(len(words)))  # isomorphism classes, from verified case-1 moves
 
     def find(a: int) -> int:
         while parent[a] != a:
@@ -233,40 +236,37 @@ def build_rho(system: CoxeterSystem, Q, Qp, pi: GroupElement,
         if ra != rb:
             parent[max(ra, rb)] = min(ra, rb)
 
-    # the symbol pairs that do not commute, a letter with itself included;
-    # 0 stands for a window as one piece, which commutes with the letters
-    # that commute with both of its letters
-    letters, mm = range(1, system.rank + 1), system.m
-    dependent = [(a, b) for a in letters for b in letters if a <= b and mm[a - 1, b - 1] != 2]
-    pairs = {(i, j): dependent + [(0, a) for a in letters
-                                  if mm[a - 1, i - 1] != 2 or mm[a - 1, j - 1] != 2]
-             for i in letters for j in letters if i != j}
-    orbits: dict = {}  # commutation orbit of a move -> its report
+    # each word's commutation class, named by its first word, via moves of order 2
+    heap = [-1] * len(words)
+    for k in range(len(words)):
+        if heap[k] < 0:
+            heap[k], stack = k, [k]
+            while stack:
+                for _, _, _, m, w2 in system._braid_moves(words[stack.pop()]):
+                    if m == 2 and heap[b := index[w2]] < 0:
+                        heap[b] = k
+                        stack.append(b)
+    orbits: dict = {}  # (class of w, i, j, counts of i and j before the window) -> report
 
     edges: list[MoveEdge] = []
-    oriented: list[tuple[Word, Word]] = []  # (lower word, upper word)
-    for w in words:
+    for k, w in enumerate(words):
         for pos, i, j, m, w2 in system._braid_moves(w):
             if w2 < w:
                 continue  # the mirrored move on w2 reproduces this pair
             w2 = words[index[w2]]  # the order's own copy, kept by the edge
-            head, tail = Q + w[:pos - 1], w[pos - 1 + m:] + Qp
-            piece = head + (0,) + tail
-            key = (i, j) + tuple(tuple(c for c in piece if c == a or c == b)
-                                 for a, b in pairs[i, j])
+            front = w[:pos - 1]
+            key = (heap[k], i, j, front.count(i), front.count(j))
             rep = orbits.get(key)
             if rep is None:
-                ctx = BraidContext(system, head, tail, i, j, pi)
+                ctx = BraidContext(system, Q + front, w[pos - 1 + m:] + Qp, i, j, pi)
                 rep = orbits[key] = classify(ctx, memo)
             lower = upper = None
             if rep.case == 1 and rep.witness_ok:
-                union(index[w], index[w2])
+                union(k, index[w2])
             elif rep.case == 2 and rep.witness_ok:
                 lower, upper = w2, w
             elif rep.case == 3 and rep.witness_ok:
                 lower, upper = w, w2
-            if lower is not None:
-                oriented.append((lower, upper))
             edges.append(MoveEdge(w, w2, pos, rep.case, rep.witness_ok,
                                   lower, upper, rep))
 
@@ -277,7 +277,7 @@ def build_rho(system: CoxeterSystem, Q, Qp, pi: GroupElement,
                     sorted(groups.values(), key=lambda g: min(g)))
     class_of = {w: c for c, grp in enumerate(classes) for w in grp}
 
-    covers = sorted({(class_of[lo], class_of[up]) for lo, up in oriented})
+    covers = sorted({(class_of[e.lower], class_of[e.upper]) for e in edges if e.lower is not None})
     violations = tuple((a, b) for a, b in covers if a == b)
     leq = _closure(len(classes), covers)
     anti_bad = tuple((classes[a][0], classes[b][0]) for a in range(len(classes))

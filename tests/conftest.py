@@ -7,9 +7,11 @@ point root orbit against which the exact root system is checked,
 ``flat_move`` the face-by-face move algebra and ``split_faces`` the face
 fold split at a window, against which the move's outer table is.
 ``reference_gap`` is the gap scan that enters every subdivision of every
-depth in its class table, against which the aimed scan is checked, and
+depth in its class table, against which the aimed scan is checked,
 ``condition`` a window condition by a Demazure fold of the shortened
-word, against which the outer table's rule is."""
+word, against which the outer table's rule is, and ``projection_key`` a
+move's commutation orbit by the projection lemma, against which the
+order's heap key is."""
 
 from __future__ import annotations
 
@@ -95,6 +97,22 @@ def braid_step(sys_, word, pos: int):
     ``_braid_moves``; raises unless exactly one move starts there."""
     (nxt,) = [move[4] for move in sys_._braid_moves(tuple(word)) if move[0] == pos]
     return nxt
+
+
+def projection_key(sys_, Q, word, pos: int, Qp) -> tuple:
+    """The commutation orbit of the braid move at 1-based ``pos`` of word,
+    inside Q + word + Q': its letters i, j and the projections of the
+    piece, the window taken as one symbol 0, onto every pair of
+    non-commuting symbols.  Two pieces are equivalent exactly when these
+    projections agree (the projection lemma of trace monoids); 0 commutes
+    with the letters that commute with both i and j."""
+    mm, letters = sys_.m, range(1, sys_.rank + 1)
+    i, j = word[pos - 1], word[pos]
+    m = mm[i - 1, j - 1]
+    piece = tuple(Q) + word[:pos - 1] + (0,) + word[pos - 1 + m:] + tuple(Qp)
+    pairs = [(a, b) for a in letters for b in letters if a <= b and mm[a - 1, b - 1] != 2]
+    pairs += [(0, a) for a in letters if mm[a - 1, i - 1] != 2 or mm[a - 1, j - 1] != 2]
+    return (i, j) + tuple(tuple(c for c in piece if c in pair) for pair in pairs)
 
 
 def forward_layers(sys_, letters, start: int) -> list:

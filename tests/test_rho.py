@@ -3,8 +3,8 @@ import random
 
 import pytest
 
-from conftest import (braid_step, face_passes, forward_passes, k_subdivide, reference_gap,
-                      system)
+from conftest import (braid_step, face_passes, forward_passes, k_subdivide, projection_key,
+                      reference_gap, system)
 from coxsub import _kernels, backend, cli, rhoposet, subword
 from coxsub.braid import apply_sequence, classify, move_context
 from coxsub.rhoposet import (GapReport, RhoPoset, SemilatticeResult, build_rho,
@@ -484,8 +484,8 @@ def _classify_calls(monkeypatch) -> list:
 
 
 @pytest.mark.parametrize("name, Q, Qp, calls, edges", [
-    ("A4", (), (), 326, 1770), ("H3", (), (), 152, 640), ("A3", (1, 1), (1, 3), 14, 18)],
-    ids=["A4", "H3", "A3"])
+    ("A4", (), (), 326, 1770), ("H3", (), (), 152, 640), ("A3", (1, 1), (1, 3), 14, 18),
+    ("D4", (), (), 834, 6252)], ids=["A4", "H3", "A3", "D4"])
 def test_one_classification_per_commutation_orbit(monkeypatch, name, Q, Qp, calls, edges):
     W = system(name)
     seen = _classify_calls(monkeypatch)
@@ -513,10 +513,40 @@ def _orbit_oracle(p: RhoPoset) -> None:
                                           3: (e.word_a, e.word_b)}[direct.case]
 
 
-@pytest.mark.parametrize("name", ["A4", "H3", "B3"])
-def test_orbit_verdicts_match_direct_classify(name):
+@pytest.mark.parametrize("name, Q, Qp", [("A4", (), ()), ("H3", (), ()), ("B3", (), ()),
+                                         ("B3", (1, 2, 3), (3, 2, 1))],
+                         ids=["A4", "H3", "B3", "B3-123-321"])
+def test_orbit_verdicts_match_direct_classify(name, Q, Qp):
     W = system(name)
-    _orbit_oracle(build_rho(W, (), (), W.longest_element()))
+    _orbit_oracle(build_rho(W, Q, Qp, W.longest_element()))
+
+
+def _orbits_match_projection_key(p: RhoPoset) -> None:
+    """The moves that share a report are exactly those that share a
+    projection key: the order's heap key and the projection lemma cut the
+    moves into the same commutation orbits."""
+    by_report, by_key = {}, {}
+    for k, e in enumerate(p.edges):
+        by_report.setdefault(id(e.report), set()).add(k)
+        by_key.setdefault(projection_key(p.system, p.Q, e.word_a, e.pos, p.Qp), set()).add(k)
+    assert sorted(map(sorted, by_report.values())) == sorted(map(sorted, by_key.values()))
+
+
+@pytest.mark.parametrize("name", ["A4", "H3", "D4", "B3"])
+@pytest.mark.parametrize("prefix", [False, True], ids=["Q=()", "Q=1..n"])
+def test_orbits_match_projection_key(name, prefix):
+    W = system(name)
+    Q = tuple(range(1, W.rank + 1)) if prefix else ()
+    _orbits_match_projection_key(build_rho(W, Q, (), W.longest_element()))
+
+
+def test_orbits_match_projection_key_a3_pairs():
+    A3 = system("A3")
+    w0 = A3.longest_element()
+    two = [(a, b) for a in range(1, 4) for b in range(1, 4)]
+    for Q in two:
+        for Qp in two:
+            _orbits_match_projection_key(build_rho(A3, Q, Qp, w0))
 
 
 def test_orbit_verdicts_match_direct_classify_a3_pairs():
