@@ -498,6 +498,8 @@ class PolyDeltaReport(NamedTuple):
 
 
 def polynomial_delta(f: MoveFacts) -> PolyDeltaReport:
+    """With both sides spheres, Dem(side) = pi, and a word with the window shortened
+    by two, a subword, is void (gamma ()) or has Dem = pi, a sphere: gamma is defined."""
     m = f.m
     if not f.supported:
         raise ValueError("needs m <= 3 or both length-3 window conditions")
@@ -510,14 +512,11 @@ def polynomial_delta(f: MoveFacts) -> PolyDeltaReport:
     sph = f.spherical
     delta_gamma = rhs_gamma = gamma_ok = None
     if sph[0] and sph[1]:
-        g1, g2, gk1, gk2 = gammas = [_gamma(h) for h in (h1, h2, hk1, hk2)]
-        if None in gammas:  # an inner h-vector is not palindromic
-            gamma_ok = False
-        else:
-            delta_gamma = _coeff_sub(g2, g1)
-            dk = _coeff_sub(gk2, gk1)
-            rhs_gamma = (0,) + tuple((m - 2) * c for c in dk) if m > 2 and dk else ()
-            gamma_ok = delta_gamma == rhs_gamma
+        g1, g2, gk1, gk2 = [_gamma(h) for h in (h1, h2, hk1, hk2)]
+        delta_gamma = _coeff_sub(g2, g1)
+        dk = _coeff_sub(gk2, gk1)
+        rhs_gamma = (0,) + tuple((m - 2) * c for c in dk) if m > 2 and dk else ()
+        gamma_ok = delta_gamma == rhs_gamma
     return PolyDeltaReport(delta_h, rhs_h, delta_h == rhs_h, sph,
                            delta_gamma, rhs_gamma, gamma_ok)
 
@@ -565,21 +564,6 @@ class CaseReport(NamedTuple):
         return CASE_NAMES[self.case]
 
 
-def _interface_expression_ok(f: MoveFacts, facets) -> bool:
-    """Whether the complex with these universe facets has the faces
-    (side 1 - d1_F) | d2_int, the common refinement's expression under the
-    window hypothesis: it is down-closed, holds each facet, lies under them.
-    Exact when d1_F passes its membership check (see ``Family``)."""
-    fams, table = f.families, f.table
-    want = f.faces[0] - fams.d1_F | fams.d2_int
-    window = ((1 << f.m) - 1) << f.q | ((1 << (f.m - 2)) - 1) << f.L
-    gens = {k: table.generators(label) for k, label in want.items()}
-    return (all(k ^ 1 << b in want and not label & ~want[k ^ 1 << b]
-                for k, label in want.items() for b in _bits(k))
-            and all(any(not x & ~window & ~g for g in gens.get(x & window, ())) for x in facets)
-            and all(any(not (k | g) & ~x for x in facets) for k, gs in gens.items() for g in gs))
-
-
 def _refine(f: MoveFacts, side: int) -> tuple[frozenset | None, tuple, tuple]:
     """Side 1 or 2 (``side`` 0 or 1) subdivided along the endpoint edge from
     its first window slot at the other side's internal slots, slot m - 1
@@ -592,7 +576,15 @@ def _refine(f: MoveFacts, side: int) -> tuple[frozenset | None, tuple, tuple]:
 
 def classify(ctx: BraidContext, memo: dict | None = None) -> CaseReport:
     """The verdict on one move; ``memo`` is the build memo of a caller that
-    classifies several moves over the same words (see ``subword.build``)."""
+    classifies several moves over the same words (see ``subword.build``).
+    Lemma (* the Demazure product, J = {i, j}, m >= 3, 0 < k < m): pi <= x*d*y for
+    both d in W_J of length k gives pi <= x*e*y for an e of length k - 1.  Induct on
+    l(y): pi <= g*r iff min(pi, pi r) <= g (Z-property, lifting).  At y = e, the d
+    starting with a descent s of x has x*d = x*(d - s); else x*d = xd, and pi <= xdt
+    if d ends in a t that is no descent of pi; else pi = pi^J w0(J), pi^J u <= x for
+    both u of length m - k, and the top of [e, x] in pi^J W_J (Billey-Fan-Losonczy
+    1999) lies above a v of length m - k + 1.  So with x = Dem(Q), y = Dem(Q'),
+    k = m - 2, not A2 and not B2 exclude A3 and B3: case 4 is never chain-checked."""
     f = MoveFacts(ctx, memo)
     m, c, names = f.m, f.conditions, f._side_names
     d1x, d2x = f.sides
@@ -626,9 +618,6 @@ def classify(ctx: BraidContext, memo: dict | None = None) -> CaseReport:
         witness_ok = agree = sub1 is not None and sub1 == sub2
         witness = {"kind": "common refinement", "edge": edge, "fresh_from_side_1": fresh1,
                    "fresh_from_side_2": fresh2, "agree": agree}
-        if agree and dec.chain_checked:
-            witness_ok = _interface_expression_ok(f, sub1)
-            witness["interface_expression_matches"] = witness_ok
 
     return CaseReport(ctx, m, case, c["A2"], c["B2"], c["A3"], c["B3"], f.supported,
                       d1x, d2x, names, witness, witness_ok, dec, poly)

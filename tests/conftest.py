@@ -331,6 +331,13 @@ def random_context(rng: random.Random, names=("A3", "B3", "H3"),
         return BraidContext(sys_, Q, Qp, i, j, pi)
 
 
+def shortened_void_or_spherical(f: MoveFacts) -> bool:
+    """Unless both sides are spheres, true; else whether each word with the
+    window shortened by two is void or a sphere, so that its h is
+    palindromic and its gamma defined (``braid.polynomial_delta``)."""
+    return not all(f.spherical) or all(e.spherical or not e.h for e in f._entries[2:])
+
+
 def i2_context(m: int) -> BraidContext:
     """The move at position 3 of 1,2 followed by the window of I2(m), pi = w0."""
     sys_ = system(f"I2:{m}")

@@ -4,8 +4,9 @@
 
 classifies each braid move of each word of that length over the group's
 generators, for each element pi of the group, with one build memo per
-(word, pi); exits 1 if a report fails ``cli.report_ok``, and prints the
-(m, case) histogram as JSON, an unsupported move's case as null.
+(word, pi); exits 1 if a report fails ``cli.report_ok`` or is a
+chain-checked case 4, which the lemma in ``braid.classify`` rules out, and
+prints the (m, case) histogram as JSON, an unsupported move's case as null.
 """
 
 from __future__ import annotations
@@ -36,7 +37,8 @@ def elements(system: CoxeterSystem) -> list:
 def sweep(system: CoxeterSystem, length: int, each=None) -> tuple[Counter, list]:
     """The (m, case) histogram of the braid moves of every word of
     ``length`` letters for every pi, and the contexts whose report fails
-    ``report_ok``; ``each(ctx, report, memo)`` sees every move."""
+    ``report_ok`` or is a chain-checked case 4; ``each(ctx, report, memo)``
+    sees every move."""
     hist: Counter = Counter()
     failed = []
     pis = elements(system)
@@ -50,7 +52,7 @@ def sweep(system: CoxeterSystem, length: int, each=None) -> tuple[Counter, list]
                 ctx = BraidContext(system, word[:p - 1], word[p - 1 + m:], i, j, pi)
                 rep = classify(ctx, memo)
                 hist[rep.m, rep.case] += 1
-                if not report_ok(rep):
+                if not report_ok(rep) or rep.case == 4 and rep.decomposition.chain_checked:
                     failed.append(ctx)
                 if each is not None:
                     each(ctx, rep, memo)
@@ -63,7 +65,7 @@ def main(argv: list[str]) -> int:
     rows = sorted(hist.items(), key=lambda row: (row[0][0], row[0][1] or 5))
     print(json.dumps([[m, case, n] for (m, case), n in rows]))
     for ctx in failed[:5]:
-        print(f"report_ok fails: Q={ctx.Q} Q'={ctx.Qp} i={ctx.i} j={ctx.j} pi={ctx.pi}",
+        print(f"fails: Q={ctx.Q} Q'={ctx.Qp} i={ctx.i} j={ctx.j} pi={ctx.pi}",
               file=sys.stderr)
     return 1 if failed else 0
 

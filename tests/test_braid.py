@@ -5,8 +5,8 @@ import pytest
 from conftest import (braid_step, check_A3B3_edges, condition, f_label, face_label_sets,
                       face_passes, flat_decomposition, flat_faces, flat_move, forward_passes,
                       g_label, has_face, i2_context, k_subdivide, named, oracle_contexts,
-                      outer_parts, random_context, side_descriptor, split_faces, system,
-                      word_labels)
+                      outer_parts, random_context, shortened_void_or_spherical,
+                      side_descriptor, split_faces, system, word_labels)
 from coxsub import braid
 from coxsub.braid import (BraidContext, Family, MoveFacts, apply_sequence, classify,
                           find_move_path, move_context, polynomial_delta, subfamilies,
@@ -607,8 +607,7 @@ def test_subdivision_witnesses_match_label_reference():
             assert rep.witness_ok == (sub1 == x2)
         else:
             assert rep.witness["agree"] == (sub1 is not None and sub1 == sub2)
-            assert rep.witness_ok == (rep.witness["agree"] and
-                                      rep.witness.get("interface_expression_matches", True))
+            assert rep.witness_ok == rep.witness["agree"]
     assert seen == {2, 3, 4}
 
 
@@ -639,25 +638,89 @@ def test_mask_subdivision_matches_k_subdivide():
     assert non_edges > 0
 
 
-def test_interface_expression_on_chain_checked_moves():
-    # the common-refinement expression also describes the finer side of a
-    # one-sided subdivision; no known move reaches it in case 4
-    rng = random.Random(26)
-    contexts = [i2_context(m) for m in range(3, 8)]
-    contexts += [random_context(rng) for _ in range(150)]
-    seen = set()
-    for ctx in contexts:
-        f = MoveFacts(ctx)
-        if f.m == 2 or not f.chain_checked:
-            continue
-        case = classify(ctx).case
-        if case not in (2, 3):
-            continue
-        seen.add(case)
-        fine, coarse = f.facets if case == 2 else f.facets[::-1]
-        assert braid._interface_expression_ok(f, fine)
-        assert not braid._interface_expression_ok(f, coarse)
-    assert seen == {2, 3}
+def _demazure_tables(sys_) -> tuple:
+    """Every element of a finite group as an index, by length from the
+    identity 0: right multiplication by each generator, the Bruhat down-set
+    of each element as a bitmask over the indices, and the Demazure product
+    x * g of every pair as ``star[x][g]``.  Only the multiplication comes
+    from the library: the down-set of a reduced p s is that of p together
+    with its right multiples by s (the subword property)."""
+    ids, index, parents, length = [0], {0: 0}, [None], [0]
+    for g in ids:  # breadth first, so a new h = g s has length l(g) + 1
+        for s in range(sys_.rank):
+            h = sys_._times(g, s)
+            if h not in index:
+                index[h] = len(ids)
+                ids.append(h)
+                parents.append((index[g], s))
+                length.append(length[index[g]] + 1)
+    times = [[index[sys_._times(g, s)] for s in range(sys_.rank)] for g in ids]
+    down = [1]
+    for p, s in parents[1:]:
+        d = down[p]
+        for u in range(len(ids)):
+            if down[p] >> u & 1:
+                d |= 1 << times[u][s]
+        down.append(d)
+    star = []
+    for x in range(len(ids)):
+        row = [x]
+        for p, s in parents[1:]:
+            a = row[p]
+            b = times[a][s]
+            row.append(a if length[b] < length[a] else b)
+        star.append(row)
+    return times, down, star
+
+
+def test_window_lemma_on_demazure_products():
+    # classify's lemma for every pi at once: with J = {i, j}, m = m_ij >= 3
+    # and 0 < k < m, every pi below x*d*y for both d in W_J of length k lies
+    # below x*e*y for an e of length k - 1, for all x and y; one d alone
+    # is not enough
+    for name in ("A3", "B3", "H3", "A4", "D4", "I2:7", "B4"):
+        sys_ = system(name)
+        times, down, star = _demazure_tables(sys_)
+        bad = one_sided = 0
+        for i in range(sys_.rank):
+            for j in range(i + 1, sys_.rank):
+                m = int(sys_.m[i, j])
+                if m < 3:
+                    continue
+                # per first letter, the element of W_J of each length 0..m-1
+                alt = []
+                for a, b in ((i, j), (j, i)):
+                    w = [0]
+                    for t in range(m - 1):
+                        w.append(times[w[-1]][(a, b)[t % 2]])
+                    alt.append(w)
+                for k in range(1, m):
+                    for row in star:
+                        for d1, d2, e1, e2 in zip(*(star[row[w[l]]] for l in (k, k - 1)
+                                                    for w in alt)):
+                            below = down[e1] | down[e2]
+                            bad += bool(down[d1] & down[d2] & ~below)
+                            one_sided += bool(down[d1] & ~below)
+        assert bad == 0, name
+        assert one_sided > 0, name
+
+
+def test_no_chain_checked_common_refinement():
+    # the lemma's consequences on 1,000 seeded moves: no case-4 move is
+    # chain-checked, and when both sides are spheres the words with the
+    # window shortened by two are void or spheres
+    rng = random.Random(71)
+    seen = {"case 4": 0, "both spherical": 0}
+    for _ in range(1000):
+        ctx = random_context(rng)
+        memo: dict = {}
+        rep = classify(ctx, memo)
+        f = MoveFacts(ctx, memo)
+        assert not (rep.case == 4 and rep.decomposition.chain_checked), ctx
+        assert shortened_void_or_spherical(f), ctx
+        seen["case 4"] += rep.case == 4
+        seen["both spherical"] += all(f.spherical)
+    assert all(seen.values()), seen
 
 
 def test_find_move_path():

@@ -1,6 +1,6 @@
 import pytest
 
-from conftest import flat_decomposition, flat_move, system
+from conftest import flat_decomposition, flat_move, shortened_void_or_spherical, system
 from coxsub.braid import MoveFacts, verify_decomposition
 from sweep import sweep
 
@@ -15,13 +15,17 @@ HISTOGRAMS = {
 
 @pytest.mark.parametrize("name, length", list(HISTOGRAMS))
 def test_every_move_of_the_short_words(name, length):
-    # every move passes report_ok; a move's mirror swaps cases 2 and 3, so
-    # they are equally common for each m; the checks of each report with
-    # m >= 3, read from classify's table or not, are those of a fresh
-    # evaluation and of the face-by-face move algebra
+    # every move passes report_ok; no case-4 move is chain-checked, and
+    # when both sides are spheres the shortened windows are void or spheres
+    # (classify's lemma); a move's mirror swaps cases 2 and 3, so they are
+    # equally common for each m; the checks of each report with m >= 3,
+    # read from classify's table or not, are those of a fresh evaluation
+    # and of the face-by-face move algebra
     def each(ctx, rep, memo):
+        f = MoveFacts(ctx, memo)
+        assert not (rep.case == 4 and rep.decomposition.chain_checked)
+        assert shortened_void_or_spherical(f)
         if rep.m >= 3:
-            f = MoveFacts(ctx, memo)
             fresh = verify_decomposition(f)
             assert fresh.ok and fresh.checks == rep.decomposition.checks
             assert fresh.chain_checked == rep.decomposition.chain_checked
