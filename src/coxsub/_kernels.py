@@ -12,7 +12,13 @@ The subword DP walks the vertex decomposition of Delta(word; pi)
 (Knutson-Miller 2004) on states (p, w) standing for Delta(word[p:]; w^-1),
 w = pi^-1 u for the product u of the letters taken before position p.  A
 forward pass (``subword_layers``) lists the live states, of non-void
-complexes, before each position; the backward passes fold them back.
+complexes, before each position.  The backward passes, one direct loop
+each with no callback per state, fold the states after p into those
+before it, from the identity after the last position, the complex {()}.
+With s = word[p], a state w without the right descent s is a cone over its
+link (p + 1, w); else it splits into the deletion (p + 1, w s) and the
+link, or is its deletion when the link is void: the deletion and a cone
+link of a live state are never void.  The start state must be live.
 """
 
 from __future__ import annotations
@@ -24,45 +30,47 @@ def subword_layers(times, desc, le, letters, start, tops):
     A deletion or a cone link of a live state lives: only a link at a descent is tested."""
     layers = [{start}]
     for s, top in zip(letters, reversed(tops[:-1])):
-        here = layers[-1]
-        layers.append({times(w, s) if desc[w] >> s & 1 else w for w in here})
-        layers[-1].update([w for w in here if desc[w] >> s & 1 and le(w, top)])
+        layers.append(nxt := set())
+        for w in layers[-2]:
+            if desc[w] >> s & 1:
+                nxt.add(times(w, s))
+                if not le(w, top):
+                    continue
+            nxt.add(w)
     return layers
 
 
-def subword_pass(right, desc, word, layers, leaf, cone, split):
-    """The value of the start state, which must be live; the identity after
-    the last position, the complex {()}, has the value ``leaf``.  With
-    s = word[p], a state w without the right descent s is a cone over its
-    link (p + 1, w), of value cone(link, p); else it has split(rest, link, p),
-    rest the value of the deletion (p + 1, w s), or rest itself when the link
-    is void: the deletion and a cone link of a live state are never void."""
-    vals = {0: leaf}
+def subword_h(right, desc, word, layers):
+    """The h-vector packed into one int, coefficient k at bit 64k: h(deletion)
+    + t h(link) at a descent, else h(link), the leaf 1.  A coefficient counts
+    facets of a live state, at most C(62, 31) < 2^59 for a word of at most
+    MAX_WORD_LETTERS letters, so no slot carries into the next."""
+    vals = {0: 1}
     for p in range(len(word) - 1, -1, -1):
         s, below, vals = word[p], vals, {}
         for w in layers[p]:
-            if not desc[w] >> s & 1:
-                vals[w] = cone(below[w], p)
-            else:
-                rest = below[right[w][s]]
-                vals[w] = split(rest, below[w], p) if w in below else rest
+            vals[w] = below[right[w][s]] + (below.get(w, 0) << 64) if desc[w] >> s & 1 \
+                else below[w]
     (start,) = layers[0]
     return vals[start]
-
-
-def subword_h(right, desc, word, layers):
-    """h-vector: h(deletion) + t h(link) at a descent, else h(link), 0."""
-    return subword_pass(right, desc, word, layers, (1,), lambda link, p: link + (0,),
-                        lambda rest, link, p: tuple(map(sum, zip(rest, (0,) + link))))
 
 
 def subword_facets(right, desc, word, layers):
     """The facets, masks over word positions, each the complement of a reduced
     word of pi: at a descent the deletion's facets, then the link's plus p;
     at a cone point every facet takes p."""
-    return subword_pass(right, desc, word, layers, [0],
-                        lambda link, p: [x | 1 << p for x in link],
-                        lambda rest, link, p: rest + [x | 1 << p for x in link])
+    vals = {0: [0]}
+    for p in range(len(word) - 1, -1, -1):
+        s, b, below, vals = word[p], 1 << p, vals, {}
+        for w in layers[p]:
+            if not desc[w] >> s & 1:
+                vals[w] = [x | b for x in below[w]]
+            elif w in below:
+                vals[w] = below[right[w][s]] + [x | b for x in below[w]]
+            else:
+                vals[w] = below[right[w][s]]
+    (start,) = layers[0]
+    return vals[start]
 
 
 def fill_submasks(facets, out: list) -> int:

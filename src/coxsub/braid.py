@@ -32,9 +32,9 @@ A | t | B, with A in Q, t in the window W and B in Q', is a face iff
 pi <= Dem(Q - A) * Dem(W - t) * Dem(Q' - B): its outer part (A, B) lies in
 O(d) for d = Dem(W - t) in the dihedral group W_ij, in all four complexes
 of a move, both sides and the words with the window shortened by two.  One
-``OuterTable`` per move reads d -> O(d) from side 1's facets; a face
-family is a ``Family`` {window part: label of its O}, and no face is
-listed.  The four window conditions follow one rule: the side word with
+``OuterTable`` per move reads d -> O(d) in one pass over side 1's facets,
+W_ij's chains cached per (system, i, j); a face family is a ``Family``
+{window part: label of its O}, and no face is listed.  The four window conditions follow one rule: the side word with
 its window shortened by k is void iff the label of Dem of its first m - k
 window letters is 0.  The interface families relabel the shortened
 windows' parts as the links of window edges do: an inner part opens two
@@ -152,17 +152,18 @@ class MoveFacts:
         (self.universe, self.bits, self.internal, self._side_names,
          self._witness) = _shape(q, m, len(ctx.Qp))
         self.endpoint = 1 << q | 1 << (q + m - 1)
-        memo = {} if memo is None else memo
-        # the side words, then the words with the window shortened by two
+        memo, system, pi = {} if memo is None else memo, ctx.system, ctx.pi
+        # the side words, then the words with the window shortened by two,
+        # all subwords of the checked side_word(1): none is checked again
         alt = (ctx.i, ctx.j) * m, (ctx.j, ctx.i) * m
         self.words = words = [ctx.Q + a[:m - k] + ctx.Qp for k in (0, 2) for a in alt]
         self.windows = tuple(tuple(s - 1 for s in a[:m]) for a in alt)  # 0-based letters
-        self.sides = tuple(build(SubwordDescriptor(ctx.system, w, ctx.pi), memo)
+        self.sides = tuple(build(SubwordDescriptor._make((system, w, pi)), memo)
                            for w in words[:2])
-        # their memo entries; a move reads only the h of the shortened
-        # windows', and no output names an inner vertex
-        self._entries = tuple(position_complex(ctx.system, w, ctx.pi, memo, k < 2)
-                              for k, w in enumerate(words))
+        # their memo entries, each read once; a move reads only the h of the
+        # shortened windows', and no output names an inner vertex
+        self._entries = (memo[words[0], pi], memo[words[1], pi],
+                         *(position_complex(system, w, pi, memo, False) for w in words[2:]))
         self.spherical = self._entries[0].spherical, self._entries[1].spherical
 
     def names(self, bits) -> tuple[str, ...]:
@@ -251,30 +252,30 @@ class OuterTable:
         desc, times, le = sys_._desc, sys_._times, sys_._le
         Q, Qp = [s - 1 for s in ctx.Q], [s - 1 for s in ctx.Qp]
         window, low, pi = ((1 << f.m) - 1) << q, (1 << q) - 1, sys_._id(ctx.pi)
-        facets = f._entries[0].word_facets
-        # each facet is A | t | B; Dem(Q - A) of each head A and u of each
-        # tail B (read from bit 0) are walked once, as facets share them
-        heads = dict.fromkeys({x & low for x in facets})
-        for head in heads:
-            a = 0
-            for p, s in enumerate(Q):
-                if not head >> p & 1 and not desc[a] >> s & 1:
-                    a = times(a, s)
-            heads[head] = a
-        tails = dict.fromkeys({x >> end for x in facets})
-        for tail in tails:
-            u = pi
-            for p in range(len(Qp) - 1, -1, -1):
-                if not tail >> p & 1 and desc[u] >> Qp[p] & 1:
-                    u = times(u, Qp[p])
-            tails[tail] = u
-        pairs: dict = {}
-        self.parts = parts = dict.fromkeys(x & ~window for x in facets)
-        for outer in parts:  # each facet's outer part: its pair's bit
-            parts[outer] = pairs.setdefault((heads[outer & low], tails[outer >> end]), len(pairs))
+        # each facet is A | t | B; its outer part A | B takes the bit of its
+        # pair (Dem(Q - A), u) in the order of first appearance, and Dem(Q - A)
+        # of each head A and u of each tail B (read from bit 0) are walked once
+        heads, tails, pairs = {}, {}, {}
+        self.parts = parts = {}
+        for x in f._entries[0].word_facets:
+            if (outer := x & ~window) in parts:
+                continue
+            if (a := heads.get(head := x & low)) is None:
+                a = 0
+                for p, s in enumerate(Q):
+                    if not head >> p & 1 and not desc[a] >> s & 1:
+                        a = times(a, s)
+                heads[head] = a
+            if (u := tails.get(tail := x >> end)) is None:
+                u = pi
+                for p in range(len(Qp) - 1, -1, -1):
+                    if not tail >> p & 1 and desc[u] >> Qp[p] & 1:
+                        u = times(u, Qp[p])
+                tails[tail] = u
+            parts[outer] = pairs.setdefault((a, u), len(pairs))
         # W_ij is the prefixes of the two windows; along each, a * d rises,
         # so a pair's bit is set from the first d with a * d above u on
-        self.chains = chains = tuple(sys_._demazures(w) for w in f.windows)
+        self.chains = chains = tuple(sys_._chain(*w[:2]) for w in f.windows)
         self.labels = labels = dict.fromkeys(chains[0] + chains[1], 0)
         for (a, u), n in pairs.items():
             bit = 1 << n
@@ -661,7 +662,7 @@ def move_context(system: CoxeterSystem, word: Word, pos: int,
     word = system.check_word(word)
     for p, i, j, m, _ in system._braid_moves(word):
         if p == pos:
-            return BraidContext(system, word[:pos - 1], word[pos - 1 + m:], i, j, pi)
+            return BraidContext._make((system, word[:pos - 1], word[pos - 1 + m:], i, j, pi))
     raise ValueError(f"no braid window at position {pos} of {word}")
 
 

@@ -288,6 +288,7 @@ class CoxeterSystem:
         self._len = [0]
         self._le = cache(self._le)  # every pass asks the same few Bruhat pairs again
         self._inv = cache(self._inv)  # every build of an entry asks for pi^-1
+        self._chain = cache(self._chain)  # every move asks for its two window chains
 
     # -- element plumbing ------------------------------------------------
 
@@ -408,6 +409,11 @@ class CoxeterSystem:
             g = out[-1]
             out.append(g if desc[g] >> s & 1 else times(g, s))
         return out
+
+    def _chain(self, i: int, j: int) -> tuple[int, ...]:
+        """``_demazures`` of the alternating window i, j, i, .. of m_ij 0-based
+        letters; once per pair (``__init__``), at most rank^2 of them."""
+        return tuple(self._demazures(((i, j) * self.m[i, j])[:self.m[i, j]]))
 
     def demazure_product(self, word: Iterable[int]) -> GroupElement:
         """Greedy fold keeping only the length-increasing letters."""

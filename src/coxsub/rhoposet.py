@@ -218,8 +218,11 @@ def build_rho(system: CoxeterSystem, Q, Qp, pi: GroupElement,
     a letter is one heap element across a commutation class (Cartier-Foata;
     Viennot).  A move is keyed by its word's class, i, j and the counts of
     i and of j before the window."""
-    Q, Qp = tuple(Q), tuple(Qp)
     words = system.reduced_words(pi, cap=cap)
+    # Q, Q' and the side length are checked here, once: no context or
+    # descriptor made below from the order's own words checks them again
+    Q, Qp = system._word(Q), system._word(Qp)
+    system.check_word(Q + words[0] + Qp)
     index = {w: k for k, w in enumerate(words)}
     memo: dict = {}
 
@@ -258,7 +261,7 @@ def build_rho(system: CoxeterSystem, Q, Qp, pi: GroupElement,
             key = (heap[k], i, j, front.count(i), front.count(j))
             rep = orbits.get(key)
             if rep is None:
-                ctx = BraidContext(system, Q + front, w[pos - 1 + m:] + Qp, i, j, pi)
+                ctx = BraidContext._make((system, Q + front, w[pos - 1 + m:] + Qp, i, j, pi))
                 rep = orbits[key] = classify(ctx, memo)
             lower = upper = None
             if rep.case == 1 and rep.witness_ok:
@@ -331,7 +334,7 @@ def _gap_scan(p: RhoPoset, memo: dict) -> GapReport:
     depth is searched for its targets alone.  The class representatives
     are built through ``memo`` (see ``subword.build``)."""
     n = len(p.classes)
-    reps = [build(SubwordDescriptor(p.system, p.Q + p.class_rep(c) + p.Qp, p.pi), memo)
+    reps = [build(SubwordDescriptor._make((p.system, p.Q + p.class_rep(c) + p.Qp, p.pi)), memo)
             for c in range(n)]
     table = _ClassTable()
     ids = [table.intern(x) for x in reps]

@@ -65,8 +65,10 @@ class PositionComplex:
             return
         layers = _kernels.subword_layers(system._times, system._desc, le, letters, start, tops)
         tables = system._right, system._desc, letters, layers
-        # h first: it sums to the facet count, which bounds the facet pass
-        self.h = h = _kernels.subword_h(*tables)
+        # h first: it sums to the facet count, which bounds the facet pass;
+        # the kernel packs its |word| - l(pi) + 1 coefficients 64 bits apart
+        packed, n = _kernels.subword_h(*tables), len(word) - system._len[start]
+        self.h = h = tuple(packed >> 64 * k & (1 << 64) - 1 for k in range(n + 1))
         if not facets:
             return
         if sum(h) > MAX_FACES:

@@ -11,7 +11,10 @@ depth in its class table, against which the aimed scan is checked,
 ``condition`` a window condition by a Demazure fold of the shortened
 word, against which the outer table's rule is, and ``projection_key`` a
 move's commutation orbit by the projection lemma, against which the
-order's heap key is."""
+order's heap key is.  ``subword_pass`` is the generic fold of the subword
+DP, against which, with ``fold_h`` and ``fold_facets``, the kernel's
+direct passes are checked, and ``two_pass_table`` the outer table made in
+two passes, against which the one-pass ``braid.OuterTable`` is."""
 
 from __future__ import annotations
 
@@ -196,6 +199,44 @@ def forward_passes(monkeypatch) -> list:
     return seen
 
 
+def subword_pass(right, desc, word, layers, leaf, cone, split):
+    """The generic backward fold of the subword DP: the value of the start
+    state, which must be live; the identity after the last position, the
+    complex {()}, has the value ``leaf``.  With s = word[p], a state w
+    without the right descent s is a cone over its link (p + 1, w), of value
+    cone(link, p); else it has split(rest, link, p), rest the value of the
+    deletion (p + 1, w s), or rest itself when the link is void.  The
+    library's passes (``_kernels``) are direct loops; this fold, with the
+    callbacks below, is their oracle."""
+    vals = {0: leaf}
+    for p in range(len(word) - 1, -1, -1):
+        s, below, vals = word[p], vals, {}
+        for w in layers[p]:
+            if not desc[w] >> s & 1:
+                vals[w] = cone(below[w], p)
+            else:
+                rest = below[right[w][s]]
+                vals[w] = split(rest, below[w], p) if w in below else rest
+    (start,) = layers[0]
+    return vals[start]
+
+
+def fold_h(right, desc, word, layers) -> tuple:
+    """The h-vector as a tuple by ``subword_pass``: h(deletion) + t h(link)
+    at a descent, else h(link), 0."""
+    return subword_pass(right, desc, word, layers, (1,), lambda link, p: link + (0,),
+                        lambda rest, link, p: tuple(map(sum, zip(rest, (0,) + link))))
+
+
+def fold_facets(right, desc, word, layers) -> list:
+    """The facets as masks over word positions by ``subword_pass``: at a
+    descent the deletion's facets, then the link's plus p; at a cone point
+    every facet takes p."""
+    return subword_pass(right, desc, word, layers, [0],
+                        lambda link, p: [x | 1 << p for x in link],
+                        lambda rest, link, p: rest + [x | 1 << p for x in link])
+
+
 def subword_split_faces(right, desc, word, layers, bits, lo, hi):
     """Every face of the subword DP's start state once, position p as bit
     bits[p], as {window part: frozenset of outer parts} for the window
@@ -213,7 +254,7 @@ def subword_split_faces(right, desc, word, layers, bits, lo, hi):
                 out[k] = rest[k] + [x | b for x in v]
         return out
 
-    vals = _kernels.subword_pass(right, desc, word, layers, {0: [0]},
+    vals = subword_pass(right, desc, word, layers, {0: [0]},
                                  lambda link, p: split(link, link, p), split)
     return {k: frozenset(v) for k, v in vals.items()}
 
@@ -480,6 +521,63 @@ def check_A3B3_edges(f: MoveFacts) -> bool:
 
 
 # -- the flat move algebra, face by face -----------------------------------------
+
+
+def two_pass_table(f: MoveFacts) -> tuple[dict, dict]:
+    """(labels, parts) of the move's outer table as two passes over side 1's
+    facets make them: the heads and the tails walked first, then the outer
+    parts numbered by pair, and both window chains folded afresh; the
+    oracle of ``braid.OuterTable``, which does this in one pass."""
+    ctx, q, end = f.ctx, f.q, f.q + f.m
+    sys_ = ctx.system
+    desc, times, le = sys_._desc, sys_._times, sys_._le
+    Q, Qp = [s - 1 for s in ctx.Q], [s - 1 for s in ctx.Qp]
+    window, low, pi = ((1 << f.m) - 1) << q, (1 << q) - 1, sys_._id(ctx.pi)
+    facets = f._entries[0].word_facets
+    heads = dict.fromkeys({x & low for x in facets})
+    for head in heads:
+        a = 0
+        for p, s in enumerate(Q):
+            if not head >> p & 1 and not desc[a] >> s & 1:
+                a = times(a, s)
+        heads[head] = a
+    tails = dict.fromkeys({x >> end for x in facets})
+    for tail in tails:
+        u = pi
+        for p in range(len(Qp) - 1, -1, -1):
+            if not tail >> p & 1 and desc[u] >> Qp[p] & 1:
+                u = times(u, Qp[p])
+        tails[tail] = u
+    pairs: dict = {}
+    parts = dict.fromkeys(x & ~window for x in facets)
+    for outer in parts:
+        parts[outer] = pairs.setdefault((heads[outer & low], tails[outer >> end]), len(pairs))
+    chains = tuple(sys_._demazures(w) for w in f.windows)
+    labels = dict.fromkeys(chains[0] + chains[1], 0)
+    for (a, u), n in pairs.items():
+        bit = 1 << n
+        if le(u, a):
+            for d in labels:
+                labels[d] |= bit
+            continue
+        for w, chain in zip(f.windows, chains):
+            z = a
+            for l, s in enumerate(w, 1):
+                if not desc[z] >> s & 1:
+                    z = times(z, s)
+                    if le(u, z):
+                        for d in chain[l:]:
+                            labels[d] |= bit
+                        break
+    return labels, parts
+
+
+def same_outer_table(f: MoveFacts) -> bool:
+    """Whether the move's outer table has the oracle's labels, in chain
+    order, and its outer parts with their pair numbers, in order."""
+    labels, parts = two_pass_table(f)
+    return (list(f.table.labels.items()) == list(labels.items())
+            and list(f.table.parts.items()) == list(parts.items()))
 
 
 def outer_parts(f: MoveFacts, label: int) -> frozenset:

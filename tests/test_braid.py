@@ -1,16 +1,21 @@
+import importlib.util
+import itertools
 import random
+from pathlib import Path
 
 import pytest
 
 from conftest import (braid_step, check_A3B3_edges, condition, f_label, face_label_sets,
                       face_passes, flat_decomposition, flat_faces, flat_move, forward_passes,
                       g_label, has_face, i2_context, k_subdivide, named, oracle_contexts,
-                      outer_parts, random_context, shortened_void_or_spherical,
-                      side_descriptor, split_faces, system, word_labels)
+                      outer_parts, random_context, same_outer_table,
+                      shortened_void_or_spherical, side_descriptor, split_faces, system,
+                      word_labels)
 from coxsub import braid
 from coxsub.braid import (BraidContext, Family, MoveFacts, apply_sequence, classify,
                           find_move_path, move_context, polynomial_delta, subfamilies,
                           tilde, verify_decomposition)
+from coxsub.coxeter import CoxeterSystem
 from coxsub.simplicial import LabeledComplex, face_set, subdivide
 from coxsub.subword import SubwordDescriptor, build
 
@@ -834,6 +839,52 @@ def test_shortened_windows_voidness_read_off_the_outer_table():
         assert got == [not e.h for e in f._entries[2:]], ctx
         seen.update(got)
     assert seen == {True, False}
+
+
+def test_outer_table_matches_the_two_pass_oracle():
+    # one pass over side 1's facets numbers the pairs in the order of first
+    # appearance of the outer parts, as the two-pass table does, so the
+    # labels, in chain order, and the parts with their pair numbers agree,
+    # and with them every key of ``classify``'s table
+    rng = random.Random(38)
+    shared = heads = 0
+    for _ in range(300):
+        f = MoveFacts(random_context(rng, names=("A3", "B3", "H3", "A4", "D4")))
+        assert same_outer_table(f), f.ctx
+        parts = f.table.parts
+        shared += len(parts) < len(f._entries[0].word_facets)
+        heads += len({x & (1 << f.q) - 1 for x in parts}) < len(parts)
+    assert min(shared, heads) >= 30, (shared, heads)
+
+
+def test_window_chains_folded_once_per_system_and_pair(monkeypatch):
+    # the outer table reads both window chains from a cache per system,
+    # keyed on (i, j): over the 2,700 inputs of the seed-0 classify stream
+    # each (system, i, j) is folded once, not twice per move
+    chains, demazures = [], []
+    chain, fold = CoxeterSystem._chain, CoxeterSystem._demazures
+    monkeypatch.setattr(CoxeterSystem, "_chain",
+                        lambda self, i, j: chains.append((self, i, j)) or chain(self, i, j))
+    # the benchmark's stream over fresh systems, made after the patch so that
+    # their chain caches wrap the counter
+    spec = importlib.util.spec_from_file_location(
+        "workloads", Path(__file__).resolve().parents[1] / "bench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    systems = workloads.make_systems(workloads.CLASSIFY_GROUPS)
+    stream = list(itertools.islice(workloads.classify_inputs(systems, 0), 2700))
+    monkeypatch.setattr(CoxeterSystem, "_demazures",
+                        lambda self, letters: demazures.append(1) or fold(self, letters))
+    met = set()
+    for _, ctx in stream:
+        classify(ctx)
+        met.update({(ctx.system, ctx.i - 1, ctx.j - 1), (ctx.system, ctx.j - 1, ctx.i - 1)})
+    assert len(stream) == 2700
+    assert len(chains) == len(set(chains)) and set(chains) == met
+    assert len(met) <= sum(r * (r - 1) for r in (3, 3, 3, 4, 4))
+    # one fold per memo entry, and one per chain: 2 x 2,700 chain folds fewer
+    # than when each move folded both of its chains
+    assert len(demazures) == 15_093 - 5_400 + len(met)
 
 
 def test_equal_label_patterns_decide_equal_checklists():

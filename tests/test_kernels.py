@@ -1,9 +1,14 @@
 import random
+import re
 
-from conftest import (brute_facets, forward_layers, oracle_case, random_pi, run_facets,
-                      subword_split_faces, system)
-from coxsub import _kernels, backend
-from coxsub.subword import position_complex
+import pytest
+
+from conftest import (brute_facets, fold_facets, fold_h, forward_layers, oracle_case, random_pi,
+                      run_facets, subword_split_faces, system)
+from coxsub import _kernels, backend, cli
+from coxsub.coxeter import MAX_WORD_LETTERS
+from coxsub.simplicial import FACE_LIMIT_ERROR
+from coxsub.subword import PositionComplex, position_complex
 
 
 def test_python_masks_match_library():
@@ -92,6 +97,58 @@ def test_forward_pass_lists_exactly_the_live_states():
         seen["live"] += 1
         seen["dead reached"] += live != reached
     assert min(seen.values()) >= 5, seen
+
+
+def test_packed_h_and_facets_match_the_generic_fold(capsys):
+    # the kernel's h, one int with coefficient k at bit 64k, unpacked by the
+    # memo entry, is the tuple fold's h; its facets are the fold's, in order
+    rng = random.Random(38)
+    cases = []
+    for k in range(150):
+        sys_ = system(("A3", "B3", "H3", "A4", "D4", "B4")[k % 6])
+        word = tuple(rng.randrange(1, sys_.rank + 1) for _ in range(rng.randrange(0, 15)))
+        cases.append((sys_, *oracle_case(sys_, rng, word, k // 6 % 5)))
+    # words of MAX_WORD_LETTERS letters
+    for name, kind in (("A3", 4), ("A4", 3), ("B4", 4), ("D4", 2), ("H3", 1)):
+        sys_ = system(name)
+        word = tuple(rng.randrange(1, sys_.rank + 1) for _ in range(MAX_WORD_LETTERS))
+        cases.append((sys_, *oracle_case(sys_, rng, word, kind)))
+    # F4's w0 in (1,2,3,4)^15 1,2: a coefficient past 2^32
+    F4, B4 = system("F4"), system("B4")
+    cases.append((F4, (1, 2, 3, 4) * 15 + (1, 2), F4.longest_element()))
+    cases.append((B4, (1, 2, 3, 4) * 15, B4.longest_element()))
+    seen = {"void": 0, "facets": 0, "h only": 0}
+    top = 0
+    for sys_, word, pi in cases:
+        entry = PositionComplex(sys_, word, pi, facets=False)
+        if not sys_.contains_reduced(word, pi):
+            assert entry.h == ()
+            seen["void"] += 1
+            continue
+        letters, tables = tuple(a - 1 for a in word), (sys_._right, sys_._desc)
+        layers = forward_layers(sys_, letters, sys_._id(sys_.inverse(pi)))
+        h = fold_h(*tables, letters, layers)
+        assert entry.h == h and len(h) == len(word) - sys_.length(pi) + 1, (word, pi)
+        assert _kernels.subword_h(*tables, letters, layers) == sum(
+            c << 64 * k for k, c in enumerate(h))
+        top = max(top, *h)
+        if sum(h) <= 50_000:
+            assert _kernels.subword_facets(*tables, letters, layers) == fold_facets(
+                *tables, letters, layers)
+            seen["facets"] += 1
+        else:
+            seen["h only"] += 1
+    assert len(cases) >= 120 and min(seen.values()) >= 5, seen
+    assert top > 2 ** 32
+    # (1,2,3,4)^15 at w0 in B4 has 6,892,441,920 facets: its h is made, then
+    # the facet pass is refused, and the command exits 2
+    assert sum(PositionComplex(B4, (1, 2, 3, 4) * 15, B4.longest_element(), False).h) \
+        == 6_892_441_920
+    with pytest.raises(ValueError, match=re.escape(FACE_LIMIT_ERROR)):
+        PositionComplex(B4, (1, 2, 3, 4) * 15, B4.longest_element())
+    assert cli.main(["complex", "--group", "B4", "--pi", "w0",
+                     "--word", ",".join(["1,2,3,4"] * 15)]) == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_popcounts():

@@ -7,6 +7,7 @@ from conftest import (braid_step, face_passes, forward_passes, k_subdivide, proj
                       reference_gap, system)
 from coxsub import _kernels, backend, cli, rhoposet, subword
 from coxsub.braid import apply_sequence, classify, move_context
+from coxsub.coxeter import CoxeterSystem
 from coxsub.rhoposet import (GapReport, RhoPoset, SemilatticeResult, build_rho,
                              export_dot, poset_json, semilattice_check,
                              transitive_reduction)
@@ -281,6 +282,33 @@ def test_cap_respected():
     A3 = system("A3")
     with pytest.raises(ValueError):
         build_rho(A3, (), (), A3.longest_element(), cap=5)
+
+
+def test_build_rho_checks_its_words_once(monkeypatch):
+    # Q, Q' and the side length are checked where they enter, with the
+    # messages the per-move checks gave; an order with one word (pi = e)
+    # makes no move, and fails the same way
+    A3 = system("A3")
+    checked = []
+    check = CoxeterSystem.check_word
+    monkeypatch.setattr(CoxeterSystem, "check_word",
+                        lambda self, word: checked.append(word) or check(self, word))
+    p = build_rho(A3, (1, 3), (1, 2), A3.longest_element())
+    assert len(p.edges) == 18 and checked == [(1, 3) + p.words[0] + (1, 2)]
+    w0, e = A3.longest_element(), A3.identity
+    bad = r"generator index 4 out of range 1\.\.3"
+    for pi in (w0, e):
+        for Q, Qp in (((1, 4), ()), ((), (2, 4)), ((4,), (3,)), ((2,), (1, 4, 2))):
+            with pytest.raises(ValueError, match=bad):
+                build_rho(A3, Q, Qp, pi)
+    long = "words are limited to 62 letters"
+    for Q, Qp, pi in (((1,) * 30, (2,) * 27, w0), ((1,) * 57, (), w0),
+                      ((), (2,) * 57, w0), ((1,) * 40, (2,) * 23, e), ((3,) * 63, (), e)):
+        with pytest.raises(ValueError, match=long):
+            build_rho(A3, Q, Qp, pi)
+    # 62 letters pass, and the words reach the order as ints
+    p = build_rho(A3, [1] * 40, iter([2] * 22), e)
+    assert p.Q == (1,) * 40 and p.Qp == (2,) * 22 and p.words == ((),)
 
 
 def test_gap_scan_skipped_above_limit(monkeypatch):

@@ -1,6 +1,7 @@
 import pytest
 
-from conftest import flat_decomposition, flat_move, shortened_void_or_spherical, system
+from conftest import (flat_decomposition, flat_move, same_outer_table,
+                      shortened_void_or_spherical, system)
 from coxsub.braid import MoveFacts, verify_decomposition
 from sweep import sweep
 
@@ -20,11 +21,13 @@ def test_every_move_of_the_short_words(name, length):
     # (classify's lemma); a move's mirror swaps cases 2 and 3, so they are
     # equally common for each m; the checks of each report with m >= 3,
     # read from classify's table or not, are those of a fresh evaluation
-    # and of the face-by-face move algebra
+    # and of the face-by-face move algebra; every outer table, whose labels
+    # key that table, is the two-pass oracle's
     def each(ctx, rep, memo):
         f = MoveFacts(ctx, memo)
         assert not (rep.case == 4 and rep.decomposition.chain_checked)
         assert shortened_void_or_spherical(f)
+        assert same_outer_table(f)
         if rep.m >= 3:
             fresh = verify_decomposition(f)
             assert fresh.ok and fresh.checks == rep.decomposition.checks
