@@ -346,10 +346,6 @@ class CoxeterSystem:
             raise ValueError(f"words are limited to {MAX_WORD_LETTERS} letters")
         return w
 
-    def _letters(self, word: Iterable[int]) -> Word:
-        """0-based letters of a checked word."""
-        return tuple(s - 1 for s in self.check_word(word))
-
     def element_of(self, word: Iterable[int]) -> GroupElement:
         return self._elements[self._fold(0, word)]
 
@@ -482,13 +478,3 @@ class CoxeterSystem:
             g = self._times(g, (up & -up).bit_length() - 1)
         return self._elements[g]
 
-    # -- reduced subwords ---------------------------------------------------
-
-    def contains_reduced(self, word: Iterable[int], pi: GroupElement) -> bool:
-        """True iff some subword of word is a reduced word of pi.
-
-        That holds iff pi <= Dem(word) in Bruhat order (Knutson-Miller,
-        Subword complexes in Coxeter groups, 2004, section 3), so no
-        subword is searched.
-        """
-        return self._le(self._id(pi), self._demazures(self._letters(word))[-1])

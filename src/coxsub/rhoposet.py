@@ -80,7 +80,7 @@ class RhoPoset(NamedTuple):
     class_of: dict  # word -> class index
     leq: tuple  # reach rows: bit b of leq[a] when class b's complex refines class a's
     antisymmetric: bool
-    violations: tuple
+    violations: tuple  # word pairs (class representatives) against antisymmetry
     semilattice: SemilatticeResult
     gap: GapReport
 
@@ -281,7 +281,8 @@ def build_rho(system: CoxeterSystem, Q, Qp, pi: GroupElement,
     class_of = {w: c for c, grp in enumerate(classes) for w in grp}
 
     covers = sorted({(class_of[e.lower], class_of[e.upper]) for e in edges if e.lower is not None})
-    violations = tuple((a, b) for a, b in covers if a == b)
+    # a cover inside one class is reported as its representative word, twice
+    violations = tuple((classes[a][0], classes[a][0]) for a, b in covers if a == b)
     leq = _closure(len(classes), covers)
     anti_bad = tuple((classes[a][0], classes[b][0]) for a in range(len(classes))
                      for b in _bits(leq[a] >> (a + 1) << (a + 1)) if leq[b] >> a & 1)

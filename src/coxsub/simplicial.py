@@ -4,9 +4,9 @@ A complex carries an ordered tuple of distinct vertex labels and its
 facets as bitmasks over that order, bit k for vertex k, held in Python
 ints.  Inside the library the labels are integers, the word positions of
 a subword complex or 0..n-1; names for a reader are applied only where a
-summary is written.  Its faces, when enumerated, are the sorted tuple of
-the submasks of its facets.  Two degenerate complexes are distinguished
-on purpose:
+summary is written.  Its f, h and gamma are read off the h-vector it was
+made with (``subword.PositionComplex`` records the vertex decomposition's);
+no face is counted.  Two degenerate complexes are distinguished on purpose:
 
   * the void complex has no faces at all: no facets, no empty face;
   * the complex {()} has the single facet (), i.e. only the empty face.
@@ -116,9 +116,9 @@ class LabeledComplex:
                 raise ValueError("facet mask uses unknown vertices")
         object.__setattr__(self, "vertices", vertices)
         object.__setattr__(self, "facets", tuple(masks))
-        # the facts read from the facets alone, filled on first use: "faces",
-        # "f", "h", "sig" (counted by ``_signatures``) and the isomorphism
-        # search "plan"
+        # the h-vector it was made with, "h", and the facts filled on first
+        # use: "f", read from h, "sig" (counted by ``_signatures``) and the
+        # isomorphism search "plan"
         object.__setattr__(self, "_cache", {})
 
     def __setattr__(self, *a):  # immutability by convention
@@ -148,7 +148,9 @@ class LabeledComplex:
 
     @staticmethod
     def void() -> "LabeledComplex":
-        return LabeledComplex((), ())
+        x = LabeledComplex((), ())
+        x._know_h(())
+        return x
 
     # -- basic queries -----------------------------------------------------
 
@@ -165,13 +167,6 @@ class LabeledComplex:
 
     def facet_label_sets(self) -> tuple[frozenset, ...]:
         return tuple(frozenset(self.vertices[i] for i in _bits(f)) for f in self.facets)
-
-    def faces_masks(self) -> tuple[int, ...]:
-        """Sorted masks of every face, the empty face included (unless void)."""
-        faces = self._cache.get("faces")
-        if faces is None:
-            faces = self._cache["faces"] = tuple(sorted(face_set(self.facets)))
-        return faces
 
     def edge_masks(self) -> list[int]:
         """Sorted masks of the edges, read from the facets."""
@@ -198,48 +193,36 @@ class LabeledComplex:
 
     # -- enumerative invariants ---------------------------------------------
 
-    def f_vector(self) -> tuple[int, ...]:
-        """(f_0, .., f_{dim}); empty for the void complex and for {()}.  Made
-        on first use, from the h-vector when it is known, else from the faces."""
-        f = self._cache.get("f")
-        if f is None:
-            h = self._cache.get("h")
-            if h is None:
-                faces = self.faces_masks()
-                counts = [0] * (self.dim + 2 if faces else 1)
-                for k in _K.popcounts(faces, [0] * len(faces)):
-                    counts[k] += 1
-                f = tuple(counts[1:])
-            else:  # f_{i-1} = sum_k C(n-k, i-k) h_k
-                n = len(h) - 1
-                f = tuple(sum(comb(n - k, i - k) * h[k] for k in range(i + 1))
-                          for i in range(1, n + 1))
-            self._cache["f"] = f
-        return f
-
     def _know_h(self, h: tuple[int, ...]) -> None:
-        """Record the h-vector, found without faces; ``f_vector`` reads it."""
+        """Record the h-vector, () for the void complex; f, h and gamma read it."""
         self._cache["h"] = h
 
-    def h_vector(self) -> tuple[int, ...]:
+    def _h(self) -> tuple[int, ...]:
         h = self._cache.get("h")
         if h is None:
-            if self.is_void:
-                raise ValueError("the void complex has no h-vector")
-            if len({f.bit_count() for f in self.facets}) > 1:
-                raise ValueError("h-vector requires a pure complex")
-            f = (1,) + self.f_vector()  # f[i] = f_{i-1}
-            n = self.dim + 1
-            h = self._cache["h"] = tuple(
-                sum((-1) ** (k - i) * comb(n - i, k - i) * f[i] for i in range(k + 1))
-                for k in range(n + 1))
+            raise ValueError("the complex was made without an h-vector")
+        return h
+
+    def f_vector(self) -> tuple[int, ...]:
+        """(f_0, .., f_{dim}) from the h-vector, f_{i-1} = sum_k C(n-k, i-k) h_k;
+        empty for the void complex and for {()}.  Made on first use."""
+        f = self._cache.get("f")
+        if f is None:
+            h = self._h()
+            n = len(h) - 1
+            f = self._cache["f"] = tuple(sum(comb(n - k, i - k) * h[k] for k in range(i + 1))
+                                         for i in range(1, n + 1))
+        return f
+
+    def h_vector(self) -> tuple[int, ...]:
+        h = self._h()
+        if not h:
+            raise ValueError("the void complex has no h-vector")
         return h
 
     def gamma(self) -> tuple[int, ...]:
         """Gamma vector of a palindromic h-vector; () for the void complex."""
-        if self.is_void:
-            return ()
-        g = _gamma(self.h_vector())
+        g = _gamma(self._h())
         if g is None:
             raise ValueError("h-vector is not palindromic; gamma is undefined")
         return g

@@ -14,13 +14,17 @@ move's commutation orbit by the projection lemma, against which the
 order's heap key is.  ``subword_pass`` is the generic fold of the subword
 DP, against which, with ``fold_h`` and ``fold_facets``, the kernel's
 direct passes are checked, and ``two_pass_table`` the outer table made in
-two passes, against which the one-pass ``braid.OuterTable`` is."""
+two passes, against which the one-pass ``braid.OuterTable`` is.  The
+library reads f, h and gamma off the h of the subword DP alone;
+``counted_f`` and ``counted_h`` count them face by face, for complexes
+made by hand too, and ``contains_reduced`` tells a void pair by Bruhat
+order."""
 
 from __future__ import annotations
 
 import itertools
 import random
-from math import cos, pi as PI
+from math import comb, cos, pi as PI
 
 from coxsub import _kernels, backend, braid, rhoposet, simplicial
 from coxsub.braid import BraidContext, MoveFacts
@@ -95,6 +99,13 @@ def roots_match_float_orbit(cm: CoxeterMatrix) -> bool:
             and all(cm.reflect[to[b]][to[c]] == to[reflect[b][c]] for b in to for c in to))
 
 
+def contains_reduced(sys_, word, pi) -> bool:
+    """True iff some subword of word is a reduced word of pi: iff pi <=
+    Dem(word) in Bruhat order (Knutson-Miller, Subword complexes in
+    Coxeter groups, 2004, section 3)."""
+    return sys_.bruhat_le(pi, sys_.demazure_product(word))
+
+
 def braid_step(sys_, word, pos: int):
     """The word after the braid move at 1-based ``pos``, read off
     ``_braid_moves``; raises unless exactly one move starts there."""
@@ -129,7 +140,7 @@ def run_facets(sys_, word, pi):
     """The facet kernel called directly, on the tables and forward layers
     of sys_: the facets of Delta(word; pi) as masks over word positions, []
     for a void pair, whose start state the kernel does not take."""
-    if not sys_.contains_reduced(word, pi):
+    if not contains_reduced(sys_, word, pi):
         return []
     letters = tuple(a - 1 for a in word)
     layers = forward_layers(sys_, letters, sys_._id(sys_.inverse(pi)))
@@ -141,7 +152,7 @@ def condition(ctx: BraidContext, which: str, k: int) -> bool:
     contains no reduced expression of pi ("A" = side 1, "B" = side 2), by
     a Demazure fold of that word; ``MoveFacts`` reads it off its outer table."""
     side = {"A": 1, "B": 2}[which]
-    return not ctx.system.contains_reduced(ctx.side_word(side, k), ctx.pi)
+    return not contains_reduced(ctx.system, ctx.side_word(side, k), ctx.pi)
 
 
 def face_passes(monkeypatch) -> list:
@@ -182,7 +193,6 @@ def no_face_listing(monkeypatch) -> None:
 
     monkeypatch.setattr(simplicial, "face_set", refuse)
     monkeypatch.setattr(backend.active, "fill_submasks", refuse)
-    monkeypatch.setattr(simplicial.LabeledComplex, "faces_masks", refuse)
 
 
 def forward_passes(monkeypatch) -> list:
@@ -262,7 +272,7 @@ def subword_split_faces(right, desc, word, layers, bits, lo, hi):
 def split_faces(sys_, word, pi, bits, lo: int, hi: int) -> dict:
     """``subword_split_faces`` of Delta(word; pi) over its own forward pass,
     {} when void."""
-    if not sys_.contains_reduced(word, pi):
+    if not contains_reduced(sys_, word, pi):
         return {}
     letters = tuple(a - 1 for a in word)
     layers = forward_layers(sys_, letters, sys_._id(sys_.inverse(pi)))
@@ -420,10 +430,32 @@ def named(x: LabeledComplex, names) -> LabeledComplex:
                                       vertex_order=[names[v] for v in x.vertices])
 
 
+def face_masks(x: LabeledComplex) -> tuple[int, ...]:
+    """Sorted masks of every face of x, the empty face included unless x is void."""
+    return tuple(sorted(face_set(x.facets)))
+
+
+def counted_f(x: LabeledComplex) -> tuple[int, ...]:
+    """(f_0, .., f_dim) of x counted face by face; () for void and {()}."""
+    faces = face_masks(x)
+    counts = [0] * (x.dim + 2 if faces else 1)
+    for m in faces:
+        counts[m.bit_count()] += 1
+    return tuple(counts[1:])
+
+
+def counted_h(x: LabeledComplex) -> tuple[int, ...]:
+    """h-vector of a pure non-void x from its counted f, by the alternating
+    sum h_k = sum_i (-1)^(k-i) C(n-i, k-i) f_{i-1}."""
+    f, n = (1,) + counted_f(x), x.dim + 1
+    return tuple(sum((-1) ** (k - i) * comb(n - i, k - i) * f[i] for i in range(k + 1))
+                 for k in range(n + 1))
+
+
 def face_label_sets(x: LabeledComplex) -> frozenset[frozenset]:
     """Every face of x as a set of vertex labels."""
     return frozenset(frozenset(x.vertices[i] for i in range(len(x.vertices)) if m >> i & 1)
-                     for m in x.faces_masks())
+                     for m in face_masks(x))
 
 
 def has_face(x: LabeledComplex, labels) -> bool:

@@ -5,10 +5,10 @@ from pathlib import Path
 
 import pytest
 
-from conftest import (braid_step, check_A3B3_edges, condition, f_label, face_label_sets,
-                      face_passes, flat_decomposition, flat_faces, flat_move, forward_passes,
-                      g_label, has_face, i2_context, k_subdivide, named, oracle_contexts,
-                      outer_parts, random_context, same_outer_table,
+from conftest import (braid_step, check_A3B3_edges, condition, counted_f, f_label,
+                      face_label_sets, face_masks, face_passes, flat_decomposition, flat_faces,
+                      flat_move, forward_passes, g_label, has_face, i2_context, k_subdivide,
+                      named, oracle_contexts, outer_parts, random_context, same_outer_table,
                       shortened_void_or_spherical, side_descriptor, split_faces, system,
                       word_labels)
 from coxsub import braid
@@ -165,7 +165,7 @@ def test_classify_makes_no_inner_f_vector():
             assert "f" not in x._cache
             if not x.is_void:
                 read += 1
-                assert x.f_vector() == LabeledComplex(x.vertices, x.facets).f_vector()
+                assert x.f_vector() == counted_f(x)
                 assert "f" in x._cache
             assert build(d, memo) == x and memo[d.word, d.pi].word_facets is not None
     assert read >= 10
@@ -639,7 +639,7 @@ def test_mask_subdivision_matches_k_subdivide():
             continue
         ref = k_subdivide(x, edge, k, [f"r{r}" for r in range(k)])
         assert got == frozenset(ref.facets)
-        assert face_set(got) == set(ref.faces_masks())
+        assert face_set(got) == set(face_masks(ref))
     assert non_edges > 0
 
 
@@ -805,23 +805,16 @@ def test_random_sweep():
     assert counts[1] > 0 and counts[2] + counts[3] > 0  # the sweep saw variety
 
 
-def test_length3_conditions_read_off_the_outer_table(monkeypatch):
+def test_length3_conditions_read_off_the_outer_table():
     # a window shortened by three is void iff the label of Dem of its first
     # m - 3 letters is 0: the oracle moves agree with the Demazure fold of
-    # ``condition``, and no classification folds a word of its own
-    from coxsub.coxeter import CoxeterSystem
-
+    # ``condition``
     contexts = oracle_contexts()
     want = [(condition(ctx, "A", 3), condition(ctx, "B", 3)) if ctx.m >= 3 else (None, None)
             for ctx in contexts]
-    calls = []
-    direct = CoxeterSystem.contains_reduced
-    monkeypatch.setattr(CoxeterSystem, "contains_reduced",
-                        lambda self, *a: calls.append(a) or direct(self, *a))
     for ctx, pair in zip(contexts, want):
         rep = classify(ctx)
         assert (rep.A3, rep.B3) == pair, ctx
-    assert not calls
     assert {a for pair in want for a in pair} == {None, True, False}
 
 

@@ -240,6 +240,28 @@ def test_poset_failed_check_exits_3(capsys, monkeypatch, fail):
     assert "16 reduced words" in out
 
 
+def test_poset_cover_inside_one_class_reports_words(capsys, monkeypatch):
+    # a move that claims a subdivision between two words of one class is a
+    # failed antisymmetry: it is reported as that class's representative
+    # word twice, so the JSON prints it, and the exit code stays 0
+    direct, moved = rhoposet.classify, []
+
+    def classify(ctx, memo=None):
+        rep = direct(ctx, memo)
+        if rep.m == 2 and not moved:
+            moved.append(rep)
+            return rep._replace(case=2)
+        return rep
+
+    monkeypatch.setattr(rhoposet, "classify", classify)
+    code, out, _ = run(capsys, "poset", "--group", "A4", "--pi", "w0", "--json", "-")
+    assert code == 0 and moved
+    doc = json.loads(out)
+    assert doc["antisymmetric"] is False and any(a == b for a, b in doc["violations"])
+    for pair in doc["violations"]:
+        assert len(pair) == 2 and all(isinstance(w, list) and len(w) == 10 for w in pair)
+
+
 def test_demo_i2(capsys):
     code, out, _ = run(capsys, "demo", "i2", "--m", "5")
     assert code == 0
@@ -488,7 +510,8 @@ def test_classify_long_window_past_the_part_limit(capsys):
 
 def test_no_face_listed_on_a_passing_path(capsys, monkeypatch):
     # every listing of faces raises: the oracle moves classify and every
-    # worked example prints its pinned bytes all the same
+    # worked example prints its pinned bytes all the same, and so do a void
+    # complex and a move whose sides are both void, whose f is read off h = ()
     from coxsub.braid import classify
 
     no_face_listing(monkeypatch)
@@ -498,3 +521,13 @@ def test_no_face_listed_on_a_passing_path(capsys, monkeypatch):
     for argv, digest in PINNED:
         code, out, _ = run(capsys, *argv)
         assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest
+    void = [(("complex", "--group", "A2", "--word", "1", "--pi", "w0", "--json"),
+             "c8168552fbeaaa93669965cc0c2636a481536004ce420676d1314329505ce148"),
+            (("classify", "--group", "A3", "--word", "1,2,1", "--pos", "1", "--pi", "w0",
+              "--json"),
+             "0e0d4e946d28a9ee41ee1c6415ff724c97a80a3196997de8ed4ac9c19c0930d4")]
+    for argv, digest in void:
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest
+    doc = json.loads(out)
+    assert doc["case"] == 1 and doc["delta1"]["facets"] == doc["delta2"]["facets"] == []

@@ -4,8 +4,8 @@ import re
 
 import pytest
 
-from conftest import (has_face, k_subdivide, link, random_descriptor,
-                      spherical_complex)
+from conftest import (counted_f, counted_h, face_masks, has_face, k_subdivide, link,
+                      random_descriptor, spherical_complex, system)
 from coxsub import simplicial
 from coxsub.simplicial import (FACE_LIMIT_ERROR, LabeledComplex, is_isomorphic_constrained,
                                iso_invariant, subdivide)
@@ -27,7 +27,9 @@ def cycle(n, labels=None):
 
 def test_void_and_empty():
     v = LabeledComplex.void()
-    e = LabeledComplex((), (0,))
+    A2 = system("A2")
+    e = build(SubwordDescriptor(A2, (1,), A2.generator(1)))  # the complex {()}
+    assert e == LabeledComplex((), (0,))
     assert v.is_void and not e.is_void
     assert v.f_vector() == () and e.f_vector() == ()
     assert e.h_vector() == (1,) and e.gamma() == (1,)
@@ -49,9 +51,9 @@ def test_facet_pruning_and_vertex_order():
 
 def test_pentagon_counts():
     pent = cycle(5)
-    assert pent.f_vector() == (5, 5)
-    assert pent.h_vector() == (1, 3, 1)
-    assert pent.gamma() == (1, 1)
+    assert counted_f(pent) == (5, 5)
+    assert counted_h(pent) == (1, 3, 1)
+    assert simplicial._gamma(counted_h(pent)) == (1, 1)
     assert pent.dim == 1 and pent.is_flag()
     assert has_face(pent, (1, 2)) and not has_face(pent, (1, 3))
     assert not has_face(pent, ("nope",))
@@ -59,16 +61,22 @@ def test_pentagon_counts():
 
 def test_triangle_boundary_not_flag():
     tri = cycle(3)
-    assert tri.h_vector() == (1, 1, 1)
-    assert tri.gamma() == (1, -1)
+    assert counted_h(tri) == (1, 1, 1)
+    assert simplicial._gamma(counted_h(tri)) == (1, -1)
     assert not tri.is_flag()  # empty triangle: the 3-clique is no face
 
 
 def test_h_vector_guards():
-    mixed = LabeledComplex.from_facets([(1, 2, 3), (4, 5)])
-    with pytest.raises(ValueError):
-        mixed.h_vector()
+    # f, h and gamma read the h a complex was made with: one made by hand
+    # has none, whatever its facets
+    for x in (LabeledComplex((), ()), LabeledComplex((), (0,)), cycle(5),
+              LabeledComplex.from_facets([(1, 2, 3), (4, 5)])):
+        for count in (x.f_vector, x.h_vector, x.gamma):
+            with pytest.raises(ValueError, match="made without an h-vector"):
+                count()
     pure_nonpal = LabeledComplex.from_facets([(1, 2, 3), (3, 4, 5)])
+    assert counted_h(pure_nonpal) == (1, 2, -1, 0)
+    pure_nonpal._know_h(counted_h(pure_nonpal))
     assert pure_nonpal.h_vector() == (1, 2, -1, 0)
     for _ in range(2):  # the per-h gamma cache keeps the refusal
         with pytest.raises(ValueError):
@@ -79,9 +87,9 @@ def test_h_vector_guards():
 def test_octahedron():
     facets = [(a, b, c) for a in (1, 4) for b in (2, 5) for c in (3, 6)]
     octa = LabeledComplex.from_facets(facets)
-    assert octa.f_vector() == (6, 12, 8)
-    assert octa.h_vector() == (1, 3, 3, 1)
-    assert octa.gamma() == (1, 0)
+    assert counted_f(octa) == (6, 12, 8)
+    assert counted_h(octa) == (1, 3, 3, 1)
+    assert simplicial._gamma(counted_h(octa)) == (1, 0)
     assert octa.is_flag()
     assert link(octa, (1,)) == cycle(4, [2, 3, 5, 6])
 
@@ -98,7 +106,7 @@ def test_link():
 def test_edge_subdivide():
     sq = cycle(4)  # vertex k is labelled k + 1
     s = _subdivided(sq, 0b11)
-    assert s.f_vector() == (5, 5)
+    assert counted_f(s) == (5, 5)
     assert has_face(s, (0, 4)) and has_face(s, (1, 4)) and not has_face(s, (0, 1))
     assert is_isomorphic_constrained(s, cycle(5)) is not None
     assert subdivide(sq.facets, 0b1, 0b100, (0b10000,)) is None  # not an edge
@@ -114,10 +122,10 @@ def test_edge_subdivide_h_identity():
         if not edges:
             continue
         e = edges[rng.randrange(len(edges))]
-        link_h = link(x, [v for k, v in enumerate(x.vertices) if e >> k & 1]).h_vector()
+        link_h = counted_h(link(x, [v for k, v in enumerate(x.vertices) if e >> k & 1]))
         sub = _subdivided(x, e)
         h0 = list(x.h_vector())
-        h1 = list(sub.h_vector())
+        h1 = list(counted_h(sub))
         assert len(h0) == len(h1)
         for k in range(len(h0)):
             add = link_h[k - 1] if 1 <= k <= len(link_h) else 0
@@ -128,7 +136,7 @@ def test_k_subdivide():
     sq = cycle(4)
     assert k_subdivide(sq, (1, 2), 0, []) == sq
     hepta = k_subdivide(sq, (1, 2), 3, ["a", "b", "c"])
-    assert hepta.f_vector() == (7, 7)
+    assert counted_f(hepta) == (7, 7)
     # ordered walk: each fresh vertex splits the remaining {r, 2} edge
     step = sq
     for r, fresh in ((1, "a"), ("a", "b"), ("b", "c")):
@@ -218,7 +226,7 @@ def test_isomorphism_matches_brute_force():
 def _flag_by_cliques(x) -> bool:
     """Flagness by definition: every nonempty vertex set whose pairs are
     all edges is a face, over the enumerated faces."""
-    faces = set(x.faces_masks())
+    faces = set(face_masks(x))
     edges = {m for m in faces if m.bit_count() == 2}
     n = len(x.vertices)
     for mask in range(1, 1 << n):
