@@ -64,7 +64,10 @@ def _poly_json(poly) -> dict | None:
 
 
 def report_ok(rep) -> bool:
-    """No claimed witness or identity failed (unsupported moves claim none)."""
+    """No claimed witness or identity failed (unsupported moves claim none,
+    nor does an order's move of order 2, whose report is None)."""
+    if rep is None:
+        return True
     if rep.witness_ok is False or not rep.decomposition.ok:
         return False
     if rep.poly is not None and (not rep.poly.h_ok or rep.poly.gamma_ok is False):

@@ -85,6 +85,9 @@ class CoxeterMatrix:
 
     def __init__(self, rows: Sequence[Sequence[int]], name: str | None = None):
         try:
+            rows = [tuple(r) for r in rows]
+            if any(isinstance(x, bool) for r in rows for x in r):
+                raise TypeError("a bool is no order, though Python counts True as 1")
             rows = tuple(tuple(map(_int, r)) for r in rows)
         except (TypeError, ValueError, OverflowError):
             raise ValueError("a Coxeter matrix is a list of rows of integers") from None
@@ -93,6 +96,8 @@ class CoxeterMatrix:
             raise ValueError("Coxeter matrix must be square")
         if n == 0:
             raise ValueError("Coxeter matrix must have positive rank")
+        if n > MAX_ROOTS // 2:  # the simple roots alone are n positive roots
+            raise ValueError(f"root systems are limited to {MAX_ROOTS} roots")
         m = {(i, j): rows[i][j] for i in range(n) for j in range(n)}
         for i in range(n):
             if m[i, i] != 1:
@@ -127,6 +132,10 @@ class CoxeterMatrix:
         if not tm:
             raise ValueError(f"unrecognized group name {name!r}")
         family, rank = tm.group(1).upper(), int(tm.group(2))
+        # the positive roots of A_n, B_n and D_n, refused before any row is made
+        if {"A": rank * (rank + 1) // 2, "B": rank * rank, "D": rank * (rank - 1)}.get(
+                family, 0) > MAX_ROOTS // 2:
+            raise ValueError(f"root systems are limited to {MAX_ROOTS} roots")
         edges: dict[tuple[int, int], int] = {}
         if family == "A":
             if rank < 1:
@@ -178,16 +187,17 @@ class CoxeterMatrix:
                 return CoxeterMatrix(spec["matrix"])
             if "type" in spec:
                 family = str(spec["type"])
+                rank, digits = spec.get("rank"), re.search(r"\d+", family)
+                if digits and rank is not None and str(rank) != str(int(digits[0])):
+                    raise ValueError(f"type {family} has rank {int(digits[0])}, not {rank!r}")
                 if family.upper() == "I2":
                     if "m" not in spec:
                         raise ValueError("type I2 needs its order m")
                     return CoxeterMatrix.named(f"I2:{spec['m']}")
-                rank = spec.get("rank")
-                if rank is None:
-                    digits = re.search(r"\d+", family)
-                    if not digits:
-                        raise ValueError("named type needs a rank")
+                if digits:
                     return CoxeterMatrix.named(family)
+                if rank is None:
+                    raise ValueError("named type needs a rank")
                 return CoxeterMatrix.named(f"{family}{rank}")
         raise ValueError(f"cannot interpret group spec {spec!r}")
 

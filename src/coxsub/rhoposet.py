@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 from .braid import BraidContext, _record, classify
 from .coxeter import MAX_REDUCED_WORDS, CoxeterSystem, GroupElement, Word
-from .simplicial import (LabeledComplex, _bits, _signatures, is_isomorphic_constrained,
+from .simplicial import (LabeledComplex, _bits, contractions, is_isomorphic_constrained,
                          iso_invariant, subdivide)
 from .subword import SubwordDescriptor, build
 
@@ -38,7 +38,8 @@ class MoveEdge(NamedTuple):
     verified: bool | None
     lower: Word | None  # oriented: complex(upper) subdivides complex(lower)
     upper: Word | None
-    # the classification of this move or of a commutation-equivalent one
+    # the classification of this move or of a commutation-equivalent one;
+    # None for a move of order 2, case 1 by the lemma in ``build_rho``
     report: object = None
 
 
@@ -107,14 +108,13 @@ class _ClassTable:
     first complex met as its representative, the classes are bucketed by
     ``iso_invariant``, and a class's single edge subdivisions, each on the
     vertices 0..n, are entered and found, as class ids, when first asked
-    for; ``aim`` only tells which of some classes hold one, by prediction,
+    for; ``aim`` only tells which of some classes hold one, by contraction,
     entering none."""
 
     def __init__(self):
         self.reps: list[LabeledComplex] = []
         self.buckets: dict[tuple, list[int]] = {}
         self.children: dict[int, dict[int, None]] = {}
-        self.edges: dict[int, list[int]] = {}
 
     def intern(self, x: LabeledComplex) -> int:
         bucket = self.buckets.setdefault(iso_invariant(x), [])
@@ -125,59 +125,33 @@ class _ClassTable:
         self.reps.append(x)
         return bucket[-1]
 
-    def edge_masks(self, c: int) -> list[int]:
-        if c not in self.edges:
-            self.edges[c] = self.reps[c].edge_masks()
-        return self.edges[c]
-
-    def child(self, c: int, e: int) -> LabeledComplex:
-        """Class c's representative subdivided at the edge e, at vertex n."""
-        z = self.reps[c]
-        n = len(z.vertices)
-        return LabeledComplex(range(n + 1), subdivide(z.facets, e & -e, e & (e - 1), (1 << n,)))
-
     def subdivisions(self, c: int) -> dict[int, None]:
         kids = self.children.get(c)
         if kids is None:
+            z = self.reps[c]
+            n = len(z.vertices)  # the fresh vertex is bit n
             kids = self.children[c] = dict.fromkeys(
-                self.intern(self.child(c, e)) for e in self.edge_masks(c))
+                self.intern(LabeledComplex(range(n + 1),
+                                           subdivide(z.facets, e & -e, e & (e - 1), (1 << n,))))
+                for e in z.edge_masks())
         return kids
 
     def aim(self, cur, targets: set) -> dict[int, None]:
         """The classes of ``targets`` that hold a single edge subdivision of
-        a class of ``cur``, none entered: a child is built, and searched
-        against a target, only where its predicted invariant is the
-        target's."""
+        a class of ``cur``, none entered.  A target y is undone instead of
+        every class subdivided: y is isomorphic to c subdivided at an edge
+        iff some contraction of y (``contractions``) is isomorphic to c, as
+        subdividing a contraction at {s, t} gives back y exactly.  So each
+        contraction is searched against the classes of ``cur`` that share
+        its invariant."""
         found: dict[int, None] = {}
-        for c in cur:
-            for e in self.edge_masks(c):
-                if len(found) == len(targets):
-                    return found
-                hits = [t for t in self.buckets.get(_child_invariant(self.reps[c], e), ())
-                        if t in targets and t not in found]
-                x = self.child(c, e) if hits else None
-                for t in hits:
-                    if is_isomorphic_constrained(self.reps[t], x) is not None:
-                        found[t] = None
-                        break
+        for t in targets:
+            for *_, x in contractions(self.reps[t]):
+                if any(c in cur and is_isomorphic_constrained(self.reps[c], x) is not None
+                       for c in self.buckets.get(iso_invariant(x), ())):
+                    found[t] = None
+                    break
         return found
-
-
-def _child_invariant(z: LabeledComplex, e: int) -> tuple:
-    """``iso_invariant`` of z subdivided at the edge e = {s, t}, read from
-    z's signatures and the star of e, the facets through it: each star
-    facet x gives way to two of its size, so a vertex of x outside e gains
-    |x| once, s and t keep their signatures and the fresh vertex gets |x|
-    twice."""
-    sigs, fresh = list(_signatures(z)), []
-    for x in z.facets:
-        if x & e == e:
-            k = x.bit_count()
-            fresh += (k, k)
-            for v in _bits(x & ~e):
-                sigs[v] += (k,)
-    sigs.append(fresh)
-    return len(z.facets) + len(fresh) // 2, tuple(sorted(tuple(sorted(s)) for s in sigs))
 
 
 def _subdivision_frontiers(table: _ClassTable, c: int, depth: int, last: set):
@@ -189,8 +163,8 @@ def _subdivision_frontiers(table: _ClassTable, c: int, depth: int, last: set):
     in the cut depth is still a true subdivision, but a class missing from
     it or from the deeper depths proves nothing.  The last depth is never
     entered and never cut: it lists just the classes of ``last`` it holds
-    (``aim``), each child predicted from one of at most FRONTIER_CAP
-    classes before it."""
+    (``aim``), each contracted onto one of at most FRONTIER_CAP classes
+    before it."""
     frontiers: list[dict[int, None]] = []
     cur: dict[int, None] = {c: None}
     for _ in range(depth - 1):
@@ -209,15 +183,23 @@ def build_rho(system: CoxeterSystem, Q, Qp, pi: GroupElement,
     """Build the order; see the module docstring for the construction.
     Each (word, pi) is built once, every move reading its memo entry.
 
-    One move is classified per commutation orbit: moves whose side-1 words,
-    with the window taken as one piece, differ only by commuting letters
-    have the same complexes up to a permutation of positions, so they
-    share the first one's report and verdict.  With Q and Q' fixed, two
-    pieces are equivalent iff their middle parts are (trace monoids are
-    cancellative); equal letters never commute, so the k-th occurrence of
-    a letter is one heap element across a commutation class (Cartier-Foata;
-    Viennot).  A move is keyed by its word's class, i, j and the counts of
-    i and of j before the window."""
+    A move of order 2 is not classified: it is case 1, verified, with no
+    report.  Its letters i and j commute, so swapping the window's two
+    positions maps the subwords of side 1 onto those of side 2 with equal
+    products and Demazure products: the two facet sets are equal on the
+    shared positions, the witness ``equality`` holds, and the h and gamma
+    identities read 0 = 0, as m - 2 = 0.  So the commutation classes seed
+    the isomorphism classes.
+
+    Of the other moves one is classified per commutation orbit: moves whose
+    side-1 words, with the window taken as one piece, differ only by
+    commuting letters have the same complexes up to a permutation of
+    positions, so they share the first one's report and verdict.  With Q
+    and Q' fixed, two pieces are equivalent iff their middle parts are
+    (trace monoids are cancellative); equal letters never commute, so the
+    k-th occurrence of a letter is one heap element across a commutation
+    class (Cartier-Foata; Viennot).  A move is keyed by its word's class,
+    i, j and the counts of i and of j before the window."""
     words = system.reduced_words(pi, cap=cap)
     # Q, Q' and the side length are checked here, once: no context or
     # descriptor made below from the order's own words checks them again
@@ -225,19 +207,6 @@ def build_rho(system: CoxeterSystem, Q, Qp, pi: GroupElement,
     system.check_word(Q + words[0] + Qp)
     index = {w: k for k, w in enumerate(words)}
     memo: dict = {}
-
-    parent = list(range(len(words)))  # isomorphism classes, from verified case-1 moves
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    def union(a: int, b: int) -> None:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
 
     # each word's commutation class, named by its first word, via moves of order 2
     heap = [-1] * len(words)
@@ -250,6 +219,18 @@ def build_rho(system: CoxeterSystem, Q, Qp, pi: GroupElement,
                         heap[b] = k
                         stack.append(b)
     orbits: dict = {}  # (class of w, i, j, counts of i and j before the window) -> report
+    parent = heap.copy()  # isomorphism classes, from the lemma and verified case-1 moves
+
+    def find(a: int) -> int:
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    def union(a: int, b: int) -> None:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[max(ra, rb)] = min(ra, rb)
 
     edges: list[MoveEdge] = []
     for k, w in enumerate(words):
@@ -257,6 +238,9 @@ def build_rho(system: CoxeterSystem, Q, Qp, pi: GroupElement,
             if w2 < w:
                 continue  # the mirrored move on w2 reproduces this pair
             w2 = words[index[w2]]  # the order's own copy, kept by the edge
+            if m == 2:
+                edges.append(MoveEdge(w, w2, pos, 1, True, None, None, None))
+                continue
             front = w[:pos - 1]
             key = (heap[k], i, j, front.count(i), front.count(j))
             rep = orbits.get(key)

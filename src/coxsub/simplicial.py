@@ -299,6 +299,29 @@ def subdivide(facets: Collection[int], s: int, t: int,
     return frozenset(facets)
 
 
+def contractions(y: LabeledComplex):
+    """Every way to undo one edge subdivision of y, as (r, s, t, x), the
+    first three single bits of y: the facets through r pair up as z|r|s and
+    z|r|t, and no facet holds both s and t.  x is y with each such pair
+    replaced by z|s|t and r dropped, the vertices above r moving down one;
+    subdividing x at the images of s and t gives back y, the fresh vertex
+    standing for r."""
+    n = len(y.vertices)
+    for k in range(n):
+        r, low = 1 << k, (1 << k) - 1
+        link = {f ^ r for f in y.facets if f & r}
+        x0 = min(link, default=0)
+        for s in (1 << v for v in _bits(x0)):
+            z = x0 ^ s
+            for t in {x ^ z for x in link if x & z == z} - {s}:
+                st = s | t
+                if t & (t - 1) == 0 and all(x & st in (s, t) and x ^ st in link for x in link) \
+                        and not any(f & st == st for f in y.facets):
+                    kept = [f for f in y.facets if not f & r] + [x | t for x in link if x & s]
+                    yield r, s, t, LabeledComplex(range(n - 1),
+                                                  (f & low | f >> 1 & ~low for f in kept))
+
+
 def _signatures(c: LabeledComplex) -> list[tuple[int, ...]]:
     """Per vertex index: the sorted sizes of the facets through it."""
     sig = c._cache.get("sig")

@@ -2,8 +2,10 @@ import hashlib
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -248,7 +250,7 @@ def test_poset_cover_inside_one_class_reports_words(capsys, monkeypatch):
 
     def classify(ctx, memo=None):
         rep = direct(ctx, memo)
-        if rep.m == 2 and not moved:
+        if rep.m == 3 and rep.case == 1 and not moved:
             moved.append(rep)
             return rep._replace(case=2)
         return rep
@@ -321,6 +323,46 @@ def test_bad_input_exit_codes(capsys):
     code, _, err = run(capsys, "complex", "--group", '{"type": "I2"}',
                        "--word", "1,2,1", "--pi", "w0")
     assert code == 2 and "order m" in err
+
+
+def test_huge_named_groups_exit_2_at_once():
+    # a named type is refused from its count of positive roots, before any
+    # row of its matrix is made; the address space is capped, so a rank
+    # that were built anyway would fail fast rather than fill the memory
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    for name in ("A99999999999", "A1000", "D100000"):
+        start = time.perf_counter()
+        done = subprocess.run([sys.executable, "-m", "coxsub.cli", "complex", "--group", name,
+                               "--word", "1", "--pi", "1"], capture_output=True, text=True,
+                              env=env, timeout=5, preexec_fn=cap)
+        assert done.returncode == 2 and "limited to 1000 roots" in done.stderr, name
+        assert time.perf_counter() - start < 0.5, name
+
+
+def test_poset_unsupported_pairs(capsys):
+    # H3 w0 inside 3,2 + w + 1,2,3: 286 words, 23 classes, 61 covers, and
+    # four m = 5 moves whose length-3 conditions fail; the bytes CI pins
+    code, out, _ = run(capsys, "poset", "--group", "H3", "--Q", "3,2", "--Qprime", "1,2,3",
+                       "--pi", "w0", "--json", "-")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "e0ff784c97ab319e7fe080f5a506759dbe3960733239087e0ec240c4025ed373"
+    doc = json.loads(out)
+    assert (len(doc["words"]), len(doc["classes"]), len(doc["cover_edges"])) == (286, 23, 61)
+    assert doc["unsupported_pairs"] == [
+        {"a": [1, 2, 1, 3, 2, 1, 2, 3, 1, 2, 1, 2, 1, 3, 2],
+         "b": [1, 2, 1, 3, 2, 1, 2, 3, 2, 1, 2, 1, 2, 3, 2], "pos": 9},
+        {"a": [1, 2, 3, 1, 2, 1, 2, 1, 3, 2, 1, 2, 1, 3, 2],
+         "b": [1, 2, 3, 2, 1, 2, 1, 2, 3, 2, 1, 2, 1, 3, 2], "pos": 4},
+        {"a": [1, 2, 3, 1, 2, 1, 2, 1, 3, 2, 1, 2, 3, 1, 2],
+         "b": [1, 2, 3, 2, 1, 2, 1, 2, 3, 2, 1, 2, 3, 1, 2], "pos": 4},
+        {"a": [1, 2, 3, 1, 2, 1, 2, 3, 1, 2, 1, 2, 1, 3, 2],
+         "b": [1, 2, 3, 1, 2, 1, 2, 3, 2, 1, 2, 1, 2, 3, 2], "pos": 9}]
 
 
 def test_closed_stdout_exits_1():

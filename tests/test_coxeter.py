@@ -55,6 +55,41 @@ def test_from_spec_forms():
         CoxeterMatrix.from_spec({"type": "I2xyz", "m": 5})
 
 
+def test_group_spec_refuses_bools_and_names_a_rank_conflict():
+    # JSON true is an int to Python, yet no order: [[true, 3], [3, true]]
+    # would read as A2
+    for spec in ('{"matrix": [[true, 3], [3, true]]}', {"matrix": [[1, False], [False, 1]]},
+                 {"matrix": [[1, 3], [True, 1]]}):
+        with pytest.raises(ValueError, match="list of rows of integers"):
+            CoxeterMatrix.from_spec(spec)
+    # a type that names its rank builds when "rank" agrees, and names the conflict if not
+    a3 = CoxeterMatrix.named("A3").rows
+    for spec in ({"type": "A3", "rank": 3}, '{"type": "A3", "rank": 3}', {"type": "A3"},
+                 {"type": "A", "rank": 3}, {"type": "a3", "rank": "3"}):
+        assert CoxeterMatrix.from_spec(spec).rows == a3
+    assert CoxeterMatrix.from_spec({"type": "I2", "m": 5, "rank": 2}).rows == ((1, 5), (5, 1))
+    for spec, msg in (({"type": "A3", "rank": 4}, "type A3 has rank 3, not 4"),
+                      ({"type": "E8", "rank": 7}, "type E8 has rank 8, not 7"),
+                      ({"type": "I2", "m": 5, "rank": 3}, "type I2 has rank 2, not 3")):
+        with pytest.raises(ValueError, match=msg):
+            CoxeterMatrix.from_spec(spec)
+
+
+def test_rank_past_the_root_limit_refused_before_the_matrix(monkeypatch):
+    # A_n, B_n and D_n have n(n+1)/2, n^2 and n(n-1) positive roots: past
+    # MAX_ROOTS / 2 the name is refused before a row is made, and a matrix
+    # of more than MAX_ROOTS / 2 rows before its dict of rank^2 entries
+    monkeypatch.setattr(coxeter, "_root_system", None)
+    for name in ("A32", "B23", "D23", "A99999999999", "D100000"):
+        with pytest.raises(ValueError, match=f"limited to {MAX_ROOTS} roots"):
+            CoxeterMatrix.named(name)
+    with pytest.raises(ValueError, match=f"limited to {MAX_ROOTS} roots"):
+        CoxeterMatrix([[2] * (MAX_ROOTS // 2 + 1)] * (MAX_ROOTS // 2 + 1))
+    for name in ("A31", "B22", "D22"):  # 496, 484 and 462 positive roots pass the count
+        with pytest.raises(TypeError):  # and reach the root system
+            CoxeterMatrix.named(name)
+
+
 def test_infinite_group_rejected(monkeypatch):
     # affine and hyperbolic: their root orbits never close, or hold a
     # label >= 6 in a piece of rank >= 3

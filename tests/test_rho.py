@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 
@@ -11,8 +12,8 @@ from coxsub.coxeter import CoxeterSystem
 from coxsub.rhoposet import (GapReport, RhoPoset, SemilatticeResult, build_rho,
                              export_dot, poset_json, semilattice_check,
                              transitive_reduction)
-from coxsub.simplicial import (LabeledComplex, is_isomorphic_constrained, iso_invariant,
-                               subdivide)
+from coxsub.simplicial import (LabeledComplex, contractions, is_isomorphic_constrained,
+                               iso_invariant, subdivide)
 from coxsub.subword import SubwordDescriptor, build
 
 
@@ -330,6 +331,19 @@ def test_gap_scan_two_letter_factors(Q, Qp, subdivisions):
     assert len(gap.subdivision_pairs) == subdivisions
 
 
+def test_gap_scan_with_the_limit_lifted(monkeypatch):
+    # A4 w0 (Q = 1234) past GAP_SCAN_WORDS, scanned whole: its last depths
+    # are found by contraction; CI pins this report and D4's, which is cut
+    monkeypatch.setattr(rhoposet, "GAP_SCAN_WORDS", 10**9)
+    A4 = system("A4")
+    gap = build_rho(A4, (1, 2, 3, 4), (), A4.longest_element()).gap
+    assert (len(gap.iso_pairs), len(gap.subdivision_pairs), gap.truncated) == (25, 110, False)
+    text = json.dumps({"truncated": gap.truncated, "iso_pairs": gap.iso_pairs,
+                       "subdivision_pairs": gap.subdivision_pairs})
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "e5a4770af6ff2f6cfb55f5895079d6cc6ac06371d21b063419be5da180871f38"
+
+
 def test_gap_scan_truncated(capsys, monkeypatch):
     # a cut frontier still reports true pairs, only fewer of them
     A3 = system("A3")
@@ -481,21 +495,56 @@ def test_aimed_gap_scan_matches_reference_random_orders(monkeypatch, cap):
     assert any(len(set(w)) < len(w) for _, Q, Qp, _ in orders for w in (Q, Qp))
 
 
-def test_child_invariant_predicts_the_subdivision():
-    # iso_invariant of the child, read from the parent and the edge's star
+def _two_way_contractions(y: LabeledComplex) -> int:
+    """Every contraction of y, subdivided back at {s, t} with the fresh
+    vertex r, is y itself; returns how many y has."""
+    count = 0
+    for r, s, t, x in contractions(y):
+        assert len(x.vertices) == len(y.vertices) - 1
+        low = r - 1
+        back = [f & low | (f & ~low) << 1 for f in x.facets]  # r's bit reinserted, empty
+        assert subdivide(back, s, t, (r,)) == frozenset(y.facets)
+        count += 1
+    return count
+
+
+def _undone_by_contraction(z: LabeledComplex) -> int:
+    """Each single edge subdivision of z, at the fresh vertex n, has a
+    contraction at that vertex equal to z on the vertices 0..n-1, and its
+    every contraction subdivides back to it; returns the edges checked."""
+    n = len(z.vertices)
+    for e in z.edge_masks():
+        child = LabeledComplex(range(n + 1), subdivide(z.facets, e & -e, e & (e - 1), (1 << n,)))
+        assert any(r == 1 << n and {s, t} == {e & -e, e & (e - 1)} and x.facets == z.facets
+                   for r, s, t, x in contractions(child))
+        assert _two_way_contractions(child) >= 1
+    return len(z.edge_masks())
+
+
+def test_contraction_undoes_the_subdivision():
+    # both ways, on the class representatives of the 81 two-letter A3 pairs
+    # and on seeded random pure complexes, some with vertices on no facet
     A3 = system("A3")
-    edges = 0
+    edges, seen = 0, set()
     for Q, Qp in _a3_pairs():
         p = build_rho(A3, Q, Qp, A3.longest_element())
         for c in range(len(p.classes)):
             z = build(SubwordDescriptor(A3, Q + p.class_rep(c) + Qp, p.pi))
-            n = len(z.vertices)
-            for e in z.edge_masks():
-                child = LabeledComplex(range(n + 1),
-                                       subdivide(z.facets, e & -e, e & (e - 1), (1 << n,)))
-                assert rhoposet._child_invariant(z, e) == iso_invariant(child)
-                edges += 1
+            if (len(z.vertices), z.facets) not in seen:  # each complex once
+                seen.add((len(z.vertices), z.facets))
+                _two_way_contractions(z)
+                edges += _undone_by_contraction(z)
     assert edges > 1000
+    rng, none = random.Random(5), 0
+    for _ in range(300):
+        k, size = rng.randrange(2, 8), rng.randrange(1, 4)
+        z = LabeledComplex(range(k), {sum(1 << v for v in rng.sample(range(k), min(size, k)))
+                                      for _ in range(rng.randrange(1, 7))})
+        none += _two_way_contractions(z) == 0
+        _undone_by_contraction(z)
+    assert 0 < none < 300
+    # the boundary of a triangle subdivides nothing: {s, t} is one of its facets
+    assert _two_way_contractions(LabeledComplex(range(3), (3, 5, 6))) == 0
 
 
 def _classify_calls(monkeypatch) -> list:
@@ -511,15 +560,25 @@ def _classify_calls(monkeypatch) -> list:
     return seen
 
 
+def _commutes(p: RhoPoset, e) -> bool:
+    """Whether the edge's move has order 2."""
+    i, j = e.word_a[e.pos - 1], e.word_a[e.pos]
+    return p.system.m[i - 1, j - 1] == 2
+
+
 @pytest.mark.parametrize("name, Q, Qp, calls, edges", [
-    ("A4", (), (), 326, 1770), ("H3", (), (), 152, 640), ("A3", (1, 1), (1, 3), 14, 18),
-    ("D4", (), (), 834, 6252)], ids=["A4", "H3", "A3", "D4"])
+    ("A4", (), (), 100, 1770), ("H3", (), (), 56, 640), ("A3", (1, 1), (1, 3), 8, 18),
+    ("D4", (), (), 324, 6252)], ids=["A4", "H3", "A3", "D4"])
 def test_one_classification_per_commutation_orbit(monkeypatch, name, Q, Qp, calls, edges):
+    # one call per commutation orbit of the moves of order m >= 3, the
+    # distinct heap pairs of those moves; a move of order 2 is not classified
     W = system(name)
     seen = _classify_calls(monkeypatch)
     p = build_rho(W, Q, Qp, W.longest_element())
     assert len(seen) == calls and len(p.edges) == edges
-    assert len({e.report for e in p.edges}) == calls
+    assert all(ctx.system.m[ctx.i - 1, ctx.j - 1] > 2 for ctx in seen)
+    assert len({e.report for e in p.edges if e.report is not None}) == calls
+    assert all((e.report is None) == _commutes(p, e) for e in p.edges)
 
 
 def _edge_verdict(rep) -> tuple:
@@ -530,11 +589,16 @@ def _edge_verdict(rep) -> tuple:
 
 def _orbit_oracle(p: RhoPoset) -> None:
     """Each edge's report, possibly carried from a commutation-equivalent
-    move, against a direct classification of the edge's own move."""
+    move, against a direct classification of the edge's own move; an edge
+    of order 2 carries no report, and its move classifies as a verified
+    case 1 that passes ``report_ok``."""
     for e in p.edges:
         ctx = move_context(p.system, p.Q + e.word_a + p.Qp, len(p.Q) + e.pos, p.pi)
         direct = classify(ctx)
-        assert _edge_verdict(e.report) == _edge_verdict(direct), (e.word_a, e.pos)
+        if e.report is None:
+            assert direct.m == 2 and direct.witness_ok and cli.report_ok(direct)
+        else:
+            assert _edge_verdict(e.report) == _edge_verdict(direct), (e.word_a, e.pos)
         assert e.case == direct.case and e.verified == direct.witness_ok
         if e.lower is not None:
             assert (e.lower, e.upper) == {2: (e.word_b, e.word_a),
@@ -549,12 +613,33 @@ def test_orbit_verdicts_match_direct_classify(name, Q, Qp):
     _orbit_oracle(build_rho(W, Q, Qp, W.longest_element()))
 
 
+@pytest.mark.parametrize("name, count", [("A4", 1386), ("H3", 462), ("D4", 4752), ("B3", 40)])
+def test_commutation_edges_classify_as_case_1(name, count):
+    # the lemma in build_rho, checked move by move with Q = 1..n: every
+    # edge of order 2, which carries no report, classifies in full as a
+    # verified case 1 that passes report_ok (_orbit_oracle checks the same
+    # on the two-letter A3 pairs)
+    W = system(name)
+    p = build_rho(W, tuple(range(1, W.rank + 1)), (), W.longest_element())
+    memo: dict = {}
+    edges = [e for e in p.edges if e.report is None]
+    for e in edges:
+        rep = classify(move_context(W, p.Q + e.word_a, len(p.Q) + e.pos, p.pi), memo)
+        assert rep.m == 2 and (e.case, e.verified, e.lower) == (1, True, None)
+        assert rep.case == 1 and rep.witness_ok and cli.report_ok(rep)
+    assert len(edges) == count
+
+
 def _orbits_match_projection_key(p: RhoPoset) -> None:
-    """The moves that share a report are exactly those that share a
-    projection key: the order's heap key and the projection lemma cut the
-    moves into the same commutation orbits."""
+    """The moves of order m >= 3 that share a report are exactly those that
+    share a projection key: the order's heap key and the projection lemma
+    cut the moves into the same commutation orbits.  The moves of order 2
+    carry no report."""
     by_report, by_key = {}, {}
     for k, e in enumerate(p.edges):
+        if e.report is None:
+            assert _commutes(p, e)
+            continue
         by_report.setdefault(id(e.report), set()).add(k)
         by_key.setdefault(projection_key(p.system, p.Q, e.word_a, e.pos, p.Qp), set()).add(k)
     assert sorted(map(sorted, by_report.values())) == sorted(map(sorted, by_key.values()))
@@ -629,14 +714,14 @@ def _position_complexes(monkeypatch) -> list:
     return made
 
 
-@pytest.mark.parametrize("name, Q, Qp, passes", [("A4", (1, 2, 3, 4), (), 432),
-                                                 ("H3", (1, 2, 3), (), 184),
-                                                 ("A3", (1, 1), (1, 3), 15)])
+@pytest.mark.parametrize("name, Q, Qp, passes", [("A4", (1, 2, 3, 4), (), 219),
+                                                 ("H3", (1, 2, 3), (), 108),
+                                                 ("A3", (1, 1), (1, 3), 12)])
 def test_faces_made_once_per_complex(monkeypatch, name, Q, Qp, passes):
     # each (word, pi) has one forward pass, made with its memo entry; no
     # face of any complex is made: every classified move, one per
-    # commutation orbit, reads its faces off one outer table
-    classified = {"A4": 326, "H3": 152, "A3": 14}[name]
+    # commutation orbit of order m >= 3, reads its faces off one outer table
+    classified = {"A4": 100, "H3": 56, "A3": 8}[name]
     W = system(name)
     made = _position_complexes(monkeypatch)
     moves, forward = face_passes(monkeypatch), forward_passes(monkeypatch)
@@ -652,18 +737,18 @@ def test_each_complex_built_once(monkeypatch):
     made = _position_complexes(monkeypatch)
     seen, h_passes = _kernel_calls(monkeypatch), _h_passes(monkeypatch)
     p = build_rho(A3, (1, 1), (1, 3), w0)
-    # 14 of the 16 side words and 21 shortened-window words, each made
-    # once: one move per commutation orbit is classified, so two words are
-    # read by no classified move; the facet kernel runs once for each side
-    # complex that is not void, and a shortened window that is not void
-    # runs the h pass alone
+    # 12 of the 16 side words and 16 shortened-window words, each made
+    # once: one move per commutation orbit of order m >= 3 is classified,
+    # so four words are read by no classified move; the facet kernel runs
+    # once for each side complex that is not void, and every shortened
+    # window is void, so no h pass runs alone
     keys = [key for key, _ in made]
-    assert len(keys) == len(set(keys)) == 35
+    assert len(keys) == len(set(keys)) == 28
     sides = [e for _, e in made if e.complex is not None]
     # the entries without facets are the shortened windows, of 8 letters
-    assert len(sides) == 14 and {len(w) for (w, _), e in made if e.complex is None} == {8}
-    assert len(seen) == len(set(seen)) == sum(not e.complex.is_void for e in sides) == 14
-    assert len(h_passes) == len(set(h_passes)) == sum(bool(e.h) for _, e in made) == 15
+    assert len(sides) == 12 and {len(w) for (w, _), e in made if e.complex is None} == {8}
+    assert len(seen) == len(set(seen)) == sum(not e.complex.is_void for e in sides) == 12
+    assert len(h_passes) == len(set(h_passes)) == sum(bool(e.h) for _, e in made) == 12
     assert len(p.edges) == 18
     made.clear()
     seen.clear()
