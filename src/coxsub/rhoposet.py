@@ -20,10 +20,10 @@ from typing import NamedTuple
 from .braid import BraidContext, _record, classify
 from .coxeter import MAX_REDUCED_WORDS, CoxeterSystem, GroupElement, Word
 from .simplicial import (LabeledComplex, _bits, contractions, is_isomorphic_constrained,
-                         iso_invariant, subdivide)
+                         iso_invariant)
 from .subword import SubwordDescriptor, build
 
-FRONTIER_CAP = 512  # classes per entered depth before the gap scan stops
+FRONTIER_CAP = 512  # classes per contraction depth before a target's frontier is cut
 GAP_SCAN_WORDS = 24  # the gap scan runs on orders of at most this many words
 
 
@@ -106,15 +106,13 @@ def _closure(n: int, covers) -> tuple[int, ...]:
 class _ClassTable:
     """The isomorphism classes met in one gap scan.  Each class keeps the
     first complex met as its representative, the classes are bucketed by
-    ``iso_invariant``, and a class's single edge subdivisions, each on the
-    vertices 0..n, are entered and found, as class ids, when first asked
-    for; ``aim`` only tells which of some classes hold one, by contraction,
-    entering none."""
+    ``iso_invariant``, and a class's contractions are interned, as class
+    ids, when first asked for."""
 
     def __init__(self):
         self.reps: list[LabeledComplex] = []
         self.buckets: dict[tuple, list[int]] = {}
-        self.children: dict[int, dict[int, None]] = {}
+        self.parents: dict[int, dict[int, None]] = {}
 
     def intern(self, x: LabeledComplex) -> int:
         bucket = self.buckets.setdefault(iso_invariant(x), [])
@@ -125,57 +123,36 @@ class _ClassTable:
         self.reps.append(x)
         return bucket[-1]
 
-    def subdivisions(self, c: int) -> dict[int, None]:
-        kids = self.children.get(c)
-        if kids is None:
-            z = self.reps[c]
-            n = len(z.vertices)  # the fresh vertex is bit n
-            kids = self.children[c] = dict.fromkeys(
-                self.intern(LabeledComplex(range(n + 1),
-                                           subdivide(z.facets, e & -e, e & (e - 1), (1 << n,))))
-                for e in z.edge_masks())
-        return kids
-
-    def aim(self, cur, targets: set) -> dict[int, None]:
-        """The classes of ``targets`` that hold a single edge subdivision of
-        a class of ``cur``, none entered.  A target y is undone instead of
-        every class subdivided: y is isomorphic to c subdivided at an edge
-        iff some contraction of y (``contractions``) is isomorphic to c, as
-        subdividing a contraction at {s, t} gives back y exactly.  So each
-        contraction is searched against the classes of ``cur`` that share
-        its invariant."""
-        found: dict[int, None] = {}
-        for t in targets:
-            for *_, x in contractions(self.reps[t]):
-                if any(c in cur and is_isomorphic_constrained(self.reps[c], x) is not None
-                       for c in self.buckets.get(iso_invariant(x), ())):
-                    found[t] = None
-                    break
-        return found
+    def contractions(self, c: int) -> dict[int, None]:
+        """The classes that class c is a single edge subdivision of: y is
+        isomorphic to x subdivided at an edge iff some contraction of y
+        (``contractions``) is isomorphic to x, as subdividing a contraction
+        at {s, t} gives back y exactly."""
+        ups = self.parents.get(c)
+        if ups is None:
+            ups = self.parents[c] = dict.fromkeys(
+                self.intern(x) for *_, x in contractions(self.reps[c]))
+        return ups
 
 
-def _subdivision_frontiers(table: _ClassTable, c: int, depth: int, last: set):
-    """The classes of the iterated single edge subdivisions of class c,
-    one insertion-ordered set of class ids per depth 1..depth, and a
-    truncation flag.  The depths before the last are entered; once one
-    holds more than FRONTIER_CAP classes it is cut off after the class
-    whose children crossed the cap, and no deeper depth is listed: a class
-    in the cut depth is still a true subdivision, but a class missing from
-    it or from the deeper depths proves nothing.  The last depth is never
-    entered and never cut: it lists just the classes of ``last`` it holds
-    (``aim``), each contracted onto one of at most FRONTIER_CAP classes
-    before it."""
+def _contraction_frontiers(table: _ClassTable, b: int, depth: int):
+    """The classes that class b is d single edge subdivisions of, one
+    insertion-ordered set of class ids per depth d = 1..depth, and a
+    truncation flag.  Once a depth holds more than FRONTIER_CAP classes it
+    is cut off after the class whose contractions crossed the cap, and no
+    deeper depth is listed: a class in the cut depth still reaches b, but
+    a class missing from it or from the deeper depths proves nothing."""
     frontiers: list[dict[int, None]] = []
-    cur: dict[int, None] = {c: None}
-    for _ in range(depth - 1):
+    cur: dict[int, None] = {b: None}
+    for _ in range(depth):
         nxt: dict[int, None] = {}
-        for z in cur:
-            nxt.update(table.subdivisions(z))
+        for y in cur:
+            nxt.update(table.contractions(y))
             if len(nxt) > FRONTIER_CAP:
                 return frontiers + [nxt], True
         frontiers.append(nxt)
         cur = nxt
-    return frontiers + [table.aim(cur, last)], False
+    return frontiers, False
 
 
 def build_rho(system: CoxeterSystem, Q, Qp, pi: GroupElement,
@@ -314,35 +291,38 @@ def semilattice_check(p: RhoPoset) -> SemilatticeResult:
 
 def _gap_scan(p: RhoPoset, memo: dict) -> GapReport:
     """Compare the order with its definition through one class table:
-    isomorphic representatives share a class id, and each class met before
-    a last depth is subdivided once however many frontiers reach it; a last
-    depth is searched for its targets alone.  The class representatives
-    are built through ``memo`` (see ``subword.build``)."""
+    isomorphic representatives share a class id, and class a reaches class
+    b by d = f0(b) - f0(a) single edge subdivisions when a is in b's
+    contraction frontier at depth d.  Each target's frontiers are listed
+    once, as deep as its farthest source needs.  Sound: each step of a
+    frontier is an exact inverse edge subdivision, so every pair reported
+    is reachable.  Complete: a frontier that is not cut lists every class
+    that reaches b at its depth, so only a truncated scan can miss a pair.
+    The class representatives are built through ``memo`` (see
+    ``subword.build``)."""
     n = len(p.classes)
     reps = [build(SubwordDescriptor._make((p.system, p.Q + p.class_rep(c) + p.Qp, p.pi)), memo)
             for c in range(n)]
     table = _ClassTable()
     ids = [table.intern(x) for x in reps]
-    f0 = [0 if x.is_void else len(x.vertices) for x in reps]
+    f0 = [len(x.vertices) for x in reps]  # Q + w + Q' holds w, so no rep is void
 
     iso_pairs = tuple((p.class_rep(a), p.class_rep(b))
                       for a in range(n) for b in range(a + 1, n)
                       if ids[a] == ids[b])
-    subdivision_pairs = []
-    truncated = False
+    targets = [[b for b in range(n) if not p.leq[a] >> b & 1 and f0[b] > f0[a]]
+               for a in range(n)]
+    need = [0] * n  # how deep each target's frontiers must go
     for a in range(n):
-        targets = [b for b in range(n) if not p.leq[a] >> b & 1 and f0[b] > f0[a]]
-        if not targets or reps[a].is_void:
-            continue
-        depth = max(f0[b] - f0[a] for b in targets)
-        last = {ids[b] for b in targets if f0[b] - f0[a] == depth}
-        frontiers, trunc = _subdivision_frontiers(table, ids[a], depth, last)
-        truncated = truncated or trunc
-        for b in targets:
-            d = f0[b] - f0[a]
-            if d <= len(frontiers) and ids[b] in frontiers[d - 1]:
-                subdivision_pairs.append((p.class_rep(a), p.class_rep(b)))
-    return GapReport(True, truncated, iso_pairs, tuple(subdivision_pairs))
+        for b in targets[a]:
+            need[b] = max(need[b], f0[b] - f0[a])
+    scans = [_contraction_frontiers(table, ids[b], need[b]) for b in range(n)]
+    truncated = any(trunc for _, trunc in scans)
+    subdivision_pairs = tuple((p.class_rep(a), p.class_rep(b))
+                              for a in range(n) for b in targets[a]
+                              if f0[b] - f0[a] <= len(scans[b][0])
+                              and ids[a] in scans[b][0][f0[b] - f0[a] - 1])
+    return GapReport(True, truncated, iso_pairs, subdivision_pairs)
 
 
 def transitive_reduction(p: RhoPoset) -> tuple[tuple[int, int], ...]:

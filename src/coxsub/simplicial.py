@@ -168,14 +168,6 @@ class LabeledComplex:
     def facet_label_sets(self) -> tuple[frozenset, ...]:
         return tuple(frozenset(self.vertices[i] for i in _bits(f)) for f in self.facets)
 
-    def edge_masks(self) -> list[int]:
-        """Sorted masks of the edges, read from the facets."""
-        edges = set()
-        for f in self.facets:
-            bits = [1 << i for i in _bits(f)]
-            edges.update(a | b for k, a in enumerate(bits) for b in bits[k + 1:])
-        return sorted(edges)
-
     def __eq__(self, other) -> bool:
         """Equality as face sets over labels, decided on the facets;
         vertex order is irrelevant."""

@@ -7,7 +7,9 @@ point root orbit against which the exact root system is checked,
 ``flat_move`` the face-by-face move algebra and ``split_faces`` the face
 fold split at a window, against which the move's outer table is.
 ``reference_gap`` is the gap scan that enters every subdivision of every
-depth in its class table, against which the aimed scan is checked,
+depth forward in its class table, against which the contraction scan is
+checked, ``certify_subdivision`` a reported pair rebuilt as a chain of
+checked contractions,
 ``condition`` a window condition by a Demazure fold of the shortened
 word, against which the outer table's rule is, and ``projection_key`` a
 move's commutation orbit by the projection lemma, against which the
@@ -30,8 +32,8 @@ from coxsub import _kernels, backend, braid, rhoposet, simplicial
 from coxsub.braid import BraidContext, MoveFacts
 from coxsub.coxeter import CoxeterMatrix, CoxeterSystem
 from coxsub.rhoposet import GapReport, RhoPoset
-from coxsub.simplicial import (LabeledComplex, face_set, is_isomorphic_constrained,
-                               iso_invariant, subdivide)
+from coxsub.simplicial import (LabeledComplex, _bits, contractions, face_set,
+                               is_isomorphic_constrained, iso_invariant, subdivide)
 from coxsub.subword import PositionComplex, SubwordDescriptor, build
 
 _SYSTEMS: dict = {}
@@ -430,6 +432,15 @@ def named(x: LabeledComplex, names) -> LabeledComplex:
                                       vertex_order=[names[v] for v in x.vertices])
 
 
+def edge_masks(x: LabeledComplex) -> list[int]:
+    """Sorted masks of the edges of x, read from the facets."""
+    edges = set()
+    for f in x.facets:
+        bits = [1 << i for i in _bits(f)]
+        edges.update(a | b for k, a in enumerate(bits) for b in bits[k + 1:])
+    return sorted(edges)
+
+
 def face_masks(x: LabeledComplex) -> tuple[int, ...]:
     """Sorted masks of every face of x, the empty face included unless x is void."""
     return tuple(sorted(face_set(x.facets)))
@@ -699,8 +710,11 @@ def flat_decomposition(f: MoveFacts, faces, fams, tildes) -> tuple[tuple, dict]:
     return tuple(checks), mismatches
 
 
+REFERENCE_CAP = 512  # classes per depth before the last at which ``reference_gap`` stops
+
+
 class ReferenceClassTable:
-    """The gap scan's class table with every child entered: a class's
+    """A gap scan's class table with every child entered: a class's
     single edge subdivisions, each on the vertices 0..n, are found, as
     class ids, when first asked for."""
 
@@ -726,22 +740,23 @@ class ReferenceClassTable:
             kids = self.children[c] = dict.fromkeys(
                 self.intern(LabeledComplex(range(n + 1),
                                            subdivide(z.facets, e & -e, e & (e - 1), (1 << n,))))
-                for e in z.edge_masks())
+                for e in edge_masks(z))
         return kids
 
 
 def reference_frontiers(table: ReferenceClassTable, c: int, depth: int):
     """Every depth 1..depth of class c's iterated single edge subdivisions
     as a set of class ids, and a truncation flag.  A depth before the last
-    is cut at ``rhoposet.FRONTIER_CAP`` as the library cuts it; the last
-    depth, which the library aims at its targets, is listed in full."""
+    that holds more than ``REFERENCE_CAP`` classes is cut after the class
+    whose children crossed it, and no deeper depth is listed; the last
+    depth is listed in full."""
     frontiers: list[dict[int, None]] = []
     cur: dict[int, None] = {c: None}
     for k in range(depth):
         nxt: dict[int, None] = {}
         for z in cur:
             nxt.update(table.subdivisions(z))
-            if k < depth - 1 and len(nxt) > rhoposet.FRONTIER_CAP:
+            if k < depth - 1 and len(nxt) > REFERENCE_CAP:
                 return frontiers + [nxt], True
         frontiers.append(nxt)
         cur = nxt
@@ -749,7 +764,8 @@ def reference_frontiers(table: ReferenceClassTable, c: int, depth: int):
 
 
 def reference_gap(p: RhoPoset) -> GapReport:
-    """The gap scan of an order with every frontier listed in full."""
+    """The gap scan of an order by forward subdivision frontiers, every
+    child entered."""
     if len(p.words) > rhoposet.GAP_SCAN_WORDS:
         return GapReport(checked=False)
     n = len(p.classes)
@@ -773,3 +789,49 @@ def reference_gap(p: RhoPoset) -> GapReport:
             if d <= len(frontiers) and ids[b] in frontiers[d - 1]:
                 subdivision_pairs.append((p.class_rep(a), p.class_rep(b)))
     return GapReport(True, truncated, iso_pairs, tuple(subdivision_pairs))
+
+
+def contraction_chain(y: LabeledComplex, x: LabeledComplex, depth: int):
+    """``depth`` contractions (``simplicial.contractions``) that take y to
+    a complex isomorphic to x, as a list of (r, s, t, contracted) steps, or
+    None.  A depth-first search without the library's class table: a
+    complex from which x was not reached is kept per depth left and skipped
+    when an isomorphic one comes up again."""
+    failed: dict = {}  # (depth left, iso_invariant) -> complexes that reach no x
+
+    def search(z: LabeledComplex, left: int):
+        if not left:
+            return [] if is_isomorphic_constrained(x, z) is not None else None
+        seen = failed.setdefault((left, iso_invariant(z)), [])
+        if any(is_isomorphic_constrained(w, z) is not None for w in seen):
+            return None
+        for r, s, t, w in contractions(z):
+            rest = search(w, left - 1)
+            if rest is not None:
+                return [(r, s, t, w)] + rest
+        seen.append(z)
+        return None
+
+    return search(y, depth)
+
+
+def certify_subdivision(x: LabeledComplex, y: LabeledComplex) -> bool:
+    """Whether y is f0(y) - f0(x) single edge subdivisions of x, shown by
+    a chain of contractions from y down to x.  Each step is checked by
+    subdividing the contracted complex back, which must give exactly the
+    finer facets, and the last step by the vertex map
+    ``is_isomorphic_constrained`` returns, which must carry its facets onto
+    x's."""
+    chain = contraction_chain(y, x, len(y.vertices) - len(x.vertices))
+    if chain is None:
+        return False
+    z = y
+    for r, s, t, w in chain:
+        low = r - 1
+        back = [f & low | (f & ~low) << 1 for f in w.facets]  # r's bit reinserted, empty
+        if subdivide(back, s, t, (r,)) != frozenset(z.facets):
+            return False
+        z = w
+    vmap = is_isomorphic_constrained(z, x)
+    return vmap is not None and \
+        {frozenset(vmap[v] for v in f) for f in z.facet_label_sets()} == set(x.facet_label_sets())

@@ -4,8 +4,8 @@ import random
 
 import pytest
 
-from conftest import (braid_step, face_passes, forward_passes, k_subdivide, projection_key,
-                      reference_gap, system)
+from conftest import (REFERENCE_CAP, braid_step, certify_subdivision, edge_masks, face_passes,
+                      forward_passes, k_subdivide, projection_key, reference_gap, system)
 from coxsub import _kernels, backend, cli, rhoposet, subword
 from coxsub.braid import apply_sequence, classify, move_context
 from coxsub.coxeter import CoxeterSystem
@@ -332,8 +332,8 @@ def test_gap_scan_two_letter_factors(Q, Qp, subdivisions):
 
 
 def test_gap_scan_with_the_limit_lifted(monkeypatch):
-    # A4 w0 (Q = 1234) past GAP_SCAN_WORDS, scanned whole: its last depths
-    # are found by contraction; CI pins this report and D4's, which is cut
+    # A4 w0 (Q = 1234) past GAP_SCAN_WORDS, scanned whole; CI pins this
+    # report with D4's and H3's
     monkeypatch.setattr(rhoposet, "GAP_SCAN_WORDS", 10**9)
     A4 = system("A4")
     gap = build_rho(A4, (1, 2, 3, 4), (), A4.longest_element()).gap
@@ -344,12 +344,51 @@ def test_gap_scan_with_the_limit_lifted(monkeypatch):
         "e5a4770af6ff2f6cfb55f5895079d6cc6ac06371d21b063419be5da180871f38"
 
 
+# The lifted D4 and H3 reports as a forward subdivision scan, its depths
+# before the last cut past 512 classes, gave them: truncated, with the pairs
+# that scan missed left out, listed here as class index -> target indices.
+_FORWARD_SCAN = {
+    "D4": ("5f98a9c71d1721fb684b96e105a3aba3cbec2940871217b9e9bc491b54ada85e", {
+        10: (8, 27, 28, 29), 18: (2, 27, 28, 29), 20: (7, 8, 26, 27, 28, 29, 32),
+        21: (26, 27, 28, 29, 32), 22: (1, 2, 26, 27, 28, 29, 32), 33: (3, 8, 12),
+        34: (3, 7, 11, 12, 13, 27), 39: (1, 5, 11, 12, 13, 29), 40: (2, 5, 12),
+        43: (3, 7, 8, 11, 27, 32), 44: (3, 7, 11, 27), 46: (1, 5, 13, 29),
+        47: (1, 2, 5, 13, 26, 29)}),
+    "H3": ("f9fedddfdc272305ee4a4a1e1ed33db15dc0be10dc6c272df80b18667bbd91da", {
+        0: (6, 8), 4: (3, 7), 10: (1, 3, 7), 11: (1, 3, 7), 12: (5, 6, 8),
+        13: (2, 5, 6, 8), 14: (2,)}),
+}
+
+
+@pytest.mark.parametrize("name, iso, pairs", [("D4", 82, 495), ("H3", 9, 33)])
+def test_gap_scan_lifted_finishes_with_certified_pairs(monkeypatch, name, iso, pairs):
+    # D4 and H3 w0 (Q = 1..n) past GAP_SCAN_WORDS, scanned whole: a pair
+    # is reported iff a chain of checked contractions is found for it, and
+    # every pair of the forward scan is still found
+    monkeypatch.setattr(rhoposet, "GAP_SCAN_WORDS", 10**9)
+    W = system(name)
+    p = build_rho(W, tuple(range(1, W.rank + 1)), (), W.longest_element())
+    gap = p.gap
+    assert (len(gap.iso_pairs), len(gap.subdivision_pairs), gap.truncated) == (iso, pairs, False)
+    reps = [build(SubwordDescriptor(W, p.Q + p.class_rep(c), p.pi)) for c in range(len(p.classes))]
+    reported = {(p.class_of[a], p.class_of[b]) for a, b in gap.subdivision_pairs}
+    for a, x in enumerate(reps):
+        for b, y in enumerate(reps):
+            if not p.leq[a] >> b & 1 and len(y.vertices) > len(x.vertices):
+                assert certify_subdivision(x, y) == ((a, b) in reported), (a, b)
+    digest, missed = _FORWARD_SCAN[name]
+    found = tuple((a, b) for a, b in gap.subdivision_pairs
+                  if p.class_of[b] not in missed.get(p.class_of[a], ()))
+    text = json.dumps({"truncated": True, "iso_pairs": gap.iso_pairs, "subdivision_pairs": found})
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
 def test_gap_scan_truncated(capsys, monkeypatch):
     # a cut frontier still reports true pairs, only fewer of them
     A3 = system("A3")
     args = ("poset", "--group", "A3", "--Q", "1,3", "--Qprime", "1,2", "--pi", "w0")
     full = build_rho(A3, (1, 3), (1, 2), A3.longest_element()).gap
-    monkeypatch.setattr(rhoposet, "FRONTIER_CAP", 4)
+    monkeypatch.setattr(rhoposet, "FRONTIER_CAP", 1)
     gap = build_rho(A3, (1, 3), (1, 2), A3.longest_element()).gap
     assert gap.checked and gap.truncated and not gap.clean
     assert gap.iso_pairs == full.iso_pairs
@@ -378,14 +417,14 @@ def _oracle_gap(p: RhoPoset) -> GapReport:
             nxt, count = {}, 0
             for z in cur:
                 fresh = max(z.vertices) + 1  # the vertices are integers
-                for e in z.edge_masks():
+                for e in edge_masks(z):
                     edge = tuple(z.vertices[i] for i in range(e.bit_length()) if e >> i & 1)
                     w = k_subdivide(z, edge, 1, [fresh])
                     bucket = nxt.setdefault(iso_invariant(w), [])
                     if not any(iso(w, seen) for seen in bucket):
                         bucket.append(w)
                         count += 1
-                assert count <= rhoposet.FRONTIER_CAP  # no truncation here
+                assert count <= REFERENCE_CAP  # no truncation here
             frontiers.append(nxt)
             cur = [w for bucket in nxt.values() for w in bucket]
             if not cur:
@@ -437,33 +476,42 @@ def _a3_pairs() -> list:
     return [(Q, Qp) for Q in words for Qp in words]
 
 
-@pytest.mark.parametrize("cap", [4, 32, 512])
-def test_aimed_gap_scan_matches_reference_a3_pairs(monkeypatch, cap):
-    # the last depth searched only for its targets, or entered in full:
-    # the same report either way; only a depth before the last is cut
+def _check_against_reference(p: RhoPoset) -> GapReport:
+    """The order's gap report against ``reference_gap``: equal field for
+    field where neither is cut, a subset of the reference's pairs where
+    only the library's is, a superset where only the reference's is; a
+    pair the reference lacks is certified by ``certify_subdivision``.
+    Returns the reference."""
+    got, ref = p.gap, reference_gap(p)
+    assert (got.checked, got.iso_pairs) == (ref.checked, ref.iso_pairs)
+    have, want = set(got.subdivision_pairs), set(ref.subdivision_pairs)
+    if not got.truncated and not ref.truncated:
+        assert tuple(got) == tuple(ref)
+    elif not ref.truncated:
+        assert have <= want
+    elif not got.truncated:
+        assert have >= want
+    for a, b in have - want:
+        x, y = (build(SubwordDescriptor(p.system, p.Q + w + p.Qp, p.pi)) for w in (a, b))
+        assert certify_subdivision(x, y), (a, b)
+    return ref
+
+
+@pytest.mark.parametrize("cap", [4, 8, 32, 512])
+def test_gap_scan_matches_reference_a3_pairs(monkeypatch, cap):
+    # a frontier cut at a lowered cap reports fewer pairs, marked truncated;
+    # from 8 classes a depth up, no two-letter A3 pair is cut
     monkeypatch.setattr(rhoposet, "FRONTIER_CAP", cap)
     A3 = system("A3")
     gaps = []
     for Q, Qp in _a3_pairs():
         p = build_rho(A3, Q, Qp, A3.longest_element())
-        ref = reference_gap(p)
+        ref = _check_against_reference(p)
         gaps.append(tuple(p.gap))
         # a report compares by identity: equal fields, yet two reports
-        assert gaps[-1] == tuple(ref) and p.gap != ref and p.gap == p.gap, (Q, Qp)
+        assert p.gap != ref and p.gap == p.gap, (Q, Qp)
     assert any(g[1] for g in gaps) == (cap == 4)
     assert sum(len(g[3]) for g in gaps) > 0
-
-
-@pytest.mark.parametrize("cap", [8, 32])
-def test_gap_scan_last_depth_is_never_cut(monkeypatch, cap):
-    # every two-letter A3 pair cuts no depth before its last at these caps,
-    # so a lowered cap leaves each report whole
-    A3 = system("A3")
-    full = [tuple(build_rho(A3, Q, Qp, A3.longest_element()).gap) for Q, Qp in _a3_pairs()]
-    monkeypatch.setattr(rhoposet, "FRONTIER_CAP", cap)
-    for (Q, Qp), want in zip(_a3_pairs(), full):
-        gap = build_rho(A3, Q, Qp, A3.longest_element()).gap
-        assert not gap.truncated and tuple(gap) == want, (Q, Qp)
 
 
 def _random_order(rng: random.Random) -> tuple:
@@ -481,15 +529,17 @@ def _random_order(rng: random.Random) -> tuple:
 
 
 @pytest.mark.parametrize("cap", [4, 512])
-def test_aimed_gap_scan_matches_reference_random_orders(monkeypatch, cap):
+def test_gap_scan_matches_reference_random_orders(monkeypatch, cap):
     monkeypatch.setattr(rhoposet, "FRONTIER_CAP", cap)
     rng = random.Random(3)
     orders = [_random_order(rng) for _ in range(30)]
-    gaps = []
+    gaps, cut = [], []
     for W, Q, Qp, pi in orders:
         p = build_rho(W, Q, Qp, pi)
         gaps.append(tuple(p.gap))
-        assert gaps[-1] == tuple(reference_gap(p)), (W.rank, Q, Qp)
+        if _check_against_reference(p).truncated and not p.gap.truncated:
+            cut.append((Q, Qp))
+    assert cut == [((2, 3, 3, 2), (1, 2, 3, 1))]  # the reference alone is cut
     assert all(g[0] for g in gaps)
     assert sum(len(g[2]) > 0 for g in gaps) >= 3 and sum(len(g[3]) > 0 for g in gaps) >= 3
     assert any(len(set(w)) < len(w) for _, Q, Qp, _ in orders for w in (Q, Qp))
@@ -513,12 +563,12 @@ def _undone_by_contraction(z: LabeledComplex) -> int:
     contraction at that vertex equal to z on the vertices 0..n-1, and its
     every contraction subdivides back to it; returns the edges checked."""
     n = len(z.vertices)
-    for e in z.edge_masks():
+    for e in edge_masks(z):
         child = LabeledComplex(range(n + 1), subdivide(z.facets, e & -e, e & (e - 1), (1 << n,)))
         assert any(r == 1 << n and {s, t} == {e & -e, e & (e - 1)} and x.facets == z.facets
                    for r, s, t, x in contractions(child))
         assert _two_way_contractions(child) >= 1
-    return len(z.edge_masks())
+    return len(edge_masks(z))
 
 
 def test_contraction_undoes_the_subdivision():

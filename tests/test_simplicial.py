@@ -4,7 +4,7 @@ import re
 
 import pytest
 
-from conftest import (counted_f, counted_h, face_masks, has_face, k_subdivide, link,
+from conftest import (counted_f, counted_h, edge_masks, face_masks, has_face, k_subdivide, link,
                       random_descriptor, spherical_complex, system)
 from coxsub import simplicial
 from coxsub.simplicial import (FACE_LIMIT_ERROR, LabeledComplex, is_isomorphic_constrained,
@@ -118,7 +118,7 @@ def test_edge_subdivide_h_identity():
     rng = random.Random(4)
     for _ in range(30):
         _, x = spherical_complex(rng)
-        edges = x.edge_masks()
+        edges = edge_masks(x)
         if not edges:
             continue
         e = edges[rng.randrange(len(edges))]
@@ -211,7 +211,7 @@ def test_isomorphism_matches_brute_force():
         relabel = dict(zip(x.vertices, perm))
         shuffled = LabeledComplex.from_facets(
             [[relabel[v] for v in f] for f in x.facet_label_sets()])
-        subs = [_subdivided(x, e) for e in x.edge_masks()]
+        subs = [_subdivided(x, e) for e in edge_masks(x)]
         for a, b in [(x, shuffled), (x, other), *itertools.combinations(subs, 2)]:
             m = is_isomorphic_constrained(a, b)
             assert (m is not None) == _brute_isomorphic(a, b)
@@ -250,7 +250,7 @@ def test_is_flag_matches_clique_definition():
     while len(cases) < 180:
         x = build(random_descriptor(rng, names=("A2", "A3", "B3", "H3"), max_len=9))
         cases.append(x)
-        edges = x.edge_masks()
+        edges = edge_masks(x)
         if edges:  # an edge subdivision is no word complex in general
             cases.append(_subdivided(x, edges[rng.randrange(len(edges))]))
     # the complex workload's sizes: 10 to 15 letters over A4, D4 and B4,

@@ -2,10 +2,10 @@ import random
 
 import pytest
 
-from conftest import (brute_facets, brute_is_face, counted_f, counted_h, face_label_sets,
-                      face_masks, has_face, k_subdivide, link_oracle_check, named, oracle_case,
-                      random_descriptor, random_pi, spherical_complex, split_faces,
-                      subword_h_oracle, system)
+from conftest import (brute_facets, brute_is_face, counted_f, counted_h, edge_masks,
+                      face_label_sets, face_masks, has_face, k_subdivide, link_oracle_check,
+                      named, oracle_case, random_descriptor, random_pi, spherical_complex,
+                      split_faces, subword_h_oracle, system)
 from coxsub import braid, subword
 from coxsub.simplicial import MAX_VERTICES, LabeledComplex, face_set, iso_invariant
 from coxsub.subword import (SubwordDescriptor, build, complex_json, complex_summary,
@@ -160,7 +160,7 @@ def test_complex_summary_facets_match_label_reference():
         rng.shuffle(labels)
         y = named(x, dict(zip(x.vertices, labels)))
         cases += [x, y]
-        for e in y.edge_masks()[:1]:
+        for e in edge_masks(y)[:1]:
             s, t = (y.vertices[k] for k in range(len(labels)) if e >> k & 1)
             cases += [k_subdivide(y, (s, t), 1, ("fresh",)),
                       k_subdivide(y, (t, s), 2, ("r1", "r2"))]
