@@ -497,10 +497,11 @@ def _check_against_reference(p: RhoPoset) -> GapReport:
     return ref
 
 
-@pytest.mark.parametrize("cap", [4, 8, 32, 512])
-def test_gap_scan_matches_reference_a3_pairs(monkeypatch, cap):
-    # a frontier cut at a lowered cap reports fewer pairs, marked truncated;
-    # from 8 classes a depth up, no two-letter A3 pair is cut
+@pytest.mark.parametrize("cap", [4, 32, 512])
+def test_aimed_gap_scan_matches_reference_a3_pairs(monkeypatch, cap):
+    # each target's frontiers listed only as deep as its farthest source
+    # needs; a frontier cut at a lowered cap reports fewer pairs, marked
+    # truncated; from 8 classes a depth up, no two-letter A3 pair is cut
     monkeypatch.setattr(rhoposet, "FRONTIER_CAP", cap)
     A3 = system("A3")
     gaps = []
@@ -512,6 +513,18 @@ def test_gap_scan_matches_reference_a3_pairs(monkeypatch, cap):
         assert p.gap != ref and p.gap == p.gap, (Q, Qp)
     assert any(g[1] for g in gaps) == (cap == 4)
     assert sum(len(g[3]) for g in gaps) > 0
+
+
+@pytest.mark.parametrize("cap", [8, 32])
+def test_gap_scan_last_depth_is_never_cut(monkeypatch, cap):
+    # every two-letter A3 pair cuts no depth, its last included, at these
+    # caps, so a lowered cap leaves each report whole
+    A3 = system("A3")
+    full = [tuple(build_rho(A3, Q, Qp, A3.longest_element()).gap) for Q, Qp in _a3_pairs()]
+    monkeypatch.setattr(rhoposet, "FRONTIER_CAP", cap)
+    for (Q, Qp), want in zip(_a3_pairs(), full):
+        gap = build_rho(A3, Q, Qp, A3.longest_element()).gap
+        assert not gap.truncated and tuple(gap) == want, (Q, Qp)
 
 
 def _random_order(rng: random.Random) -> tuple:
@@ -529,7 +542,7 @@ def _random_order(rng: random.Random) -> tuple:
 
 
 @pytest.mark.parametrize("cap", [4, 512])
-def test_gap_scan_matches_reference_random_orders(monkeypatch, cap):
+def test_aimed_gap_scan_matches_reference_random_orders(monkeypatch, cap):
     monkeypatch.setattr(rhoposet, "FRONTIER_CAP", cap)
     rng = random.Random(3)
     orders = [_random_order(rng) for _ in range(30)]
