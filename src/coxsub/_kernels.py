@@ -1,4 +1,4 @@
-"""The hot loops: the forward and backward passes of the subword DP, the submask fill.
+"""The hot loops of the subword DP; the submask fill and ``popcounts`` serve the bench alone.
 
 Conventions:
   * generator indices are 0-based here (the public API is 1-based),

@@ -1,10 +1,9 @@
 """The kernel namespace over :mod:`coxsub._kernels`.
 
-The package calls the facet pass, and on a failed check only the submask
-fill (``simplicial.face_set``), through ``active``, so a profiler can wrap
-them by replacing its attributes; the forward pass and the packed h pass it
-calls from ``_kernels`` itself.  ``popcounts``, which no package code calls,
-stays with the fill for ``bench/tracer.py`` (``KERNELS``).
+The package calls the facet pass through ``active``, so a profiler can
+wrap it by replacing the attribute; the forward pass and the packed h pass
+it calls from ``_kernels`` itself.  The submask fill and ``popcounts``,
+which no package code calls, stay for ``bench/tracer.py`` (``KERNELS``).
 The facet pass ``_kernels.subword_facets`` keeps the name ``reduced_subword_masks``,
 which ``bench/tracer.py`` (``KERNELS``) and the ``kernels.subword.*`` metrics read.
 """

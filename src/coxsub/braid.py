@@ -34,15 +34,15 @@ O(d) for d = Dem(W - t) in the dihedral group W_ij, in all four complexes
 of a move, both sides and the words with the window shortened by two.  One
 ``OuterTable`` per move reads d -> O(d) in one pass over side 1's facets,
 W_ij's chains cached per (system, i, j); a face family is a ``Family``
-{window part: label of its O}, and no face is listed.  The four window conditions follow one rule: the side word with
-its window shortened by k is void iff the label of Dem of its first m - k
-window letters is 0.  The interface families relabel the shortened
-windows' parts as the links of window edges do: an inner part opens two
-empty slots, at slots l and l+1 for the edge there, or at both endpoints
-for F and G.
-Checks join and compare parts and labels, and flatten only on a failure,
-to name its mismatches.  Names ("Q1", "f1", "g2", "Q'1", ...) appear only
-in the report's ``names``, the witnesses and the mismatches.
+{window part: label of its O}, and no face is listed.  The four window
+conditions follow one rule: the side word with its window shortened by k
+is void iff the label of Dem of its first m - k window letters is 0.  The
+interface families relabel the shortened windows' parts as the links of
+window edges do: an inner part opens two empty slots, at slots l and l+1
+for the edge there, or at both endpoints for F and G.  Checks join,
+select and compare parts and labels, exactly as on faces, and name a
+failure's mismatches from them (``verify_decomposition``).  Names ("Q1",
+"f1", "g2", "Q'1", ...) appear only in ``names``, witnesses and mismatches.
 
 Decided patterns.  Every family of the checklist is {window part: label
 of d} over the 2m elements d of W_ij, and the walks, link relabelings,
@@ -53,10 +53,8 @@ depend only on m and the labels, and ``classify`` looks its checks up in
 one process-wide table, ``_DECOMPOSED``, keyed on (m, the outer table's
 labels in chain order); it runs ``verify_decomposition`` only for a key
 it has not met.  Only passing checklists are stored, so a failing move is
-evaluated in full and names its own mismatches.  The table stays small:
-335 keys after the 2,700 moves of the bench's seed-0 classify stream, 258
-after the order of B4 w0 (Q = 1234).  Each move still builds its own
-complexes, outer table and witness.
+evaluated in full and names its own mismatches.  Each move still builds
+its own complexes, outer table and witness.
 
 Witnesses.  Each verdict is replayed on the universe masks of the sides'
 facets: equal facet sets are equal complexes, and an iterated edge
@@ -73,7 +71,7 @@ from typing import NamedTuple
 
 from .coxeter import MAX_REDUCED_WORDS, CoxeterSystem, GroupElement, Word
 from .simplicial import (MAX_WINDOW_PARTS, WINDOW_LIMIT_ERROR, LabeledComplex, _bits, _gamma,
-                         face_set, subdivide)
+                         subdivide)
 from .subword import SubwordDescriptor, build, position_complex
 
 
@@ -324,16 +322,12 @@ class OuterTable:
         """The facets' outer parts in the O of a label, which generate it."""
         return [x for x, n in self.parts.items() if label >> n & 1]
 
-    def flat(self, family: Family) -> frozenset:
-        """The faces of a family as universe masks, every one listed."""
-        return frozenset(k | x for k, label in family.items()
-                         for x in face_set(self.generators(label)))
-
 
 class Family(dict):
     """A face family {window part: label}, the faces k | x over the outer
     parts x of the label's O, no label 0.  A difference removes whole
-    parts, exact once the membership checks of the decomposition hold."""
+    parts, exact for a selection of the family; an intersection keeps the
+    shared parts with their labels' common bits, 0 included."""
 
     __slots__ = ()
 
@@ -345,6 +339,9 @@ class Family(dict):
 
     def __sub__(self, other: Family) -> Family:
         return Family({k: label for k, label in self.items() if k not in other})
+
+    def __and__(self, other: Family) -> Family:
+        return Family({k: label & other[k] for k, label in self.items() if k in other})
 
 
 @_record
@@ -402,43 +399,16 @@ def tilde(f: MoveFacts, side: int) -> Family:
 class DecompositionReport(NamedTuple):
     """Face-set identities tying the two sides together over the shared
     universe; ``checks`` preserves evaluation order, ``mismatches`` holds
-    up to five offending faces (as labels) per failed check.
-
+    up to five faces (as labels) on one side only of each failed check.
     The refinement-chain identities presume that no face contains the
-    endpoint edge together with an internal window vertex, which is what
-    the length-3 window conditions guarantee; they are evaluated only
-    then (``chain_checked``).  All other identities are unconditional.
-    """
+    endpoint edge together with an internal window vertex, which the
+    length-3 window conditions guarantee; they are evaluated only then
+    (``chain_checked``).  All other identities are unconditional."""
 
     ok: bool
     checks: tuple[tuple[str, bool], ...]
     mismatches: dict
     chain_checked: bool = True
-
-
-def _identities(chain: bool, fams: tuple):
-    """(name, got, want) of each identity, over families or over face sets."""
-    faces1, faces2, d1_int, d1_F, d2_int, d2_G, t1, t2, *members = fams
-    # families against their direct membership descriptions
-    yield from zip(("internal family, side 1", "endpoint family, side 1",
-                    "internal family, side 2", "endpoint family, side 2"),
-                   (d1_int, d1_F, d2_int, d2_G), members)
-    # the reduced complexes coincide
-    yield "reduced complexes equal", t1, t2
-    # side 2 decomposes into the common part and its interface families
-    patch2 = d2_int | d2_G
-    yield "side 2 partition", faces2, t1 | patch2
-    yield "side 2 partition disjoint", t1 - patch2, t1
-    # both sides patched with the other side's families agree
-    yield "patched union identity", faces1 | patch2, faces2 | d1_int | d1_F
-    # four expressions for the common refinement; these need that no face
-    # holds the endpoint edge and an internal vertex at once
-    if chain:
-        both = d1_int | d2_int
-        t1b, t2b = t1 | both, t2 | both
-        yield "refinement chain 1=2", faces1 - d1_F | d2_int, t1b
-        yield "refinement chain 2=3", t1b, t2b
-        yield "refinement chain 3=4", t2b, faces2 - d2_G | d1_int
 
 
 _CHECKS: dict = {}  # the checks of each outcome, shared by its reports
@@ -447,25 +417,51 @@ _CHECKS: dict = {}  # the checks of each outcome, shared by its reports
 _DECOMPOSED: dict = {}
 
 
+def _one_sided(generators, got: Family, want: Family):
+    """Faces of got alone or of want alone: a part k of one side only, and
+    k | g for each generator g of a bit of one label of k only."""
+    for k in got.keys() | want.keys():
+        if (a := got.get(k)) != (b := want.get(k)):
+            if a is None or b is None:
+                yield k
+            yield from (k | g for g in generators((a or 0) ^ (b or 0)))
+
+
 def verify_decomposition(facts: MoveFacts) -> DecompositionReport:
-    (faces1, faces2), fams = facts.faces, facts.families
-    (int1, int2), ends = facts.internal, facts.endpoint
-    base = (faces1, faces2, fams.d1_int, fams.d1_F, fams.d2_int, fams.d2_G,
-            tilde(facts, 1), tilde(facts, 2),
-            Family({k: v for k, v in faces1.items() if k & int1}),
-            Family({k: v for k, v in faces1.items() if k & ends == ends}),
-            Family({k: v for k, v in faces2.items() if k & int2}),
-            Family({k: v for k, v in faces2.items() if k & ends == ends}))
-    chain = facts.chain_checked
-    checks = tuple((name, got == want) for name, got, want in _identities(chain, base))
-    mismatches: dict = {}
-    if not all(ok for _, ok in checks):
-        # a difference of families is exact once the membership checks
-        # hold: on a failure the faces decide and name the mismatches
-        rows = list(_identities(chain, tuple(map(facts.table.flat, base))))
-        checks = tuple((name, got == want) for name, got, want in rows)
-        mismatches = {name: facts.face_labels(got ^ want) for name, got, want in rows
-                      if got != want}
+    """The checklist over the move's families, no face listed.  Lemma: the
+    checks are those of the face sets.  Every label a family carries is a
+    join of outer-table labels, so a facet's outer part with pair n lies in
+    O(L) iff bit n of L is set (``OuterTable``).  Hence joins are unions of
+    faces, equal labels part by part mean equal face sets, and selections
+    by a predicate on parts select faces; the refinement chains subtract
+    the selections through the endpoint edge.  Every non-empty O holds the
+    empty outer part, so two families share a face iff they share a part.
+    The checks use these operations alone.  A failed check names up to five
+    faces on one side only (``_one_sided``; an intersection's lie on both)."""
+    (faces1, faces2), (d1_int, d1_F, d2_int, d2_G) = facts.faces, facts.families
+    (int1, int2), ends, chain = facts.internal, facts.endpoint, facts.chain_checked
+    t1, t2, patch2 = tilde(facts, 1), tilde(facts, 2), d2_int | d2_G
+    # each side's faces through an internal vertex and through the endpoint edge
+    members = (Family({k: v for k, v in faces1.items() if k & int1}),
+               Family({k: v for k, v in faces1.items() if k & ends == ends}),
+               Family({k: v for k, v in faces2.items() if k & int2}),
+               Family({k: v for k, v in faces2.items() if k & ends == ends}))
+    rows = [*zip(("internal family, side 1", "endpoint family, side 1",
+                  "internal family, side 2", "endpoint family, side 2"),
+                 (d1_int, d1_F, d2_int, d2_G), members),
+            ("reduced complexes equal", t1, t2),
+            ("side 2 partition", faces2, t1 | patch2),
+            ("side 2 partition disjoint", t1 & patch2, Family()),
+            ("patched union identity", faces1 | patch2, faces2 | d1_int | d1_F)]
+    if chain:  # four expressions for the common refinement
+        both = d1_int | d2_int
+        t1b, t2b = t1 | both, t2 | both
+        rows += [("refinement chain 1=2", faces1 - members[1] | d2_int, t1b),
+                 ("refinement chain 2=3", t1b, t2b),
+                 ("refinement chain 3=4", t2b, faces2 - members[3] | d1_int)]
+    checks = tuple((name, got == want) for name, got, want in rows)
+    mismatches = {name: facts.face_labels(set(_one_sided(facts.table.generators, got, want)))
+                  for name, got, want in rows if got != want}
     return DecompositionReport(not mismatches, _CHECKS.setdefault(checks, checks), mismatches, chain)
 
 

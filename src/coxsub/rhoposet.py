@@ -184,19 +184,7 @@ def build_rho(system: CoxeterSystem, Q, Qp, pi: GroupElement,
     system.check_word(Q + words[0] + Qp)
     index = {w: k for k, w in enumerate(words)}
     memo: dict = {}
-
-    # each word's commutation class, named by its first word, via moves of order 2
-    heap = [-1] * len(words)
-    for k in range(len(words)):
-        if heap[k] < 0:
-            heap[k], stack = k, [k]
-            while stack:
-                for _, _, _, m, w2 in system._braid_moves(words[stack.pop()]):
-                    if m == 2 and heap[b := index[w2]] < 0:
-                        heap[b] = k
-                        stack.append(b)
-    orbits: dict = {}  # (class of w, i, j, counts of i and j before the window) -> report
-    parent = heap.copy()  # isomorphism classes, from the lemma and verified case-1 moves
+    parent = list(range(len(words)))  # commutation classes, then isomorphism classes
 
     def find(a: int) -> int:
         while parent[a] != a:
@@ -209,15 +197,27 @@ def build_rho(system: CoxeterSystem, Q, Qp, pi: GroupElement,
         if ra != rb:
             parent[max(ra, rb)] = min(ra, rb)
 
-    edges: list[MoveEdge] = []
+    # each word's moves, listed once: a move of order 2 joins its words'
+    # commutation class and makes its edge; the others wait for the classes
+    edges: list = []
     for k, w in enumerate(words):
         for pos, i, j, m, w2 in system._braid_moves(w):
             if w2 < w:
                 continue  # the mirrored move on w2 reproduces this pair
-            w2 = words[index[w2]]  # the order's own copy, kept by the edge
+            b = index[w2]
             if m == 2:
-                edges.append(MoveEdge(w, w2, pos, 1, True, None, None, None))
-                continue
+                union(k, b)
+                edges.append(MoveEdge(w, words[b], pos, 1, True, None, None, None))
+            else:
+                edges.append((k, b, pos))
+    heap = [find(k) for k in range(len(words))]  # each word's class, named by its first word
+    orbits: dict = {}  # (class of w, i, j, counts of i and j before the window) -> report
+    for n, e in enumerate(edges):
+        if not isinstance(e, MoveEdge):
+            k, b, pos = e
+            w, w2 = words[k], words[b]  # the order's own copies, kept by the edge
+            i, j = w[pos - 1], w[pos]
+            m = system.m[i - 1, j - 1]
             front = w[:pos - 1]
             key = (heap[k], i, j, front.count(i), front.count(j))
             rep = orbits.get(key)
@@ -226,13 +226,12 @@ def build_rho(system: CoxeterSystem, Q, Qp, pi: GroupElement,
                 rep = orbits[key] = classify(ctx, memo)
             lower = upper = None
             if rep.case == 1 and rep.witness_ok:
-                union(k, index[w2])
+                union(k, b)
             elif rep.case == 2 and rep.witness_ok:
                 lower, upper = w2, w
             elif rep.case == 3 and rep.witness_ok:
                 lower, upper = w, w2
-            edges.append(MoveEdge(w, w2, pos, rep.case, rep.witness_ok,
-                                  lower, upper, rep))
+            edges[n] = MoveEdge(w, w2, pos, rep.case, rep.witness_ok, lower, upper, rep)
 
     groups: dict[int, list[Word]] = {}
     for k, w in enumerate(words):

@@ -27,19 +27,15 @@ from math import comb
 from operator import index as _int
 from typing import Collection, Hashable, Iterable, Sequence
 
-from .backend import active as _K
 from .coxeter import MAX_WORD_LETTERS as MAX_VERTICES
 
 Label = Hashable
 
 # Past this many facets a subword complex is not built, and past this many
-# nodes is_flag's clique search stops.  ``face_set``, the one listing of
-# faces, stops past this many submasks of the facets, counted with repeats
-# (Python ints, about 150 MB).  A move lists window parts, not faces, at
-# most 2^m per complex for a window of m letters, and refuses past
-# MAX_WINDOW_PARTS of them.
+# nodes is_flag's clique search stops.  A move lists window parts, at most
+# 2^m per complex for m window letters, and refuses past MAX_WINDOW_PARTS.
 MAX_FACES = 1 << 22
-FACE_LIMIT_ERROR = f"too many facets, face submasks or flag-search nodes (limit {MAX_FACES})"
+FACE_LIMIT_ERROR = f"too many facets or flag-search nodes (limit {MAX_FACES})"
 MAX_WINDOW_PARTS = 1 << 16
 WINDOW_LIMIT_ERROR = f"window enumeration too large (limit {MAX_WINDOW_PARTS} window parts)"
 
@@ -63,17 +59,6 @@ def _bits(mask: int):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
-
-
-def face_set(facets: Iterable[int]) -> set[int]:
-    """Every submask of the facet masks, the empty one included; raises past
-    MAX_FACES submasks, counted with repeats."""
-    facets = list(facets)
-    if sum(1 << f.bit_count() for f in facets) > MAX_FACES:
-        raise ValueError(FACE_LIMIT_ERROR)
-    buf: list[int] = []
-    _K.fill_submasks(facets, buf)
-    return set(buf)
 
 
 @cache

@@ -24,16 +24,17 @@ order."""
 
 from __future__ import annotations
 
+import copy
 import itertools
 import random
 from math import comb, cos, pi as PI
 
-from coxsub import _kernels, backend, braid, rhoposet, simplicial
-from coxsub.braid import BraidContext, MoveFacts
+from coxsub import _kernels, backend, braid, rhoposet
+from coxsub.braid import BraidContext, Family, MoveFacts
 from coxsub.coxeter import CoxeterMatrix, CoxeterSystem
 from coxsub.rhoposet import GapReport, RhoPoset
-from coxsub.simplicial import (LabeledComplex, _bits, contractions, face_set,
-                               is_isomorphic_constrained, iso_invariant, subdivide)
+from coxsub.simplicial import (LabeledComplex, _bits, contractions, is_isomorphic_constrained,
+                               iso_invariant, subdivide)
 from coxsub.subword import PositionComplex, SubwordDescriptor, build
 
 _SYSTEMS: dict = {}
@@ -101,11 +102,32 @@ def roots_match_float_orbit(cm: CoxeterMatrix) -> bool:
             and all(cm.reflect[to[b]][to[c]] == to[reflect[b][c]] for b in to for c in to))
 
 
+def face_set(facets) -> set[int]:
+    """Every submask of the facet masks, the empty one included, filled by
+    ``_kernels.fill_submasks`` itself, not through ``backend.active``."""
+    buf: list[int] = []
+    _kernels.fill_submasks(list(facets), buf)
+    return set(buf)
+
+
 def contains_reduced(sys_, word, pi) -> bool:
     """True iff some subword of word is a reduced word of pi: iff pi <=
     Dem(word) in Bruhat order (Knutson-Miller, Subword complexes in
     Coxeter groups, 2004, section 3)."""
     return sys_.bruhat_le(pi, sys_.demazure_product(word))
+
+
+def c_sorting_word(sys_) -> tuple[int, ...]:
+    """The c-sorting word of w0 for c = 1..n: the first reduced word of w0
+    inside c c c ..., taking each letter that is no right descent of the
+    product so far (Reading, Sortable elements and Cambrian lattices, 2007)."""
+    w0, g, out = sys_.longest_element(), sys_.identity, []
+    while g != w0:
+        for s in range(1, sys_.rank + 1):
+            if s not in sys_.right_descents(g):
+                g = sys_.multiply(g, sys_.generator(s))
+                out.append(s)
+    return tuple(out)
 
 
 def braid_step(sys_, word, pos: int):
@@ -160,8 +182,8 @@ def condition(ctx: BraidContext, which: str, k: int) -> bool:
 def face_passes(monkeypatch) -> list:
     """Record from now on, one list per ``MoveFacts`` made (by name through
     ``braid``), "table" for each outer table it builds and "faces" for each
-    listing of faces, which every face listing of the package makes through
-    ``backend.active.fill_submasks``."""
+    call of ``backend.active.fill_submasks``, through which a listing of
+    faces in the package would have to go."""
     moves: list = []
     facts, table, fill = braid.MoveFacts, braid.OuterTable, backend.active.fill_submasks
 
@@ -189,11 +211,10 @@ def face_passes(monkeypatch) -> list:
 
 
 def no_face_listing(monkeypatch) -> None:
-    """Make every listing of faces raise from now on."""
+    """Make the package's submask fill raise from now on."""
     def refuse(*args):
-        raise AssertionError("a face listing on a passing path")
+        raise AssertionError("a face listing in the package")
 
-    monkeypatch.setattr(simplicial, "face_set", refuse)
     monkeypatch.setattr(backend.active, "fill_submasks", refuse)
 
 
@@ -662,6 +683,13 @@ def flat_link_families(faces, q: int, m: int) -> tuple[set, set]:
     return internal, endpoint
 
 
+def flat_tildes(f: MoveFacts, faces) -> tuple:
+    """The faces of each side avoiding its internal vertices and the endpoint edge."""
+    ends = f.endpoint
+    return tuple(frozenset(x for x in faces[s] if not x & f.internal[s] and x & ends != ends)
+                 for s in (0, 1))
+
+
 def flat_move(f: MoveFacts) -> tuple[tuple, tuple, tuple]:
     """(faces of both sides, (d1_int, d1_F, d2_int, d2_G), tilde of both
     sides) as sets of universe masks, face by face: each complex's faces
@@ -674,40 +702,101 @@ def flat_move(f: MoveFacts) -> tuple[tuple, tuple, tuple]:
     d1_int, d2_G = flat_link_families(k1, f.q, f.m)
     d2_int, d1_F = flat_link_families(k2, f.q, f.m)
     fams = frozenset(d1_int), frozenset(d1_F), flat_from_side2(f, d2_int), flat_from_side2(f, d2_G)
-    ends = f.endpoint
-    tildes = tuple(frozenset(x for x in faces[s] if not x & f.internal[s] and x & ends != ends)
-                   for s in (0, 1))
-    return faces, fams, tildes
+    return faces, fams, flat_tildes(f, faces)
+
+
+def flat_rows(f: MoveFacts, faces, fams, tildes) -> list:
+    """(name, got, want) of each check of ``braid.verify_decomposition``
+    over flat face sets, as ``flat_move`` gives them."""
+    (faces1, faces2), (d1_int, d1_F, d2_int, d2_G), (t1, t2) = faces, fams, tildes
+    (int1, int2), ends = f.internal, f.endpoint
+    ends1, ends2 = ({x for x in fs if x & ends == ends} for fs in (faces1, faces2))
+    patch2 = d2_int | d2_G
+    rows = [("internal family, side 1", d1_int, {x for x in faces1 if x & int1}),
+            ("endpoint family, side 1", d1_F, ends1),
+            ("internal family, side 2", d2_int, {x for x in faces2 if x & int2}),
+            ("endpoint family, side 2", d2_G, ends2),
+            ("reduced complexes equal", t1, t2),
+            ("side 2 partition", faces2, t1 | patch2),
+            ("side 2 partition disjoint", t1 & patch2, frozenset()),
+            ("patched union identity", faces1 | patch2, faces2 | d1_int | d1_F)]
+    if f.chain_checked:
+        both = d1_int | d2_int
+        rows += [("refinement chain 1=2", (faces1 - ends1) | d2_int, t1 | both),
+                 ("refinement chain 2=3", t1 | both, t2 | both),
+                 ("refinement chain 3=4", t2 | both, (faces2 - ends2) | d1_int)]
+    return rows
 
 
 def flat_decomposition(f: MoveFacts, faces, fams, tildes) -> tuple[tuple, dict]:
-    """The checks and the mismatches of ``braid.verify_decomposition`` on
-    flat face sets, as ``flat_move`` gives them."""
-    (faces1, faces2), (d1_int, d1_F, d2_int, d2_G), (t1, t2) = faces, fams, tildes
-    (int1, int2), ends = f.internal, f.endpoint
-    checks: list = []
-    mismatches: dict = {}
+    """The checks of ``braid.verify_decomposition`` on flat face sets, and
+    per failed check the first five faces of its symmetric difference."""
+    rows = flat_rows(f, faces, fams, tildes)
+    return (tuple((name, got == want) for name, got, want in rows),
+            {name: f.face_labels(got ^ want) for name, got, want in rows if got != want})
 
-    def record(name: str, got, want) -> None:
-        checks.append((name, got == want))
-        if got != want:
-            mismatches[name] = f.face_labels(got ^ want)
 
-    record("internal family, side 1", d1_int, {x for x in faces1 if x & int1})
-    record("endpoint family, side 1", d1_F, {x for x in faces1 if x & ends == ends})
-    record("internal family, side 2", d2_int, {x for x in faces2 if x & int2})
-    record("endpoint family, side 2", d2_G, {x for x in faces2 if x & ends == ends})
-    record("reduced complexes equal", t1, t2)
-    patch2 = d2_int | d2_G
-    record("side 2 partition", faces2, t1 | patch2)
-    record("side 2 partition disjoint", t1 & patch2, frozenset())
-    record("patched union identity", faces1 | patch2, faces2 | d1_int | d1_F)
-    if f.chain_checked:
-        both = d1_int | d2_int
-        record("refinement chain 1=2", (faces1 - d1_F) | d2_int, t1 | both)
-        record("refinement chain 2=3", t1 | both, t2 | both)
-        record("refinement chain 3=4", t2 | both, (faces2 - d2_G) | d1_int)
-    return tuple(checks), mismatches
+FAULT_GROUPS = ("A3", "B3", "H3", "A4", "D4")
+
+
+def _fault(rng: random.Random, labels: list, fam: Family, parts: list) -> Family:
+    """The family with one realizable fault: a part dropped, a part of the
+    move added, or a label replaced by a join of one or two of the
+    non-zero outer-table labels ``labels``."""
+    while True:
+        new = Family(fam)
+        kind = rng.randrange(3) if fam else 1
+        if kind == 0:
+            del new[rng.choice(sorted(fam))]
+        else:
+            k = rng.choice(parts) if kind == 1 else rng.choice(sorted(fam))
+            new[k] = rng.choice(labels) | (rng.choice(labels) if rng.random() < 0.5 else 0)
+        if new != fam:
+            return new
+
+
+def inject_faults(count: int, seed: int = 0) -> dict:
+    """Run ``braid.verify_decomposition`` on ``count`` moves with one
+    realizable fault injected into one of the six families it reads (both
+    sides' faces, d1_int, d1_F, d2_int, d2_G), six per move: the seeded
+    ``oracle_contexts()`` first, then seeded random moves over
+    ``FAULT_GROUPS``.  Asserts per injection that its checks equal those of
+    the face-level algebra (``flat_rows``) on the same faulted families,
+    and that each failed check names at least one face and only faces of
+    that check's face-level symmetric difference.  Returns counts."""
+    rng = random.Random(seed)
+    contexts = iter(oracle_contexts())
+    stats = {"injected": 0, "failed": 0, "named": 0}
+    while stats["injected"] < count:
+        ctx = next(contexts, None) or random_context(rng, names=FAULT_GROUPS)
+        f = MoveFacts(ctx)
+        base = (*f.faces, *f.families)
+        labels = sorted({v for v in f.table.labels.values() if v})
+        parts = sorted({k for fam in base for k in fam})
+        if not labels:  # both sides void: no realizable label to inject
+            continue
+        flat_base = tuple(flat_faces(f, fam) for fam in base)
+        for slot in range(6):
+            if stats["injected"] == count:
+                break
+            fams = list(base)
+            fams[slot] = _fault(rng, labels, base[slot], parts)
+            flats = list(flat_base)
+            flats[slot] = flat_faces(f, fams[slot])
+            g = copy.copy(f)
+            g.faces, g.families = tuple(fams[:2]), braid.Subfamilies(*fams[2:])
+            dec = braid.verify_decomposition(g)
+            rows = flat_rows(f, flats[:2], flats[2:], flat_tildes(f, flats[:2]))
+            assert dec.checks == tuple((name, got == want) for name, got, want in rows), ctx
+            stats["injected"] += 1
+            stats["failed"] += not dec.ok
+            for name, got, want in rows:
+                if got != want:
+                    named = dec.mismatches[name]
+                    assert named and set(named) <= {tuple(sorted(f.names(_bits(x))))
+                                                    for x in got ^ want}, (ctx, name)
+                    stats["named"] += len(named)
+    return stats
 
 
 REFERENCE_CAP = 512  # classes per depth before the last at which ``reference_gap`` stops

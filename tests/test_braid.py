@@ -6,9 +6,10 @@ from pathlib import Path
 import pytest
 
 from conftest import (braid_step, check_A3B3_edges, condition, counted_f, f_label,
-                      face_label_sets, face_masks, face_passes, flat_decomposition, flat_faces,
-                      flat_move, forward_passes, g_label, has_face, i2_context, k_subdivide,
-                      named, oracle_contexts, outer_parts, random_context, same_outer_table,
+                      face_label_sets, face_masks, face_passes, face_set, flat_decomposition,
+                      flat_faces, flat_move, flat_rows, forward_passes, g_label, has_face,
+                      i2_context, inject_faults, k_subdivide, named, no_face_listing,
+                      oracle_contexts, outer_parts, random_context, same_outer_table,
                       shortened_void_or_spherical, side_descriptor, split_faces, system,
                       word_labels)
 from coxsub import braid
@@ -16,7 +17,7 @@ from coxsub.braid import (BraidContext, Family, MoveFacts, apply_sequence, class
                           find_move_path, move_context, polynomial_delta, subfamilies,
                           tilde, verify_decomposition)
 from coxsub.coxeter import CoxeterSystem
-from coxsub.simplicial import LabeledComplex, face_set, subdivide
+from coxsub.simplicial import LabeledComplex, _bits, subdivide
 from coxsub.subword import SubwordDescriptor, build
 
 
@@ -429,22 +430,44 @@ def test_split_algebra_matches_flat_oracle():
 
 def test_mismatches_name_the_faces_a_family_lost(monkeypatch):
     # the faces of one window part taken from one family fail the checks
-    # that read it, and each failed check names the faces the flat algebra
-    # finds in its symmetric difference
+    # that read it, the same checks as in the flat algebra; each failed
+    # check names faces of its face-level symmetric difference, read off
+    # the labels: the lost part itself and it with each generator of its O
     f = MoveFacts(i2_context(4))
     assert f.chain_checked
     faces, fams, tildes = flat_move(f)
     key = min(fams[0], key=lambda x: (x.bit_count(), x)) & ((1 << f.m) - 1) << f.q
     lost = frozenset(x for x in fams[0] if x & ((1 << f.m) - 1) << f.q == key)
+    label = f.families.d1_int[key]
     d1_int = Family({k: label for k, label in f.families.d1_int.items() if k != key})
     monkeypatch.setattr(f, "families", f.families._replace(d1_int=d1_int))
+    no_face_listing(monkeypatch)
     dec = verify_decomposition(f)
-    checks, mismatches = flat_decomposition(f, faces, (fams[0] - lost, *fams[1:]), tildes)
-    assert not dec.ok and dec.checks == checks
-    assert dec.mismatches == mismatches
-    assert mismatches["internal family, side 1"] == f.face_labels(lost)
-    assert set(mismatches) == {"internal family, side 1", "patched union identity",
-                               "refinement chain 1=2"}
+    rows = flat_rows(f, faces, (fams[0] - lost, *fams[1:]), tildes)
+    assert not dec.ok and dec.checks == tuple((name, got == want) for name, got, want in rows)
+    assert set(dec.mismatches) == {name for name, got, want in rows if got != want} == {
+        "internal family, side 1", "patched union identity", "refinement chain 1=2"}
+    def labelled(masks) -> set:
+        return {tuple(sorted(f.names(_bits(x)))) for x in masks}
+
+    for name, got, want in rows:
+        if got != want:
+            assert dec.mismatches[name] and set(dec.mismatches[name]) <= labelled(got ^ want)
+    named = dec.mismatches["internal family, side 1"]
+    assert named == f.face_labels({key} | {key | g for g in f.table.generators(label)})
+    assert set(named) <= labelled(lost)
+
+
+def test_family_checks_equal_face_checks_under_faults(monkeypatch):
+    # 2,000 realizable faults (a part dropped or added, or a label replaced
+    # by a join of outer-table labels) in the families of seeded moves: the
+    # family checks equal the face-level ones, and every failed check names
+    # faces of its face-level symmetric difference; no face is listed by
+    # the package
+    no_face_listing(monkeypatch)
+    stats = inject_faults(2000)
+    assert stats["injected"] == 2000 and stats["failed"] >= 1800
+    assert stats["named"] >= stats["failed"]
 
 
 def test_chain_identity_needs_window_conditions():

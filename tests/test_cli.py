@@ -75,7 +75,7 @@ def test_complex_facet_count_past_the_limit(capsys, monkeypatch):
     code, out, err = run(capsys, "complex", "--group", "B4",
                          "--word", ",".join(["1,2,3,4"] * 15), "--pi", "w0")
     assert code == 2 and out == ""
-    assert "too many facets, face submasks or flag-search nodes" in err
+    assert "too many facets or flag-search nodes" in err
 
 
 def test_complex_builds_once(capsys, monkeypatch):

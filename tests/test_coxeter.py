@@ -1,10 +1,12 @@
+import json
 import random
+import re
 
 import pytest
 
 from conftest import (braid_step, contains_reduced, random_pi, roots_match_float_orbit,
                       run_facets, subword_h_oracle, system)
-from coxsub import coxeter
+from coxsub import cli, coxeter
 from coxsub.braid import BraidContext
 from coxsub.coxeter import (MAX_ROOTS, MAX_WORD_LETTERS, CoxeterMatrix, CoxeterSystem,
                             GroupElement)
@@ -362,3 +364,48 @@ def test_exact_roots_match_float_orbit_on_random_products():
     cm = _product(["I2:7", "I2:11", "I2:13", "I2:17"], [0, 2, 4, 6, 1, 3, 5, 7])
     assert 2 * len(cm.roots) == 96 and roots_match_float_orbit(cm)
     assert max(len(c) for r in cm.roots for c in r) == 16
+
+
+# each refusal of a group spec: the spec, its message, and the row's id
+SPEC_REFUSALS = [
+    ({"matrix": [[1, 3], [3]]}, "Coxeter matrix must be square", "square"),
+    ({"matrix": []}, "Coxeter matrix must have positive rank", "rank_0"),
+    ({"matrix": [[2, 3], [3, 1]]}, "diagonal entries must be 1", "diagonal"),
+    ({"matrix": [[1, 3], [4, 1]]}, "Coxeter matrix must be symmetric", "symmetric"),
+    ({"matrix": [[1, 1], [1, 1]]}, "off-diagonal entries must be >= 2", "off_diagonal"),
+    ("I2:1", "I2(m) needs m >= 2", "I2"),
+    ("A0", "A_n needs n >= 1", "A"),
+    ("B1", "B_n needs n >= 2", "B"),
+    ("D3", "D_n needs n >= 4", "D"),
+    ("E5", "E_n needs n in {6, 7, 8}", "E"),
+    ("F3", "only F4 exists", "F"),
+    ("H2", "H_n needs n in {3, 4}", "H"),
+    ({"type": "I2"}, "type I2 needs its order m", "I2_without_m"),
+    ({"type": "A"}, "named type needs a rank", "type_without_rank"),
+    ({"family": "A3"}, "cannot interpret group spec", "unknown_keys"),
+]
+
+
+@pytest.mark.parametrize("spec, message", [row[:2] for row in SPEC_REFUSALS],
+                         ids=[row[2] for row in SPEC_REFUSALS])
+def test_group_spec_refusals(capsys, spec, message):
+    # refused by the library, and by the command line with exit code 2 and
+    # one error line
+    with pytest.raises(ValueError, match=re.escape(message)):
+        CoxeterMatrix.from_spec(spec)
+    group = spec if isinstance(spec, str) else json.dumps(spec)
+    assert cli.main(["complex", "--group", group, "--word", "1", "--pi", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1
+    assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: system("A2").check_word((1, "a")), "letters must be integers, got (1, 'a')"),
+    (lambda: system("A3").length(system("A2").longest_element()), "is not an element of A3"),
+], ids=["letters", "element"])
+def test_word_and_element_refusals(call, message):
+    # the command line parses words itself and makes its own elements, so
+    # these two are reached through the library alone
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()

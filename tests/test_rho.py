@@ -312,6 +312,19 @@ def test_build_rho_checks_its_words_once(monkeypatch):
     assert p.Q == (1,) * 40 and p.Qp == (2,) * 22 and p.words == ((),)
 
 
+def test_build_rho_lists_each_words_moves_once(monkeypatch):
+    # the search lists each word's moves, and the order lists them once
+    # more, commutation moves and the rest in one pass: 2 per word
+    A4 = system("A4")
+    calls = []
+    moves = CoxeterSystem._braid_moves
+    monkeypatch.setattr(CoxeterSystem, "_braid_moves",
+                        lambda self, w: calls.append(w) or moves(self, w))
+    p = build_rho(A4, (1, 2, 3, 4), (), A4.longest_element())
+    assert len(p.words) == 768 and len(calls) == 2 * 768
+    assert sorted(calls) == sorted(p.words * 2)
+
+
 def test_gap_scan_skipped_above_limit(monkeypatch):
     monkeypatch.setattr(rhoposet, "GAP_SCAN_WORDS", 4)
     A3 = system("A3")

@@ -3,11 +3,11 @@ import random
 import pytest
 
 from conftest import (brute_facets, brute_is_face, counted_f, counted_h, edge_masks,
-                      face_label_sets, face_masks, has_face, k_subdivide, link_oracle_check,
+                      face_label_sets, face_masks, face_set, has_face, k_subdivide, link_oracle_check,
                       named, oracle_case, random_descriptor, random_pi, spherical_complex,
                       split_faces, subword_h_oracle, system)
 from coxsub import braid, subword
-from coxsub.simplicial import MAX_VERTICES, LabeledComplex, face_set, iso_invariant
+from coxsub.simplicial import MAX_VERTICES, LabeledComplex, iso_invariant
 from coxsub.subword import (SubwordDescriptor, build, complex_json, complex_summary,
                             position_complex)
 
@@ -347,10 +347,3 @@ def test_subword_dp_matches_oracles():
         assert set(faces) == {sum(1 << bits[p] for p in range(len(word)) if f >> p & 1)
                               for f in face_set(entry.word_facets)}
     assert min(seen.values()) >= 5, seen
-    # a listing of faces refuses past MAX_FACES, though the complex builds:
-    # 1^40 in A1 with pi = s1 has 40 facets and 2^40 - 1 faces
-    A1 = system("A1")
-    entry = position_complex(A1, (1,) * 40, A1.generator(1), {})
-    assert len(entry.word_facets) == 40
-    with pytest.raises(ValueError, match="too many facets, face submasks"):
-        face_set(entry.word_facets)
