@@ -18,7 +18,8 @@ before it, from the identity after the last position, the complex {()}.
 With s = word[p], a state w without the right descent s is a cone over its
 link (p + 1, w); else it splits into the deletion (p + 1, w s) and the
 link, or is its deletion when the link is void: the deletion and a cone
-link of a live state are never void.  The start state must be live.
+link of a live state are never void.  The start state must be live.  The
+h pass hands back a tuple of coefficients; how it packs them is its own.
 """
 
 from __future__ import annotations
@@ -41,18 +42,19 @@ def subword_layers(times, desc, le, letters, start, tops):
 
 
 def subword_h(right, desc, word, layers):
-    """The h-vector packed into one int, coefficient k at bit 64k: h(deletion)
-    + t h(link) at a descent, else h(link), the leaf 1.  A coefficient counts
-    facets of a live state, at most C(62, 31) < 2^59 for a word of at most
-    MAX_WORD_LETTERS letters, so no slot carries into the next."""
-    vals = {0: 1}
+    """The h-vector as len(word) + 1 coefficients: h(deletion) + t h(link) at a
+    descent, else h(link), the leaf 1.  A state's h is one int, coefficient k
+    at bit k * (len(word) + 1): a coefficient counts facets of a live state,
+    fewer than 2^len(word), so no slot carries into the next at any length."""
+    vals, b = {0: 1}, len(word) + 1
     for p in range(len(word) - 1, -1, -1):
         s, below, vals = word[p], vals, {}
         for w in layers[p]:
-            vals[w] = below[right[w][s]] + (below.get(w, 0) << 64) if desc[w] >> s & 1 \
+            vals[w] = below[right[w][s]] + (below.get(w, 0) << b) if desc[w] >> s & 1 \
                 else below[w]
     (start,) = layers[0]
-    return vals[start]
+    packed, slot = vals[start], (1 << b) - 1
+    return tuple([packed >> b * k & slot for k in range(b)])
 
 
 def subword_facets(right, desc, word, layers):

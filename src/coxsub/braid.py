@@ -49,12 +49,13 @@ of d} over the 2m elements d of W_ij, and the walks, link relabelings,
 crossings and selections act on window parts alone, the same for every
 |Q| and L up to the uniform shift of the parts by |Q| (and of the lifted
 slots by L).  So the checklist, its chain flag and the window conditions
-depend only on m and the labels, and ``classify`` looks its checks up in
+depend only on m and the labels, and ``classify`` looks its report up in
 one process-wide table, ``_DECOMPOSED``, keyed on (m, the outer table's
-labels in chain order); it runs ``verify_decomposition`` only for a key
-it has not met.  Only passing checklists are stored, so a failing move is
-evaluated in full and names its own mismatches.  Each move still builds
-its own complexes, outer table and witness.
+labels in chain order), which the moves of a key share; it runs
+``verify_decomposition`` only for a key it has not met.  Only passing
+reports are stored, so a failing move is evaluated in full and names its
+own mismatches.  Each move still builds its own complexes, outer table
+and witness.
 
 Witnesses.  Each verdict is replayed on the universe masks of the sides'
 facets: equal facet sets are equal complexes, and an iterated edge
@@ -295,28 +296,28 @@ class OuterTable:
         """The labelled window parts with a non-empty O of a window of two or
         more 0-based letters, slot p at universe bit lo + p, and of that
         window without its last two letters.  A walk over the slots keeps
-        per part Dem of the letters left out of it, in W_ij.  Past 2^10
-        parts it drops those from which keeping all later letters reaches
-        no label, and past MAX_WINDOW_PARTS it refuses."""
+        per part Dem of the letters left out of it, in W_ij, and only the
+        parts whose Dem with all later letters has a label, as O(d) grows
+        with d in Bruhat order; a part without slot p has its parent's
+        completions.  Past MAX_WINDOW_PARTS kept parts it refuses."""
         labels, desc, times = self.labels, self.system._desc, self.system._times
 
         def dem(d: int, s: int) -> int:  # the Demazure product d * s
             return d if desc[d] >> s & 1 else times(d, s)
 
-        parts = {0: 0}
+        parts = {0: 0} if labels[reduce(dem, letters, 0)] else {}
         for p, s in enumerate(letters):
             if p == len(letters) - 2:
                 short = Family({k: labels[d] for k, d in parts.items() if labels[d]})
-            nxt, b = {}, 1 << (lo + p)
+            nxt, b, rest = {}, 1 << (lo + p), letters[p + 1:]
             for k, d in parts.items():
-                nxt[k], nxt[k | b] = dem(d, s), d
-            if len(nxt) > 1 << 10:  # drop the parts no later letters lift to a label
-                rest = letters[p + 1:]
-                nxt = {k: d for k, d in nxt.items() if labels[reduce(dem, rest, d)]}
+                nxt[k] = dem(d, s)
+                if labels[reduce(dem, rest, d)]:
+                    nxt[k | b] = d
             if len(nxt) > MAX_WINDOW_PARTS:
                 raise ValueError(WINDOW_LIMIT_ERROR)
             parts = nxt
-        return Family({k: labels[d] for k, d in parts.items() if labels[d]}), short
+        return Family({k: labels[d] for k, d in parts.items()}), short
 
     def generators(self, label: int) -> list[int]:
         """The facets' outer parts in the O of a label, which generate it."""
@@ -411,9 +412,8 @@ class DecompositionReport(NamedTuple):
     chain_checked: bool = True
 
 
-_CHECKS: dict = {}  # the checks of each outcome, shared by its reports
-# (m, the outer table's labels in chain order) -> the checks of a passing
-# decomposition, which depend on these alone (see the module docstring)
+# (m, the outer table's labels in chain order) -> the report of a passing
+# decomposition, which depends on these alone (see the module docstring)
 _DECOMPOSED: dict = {}
 
 
@@ -462,7 +462,7 @@ def verify_decomposition(facts: MoveFacts) -> DecompositionReport:
     checks = tuple((name, got == want) for name, got, want in rows)
     mismatches = {name: facts.face_labels(set(_one_sided(facts.table.generators, got, want)))
                   for name, got, want in rows if got != want}
-    return DecompositionReport(not mismatches, _CHECKS.setdefault(checks, checks), mismatches, chain)
+    return DecompositionReport(not mismatches, checks, mismatches, chain)
 
 
 # -- polynomial bookkeeping -------------------------------------------------
@@ -585,12 +585,10 @@ def classify(ctx: BraidContext, memo: dict | None = None) -> CaseReport:
     f = MoveFacts(ctx, memo)
     m, c, names = f.m, f.conditions, f._side_names
     d1x, d2x = f.sides
-    # a label pattern that passed before passes again with the same checks
+    # a label pattern that passed before passes again with the same report
     key = (m, tuple(f.table.labels.values()))
-    if (checks := _DECOMPOSED.get(key)) is not None:
-        dec = DecompositionReport(True, checks, {}, f.chain_checked)
-    elif (dec := verify_decomposition(f)).ok:
-        _DECOMPOSED[key] = dec.checks
+    if (dec := _DECOMPOSED.get(key)) is None and (dec := verify_decomposition(f)).ok:
+        _DECOMPOSED[key] = dec
     poly = polynomial_delta(f) if f.supported else None
 
     case: int | None = None
@@ -683,8 +681,8 @@ def find_move_path(system: CoxeterSystem, start: Word, goal: Word,
                    cap: int = MAX_REDUCED_WORDS) -> list[int]:
     """Shortest braid-move position sequence from start to goal; the cap
     is that of ``CoxeterSystem._braid_search``."""
-    w = tuple(goal)
-    parent = system._braid_search(system._word(start), cap, w)
+    start, w = system.check_word(start), system.check_word(goal)
+    parent = system._braid_search(start, cap, w)
     if w not in parent:
         raise ValueError("words are not related by braid moves")
     path = []

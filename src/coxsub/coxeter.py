@@ -179,9 +179,12 @@ class CoxeterMatrix:
             return spec
         if isinstance(spec, str):
             text = spec.strip()
-            if text.startswith("{"):
-                return CoxeterMatrix.from_spec(json.loads(text))
-            return CoxeterMatrix.named(text)
+            if not text.startswith("{"):
+                return CoxeterMatrix.named(text)
+            try:
+                spec = json.loads(text)
+            except RecursionError:
+                raise ValueError("group spec nests too deeply") from None
         if isinstance(spec, dict):
             if "matrix" in spec:
                 return CoxeterMatrix(spec["matrix"])

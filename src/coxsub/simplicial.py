@@ -4,9 +4,10 @@ A complex carries an ordered tuple of distinct vertex labels and its
 facets as bitmasks over that order, bit k for vertex k, held in Python
 ints.  Inside the library the labels are integers, the word positions of
 a subword complex or 0..n-1; names for a reader are applied only where a
-summary is written.  Its f, h and gamma are read off the h-vector it was
-made with (``subword.PositionComplex`` records the vertex decomposition's);
-no face is counted.  Two degenerate complexes are distinguished on purpose:
+summary is written.  Its f, h and gamma are read off the h-vector it is
+made with (``subword.PositionComplex`` passes the vertex decomposition's);
+no face is counted.  Complexes compare by identity.  Two degenerate
+complexes are distinguished on purpose:
 
   * the void complex has no faces at all: no facets, no empty face;
   * the complex {()} has the single facet (), i.e. only the empty face.
@@ -80,17 +81,19 @@ def _gamma(h: tuple[int, ...]) -> tuple[int, ...] | None:
 
 
 class LabeledComplex:
-    """Immutable simplicial complex over labeled vertices.
+    """Immutable simplicial complex over labeled vertices: its vertices, its
+    facets and ``h``, the h-vector it was made with (None if made without
+    one, () when void).  It is one record, compared and hashed by identity.
 
     Invariant: the facets form an antichain (no facet inside another).
     ``from_facets`` prunes to the maximal sets; ``subword.PositionComplex``
     (facets of one size) and ``subdivide`` preserve it.
-    Equality and hashing read the facets alone because of it.
     """
 
-    __slots__ = ("vertices", "facets", "_cache")
+    __slots__ = ("vertices", "facets", "h", "_cache")
 
-    def __init__(self, vertices: Sequence[Label], facet_masks: Iterable[int]):
+    def __init__(self, vertices: Sequence[Label], facet_masks: Iterable[int],
+                 h: tuple[int, ...] | None = None):
         vertices = tuple(vertices)
         if len(vertices) > MAX_VERTICES:
             raise ValueError(f"complexes are limited to {MAX_VERTICES} vertices")
@@ -101,9 +104,9 @@ class LabeledComplex:
                 raise ValueError("facet mask uses unknown vertices")
         object.__setattr__(self, "vertices", vertices)
         object.__setattr__(self, "facets", tuple(masks))
-        # the h-vector it was made with, "h", and the facts filled on first
-        # use: "f", read from h, "sig" (counted by ``_signatures``) and the
-        # isomorphism search "plan"
+        object.__setattr__(self, "h", h)
+        # the facts filled on first use: "f", read from h, "sig" (counted by
+        # ``_signatures``) and the isomorphism search "plan"
         object.__setattr__(self, "_cache", {})
 
     def __setattr__(self, *a):  # immutability by convention
@@ -133,9 +136,7 @@ class LabeledComplex:
 
     @staticmethod
     def void() -> "LabeledComplex":
-        x = LabeledComplex((), ())
-        x._know_h(())
-        return x
+        return LabeledComplex((), (), ())
 
     # -- basic queries -----------------------------------------------------
 
@@ -150,19 +151,6 @@ class LabeledComplex:
             return None
         return max(f.bit_count() for f in self.facets) - 1
 
-    def facet_label_sets(self) -> tuple[frozenset, ...]:
-        return tuple(frozenset(self.vertices[i] for i in _bits(f)) for f in self.facets)
-
-    def __eq__(self, other) -> bool:
-        """Equality as face sets over labels, decided on the facets;
-        vertex order is irrelevant."""
-        if not isinstance(other, LabeledComplex):
-            return NotImplemented
-        return set(self.facet_label_sets()) == set(other.facet_label_sets())
-
-    def __hash__(self):
-        return hash(frozenset(self.facet_label_sets()))
-
     def __repr__(self) -> str:
         if self.is_void:
             return "LabeledComplex(void)"
@@ -170,15 +158,10 @@ class LabeledComplex:
 
     # -- enumerative invariants ---------------------------------------------
 
-    def _know_h(self, h: tuple[int, ...]) -> None:
-        """Record the h-vector, () for the void complex; f, h and gamma read it."""
-        self._cache["h"] = h
-
     def _h(self) -> tuple[int, ...]:
-        h = self._cache.get("h")
-        if h is None:
+        if self.h is None:
             raise ValueError("the complex was made without an h-vector")
-        return h
+        return self.h
 
     def f_vector(self) -> tuple[int, ...]:
         """(f_0, .., f_{dim}) from the h-vector, f_{i-1} = sum_k C(n-k, i-k) h_k;

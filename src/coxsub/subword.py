@@ -65,10 +65,9 @@ class PositionComplex:
             return
         layers = _kernels.subword_layers(system._times, system._desc, le, letters, start, tops)
         tables = system._right, system._desc, letters, layers
-        # h first: it sums to the facet count, which bounds the facet pass;
-        # the kernel packs its |word| - l(pi) + 1 coefficients 64 bits apart
-        packed, n = _kernels.subword_h(*tables), len(word) - system._len[start]
-        self.h = h = tuple(packed >> 64 * k & (1 << 64) - 1 for k in range(n + 1))
+        # h first, its |word| - l(pi) + 1 coefficients: it sums to the facet
+        # count, which bounds the facet pass
+        self.h = h = _kernels.subword_h(*tables)[:len(word) - system._len[start] + 1]
         if not facets:
             return
         if sum(h) > MAX_FACES:
@@ -81,8 +80,7 @@ class PositionComplex:
         for p in range(len(word) - 1, -1, -1):
             if not used >> p & 1:
                 packed = [f & ((1 << p) - 1) | f >> (p + 1) << p for f in packed]
-        self.complex = LabeledComplex([p for p in range(len(word)) if used >> p & 1], packed)
-        self.complex._know_h(h)
+        self.complex = LabeledComplex([p for p in range(len(word)) if used >> p & 1], packed, h)
 
 
 def position_complex(system: CoxeterSystem, word: Word, pi: GroupElement,

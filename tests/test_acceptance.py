@@ -13,9 +13,9 @@ import time
 import pytest
 
 from conftest import (brute_facets, condition, contains_reduced, counted_h, f_label,
-                      face_label_sets, flat_faces, has_face, link, link_oracle_check, named,
-                      random_context, random_descriptor, side_descriptor, spherical_complex,
-                      system)
+                      face_label_sets, facet_label_sets, flat_faces, has_face, link,
+                      link_oracle_check, named, random_context, random_descriptor,
+                      side_descriptor, spherical_complex, system)
 from coxsub.braid import (BraidContext, MoveFacts, apply_sequence, classify, subfamilies,
                           tilde, verify_decomposition)
 from coxsub.rhoposet import build_rho, poset_json
@@ -165,7 +165,7 @@ def test_criterion_07_oracle_equivalence():
         d = _note(random_descriptor(rng, max_len=10))
         x = build(d)
         want = brute_facets(d.system, d.word, d.pi)
-        got = set(named(x, range(1, len(d.word) + 1)).facet_label_sets())
+        got = set(facet_label_sets(named(x, range(1, len(d.word) + 1))))
         assert got == want
         # containment against the exhaustive fixed-length scan
         target = d.system.length(d.pi)

@@ -162,6 +162,17 @@ def test_chain_with_goal(capsys):
     assert "sequence ok" in out
 
 
+@pytest.mark.parametrize("word, goal, message", [
+    (",".join(["1,2,3"] * 200), "3,2,3", "words are limited to 62 letters"),
+    ("1,2,1", "9,9,9", "generator index 9 out of range 1..3"),
+], ids=["long_word", "goal_letter"])
+def test_chain_goal_checks_its_words(capsys, word, goal, message):
+    # both words are checked before the move search starts
+    code, out, err = run(capsys, "chain", "--group", "A3", "--word", word, "--pi", "w0",
+                         "--goal", goal)
+    assert code == 2 and out == "" and err == f"error: {message}\n"
+
+
 def test_poset_summary_and_artifacts(capsys, tmp_path):
     dot_path = tmp_path / "rho.dot"
     json_path = tmp_path / "rho.json"

@@ -5,14 +5,21 @@ generalized multi-associahedra, 2014), whose facets number the W-Catalan
 number and whose h-vector is the W-Narayana numbers (Fomin-Reading, Root
 systems and generalized associahedra, 2007).  Its gamma vector is known in
 types A and B (Postnikov-Reiner-Williams, Faces of generalized
-permutohedra, 2008), and it is a flag sphere (Fomin-Zelevinsky 2003)."""
+permutohedra, 2008), and it is a flag sphere (Fomin-Zelevinsky 2003).
+In type A_n the multi-cluster complex Delta(c^k w0(c); w0) has as many
+facets as the (n + 2k + 1)-gon has k-triangulations, det[Cat(n + 2k + 1 -
+i - j)] for i, j = 1..k (Jonsson, Generalized triangulations and diagonal-
+free subsets of stack polyominoes, 2005)."""
 
+import json
 from fractions import Fraction
-from math import comb
+from itertools import permutations
+from math import comb, prod
 
 import pytest
 
 from conftest import c_sorting_word, system
+from coxsub import cli
 from coxsub.subword import position_complex
 
 
@@ -72,3 +79,37 @@ def test_cluster_complex(name):
         assert x.gamma() == gamma(name)
     if len(x.facets) <= 1000:
         assert x.is_flag()
+
+
+def det(rows) -> int:
+    """The determinant of a small integer matrix, by the Leibniz formula."""
+    n, total = len(rows), 0
+    for perm in permutations(range(n)):
+        sign = (-1) ** sum(perm[a] > perm[b] for a in range(n) for b in range(a + 1, n))
+        total += sign * prod(rows[i][perm[i]] for i in range(n))
+    return total
+
+
+MULTI = [(n, k) for n in range(2, 6) for k in range(1, 4)]
+
+
+@pytest.mark.parametrize("n, k", MULTI, ids=[f"A{n}-k{k}" for n, k in MULTI])
+def test_multi_cluster_complex(n, k):
+    W = system(f"A{n}")
+    w0 = W.longest_element()
+    word = tuple(range(1, n + 1)) * k + c_sorting_word(W)
+    entry = position_complex(W, word, w0, {})
+    want = det([[catalan(n + 2 * k + 1 - i - j) for j in range(1, k + 1)]
+                for i in range(1, k + 1)])
+    assert len(entry.complex.facets) == sum(entry.h) == want
+    assert entry.spherical
+
+
+def test_cluster_complex_through_the_command_line(capsys):
+    A3 = system("A3")
+    word = (1, 2, 3) + c_sorting_word(A3)
+    assert cli.main(["complex", "--group", "A3", "--pi", "w0", "--json",
+                     "--word", ",".join(map(str, word))]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert len(doc["facets"]) == 14 and doc["h_vector"] == [1, 6, 6, 1]
+    assert doc["gamma"] == [1, 3] and doc["flag"] is True and doc["spherical"] is True

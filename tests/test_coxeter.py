@@ -383,6 +383,7 @@ SPEC_REFUSALS = [
     ({"type": "I2"}, "type I2 needs its order m", "I2_without_m"),
     ({"type": "A"}, "named type needs a rank", "type_without_rank"),
     ({"family": "A3"}, "cannot interpret group spec", "unknown_keys"),
+    ('{"matrix": ' + "[" * 5000 + "]" * 5000 + "}", "group spec nests too deeply", "nested"),
 ]
 
 
@@ -398,6 +399,15 @@ def test_group_spec_refusals(capsys, spec, message):
     out, err = capsys.readouterr()
     assert out == "" and len(err.splitlines()) == 1
     assert err.startswith("error: ") and message in err
+
+
+def test_nested_spec_file_refused(capsys, tmp_path):
+    # a group spec file nested 100,000 deep exits 2 with one error line
+    path = tmp_path / "deep.json"
+    path.write_text('{"matrix": ' + "[" * 100_000 + "]" * 100_000 + "}")
+    assert cli.main(["complex", "--group", str(path), "--word", "1", "--pi", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: group spec nests too deeply\n"
 
 
 @pytest.mark.parametrize("call, message", [

@@ -1,12 +1,13 @@
 import random
 import re
+from math import comb
 
 import pytest
 
 from conftest import (brute_facets, contains_reduced, fold_facets, fold_h, forward_layers,
                       oracle_case, random_pi, run_facets, subword_split_faces, system)
 from coxsub import _kernels, backend, cli
-from coxsub.coxeter import MAX_WORD_LETTERS
+from coxsub.coxeter import MAX_WORD_LETTERS, CoxeterMatrix, CoxeterSystem
 from coxsub.simplicial import FACE_LIMIT_ERROR
 from coxsub.subword import PositionComplex, position_complex
 
@@ -100,8 +101,9 @@ def test_forward_pass_lists_exactly_the_live_states():
 
 
 def test_packed_h_and_facets_match_the_generic_fold(capsys):
-    # the kernel's h, one int with coefficient k at bit 64k, unpacked by the
-    # memo entry, is the tuple fold's h; its facets are the fold's, in order
+    # the kernel's h, packed inside it, is the tuple fold's h padded with
+    # zeros to len(word) + 1 coefficients, and the memo entry keeps the
+    # fold's h; its facets are the fold's, in order
     rng = random.Random(38)
     cases = []
     for k in range(150):
@@ -129,8 +131,7 @@ def test_packed_h_and_facets_match_the_generic_fold(capsys):
         layers = forward_layers(sys_, letters, sys_._id(sys_.inverse(pi)))
         h = fold_h(*tables, letters, layers)
         assert entry.h == h and len(h) == len(word) - sys_.length(pi) + 1, (word, pi)
-        assert _kernels.subword_h(*tables, letters, layers) == sum(
-            c << 64 * k for k, c in enumerate(h))
+        assert _kernels.subword_h(*tables, letters, layers) == h + (0,) * (len(word) + 1 - len(h))
         top = max(top, *h)
         if sum(h) <= 50_000:
             assert _kernels.subword_facets(*tables, letters, layers) == fold_facets(
@@ -149,6 +150,23 @@ def test_packed_h_and_facets_match_the_generic_fold(capsys):
     assert cli.main(["complex", "--group", "B4", "--pi", "w0",
                      "--word", ",".join(["1,2,3,4"] * 15)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_h_kernel_exact_past_64_bit_slots():
+    # the boundary of the 70-dimensional cross-polytope: A1^70, the word
+    # 1,1,2,2,..,70,70 and pi = s1 s2 .. s70, whose h is (C(70, k)); its
+    # middle coefficient passes 2^64, and the word passes the input bound,
+    # so the kernel is called directly
+    n = 70
+    sys_ = CoxeterSystem(CoxeterMatrix([[1 if i == j else 2 for j in range(n)] for i in range(n)]))
+    word = tuple(k for k in range(1, n + 1) for _ in "ab")
+    letters, pi = tuple(a - 1 for a in word), sys_.element_of(range(1, n + 1))
+    layers = forward_layers(sys_, letters, sys_._id(sys_.inverse(pi)))
+    tables = sys_._right, sys_._desc
+    h = _kernels.subword_h(*tables, letters, layers)
+    assert h == tuple(comb(n, k) for k in range(n + 1)) + (0,) * n
+    assert h[:n + 1] == fold_h(*tables, letters, layers)
+    assert h[n // 2] > 2 ** 64 and len(word) > MAX_WORD_LETTERS
 
 
 def test_popcounts():

@@ -4,8 +4,9 @@ import re
 
 import pytest
 
-from conftest import (counted_f, counted_h, edge_masks, face_masks, has_face, k_subdivide, link,
-                      random_descriptor, spherical_complex, system)
+from conftest import (counted_f, counted_h, edge_masks, face_masks, facet_label_sets, has_face,
+                      k_subdivide, link, random_descriptor, same_faces, spherical_complex,
+                      system)
 from coxsub import simplicial
 from coxsub.simplicial import (FACE_LIMIT_ERROR, LabeledComplex, is_isomorphic_constrained,
                                iso_invariant, subdivide)
@@ -29,24 +30,24 @@ def test_void_and_empty():
     v = LabeledComplex.void()
     A2 = system("A2")
     e = build(SubwordDescriptor(A2, (1,), A2.generator(1)))  # the complex {()}
-    assert e == LabeledComplex((), (0,))
+    assert same_faces(e, LabeledComplex((), (0,)))
     assert v.is_void and not e.is_void
     assert v.f_vector() == () and e.f_vector() == ()
     assert e.h_vector() == (1,) and e.gamma() == (1,)
     assert v.gamma() == ()
     assert v.dim is None and e.dim == -1
-    assert v != e and v == LabeledComplex.void()
+    assert not same_faces(v, e) and same_faces(v, LabeledComplex.void())
     with pytest.raises(ValueError):
         v.h_vector()
 
 
 def test_facet_pruning_and_vertex_order():
     x = LabeledComplex.from_facets([(1, 2), (1,), (2,)])
-    assert x.facet_label_sets() == (frozenset({1, 2}),)
+    assert facet_label_sets(x) == (frozenset({1, 2}),)
     # unused labels in vertex_order are dropped
     y = LabeledComplex.from_facets([(2, 1)], vertex_order=(5, 2, 1))
     assert y.vertices == (2, 1)
-    assert x == LabeledComplex.from_facets([(2, 1)])
+    assert same_faces(x, LabeledComplex.from_facets([(2, 1)]))
 
 
 def test_pentagon_counts():
@@ -76,7 +77,7 @@ def test_h_vector_guards():
                 count()
     pure_nonpal = LabeledComplex.from_facets([(1, 2, 3), (3, 4, 5)])
     assert counted_h(pure_nonpal) == (1, 2, -1, 0)
-    pure_nonpal._know_h(counted_h(pure_nonpal))
+    pure_nonpal = LabeledComplex(pure_nonpal.vertices, pure_nonpal.facets, counted_h(pure_nonpal))
     assert pure_nonpal.h_vector() == (1, 2, -1, 0)
     for _ in range(2):  # the per-h gamma cache keeps the refusal
         with pytest.raises(ValueError):
@@ -91,14 +92,14 @@ def test_octahedron():
     assert counted_h(octa) == (1, 3, 3, 1)
     assert simplicial._gamma(counted_h(octa)) == (1, 0)
     assert octa.is_flag()
-    assert link(octa, (1,)) == cycle(4, [2, 3, 5, 6])
+    assert same_faces(link(octa, (1,)), cycle(4, [2, 3, 5, 6]))
 
 
 def test_link():
     pent = cycle(5)
-    assert sorted(map(sorted, link(pent, (1,)).facet_label_sets())) == [[2], [5]]
-    assert link(pent, (1, 2)) == LabeledComplex((), (0,))
-    assert link(pent, ()) == pent
+    assert sorted(map(sorted, facet_label_sets(link(pent, (1,))))) == [[2], [5]]
+    assert same_faces(link(pent, (1, 2)), LabeledComplex((), (0,)))
+    assert same_faces(link(pent, ()), pent)
     with pytest.raises(ValueError):
         link(pent, (1, 3))
 
@@ -134,14 +135,14 @@ def test_edge_subdivide_h_identity():
 
 def test_k_subdivide():
     sq = cycle(4)
-    assert k_subdivide(sq, (1, 2), 0, []) == sq
+    assert same_faces(k_subdivide(sq, (1, 2), 0, []), sq)
     hepta = k_subdivide(sq, (1, 2), 3, ["a", "b", "c"])
     assert counted_f(hepta) == (7, 7)
     # ordered walk: each fresh vertex splits the remaining {r, 2} edge
     step = sq
     for r, fresh in ((1, "a"), ("a", "b"), ("b", "c")):
         step = k_subdivide(step, (r, 2), 1, [fresh])
-    assert hepta == step
+    assert same_faces(hepta, step)
     with pytest.raises(ValueError):
         k_subdivide(sq, (1, 2), 2, ["a"])  # not enough fresh labels
     with pytest.raises(ValueError):
@@ -151,8 +152,11 @@ def test_k_subdivide():
 def test_equality_is_face_sets():
     a = LabeledComplex.from_facets([(1, 2), (2, 3)])
     b = LabeledComplex.from_facets([(2, 3), (1, 2)], vertex_order=(3, 2, 1))
-    assert a == b
-    assert a != LabeledComplex.from_facets([(1, 2), (1, 3)])
+    assert same_faces(a, b)
+    assert not same_faces(a, LabeledComplex.from_facets([(1, 2), (1, 3)]))
+    # a complex is one record: it compares and hashes by identity
+    assert a != b and a == a and len({a, b, a}) == 2
+    assert LabeledComplex.void() != LabeledComplex.void()
 
 
 def test_isomorphism_unconstrained():
@@ -161,8 +165,8 @@ def test_isomorphism_unconstrained():
     m = is_isomorphic_constrained(pent, other)
     assert m is not None
     assert sorted(m) == [1, 2, 3, 4, 5]
-    image = {frozenset(m[v] for v in f) for f in pent.facet_label_sets()}
-    assert image == set(other.facet_label_sets())
+    image = {frozenset(m[v] for v in f) for f in facet_label_sets(pent)}
+    assert image == set(facet_label_sets(other))
     assert is_isomorphic_constrained(pent, cycle(4)) is None
     assert is_isomorphic_constrained(cycle(3), cycle(3)) is not None
 
@@ -175,20 +179,20 @@ def test_isomorphism_random_relabel():
         rng.shuffle(perm)
         relabel = dict(zip(x.vertices, perm))
         y = LabeledComplex.from_facets(
-            [tuple(relabel[v] for v in f) for f in x.facet_label_sets()])
+            [tuple(relabel[v] for v in f) for f in facet_label_sets(x)])
         m = is_isomorphic_constrained(x, y)
         assert m is not None
-        image = {frozenset(m[v] for v in f) for f in x.facet_label_sets()}
-        assert image == set(y.facet_label_sets())
+        image = {frozenset(m[v] for v in f) for f in facet_label_sets(x)}
+        assert image == set(facet_label_sets(y))
 
 
 def _brute_isomorphic(x, y) -> bool:
     if len(x.vertices) != len(y.vertices):
         return False
-    target = set(y.facet_label_sets())
+    target = set(facet_label_sets(y))
     for perm in itertools.permutations(y.vertices):
         m = dict(zip(x.vertices, perm))
-        if {frozenset(m[v] for v in f) for f in x.facet_label_sets()} == target:
+        if {frozenset(m[v] for v in f) for f in facet_label_sets(x)} == target:
             return True
     return False
 
@@ -210,14 +214,14 @@ def test_isomorphism_matches_brute_force():
         rng.shuffle(perm)
         relabel = dict(zip(x.vertices, perm))
         shuffled = LabeledComplex.from_facets(
-            [[relabel[v] for v in f] for f in x.facet_label_sets()])
+            [[relabel[v] for v in f] for f in facet_label_sets(x)])
         subs = [_subdivided(x, e) for e in edge_masks(x)]
         for a, b in [(x, shuffled), (x, other), *itertools.combinations(subs, 2)]:
             m = is_isomorphic_constrained(a, b)
             assert (m is not None) == _brute_isomorphic(a, b)
             if m is not None:
-                image = {frozenset(m[v] for v in f) for f in a.facet_label_sets()}
-                assert image == set(b.facet_label_sets())
+                image = {frozenset(m[v] for v in f) for f in facet_label_sets(a)}
+                assert image == set(facet_label_sets(b))
             elif iso_invariant(a) == iso_invariant(b):
                 same_invariant_not_iso += 1
     assert same_invariant_not_iso > 0

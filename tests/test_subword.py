@@ -3,9 +3,10 @@ import random
 import pytest
 
 from conftest import (brute_facets, brute_is_face, counted_f, counted_h, edge_masks,
-                      face_label_sets, face_masks, face_set, has_face, k_subdivide, link_oracle_check,
-                      named, oracle_case, random_descriptor, random_pi, spherical_complex,
-                      split_faces, subword_h_oracle, system)
+                      face_label_sets, face_masks, face_set, facet_label_sets, has_face,
+                      k_subdivide, link_oracle_check, named, oracle_case, random_descriptor,
+                      random_pi, same_faces, spherical_complex, split_faces, subword_h_oracle,
+                      system)
 from coxsub import braid, subword
 from coxsub.simplicial import MAX_VERTICES, LabeledComplex, iso_invariant
 from coxsub.subword import (SubwordDescriptor, build, complex_json, complex_summary,
@@ -33,7 +34,7 @@ def test_pentagon():
     assert x.gamma() == (1, 1)
     assert x.is_flag()
     assert spherical(d)
-    assert set(named(x, range(1, 6)).facet_label_sets()) == {  # position p named p + 1
+    assert set(facet_label_sets(named(x, range(1, 6)))) == {  # position p named p + 1
         frozenset(f) for f in ((1, 2), (2, 3), (3, 4), (4, 5), (1, 5))}
 
 
@@ -55,7 +56,7 @@ def test_single_empty_face():
     w0 = A2.longest_element()
     d = SubwordDescriptor(A2, (1, 2, 1), w0)
     x = build(d)
-    assert x == LabeledComplex((), (0,))
+    assert same_faces(x, LabeledComplex((), (0,)))
     assert x.h_vector() == (1,) and x.gamma() == (1,)
 
 
@@ -101,7 +102,7 @@ def test_facets_match_brute():
         if x.is_void:
             assert want == set()
         else:
-            got = set(x.facet_label_sets())
+            got = set(facet_label_sets(x))
             # brute facets include non-vertex positions explicitly
             assert got == want
 
@@ -137,17 +138,16 @@ def test_complex_json():
 
 
 def _with_counted_h(x: LabeledComplex) -> LabeledComplex:
-    """x, given its face-counted h when it was made without one, as a
-    complex made by hand is, so that its summary can read f and h."""
-    if "h" not in x._cache:
-        x._know_h(counted_h(x))
-    return x
+    """x itself when it has an h; else, as for a complex made by hand, x
+    made again with its face-counted h, so that its summary can read f and
+    h."""
+    return x if x.h is not None else LabeledComplex(x.vertices, x.facets, counted_h(x))
 
 
 def _facets_by_labels(x: LabeledComplex) -> list:
     """The facets of ``complex_summary`` read through the vertex labels."""
     index = {v: k for k, v in enumerate(x.vertices)}
-    return sorted(sorted(index[v] for v in fs) for fs in x.facet_label_sets())
+    return sorted(sorted(index[v] for v in fs) for fs in facet_label_sets(x))
 
 
 def test_complex_summary_facets_match_label_reference():
@@ -213,7 +213,7 @@ def test_memo_relabel_matches_fresh_build():
         assert build(d, memo) is served
         assert len(memo) == 1
         assert _snapshot(served) == _snapshot(fresh)
-        assert served == fresh
+        assert served is not fresh and same_faces(served, fresh)
         if fresh.is_void:
             voids += 1
             with pytest.raises(ValueError):
