@@ -51,11 +51,11 @@ crossings and selections act on window parts alone, the same for every
 slots by L).  So the checklist, its chain flag and the window conditions
 depend only on m and the labels, and ``classify`` looks its report up in
 one process-wide table, ``_DECOMPOSED``, keyed on (m, the outer table's
-labels in chain order), which the moves of a key share; it runs
-``verify_decomposition`` only for a key it has not met.  Only passing
-reports are stored, so a failing move is evaluated in full and names its
-own mismatches.  Each move still builds its own complexes, outer table
-and witness.
+labels in chain order): one key per set of W_ij's 3m - 1 columns
+(``OuterTable``), each one checked in the tests for m <= 5.  It runs
+``verify_decomposition`` only for a key it has not met and stores only
+passing reports, so a failing move names its own mismatches.  Each move
+still builds its own complexes, outer table and witness.
 
 Witnesses.  Each verdict is replayed on the universe masks of the sides'
 facets: equal facet sets are equal complexes, and an iterated edge
@@ -237,11 +237,14 @@ class OuterTable:
     """d -> O(d) for d in W_ij, from side 1's facets.  A facet's outer part
     (A, B) is in O(d) iff Dem(Q - A) * d >= u, u the least z with pi <= z *
     Dem(Q' - B): pi taken down by the letters of Q' - B, the last first
-    (Deodhar's Z-property).  Each pair (Dem(Q - A), u) met is a bit of
-    ``labels[d]``, set when in O(d).  The facets' outer parts hold every
-    generator of O(d), so labels compare, include and join as O does.
-    ``labels`` lists W_ij in chain order: the Demazure products of the
-    prefixes of window 1 (``chains[0]``), then the new ones of window 2's."""
+    (Deodhar's Z-property).  As Dem(Q - A) * d rises with d, and W_ij is
+    ordered by length, the d with the part in O(d), its column, are
+    chains[0][l0:] + chains[1][l1:], l0 and l1 where the part enters O along
+    each window chain, or (0, 0) when u <= Dem(Q - A): bit l0 * (m + 2) + l1
+    of ``labels[d]``.  The facets' outer parts hold every generator of O(d),
+    so labels compare, include and join as O does.  ``labels`` lists W_ij
+    in chain order: the Demazure products of the prefixes of window 1
+    (``chains[0]``), then the new ones of window 2's."""
 
     __slots__ = ("system", "labels", "parts", "chains")
 
@@ -251,10 +254,12 @@ class OuterTable:
         desc, times, le = sys_._desc, sys_._times, sys_._le
         Q, Qp = [s - 1 for s in ctx.Q], [s - 1 for s in ctx.Qp]
         window, low, pi = ((1 << f.m) - 1) << q, (1 << q) - 1, sys_._id(ctx.pi)
+        self.chains = chains = tuple(sys_._chain(*w[:2]) for w in f.windows)
+        self.labels = labels = dict.fromkeys(chains[0] + chains[1], 0)
         # each facet is A | t | B; its outer part A | B takes the bit of its
-        # pair (Dem(Q - A), u) in the order of first appearance, and Dem(Q - A)
-        # of each head A and u of each tail B (read from bit 0) are walked once
-        heads, tails, pairs = {}, {}, {}
+        # column, and Dem(Q - A) of each head A, u of each tail B (read from
+        # bit 0) and the column of each pair (Dem(Q - A), u) are found once
+        heads, tails, cols = {}, {}, {}
         self.parts = parts = {}
         for x in f._entries[0].word_facets:
             if (outer := x & ~window) in parts:
@@ -271,26 +276,20 @@ class OuterTable:
                     if not tail >> p & 1 and desc[u] >> Qp[p] & 1:
                         u = times(u, Qp[p])
                 tails[tail] = u
-            parts[outer] = pairs.setdefault((a, u), len(pairs))
-        # W_ij is the prefixes of the two windows; along each, a * d rises,
-        # so a pair's bit is set from the first d with a * d above u on
-        self.chains = chains = tuple(sys_._chain(*w[:2]) for w in f.windows)
-        self.labels = labels = dict.fromkeys(chains[0] + chains[1], 0)
-        for (a, u), n in pairs.items():
-            bit = 1 << n
-            if le(u, a):  # in O(e), so in every O(d)
-                for d in labels:
-                    labels[d] |= bit
-                continue
-            for w, chain in zip(f.windows, chains):
-                z = a  # a * chain[l], tested where it rises
-                for l, s in enumerate(w, 1):
-                    if not desc[z] >> s & 1:
-                        z = times(z, s)
-                        if le(u, z):
-                            for d in chain[l:]:
-                                labels[d] |= bit
-                            break
+            if (n := cols.get((a, u))) is None:
+                col = [0, 0]  # per chain the first l with a * chain[l] >= u
+                for c, w in enumerate(() if le(u, a) else f.windows):
+                    z = a  # a * chain[l], tested where it rises
+                    for l, s in enumerate(w, 1):
+                        if not desc[z] >> s & 1:
+                            z = times(z, s)
+                            if le(u, z):
+                                col[c] = l
+                                break
+                cols[a, u] = n = col[0] * (f.m + 2) + col[1]
+                for d in chains[0][col[0]:] + chains[1][col[1]:]:
+                    labels[d] |= 1 << n
+            parts[outer] = n
 
     def walk(self, letters, lo: int) -> tuple[Family, Family]:
         """The labelled window parts with a non-empty O of a window of two or
@@ -430,7 +429,7 @@ def _one_sided(generators, got: Family, want: Family):
 def verify_decomposition(facts: MoveFacts) -> DecompositionReport:
     """The checklist over the move's families, no face listed.  Lemma: the
     checks are those of the face sets.  Every label a family carries is a
-    join of outer-table labels, so a facet's outer part with pair n lies in
+    join of outer-table labels, so a facet's outer part of column n lies in
     O(L) iff bit n of L is set (``OuterTable``).  Hence joins are unions of
     faces, equal labels part by part mean equal face sets, and selections
     by a predicate on parts select faces; the refinement chains subtract

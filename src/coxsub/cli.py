@@ -33,10 +33,13 @@ def parse_word(text: str) -> tuple[int, ...]:
 
 
 def load_system(spec: str) -> CoxeterSystem:
-    if os.path.isfile(spec):
-        with open(spec) as fh:
-            spec = fh.read().strip()
-    return CoxeterSystem(CoxeterMatrix.from_spec(spec))
+    try:  # a group name or inline JSON is never read as a file: ./A2 reads one
+        return CoxeterSystem(CoxeterMatrix.from_spec(spec))
+    except ValueError:
+        if spec.lstrip().startswith("{") or not os.path.isfile(spec):
+            raise
+    with open(spec) as fh:
+        return CoxeterSystem(CoxeterMatrix.from_spec(fh.read().strip()))
 
 
 def resolve_pi(system: CoxeterSystem, text: str):

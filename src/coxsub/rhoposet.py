@@ -365,9 +365,7 @@ def export_dot(p: RhoPoset) -> str:
         if best is None or (e.lower, e.upper, e.pos) < (best.lower, best.upper, best.pos):
             move_by_cover[key] = e
     for a, b in transitive_reduction(p):
-        e = move_by_cover.get((a, b))
-        if e is None:
-            continue  # relation induced transitively; no single move to draw
+        e = move_by_cover[a, b]
         ia, ib = index[e.lower], index[e.upper]
         lines.append(f'  w{ia} -> w{ib} [label="{e.case}"];')
     lines.append("}")

@@ -17,8 +17,10 @@ word, against which the outer table's rule is, and ``projection_key`` a
 move's commutation orbit by the projection lemma, against which the
 order's heap key is.  ``subword_pass`` is the generic fold of the subword
 DP, against which, with ``fold_h`` and ``fold_facets``, the kernel's
-direct passes are checked, and ``two_pass_table`` the outer table made in
-two passes, against which the one-pass ``braid.OuterTable`` is.  The
+direct passes are checked, ``two_pass_table`` the outer table with each
+part's column tested element by element, against which the one-pass
+``braid.OuterTable`` is, and ``check_column_sets`` the checklist run on
+each key of ``classify``'s table, one per set of columns.  The
 library reads f, h and gamma off the h of the subword DP alone;
 ``counted_f`` and ``counted_h`` count them face by face, for complexes
 made by hand too, and ``contains_reduced`` tells a void pair by Bruhat
@@ -602,10 +604,13 @@ def check_A3B3_edges(f: MoveFacts) -> bool:
 
 
 def two_pass_table(f: MoveFacts) -> tuple[dict, dict]:
-    """(labels, parts) of the move's outer table as two passes over side 1's
-    facets make them: the heads and the tails walked first, then the outer
-    parts numbered by pair, and both window chains folded afresh; the
-    oracle of ``braid.OuterTable``, which does this in one pass."""
+    """(labels, parts) of the move's outer table from the Demazure criterion
+    alone, the oracle of ``braid.OuterTable``: the heads and the tails of
+    side 1's facets walked first, then each outer part's column, the d of
+    W_ij with u <= a * d for its pair (a, u), tested d by d rather than read
+    from the first rise along a chain.  Asserts that each column is
+    chain0[l0:] + chain1[l1:], l0 and l1 its first indices along the two
+    window chains, and numbers it bit l0 * (m + 2) + l1."""
     ctx, q, end = f.ctx, f.q, f.q + f.m
     sys_ = ctx.system
     desc, times, le = sys_._desc, sys_._times, sys_._le
@@ -626,36 +631,71 @@ def two_pass_table(f: MoveFacts) -> tuple[dict, dict]:
             if not tail >> p & 1 and desc[u] >> Qp[p] & 1:
                 u = times(u, Qp[p])
         tails[tail] = u
-    pairs: dict = {}
+
+    def star(a: int, letters) -> int:  # the Demazure product a * Dem(letters)
+        for s in letters:
+            a = a if desc[a] >> s & 1 else times(a, s)
+        return a
+
+    chains = tuple(sys_._demazures(w) for w in f.windows)
+    words = {d: w[:l] for w, chain in zip(f.windows, chains) for l, d in enumerate(chain)}
+    labels = dict.fromkeys(chains[0] + chains[1], 0)
     parts = dict.fromkeys(x & ~window for x in facets)
     for outer in parts:
-        parts[outer] = pairs.setdefault((heads[outer & low], tails[outer >> end]), len(pairs))
-    chains = tuple(sys_._demazures(w) for w in f.windows)
-    labels = dict.fromkeys(chains[0] + chains[1], 0)
-    for (a, u), n in pairs.items():
-        bit = 1 << n
-        if le(u, a):
-            for d in labels:
-                labels[d] |= bit
-            continue
-        for w, chain in zip(f.windows, chains):
-            z = a
-            for l, s in enumerate(w, 1):
-                if not desc[z] >> s & 1:
-                    z = times(z, s)
-                    if le(u, z):
-                        for d in chain[l:]:
-                            labels[d] |= bit
-                        break
+        a, u = heads[outer & low], tails[outer >> end]
+        column = {d for d, w in words.items() if le(u, star(a, w))}
+        l0, l1 = (min(l for l, d in enumerate(chain) if d in column) for chain in chains)
+        assert column == set(chains[0][l0:] + chains[1][l1:]), ctx
+        parts[outer] = n = l0 * (f.m + 2) + l1
+        for d in column:
+            labels[d] |= 1 << n
     return labels, parts
 
 
 def same_outer_table(f: MoveFacts) -> bool:
     """Whether the move's outer table has the oracle's labels, in chain
-    order, and its outer parts with their pair numbers, in order."""
+    order, and its outer parts with their column bits, in order."""
     labels, parts = two_pass_table(f)
     return (list(f.table.labels.items()) == list(labels.items())
             and list(f.table.parts.items()) == list(parts.items()))
+
+
+def columns(m: int) -> list[tuple[int, int]]:
+    """The 3m - 1 columns (l0, l1) of a W_ij with m_ij = m, the up-sets
+    chain0[l0:] + chain1[l1:] that ``braid.OuterTable`` numbers: (0, 0), the
+    whole group, and 1 <= l0, l1 <= m with |l0 - l1| <= 1, as an element
+    of W_ij lies below every longer one."""
+    return [(0, 0)] + [(l0, l1) for l0 in range(1, m + 1)
+                       for l1 in range(max(1, l0 - 1), min(m, l0 + 1) + 1)]
+
+
+def check_column_sets(m: int, top: bool = False) -> tuple[int, int]:
+    """Run ``braid.verify_decomposition`` on the move of I2(m) with Q = Q'
+    = () under a made-up outer table for each set of W_ij's columns, the
+    empty one (void sides) included, or with ``top`` for each set of the
+    seven columns with l0, l1 >= m - 2 (those of the sets where A3 and B3
+    hold).  Asserts that each passes; returns the counts of sets checked
+    and of those chain-checked."""
+    sys_ = system(f"I2:{m}")
+    base = MoveFacts(BraidContext(sys_, (), (), 1, 2, sys_.element_of(())))
+    chains = sys_._chain(0, 1), sys_._chain(1, 0)
+    cols = [c for c in columns(m) if not top or min(c) >= m - 2]
+    checked = chained = 0
+    for chosen in range(1 << len(cols)):
+        table = object.__new__(braid.OuterTable)
+        table.system, table.chains, table.parts = sys_, chains, {}
+        table.labels = labels = dict.fromkeys(chains[0] + chains[1], 0)
+        for k, (l0, l1) in enumerate(cols):
+            if chosen >> k & 1:
+                for d in chains[0][l0:] + chains[1][l1:]:
+                    labels[d] |= 1 << (l0 * (m + 2) + l1)
+        f = copy.copy(base)
+        f.table = table
+        dec = braid.verify_decomposition(f)
+        assert dec.ok, (m, [c for k, c in enumerate(cols) if chosen >> k & 1], dec.mismatches)
+        checked += 1
+        chained += dec.chain_checked
+    return checked, chained
 
 
 def outer_parts(f: MoveFacts, label: int) -> frozenset:

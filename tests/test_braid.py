@@ -5,14 +5,14 @@ from pathlib import Path
 
 import pytest
 
-from conftest import (braid_step, check_A3B3_edges, condition, counted_f, f_label,
-                      face_label_sets, face_masks, face_passes, face_set, facet_label_sets,
-                      flat_decomposition, flat_faces, flat_move, flat_rows, forward_passes,
-                      g_label, has_face, i2_context, inject_faults, k_subdivide, named,
-                      no_face_listing, oracle_contexts, outer_parts, random_context,
-                      same_faces, same_outer_table, shortened_void_or_spherical,
-                      side_descriptor, split_faces, system, word_labels)
-from coxsub import braid
+from conftest import (braid_step, check_A3B3_edges, check_column_sets, columns, condition,
+                      counted_f, f_label, face_label_sets, face_masks, face_passes, face_set,
+                      facet_label_sets, flat_decomposition, flat_faces, flat_move, flat_rows,
+                      forward_passes, g_label, has_face, i2_context, inject_faults, k_subdivide,
+                      named, no_face_listing, oracle_contexts, outer_parts, random_context,
+                      same_faces, same_outer_table, shortened_void_or_spherical, side_descriptor,
+                      split_faces, system, word_labels)
+from coxsub import braid, rhoposet
 from coxsub.braid import (BraidContext, Family, MoveFacts, apply_sequence, classify,
                           find_move_path, move_context, polynomial_delta, subfamilies,
                           tilde, verify_decomposition)
@@ -860,10 +860,11 @@ def test_shortened_windows_voidness_read_off_the_outer_table():
 
 
 def test_outer_table_matches_the_two_pass_oracle():
-    # one pass over side 1's facets numbers the pairs in the order of first
-    # appearance of the outer parts, as the two-pass table does, so the
-    # labels, in chain order, and the parts with their pair numbers agree,
-    # and with them every key of ``classify``'s table
+    # one pass over side 1's facets gives each outer part the bit of its
+    # column, read from the first rise along each window chain; the oracle
+    # tests the Demazure criterion for each d of W_ij on its own, so the
+    # labels, in chain order, and the parts with their bits agree, and with
+    # them every key of ``classify``'s table
     rng = random.Random(38)
     shared = heads = 0
     for _ in range(300):
@@ -950,3 +951,26 @@ def test_classify_keeps_passing_checklists_alone(monkeypatch):
     assert again.mismatches == {}
     f = MoveFacts(ctx)
     assert braid._DECOMPOSED == {(f.m, tuple(f.table.labels.values())): first}
+
+
+def test_every_column_set_passes_the_checklist():
+    # classify's table has one key per set of W_ij's 3m - 1 columns: every
+    # key it can hold for m <= 5 is checked here, the empty set (void sides)
+    # included, and for m = 3..16 the 128 sets of the top seven columns,
+    # which are exactly the chain-checked ones
+    assert [len(columns(m)) for m in range(2, 17)] == [3 * m - 1 for m in range(2, 17)]
+    for m in range(2, 6):
+        assert check_column_sets(m) == (2 ** (3 * m - 1), 32 if m == 2 else 128)
+    for m in range(3, 17):
+        assert check_column_sets(m, top=True) == (128, 128)
+
+
+def test_a4_order_verifies_each_column_set_once(monkeypatch):
+    # A4 w0 after Q = 1,2,3,4 meets four column sets, so from an empty
+    # table its order runs the checklist four times, once per key
+    monkeypatch.setattr(braid, "_DECOMPOSED", {})
+    calls, real = [], braid.verify_decomposition
+    monkeypatch.setattr(braid, "verify_decomposition", lambda f: calls.append(f) or real(f))
+    A4 = system("A4")
+    rhoposet.build_rho(A4, (1, 2, 3, 4), (), A4.longest_element())
+    assert len(calls) == len(braid._DECOMPOSED) == 4

@@ -141,6 +141,11 @@ def test_classify_text_and_json(capsys):
     assert doc["delta1"]["f_vector"] == [7, 7]
     assert doc["delta2"]["f_vector"] == [4, 4]
     assert doc["poly"]["delta_h"] == [[1, 1, -3]]
+    # an m = 5 move whose length-3 conditions fail: no case, and exit 0
+    code, out, _ = run(capsys, "classify", "--group", "I2:5", "--word", "1,2,1,2,1",
+                       "--pos", "1", "--pi", "1")
+    assert code == 0
+    assert "case: unsupported (length-3 conditions fail on a long window)\n" in out
 
 
 def test_chain_with_moves(capsys):
@@ -273,6 +278,12 @@ def test_poset_cover_inside_one_class_reports_words(capsys, monkeypatch):
     assert doc["antisymmetric"] is False and any(a == b for a, b in doc["violations"])
     for pair in doc["violations"]:
         assert len(pair) == 2 and all(isinstance(w, list) and len(w) == 10 for w in pair)
+    # the text summary prints the same pairs as word tuples
+    moved.clear()
+    code, out, _ = run(capsys, "poset", "--group", "A4", "--pi", "w0")
+    pairs = [tuple(tuple(w) for w in pair) for pair in doc["violations"]]
+    assert code == 0 and moved and "antisymmetric: False" in out
+    assert f"violations: {tuple(pairs)}" in out
 
 
 def test_demo_i2(capsys):
@@ -334,6 +345,11 @@ def test_bad_input_exit_codes(capsys):
     code, _, err = run(capsys, "complex", "--group", '{"type": "I2"}',
                        "--word", "1,2,1", "--pi", "w0")
     assert code == 2 and "order m" in err
+    # a word that is not integers, and the dihedral demo below m = 3: one line
+    for argv, message in ((("complex", "--group", "A2", "--word", "1,x", "--pi", "1"),
+                           "cannot parse word '1,x': use 1-based letters"),
+                          (("demo", "i2", "--m", "2"), "the dihedral demo needs m >= 3")):
+        assert run(capsys, *argv) == (2, "", f"error: {message}\n")
 
 
 def test_huge_named_groups_exit_2_at_once():
@@ -411,6 +427,21 @@ def test_group_spec_file(capsys, tmp_path):
                        "--word", "1,2,1,2,1,2,1", "--pi", "w0")
     assert code == 0
     assert "f-vector (7, 7)" in out
+
+
+def test_group_name_is_never_read_as_a_file(capsys, monkeypatch, tmp_path):
+    # files named A2 and {x, each holding B2, in the working directory: a
+    # name or JSON is never read as a file, and ./A2 reads the file
+    monkeypatch.chdir(tmp_path)
+    for name in ("A2", "{x"):
+        (tmp_path / name).write_text("B2")
+    argv = ("--word", "1,2,1,2", "--pi", "1,2,1")
+    code, out, _ = run(capsys, "complex", "--group", "A2", *argv)
+    assert code == 0 and "f-vector (2,)  spherical True" in out
+    code, out, _ = run(capsys, "complex", "--group", "./A2", *argv)
+    assert code == 0 and "f-vector (1,)  spherical False" in out
+    code, out, err = run(capsys, "complex", "--group", "{x", *argv)
+    assert code == 2 and out == "" and err.startswith("error: ") and err.count("\n") == 1
 
 
 def _cross_polytope(n):

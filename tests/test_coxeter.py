@@ -142,6 +142,8 @@ def test_element_basics():
     g = A3.element_of((1, 2))
     assert g == GroupElement(g.roots) and hash(g) == hash(GroupElement(g.roots))
     assert repr(A3.identity) == "GroupElement(roots=(0, 1, 2))"
+    assert repr(CoxeterMatrix.named("A3")) == "CoxeterMatrix(A3)"
+    assert repr(CoxeterMatrix([[1, 5], [5, 1]])) == "CoxeterMatrix([[1, 5], [5, 1]])"
     with pytest.raises(AttributeError):
         g.roots = ()
 

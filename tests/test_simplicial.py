@@ -39,6 +39,11 @@ def test_void_and_empty():
     assert not same_faces(v, e) and same_faces(v, LabeledComplex.void())
     with pytest.raises(ValueError):
         v.h_vector()
+    assert repr(v) == "LabeledComplex(void)"
+    assert repr(cycle(5)) == "LabeledComplex(5 vertices, 5 facets)"
+    # the void complex is isomorphic to itself alone, by the empty map
+    assert is_isomorphic_constrained(v, LabeledComplex.void()) == {}
+    assert is_isomorphic_constrained(v, e) is None and is_isomorphic_constrained(e, v) is None
 
 
 def test_facet_pruning_and_vertex_order():
@@ -48,6 +53,18 @@ def test_facet_pruning_and_vertex_order():
     y = LabeledComplex.from_facets([(2, 1)], vertex_order=(5, 2, 1))
     assert y.vertices == (2, 1)
     assert same_faces(x, LabeledComplex.from_facets([(2, 1)]))
+
+
+@pytest.mark.parametrize("make, error, message", [
+    (lambda: LabeledComplex(range(63), ()), ValueError, "limited to 62 vertices"),
+    (lambda: LabeledComplex(("a",), (0b10,)), ValueError, "unknown vertices"),
+    (lambda: setattr(LabeledComplex.void(), "h", (1,)), AttributeError, "immutable"),
+    (lambda: LabeledComplex.from_facets([("a", "b")], vertex_order=("a",)), ValueError,
+     "vertex_order is missing labels"),
+], ids=["vertex-limit", "unknown-vertex", "immutable", "vertex-order"])
+def test_record_refusals(make, error, message):
+    with pytest.raises(error, match=message):
+        make()
 
 
 def test_pentagon_counts():
