@@ -21,9 +21,8 @@ window endpoints (first slot to fm, last to f1) and lifts the internal
 slots as one block to the top.  The vertex names, the internal masks and
 the witnesses' fresh vertices read these tables, which are made once per
 shape (|Q|, m, |Q'|) and shared by its moves and reports (``_shape``).
-Each side's complex is its memo entry's, over its own word positions; the
-memo entries of the windows shortened by two hold h alone, for the
-polynomial bookkeeping.  Side 2's facets cross by ``from_side2``, the mask form of its table.  The
+Each side's complex is its memo entry's, over its own word positions.
+Side 2's facets cross by ``from_side2``, the mask form of its table.  The
 endpoint edge {f1, fm} is then F on side 1 and G on side 2.  The universe
 can exceed 62 bits, so its masks are Python ints.
 
@@ -31,37 +30,37 @@ Outer table.  By the Demazure criterion (Knutson-Miller 2004, section 3)
 A | t | B, with A in Q, t in the window W and B in Q', is a face iff
 pi <= Dem(Q - A) * Dem(W - t) * Dem(Q' - B): its outer part (A, B) lies in
 O(d) for d = Dem(W - t) in the dihedral group W_ij, in all four complexes
-of a move, both sides and the words with the window shortened by two.  One
-``OuterTable`` per move reads d -> O(d) in one pass over side 1's facets,
-W_ij's chains cached per (system, i, j); a face family is a ``Family``
-{window part: label of its O}, and no face is listed.  The four window
-conditions follow one rule: the side word with its window shortened by k
-is void iff the label of Dem of its first m - k window letters is 0.  The
-interface families relabel the shortened windows' parts as the links of
-window edges do: an inner part opens two empty slots, at slots l and l+1
-for the edge there, or at both endpoints for F and G.  Checks join,
-select and compare parts and labels, exactly as on faces, and name a
-failure's mismatches from them (``verify_decomposition``).  Names ("Q1",
-"f1", "g2", "Q'1", ...) appear only in ``names``, witnesses and mismatches.
+of a move, both sides and the words with the window shortened by two.  So
+one cut at the window (``_kernels.move_cut``) gives the h of all four, the
+sides' facets and the outer pairs, from which one ``OuterTable`` per move
+reads d -> O(d); a face family is a ``Family`` {window part: label of its
+O}, and no face is listed.  The side word with its window shortened by k
+is void iff the label of Dem of its first m - k window letters is 0: the
+four window conditions.  The interface families relabel the shortened
+windows' parts as the links of window edges do: an inner part opens two
+empty slots, at slots l and l+1 for the edge there, or at both endpoints
+for F and G.  Checks join, select and compare parts and labels, exactly
+as on faces, and name a failure's mismatches from them
+(``verify_decomposition``).  Names ("Q1", "f1", "g2", "Q'1", ...) appear
+only in ``names``, witnesses and mismatches.
 
 Decided patterns.  Every family of the checklist is {window part: label
 of d} over the 2m elements d of W_ij, and the walks, link relabelings,
 crossings and selections act on window parts alone, the same for every
 |Q| and L up to the uniform shift of the parts by |Q| (and of the lifted
-slots by L).  So the checklist, its chain flag and the window conditions
-depend only on m and the labels, and ``classify`` looks its report up in
-one process-wide table, ``_DECOMPOSED``, keyed on (m, the outer table's
-labels in chain order): one key per set of W_ij's 3m - 1 columns
-(``OuterTable``), each one checked in the tests for m <= 5.  It runs
-``verify_decomposition`` only for a key it has not met and stores only
-passing reports, so a failing move names its own mismatches.  Each move
-still builds its own complexes, outer table and witness.
+slots by L).  So the checklist, its chain flag, the window conditions and
+the witness depend only on m and the labels (``classify``), and
+``classify`` looks the report and the witness up in one process-wide
+table, ``_DECOMPOSED``, keyed on (m, the outer table's labels in chain
+order): one key per set of W_ij's 3m - 1 columns (``OuterTable``), each
+checked in the tests for m <= 5.  Only a key not met runs
+``verify_decomposition`` and the witness, and only a passing pair is
+stored, so a failing move names its own mismatches.
 
-Witnesses.  Each verdict is replayed on the universe masks of the sides'
-facets: equal facet sets are equal complexes, and an iterated edge
-subdivision turns the facets through the endpoint edge into new facets
-over the fresh window bits.  ``classify`` makes the facts of its move
-once, as a ``MoveFacts``, and hands them to every check it runs.
+Witnesses.  A verdict is replayed, once per key, on the universe masks of
+the sides' facets (``facet_witness``): equal facet sets are equal
+complexes, and an iterated edge subdivision turns the facets through the
+endpoint edge into new facets over the fresh window bits.
 """
 
 from __future__ import annotations
@@ -70,10 +69,11 @@ from functools import cache, cached_property, reduce
 from itertools import zip_longest
 from typing import NamedTuple
 
+from . import _kernels
 from .coxeter import MAX_REDUCED_WORDS, CoxeterSystem, GroupElement, Word
-from .simplicial import (MAX_WINDOW_PARTS, WINDOW_LIMIT_ERROR, LabeledComplex, _bits, _gamma,
-                         subdivide)
-from .subword import SubwordDescriptor, build, position_complex
+from .simplicial import (FACE_LIMIT_ERROR, MAX_FACES, MAX_WINDOW_PARTS, WINDOW_LIMIT_ERROR,
+                         LabeledComplex, _bits, _gamma, subdivide)
+from .subword import PositionComplex, SubwordDescriptor, build, position_complex
 
 
 def _record(cls):
@@ -136,17 +136,16 @@ def _shape(q: int, m: int, r: int) -> tuple:
 
 class MoveFacts:
     """The derived facts of one braid move.  Made at once: the bit universe
-    and its names (see ``_shape``), the complexes of both sides and the h
-    of the shortened windows, read from a build memo (see ``subword.build``),
-    and whether each side is a sphere.  Made on first use: the sides'
-    facets as masks, the outer table, the faces of both sides and the
-    interface families as families over it, and the window conditions."""
+    and its names (``_shape``), and from one cut the h of the four words, the
+    outer pairs and both sides' memo entries (``subword.build``).  Made on
+    first use: the outer table, the window conditions, and the sides' facets
+    as masks, faces and interface families."""
 
     def __init__(self, ctx: BraidContext, memo: dict | None = None):
         self.ctx = ctx
         self.m = m = ctx.m
         self.q = q = len(ctx.Q)
-        self.L = q + m + len(ctx.Qp)
+        self.L = L = q + m + len(ctx.Qp)
         # the names and bit tables of this shape of move, made once (``_shape``)
         (self.universe, self.bits, self.internal, self._side_names,
          self._witness) = _shape(q, m, len(ctx.Qp))
@@ -154,16 +153,35 @@ class MoveFacts:
         memo, system, pi = {} if memo is None else memo, ctx.system, ctx.pi
         # the side words, then the words with the window shortened by two,
         # all subwords of the checked side_word(1): none is checked again
-        alt = (ctx.i, ctx.j) * m, (ctx.j, ctx.i) * m
-        self.words = words = [ctx.Q + a[:m - k] + ctx.Qp for k in (0, 2) for a in alt]
-        self.windows = tuple(tuple(s - 1 for s in a[:m]) for a in alt)  # 0-based letters
+        alt, Q, Qp = (ctx.i, ctx.j) * m, ctx.Q, ctx.Qp
+        self.words = words = [Q + alt[k:k + m - c] + Qp for c in (0, 2) for k in (0, 1)]
+        alt = tuple(map((-1).__add__, alt))  # 0-based letters
+        self.windows = windows = alt[:m], alt[1:m + 1]
+        if not (known := (words[0], pi) in memo and memo[words[0], pi].cuts.get(q)):
+            # one cut: the h of the four words and the outer pairs, kept in side 1's
+            # entry, and the sides not in the memo, listed only within the face limit
+            start, tables = system._inv(system._id(pi)), (system._right, system._desc)
+            Q, Qp = tuple(map((-1).__add__, Q)), tuple(map((-1).__add__, Qp))
+            tops = system._demazures(reversed(Q + windows[0] + Qp))
+            hs, pairs, made = _kernels.move_cut(system._times, *tables, system._le, Q, windows,
+                                                Qp, start, tops, L + 1)
+            slot, n = (1 << (L + 1)) - 1, (L - system._len[start] + 1) * (L + 1)
+            h = [tuple([x >> k & slot for k in range(0, n - 2 * (c > 1) * (L + 1), L + 1)])
+                 if x else () for c, x in enumerate(hs)]
+            need = [k for k in (0, 1) if (words[k], pi) not in memo]
+            if need and max(sum(h[k]) for k in need) > MAX_FACES:
+                raise ValueError(FACE_LIMIT_ERROR)
+            lists = _kernels.cut_facets(*tables, Q, windows, Qp, made, need) if h[0] else [[], []]
+            for k, facets in zip(need, lists):
+                memo[words[k], pi] = PositionComplex(system, words[k], pi,
+                                                     (tops[-1] == start, h[k], facets))
+            memo[words[0], pi].cuts[q] = known = (*h, pairs)
+        self.h, self._pairs = known[:4], known[4]
+        # both sides reach ``build`` and find their memo entries
         self.sides = tuple(build(SubwordDescriptor._make((system, w, pi)), memo)
                            for w in words[:2])
-        # their memo entries, each read once; a move reads only the h of the
-        # shortened windows', and no output names an inner vertex
-        self._entries = (memo[words[0], pi], memo[words[1], pi],
-                         *(position_complex(system, w, pi, memo, False) for w in words[2:]))
-        self.spherical = self._entries[0].spherical, self._entries[1].spherical
+        self._entries = entries = memo[words[0], pi], memo[words[1], pi]
+        self.spherical = entries[0].spherical, entries[1].spherical
 
     def names(self, bits) -> tuple[str, ...]:
         """The vertex names of universe bits."""
@@ -214,7 +232,7 @@ class MoveFacts:
 
     @cached_property
     def table(self) -> OuterTable:
-        return OuterTable(self)
+        return OuterTable(self, self._pairs)
 
     @cached_property
     def walks(self) -> tuple[tuple[Family, Family], ...]:
@@ -234,62 +252,41 @@ class MoveFacts:
 
 
 class OuterTable:
-    """d -> O(d) for d in W_ij, from side 1's facets.  A facet's outer part
-    (A, B) is in O(d) iff Dem(Q - A) * d >= u, u the least z with pi <= z *
-    Dem(Q' - B): pi taken down by the letters of Q' - B, the last first
-    (Deodhar's Z-property).  As Dem(Q - A) * d rises with d, and W_ij is
-    ordered by length, the d with the part in O(d), its column, are
-    chains[0][l0:] + chains[1][l1:], l0 and l1 where the part enters O along
-    each window chain, or (0, 0) when u <= Dem(Q - A): bit l0 * (m + 2) + l1
-    of ``labels[d]``.  The facets' outer parts hold every generator of O(d),
-    so labels compare, include and join as O does.  ``labels`` lists W_ij
-    in chain order: the Demazure products of the prefixes of window 1
-    (``chains[0]``), then the new ones of window 2's."""
+    """d -> O(d) for d in W_ij, from the move's outer pairs.  A facet's outer
+    part (A, B) is in O(d) iff Dem(Q - A) * d >= u, u the least z with pi <=
+    z * Dem(Q' - B) (Deodhar's Z-property), a pair of the cut.  As Dem(Q - A)
+    * d rises with d, and W_ij is ordered by length, the d with a pair's parts
+    in O(d), its column, are chains[0][l0:] + chains[1][l1:], l0 and l1 where
+    the pair enters O along each window chain, or (0, 0) when u <= Dem(Q - A)
+    (``CoxeterSystem._column``): bit l0 * (m + 2) + l1 of ``labels[d]``.  The
+    facets' outer parts hold every generator of O(d), so labels compare,
+    include and join as O does.  ``labels`` lists W_ij in chain order: the
+    Demazure products of the prefixes of window 1 (``chains[0]``), then the
+    new ones of window 2's."""
 
-    __slots__ = ("system", "labels", "parts", "chains")
-
-    def __init__(self, f: MoveFacts):
-        ctx, q, end = f.ctx, f.q, f.q + f.m
-        self.system = sys_ = ctx.system
-        desc, times, le = sys_._desc, sys_._times, sys_._le
-        Q, Qp = [s - 1 for s in ctx.Q], [s - 1 for s in ctx.Qp]
-        window, low, pi = ((1 << f.m) - 1) << q, (1 << q) - 1, sys_._id(ctx.pi)
-        self.chains = chains = tuple(sys_._chain(*w[:2]) for w in f.windows)
+    def __init__(self, f: MoveFacts, pairs):
+        self.system = system = f.ctx.system
+        self.pair = i, j = f.windows[0][:2]
+        self.chains = chains = system._chain(i, j), system._chain(j, i)
         self.labels = labels = dict.fromkeys(chains[0] + chains[1], 0)
-        # each facet is A | t | B; its outer part A | B takes the bit of its
-        # column, and Dem(Q - A) of each head A, u of each tail B (read from
-        # bit 0) and the column of each pair (Dem(Q - A), u) are found once
-        heads, tails, cols = {}, {}, {}
-        self.parts = parts = {}
-        for x in f._entries[0].word_facets:
-            if (outer := x & ~window) in parts:
-                continue
-            if (a := heads.get(head := x & low)) is None:
-                a = 0
-                for p, s in enumerate(Q):
-                    if not head >> p & 1 and not desc[a] >> s & 1:
-                        a = times(a, s)
-                heads[head] = a
-            if (u := tails.get(tail := x >> end)) is None:
-                u = pi
-                for p in range(len(Qp) - 1, -1, -1):
-                    if not tail >> p & 1 and desc[u] >> Qp[p] & 1:
-                        u = times(u, Qp[p])
-                tails[tail] = u
-            if (n := cols.get((a, u))) is None:
-                col = [0, 0]  # per chain the first l with a * chain[l] >= u
-                for c, w in enumerate(() if le(u, a) else f.windows):
-                    z = a  # a * chain[l], tested where it rises
-                    for l, s in enumerate(w, 1):
-                        if not desc[z] >> s & 1:
-                            z = times(z, s)
-                            if le(u, z):
-                                col[c] = l
-                                break
-                cols[a, u] = n = col[0] * (f.m + 2) + col[1]
-                for d in chains[0][col[0]:] + chains[1][col[1]:]:
-                    labels[d] |= 1 << n
-            parts[outer] = n
+        for n in {system._column(i, j, a, u) for a, u in pairs}:
+            for d in chains[0][n // (f.m + 2):] + chains[1][n % (f.m + 2):]:
+                labels[d] |= 1 << n
+        # side 1's facets and letters up to Q', for ``parts`` (no reference to f)
+        self._side1 = f._entries[0].word_facets, f.words[0][:f.q + f.m], f.q
+
+    @cached_property
+    def parts(self) -> dict:
+        """Side 1's facets' outer parts with their column bits, to name a failed
+        check's faces; a pair is the product of the taken letters before the
+        window, then before Q'."""
+        (facets, head, q), times, parts = self._side1, self.system._times, {}
+        i, j = self.pair
+        for x in facets:
+            a = reduce(times, [s - 1 for p, s in enumerate(head[:q]) if not x >> p & 1], 0)
+            u = reduce(times, [s - 1 for p, s in enumerate(head[q:], q) if not x >> p & 1], a)
+            parts.setdefault(x & ~((1 << len(head)) - (1 << q)), self.system._column(i, j, a, u))
+        return parts
 
     def walk(self, letters, lo: int) -> tuple[Family, Family]:
         """The labelled window parts with a non-empty O of a window of two or
@@ -469,7 +466,7 @@ def verify_decomposition(facts: MoveFacts) -> DecompositionReport:
 
 def _coeff_sub(a, b) -> tuple[int, ...]:
     """The coefficients a - b, without trailing zeros."""
-    d = [x - y for x, y in zip_longest(a, b, fillvalue=0)]
+    d = [x - y for x, y in zip_longest(a, b, fillvalue=0)] if a != b else []
     while d and d[-1] == 0:
         d.pop()
     return tuple(d)
@@ -499,9 +496,9 @@ def polynomial_delta(f: MoveFacts) -> PolyDeltaReport:
     m = f.m
     if not f.supported:
         raise ValueError("needs m <= 3 or both length-3 window conditions")
-    # the sides have h-degree n, the inner complexes n - 2
-    n = f.L - f.ctx.system.length(f.ctx.pi)
-    h1, h2, hk1, hk2 = (e.h for e in f._entries)
+    # the sides have h-degree n, the inner complexes n - 2 (void sides have no terms)
+    h1, h2, hk1, hk2 = f.h
+    n = len(h1) - 1
     delta_h = {(k, n - k): c for k, c in enumerate(_coeff_sub(h2, h1)) if c}
     rhs_h = {(k + 1, n - 1 - k): (m - 2) * c
              for k, c in enumerate(_coeff_sub(hk2, hk1)) if m > 2 and c}
@@ -560,14 +557,14 @@ class CaseReport(NamedTuple):
         return CASE_NAMES[self.case]
 
 
-def _refine(f: MoveFacts, side: int) -> tuple[frozenset | None, tuple, tuple]:
-    """Side 1 or 2 (``side`` 0 or 1) subdivided along the endpoint edge from
-    its first window slot at the other side's internal slots, slot m - 1
-    first: the universe facets (None without the edge) and the names of
-    the edge and of the fresh vertices, shared per shape (``_shape``)."""
-    ends, fresh, edge_names, fresh_names = f._witness[side]
-    facets = subdivide(f.facets[side], 1 << ends[0], 1 << ends[1], [1 << b for b in fresh])
-    return facets, edge_names, fresh_names
+def facet_witness(f: MoveFacts, case: int) -> bool:
+    """The verdict replayed on the sides' universe facets: equal for case 1,
+    else the coarser side (both for case 4) subdivided along the endpoint
+    edge at the other side's internal slots (``_shape``), as the finer one."""
+    subs = [subdivide(f.facets[k], 1 << ends[0], 1 << ends[1], [1 << b for b in fresh])
+            if case in (4, 3 - k) else f.facets[k]
+            for k, (ends, fresh, *_) in enumerate(f._witness)]
+    return (case != 4 or subs[0] is not None) and subs[0] == subs[1]
 
 
 def classify(ctx: BraidContext, memo: dict | None = None) -> CaseReport:
@@ -580,38 +577,43 @@ def classify(ctx: BraidContext, memo: dict | None = None) -> CaseReport:
     if d ends in a t that is no descent of pi; else pi = pi^J w0(J), pi^J u <= x for
     both u of length m - k, and the top of [e, x] in pi^J W_J (Billey-Fan-Losonczy
     1999) lies above a v of length m - k + 1.  So with x = Dem(Q), y = Dem(Q'),
-    k = m - 2, not A2 and not B2 exclude A3 and B3: case 4 is never chain-checked."""
+    k = m - 2, not A2 and not B2 exclude A3 and B3: case 4 is never chain-checked.
+
+    Lemma: like the checklist (``verify_decomposition``), ``witness_ok`` is a
+    function of m and the outer labels.  The case is read off the labels, a
+    side's faces are its window walk's family over the O of the labels, and
+    an iterated edge subdivision at window slots rewrites window parts and
+    keeps their labels: the complexes compared are families over the same
+    O, equal iff their parts and labels are, as in the checklist."""
     f = MoveFacts(ctx, memo)
     m, c, names = f.m, f.conditions, f._side_names
     d1x, d2x = f.sides
-    # a label pattern that passed before passes again with the same report
-    key = (m, tuple(f.table.labels.values()))
-    if (dec := _DECOMPOSED.get(key)) is None and (dec := verify_decomposition(f)).ok:
-        _DECOMPOSED[key] = dec
-    poly = polynomial_delta(f) if f.supported else None
-
     case: int | None = None
-    witness: dict | None = None
-    witness_ok: bool | None = None
     if m == 2:
         case = 1
     elif f.supported:
         case = {(True, True): 1, (False, True): 2,
                 (True, False): 3, (False, False): 4}[(c["A2"], c["B2"])]
+    # a label pattern that passed before passes again with the same report
+    key = (m, tuple(f.table.labels.values()))
+    if (known := _DECOMPOSED.get(key)) is None:
+        known = verify_decomposition(f), facet_witness(f, case) if case else None
+        if known[0].ok and known[1] is not False:
+            _DECOMPOSED[key] = known
+    dec, witness_ok = known
+    poly = polynomial_delta(f) if f.supported else None
 
+    witness: dict | None = None
     if case == 1:
-        witness_ok = f.facets[0] == f.facets[1]
         witness = {"kind": "equality", "map": {names[0][p]: names[0][p] for p in d1x.vertices}}
     elif case in (2, 3):
         k = 3 - case  # the coarser side, whose refinement is the finer one
-        sub, edge, fresh = _refine(f, k)
-        witness_ok = sub == f.facets[1 - k]
+        edge, fresh = f._witness[k][2:]
         witness = {"kind": "subdivision", "of_side": k + 1, "edge": edge, "fresh": fresh}
     elif case:
-        (sub1, edge, fresh1), (sub2, _, fresh2) = _refine(f, 0), _refine(f, 1)
-        witness_ok = agree = sub1 is not None and sub1 == sub2
+        (edge, fresh1), (_, fresh2) = f._witness[0][2:], f._witness[1][2:]
         witness = {"kind": "common refinement", "edge": edge, "fresh_from_side_1": fresh1,
-                   "fresh_from_side_2": fresh2, "agree": agree}
+                   "fresh_from_side_2": fresh2, "agree": witness_ok}
 
     return CaseReport(ctx, m, case, c["A2"], c["B2"], c["A3"], c["B3"], f.supported,
                       d1x, d2x, names, witness, witness_ok, dec, poly)

@@ -302,6 +302,7 @@ class CoxeterSystem:
         self._le = cache(self._le)  # every pass asks the same few Bruhat pairs again
         self._inv = cache(self._inv)  # every build of an entry asks for pi^-1
         self._chain = cache(self._chain)  # every move asks for its two window chains
+        self._column = cache(self._column)  # moves meet the same outer pairs again
 
     # -- element plumbing ------------------------------------------------
 
@@ -423,6 +424,18 @@ class CoxeterSystem:
         """``_demazures`` of the alternating window i, j, i, .. of m_ij 0-based
         letters; once per pair (``__init__``), at most rank^2 of them."""
         return tuple(self._demazures(((i, j) * self.m[i, j])[:self.m[i, j]]))
+
+    def _column(self, i: int, j: int, a: int, u: int) -> int:
+        """l0 * (m + 2) + l1 for the first l0, l1 with u <= a * chain[l] along the
+        chains of i, j, .. and j, i, .., or 0 when u <= a; once each (``__init__``)."""
+        m, col = self.m[i, j], [0, 0]
+        for c, w in enumerate(() if self._le(u, a) else ((i, j), (j, i))):
+            z = a
+            for l, s in enumerate((w * m)[:m], 1):
+                if not self._desc[z] >> s & 1 and self._le(u, z := self._times(z, s)):
+                    col[c] = l
+                    break
+        return col[0] * (m + 2) + col[1]
 
     def demazure_product(self, word: Iterable[int]) -> GroupElement:
         """Greedy fold keeping only the length-increasing letters."""

@@ -98,10 +98,8 @@ class LabeledComplex:
         if len(vertices) > MAX_VERTICES:
             raise ValueError(f"complexes are limited to {MAX_VERTICES} vertices")
         masks = sorted(set(map(_int, facet_masks)))
-        full = (1 << len(vertices)) - 1
-        for f in masks:
-            if f & ~full:
-                raise ValueError("facet mask uses unknown vertices")
+        if masks and (masks[0] < 0 or masks[-1] >> len(vertices)):
+            raise ValueError("facet mask uses unknown vertices")
         object.__setattr__(self, "vertices", vertices)
         object.__setattr__(self, "facets", tuple(masks))
         object.__setattr__(self, "h", h)
@@ -168,10 +166,14 @@ class LabeledComplex:
         empty for the void complex and for {()}.  Made on first use."""
         f = self._cache.get("f")
         if f is None:
-            h = self._h()
-            n = len(h) - 1
-            f = self._cache["f"] = tuple(sum(comb(n - k, i - k) * h[k] for k in range(i + 1))
-                                         for i in range(1, n + 1))
+            # (f_-1, .., f_dim) are the coefficients of sum_k h_k (t + 1)^(n - k),
+            # the highest first: Horner steps in t + 1, each one a Pascal row
+            f = [0] * len(self._h())
+            for k, c in enumerate(self.h):
+                for j in range(k, 0, -1):
+                    f[j] += f[j - 1]
+                f[k] += c
+            f = self._cache["f"] = tuple(f[1:])
         return f
 
     def h_vector(self) -> tuple[int, ...]:

@@ -9,11 +9,11 @@ dropped; only a summary names the others (``complex_summary``).
 
 The vertex decomposition gives the h-vector (and f and gamma) and the
 facets, each by a backward pass over the live states that one forward
-pass lists (see ``_kernels``).  No face is listed: a braid move reads the
-faces of its complexes off the Demazure criterion (``braid.OuterTable``).
-One Demazure fold bounds that pass and tells void complexes and spheres.
-An entry made without facets runs the h pass alone and holds h, voidness
-and sphericity: a move reads only the h of its windows shortened by two.
+pass lists (see ``_kernels``); one Demazure fold bounds that pass and
+tells void complexes and spheres.  A braid move makes the entries of its
+sides from one cut at its window instead, and reads the faces of its
+complexes off the Demazure criterion (``braid.OuterTable``): no face is
+listed, and no entry holds h alone.
 """
 
 from __future__ import annotations
@@ -41,52 +41,52 @@ class SubwordDescriptor(NamedTuple("SubwordDescriptor", [("system", CoxeterSyste
 class PositionComplex:
     """Delta(word; pi) with the used 0-based word positions as vertices.
 
-    It is made once per (word, pi) and memo from one forward pass: its
-    h-vector (``()`` when void), sphericity and, with ``facets``, its
-    facets at once; the layers of that pass are dropped.  ``complex`` is
-    the one complex of the pair that every caller reads; it and
-    ``word_facets`` are None in an entry made without ``facets``.
+    Made once per (word, pi) and memo from one forward pass, or ``made`` by a
+    braid move's cut (``braid.MoveFacts``): h (``()`` when void), sphericity
+    and facets.  ``complex`` is the one complex of the pair that every caller
+    reads; ``cuts`` keeps, per window start, what else a move's cut gave.
     """
 
-    __slots__ = ("complex", "spherical", "word_facets", "h")
+    __slots__ = ("complex", "spherical", "word_facets", "h", "cuts")
 
-    def __init__(self, system: CoxeterSystem, word: Word, pi: GroupElement, facets: bool = True):
-        letters, le = tuple(s - 1 for s in word), system._le
-        # one Demazure fold, of the reversed word, lists Dem(word[p:])^-1 (the
-        # last p first) to bound the forward pass.  By the Demazure criterion
-        # the complex is a sphere iff Dem(word) = pi and void iff pi is not
-        # below Dem(word) (Knutson-Miller, section 3), both read inverted
-        tops, start = system._demazures(reversed(letters)), system._inv(system._id(pi))
-        self.spherical = tops[-1] == start
-        self.h, self.word_facets, self.complex = (), None, None
-        if not le(start, tops[-1]):
-            if facets:
-                self.word_facets, self.complex = [], LabeledComplex.void()
-            return
-        layers = _kernels.subword_layers(system._times, system._desc, le, letters, start, tops)
-        tables = system._right, system._desc, letters, layers
-        # h first, its |word| - l(pi) + 1 coefficients: it sums to the facet
-        # count, which bounds the facet pass
-        self.h = h = _kernels.subword_h(*tables)[:len(word) - system._len[start] + 1]
+    def __init__(self, system: CoxeterSystem, word: Word, pi: GroupElement,
+                 made: tuple | None = None):
+        if made is None:
+            letters, le = tuple(s - 1 for s in word), system._le
+            # one Demazure fold lists Dem(word[p:])^-1 (the last p first) to
+            # bound the forward pass; the complex is a sphere iff Dem(word) =
+            # pi and void iff pi is not below it (Knutson-Miller, section 3)
+            tops, start = system._demazures(reversed(letters)), system._inv(system._id(pi))
+            h, facets = (), []
+            if le(start, tops[-1]):
+                layers = _kernels.subword_layers(system._times, system._desc, le, letters,
+                                                 reversed(tops[:-1]), 0, {start: 0})[0]
+                tables = system._right, system._desc, letters, layers
+                # h first: it sums to the facet count, which bounds the facet pass
+                h = _kernels.subword_h(*tables)[:len(word) - system._len[start] + 1]
+                if sum(h) > MAX_FACES:
+                    raise ValueError(FACE_LIMIT_ERROR)
+                facets = _K.reduced_subword_masks(*tables)
+            made = tops[-1] == start, h, facets
+        self.spherical, self.h, self.word_facets = made
+        self.cuts, facets, n = {}, made[2], len(word)
         if not facets:
+            self.complex = LabeledComplex.void()
             return
-        if sum(h) > MAX_FACES:
-            raise ValueError(FACE_LIMIT_ERROR)
-        # every facet as a mask over word positions, bit p for position p
-        self.word_facets = facets = _K.reduced_subword_masks(*tables)
         used, packed = reduce(or_, facets), facets
-        # squeeze out the positions in no facet, the highest first; every
-        # facet has |word| - l(pi) positions, so they form an antichain
-        for p in range(len(word) - 1, -1, -1):
-            if not used >> p & 1:
-                packed = [f & ((1 << p) - 1) | f >> (p + 1) << p for f in packed]
-        self.complex = LabeledComplex([p for p in range(len(word)) if used >> p & 1], packed, h)
+        gap = ~used & (1 << n) - 1
+        # squeeze out each run of positions in no facet, the highest first;
+        # every facet has |word| - l(pi) positions, so they form an antichain
+        while gap:
+            top, low = gap.bit_length(), (used & (1 << gap.bit_length()) - 1).bit_length()
+            packed = [f & (1 << low) - 1 | f >> top << low for f in packed]
+            gap &= (1 << low) - 1
+        self.complex = LabeledComplex([p for p in range(n) if used >> p & 1], packed, made[1])
 
 
 def position_complex(system: CoxeterSystem, word: Word, pi: GroupElement,
-                     memo: dict, facets: bool = True) -> PositionComplex:
-    """The entry of ``memo`` for (word, pi), made on first request, and made
-    again with facets when they are asked for and it has none; the word
+                     memo: dict) -> PositionComplex:
+    """The entry of ``memo`` for (word, pi), made on first request; the word
     must be checked (``CoxeterSystem.check_word``).
 
     A memo is a plain dict over one system that a computation which
@@ -95,8 +95,8 @@ def position_complex(system: CoxeterSystem, word: Word, pi: GroupElement,
     """
     key = (word, pi)
     entry = memo.get(key)
-    if entry is None or facets and entry.complex is None:
-        entry = memo[key] = PositionComplex(system, word, pi, facets)
+    if entry is None:
+        entry = memo[key] = PositionComplex(system, word, pi)
     return entry
 
 
@@ -126,9 +126,10 @@ _BYTE_ROWS = _byte_rows()
 def complex_summary(x: LabeledComplex, names) -> dict:
     """JSON-ready vertices, named ``names[v]`` for vertex v, facets (indices
     into the vertices), f and h; each facet's indices are read a byte at a
-    time from ``_BYTE_ROWS``."""
-    facets = []
-    for f in x.facets:
+    time from ``_BYTE_ROWS``, at once when there are at most eight."""
+    facets = [] if len(x.vertices) > 8 else list(map(list, map(_BYTE_ROWS[0].__getitem__,
+                                                               x.facets)))
+    for f in x.facets if len(x.vertices) > 8 else ():
         row, o = [], 0
         while f:
             row += _BYTE_ROWS[o][f & 255]

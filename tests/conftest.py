@@ -18,9 +18,12 @@ move's commutation orbit by the projection lemma, against which the
 order's heap key is.  ``subword_pass`` is the generic fold of the subword
 DP, against which, with ``fold_h`` and ``fold_facets``, the kernel's
 direct passes are checked, ``two_pass_table`` the outer table with each
-part's column tested element by element, against which the one-pass
+part's column tested element by element, against which
 ``braid.OuterTable`` is, and ``check_column_sets`` the checklist run on
-each key of ``classify``'s table, one per set of columns.  The
+each key of ``classify``'s table, one per set of columns.
+``per_word_entry`` (the builds word by word) and ``facet_loop_table`` (the
+outer table by one pass over a side's facets) are what a move's cut
+replaced, and ``check_cut`` compares the cut with them.  The
 library reads f, h and gamma off the h of the subword DP alone;
 ``counted_f`` and ``counted_h`` count them face by face, for complexes
 made by hand too, and ``contains_reduced`` tells a void pair by Bruhat
@@ -34,7 +37,7 @@ import random
 from math import comb, cos, pi as PI
 
 from coxsub import _kernels, backend, braid, rhoposet
-from coxsub.braid import BraidContext, Family, MoveFacts
+from coxsub.braid import BraidContext, Family, MoveFacts, classify
 from coxsub.coxeter import CoxeterMatrix, CoxeterSystem
 from coxsub.rhoposet import GapReport, RhoPoset
 from coxsub.simplicial import (LabeledComplex, _bits, contractions, is_isomorphic_constrained,
@@ -158,10 +161,12 @@ def projection_key(sys_, Q, word, pos: int, Qp) -> tuple:
 
 
 def forward_layers(sys_, letters, start: int) -> list:
-    """The forward pass of the subword DP (``_kernels.subword_layers``) over
-    the tables of sys_, from the live id ``start`` of pi^-1."""
-    return _kernels.subword_layers(sys_._times, sys_._desc, sys_._le, letters, start,
-                                   sys_._demazures(reversed(letters)))
+    """The live states of the forward pass of the subword DP
+    (``_kernels.subword_layers``) over the tables of sys_, from the live id
+    ``start`` of pi^-1, as sets."""
+    tops = sys_._demazures(reversed(letters))
+    return [set(x) for x in _kernels.subword_layers(sys_._times, sys_._desc, sys_._le, letters,
+                                                    reversed(tops[:-1]), 0, {start: 0})[0]]
 
 
 def run_facets(sys_, word, pi):
@@ -223,16 +228,38 @@ def no_face_listing(monkeypatch) -> None:
 
 
 def forward_passes(monkeypatch) -> list:
-    """Record the (letters, start) of every forward pass of the subword DP
-    from now on."""
+    """Record the (letters, starts) of every forward pass of the subword DP
+    from now on: a build's, from its one start, or one of a move's cut."""
     seen = []
     layers = _kernels.subword_layers
 
-    def counted(times, desc, le, letters, start, tops):
-        seen.append((letters, start))
-        return layers(times, desc, le, letters, start, tops)
+    def counted(times, desc, le, letters, tops, b, T, *tags):
+        seen.append((letters, tuple(T)))
+        return layers(times, desc, le, letters, tops, b, T, *tags)
 
     monkeypatch.setattr(_kernels, "subword_layers", counted)
+    return seen
+
+
+def cut_passes(monkeypatch) -> dict:
+    """Record from now on, under "cuts", the (Q, windows, Q', start) of every
+    cut of a move (``_kernels.move_cut``) and, under "sides", the (word,
+    start) of every side whose facets a cut lists (``_kernels.cut_facets``),
+    words 1-based."""
+    seen: dict = {"cuts": [], "sides": []}
+    cut, lists = _kernels.move_cut, _kernels.cut_facets
+
+    def counted_cut(times, right, desc, le, Q, windows, Qp, start, tops, b):
+        seen["cuts"].append((Q, windows, Qp, start))
+        return cut(times, right, desc, le, Q, windows, Qp, start, tops, b)
+
+    def counted_lists(right, desc, Q, windows, Qp, made, sides):
+        (start,) = made[0][0]  # the first layer of the prefix
+        seen["sides"] += [(tuple(s + 1 for s in Q + windows[k] + Qp), start) for k in sides]
+        return lists(right, desc, Q, windows, Qp, made, sides)
+
+    monkeypatch.setattr(_kernels, "move_cut", counted_cut)
+    monkeypatch.setattr(_kernels, "cut_facets", counted_lists)
     return seen
 
 
@@ -660,6 +687,100 @@ def same_outer_table(f: MoveFacts) -> bool:
             and list(f.table.parts.items()) == list(parts.items()))
 
 
+def per_word_entry(sys_, word, pi) -> tuple[tuple, list]:
+    """(h, facets) of Delta(word; pi), one word at a time by the generic
+    folds of the subword DP, the build that a move's cut replaces: the h
+    as a tuple and the facets as masks over word positions, in the facet
+    pass's order; ((), []) for a void pair."""
+    if not contains_reduced(sys_, word, pi):
+        return (), []
+    letters = tuple(a - 1 for a in word)
+    tables = sys_._right, sys_._desc, letters
+    layers = forward_layers(sys_, letters, sys_._id(sys_.inverse(pi)))
+    return fold_h(*tables, layers), fold_facets(*tables, layers)
+
+
+def facet_loop_table(f: MoveFacts, side: int = 1) -> tuple[dict, dict]:
+    """(labels, parts) of the move's outer table by one pass over side 1's
+    facets, the pass that the cut's pairs replace: per facet A | t | B the
+    pair (Dem(Q - A), u) of its head and tail, and the pair's first rise
+    along each window chain, l0 and l1, at bit l0 * (m + 2) + l1; or over
+    side 2's facets, which share Q, Q' and so the outer parts."""
+    ctx, q, end = f.ctx, f.q, f.q + f.m
+    sys_ = ctx.system
+    desc, times, le = sys_._desc, sys_._times, sys_._le
+    Q, Qp = [s - 1 for s in ctx.Q], [s - 1 for s in ctx.Qp]
+    window, low, pi = ((1 << f.m) - 1) << q, (1 << q) - 1, sys_._id(ctx.pi)
+    chains = tuple(sys_._chain(*w[:2]) for w in f.windows)
+    labels, parts = dict.fromkeys(chains[0] + chains[1], 0), {}
+    for x in per_word_entry(sys_, f.words[side - 1], ctx.pi)[1]:
+        if (outer := x & ~window) in parts:
+            continue
+        a, head = 0, x & low
+        for p, s in enumerate(Q):
+            if not head >> p & 1 and not desc[a] >> s & 1:
+                a = times(a, s)
+        u, tail = pi, x >> end
+        for p in range(len(Qp) - 1, -1, -1):
+            if not tail >> p & 1 and desc[u] >> Qp[p] & 1:
+                u = times(u, Qp[p])
+        col = [0, 0]  # per chain the first l with a * chain[l] >= u
+        for c, w in enumerate(() if le(u, a) else f.windows):
+            z = a
+            for l, s in enumerate(w, 1):
+                if not desc[z] >> s & 1:
+                    z = times(z, s)
+                    if le(u, z):
+                        col[c] = l
+                        break
+        parts[outer] = n = col[0] * (f.m + 2) + col[1]
+        for d in chains[0][col[0]:] + chains[1][col[1]:]:
+            labels[d] |= 1 << n
+    return labels, parts
+
+
+def check_cut(ctx: BraidContext, memo: dict | None = None) -> MoveFacts:
+    """Assert that the move's cut gives what the builds word by word and the
+    facet loop give: the four h-vectors, both sides' facets (in any order)
+    and their packed complexes (those of ``PositionComplex``, one word at a
+    time), the outer labels in chain order, which the loop over either
+    side's facets gives, and the outer parts with their columns, read as on
+    a failed check; and that ``classify`` reports as ``witness_ok`` the facet
+    witness of the move made afresh, read from its table or not."""
+    f = MoveFacts(ctx, memo)
+    sys_, pi = ctx.system, ctx.pi
+    for k, word in enumerate(f.words):
+        h, facets = per_word_entry(sys_, word, pi)
+        assert f.h[k] == h, (ctx, k)
+        if k < 2:
+            entry, fresh = f._entries[k], PositionComplex(sys_, word, pi)
+            assert sorted(entry.word_facets) == sorted(facets) and entry.h == h, (ctx, k)
+            assert entry.spherical == fresh.spherical, (ctx, k)
+            x, y = entry.complex, fresh.complex
+            assert (x.vertices, x.facets, x.is_void) == (y.vertices, y.facets, y.is_void), ctx
+    labels, parts = facet_loop_table(f)
+    assert list(f.table.labels.items()) == list(labels.items()), ctx
+    assert f.table.parts == parts, ctx
+    # each element of W_ij has a reduced word inside either window, so side
+    # 2's facets join the same pairs of states across the window as side 1's
+    assert facet_loop_table(f, 2)[0] == labels, ctx
+    rep = classify(ctx, memo)
+    want = braid.facet_witness(MoveFacts(ctx), rep.case) if rep.case else None
+    assert rep.witness_ok is want, ctx
+    return f
+
+
+def check_cuts(count: int, seed: int) -> dict:
+    """``check_cut`` on ``count`` seeded random moves over ``FAULT_GROUPS``;
+    returns the counts of moves checked, per case and with a void side."""
+    rng, seen = random.Random(seed), {}
+    for _ in range(count):
+        f = check_cut(random_context(rng, names=FAULT_GROUPS))
+        key = "void" if f.sides[0].is_void else classify(f.ctx).case
+        seen[key] = seen.get(key, 0) + 1
+    return seen
+
+
 def columns(m: int) -> list[tuple[int, int]]:
     """The 3m - 1 columns (l0, l1) of a W_ij with m_ij = m, the up-sets
     chain0[l0:] + chain1[l1:] that ``braid.OuterTable`` numbers: (0, 0), the
@@ -748,8 +869,8 @@ def flat_move(f: MoveFacts) -> tuple[tuple, tuple, tuple]:
     """(faces of both sides, (d1_int, d1_F, d2_int, d2_G), tilde of both
     sides) as sets of universe masks, face by face: each complex's faces
     are the submasks of its facets over its word positions, and side 2's
-    faces and families cross mask by mask.  The shortened windows' memo
-    entries hold no facets, so their facets are made here."""
+    faces and families cross mask by mask.  The shortened windows have no
+    memo entries, so their facets are made here."""
     inner = (PositionComplex(f.ctx.system, w, f.ctx.pi) for w in f.words[2:])
     side1, side2, k1, k2 = (face_set(e.word_facets) for e in (*f._entries[:2], *inner))
     faces = frozenset(side1), flat_from_side2(f, side2)

@@ -5,20 +5,21 @@ from pathlib import Path
 
 import pytest
 
-from conftest import (braid_step, check_A3B3_edges, check_column_sets, columns, condition,
-                      counted_f, f_label, face_label_sets, face_masks, face_passes, face_set,
-                      facet_label_sets, flat_decomposition, flat_faces, flat_move, flat_rows,
-                      forward_passes, g_label, has_face, i2_context, inject_faults, k_subdivide,
-                      named, no_face_listing, oracle_contexts, outer_parts, random_context,
-                      same_faces, same_outer_table, shortened_void_or_spherical, side_descriptor,
-                      split_faces, system, word_labels)
+from conftest import (braid_step, check_A3B3_edges, check_column_sets, check_cut, check_cuts,
+                      columns, condition, counted_f, cut_passes, f_label, face_label_sets,
+                      face_masks, face_passes, face_set, facet_label_sets, flat_decomposition,
+                      flat_faces, flat_move, flat_rows, forward_passes, g_label, has_face,
+                      i2_context, inject_faults, k_subdivide, named, no_face_listing,
+                      oracle_contexts, outer_parts, random_context, same_faces, same_outer_table,
+                      shortened_void_or_spherical, side_descriptor, split_faces, system,
+                      word_labels)
 from coxsub import braid, rhoposet
 from coxsub.braid import (BraidContext, Family, MoveFacts, apply_sequence, classify,
                           find_move_path, move_context, polynomial_delta, subfamilies,
                           tilde, verify_decomposition)
 from coxsub.coxeter import CoxeterSystem
 from coxsub.simplicial import LabeledComplex, _bits, subdivide
-from coxsub.subword import SubwordDescriptor, build
+from coxsub.subword import PositionComplex, SubwordDescriptor, build
 
 
 def _mask(f: MoveFacts, labels) -> int:
@@ -112,8 +113,7 @@ def test_shared_namespace_crossing():
         # the witnesses' names: each side walks its endpoint edge onto the
         # other side's internal slots, from slot m - 1 down
         slots = range(m - 1, 1, -1)
-        _, edge1, fresh1 = braid._refine(f, 0)
-        _, edge2, fresh2 = braid._refine(f, 1)
+        (*_, edge1, fresh1), (*_, edge2, fresh2) = f._witness
         assert edge1 == (f_label(1), f_label(m)) and edge2 == (f_label(m), f_label(1))
         assert fresh1 == tuple(g_label(l, m) for l in slots)
         assert fresh2 == tuple(f_label(l) for l in slots)
@@ -127,49 +127,109 @@ def test_shared_namespace_crossing():
 
 
 def test_classify_again_runs_no_forward_pass(monkeypatch):
-    # the memo entries of both sides and of the shortened windows hold all
-    # that a move reads of them: classifying a move again runs no forward
-    # pass, and each classification builds one outer table and lists no face
+    # one cut of the move makes the memo entries of both sides, listing the
+    # facets of each once, and side 1's entry keeps the rest of the cut:
+    # classifying the move again runs no DP pass, neither a cut nor a
+    # forward pass nor a listing, and each classification builds one outer
+    # table and lists no face
     rng = random.Random(41)
     moves, forward = face_passes(monkeypatch), forward_passes(monkeypatch)
+    cuts = cut_passes(monkeypatch)
+    live = 0
     for _ in range(40):
         ctx, memo = random_context(rng), {}
         first = classify(ctx, memo)
-        made = len(forward)
+        made = len(forward), len(cuts["cuts"]), len(cuts["sides"])
         again = classify(ctx, memo)
-        assert len(forward) == made
+        assert (len(forward), len(cuts["cuts"]), len(cuts["sides"])) == made
         assert moves[-1] == moves[-2] == ["table"]
         assert (again.case, again.witness, again.decomposition.checks) == \
             (first.case, first.witness, first.decomposition.checks)
+        assert (again.delta1, again.delta2) == (first.delta1, first.delta2)
         # a report is one result: its copy, every field the same, is another
         copy = first._replace()
         assert tuple(copy) == tuple(first) and copy != first and not copy == first
         assert len({first, copy, first}) == 2
+        live += not first.delta1.is_void
     assert forward and len(moves) == 80
+    assert len(cuts["cuts"]) == 40 and len(cuts["sides"]) == len(set(cuts["sides"])) == 2 * live
 
 
 def test_classify_makes_no_inner_f_vector():
     # the identities read the inner complexes' h, gamma and voidness and
-    # nothing prints their f or facets, so their memo entries hold h alone,
-    # the h of the complex; a later build of such a word makes its facets
+    # nothing prints their f or facets, so the cut gives their h and the
+    # memo holds no entry of them; a later build of such a word makes its
+    # entry, whose h is the cut's
     rng = random.Random(43)
     read = 0
     for _ in range(40):
         ctx, memo = random_context(rng), {}
+        f = MoveFacts(ctx, memo)
         classify(ctx, memo)
         inner = [SubwordDescriptor(ctx.system, ctx.side_word(side, 2), ctx.pi) for side in (1, 2)]
-        entries = [memo[d.word, d.pi] for d in inner]
-        for d, entry in zip(inner, entries):
-            assert entry.complex is None and entry.word_facets is None
+        assert all((d.word, d.pi) not in memo for d in inner)
+        for d, h in zip(inner, f.h[2:]):
             x = build(d)
-            assert entry.h == (() if x.is_void else x.h_vector())
+            assert h == (() if x.is_void else x.h_vector())
             assert "f" not in x._cache
             if not x.is_void:
                 read += 1
                 assert x.f_vector() == counted_f(x)
                 assert "f" in x._cache
-            assert same_faces(build(d, memo), x) and memo[d.word, d.pi].word_facets is not None
+            assert same_faces(build(d, memo), x) and memo[d.word, d.pi].h == h
     assert read >= 10
+
+
+def test_cut_matches_the_builds_word_by_word():
+    # the move's cut against the builds word by word and the facet loop
+    # (``check_cut``): on 300 seeded moves, each with a fresh memo, and on
+    # every classified move of the A4, H3 and D4 w0 orders, which share one
+    # memo per order, as ``build_rho``'s moves do
+    seen = check_cuts(300, 0)
+    assert min(seen.get(case, 0) for case in (1, 2, 3, 4, None)) >= 15, seen
+    for name, classified in (("A4", 100), ("H3", 56), ("D4", 324)):
+        W = system(name)
+        p = rhoposet.build_rho(W, tuple(range(1, W.rank + 1)), (), W.longest_element())
+        reports = {id(e.report): e.report for e in p.edges if e.report is not None}
+        memo: dict = {}
+        for rep in reports.values():
+            check_cut(rep.ctx, memo)
+        assert len(reports) == classified
+
+
+def test_face_limit_read_off_the_cut_before_any_list(monkeypatch, capsys):
+    # the cut gives each side's h, which sums to its facet count, before
+    # any prefix, window or suffix list is made: with MAX_FACES between the
+    # sides' 4 and 5 facets the move exits 2 with one error line, after one
+    # cut and no listing, and one more facet lets it through
+    from coxsub import cli
+    from coxsub.simplicial import FACE_LIMIT_ERROR
+
+    cuts = cut_passes(monkeypatch)
+    args = ["classify", "--group", "A3", "--word", "1,1,2,1,1,3,2,1", "--pos", "2", "--pi", "w0"]
+    monkeypatch.setattr(braid, "MAX_FACES", 4)
+    assert cli.main(args) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {FACE_LIMIT_ERROR}\n"
+    assert len(cuts["cuts"]) == 1 and cuts["sides"] == []
+    monkeypatch.setattr(braid, "MAX_FACES", 5)
+    assert cli.main(args) == 0 and len(cuts["cuts"]) == 2 and len(cuts["sides"]) == 2
+
+
+def test_one_classify_leaves_two_memo_entries():
+    # the memo holds side entries alone, none of h only: one classify leaves
+    # exactly the entries of its two sides, each holding the complex that
+    # the report names, void sides included
+    rng = random.Random(47)
+    A3, void = system("A3"), 0
+    both_void = BraidContext(A3, (), (), 1, 2, A3.longest_element())
+    for ctx in oracle_contexts() + [random_context(rng) for _ in range(100)] + [both_void]:
+        memo: dict = {}
+        rep = classify(ctx, memo)
+        assert list(memo) == [(ctx.side_word(1), ctx.pi), (ctx.side_word(2), ctx.pi)]
+        assert [e.complex for e in memo.values()] == [rep.delta1, rep.delta2]
+        void += rep.delta1.is_void
+    assert void == 1
 
 
 def test_classify_reports_the_memo_complexes():
@@ -205,9 +265,9 @@ def test_i2_family():
         assert rep.decomposition.ok
         assert rep.poly.h_ok and rep.poly.gamma_ok
         # shortened windows: side 1 stays reduced, side 2 gets a double letter
-        k1, k2 = MoveFacts(ctx)._entries[2:]
-        assert (k1.h, k1.spherical) == ((1,), True)  # the complex {()}
-        assert k2.h == ()
+        f = MoveFacts(ctx)
+        assert f.h[2:] == ((1,), ())  # the complex {()}, a sphere
+        assert PositionComplex(ctx.system, f.words[2], ctx.pi).spherical
     rep5 = classify(i2_context(5))
     assert rep5.poly.delta_h == {(1, 1): -3}
     assert rep5.poly.rhs_h == {(1, 1): -3}
@@ -524,7 +584,7 @@ def test_polynomial_identity_recomputed():
             continue
         rep = polynomial_delta(f)
         h1, h2 = (() if x.is_void else x.h_vector() for x in f.sides)
-        k1, k2 = (e.h for e in f._entries[2:])  # the inner entries hold h alone
+        k1, k2 = f.h[2:]  # the cut's h of the shortened windows
         delta = subtract(monomials(h2), monomials(h1))
         inner = subtract(monomials(k2), monomials(k1))
         rhs = {(a + 1, t + 1): (f.m - 2) * c for (a, t), c in inner.items()}
@@ -846,7 +906,7 @@ def test_length3_conditions_read_off_the_outer_table():
 def test_shortened_windows_voidness_read_off_the_outer_table():
     # a window shortened by two is void iff the label of Dem of its first
     # m - 2 letters is 0, so A2 and B2 are read off the outer table too:
-    # they agree with the h of the shortened windows' memo entries
+    # they agree with the cut's h of the shortened windows
     rng = random.Random(62)
     seen = set()
     for ctx in oracle_contexts() + [random_context(rng) for _ in range(200)]:
@@ -854,7 +914,7 @@ def test_shortened_windows_voidness_read_off_the_outer_table():
         labels = f.table.labels
         got = [not labels[chain[f.m - 2]] for chain in f.table.chains]
         assert got == [f.conditions["A2"], f.conditions["B2"]], ctx
-        assert got == [not e.h for e in f._entries[2:]], ctx
+        assert got == [not h for h in f.h[2:]], ctx
         seen.update(got)
     assert seen == {True, False}
 
@@ -901,9 +961,9 @@ def test_window_chains_folded_once_per_system_and_pair(monkeypatch):
     assert len(stream) == 2700
     assert len(chains) == len(set(chains)) and set(chains) == met
     assert len(met) <= sum(r * (r - 1) for r in (3, 3, 3, 4, 4))
-    # one fold per memo entry, and one per chain: 2 x 2,700 chain folds fewer
-    # than when each move folded both of its chains
-    assert len(demazures) == 15_093 - 5_400 + len(met)
+    # one fold per move, for its cut, and one per chain: 2 x 2,700 chain
+    # folds fewer than when each move folded both of its chains
+    assert len(demazures) == 2700 + len(met)
 
 
 def test_equal_label_patterns_decide_equal_checklists():
@@ -950,7 +1010,25 @@ def test_classify_keeps_passing_checklists_alone(monkeypatch):
     assert again.checks is first.checks and again.chain_checked == first.chain_checked
     assert again.mismatches == {}
     f = MoveFacts(ctx)
-    assert braid._DECOMPOSED == {(f.m, tuple(f.table.labels.values())): first}
+    assert braid._DECOMPOSED == {(f.m, tuple(f.table.labels.values())): (first, True)}
+
+
+def test_classify_keeps_passing_witnesses_alone(monkeypatch):
+    # the facet witness runs with the checklist, once per key of classify's
+    # table: a failing witness is reported and not stored, so it runs again;
+    # a passing one is stored, and the moves of its key read it
+    monkeypatch.setattr(braid, "_DECOMPOSED", {})
+    ctx, calls = i2_context(5), []
+    real = braid.facet_witness
+    monkeypatch.setattr(braid, "facet_witness", lambda f, case: calls.append(case) or False)
+    assert [classify(ctx).witness_ok for _ in range(2)] == [False, False]
+    assert calls == [2, 2] and not braid._DECOMPOSED
+    monkeypatch.setattr(braid, "facet_witness",
+                        lambda f, case: calls.append(case) or real(f, case))
+    reports = [classify(ctx) for _ in range(2)]
+    assert [r.witness_ok for r in reports] == [True, True] and calls == [2, 2, 2]
+    assert reports[0].witness == reports[1].witness and reports[0].witness["kind"] == "subdivision"
+    assert [known[1] for known in braid._DECOMPOSED.values()] == [True]
 
 
 def test_every_column_set_passes_the_checklist():
@@ -968,9 +1046,13 @@ def test_every_column_set_passes_the_checklist():
 def test_a4_order_verifies_each_column_set_once(monkeypatch):
     # A4 w0 after Q = 1,2,3,4 meets four column sets, so from an empty
     # table its order runs the checklist four times, once per key
+    # and the facet witness as often
     monkeypatch.setattr(braid, "_DECOMPOSED", {})
     calls, real = [], braid.verify_decomposition
     monkeypatch.setattr(braid, "verify_decomposition", lambda f: calls.append(f) or real(f))
+    witnesses, witness = [], braid.facet_witness
+    monkeypatch.setattr(braid, "facet_witness",
+                        lambda f, case: witnesses.append(case) or witness(f, case))
     A4 = system("A4")
     rhoposet.build_rho(A4, (1, 2, 3, 4), (), A4.longest_element())
-    assert len(calls) == len(braid._DECOMPOSED) == 4
+    assert len(calls) == len(witnesses) == len(braid._DECOMPOSED) == 4

@@ -122,18 +122,18 @@ def test_packed_h_and_facets_match_the_generic_fold(capsys):
     seen = {"void": 0, "facets": 0, "h only": 0}
     top = 0
     for sys_, word, pi in cases:
-        entry = PositionComplex(sys_, word, pi, facets=False)
         if not contains_reduced(sys_, word, pi):
-            assert entry.h == ()
+            assert PositionComplex(sys_, word, pi).h == ()
             seen["void"] += 1
             continue
         letters, tables = tuple(a - 1 for a in word), (sys_._right, sys_._desc)
         layers = forward_layers(sys_, letters, sys_._id(sys_.inverse(pi)))
         h = fold_h(*tables, letters, layers)
-        assert entry.h == h and len(h) == len(word) - sys_.length(pi) + 1, (word, pi)
+        assert len(h) == len(word) - sys_.length(pi) + 1, (word, pi)
         assert _kernels.subword_h(*tables, letters, layers) == h + (0,) * (len(word) + 1 - len(h))
         top = max(top, *h)
         if sum(h) <= 50_000:
+            assert PositionComplex(sys_, word, pi).h == h, (word, pi)
             assert _kernels.subword_facets(*tables, letters, layers) == fold_facets(
                 *tables, letters, layers)
             seen["facets"] += 1
@@ -143,10 +143,12 @@ def test_packed_h_and_facets_match_the_generic_fold(capsys):
     assert top > 2 ** 32
     # (1,2,3,4)^15 at w0 in B4 has 6,892,441,920 facets: its h is made, then
     # the facet pass is refused, and the command exits 2
-    assert sum(PositionComplex(B4, (1, 2, 3, 4) * 15, B4.longest_element(), False).h) \
-        == 6_892_441_920
+    word, w0 = (1, 2, 3, 4) * 15, B4.longest_element()
+    letters, tables = tuple(a - 1 for a in word), (B4._right, B4._desc)
+    layers = forward_layers(B4, letters, B4._id(B4.inverse(w0)))
+    assert sum(_kernels.subword_h(*tables, letters, layers)) == 6_892_441_920
     with pytest.raises(ValueError, match=re.escape(FACE_LIMIT_ERROR)):
-        PositionComplex(B4, (1, 2, 3, 4) * 15, B4.longest_element())
+        PositionComplex(B4, word, w0)
     assert cli.main(["complex", "--group", "B4", "--pi", "w0",
                      "--word", ",".join(["1,2,3,4"] * 15)]) == 2
     assert "error:" in capsys.readouterr().err

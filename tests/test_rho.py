@@ -4,8 +4,9 @@ import random
 
 import pytest
 
-from conftest import (REFERENCE_CAP, braid_step, certify_subdivision, edge_masks, face_passes,
-                      forward_passes, k_subdivide, projection_key, reference_gap, system)
+from conftest import (REFERENCE_CAP, braid_step, certify_subdivision, cut_passes, edge_masks,
+                      face_passes, k_subdivide, projection_key, reference_gap,
+                      system)
 from coxsub import _kernels, backend, cli, rhoposet, subword
 from coxsub.braid import apply_sequence, classify, move_context
 from coxsub.coxeter import CoxeterSystem
@@ -776,13 +777,13 @@ def _h_passes(monkeypatch) -> list:
 
 
 def _position_complexes(monkeypatch) -> list:
-    """Record the (word, pi) and the made entry of every position complex,
-    with facets or without."""
+    """Record the (word, pi) and the made entry of every position complex
+    built word by word, not from a move's cut."""
     made = []
     cls = subword.PositionComplex
 
-    def counted(system, word, pi, facets=True):
-        entry = cls(system, word, pi, facets)
+    def counted(system, word, pi):
+        entry = cls(system, word, pi)
         made.append(((word, pi), entry))
         return entry
 
@@ -790,21 +791,27 @@ def _position_complexes(monkeypatch) -> list:
     return made
 
 
-@pytest.mark.parametrize("name, Q, Qp, passes", [("A4", (1, 2, 3, 4), (), 219),
-                                                 ("H3", (1, 2, 3), (), 108),
-                                                 ("A3", (1, 1), (1, 3), 12)])
-def test_faces_made_once_per_complex(monkeypatch, name, Q, Qp, passes):
-    # each (word, pi) has one forward pass, made with its memo entry; no
-    # face of any complex is made: every classified move, one per
-    # commutation orbit of order m >= 3, reads its faces off one outer table
+@pytest.mark.parametrize("name, Q, Qp, sides", [("A4", (1, 2, 3, 4), (), 158),
+                                                ("H3", (1, 2, 3), (), 86),
+                                                ("A3", (1, 1), (1, 3), 12)])
+def test_faces_made_once_per_complex(monkeypatch, name, Q, Qp, sides):
+    # every classified move, one per commutation orbit of order m >= 3, has
+    # one cut, which lists the facets of each of its sides not yet in the
+    # memo: each side read is listed once, and no complex of the order is
+    # built word by word; no face of any complex is made, as each move reads
+    # its faces off one outer table
     classified = {"A4": 100, "H3": 56, "A3": 8}[name]
     W = system(name)
     made = _position_complexes(monkeypatch)
-    moves, forward = face_passes(monkeypatch), forward_passes(monkeypatch)
-    build_rho(W, Q, Qp, W.longest_element())
+    moves, cuts = face_passes(monkeypatch), cut_passes(monkeypatch)
+    p = build_rho(W, Q, Qp, W.longest_element())
     assert len(moves) == classified and all(seen == ["table"] for seen in moves)
-    assert len(forward) == len(set(forward)) == passes
-    assert sum(bool(e.h) for _, e in made) == passes
+    assert len(cuts["cuts"]) == len(set(cuts["cuts"])) == classified
+    reports = {id(e.report): e.report for e in p.edges if e.report is not None}
+    read = {r.ctx.side_word(k) for r in reports.values() for k in (1, 2)}
+    assert len(reports) == classified and made == []
+    assert len(cuts["sides"]) == len(set(cuts["sides"])) == len(read) == sides
+    assert {w for w, _ in cuts["sides"]} == read
 
 
 def test_each_complex_built_once(monkeypatch):
@@ -812,31 +819,24 @@ def test_each_complex_built_once(monkeypatch):
     w0 = A3.longest_element()
     made = _position_complexes(monkeypatch)
     seen, h_passes = _kernel_calls(monkeypatch), _h_passes(monkeypatch)
+    cuts = cut_passes(monkeypatch)
     p = build_rho(A3, (1, 1), (1, 3), w0)
-    # 12 of the 16 side words and 16 shortened-window words, each made
-    # once: one move per commutation orbit of order m >= 3 is classified,
-    # so four words are read by no classified move; the facet kernel runs
-    # once for each side complex that is not void, and every shortened
-    # window is void, so no h pass runs alone
-    keys = [key for key, _ in made]
-    assert len(keys) == len(set(keys)) == 28
-    sides = [e for _, e in made if e.complex is not None]
-    # the entries without facets are the shortened windows, of 8 letters
-    assert len(sides) == 12 and {len(w) for (w, _), e in made if e.complex is None} == {8}
-    assert len(seen) == len(set(seen)) == sum(not e.complex.is_void for e in sides) == 12
-    assert len(h_passes) == len(set(h_passes)) == sum(bool(e.h) for _, e in made) == 12
+    # 12 of the 16 side words are listed, each once, by the cuts of the 8
+    # classified moves: one move per commutation orbit of order m >= 3 is
+    # classified, so four words are read by no classified move.  No word is
+    # built on its own, so neither a build's facet kernel nor its h pass
+    # runs, and the shortened windows have no entry
+    assert len(cuts["cuts"]) == 8
+    assert len(cuts["sides"]) == len(set(cuts["sides"])) == 12
+    assert made == seen == h_passes == []
     assert len(p.edges) == 18
-    made.clear()
-    seen.clear()
-    h_passes.clear()
     rep = apply_sequence(A3, cli.CHAIN_START, w0, cli.CHAIN_MOVES)
-    keys = [key for key, _ in made]
-    assert len(keys) == len(set(keys)) == 21
-    sides = [e for _, e in made if e.complex is not None]
-    assert len(sides) == 9
-    assert len(seen) == len(set(seen)) == sum(not e.complex.is_void for e in sides) == 9
-    assert len(h_passes) == len(set(h_passes)) == sum(bool(e.h) for _, e in made) == 14
-    assert {(w, w0) for w in rep.words} <= set(keys)
+    # a chain's words are the sides of its moves: each is listed once, by
+    # the cut of the first move that reads it, and its row reads its entry
+    assert len(cuts["cuts"]) == 8 + len(cli.CHAIN_MOVES)
+    listed = [w for w, _ in cuts["sides"][12:]]
+    assert len(listed) == len(set(listed)) == len(rep.words) == len(cli.CHAIN_MOVES) + 1
+    assert set(listed) == set(rep.words) and made == seen == h_passes == []
 
 
 def test_gap_scan_reads_the_memo_entries(monkeypatch):

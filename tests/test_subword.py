@@ -243,13 +243,11 @@ def test_one_demazure_fold_per_build(monkeypatch):
                         lambda self, letters: folds.append(1) or fold(self, letters))
     seen = set()
     for sys_, word, pi, sphere, void in cases:
-        for facets in (True, False):
-            folds.clear()
-            entry = subword.PositionComplex(sys_, word, pi, facets)
-            assert len(folds) == 1, (sys_.name, word, pi)
-            assert entry.spherical == sphere and (entry.h == ()) == void
-            if facets:
-                assert entry.complex.is_void == void
+        folds.clear()
+        entry = subword.PositionComplex(sys_, word, pi)
+        assert len(folds) == 1, (sys_.name, word, pi)
+        assert entry.spherical == sphere and (entry.h == ()) == void
+        assert entry.complex.is_void == void
         seen.add((sphere, void))
     assert seen == {(True, False), (False, False), (False, True)}
 

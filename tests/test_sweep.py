@@ -1,6 +1,6 @@
 import pytest
 
-from conftest import (flat_decomposition, flat_move, same_outer_table,
+from conftest import (check_cut, flat_decomposition, flat_move, same_outer_table,
                       shortened_void_or_spherical, system)
 from coxsub.braid import MoveFacts, verify_decomposition
 from sweep import sweep
@@ -22,9 +22,10 @@ def test_every_move_of_the_short_words(name, length):
     # equally common for each m; the checks of each report with m >= 3,
     # read from classify's table or not, are those of a fresh evaluation
     # and of the face-by-face move algebra; every outer table, whose labels
-    # key that table, is the two-pass oracle's
+    # key that table, is the two-pass oracle's; and every move's cut gives
+    # what the builds word by word and the facet loop give (``check_cut``)
     def each(ctx, rep, memo):
-        f = MoveFacts(ctx, memo)
+        f = check_cut(ctx, memo)
         assert not (rep.case == 4 and rep.decomposition.chain_checked)
         assert shortened_void_or_spherical(f)
         assert same_outer_table(f)
