@@ -1,9 +1,10 @@
 """The kernel namespace over :mod:`coxsub._kernels`.
 
-The package calls the facet pass through ``active``, so a profiler can
-wrap it by replacing the attribute; the forward pass and the packed h pass
-it calls from ``_kernels`` itself.  The submask fill and ``popcounts``,
-which no package code calls, stay for ``bench/tracer.py`` (``KERNELS``).
+A word built on its own gets its facet pass through ``active``, so a
+profiler can wrap it by replacing the attribute; the forward and h passes,
+and a braid move's whole cut (``move_cut``, ``cut_facets``), bypass it.
+The submask fill and ``popcounts``, which no package code calls, stay for
+``bench/tracer.py`` (``KERNELS``).
 The facet pass ``_kernels.subword_facets`` keeps the name ``reduced_subword_masks``,
 which ``bench/tracer.py`` (``KERNELS``) and the ``kernels.subword.*`` metrics read.
 """

@@ -466,7 +466,7 @@ def verify_decomposition(facts: MoveFacts) -> DecompositionReport:
 
 def _coeff_sub(a, b) -> tuple[int, ...]:
     """The coefficients a - b, without trailing zeros."""
-    d = [x - y for x, y in zip_longest(a, b, fillvalue=0)] if a != b else []
+    d = [x - y for x, y in zip_longest(a, b, fillvalue=0)]
     while d and d[-1] == 0:
         d.pop()
     return tuple(d)

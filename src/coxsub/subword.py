@@ -126,10 +126,9 @@ _BYTE_ROWS = _byte_rows()
 def complex_summary(x: LabeledComplex, names) -> dict:
     """JSON-ready vertices, named ``names[v]`` for vertex v, facets (indices
     into the vertices), f and h; each facet's indices are read a byte at a
-    time from ``_BYTE_ROWS``, at once when there are at most eight."""
-    facets = [] if len(x.vertices) > 8 else list(map(list, map(_BYTE_ROWS[0].__getitem__,
-                                                               x.facets)))
-    for f in x.facets if len(x.vertices) > 8 else ():
+    time from ``_BYTE_ROWS``."""
+    facets = []
+    for f in x.facets:
         row, o = [], 0
         while f:
             row += _BYTE_ROWS[o][f & 255]
