@@ -10,24 +10,25 @@ Conventions:
 
 The subword DP walks the vertex decomposition of Delta(word; pi)
 (Knutson-Miller 2004) on states (p, w) standing for Delta(word[p:]; w^-1),
-w = pi^-1 u for the product u of the letters taken before position p.  A
-forward pass (``subword_layers``) lists the live states, of non-void
-complexes, before each position, with their transfers: the sum over the
-paths to a state of t per link at a descent.  The backward passes, direct
-loops with no callback per state, fold the states after p into those
-before it, from the identity after the word, the complex {()}, or from a
-table of states after a part of it.  With s = word[p], a state w
-without the right descent s is a cone over its link (p + 1, w); else it
-splits into the deletion (p + 1, w s) and the link, or is its deletion
-when the link is void: the deletion and a cone link of a live state are
-never void.  The start states must be live.  The h pass packs a state's h
-into one int, coefficient k at bit k * b: a coefficient counts facets, fewer
-than 2^b, so no slot carries, and packed ints multiply as polynomials.
+w = pi^-1 u for the product u of the letters taken before position p.  With
+s = word[p], a state w without the right descent s is a cone over its link
+(p + 1, w); else it splits into the deletion (p + 1, w s) and the link, or
+is its deletion when the link is void: the deletion and a cone link of a
+live state are never void.  So h = h(deletion) + t h(link) is linear in the
+states: the forward pass (``subword_layers``) lists the live states, of
+non-void complexes, before each position with their transfers, the sum over
+the paths to a state of t per link at a descent, and the transfer at the
+identity after the word, the complex {()}, is h.  A transfer packs
+coefficient k at bit k * b: a coefficient counts paths, fewer than 2^b over
+fewer than b letters, so no slot carries.  Only the facet pass folds back,
+a direct loop with no callback per state, from the identity after the word
+or from a table of states after a part of it.  Start states must be live.
 
 A braid move changes only its window, so ``move_cut`` answers its four words
-Q + window + Q' at once: h = sum over the states v after the window of the
-transfer T_v times H_v, the h of Q' from v.  A facet's path meets states w
-and v before and after the window; (pi w, pi v) is its outer pair.
+Q + window + Q' at once: their transfers after the window, one field of
+b * b bits per word, start one forward pass over Q', whose transfer at the
+identity holds the four h.  A facet's path meets states w and v before and
+after the window; (pi w, pi v) is its outer pair.
 """
 
 from __future__ import annotations
@@ -62,22 +63,11 @@ def subword_layers(times, desc, le, letters, tops, b, T, U=None, O=None):
     return layers, U, O
 
 
-def subword_h(right, desc, word, layers):
-    """The h-vector as len(word) + 1 coefficients: h(deletion) + t h(link) at a
-    descent, else h(link), the leaf 1, packed in slots of len(word) + 1 bits."""
-    b, (start,) = len(word) + 1, layers[0]
-    packed = _fold_h(right, desc, word, layers, b, {0: 1})[start]
-    return tuple([packed >> k & (1 << b) - 1 for k in range(0, b * b, b)])
-
-
-def _fold_h(right, desc, word, layers, b, vals):
-    """The packed h of every state of layers[0], from ``vals`` after the word."""
-    for p in range(len(word) - 1, -1, -1):
-        s, below, vals = word[p], vals, {}
-        for w in layers[p]:
-            vals[w] = below[right[w][s]] + (below.get(w, 0) << b) if desc[w] >> s & 1 \
-                else below[w]
-    return vals
+def unpack_h(x, b, n):
+    """The first n coefficients of an h packed in slots of b bits, () when
+    none is set: the complex is void."""
+    h = tuple([x >> k & (1 << b) - 1 for k in range(0, n * b, b)])
+    return h if any(h) else ()
 
 
 def subword_facets(right, desc, word, layers):
@@ -103,10 +93,11 @@ def _fold_facets(right, desc, word, layers, lo, vals):
     return vals
 
 
-def move_cut(times, right, desc, le, Q, windows, Qp, start, tops, b):
-    """The packed h (slots of b bits) of Q + w + Q' at pi^-1 = ``start``, for w
-    each window and then each without its last two letters, the outer pairs
-    of windows[0] and the layers of the cut; ``tops`` as for Q + windows[0] + Q'."""
+def move_cut(times, desc, le, Q, windows, Qp, start, tops, b):
+    """The packed h (slots of b bits) of Q + w + Q' at pi^-1 = ``start``, for
+    w each window and then each without its last two letters, carried over
+    Q' as fields of b * b bits of one transfer; the outer pairs of
+    windows[0] and the layers of the cut; ``tops`` as for Q + windows[0] + Q'."""
     r, m = len(Qp), len(windows[0])
     prefix, A, _ = subword_layers(times, desc, le, Q, reversed(tops[:-1]), b, {start: 1},
                                   {start: 0})
@@ -117,13 +108,15 @@ def move_cut(times, right, desc, le, Q, windows, Qp, start, tops, b):
     for s in reversed(windows[1][1:]):
         wt.append(wt[-1] if desc[wt[-1]] >> s & 1 else times(wt[-1], s))
     walk2 = subword_layers(times, desc, le, windows[1], reversed(wt), b, prefix[-1])[0]
+    # word k's transfers from the live states after its window, at bit k * b * b
     rows = walk1[-1], walk2[-1], walk1[-3], walk2[-3]
-    suffix = subword_layers(times, desc, le, Qp, reversed(tops[:r]), b,
-                            {v: 0 for v in set().union(*rows) if le(v, tops[r])})[0]
-    H = _fold_h(right, desc, Qp, suffix, b, {0: 1})
-    pairs = {(A[w], U[v]) for v, o in O.items() if v in H
+    T = {v: sum([row.get(v, 0) << k * b * b for k, row in enumerate(rows)])
+         for v in set().union(*rows) if le(v, tops[r])}
+    suffix = subword_layers(times, desc, le, Qp, reversed(tops[:r]), b, T)[0]
+    pairs = {(A[w], U[v]) for v, o in O.items() if v in T
              for n, w in enumerate(heads) if o >> n & 1}
-    return ([sum([c * H[v] for v, c in row.items() if v in H]) for row in rows], pairs,
+    h = suffix[-1].get(0, 0)
+    return ([h >> k * b * b & (1 << b * b) - 1 for k in range(4)], pairs,
             (prefix, (walk1, walk2), suffix))
 
 

@@ -1,7 +1,7 @@
 """The kernel namespace over :mod:`coxsub._kernels`.
 
 A word built on its own gets its facet pass through ``active``, so a
-profiler can wrap it by replacing the attribute; the forward and h passes,
+profiler can wrap it by replacing the attribute; the forward pass,
 and a braid move's whole cut (``move_cut``, ``cut_facets``), bypass it.
 The submask fill and ``popcounts``, which no package code calls, stay for
 ``bench/tracer.py`` (``KERNELS``).

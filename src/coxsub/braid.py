@@ -157,26 +157,23 @@ class MoveFacts:
         self.words = words = [Q + alt[k:k + m - c] + Qp for c in (0, 2) for k in (0, 1)]
         alt = tuple(map((-1).__add__, alt))  # 0-based letters
         self.windows = windows = alt[:m], alt[1:m + 1]
-        if not (known := (words[0], pi) in memo and memo[words[0], pi].cuts.get(q)):
-            # one cut: the h of the four words and the outer pairs, kept in side 1's
-            # entry, and the sides not in the memo, listed only within the face limit
-            start, tables = system._inv(system._id(pi)), (system._right, system._desc)
-            Q, Qp = tuple(map((-1).__add__, Q)), tuple(map((-1).__add__, Qp))
-            tops = system._demazures(reversed(Q + windows[0] + Qp))
-            hs, pairs, made = _kernels.move_cut(system._times, *tables, system._le, Q, windows,
-                                                Qp, start, tops, L + 1)
-            slot, n = (1 << (L + 1)) - 1, (L - system._len[start] + 1) * (L + 1)
-            h = [tuple([x >> k & slot for k in range(0, n - 2 * (c > 1) * (L + 1), L + 1)])
-                 if x else () for c, x in enumerate(hs)]
-            need = [k for k in (0, 1) if (words[k], pi) not in memo]
-            if need and max(sum(h[k]) for k in need) > MAX_FACES:
-                raise ValueError(FACE_LIMIT_ERROR)
-            lists = _kernels.cut_facets(*tables, Q, windows, Qp, made, need) if h[0] else [[], []]
-            for k, facets in zip(need, lists):
-                memo[words[k], pi] = PositionComplex(system, words[k], pi,
-                                                     (tops[-1] == start, h[k], facets))
-            memo[words[0], pi].cuts[q] = known = (*h, pairs)
-        self.h, self._pairs = known[:4], known[4]
+        # one cut: the h of the four words, the outer pairs, and the sides not in
+        # the memo, listed only within the face limit
+        start, tables = system._inv(system._id(pi)), (system._right, system._desc)
+        Q, Qp = tuple(map((-1).__add__, Q)), tuple(map((-1).__add__, Qp))
+        tops = system._demazures(reversed(Q + windows[0] + Qp))
+        packed, self._pairs, made = _kernels.move_cut(system._times, system._desc, system._le,
+                                                      Q, windows, Qp, start, tops, L + 1)
+        n = L + 1 - system._len[start]
+        self.h = h = tuple(_kernels.unpack_h(x, L + 1, n - 2 * (k > 1))
+                           for k, x in enumerate(packed))
+        need = [k for k in (0, 1) if (words[k], pi) not in memo]
+        if need and max(sum(h[k]) for k in need) > MAX_FACES:
+            raise ValueError(FACE_LIMIT_ERROR)
+        lists = _kernels.cut_facets(*tables, Q, windows, Qp, made, need) if h[0] else [[], []]
+        for k, facets in zip(need, lists):
+            memo[words[k], pi] = PositionComplex(system, words[k], pi,
+                                                 (tops[-1] == start, h[k], facets))
         # both sides reach ``build`` and find their memo entries
         self.sides = tuple(build(SubwordDescriptor._make((system, w, pi)), memo)
                            for w in words[:2])
@@ -227,7 +224,7 @@ class MoveFacts:
     def facets(self) -> tuple[frozenset, frozenset]:
         """The facets of both sides as universe masks: side 1's word
         positions as they are, side 2's crossed by ``from_side2``."""
-        side1, side2 = self._entries[:2]
+        side1, side2 = self._entries
         return frozenset(side1.word_facets), frozenset(self.from_side2(side2.word_facets))
 
     @cached_property

@@ -24,12 +24,12 @@ from .rhoposet import GAP_SCAN_WORDS, _cert_json, _word_text, build_rho, export_
 from .subword import SubwordDescriptor, complex_json, complex_summary
 
 
-def parse_word(text: str) -> tuple[int, ...]:
+def parse_word(text: str, what: str = "word", unit: str = "letters") -> tuple[int, ...]:
     parts = text.replace(",", " ").split()
     try:
         return tuple(int(p) for p in parts)
     except ValueError:
-        raise ValueError(f"cannot parse word {text!r}: use 1-based letters")
+        raise ValueError(f"cannot parse {what} {text!r}: use 1-based {unit}")
 
 
 def load_system(spec: str) -> CoxeterSystem:
@@ -174,7 +174,7 @@ def cmd_chain(args) -> int:
     word = parse_word(args.word)
     pi = resolve_pi(system, args.pi)
     if args.moves:
-        positions = [int(p) for p in args.moves.replace(",", " ").split()]
+        positions = list(parse_word(args.moves, "--moves", "positions"))
     elif args.goal:
         goal = parse_word(args.goal)
         positions = find_move_path(system, word, goal, cap=args.cap)

@@ -7,13 +7,13 @@ the vertex candidates: two positions are distinct vertices even when they
 carry the same letter.  A position in no facet is not a vertex and is
 dropped; only a summary names the others (``complex_summary``).
 
-The vertex decomposition gives the h-vector (and f and gamma) and the
-facets, each by a backward pass over the live states that one forward
-pass lists (see ``_kernels``); one Demazure fold bounds that pass and
-tells void complexes and spheres.  A braid move makes the entries of its
-sides from one cut at its window instead, and reads the faces of its
-complexes off the Demazure criterion (``braid.OuterTable``): no face is
-listed, and no entry holds h alone.
+The vertex decomposition gives the h-vector (and f and gamma), which one
+forward pass carries with the live states it lists, and the facets, by a
+backward pass over those states (see ``_kernels``); one Demazure fold
+bounds the forward pass and tells void complexes and spheres.  A braid
+move makes the entries of its sides from one cut at its window instead,
+and reads the faces of its complexes off the Demazure criterion
+(``braid.OuterTable``): no face is listed, and no entry holds h alone.
 """
 
 from __future__ import annotations
@@ -41,13 +41,14 @@ class SubwordDescriptor(NamedTuple("SubwordDescriptor", [("system", CoxeterSyste
 class PositionComplex:
     """Delta(word; pi) with the used 0-based word positions as vertices.
 
-    Made once per (word, pi) and memo from one forward pass, or ``made`` by a
-    braid move's cut (``braid.MoveFacts``): h (``()`` when void), sphericity
-    and facets.  ``complex`` is the one complex of the pair that every caller
-    reads; ``cuts`` keeps, per window start, what else a move's cut gave.
+    Made once per (word, pi) and memo, or ``made`` by a braid move's cut
+    (``braid.MoveFacts``): sphericity, h (``()`` when void) and facets.  The
+    forward pass carries h to the identity after the word, slots of
+    |word| + 1 bits; the facet pass folds back over its layers.  ``complex``,
+    which holds h, is the one complex of the pair that every caller reads.
     """
 
-    __slots__ = ("complex", "spherical", "word_facets", "h", "cuts")
+    __slots__ = ("complex", "spherical", "word_facets")
 
     def __init__(self, system: CoxeterSystem, word: Word, pi: GroupElement,
                  made: tuple | None = None):
@@ -57,19 +58,18 @@ class PositionComplex:
             # bound the forward pass; the complex is a sphere iff Dem(word) =
             # pi and void iff pi is not below it (Knutson-Miller, section 3)
             tops, start = system._demazures(reversed(letters)), system._inv(system._id(pi))
-            h, facets = (), []
+            h, facets, b = (), [], len(word) + 1
             if le(start, tops[-1]):
                 layers = _kernels.subword_layers(system._times, system._desc, le, letters,
-                                                 reversed(tops[:-1]), 0, {start: 0})[0]
-                tables = system._right, system._desc, letters, layers
+                                                 reversed(tops[:-1]), b, {start: 1})[0]
                 # h first: it sums to the facet count, which bounds the facet pass
-                h = _kernels.subword_h(*tables)[:len(word) - system._len[start] + 1]
+                h = _kernels.unpack_h(layers[-1][0], b, b - system._len[start])
                 if sum(h) > MAX_FACES:
                     raise ValueError(FACE_LIMIT_ERROR)
-                facets = _K.reduced_subword_masks(*tables)
+                facets = _K.reduced_subword_masks(system._right, system._desc, letters, layers)
             made = tops[-1] == start, h, facets
-        self.spherical, self.h, self.word_facets = made
-        self.cuts, facets, n = {}, made[2], len(word)
+        self.spherical, h, facets = made
+        self.word_facets, n = facets, len(word)
         if not facets:
             self.complex = LabeledComplex.void()
             return
@@ -81,7 +81,7 @@ class PositionComplex:
             top, low = gap.bit_length(), (used & (1 << gap.bit_length()) - 1).bit_length()
             packed = [f & (1 << low) - 1 | f >> top << low for f in packed]
             gap &= (1 << low) - 1
-        self.complex = LabeledComplex([p for p in range(n) if used >> p & 1], packed, made[1])
+        self.complex = LabeledComplex([p for p in range(n) if used >> p & 1], packed, h)
 
 
 def position_complex(system: CoxeterSystem, word: Word, pi: GroupElement,

@@ -169,6 +169,16 @@ def forward_layers(sys_, letters, start: int) -> list:
                                                     reversed(tops[:-1]), 0, {start: 0})[0]]
 
 
+def forward_h(sys_, letters, start: int) -> tuple:
+    """The h that the forward pass of the subword DP carries from the live
+    id ``start`` of pi^-1 to the identity after the last letter, in slots of
+    len(letters) + 1 bits: len(letters) + 1 coefficients, zeros past the top."""
+    tops, b = sys_._demazures(reversed(letters)), len(letters) + 1
+    layers = _kernels.subword_layers(sys_._times, sys_._desc, sys_._le, letters,
+                                     reversed(tops[:-1]), b, {start: 1})[0]
+    return _kernels.unpack_h(layers[-1][0], b, b)
+
+
 def run_facets(sys_, word, pi):
     """The facet kernel called directly, on the tables and forward layers
     of sys_: the facets of Delta(word; pi) as masks over word positions, []
@@ -249,9 +259,9 @@ def cut_passes(monkeypatch) -> dict:
     seen: dict = {"cuts": [], "sides": []}
     cut, lists = _kernels.move_cut, _kernels.cut_facets
 
-    def counted_cut(times, right, desc, le, Q, windows, Qp, start, tops, b):
+    def counted_cut(times, desc, le, Q, windows, Qp, start, tops, b):
         seen["cuts"].append((Q, windows, Qp, start))
-        return cut(times, right, desc, le, Q, windows, Qp, start, tops, b)
+        return cut(times, desc, le, Q, windows, Qp, start, tops, b)
 
     def counted_lists(right, desc, Q, windows, Qp, made, sides):
         (start,) = made[0][0]  # the first layer of the prefix
@@ -440,7 +450,9 @@ def shortened_void_or_spherical(f: MoveFacts) -> bool:
     """Unless both sides are spheres, true; else whether each word with the
     window shortened by two is void or a sphere, so that its h is
     palindromic and its gamma defined (``braid.polynomial_delta``)."""
-    return not all(f.spherical) or all(e.spherical or not e.h for e in f._entries[2:])
+    sys_, pi = f.ctx.system, f.ctx.pi
+    return not all(f.spherical) or all(not h or sys_.demazure_product(w) == pi
+                                       for w, h in zip(f.words[2:], f.h[2:]))
 
 
 def i2_context(m: int) -> BraidContext:
@@ -754,7 +766,7 @@ def check_cut(ctx: BraidContext, memo: dict | None = None) -> MoveFacts:
         assert f.h[k] == h, (ctx, k)
         if k < 2:
             entry, fresh = f._entries[k], PositionComplex(sys_, word, pi)
-            assert sorted(entry.word_facets) == sorted(facets) and entry.h == h, (ctx, k)
+            assert sorted(entry.word_facets) == sorted(facets) and entry.complex.h == h, (ctx, k)
             assert entry.spherical == fresh.spherical, (ctx, k)
             x, y = entry.complex, fresh.complex
             assert (x.vertices, x.facets, x.is_void) == (y.vertices, y.facets, y.is_void), ctx

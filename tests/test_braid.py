@@ -126,12 +126,12 @@ def test_shared_namespace_crossing():
                 (edge1, fresh1, fresh2)
 
 
-def test_classify_again_runs_no_forward_pass(monkeypatch):
+def test_classify_again_lists_no_facet(monkeypatch):
     # one cut of the move makes the memo entries of both sides, listing the
-    # facets of each once, and side 1's entry keeps the rest of the cut:
-    # classifying the move again runs no DP pass, neither a cut nor a
-    # forward pass nor a listing, and each classification builds one outer
-    # table and lists no face
+    # facets of each once; classifying the move again runs one more cut, of
+    # four forward passes, which lists no facet and makes no memo entry, and
+    # the report holds the same complexes; each classification builds one
+    # outer table and lists no face
     rng = random.Random(41)
     moves, forward = face_passes(monkeypatch), forward_passes(monkeypatch)
     cuts = cut_passes(monkeypatch)
@@ -139,20 +139,22 @@ def test_classify_again_runs_no_forward_pass(monkeypatch):
     for _ in range(40):
         ctx, memo = random_context(rng), {}
         first = classify(ctx, memo)
-        made = len(forward), len(cuts["cuts"]), len(cuts["sides"])
+        made, entries = (len(forward), len(cuts["cuts"]), len(cuts["sides"])), dict(memo)
         again = classify(ctx, memo)
-        assert (len(forward), len(cuts["cuts"]), len(cuts["sides"])) == made
+        assert (len(forward), len(cuts["cuts"]), len(cuts["sides"])) == \
+            (made[0] + 4, made[1] + 1, made[2])
+        assert memo.keys() == entries.keys() and all(memo[k] is v for k, v in entries.items())
+        assert again.delta1 is first.delta1 and again.delta2 is first.delta2
         assert moves[-1] == moves[-2] == ["table"]
         assert (again.case, again.witness, again.decomposition.checks) == \
             (first.case, first.witness, first.decomposition.checks)
-        assert (again.delta1, again.delta2) == (first.delta1, first.delta2)
         # a report is one result: its copy, every field the same, is another
         copy = first._replace()
         assert tuple(copy) == tuple(first) and copy != first and not copy == first
         assert len({first, copy, first}) == 2
         live += not first.delta1.is_void
-    assert forward and len(moves) == 80
-    assert len(cuts["cuts"]) == 40 and len(cuts["sides"]) == len(set(cuts["sides"])) == 2 * live
+    assert len(forward) == 4 * 80 and len(moves) == 80 and live
+    assert len(cuts["cuts"]) == 80 and len(cuts["sides"]) == len(set(cuts["sides"])) == 2 * live
 
 
 def test_classify_makes_no_inner_f_vector():
@@ -176,7 +178,7 @@ def test_classify_makes_no_inner_f_vector():
                 read += 1
                 assert x.f_vector() == counted_f(x)
                 assert "f" in x._cache
-            assert same_faces(build(d, memo), x) and memo[d.word, d.pi].h == h
+            assert same_faces(build(d, memo), x) and memo[d.word, d.pi].complex.h == h
     assert read >= 10
 
 

@@ -345,9 +345,13 @@ def test_bad_input_exit_codes(capsys):
     code, _, err = run(capsys, "complex", "--group", '{"type": "I2"}',
                        "--word", "1,2,1", "--pi", "w0")
     assert code == 2 and "order m" in err
-    # a word that is not integers, and the dihedral demo below m = 3: one line
+    # a word or move positions that are not integers, and the dihedral demo
+    # below m = 3: one line naming the input
+    chain = ("chain", "--group", "A2", "--word", "1,2,1", "--pi", "w0", "--moves")
     for argv, message in ((("complex", "--group", "A2", "--word", "1,x", "--pi", "1"),
                            "cannot parse word '1,x': use 1-based letters"),
+                          ((*chain, "1,x"), "cannot parse --moves '1,x': use 1-based positions"),
+                          ((*chain, "1.5"), "cannot parse --moves '1.5': use 1-based positions"),
                           (("demo", "i2", "--m", "2"), "the dihedral demo needs m >= 3")):
         assert run(capsys, *argv) == (2, "", f"error: {message}\n")
 

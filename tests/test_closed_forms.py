@@ -72,7 +72,7 @@ def test_cluster_complex(name):
     assert len(word) == W.rank + W.length(w0)
     entry = position_complex(W, word, w0, {})
     x = entry.complex
-    assert len(x.facets) == sum(entry.h) == CATALAN[name]
+    assert len(x.facets) == sum(entry.complex.h) == CATALAN[name]
     assert x.h_vector() == narayana(name)
     assert entry.spherical and x.gamma() is not None
     if gamma(name) is not None:
@@ -101,7 +101,7 @@ def test_multi_cluster_complex(n, k):
     entry = position_complex(W, word, w0, {})
     want = det([[catalan(n + 2 * k + 1 - i - j) for j in range(1, k + 1)]
                 for i in range(1, k + 1)])
-    assert len(entry.complex.facets) == sum(entry.h) == want
+    assert len(entry.complex.facets) == sum(entry.complex.h) == want
     assert entry.spherical
 
 

@@ -4,9 +4,11 @@ from math import comb
 
 import pytest
 
-from conftest import (brute_facets, contains_reduced, fold_facets, fold_h, forward_layers,
-                      oracle_case, random_pi, run_facets, subword_split_faces, system)
+from conftest import (brute_facets, contains_reduced, cut_passes, fold_facets, fold_h, forward_h,
+                      forward_layers, no_face_listing, oracle_case, random_pi, run_facets,
+                      subword_split_faces, system)
 from coxsub import _kernels, backend, cli
+from coxsub.braid import BraidContext, classify
 from coxsub.coxeter import MAX_WORD_LETTERS, CoxeterMatrix, CoxeterSystem
 from coxsub.simplicial import FACE_LIMIT_ERROR
 from coxsub.subword import PositionComplex, position_complex
@@ -46,7 +48,8 @@ def test_kernel_masks_match_brute():
 def test_forward_pass_lists_exactly_the_live_states():
     # (p, w) is live when Delta(word[p:]; w^-1) is not void by the 2^L scan;
     # the forward pass lists every live state reachable from the start and
-    # no other, and each fold visits exactly those
+    # no other, each fold visits exactly those, and the transfer that the
+    # pass carries to the identity after the word is the fold's h
     visited = set()
 
     class Layer(set):
@@ -91,19 +94,21 @@ def test_forward_pass_lists_exactly_the_live_states():
         third = len(letters) // 3
         faces = lambda right, desc, letters, layers: subword_split_faces(
             right, desc, letters, layers, range(len(letters)), third, len(letters) - third)
-        for kernel in (_kernels.subword_h, _kernels.subword_facets, faces):
+        for kernel in (_kernels.subword_facets, faces):
             visited.clear()
             kernel(sys_._right, desc, letters, counted)
             assert visited == want
+        h = fold_h(sys_._right, desc, letters, layers)
+        assert forward_h(sys_, letters, start) == h + (0,) * (len(word) + 1 - len(h))
         seen["live"] += 1
         seen["dead reached"] += live != reached
     assert min(seen.values()) >= 5, seen
 
 
 def test_packed_h_and_facets_match_the_generic_fold(capsys):
-    # the kernel's h, packed inside it, is the tuple fold's h padded with
-    # zeros to len(word) + 1 coefficients, and the memo entry keeps the
-    # fold's h; its facets are the fold's, in order
+    # the forward pass's h, packed inside it, is the tuple fold's h padded
+    # with zeros to len(word) + 1 coefficients, and the memo entry's complex
+    # keeps the fold's h; its facets are the fold's, in order
     rng = random.Random(38)
     cases = []
     for k in range(150):
@@ -123,17 +128,18 @@ def test_packed_h_and_facets_match_the_generic_fold(capsys):
     top = 0
     for sys_, word, pi in cases:
         if not contains_reduced(sys_, word, pi):
-            assert PositionComplex(sys_, word, pi).h == ()
+            assert PositionComplex(sys_, word, pi).complex.h == ()
             seen["void"] += 1
             continue
         letters, tables = tuple(a - 1 for a in word), (sys_._right, sys_._desc)
-        layers = forward_layers(sys_, letters, sys_._id(sys_.inverse(pi)))
+        start = sys_._id(sys_.inverse(pi))
+        layers = forward_layers(sys_, letters, start)
         h = fold_h(*tables, letters, layers)
         assert len(h) == len(word) - sys_.length(pi) + 1, (word, pi)
-        assert _kernels.subword_h(*tables, letters, layers) == h + (0,) * (len(word) + 1 - len(h))
+        assert forward_h(sys_, letters, start) == h + (0,) * (len(word) + 1 - len(h))
         top = max(top, *h)
         if sum(h) <= 50_000:
-            assert PositionComplex(sys_, word, pi).h == h, (word, pi)
+            assert PositionComplex(sys_, word, pi).complex.h == h, (word, pi)
             assert _kernels.subword_facets(*tables, letters, layers) == fold_facets(
                 *tables, letters, layers)
             seen["facets"] += 1
@@ -144,9 +150,8 @@ def test_packed_h_and_facets_match_the_generic_fold(capsys):
     # (1,2,3,4)^15 at w0 in B4 has 6,892,441,920 facets: its h is made, then
     # the facet pass is refused, and the command exits 2
     word, w0 = (1, 2, 3, 4) * 15, B4.longest_element()
-    letters, tables = tuple(a - 1 for a in word), (B4._right, B4._desc)
-    layers = forward_layers(B4, letters, B4._id(B4.inverse(w0)))
-    assert sum(_kernels.subword_h(*tables, letters, layers)) == 6_892_441_920
+    letters = tuple(a - 1 for a in word)
+    assert sum(forward_h(B4, letters, B4._id(B4.inverse(w0)))) == 6_892_441_920
     with pytest.raises(ValueError, match=re.escape(FACE_LIMIT_ERROR)):
         PositionComplex(B4, word, w0)
     assert cli.main(["complex", "--group", "B4", "--pi", "w0",
@@ -154,20 +159,44 @@ def test_packed_h_and_facets_match_the_generic_fold(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_cut_packs_four_words_at_the_word_limit(monkeypatch):
+    # B4 at w0, Q = (1,2,3,4)^14, window 1,2,1 and Q' = 3,4,3: 62 letters, so
+    # one transfer over Q' carries four fields of 63 * 63 bits, and each
+    # word's h is that of the generic fold
+    B4 = system("B4")
+    w0, Q, Qp = B4.longest_element(), (0, 1, 2, 3) * 14, (2, 3, 2)
+    windows, b = ((0, 1, 0), (1, 0, 1)), len(Q) + 3 + len(Qp) + 1
+    assert b - 1 == MAX_WORD_LETTERS
+    start, tops = B4._id(B4.inverse(w0)), B4._demazures(reversed(Q + windows[0] + Qp))
+    packed, _, _ = _kernels.move_cut(B4._times, B4._desc, B4._le, Q, windows, Qp, start, tops, b)
+    sums = []
+    for k, window in enumerate((*windows, windows[0][:1], windows[1][:1])):
+        letters = Q + window + Qp
+        h = fold_h(B4._right, B4._desc, letters, forward_layers(B4, letters, start))
+        assert _kernels.unpack_h(packed[k], b, b) == h + (0,) * (b - len(h)), k
+        sums.append(sum(h))
+    assert sums == [10_949_581_136, 11_742_522_064, 6_371_628_016, 7_164_568_944]
+    # classify makes the one cut, then refuses before any facet or face listing
+    no_face_listing(monkeypatch)
+    cuts = cut_passes(monkeypatch)
+    with pytest.raises(ValueError, match=re.escape(FACE_LIMIT_ERROR)):
+        classify(BraidContext(B4, (1, 2, 3, 4) * 14, (3, 4, 3), 1, 2, w0))
+    assert len(cuts["cuts"]) == 1 and cuts["sides"] == []
+
+
 def test_h_kernel_exact_past_64_bit_slots():
     # the boundary of the 70-dimensional cross-polytope: A1^70, the word
     # 1,1,2,2,..,70,70 and pi = s1 s2 .. s70, whose h is (C(70, k)); its
     # middle coefficient passes 2^64, and the word passes the input bound,
-    # so the kernel is called directly
+    # so the forward pass is run directly
     n = 70
     sys_ = CoxeterSystem(CoxeterMatrix([[1 if i == j else 2 for j in range(n)] for i in range(n)]))
     word = tuple(k for k in range(1, n + 1) for _ in "ab")
     letters, pi = tuple(a - 1 for a in word), sys_.element_of(range(1, n + 1))
-    layers = forward_layers(sys_, letters, sys_._id(sys_.inverse(pi)))
-    tables = sys_._right, sys_._desc
-    h = _kernels.subword_h(*tables, letters, layers)
+    start = sys_._id(sys_.inverse(pi))
+    h, layers = forward_h(sys_, letters, start), forward_layers(sys_, letters, start)
     assert h == tuple(comb(n, k) for k in range(n + 1)) + (0,) * n
-    assert h[:n + 1] == fold_h(*tables, letters, layers)
+    assert h[:n + 1] == fold_h(sys_._right, sys_._desc, letters, layers)
     assert h[n // 2] > 2 ** 64 and len(word) > MAX_WORD_LETTERS
 
 

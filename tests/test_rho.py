@@ -5,9 +5,9 @@ import random
 import pytest
 
 from conftest import (REFERENCE_CAP, braid_step, certify_subdivision, cut_passes, edge_masks,
-                      face_passes, k_subdivide, projection_key, reference_gap,
+                      face_passes, forward_passes, k_subdivide, projection_key, reference_gap,
                       system)
-from coxsub import _kernels, backend, cli, rhoposet, subword
+from coxsub import backend, cli, rhoposet, subword
 from coxsub.braid import apply_sequence, classify, move_context
 from coxsub.coxeter import CoxeterSystem
 from coxsub.rhoposet import (GapReport, RhoPoset, SemilatticeResult, build_rho,
@@ -762,20 +762,6 @@ def _kernel_calls(monkeypatch) -> list:
     return seen
 
 
-def _h_passes(monkeypatch) -> list:
-    """Record the (letters, start) of every h pass."""
-    seen = []
-    h_pass = _kernels.subword_h
-
-    def counted(right, desc, word, layers):
-        (start,) = layers[0]
-        seen.append((word, start))
-        return h_pass(right, desc, word, layers)
-
-    monkeypatch.setattr(_kernels, "subword_h", counted)
-    return seen
-
-
 def _position_complexes(monkeypatch) -> list:
     """Record the (word, pi) and the made entry of every position complex
     built word by word, not from a move's cut."""
@@ -818,17 +804,18 @@ def test_each_complex_built_once(monkeypatch):
     A3 = system("A3")
     w0 = A3.longest_element()
     made = _position_complexes(monkeypatch)
-    seen, h_passes = _kernel_calls(monkeypatch), _h_passes(monkeypatch)
+    seen, forward = _kernel_calls(monkeypatch), forward_passes(monkeypatch)
     cuts = cut_passes(monkeypatch)
     p = build_rho(A3, (1, 1), (1, 3), w0)
     # 12 of the 16 side words are listed, each once, by the cuts of the 8
     # classified moves: one move per commutation orbit of order m >= 3 is
     # classified, so four words are read by no classified move.  No word is
-    # built on its own, so neither a build's facet kernel nor its h pass
-    # runs, and the shortened windows have no entry
+    # built on its own: no entry is made word by word, a build's facet
+    # kernel never runs, and every forward pass is one of the four of a
+    # cut (Q, each window, Q'); the shortened windows have no entry
     assert len(cuts["cuts"]) == 8
     assert len(cuts["sides"]) == len(set(cuts["sides"])) == 12
-    assert made == seen == h_passes == []
+    assert made == seen == [] and len(forward) == 4 * 8
     assert len(p.edges) == 18
     rep = apply_sequence(A3, cli.CHAIN_START, w0, cli.CHAIN_MOVES)
     # a chain's words are the sides of its moves: each is listed once, by
@@ -836,7 +823,8 @@ def test_each_complex_built_once(monkeypatch):
     assert len(cuts["cuts"]) == 8 + len(cli.CHAIN_MOVES)
     listed = [w for w, _ in cuts["sides"][12:]]
     assert len(listed) == len(set(listed)) == len(rep.words) == len(cli.CHAIN_MOVES) + 1
-    assert set(listed) == set(rep.words) and made == seen == h_passes == []
+    assert set(listed) == set(rep.words) and made == seen == []
+    assert len(forward) == 4 * len(cuts["cuts"])
 
 
 def test_gap_scan_reads_the_memo_entries(monkeypatch):

@@ -246,7 +246,7 @@ def test_one_demazure_fold_per_build(monkeypatch):
         folds.clear()
         entry = subword.PositionComplex(sys_, word, pi)
         assert len(folds) == 1, (sys_.name, word, pi)
-        assert entry.spherical == sphere and (entry.h == ()) == void
+        assert entry.spherical == sphere and (entry.complex.h == ()) == void
         assert entry.complex.is_void == void
         seen.add((sphere, void))
     assert seen == {(True, False), (False, False), (False, True)}
