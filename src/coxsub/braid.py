@@ -22,7 +22,7 @@ slots as one block to the top.  The vertex names, the internal masks and
 the witnesses' fresh vertices read these tables, which are made once per
 shape (|Q|, m, |Q'|) and shared by its moves and reports (``_shape``).
 Each side's complex is its memo entry's, over its own word positions.
-Side 2's facets cross by ``from_side2``, the mask form of its table.  The
+Side 2's faces cross by ``from_side2``, the mask form of its table.  The
 endpoint edge {f1, fm} is then F on side 1 and G on side 2.  The universe
 can exceed 62 bits, so its masks are Python ints.
 
@@ -57,10 +57,10 @@ checked in the tests for m <= 5.  Only a key not met runs
 ``verify_decomposition`` and the witness, and only a passing pair is
 stored, so a failing move names its own mismatches.
 
-Witnesses.  A verdict is replayed, once per key, on the universe masks of
-the sides' facets (``facet_witness``): equal facet sets are equal
-complexes, and an iterated edge subdivision turns the facets through the
-endpoint edge into new facets over the fresh window bits.
+Witnesses.  A verdict is replayed, once per key, on the sides' face
+families (``family_witness``): equal families are equal complexes, and an
+iterated edge subdivision turns each window part through the endpoint edge
+into three parts over a fresh window bit, with its label (``_subdivide``).
 """
 
 from __future__ import annotations
@@ -72,7 +72,7 @@ from typing import NamedTuple
 from . import _kernels
 from .coxeter import MAX_REDUCED_WORDS, CoxeterSystem, GroupElement, Word
 from .simplicial import (FACE_LIMIT_ERROR, MAX_FACES, MAX_WINDOW_PARTS, WINDOW_LIMIT_ERROR,
-                         LabeledComplex, _bits, _gamma, subdivide)
+                         LabeledComplex, _bits, _gamma)
 from .subword import PositionComplex, SubwordDescriptor, build, position_complex
 
 
@@ -138,8 +138,8 @@ class MoveFacts:
     """The derived facts of one braid move.  Made at once: the bit universe
     and its names (``_shape``), and from one cut the h of the four words, the
     outer pairs and both sides' memo entries (``subword.build``).  Made on
-    first use: the outer table, the window conditions, and the sides' facets
-    as masks, faces and interface families."""
+    first use: the outer table, the window conditions, and the sides' faces
+    and interface families."""
 
     def __init__(self, ctx: BraidContext, memo: dict | None = None):
         self.ctx = ctx
@@ -221,13 +221,6 @@ class MoveFacts:
         return self.m == 2 or bool(self.conditions["A3"] and self.conditions["B3"])
 
     @cached_property
-    def facets(self) -> tuple[frozenset, frozenset]:
-        """The facets of both sides as universe masks: side 1's word
-        positions as they are, side 2's crossed by ``from_side2``."""
-        side1, side2 = self._entries
-        return frozenset(side1.word_facets), frozenset(self.from_side2(side2.word_facets))
-
-    @cached_property
     def table(self) -> OuterTable:
         return OuterTable(self, self._pairs)
 
@@ -269,17 +262,17 @@ class OuterTable:
         for n in {system._column(i, j, a, u) for a, u in pairs}:
             for d in chains[0][n // (f.m + 2):] + chains[1][n % (f.m + 2):]:
                 labels[d] |= 1 << n
-        # side 1's facets and letters up to Q', for ``parts`` (no reference to f)
-        self._side1 = f._entries[0].word_facets, f.words[0][:f.q + f.m], f.q
+        # side 1's complex and letters up to Q', for ``parts`` (no reference to f)
+        self._side1 = f.sides[0], f.words[0][:f.q + f.m], f.q
 
     @cached_property
     def parts(self) -> dict:
         """Side 1's facets' outer parts with their column bits, to name a failed
-        check's faces; a pair is the product of the taken letters before the
-        window, then before Q'."""
-        (facets, head, q), times, parts = self._side1, self.system._times, {}
+        check's faces; a facet is unpacked onto its word positions, and a pair
+        is the product of the taken letters before the window, then before Q'."""
+        (x1, head, q), times, parts = self._side1, self.system._times, {}
         i, j = self.pair
-        for x in facets:
+        for x in (sum(1 << x1.vertices[v] for v in _bits(y)) for y in x1.facets):
             a = reduce(times, [s - 1 for p, s in enumerate(head[:q]) if not x >> p & 1], 0)
             u = reduce(times, [s - 1 for p, s in enumerate(head[q:], q) if not x >> p & 1], a)
             parts.setdefault(x & ~((1 << len(head)) - (1 << q)), self.system._column(i, j, a, u))
@@ -554,12 +547,30 @@ class CaseReport(NamedTuple):
         return CASE_NAMES[self.case]
 
 
-def facet_witness(f: MoveFacts, case: int) -> bool:
-    """The verdict replayed on the sides' universe facets: equal for case 1,
+def _subdivide(faces: Family, s: int, t: int, fresh) -> Family | None:
+    """The family after the iterated edge subdivision of {s, t} (single bits)
+    at fresh[0], then of {fresh[0], t} at fresh[1], and so on: at the new bit
+    r a part k through the edge gives k - s | r, k - t | r and k - {s, t} | r,
+    each with its label; the other parts stay.  None if no part holds {s, t}."""
+    if not any(k & s and k & t for k in faces):
+        return None
+    for r in fresh:
+        out = Family()
+        for k, label in faces.items():
+            if k & s and k & t:
+                out[k ^ s | r] = out[k ^ t | r] = out[k ^ s ^ t | r] = label
+            else:
+                out[k] = label
+        faces, s = out, r
+    return faces
+
+
+def family_witness(f: MoveFacts, case: int) -> bool:
+    """The verdict replayed on the sides' face families: equal for case 1,
     else the coarser side (both for case 4) subdivided along the endpoint
     edge at the other side's internal slots (``_shape``), as the finer one."""
-    subs = [subdivide(f.facets[k], 1 << ends[0], 1 << ends[1], [1 << b for b in fresh])
-            if case in (4, 3 - k) else f.facets[k]
+    subs = [_subdivide(f.faces[k], 1 << ends[0], 1 << ends[1], [1 << b for b in fresh])
+            if case in (4, 3 - k) else f.faces[k]
             for k, (ends, fresh, *_) in enumerate(f._witness)]
     return (case != 4 or subs[0] is not None) and subs[0] == subs[1]
 
@@ -580,8 +591,8 @@ def classify(ctx: BraidContext, memo: dict | None = None) -> CaseReport:
     function of m and the outer labels.  The case is read off the labels, a
     side's faces are its window walk's family over the O of the labels, and
     an iterated edge subdivision at window slots rewrites window parts and
-    keeps their labels: the complexes compared are families over the same
-    O, equal iff their parts and labels are, as in the checklist."""
+    keeps their labels (``_subdivide``): ``family_witness`` compares families
+    over the same O, equal iff their parts and labels are, as in the checklist."""
     f = MoveFacts(ctx, memo)
     m, c, names = f.m, f.conditions, f._side_names
     d1x, d2x = f.sides
@@ -594,7 +605,7 @@ def classify(ctx: BraidContext, memo: dict | None = None) -> CaseReport:
     # a label pattern that passed before passes again with the same report
     key = (m, tuple(f.table.labels.values()))
     if (known := _DECOMPOSED.get(key)) is None:
-        known = verify_decomposition(f), facet_witness(f, case) if case else None
+        known = verify_decomposition(f), family_witness(f, case) if case else None
         if known[0].ok and known[1] is not False:
             _DECOMPOSED[key] = known
     dec, witness_ok = known

@@ -187,6 +187,8 @@ class CoxeterMatrix:
                 raise ValueError("group spec nests too deeply") from None
         if isinstance(spec, dict):
             if "matrix" in spec:
+                if extra := [k for k in ("type", "rank", "m") if k in spec]:
+                    raise ValueError(f"group spec gives 'matrix' and {', '.join(map(repr, extra))}")
                 return CoxeterMatrix(spec["matrix"])
             if "type" in spec:
                 family = str(spec["type"])

@@ -26,7 +26,7 @@ from __future__ import annotations
 from functools import cache
 from math import comb
 from operator import index as _int
-from typing import Collection, Hashable, Iterable, Sequence
+from typing import Hashable, Iterable, Sequence
 
 from .coxeter import MAX_WORD_LETTERS as MAX_VERTICES
 
@@ -87,7 +87,7 @@ class LabeledComplex:
 
     Invariant: the facets form an antichain (no facet inside another).
     ``from_facets`` prunes to the maximal sets; ``subword.PositionComplex``
-    (facets of one size) and ``subdivide`` preserve it.
+    (facets of one size) and ``contractions`` preserve it.
     """
 
     __slots__ = ("vertices", "facets", "h", "_cache")
@@ -241,24 +241,6 @@ class LabeledComplex:
                 cand ^= low
                 done |= low
         return True
-
-
-def subdivide(facets: Collection[int], s: int, t: int,
-              fresh: Iterable[int]) -> frozenset | None:
-    """Facet masks after the iterated edge subdivision of the edge {s, t}
-    (single bits): {s, t} at fresh[0], then {fresh[0], t} at fresh[1], and
-    so on.  None when s == t or no facet holds the edge."""
-    if s == t or not any(x & s and x & t for x in facets):
-        return None
-    for r in fresh:
-        edge, out = s | t, set()
-        for x in facets:
-            if x & edge == edge:
-                out.update((x ^ s | r, x ^ t | r))
-            else:
-                out.add(x)
-        facets, s = out, r
-    return frozenset(facets)
 
 
 def contractions(y: LabeledComplex):

@@ -44,11 +44,11 @@ class PositionComplex:
     Made once per (word, pi) and memo, or ``made`` by a braid move's cut
     (``braid.MoveFacts``): sphericity, h (``()`` when void) and facets.  The
     forward pass carries h to the identity after the word, slots of
-    |word| + 1 bits; the facet pass folds back over its layers.  ``complex``,
-    which holds h, is the one complex of the pair that every caller reads.
+    |word| + 1 bits; the facet pass folds back over its layers.  ``complex``
+    holds h and the facets, packed over its vertices; every caller reads it.
     """
 
-    __slots__ = ("complex", "spherical", "word_facets")
+    __slots__ = ("complex", "spherical")
 
     def __init__(self, system: CoxeterSystem, word: Word, pi: GroupElement,
                  made: tuple | None = None):
@@ -69,7 +69,7 @@ class PositionComplex:
                 facets = _K.reduced_subword_masks(system._right, system._desc, letters, layers)
             made = tops[-1] == start, h, facets
         self.spherical, h, facets = made
-        self.word_facets, n = facets, len(word)
+        n = len(word)
         if not facets:
             self.complex = LabeledComplex.void()
             return

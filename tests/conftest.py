@@ -27,7 +27,10 @@ replaced, and ``check_cut`` compares the cut with them.  The
 library reads f, h and gamma off the h of the subword DP alone;
 ``counted_f`` and ``counted_h`` count them face by face, for complexes
 made by hand too, and ``contains_reduced`` tells a void pair by Bruhat
-order."""
+order.  ``subdivide`` is the iterated edge subdivision on facet masks, and
+``facet_witness`` a move's verdict replayed with it on the sides' universe
+facets (``universe_facets``), against which ``braid.family_witness`` is;
+``word_facets`` reads an entry's facets over its word positions."""
 
 from __future__ import annotations
 
@@ -41,7 +44,7 @@ from coxsub.braid import BraidContext, Family, MoveFacts, classify
 from coxsub.coxeter import CoxeterMatrix, CoxeterSystem
 from coxsub.rhoposet import GapReport, RhoPoset
 from coxsub.simplicial import (LabeledComplex, _bits, contractions, is_isomorphic_constrained,
-                               iso_invariant, subdivide)
+                               iso_invariant)
 from coxsub.subword import PositionComplex, SubwordDescriptor, build
 
 _SYSTEMS: dict = {}
@@ -115,6 +118,13 @@ def face_set(facets) -> set[int]:
     buf: list[int] = []
     _kernels.fill_submasks(list(facets), buf)
     return set(buf)
+
+
+def word_facets(entry: PositionComplex) -> list[int]:
+    """The facets of an entry's complex as masks over its word positions,
+    sorted: each packed facet unpacked through the complex's vertices."""
+    x = entry.complex
+    return [sum(1 << x.vertices[v] for v in _bits(f)) for f in x.facets]
 
 
 def contains_reduced(sys_, word, pi) -> bool:
@@ -579,6 +589,23 @@ def k_subdivide(x: LabeledComplex, edge, k: int, fresh) -> LabeledComplex:
     return LabeledComplex.from_facets(facets, vertex_order=x.vertices + tuple(fresh))
 
 
+def subdivide(facets, s: int, t: int, fresh) -> frozenset | None:
+    """Facet masks after the iterated edge subdivision of the edge {s, t}
+    (single bits): {s, t} at fresh[0], then {fresh[0], t} at fresh[1], and
+    so on.  None when s == t or no facet holds the edge."""
+    if s == t or not any(x & s and x & t for x in facets):
+        return None
+    for r in fresh:
+        edge, out = s | t, set()
+        for x in facets:
+            if x & edge == edge:
+                out.update((x ^ s | r, x ^ t | r))
+            else:
+                out.add(x)
+        facets, s = out, r
+    return frozenset(facets)
+
+
 def link_oracle_check(d: SubwordDescriptor, face) -> bool:
     """Compare Lk(face) against the complex of the word with ``face``, a
     set of word positions, deleted (Knutson-Miller 2004).  The shortened
@@ -655,7 +682,7 @@ def two_pass_table(f: MoveFacts) -> tuple[dict, dict]:
     desc, times, le = sys_._desc, sys_._times, sys_._le
     Q, Qp = [s - 1 for s in ctx.Q], [s - 1 for s in ctx.Qp]
     window, low, pi = ((1 << f.m) - 1) << q, (1 << q) - 1, sys_._id(ctx.pi)
-    facets = f._entries[0].word_facets
+    facets = word_facets(f._entries[0])
     heads = dict.fromkeys({x & low for x in facets})
     for head in heads:
         a = 0
@@ -751,6 +778,34 @@ def facet_loop_table(f: MoveFacts, side: int = 1) -> tuple[dict, dict]:
     return labels, parts
 
 
+def universe_facets(f: MoveFacts) -> tuple[frozenset, frozenset]:
+    """The facets of both sides of a move as universe masks: side 1's word
+    positions as they are, side 2's crossed by ``from_side2``."""
+    side1, side2 = (word_facets(e) for e in f._entries)
+    return frozenset(side1), frozenset(f.from_side2(side2))
+
+
+def facet_witness(f: MoveFacts, case: int) -> bool:
+    """The verdict replayed on the sides' universe facets, the oracle of
+    ``braid.family_witness``: equal for case 1, else the coarser side (both
+    for case 4) subdivided along the endpoint edge at the other side's
+    internal slots, as the finer one."""
+    facets = universe_facets(f)
+    subs = [subdivide(facets[k], 1 << ends[0], 1 << ends[1], [1 << b for b in fresh])
+            if case in (4, 3 - k) else facets[k]
+            for k, (ends, fresh, *_) in enumerate(f._witness)]
+    return (case != 4 or subs[0] is not None) and subs[0] == subs[1]
+
+
+def case_of(f: MoveFacts) -> int | None:
+    """The case that ``braid.classify`` reads off the window conditions."""
+    c = f.conditions
+    if f.m == 2:
+        return 1
+    return {(True, True): 1, (False, True): 2, (True, False): 3,
+            (False, False): 4}[(c["A2"], c["B2"])] if f.supported else None
+
+
 def check_cut(ctx: BraidContext, memo: dict | None = None) -> MoveFacts:
     """Assert that the move's cut gives what the builds word by word and the
     facet loop give: the four h-vectors, both sides' facets (in any order)
@@ -766,7 +821,7 @@ def check_cut(ctx: BraidContext, memo: dict | None = None) -> MoveFacts:
         assert f.h[k] == h, (ctx, k)
         if k < 2:
             entry, fresh = f._entries[k], PositionComplex(sys_, word, pi)
-            assert sorted(entry.word_facets) == sorted(facets) and entry.complex.h == h, (ctx, k)
+            assert word_facets(entry) == sorted(facets) and entry.complex.h == h, (ctx, k)
             assert entry.spherical == fresh.spherical, (ctx, k)
             x, y = entry.complex, fresh.complex
             assert (x.vertices, x.facets, x.is_void) == (y.vertices, y.facets, y.is_void), ctx
@@ -777,7 +832,7 @@ def check_cut(ctx: BraidContext, memo: dict | None = None) -> MoveFacts:
     # 2's facets join the same pairs of states across the window as side 1's
     assert facet_loop_table(f, 2)[0] == labels, ctx
     rep = classify(ctx, memo)
-    want = braid.facet_witness(MoveFacts(ctx), rep.case) if rep.case else None
+    want = facet_witness(MoveFacts(ctx), rep.case) if rep.case else None
     assert rep.witness_ok is want, ctx
     return f
 
@@ -807,8 +862,9 @@ def check_column_sets(m: int, top: bool = False) -> tuple[int, int]:
     = () under a made-up outer table for each set of W_ij's columns, the
     empty one (void sides) included, or with ``top`` for each set of the
     seven columns with l0, l1 >= m - 2 (those of the sets where A3 and B3
-    hold).  Asserts that each passes; returns the counts of sets checked
-    and of those chain-checked."""
+    hold), and ``braid.family_witness`` on each supported set, at the case
+    read off its window conditions.  Asserts that each passes; returns the
+    counts of sets checked and of those chain-checked."""
     sys_ = system(f"I2:{m}")
     base = MoveFacts(BraidContext(sys_, (), (), 1, 2, sys_.element_of(())))
     chains = sys_._chain(0, 1), sys_._chain(1, 0)
@@ -824,8 +880,10 @@ def check_column_sets(m: int, top: bool = False) -> tuple[int, int]:
                     labels[d] |= 1 << (l0 * (m + 2) + l1)
         f = copy.copy(base)
         f.table = table
-        dec = braid.verify_decomposition(f)
-        assert dec.ok, (m, [c for k, c in enumerate(cols) if chosen >> k & 1], dec.mismatches)
+        dec, case = braid.verify_decomposition(f), case_of(f)
+        chosen_cols = [c for k, c in enumerate(cols) if chosen >> k & 1]
+        assert dec.ok, (m, chosen_cols, dec.mismatches)
+        assert case is None or braid.family_witness(f, case), (m, chosen_cols, case)
         checked += 1
         chained += dec.chain_checked
     return checked, chained
@@ -884,7 +942,7 @@ def flat_move(f: MoveFacts) -> tuple[tuple, tuple, tuple]:
     faces and families cross mask by mask.  The shortened windows have no
     memo entries, so their facets are made here."""
     inner = (PositionComplex(f.ctx.system, w, f.ctx.pi) for w in f.words[2:])
-    side1, side2, k1, k2 = (face_set(e.word_facets) for e in (*f._entries[:2], *inner))
+    side1, side2, k1, k2 = (face_set(word_facets(e)) for e in (*f._entries[:2], *inner))
     faces = frozenset(side1), flat_from_side2(f, side2)
     d1_int, d2_G = flat_link_families(k1, f.q, f.m)
     d2_int, d1_F = flat_link_families(k2, f.q, f.m)

@@ -15,11 +15,11 @@ import pytest
 from conftest import (brute_facets, condition, contains_reduced, counted_h, f_label,
                       face_label_sets, facet_label_sets, flat_faces, has_face, link,
                       link_oracle_check, named, random_context, random_descriptor,
-                      side_descriptor, spherical_complex, system)
+                      side_descriptor, spherical_complex, subdivide, system)
 from coxsub.braid import (BraidContext, MoveFacts, apply_sequence, classify, subfamilies,
                           tilde, verify_decomposition)
 from coxsub.rhoposet import build_rho, poset_json
-from coxsub.simplicial import LabeledComplex, subdivide
+from coxsub.simplicial import LabeledComplex
 from coxsub.subword import SubwordDescriptor, build, complex_json
 
 # descriptors and complexes built while running criteria 1-8; criterion 9

@@ -5,20 +5,20 @@ from pathlib import Path
 
 import pytest
 
-from conftest import (braid_step, check_A3B3_edges, check_column_sets, check_cut, check_cuts,
-                      columns, condition, counted_f, cut_passes, f_label, face_label_sets,
-                      face_masks, face_passes, face_set, facet_label_sets, flat_decomposition,
-                      flat_faces, flat_move, flat_rows, forward_passes, g_label, has_face,
-                      i2_context, inject_faults, k_subdivide, named, no_face_listing,
-                      oracle_contexts, outer_parts, random_context, same_faces, same_outer_table,
-                      shortened_void_or_spherical, side_descriptor, split_faces, system,
-                      word_labels)
+from conftest import (FAULT_GROUPS, braid_step, check_A3B3_edges, check_column_sets, check_cut,
+                      check_cuts, columns, condition, counted_f, cut_passes, f_label,
+                      face_label_sets, face_masks, face_passes, face_set, facet_label_sets,
+                      facet_witness, flat_decomposition, flat_faces, flat_move, flat_rows,
+                      forward_passes, g_label, has_face, i2_context, inject_faults, k_subdivide,
+                      named, no_face_listing, oracle_contexts, outer_parts, random_context,
+                      same_faces, same_outer_table, shortened_void_or_spherical, side_descriptor,
+                      split_faces, subdivide, system, universe_facets, word_labels)
 from coxsub import braid, rhoposet
 from coxsub.braid import (BraidContext, Family, MoveFacts, apply_sequence, classify,
                           find_move_path, move_context, polynomial_delta, subfamilies,
                           tilde, verify_decomposition)
 from coxsub.coxeter import CoxeterSystem
-from coxsub.simplicial import LabeledComplex, _bits, subdivide
+from coxsub.simplicial import LabeledComplex, _bits
 from coxsub.subword import PositionComplex, SubwordDescriptor, build
 
 
@@ -101,7 +101,7 @@ def test_shared_namespace_crossing():
         assert classify(ctx).names == (names1, names2)
         assert same_faces(f.sides[0], build(d1)) and same_faces(f.sides[1], build(d2))
         # named, each side's facets are its universe facets
-        for x, names, facets in zip(f.sides, (names1, names2), f.facets):
+        for x, names, facets in zip(f.sides, (names1, names2), universe_facets(f)):
             assert set(facet_label_sets(named(x, names))) == _label_sets(f, facets)
         assert f.internal == (_mask(f, [f_label(l) for l in range(2, m)]),
                               _mask(f, [g_label(l, m) for l in range(2, m)]))
@@ -109,7 +109,7 @@ def test_shared_namespace_crossing():
         # carries its faces as it carries its facets
         for p, label in enumerate(names2):
             assert f.from_side2([1 << p]) == [1 << f.bits[1][p]] == [_mask(f, [label])]
-        assert flat_faces(f, f.faces[1]) == face_set(f.facets[1])
+        assert flat_faces(f, f.faces[1]) == face_set(universe_facets(f)[1])
         # the witnesses' names: each side walks its endpoint edge onto the
         # other side's internal slots, from slot m - 1 down
         slots = range(m - 1, 1, -1)
@@ -658,7 +658,8 @@ def test_case1_witness_matches_label_equality():
         equal = same_faces(named(rep.delta1, rep.names[0]), named(rep.delta2, rep.names[1]))
         f = MoveFacts(ctx)
         assert (flat_faces(f, f.faces[0]) == flat_faces(f, f.faces[1])) == equal
-        assert (f.facets[0] == f.facets[1]) == equal
+        facets1, facets2 = universe_facets(f)
+        assert (facets1 == facets2) == equal
         if rep.case == 1:
             assert rep.witness_ok == equal
             case1_orders.add(min(rep.m, 3))
@@ -683,8 +684,8 @@ def test_subdivision_witnesses_match_label_reference():
         # the reference: labelled subdivisions, None where the edge is missing
         refs, masks = [], []
         x1, x2 = named(rep.delta1, rep.names[0]), named(rep.delta2, rep.names[1])
-        for x, facets, edge, fresh in ((x1, f.facets[0], ends, fresh_g),
-                                       (x2, f.facets[1], ends[::-1], fresh_f)):
+        for x, facets, edge, fresh in zip((x1, x2), universe_facets(f), (ends, ends[::-1]),
+                                          (fresh_g, fresh_f)):
             refs.append(k_subdivide(x, edge, m - 2, fresh) if has_face(x, edge) else None)
             bits = [_mask(f, [v]) for v in edge + tuple(fresh)]
             masks.append(subdivide(facets, bits[0], bits[1], bits[2:]))
@@ -701,6 +702,22 @@ def test_subdivision_witnesses_match_label_reference():
             assert rep.witness["agree"] == (None not in refs and same_faces(sub1, sub2))
             assert rep.witness_ok == rep.witness["agree"]
     assert seen == {2, 3, 4}
+
+
+def test_family_witness_equals_the_facet_witness():
+    # the witness on the sides' face families equals the oracle on their
+    # universe facets for every case value, not only the move's own, so
+    # both verdicts are met at each case and each m
+    rng, seen = random.Random(59), set()
+    for _ in range(300):
+        f = MoveFacts(random_context(rng, names=FAULT_GROUPS))
+        for case in (1, 2, 3, 4):
+            got = braid.family_witness(f, case)
+            assert got == facet_witness(f, case), (f.ctx, case)
+            seen.add((case, f.m, got))
+    verdicts = {(case, got) for case, _, got in seen}
+    assert verdicts == set(itertools.product(range(1, 5), (False, True)))
+    assert {m for case, m, got in seen if got and case in (2, 3)} == {2, 3, 4, 5}
 
 
 def test_mask_subdivision_matches_k_subdivide():
@@ -933,7 +950,7 @@ def test_outer_table_matches_the_two_pass_oracle():
         f = MoveFacts(random_context(rng, names=("A3", "B3", "H3", "A4", "D4")))
         assert same_outer_table(f), f.ctx
         parts = f.table.parts
-        shared += len(parts) < len(f._entries[0].word_facets)
+        shared += len(parts) < len(f.sides[0].facets)
         heads += len({x & (1 << f.q) - 1 for x in parts}) < len(parts)
     assert min(shared, heads) >= 30, (shared, heads)
 
@@ -1016,16 +1033,16 @@ def test_classify_keeps_passing_checklists_alone(monkeypatch):
 
 
 def test_classify_keeps_passing_witnesses_alone(monkeypatch):
-    # the facet witness runs with the checklist, once per key of classify's
+    # the witness runs with the checklist, once per key of classify's
     # table: a failing witness is reported and not stored, so it runs again;
     # a passing one is stored, and the moves of its key read it
     monkeypatch.setattr(braid, "_DECOMPOSED", {})
     ctx, calls = i2_context(5), []
-    real = braid.facet_witness
-    monkeypatch.setattr(braid, "facet_witness", lambda f, case: calls.append(case) or False)
+    real = braid.family_witness
+    monkeypatch.setattr(braid, "family_witness", lambda f, case: calls.append(case) or False)
     assert [classify(ctx).witness_ok for _ in range(2)] == [False, False]
     assert calls == [2, 2] and not braid._DECOMPOSED
-    monkeypatch.setattr(braid, "facet_witness",
+    monkeypatch.setattr(braid, "family_witness",
                         lambda f, case: calls.append(case) or real(f, case))
     reports = [classify(ctx) for _ in range(2)]
     assert [r.witness_ok for r in reports] == [True, True] and calls == [2, 2, 2]
@@ -1037,7 +1054,8 @@ def test_every_column_set_passes_the_checklist():
     # classify's table has one key per set of W_ij's 3m - 1 columns: every
     # key it can hold for m <= 5 is checked here, the empty set (void sides)
     # included, and for m = 3..16 the 128 sets of the top seven columns,
-    # which are exactly the chain-checked ones
+    # which are exactly the chain-checked ones; the witness passes on each
+    # supported set
     assert [len(columns(m)) for m in range(2, 17)] == [3 * m - 1 for m in range(2, 17)]
     for m in range(2, 6):
         assert check_column_sets(m) == (2 ** (3 * m - 1), 32 if m == 2 else 128)
@@ -1048,12 +1066,12 @@ def test_every_column_set_passes_the_checklist():
 def test_a4_order_verifies_each_column_set_once(monkeypatch):
     # A4 w0 after Q = 1,2,3,4 meets four column sets, so from an empty
     # table its order runs the checklist four times, once per key
-    # and the facet witness as often
+    # and the witness as often
     monkeypatch.setattr(braid, "_DECOMPOSED", {})
     calls, real = [], braid.verify_decomposition
     monkeypatch.setattr(braid, "verify_decomposition", lambda f: calls.append(f) or real(f))
-    witnesses, witness = [], braid.facet_witness
-    monkeypatch.setattr(braid, "facet_witness",
+    witnesses, witness = [], braid.family_witness
+    monkeypatch.setattr(braid, "family_witness",
                         lambda f, case: witnesses.append(case) or witness(f, case))
     A4 = system("A4")
     rhoposet.build_rho(A4, (1, 2, 3, 4), (), A4.longest_element())

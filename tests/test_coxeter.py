@@ -385,6 +385,13 @@ SPEC_REFUSALS = [
     ({"type": "I2"}, "type I2 needs its order m", "I2_without_m"),
     ({"type": "A"}, "named type needs a rank", "type_without_rank"),
     ({"family": "A3"}, "cannot interpret group spec", "unknown_keys"),
+    ({"matrix": [[1, 3], [3, 1]], "type": "B"}, "group spec gives 'matrix' and 'type'",
+     "matrix_and_type"),
+    ({"matrix": [[1, 3], [3, 1]], "rank": 3}, "group spec gives 'matrix' and 'rank'",
+     "matrix_and_rank"),
+    ({"matrix": [[1, 5], [5, 1]], "m": 5}, "group spec gives 'matrix' and 'm'", "matrix_and_m"),
+    ('{"matrix": [[1, 3], [3, 1]], "type": "A", "rank": 2}',
+     "group spec gives 'matrix' and 'type', 'rank'", "matrix_type_and_rank"),
     ('{"matrix": ' + "[" * 5000 + "]" * 5000 + "}", "group spec nests too deeply", "nested"),
 ]
 

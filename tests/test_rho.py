@@ -6,7 +6,7 @@ import pytest
 
 from conftest import (REFERENCE_CAP, braid_step, certify_subdivision, cut_passes, edge_masks,
                       face_passes, forward_passes, k_subdivide, projection_key, reference_gap,
-                      system)
+                      subdivide, system)
 from coxsub import backend, cli, rhoposet, subword
 from coxsub.braid import apply_sequence, classify, move_context
 from coxsub.coxeter import CoxeterSystem
@@ -14,7 +14,7 @@ from coxsub.rhoposet import (GapReport, RhoPoset, SemilatticeResult, build_rho,
                              export_dot, poset_json, semilattice_check,
                              transitive_reduction)
 from coxsub.simplicial import (LabeledComplex, contractions, is_isomorphic_constrained,
-                               iso_invariant, subdivide)
+                               iso_invariant)
 from coxsub.subword import SubwordDescriptor, build
 
 

@@ -6,10 +6,10 @@ import pytest
 
 from conftest import (counted_f, counted_h, edge_masks, face_masks, facet_label_sets, has_face,
                       k_subdivide, link, random_descriptor, same_faces, spherical_complex,
-                      system)
+                      subdivide, system)
 from coxsub import simplicial
 from coxsub.simplicial import (FACE_LIMIT_ERROR, LabeledComplex, is_isomorphic_constrained,
-                               iso_invariant, subdivide)
+                               iso_invariant)
 from coxsub.subword import SubwordDescriptor, build
 
 

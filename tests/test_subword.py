@@ -6,7 +6,7 @@ from conftest import (brute_facets, brute_is_face, counted_f, counted_h, edge_ma
                       face_label_sets, face_masks, face_set, facet_label_sets, has_face,
                       k_subdivide, link_oracle_check, named, oracle_case, random_descriptor,
                       random_pi, same_faces, spherical_complex, split_faces, subword_h_oracle,
-                      system)
+                      system, word_facets)
 from coxsub import braid, subword
 from coxsub.simplicial import MAX_VERTICES, LabeledComplex, iso_invariant
 from coxsub.subword import (SubwordDescriptor, build, complex_json, complex_summary,
@@ -329,19 +329,19 @@ def test_subword_dp_matches_oracles():
         split = split_faces(sys_, word, pi, bits, lo, hi)
         if x.is_void:
             seen["void"] += 1
-            assert want_h is None and entry.word_facets == [] and split == {}
+            assert want_h is None and word_facets(entry) == [] and split == {}
             assert brute_facets(sys_, word, pi) == set()
             continue
         seen["empty face"] += x.facets == (0,)
         seen["spherical" if entry.spherical else "general"] += 1
         assert x.h_vector() == want_h
         assert {frozenset(p + 1 for p in range(len(word)) if f >> p & 1)
-                for f in entry.word_facets} == brute_facets(sys_, word, pi)
+                for f in word_facets(entry)} == brute_facets(sys_, word, pi)
         window = sum(1 << bits[p] for p in range(lo, hi))
         assert all(k | window == window for k in split)
         assert all(outer and all(not o & window for o in outer) for outer in split.values())
         faces = [k | o for k, outer in split.items() for o in outer]
         assert len(faces) == len(set(faces))
         assert set(faces) == {sum(1 << bits[p] for p in range(len(word)) if f >> p & 1)
-                              for f in face_set(entry.word_facets)}
+                              for f in face_set(word_facets(entry))}
     assert min(seen.values()) >= 5, seen
